@@ -23,19 +23,3 @@ class DecodeError(EnqodeError):
 
 class NotDeterministicError(EnqodeError):
     """A single-shot readout was requested on a superposed register."""
-
-
-class CompatibilityError(EnqodeError):
-    """A function oracle is not compatible with the domain mapping in use."""
-
-
-class PipelineSyntaxError(EnqodeError):
-    """Pipeline source text failed to parse.
-
-    Carries 1-based ``line`` and ``column`` of the offending token.
-    """
-
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column

@@ -5,24 +5,29 @@ Conventions used throughout the package:
 * Qubit 0 is the least-significant bit of a basis-state integer, so the
   amplitude of ``|x>`` lives at array index ``x``.  Printed kets such as
   ``|x2 x1 x0>`` are a display convention only.
-* States are complex128 arrays of length ``2**n_qubits`` and are treated as
-  immutable after construction.
+* A ``StateVector`` holds a read-only complex128 array of length
+  ``2**n_qubits``.  ``apply_circuit`` copies it once into a buffer it owns,
+  and ``apply_gate`` updates that buffer in place through strided views.
+* A gate's action is written in one place, ``gate_matrix``; ``apply_gate``
+  reads every gate off it.
 * All randomness goes through numpy's PCG64 generator seeded explicitly, so
   every stochastic operation is bit-reproducible from its seed.
 
-The hard cap of 24 qubits keeps a state below 256 MB.
+The hard cap of 24 qubits keeps a state below 256 MB, and the cap of 12
+qubits on ``build_unitary`` keeps its matrix to the same budget.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, CircuitError, NotDeterministicError
+from .errors import CapacityError, CircuitError
 
 MAX_QUBITS = 24
+MAX_UNITARY_QUBITS = 12
 
 NORM_ATOL = 1e-9
 
@@ -136,53 +141,40 @@ def _ry_matrix(theta: float) -> np.ndarray:
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """Local unitary of ``gate`` with local bit ``i`` = ``gate.qubits[i]``."""
-    if gate.kind == X:
-        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    if gate.kind == H:
-        return np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=np.complex128)
-    if gate.kind == RY:
-        return _ry_matrix(gate.angle)
-    if gate.kind == PHASE:
-        return np.diag([1.0, np.exp(1j * gate.angle)]).astype(np.complex128)
+    """Local unitary of ``gate`` with local bit ``i`` = ``gate.qubits[i]``.
+
+    Every kind but SWAP and PERMUTATION is laid out as ``(*controls,
+    target)`` and is block-diagonal over control patterns: ``u[j::half,
+    j::half]`` is the 2x2 unitary the target gets when the controls read
+    ``j``.  This is the only place a gate's action is written.
+    """
+    kind = gate.kind
     dim = 1 << len(gate.qubits)
+    if kind in (SWAP, PERMUTATION):
+        u = np.zeros((dim, dim), dtype=np.complex128)
+        u[list(gate.table or (0, 2, 1, 3)), range(dim)] = 1.0  # SWAP: local bits 0 <-> 1
+        return u
+    if kind in (X, CNOT):
+        blocks = [np.array([[0, 1], [1, 0]], dtype=np.complex128)]
+    elif kind == H:
+        blocks = [np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=np.complex128)]
+    elif kind in (RY, CRY):
+        blocks = [_ry_matrix(gate.angle)]
+    elif kind in (PHASE, CP):
+        blocks = [np.diag([1.0, np.exp(1j * gate.angle)]).astype(np.complex128)]
+    elif kind == MULTIPLEXED_RY:
+        blocks = [_ry_matrix(a) for a in gate.angles]
+    else:
+        raise CircuitError(f"unknown gate kind {kind!r}")
+    if kind in (CNOT, CP, CRY):
+        blocks.insert(0, np.eye(2))  # control reads 0: identity
+    if dim == 2:
+        return blocks[0]
     u = np.zeros((dim, dim), dtype=np.complex128)
-    if gate.kind == PERMUTATION:
-        for src, dst in enumerate(gate.table):
-            u[dst, src] = 1.0
-        return u
-    if gate.kind == CNOT:
-        for b in range(dim):  # bit 0 = control, bit 1 = target
-            u[b ^ 2 if b & 1 else b, b] = 1.0
-        return u
-    if gate.kind == SWAP:
-        for b in range(dim):
-            lo, hi = b & 1, (b >> 1) & 1
-            u[lo << 1 | hi, b] = 1.0
-        return u
-    if gate.kind in (CP, CRY):
-        sub = (
-            np.diag([1.0, np.exp(1j * gate.angle)]).astype(np.complex128)
-            if gate.kind == CP
-            else _ry_matrix(gate.angle)
-        )
-        for b in range(dim):
-            if b & 1 == 0:
-                u[b, b] = 1.0
-        # control = bit 0 set: 2x2 block on target bit 1
-        u[1, 1], u[1, 3] = sub[0, 0], sub[0, 1]
-        u[3, 1], u[3, 3] = sub[1, 0], sub[1, 1]
-        return u
-    if gate.kind == MULTIPLEXED_RY:
-        k = len(gate.qubits) - 1
-        for j in range(1 << k):
-            sub = _ry_matrix(gate.angles[j])
-            i0 = j  # controls in low bits, target = bit k
-            i1 = j | (1 << k)
-            u[i0, i0], u[i0, i1] = sub[0, 0], sub[0, 1]
-            u[i1, i0], u[i1, i1] = sub[1, 0], sub[1, 1]
-        return u
-    raise CircuitError(f"unknown gate kind {gate.kind!r}")
+    half = dim // 2
+    for j, block in enumerate(blocks):
+        u[j::half, j::half] = block
+    return u
 
 
 @dataclass(frozen=True)
@@ -322,26 +314,34 @@ def state_from_amplitudes(amps: Sequence[complex]) -> StateVector:
     return StateVector(n, arr)
 
 
-def _apply_1q(psi: np.ndarray, q: int, u: np.ndarray) -> np.ndarray:
-    view = psi.reshape(-1, 2, 1 << q)
-    out = np.empty_like(view)
-    out[:, 0, :] = u[0, 0] * view[:, 0, :] + u[0, 1] * view[:, 1, :]
-    out[:, 1, :] = u[1, 0] * view[:, 0, :] + u[1, 1] * view[:, 1, :]
-    return out.reshape(psi.shape)
+def _check_qubits(qubits: tuple[int, ...], n: int) -> None:
+    if any(not 0 <= q < n for q in qubits):
+        raise CircuitError(f"gate qubits {qubits} outside 0..{n - 1}")
 
 
-def _pair_indices(n: int, target: int, fixed_ones: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (i0, i1) differing in ``target``, with all ``fixed_ones`` bits set."""
-    idx = np.arange(1 << n)
-    mask = (idx >> target) & 1 == 0
-    for c in fixed_ones:
-        mask &= (idx >> c) & 1 == 1
-    i0 = idx[mask]
-    return i0, i0 | (1 << target)
+@lru_cache(maxsize=256)
+def _block_slices(qubits: tuple[int, ...], n: int) -> tuple[tuple[tuple, tuple], ...]:
+    """Index pairs (target bit 0, target bit 1) into the ``(1, 2, ..., 2)``
+    view of an n-qubit buffer, one pair per control pattern ``j`` of a
+    ``(*controls, target)`` gate.  Axis ``n - q`` holds qubit ``q``; the
+    leading length-1 axis keeps every selection a view, even at n = 1."""
+    _check_qubits(qubits, n)
+    *controls, target = qubits
+    pairs = []
+    for j in range(1 << len(controls)):
+        idx = [slice(None)] * (n + 1)
+        for i, c in enumerate(controls):
+            idx[n - c] = (j >> i) & 1
+        idx[n - target] = 0
+        i0 = tuple(idx)
+        idx[n - target] = 1
+        pairs.append((i0, tuple(idx)))
+    return tuple(pairs)
 
 
 @lru_cache(maxsize=128)
 def _perm_destinations(table: tuple[int, ...], qubits: tuple[int, ...], n: int) -> np.ndarray:
+    _check_qubits(qubits, n)
     src = np.arange(1 << n)
     local = np.zeros(1 << n, dtype=np.int64)
     for i, q in enumerate(qubits):
@@ -355,70 +355,63 @@ def _perm_destinations(table: tuple[int, ...], qubits: tuple[int, ...], n: int) 
 
 
 def apply_gate(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply one gate to a raw amplitude array, returning a new array."""
-    kind = gate.kind
-    if kind in (X, H, RY, PHASE):
-        return _apply_1q(psi, gate.qubits[0], gate_matrix(gate))
-    if kind == CNOT:
-        c, t = gate.qubits
-        i0, i1 = _pair_indices(n, t, (c,))
-        out = psi.copy()
-        out[i0], out[i1] = psi[i1], psi[i0]
-        return out
-    if kind == SWAP:
-        a, b = gate.qubits
-        idx = np.arange(1 << n)
-        sel = ((idx >> a) & 1) != ((idx >> b) & 1)
-        out = psi.copy()
-        out[idx[sel] ^ ((1 << a) | (1 << b))] = psi[idx[sel]]
-        return out
-    if kind in (CP, CRY):
-        c, t = gate.qubits
-        sub = (
-            np.diag([1.0, np.exp(1j * gate.angle)]).astype(np.complex128)
-            if kind == CP
-            else _ry_matrix(gate.angle)
-        )
-        i0, i1 = _pair_indices(n, t, (c,))
-        out = psi.copy()
-        a0, a1 = psi[i0], psi[i1]
-        out[i0] = sub[0, 0] * a0 + sub[0, 1] * a1
-        out[i1] = sub[1, 0] * a0 + sub[1, 1] * a1
-        return out
-    if kind == MULTIPLEXED_RY:
-        controls, t = gate.qubits[:-1], gate.qubits[-1]
-        idx = np.arange(1 << n)
-        patt = np.zeros(1 << n, dtype=np.int64)
-        for i, c in enumerate(controls):
-            patt |= ((idx >> c) & 1) << i
-        out = psi.copy()
-        t0 = (idx >> t) & 1 == 0
-        for j in range(1 << len(controls)):
-            i0 = idx[t0 & (patt == j)]
-            i1 = i0 | (1 << t)
-            sub = _ry_matrix(gate.angles[j])
-            a0, a1 = psi[i0], psi[i1]
-            out[i0] = sub[0, 0] * a0 + sub[0, 1] * a1
-            out[i1] = sub[1, 0] * a0 + sub[1, 1] * a1
-        return out
-    if kind == PERMUTATION:
-        dest = _perm_destinations(gate.table, gate.qubits, n)
-        out = np.empty_like(psi)
-        out[dest] = psi
-        return out
-    raise CircuitError(f"unknown gate kind {kind!r}")
+    """Apply one gate to ``psi`` in place and return ``psi``.
+
+    ``psi`` must be a writable, C-contiguous complex128 array of length
+    ``2**n``.  The gate's action is read off ``gate_matrix``.  SWAP and
+    PERMUTATION move amplitudes through a cached index map.  Every other
+    kind updates, for each control pattern ``j``, the target-0 and target-1
+    slices of a ``[2]*n`` view with the 2x2 block ``u[j::half, j::half]``,
+    chosen by the block's shape: identity blocks are skipped, diagonal
+    blocks scale only the slices whose entry is not 1, the bit flip swaps
+    the two slices, and any other block is applied densely.
+    """
+    flags = psi.flags
+    if psi.dtype != np.complex128 or psi.shape != (1 << n,) or not (flags.writeable and flags.c_contiguous):
+        raise CircuitError(f"apply_gate needs a writable contiguous complex128 buffer of length {1 << n}")
+    if gate.kind in (SWAP, PERMUTATION):
+        # A permutation's table is its definition; SWAP's is read off its matrix.
+        table = gate.table or tuple(np.abs(gate_matrix(gate)).argmax(axis=0).tolist())
+        psi[_perm_destinations(table, gate.qubits, n)] = psi.copy()
+        return psi
+    u = gate_matrix(gate)
+    view = psi.reshape((1,) + (2,) * n)
+    half = len(u) // 2
+    for j, (i0, i1) in enumerate(_block_slices(gate.qubits, n)):
+        (u00, u01), (u10, u11) = u[j::half, j::half].tolist()
+        a0, a1 = view[i0], view[i1]
+        if u01 == 0 and u10 == 0:
+            if u00 != 1:
+                a0[...] = u00 * a0
+            if u11 != 1:
+                a1[...] = u11 * a1
+        elif u00 == 0 and u11 == 0 and u01 == 1 and u10 == 1:
+            a0[...], a1[...] = a1, a0.copy()
+        else:
+            b0 = u00 * a0 + u01 * a1
+            a1[...] = u10 * a0 + u11 * a1
+            a0[...] = b0
+    return psi
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Run ``circuit`` on ``state``; norm is preserved to 1e-9."""
+    """Run ``circuit`` on a copy of ``state``.
+
+    Raises ``CircuitError`` if the squared norm moved by more than
+    ``NORM_ATOL``.
+    """
     if circuit.n_qubits != state.n_qubits:
         raise CircuitError(
             f"circuit width {circuit.n_qubits} != state width {state.n_qubits}"
         )
     psi = np.array(state.amplitudes, dtype=np.complex128)
     for g in circuit.gates:
-        psi = apply_gate(psi, g, state.n_qubits)
-    return StateVector(state.n_qubits, psi)
+        apply_gate(psi, g, state.n_qubits)
+    out = StateVector(state.n_qubits, psi)
+    drift = abs(out.norm_sq - state.norm_sq)
+    if drift > NORM_ATOL:
+        raise CircuitError(f"circuit changed the squared norm by {drift:.3g} > {NORM_ATOL}")
+    return out
 
 
 def run(circuit: Circuit) -> StateVector:
@@ -427,7 +420,11 @@ def run(circuit: Circuit) -> StateVector:
 
 
 def build_unitary(circuit: Circuit) -> np.ndarray:
-    """Full ``2**n x 2**n`` matrix of ``circuit`` (small circuits only)."""
+    """Full ``2**n x 2**n`` matrix of ``circuit``, for n <= 12."""
+    if circuit.n_qubits > MAX_UNITARY_QUBITS:
+        raise CapacityError(
+            f"unitary of {circuit.n_qubits} qubits exceeds the cap of {MAX_UNITARY_QUBITS}"
+        )
     dim = 1 << circuit.n_qubits
     cols = []
     for b in range(dim):
@@ -484,8 +481,3 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     if a.n_qubits != b.n_qubits:
         raise CircuitError("fidelity of states with different qubit counts")
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def spawn_seeds(seed: int, count: int) -> list[int]:
-    """Derive ``count`` independent child seeds from ``seed`` (SeedSequence)."""
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]

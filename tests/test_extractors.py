@@ -1,0 +1,105 @@
+"""Extractor tests against closed forms.
+
+Amplitude estimation is checked against the outcome distribution of
+Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055), the swap test against
+``1/2 + |<a|b>|^2 / 2``, and the shot count against its normal-asymptotics
+formula.  The closed forms take only the flag probability of ``F|0>`` or
+the overlap of the two loaded states as input.
+"""
+from statistics import NormalDist
+
+import numpy as np
+import pytest
+
+from enqode import extractors as ext
+from enqode import loaders, sim
+from enqode.errors import NotDeterministicError
+
+
+def bhmt_distribution(a: float, m: int) -> np.ndarray:
+    """P(y) = (F(y/M - w) + F(y/M + w)) / 2 with sin^2(pi w) = a and the
+    Fejer kernel F(d) = sin^2(M pi d) / (M^2 sin^2(pi d)), F = 1 at integers."""
+    big_m = 1 << m
+    omega = np.arcsin(np.sqrt(a)) / np.pi
+
+    def fejer(delta):
+        s = np.sin(np.pi * delta)
+        on_grid = np.abs(s) < 1e-12
+        s = np.where(on_grid, 1.0, s)
+        return np.where(on_grid, 1.0, np.sin(big_m * np.pi * delta) ** 2 / (big_m * s) ** 2)
+
+    y = np.arange(big_m) / big_m
+    return 0.5 * (fejer(y - omega) + fejer(y + omega))
+
+
+def flag_probability(f: sim.Circuit, flag: int) -> float:
+    """P(flag = 1) of F|0>, summed from the amplitudes by hand."""
+    amps = sim.run(f).amplitudes
+    idx = np.arange(amps.size)
+    return float(np.sum(np.abs(amps[(idx >> flag) & 1 == 1]) ** 2))
+
+
+def random_loader(rng, n: int, complex_values: bool = False) -> sim.Circuit:
+    a = np.abs(rng.normal(size=1 << n))
+    if complex_values:
+        a = a * np.exp(1j * rng.uniform(-np.pi, np.pi, size=a.size))
+    return loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+
+
+class TestAmplitudeEstimation:
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_outcome_distribution_matches_bhmt(self, m):
+        rng = np.random.default_rng(100 + m)
+        for n, flag in ((1, 0), (2, 1), (2, 0)):
+            f = random_loader(rng, n)
+            np.testing.assert_allclose(
+                ext.qae_outcome_distribution(f, m, flag=flag),
+                bhmt_distribution(flag_probability(f, flag), m),
+                atol=1e-12,
+            )
+
+    def test_on_grid_amplitude_is_exact(self):
+        # a = sin^2(pi/8) lies on the m = 3 grid: outcomes 1 and 7 only.
+        f = sim.Circuit(1, [sim.ry(2 * np.pi / 8, 0)])
+        probs = ext.qae_outcome_distribution(f, 3)
+        np.testing.assert_allclose(probs, [0, 0.5, 0, 0, 0, 0, 0, 0.5], atol=1e-12)
+        assert ext.qae_estimate(f, 3, shots=16, seed=1).estimate == pytest.approx(np.sin(np.pi / 8) ** 2)
+
+
+class TestSwapTest:
+    def test_exact_probability_matches_overlap(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2):
+            fa, fb = random_loader(rng, n, True), random_loader(rng, n, True)
+            overlap = abs(np.vdot(sim.run(fa).amplitudes, sim.run(fb).amplitudes)) ** 2
+            res = ext.swap_test(fa, fb, shots=0, seed=0)
+            assert res.p0_exact == pytest.approx(0.5 + overlap / 2, abs=1e-12)
+            assert res.p0_estimate == res.p0_exact
+            assert res.overlap_estimate == pytest.approx(np.sqrt(overlap), abs=1e-6)
+
+
+class TestReadouts:
+    def test_required_shots_formula(self):
+        # The textbook 95% / +-1% worst case: 0.25 * 1.96^2 / 1e-4 -> 9604.
+        assert ext.required_shots(0.01, 0.95, 0.5) == 9604
+        for eps, alpha, p in ((0.05, 0.9, 0.2), (0.001, 0.99, 0.7), (0.1, 0.5, 0.01)):
+            z = NormalDist().inv_cdf((1 + alpha) / 2)
+            assert ext.required_shots(eps, alpha, p) == int(np.ceil(p * (1 - p) * z * z / eps**2))
+
+    def test_mode_breaks_ties_toward_smaller_outcome(self):
+        # |+> on qubit 1 of |x1 1>: outcomes 1 and 3, equally likely.
+        state = sim.state_from_amplitudes([0, 2**-0.5, 0, 2**-0.5])
+        ties = 0
+        for seed in range(20):
+            res = ext.mode_readout(state, (0, 1), shots=2, seed=seed)
+            if res.histogram == {1: 1, 3: 1}:
+                ties += 1
+                assert res.mode == 1
+            else:
+                assert res.histogram == {res.mode: 2}
+        assert ties > 0
+
+    def test_basis_readout(self):
+        assert ext.basis_readout(sim.basis_state(3, 5), (0, 2)) == 3
+        with pytest.raises(NotDeterministicError):
+            ext.basis_readout(sim.state_from_amplitudes([2**-0.5, 2**-0.5]), (0,))

@@ -44,7 +44,12 @@ def oracle_apply(state: np.ndarray, circuit: sim.Circuit) -> np.ndarray:
 
 
 def random_gate(rng, n: int) -> sim.Gate:
-    kind = rng.choice(["x", "h", "ry", "p", "cnot", "cp", "swap", "cry", "mry", "perm"])
+    """A random gate of any kind that fits on ``n`` qubits (single-qubit
+    kinds only at n = 1); ``mry`` takes up to 3 controls."""
+    kinds = ["x", "h", "ry", "p", "perm"]
+    if n >= 2:
+        kinds += ["cnot", "cp", "swap", "cry", "mry"]
+    kind = rng.choice(kinds)
     qs = rng.permutation(n)
     if kind in ("x", "h"):
         return sim.Gate(kind, (int(qs[0]),))
@@ -55,7 +60,7 @@ def random_gate(rng, n: int) -> sim.Gate:
     if kind in ("cp", "cry"):
         return sim.Gate(kind, (int(qs[0]), int(qs[1])), angle=float(rng.uniform(-np.pi, np.pi)))
     if kind == "mry":
-        k = int(rng.integers(1, min(3, n)))
+        k = int(rng.integers(1, min(4, n)))
         return sim.multiplexed_ry(
             rng.uniform(-np.pi, np.pi, size=1 << k), [int(q) for q in qs[:k]], int(qs[k])
         )
@@ -109,15 +114,73 @@ class TestApplyCircuit:
             sim.apply_circuit(sim.zero_state(2), sim.Circuit(3, [sim.x(0)]))
 
     def test_every_kind_matches_kron_oracle(self):
-        for trial in range(60):
-            n = int(RNG.integers(2, 5))
-            s = random_state(RNG, n)
-            c = sim.Circuit(n, [random_gate(RNG, n) for _ in range(6)])
-            np.testing.assert_allclose(
-                sim.apply_circuit(s, c).amplitudes,
-                oracle_apply(np.array(s.amplitudes), c),
-                atol=1e-10,
-            )
+        for n in range(1, 7):
+            top = n - 1
+            # gates on the outermost wires, in both roles
+            edges = [sim.h(0), sim.ry(0.4, top), sim.p(-1.1, 0), sim.x(top)]
+            if n >= 2:
+                edges += [
+                    sim.cnot(0, top),
+                    sim.cnot(top, 0),
+                    sim.cp(0.7, top, 0),
+                    sim.cry(-0.3, 0, top),
+                    sim.swap(0, top),
+                    sim.multiplexed_ry([0.2, -0.9], [top], 0),
+                ]
+            if n >= 4:
+                edges.append(sim.multiplexed_ry(RNG.uniform(-np.pi, np.pi, 8), [top, 1, 0], 2))
+            for trial in range(12):
+                s = random_state(RNG, n)
+                gates = [random_gate(RNG, n) for _ in range(6)]
+                c = sim.Circuit(n, edges + gates if trial == 0 else gates)
+                expected = oracle_apply(np.array(s.amplitudes), c)
+                np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, expected, atol=1e-10)
+                psi = np.array(s.amplitudes)
+                assert all(sim.apply_gate(psi, g, n) is psi for g in c.gates)
+                np.testing.assert_allclose(psi, expected, atol=1e-10)
+
+    def test_blocks_are_handled_by_shape(self, monkeypatch):
+        # The kernel reads only the matrix: identity, diagonal, bit-flip and
+        # dense blocks, in every pairing, under one control.
+        ph = np.exp(1j * RNG.uniform(-np.pi, np.pi, 4))
+        shapes = [
+            np.eye(2),
+            np.diag(ph[:2]),
+            np.array([[0, 1], [1, 0]]),
+            np.array([[0, ph[2]], [ph[3], 0]]),
+            sim.gate_matrix(sim.ry(0.9, 0)),
+        ]
+        c = sim.Circuit(3, [sim.cnot(2, 0)])
+        for b0 in shapes:
+            for b1 in shapes:
+                u = np.zeros((4, 4), dtype=np.complex128)
+                u[0::2, 0::2], u[1::2, 1::2] = b0, b1
+                monkeypatch.setattr(sim, "gate_matrix", lambda g, u=u: u)
+                s = random_state(RNG, 3)
+                np.testing.assert_allclose(
+                    sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=1e-12
+                )
+
+    def test_apply_gate_rejects_bad_input(self):
+        psi = sim.zero_state(2).amplitudes  # read-only
+        for bad in (psi, psi.real.copy(), np.zeros(8, dtype=np.complex128), np.zeros(8, complex)[::2]):
+            with pytest.raises(CircuitError):
+                sim.apply_gate(bad, sim.h(0), 2)
+        for gate in (sim.x(2), sim.cnot(0, 5), sim.swap(0, 2)):
+            with pytest.raises(CircuitError):
+                sim.apply_gate(psi.copy(), gate, 2)
+
+    def test_norm_drift_raises(self, monkeypatch):
+        true_matrix = sim.gate_matrix
+        monkeypatch.setattr(sim, "gate_matrix", lambda g: 1.01 * true_matrix(g))
+        with pytest.raises(CircuitError):
+            sim.apply_circuit(sim.zero_state(2), sim.Circuit(2, [sim.h(0)]))
+
+
+class TestBuildUnitary:
+    def test_cap_before_allocation(self):
+        with pytest.raises(CapacityError):
+            sim.build_unitary(sim.Circuit(13, [sim.h(0)]))
 
 
 class TestGateUnitarity:
