@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import loaders, sim
+from . import sim
 from .errors import CapacityError, EncodingError
 from .sim import Circuit, Gate, StateVector
 
@@ -84,6 +84,19 @@ def _oracle_digit_table(u_d: Circuit, m: int) -> list[int]:
     return table
 
 
+def _ew_prep_circuit(u_d: Circuit, m: int) -> Circuit:
+    """Uniform index layer, the digit oracle ``u_d``, then one multiplexer
+    over the ``m`` digit qubits tilting a new top ancilla by
+    ``2*arcsin(v / 2**m)`` for digit value ``v``."""
+    n_idx = u_d.n_qubits - m
+    width = u_d.n_qubits + 1
+    angles = [2.0 * np.arcsin(v / float(1 << m)) for v in range(1 << m)]
+    gates: list[Gate] = [sim.h(q) for q in range(n_idx)]
+    gates.extend(u_d.shifted(0, width).gates)
+    gates.append(sim.multiplexed_ry(angles, range(n_idx, n_idx + m), width - 1))
+    return Circuit(width, gates, query_count=u_d.query_count)
+
+
 def convert_ew_to_amplitude(u_d: Circuit, m: int, seed: int) -> ConversionResult:
     """Convert ``N**-0.5 * sum_i |i>|v_i>`` into ``sum_i d_i |i>`` with
     ``d_i = v_i / 2**m``.
@@ -95,18 +108,13 @@ def convert_ew_to_amplitude(u_d: Circuit, m: int, seed: int) -> ConversionResult
     the exact simulated probability) one call to the inverse loader clears
     the digit register.
     """
-    table = _oracle_digit_table(u_d, m)
-    n_idx = u_d.n_qubits - m
-    width = u_d.n_qubits + 1
+    _oracle_digit_table(u_d, m)
+    prep = _ew_prep_circuit(u_d, m)
+    width = prep.n_qubits
     anc = width - 1
+    n_idx = u_d.n_qubits - m
     index_reg = tuple(range(n_idx))
     digit_reg = tuple(range(n_idx, n_idx + m))
-
-    angles = [2.0 * np.arcsin(v / float(1 << m)) for v in range(1 << m)]
-    gates: list[Gate] = [sim.h(q) for q in index_reg]
-    gates.extend(u_d.shifted(0, width).gates)
-    loaders._emit_multiplexed(gates, sim.RY, angles, list(digit_reg), anc)
-    prep = Circuit(width, gates, query_count=u_d.query_count)
 
     psi = sim.run(prep).amplitudes
     idx = np.arange(psi.size)

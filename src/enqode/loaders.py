@@ -4,12 +4,15 @@ Every loader returns the circuit together with a resource report so the
 width/depth/CNOT trade-offs of the different encodings can be measured
 rather than taken on faith.
 
-Multiplexed rotations are decomposed into CNOT + single-qubit rotations
-through the standard Gray-code walk, which keeps ``cnot_count``
-meaningful: a full multiplexer over k controls costs exactly 2^k CNOTs.
-Diagonal phase corrections reuse the same walk with phase gates; a phase
-gate equals an RZ up to a scalar, so the substitution only shifts the
-global phase, which this package never compares.
+Amplitude-family loaders emit one native multiplexed rotation
+(``sim.multiplexed_ry``) per stage of the angle tree.  Their reports come
+from lowering: ``sim.Circuit.lowered`` rewrites each multiplexer as the
+standard Gray-code walk of RY + CNOT gates, so ``cnot_count`` stays
+meaningful (a full multiplexer over k controls costs exactly 2^k CNOTs)
+and each circuit is lowered once, however often it is measured.  Diagonal phase corrections
+are emitted already walked, with phase gates in place of RZ; a phase gate
+equals an RZ up to a scalar, so the substitution only shifts the global
+phase, which this package never compares.
 """
 from __future__ import annotations
 
@@ -20,9 +23,10 @@ import numpy as np
 from . import sim
 from .errors import CapacityError, EncodingError
 from .sim import Circuit, Gate
-from .trees import build_state_tree, tree_to_angles
+from .trees import AngleTree, build_state_tree, tree_to_angles
 
 MAX_DC_QUBITS = 5  # divide-and-conquer ancillas grow as 2^n
+PHASE_ATOL = 1e-14  # input phases at most this far from 0 need no phase pass
 
 
 @dataclass(frozen=True)
@@ -58,45 +62,8 @@ def _output(circuit: Circuit, data, ancilla=(), preprocessing: int = 0) -> Loade
 
 
 # --------------------------------------------------------------------------
-# Gray-code multiplexed rotations
+# Diagonal phase pass
 # --------------------------------------------------------------------------
-
-
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
-
-
-def _gray_angles(alphas: np.ndarray) -> np.ndarray:
-    """Rotation angles for the Gray-code walk realizing a multiplexer whose
-    pattern-j rotation angle is ``alphas[j]``."""
-    k = int(np.log2(alphas.size))
-    m = np.empty((alphas.size, alphas.size))
-    for i in range(alphas.size):
-        gi = _gray(i)
-        for j in range(alphas.size):
-            m[i, j] = (-1) ** int(bin(j & gi).count("1")) * 2.0**-k
-    return m @ alphas
-
-
-def _emit_multiplexed(gates: list[Gate], kind: str, alphas, controls, target: int) -> None:
-    """Append a Gray-code multiplexed rotation.
-
-    ``kind`` is ``sim.RY`` or ``sim.PHASE`` (the latter standing in for RZ
-    up to global phase).  Pattern bit ``i`` of the angle index is
-    ``controls[i]``.
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    k = len(controls)
-    if k == 0:
-        gates.append(Gate(kind, (target,), angle=float(alphas[0])))
-        return
-    thetas = _gray_angles(alphas)
-    total = 1 << k
-    for i in range(total):
-        gates.append(Gate(kind, (target,), angle=float(thetas[i])))
-        flip = (i + 1) & -(i + 1)  # lowest set bit of i+1
-        pos = flip.bit_length() - 1 if i + 1 < total else k - 1
-        gates.append(sim.cnot(controls[pos], target))
 
 
 def _phase_stage_angles(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,8 +84,18 @@ def _emit_diagonal_phases(gates: list[Gate], omega: np.ndarray, qubits) -> int:
         deltas, work = _phase_stage_angles(work)
         ops += deltas.size
         # RZ(delta) multiplexed over the higher qubits; P stands in for RZ.
-        _emit_multiplexed(gates, sim.PHASE, deltas, qubits[t + 1 :], q)
+        gates.extend(sim.gray_walk(sim.PHASE, deltas, qubits[t + 1 :], q))
     return ops
+
+
+def _phase_pass(gates: list[Gate], a: np.ndarray, n: int) -> int:
+    """Append the diagonal phase pass for ``a`` on qubits ``0..n-1`` unless
+    every phase is within ``PHASE_ATOL`` of 0.  Returns the number of
+    classical angle computations performed."""
+    omega = np.angle(a)
+    if np.any(np.abs(omega) > PHASE_ATOL):
+        return _emit_diagonal_phases(gates, omega, range(n))
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -162,34 +139,36 @@ def load_fourier(x: int, m: int) -> LoaderOutput:
 # --------------------------------------------------------------------------
 
 
-def _check_normalized(a: np.ndarray, tol: float = 1e-10) -> None:
-    if abs(np.vdot(a, a).real - 1.0) > tol:
+def _amplitude_input(a) -> tuple[np.ndarray, int, AngleTree, int]:
+    """Validate an amplitude vector and build its angle tree.
+
+    Returns the vector as complex128, its qubit count ``n``, the angle tree
+    of its moduli and the classical operations spent on the tree.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
+    if a.size < 2 or a.size & (a.size - 1):
+        raise EncodingError(f"amplitude count {a.size} is not a power of two (>= 2)")
+    if abs(np.vdot(a, a).real - 1.0) > 1e-10:
         raise EncodingError("input vector is not normalized")
+    angle_tree = tree_to_angles(build_state_tree(np.abs(a)))
+    preprocessing = sum(lvl.size for lvl in angle_tree.levels) + (2 * a.size - 1)
+    return a, a.size.bit_length() - 1, angle_tree, preprocessing
 
 
 def _amplitude_stages(gates: list[Gate], angle_levels, n: int) -> None:
     """Sequential multiplexed-RY stages: stage k rotates qubit n-1-k,
     multiplexed over the already-fixed higher qubits."""
     for k, level in enumerate(angle_levels):
-        controls = list(range(n - k, n))
-        _emit_multiplexed(gates, sim.RY, level, controls, n - 1 - k)
+        gates.append(sim.multiplexed_ry(level, range(n - k, n), n - 1 - k))
 
 
 def load_amplitude(a) -> LoaderOutput:
     """Multiplexed-RY pyramid driven by the angle tree, then a diagonal
     phase pass for complex inputs.  CNOT count grows as O(2^n)."""
-    a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
-    if a.size < 2 or a.size & (a.size - 1):
-        raise EncodingError(f"amplitude count {a.size} is not a power of two (>= 2)")
-    _check_normalized(a)
-    n = int(np.log2(a.size))
-    angle_tree = tree_to_angles(build_state_tree(np.abs(a)))
-    preprocessing = sum(lvl.size for lvl in angle_tree.levels) + (2 * a.size - 1)
+    a, n, angle_tree, preprocessing = _amplitude_input(a)
     gates: list[Gate] = []
     _amplitude_stages(gates, angle_tree.levels, n)
-    omega = np.angle(a)
-    if np.any(np.abs(omega) > 1e-14):
-        preprocessing += _emit_diagonal_phases(gates, omega, range(n))
+    preprocessing += _phase_pass(gates, a, n)
     circuit = Circuit(n, gates, {"data": tuple(range(n))})
     return _output(circuit, range(n), preprocessing=preprocessing)
 
@@ -237,16 +216,10 @@ def load_divide_conquer(a) -> LoaderOutput:
     the canonical (leftmost) positions, finally CNOT-copied to the data
     register.  Width n + 2^n, depth O(n^2).
     """
-    a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
-    if a.size < 2 or a.size & (a.size - 1):
-        raise EncodingError(f"amplitude count {a.size} is not a power of two (>= 2)")
-    _check_normalized(a)
-    n = int(np.log2(a.size))
+    a, n, angle_tree, preprocessing = _amplitude_input(a)
     if n > MAX_DC_QUBITS:
         raise CapacityError(f"divide-and-conquer needs {n + (1 << n)} qubits; n capped at {MAX_DC_QUBITS}")
     width = n + (1 << n)
-    angle_tree = tree_to_angles(build_state_tree(np.abs(a)))
-    preprocessing = sum(lvl.size for lvl in angle_tree.levels) + (2 * a.size - 1)
 
     gates: list[Gate] = []
     for k, level in enumerate(angle_tree.levels):
@@ -263,9 +236,7 @@ def load_divide_conquer(a) -> LoaderOutput:
                 gates.append(_fredkin(control, left, right))
     for t in range(n):
         gates.append(sim.cnot(_heap_qubit(n, t, 0), n - 1 - t))
-    omega = np.angle(a)
-    if np.any(np.abs(omega) > 1e-14):
-        preprocessing += _emit_diagonal_phases(gates, omega, range(n))
+    preprocessing += _phase_pass(gates, a, n)
 
     data = tuple(range(n))
     ancilla = tuple(range(n, width))
@@ -280,18 +251,12 @@ def load_bidirectional(a, s: int) -> LoaderOutput:
     top-index-controlled swaps.  Width n + 2^n - 2^s, so s = n is exactly
     the plain amplitude loader and s = 1 has divide-and-conquer shape.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
-    if a.size < 2 or a.size & (a.size - 1):
-        raise EncodingError(f"amplitude count {a.size} is not a power of two (>= 2)")
-    _check_normalized(a)
-    n = int(np.log2(a.size))
+    a, n, angle_tree, preprocessing = _amplitude_input(a)
     if not 1 <= s <= n:
         raise EncodingError(f"split level {s} outside 1..{n}")
     if n > MAX_DC_QUBITS:
         raise CapacityError(f"bidirectional needs up to {n + (1 << n)} qubits; n capped at {MAX_DC_QUBITS}")
     width = n + (1 << n) - (1 << s)
-    angle_tree = tree_to_angles(build_state_tree(np.abs(a)))
-    preprocessing = sum(lvl.size for lvl in angle_tree.levels) + (2 * a.size - 1)
 
     def forest_qubit(level: int, pos: int) -> int:
         return n + (1 << level) - (1 << s) + pos
@@ -326,9 +291,7 @@ def load_bidirectional(a, s: int) -> LoaderOutput:
                 swapped = p | ((((y >> 1) | ((y & 1) << 1))) << s)
                 table[local] = swapped
             gates.append(sim.permutation(table, (*top, path, target)))
-    omega = np.angle(a)
-    if np.any(np.abs(omega) > 1e-14):
-        preprocessing += _emit_diagonal_phases(gates, omega, range(n))
+    preprocessing += _phase_pass(gates, a, n)
 
     data = tuple(range(n))
     ancilla = tuple(range(n, width))

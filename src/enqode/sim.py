@@ -8,8 +8,14 @@ Conventions used throughout the package:
 * A ``StateVector`` holds a read-only complex128 array of length
   ``2**n_qubits``.  ``apply_circuit`` copies it once into a buffer it owns,
   and ``apply_gate`` updates that buffer in place through strided views.
-* A gate's action is written in one place, ``gate_matrix``; ``apply_gate``
-  reads every gate off it.
+* A gate's action is written in one place.  Every ``(*controls, target)``
+  kind is defined by ``gate_blocks``, one 2x2 target unitary per control
+  pattern; ``apply_gate`` reads those blocks and ``gate_matrix`` assembles
+  its dense matrix from them.  SWAP and PERMUTATION are index maps.
+* Builders may emit the native multiplexer ``mry``.  ``Circuit.lowered``
+  rewrites each one as its Gray-code walk of RY and CNOT gates
+  (``gray_walk``), and ``Circuit.cnot_count`` and ``Circuit.depth``
+  describe that lowered circuit, so resource reports count CNOTs.
 * All randomness goes through numpy's PCG64 generator seeded explicitly, so
   every stochastic operation is bit-reproducible from its seed.
 
@@ -19,7 +25,7 @@ qubits on ``build_unitary`` keeps its matrix to the same budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -135,9 +141,30 @@ def permutation(table: Sequence[int], qubits: Sequence[int]) -> Gate:
     return Gate(PERMUTATION, tuple(qubits), table=tuple(int(i) for i in table))
 
 
-def _ry_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def gate_blocks(gate: Gate) -> np.ndarray:
+    """The ``(2**k, 2, 2)`` blocks of a ``(*controls, target)`` gate with k
+    controls: block ``j`` is the 2x2 unitary the target gets when the
+    controls, read with ``qubits[0]`` as the least-significant bit, equal
+    ``j``.  This is the only place the action of such a gate is written.
+    SWAP and PERMUTATION have no blocks.
+    """
+    kind = gate.kind
+    if kind in (X, CNOT):
+        blocks = np.array([[[0, 1], [1, 0]]], dtype=np.complex128)
+    elif kind == H:
+        blocks = np.array([[[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]]], dtype=np.complex128)
+    elif kind in (RY, CRY, MULTIPLEXED_RY):
+        half = np.asarray(gate.angles if kind == MULTIPLEXED_RY else (gate.angle,)) / 2.0
+        c, s = np.cos(half), np.sin(half)
+        blocks = np.empty((half.size, 2, 2), dtype=np.complex128)
+        blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1] = c, -s, s, c
+    elif kind in (PHASE, CP):
+        blocks = np.array([[[1.0, 0.0], [0.0, np.exp(1j * gate.angle)]]], dtype=np.complex128)
+    else:
+        raise CircuitError(f"gate kind {kind!r} has no control blocks")
+    if kind in (CNOT, CP, CRY):
+        blocks = np.concatenate([np.eye(2, dtype=np.complex128)[None], blocks])  # control reads 0: identity
+    return blocks
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -145,29 +172,14 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
     Every kind but SWAP and PERMUTATION is laid out as ``(*controls,
     target)`` and is block-diagonal over control patterns: ``u[j::half,
-    j::half]`` is the 2x2 unitary the target gets when the controls read
-    ``j``.  This is the only place a gate's action is written.
+    j::half]`` is block ``j`` of ``gate_blocks``.
     """
-    kind = gate.kind
     dim = 1 << len(gate.qubits)
-    if kind in (SWAP, PERMUTATION):
+    if gate.kind in (SWAP, PERMUTATION):
         u = np.zeros((dim, dim), dtype=np.complex128)
         u[list(gate.table or (0, 2, 1, 3)), range(dim)] = 1.0  # SWAP: local bits 0 <-> 1
         return u
-    if kind in (X, CNOT):
-        blocks = [np.array([[0, 1], [1, 0]], dtype=np.complex128)]
-    elif kind == H:
-        blocks = [np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=np.complex128)]
-    elif kind in (RY, CRY):
-        blocks = [_ry_matrix(gate.angle)]
-    elif kind in (PHASE, CP):
-        blocks = [np.diag([1.0, np.exp(1j * gate.angle)]).astype(np.complex128)]
-    elif kind == MULTIPLEXED_RY:
-        blocks = [_ry_matrix(a) for a in gate.angles]
-    else:
-        raise CircuitError(f"unknown gate kind {kind!r}")
-    if kind in (CNOT, CP, CRY):
-        blocks.insert(0, np.eye(2))  # control reads 0: identity
+    blocks = gate_blocks(gate)
     if dim == 2:
         return blocks[0]
     u = np.zeros((dim, dim), dtype=np.complex128)
@@ -175,6 +187,41 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     for j, block in enumerate(blocks):
         u[j::half, j::half] = block
     return u
+
+
+def _gray_angles(alphas: Sequence[float]) -> np.ndarray:
+    """Walk angles for a multiplexer whose pattern-j angle is ``alphas[j]``:
+    step ``i`` of the Gray-code walk rotates by ``sum_j (-1)**popcount(j &
+    g_i) * alphas[j] / 2**k`` with ``g_i = i ^ (i >> 1)``, which is the
+    Walsh-Hadamard transform of ``alphas`` read in Gray order (Mottonen et
+    al., quant-ph/0407010)."""
+    w = np.array(alphas, dtype=np.float64)
+    h = 1
+    while h < w.size:  # in-place fast Walsh-Hadamard transform
+        v = w.reshape(-1, 2, h)
+        v[:, 0], v[:, 1] = v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]
+        h *= 2
+    i = np.arange(w.size)
+    return w[i ^ (i >> 1)] / w.size
+
+
+def gray_walk(kind: str, alphas: Sequence[float], controls: Sequence[int], target: int) -> list[Gate]:
+    """A multiplexed ``kind`` rotation (``RY``, or ``PHASE`` standing in for
+    RZ up to a global phase) as the Gray-code walk of single-qubit
+    rotations and CNOTs (Shende-Bullock-Markov, quant-ph/0406176).  Pattern
+    bit ``i`` of the index into ``alphas`` is ``controls[i]``; k controls
+    cost exactly ``2**k`` CNOTs, none at k = 0."""
+    k = len(controls)
+    if k == 0:
+        return [Gate(kind, (target,), angle=float(alphas[0]))]
+    total = 1 << k
+    gates = []
+    for i, theta in enumerate(_gray_angles(alphas).tolist()):
+        gates.append(Gate(kind, (target,), angle=theta))
+        flip = (i + 1) & -(i + 1)  # lowest set bit of i+1
+        pos = flip.bit_length() - 1 if i + 1 < total else k - 1
+        gates.append(cnot(controls[pos], target))
+    return gates
 
 
 @dataclass(frozen=True)
@@ -211,12 +258,31 @@ class Circuit:
     def width(self) -> int:
         return self.n_qubits
 
+    def lowered(self) -> "Circuit":
+        """This circuit with every ``mry`` replaced by its ``gray_walk`` of
+        RY and CNOT gates; the circuit itself when it has no ``mry``.
+        Computed once per circuit."""
+        return self._lowered
+
+    @cached_property
+    def _lowered(self) -> "Circuit":
+        if all(g.kind != MULTIPLEXED_RY for g in self.gates):
+            return self
+        gates: list[Gate] = []
+        for g in self.gates:
+            if g.kind == MULTIPLEXED_RY:
+                gates.extend(gray_walk(RY, g.angles, g.qubits[:-1], g.qubits[-1]))
+            else:
+                gates.append(g)
+        return Circuit(self.n_qubits, gates, self.registers, self.query_count)
+
     @property
     def depth(self) -> int:
-        """Longest chain of gates sharing qubits (greedy layering)."""
+        """Longest chain of gates sharing qubits (greedy layering) in the
+        lowered circuit."""
         level = [0] * self.n_qubits
         deepest = 0
-        for g in self.gates:
+        for g in self.lowered().gates:
             d = 1 + max(level[q] for q in g.qubits)
             for q in g.qubits:
                 level[q] = d
@@ -225,7 +291,8 @@ class Circuit:
 
     @property
     def cnot_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind == CNOT)
+        """CNOT gates in the lowered circuit."""
+        return sum(1 for g in self.lowered().gates if g.kind == CNOT)
 
     def concat(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:
@@ -358,13 +425,13 @@ def apply_gate(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     """Apply one gate to ``psi`` in place and return ``psi``.
 
     ``psi`` must be a writable, C-contiguous complex128 array of length
-    ``2**n``.  The gate's action is read off ``gate_matrix``.  SWAP and
-    PERMUTATION move amplitudes through a cached index map.  Every other
-    kind updates, for each control pattern ``j``, the target-0 and target-1
-    slices of a ``[2]*n`` view with the 2x2 block ``u[j::half, j::half]``,
-    chosen by the block's shape: identity blocks are skipped, diagonal
-    blocks scale only the slices whose entry is not 1, the bit flip swaps
-    the two slices, and any other block is applied densely.
+    ``2**n``.  SWAP and PERMUTATION move amplitudes through a cached index
+    map.  Every other kind updates, for each control pattern ``j``, the
+    target-0 and target-1 slices of a ``[2]*n`` view with block ``j`` of
+    ``gate_blocks``, chosen by the block's shape: identity blocks are
+    skipped, diagonal blocks scale only the slices whose entry is not 1,
+    the bit flip swaps the two slices, and any other block is applied
+    densely.
     """
     flags = psi.flags
     if psi.dtype != np.complex128 or psi.shape != (1 << n,) or not (flags.writeable and flags.c_contiguous):
@@ -374,11 +441,9 @@ def apply_gate(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         table = gate.table or tuple(np.abs(gate_matrix(gate)).argmax(axis=0).tolist())
         psi[_perm_destinations(table, gate.qubits, n)] = psi.copy()
         return psi
-    u = gate_matrix(gate)
     view = psi.reshape((1,) + (2,) * n)
-    half = len(u) // 2
-    for j, (i0, i1) in enumerate(_block_slices(gate.qubits, n)):
-        (u00, u01), (u10, u11) = u[j::half, j::half].tolist()
+    blocks = gate_blocks(gate).tolist()
+    for ((u00, u01), (u10, u11)), (i0, i1) in zip(blocks, _block_slices(gate.qubits, n), strict=True):
         a0, a1 = view[i0], view[i1]
         if u01 == 0 and u10 == 0:
             if u00 != 1:
@@ -464,16 +529,15 @@ def sample_shots(
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
     draws = rng.choice(probs.size, size=shots, p=probs)
-    records = []
-    for i, full in enumerate(draws):
-        bits = {}
-        for name, qs in registers.items():
-            out = 0
-            for j, q in enumerate(qs):
-                out |= ((int(full) >> q) & 1) << j
-            bits[name] = out
-        records.append(ShotRecord(bits, i, seed))
-    return records
+    columns = []
+    for qs in registers.values():
+        out = np.zeros(shots, dtype=np.int64)
+        for j, q in enumerate(qs):
+            out |= ((draws >> q) & 1) << j
+        columns.append(out.tolist())
+    names = tuple(registers)
+    rows = zip(*columns) if columns else [()] * shots
+    return [ShotRecord(dict(zip(names, bits)), i, seed) for i, bits in enumerate(rows)]
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -58,6 +58,13 @@ class TestEwToAmplitude:
         res = conv.convert_ew_to_amplitude(ud, 2, seed=5)
         assert res.success_prob_estimate == pytest.approx(0.3125, abs=1e-12)
 
+    def test_prep_lowering_equivalent(self):
+        prep = conv._ew_prep_circuit(loaders.qram_oracle([3, 1, 0, 2], 2), 2)
+        assert [g.kind for g in prep.gates].count(sim.MULTIPLEXED_RY) == 1
+        low = prep.lowered()
+        assert all(g.kind != sim.MULTIPLEXED_RY for g in low.gates)
+        np.testing.assert_allclose(sim.run(low).amplitudes, sim.run(prep).amplitudes, rtol=0, atol=1e-12)
+
     def test_uniform_quarter_digits(self):
         # d = (0.5, 0.5, 0.5, 0.5): success 0.25, output uniform
         ud = loaders.qram_oracle([2, 2, 2, 2], 2)

@@ -119,8 +119,7 @@ class TestLoadAmplitude:
         for k in (1, 2, 3):
             angles = rng.uniform(-np.pi, np.pi, 1 << k)
             controls = list(range(1, k + 1))
-            gates = []
-            loaders._emit_multiplexed(gates, sim.RY, angles, controls, 0)
+            gates = sim.gray_walk(sim.RY, angles, controls, 0)
             dec = sim.build_unitary(sim.Circuit(k + 1, gates))
             native = sim.build_unitary(
                 sim.Circuit(k + 1, [sim.multiplexed_ry(angles, controls, 0)])
@@ -246,6 +245,38 @@ class TestLoadBidirectional:
     def test_split_range(self):
         with pytest.raises(EncodingError):
             loaders.load_bidirectional([1, 0], 3)
+
+
+def assert_lowering_equivalent(c: sim.Circuit) -> None:
+    low = c.lowered()
+    assert all(g.kind != sim.MULTIPLEXED_RY for g in low.gates)
+    assert low.n_qubits == c.n_qubits and low.registers == c.registers
+    np.testing.assert_allclose(sim.run(low).amplitudes, sim.run(c).amplitudes, rtol=0, atol=1e-12)
+
+
+class TestLowering:
+    def test_load_amplitude(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 7):
+            for a in (rng.random(1 << n), rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)):
+                c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+                assert sum(g.kind == sim.MULTIPLEXED_RY for g in c.gates) == n
+                assert_lowering_equivalent(c)
+
+    def test_load_bidirectional(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 3):
+            for s in range(1, n + 1):
+                a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                assert_lowering_equivalent(loaders.load_bidirectional(a / np.linalg.norm(a), s).circuit)
+
+    def test_pinned_reports(self):
+        # (depth, cnot_count) of the lowered circuits, as before builders
+        # emitted native multiplexers.
+        uniform = [loaders.load_amplitude(np.full(1 << n, (1 << n) ** -0.5)).report for n in (2, 3, 4, 5)]
+        assert [(r.depth, r.cnot_count) for r in uniform] == [(4, 2), (11, 6), (26, 14), (57, 30)]
+        bidir = [loaders.load_bidirectional(np.full(16, 0.25), s).report for s in (1, 2, 3, 4)]
+        assert [(r.depth, r.cnot_count) for r in bidir] == [(10, 0), (12, 2), (19, 6), (26, 14)]
 
 
 class TestQramOracle:

@@ -4,6 +4,8 @@ The independent oracle here builds the full matrix of every gate via
 explicit Kronecker products (``kron_embed``) and multiplies it out, never
 going through the simulator's in-place bit-sliced application.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,7 +142,7 @@ class TestApplyCircuit:
                 np.testing.assert_allclose(psi, expected, atol=1e-10)
 
     def test_blocks_are_handled_by_shape(self, monkeypatch):
-        # The kernel reads only the matrix: identity, diagonal, bit-flip and
+        # The kernel reads only the blocks: identity, diagonal, bit-flip and
         # dense blocks, in every pairing, under one control.
         ph = np.exp(1j * RNG.uniform(-np.pi, np.pi, 4))
         shapes = [
@@ -153,13 +155,27 @@ class TestApplyCircuit:
         c = sim.Circuit(3, [sim.cnot(2, 0)])
         for b0 in shapes:
             for b1 in shapes:
-                u = np.zeros((4, 4), dtype=np.complex128)
-                u[0::2, 0::2], u[1::2, 1::2] = b0, b1
-                monkeypatch.setattr(sim, "gate_matrix", lambda g, u=u: u)
+                blocks = np.array([b0, b1], dtype=np.complex128)
+                monkeypatch.setattr(sim, "gate_blocks", lambda g, blocks=blocks: blocks)
                 s = random_state(RNG, 3)
                 np.testing.assert_allclose(
                     sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=1e-12
                 )
+
+    def test_wide_mry_needs_no_dense_matrix(self):
+        # 10 controls at n = 11: blocks take 16 KiB, a dense 2^11-square
+        # matrix would take 64 MiB.
+        n = 11
+        gate = sim.multiplexed_ry(RNG.uniform(-np.pi, np.pi, 1 << 10), range(1, n), 0)
+        psi = np.array(sim.zero_state(n).amplitudes)
+        tracemalloc.start()
+        try:
+            sim.apply_gate(psi, gate, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        np.testing.assert_allclose(np.linalg.norm(psi), 1.0, atol=1e-12)
 
     def test_apply_gate_rejects_bad_input(self):
         psi = sim.zero_state(2).amplitudes  # read-only
@@ -171,8 +187,8 @@ class TestApplyCircuit:
                 sim.apply_gate(psi.copy(), gate, 2)
 
     def test_norm_drift_raises(self, monkeypatch):
-        true_matrix = sim.gate_matrix
-        monkeypatch.setattr(sim, "gate_matrix", lambda g: 1.01 * true_matrix(g))
+        true_blocks = sim.gate_blocks
+        monkeypatch.setattr(sim, "gate_blocks", lambda g: 1.01 * true_blocks(g))
         with pytest.raises(CircuitError):
             sim.apply_circuit(sim.zero_state(2), sim.Circuit(2, [sim.h(0)]))
 
@@ -289,6 +305,26 @@ class TestSampling:
         sigma = np.sqrt(probs * (1 - probs) / 1_000_000)
         assert np.all(np.abs(counts / 1_000_000 - probs) <= 4 * sigma + 1e-12)
 
+    def test_records_match_per_shot_loop(self):
+        # Reference: the per-shot bit loop over the same seeded draws.
+        s = random_state(RNG, 5)
+        regs = {"a": (0, 2), "b": (4, 1, 0), "none": ()}
+        for seed in range(5):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            probs = np.abs(s.amplitudes) ** 2
+            draws = rng.choice(probs.size, size=300, p=probs / probs.sum())
+            expected = []
+            for i, full in enumerate(draws):
+                bits = {}
+                for name, qs in regs.items():
+                    out = 0
+                    for j, q in enumerate(qs):
+                        out |= ((int(full) >> q) & 1) << j
+                    bits[name] = out
+                expected.append(sim.ShotRecord(bits, i, seed))
+            assert sim.sample_shots(s, regs, 300, seed) == expected
+        assert sim.sample_shots(s, {}, 3, 0) == [sim.ShotRecord({}, i, 0) for i in range(3)]
+
 
 class TestFidelity:
     def test_self(self):
@@ -322,6 +358,16 @@ class TestCircuitMetrics:
         c = sim.Circuit(2, [sim.cnot(0, 1), sim.h(0), sim.cnot(1, 0)])
         assert c.cnot_count == 2
 
+    def test_counts_describe_lowered_circuit(self):
+        mry = sim.multiplexed_ry([0.1, 0.2, 0.3, 0.4], [1, 2], 0)
+        c = sim.Circuit(3, [sim.h(1), mry, sim.cnot(0, 2)])
+        low = c.lowered()
+        assert c.lowered() is low
+        assert [g.kind for g in low.gates] == ["h"] + ["ry", "cnot"] * 4 + ["cnot"]
+        assert (c.cnot_count, c.depth) == (low.cnot_count, low.depth) == (5, 9)
+        plain = sim.Circuit(2, [sim.h(0), sim.cnot(0, 1)])
+        assert plain.lowered() is plain
+
     def test_register_overlap_rejected(self):
         with pytest.raises(CircuitError):
             sim.Circuit(3, [], registers={"a": (0, 1), "b": (1, 2)})
@@ -329,6 +375,36 @@ class TestCircuitMetrics:
     def test_gate_outside_width_rejected(self):
         with pytest.raises(CircuitError):
             sim.Circuit(2, [sim.x(5)])
+
+
+class TestGrayWalk:
+    @staticmethod
+    def sign_matrix_angles(alphas: np.ndarray) -> np.ndarray:
+        """Reference: the dense sign matrix of the Gray-code walk."""
+        k = int(np.log2(alphas.size))
+        m = np.empty((alphas.size, alphas.size))
+        for i in range(alphas.size):
+            gi = i ^ (i >> 1)
+            for j in range(alphas.size):
+                m[i, j] = (-1) ** int(bin(j & gi).count("1")) * 2.0**-k
+        return m @ alphas
+
+    def test_wht_angles_match_sign_matrix(self):
+        rng = np.random.default_rng(11)
+        for k in range(9):
+            alphas = rng.uniform(-np.pi, np.pi, 1 << k)
+            before = alphas.copy()
+            np.testing.assert_allclose(
+                sim._gray_angles(alphas), self.sign_matrix_angles(alphas), rtol=0, atol=1e-13
+            )
+            np.testing.assert_array_equal(alphas, before)
+
+    @pytest.mark.parametrize("kind", ["ry", "p"])
+    def test_walk_cost(self, kind):
+        for k in range(4):
+            gates = sim.gray_walk(kind, np.zeros(1 << k), range(1, k + 1), 0)
+            assert sum(g.kind == "cnot" for g in gates) == (1 << k if k else 0)
+            assert sum(g.kind == kind for g in gates) == 1 << k
 
 
 @settings(max_examples=40, deadline=None)
