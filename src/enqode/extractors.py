@@ -12,7 +12,6 @@ shot with ``m`` precision qubits uses ``2**m - 1`` Grover applications.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -81,16 +80,15 @@ def mode_readout(
     """Most frequent outcome over ``shots`` samples; ties break toward the
     smaller integer.  ``strategy="median"`` uses the sample median instead
     (no failure bound asserted for it)."""
-    if shots < 1:
-        raise CircuitError("shots must be >= 1")
-    records = sim.sample_shots(state, {"r": tuple(register)}, shots, seed)
-    outcomes = [r.measured_bits["r"] for r in records]
-    hist = dict(Counter(outcomes))
+    counts = sim.sample_counts(state, register, shots, seed)
+    hist = {y: int(counts[y]) for y in np.flatnonzero(counts).tolist()}
     if strategy == "median":
-        winner = int(np.median(sorted(outcomes)))
+        # np.median of the sorted outcomes: the mean of the two middle ones
+        # (equal when shots is odd), truncated.
+        lo, hi = np.searchsorted(np.cumsum(counts), [(shots - 1) // 2, shots // 2], side="right").tolist()
+        winner = (lo + hi) // 2
     elif strategy == "mode":
-        best = max(hist.values())
-        winner = min(k for k, v in hist.items() if v == best)
+        winner = int(np.argmax(counts))  # first maximum: the smaller outcome on ties
     else:
         raise CircuitError(f"unknown readout strategy {strategy!r}")
     return ModeReadout(winner, hist)

@@ -5,14 +5,16 @@ width/depth/CNOT trade-offs of the different encodings can be measured
 rather than taken on faith.
 
 Amplitude-family loaders emit one native multiplexed rotation
-(``sim.multiplexed_ry``) per stage of the angle tree.  Their reports come
-from lowering: ``sim.Circuit.lowered`` rewrites each multiplexer as the
-standard Gray-code walk of RY + CNOT gates, so ``cnot_count`` stays
-meaningful (a full multiplexer over k controls costs exactly 2^k CNOTs)
-and each circuit is lowered once, however often it is measured.  Diagonal phase corrections
-are emitted already walked, with phase gates in place of RZ; a phase gate
-equals an RZ up to a scalar, so the substitution only shifts the global
-phase, which this package never compares.
+(``sim.multiplexed_ry``) per stage of the angle tree.  For complex input a
+diagonal phase pass follows: one multiplexed RZ per qubit, written as a
+multiplexed RY between ``H, S`` and ``S^dag, H`` (RZ = H S^dag RY S H), so
+a complex load of n qubits holds 2n multiplexers.  Reports describe the
+lowered circuit (``sim.Circuit.lowered``), in which each multiplexer is
+the standard Gray-code walk of RY + CNOT gates, so ``cnot_count`` stays
+meaningful (a full multiplexer over k controls costs exactly 2^k CNOTs);
+``sim.Circuit`` counts them without building that circuit.  The phase
+pass fixes each phase up to one global phase, which this package never
+compares.
 """
 from __future__ import annotations
 
@@ -83,8 +85,14 @@ def _emit_diagonal_phases(gates: list[Gate], omega: np.ndarray, qubits) -> int:
     for t, q in enumerate(qubits):
         deltas, work = _phase_stage_angles(work)
         ops += deltas.size
-        # RZ(delta) multiplexed over the higher qubits; P stands in for RZ.
-        gates.extend(sim.gray_walk(sim.PHASE, deltas, qubits[t + 1 :], q))
+        # RZ(delta) multiplexed over the higher qubits, as H S^dag RY S H.
+        gates += [
+            sim.h(q),
+            sim.p(np.pi / 2, q),
+            sim.multiplexed_ry(deltas, qubits[t + 1 :], q),
+            sim.p(-np.pi / 2, q),
+            sim.h(q),
+        ]
     return ops
 
 

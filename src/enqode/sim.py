@@ -7,15 +7,28 @@ Conventions used throughout the package:
   ``|x2 x1 x0>`` are a display convention only.
 * A ``StateVector`` holds a read-only complex128 array of length
   ``2**n_qubits``.  ``apply_circuit`` copies it once into a buffer it owns,
-  and ``apply_gate`` updates that buffer in place through strided views.
+  and ``apply_gate`` updates that buffer in place.
 * A gate's action is written in one place.  Every ``(*controls, target)``
   kind is defined by ``gate_blocks``, one 2x2 target unitary per control
-  pattern; ``apply_gate`` reads those blocks and ``gate_matrix`` assembles
-  its dense matrix from them.  SWAP and PERMUTATION are index maps.
+  pattern, and ``gate_matrix`` assembles its dense matrix from them.  SWAP
+  and PERMUTATION are index maps.
+* The kernel reads a gate's blocks once per width into a plan kept on the
+  gate.  It views the buffer with one length-2 axis per gate qubit and one
+  axis for each run of qubits between them.  A gate with one non-identity
+  block updates that block's target-0/target-1 halves by the block's shape
+  (scale, swap or dense 2x2).  A multiplexer updates all of its blocks in
+  one broadcast pass, or one block at a time once blocks are large
+  (``_BLOCK_LOOP_MIN``).  SWAP and PERMUTATION copy only the amplitudes
+  they move.
 * Builders may emit the native multiplexer ``mry``.  ``Circuit.lowered``
   rewrites each one as its Gray-code walk of RY and CNOT gates
-  (``gray_walk``), and ``Circuit.cnot_count`` and ``Circuit.depth``
-  describe that lowered circuit, so resource reports count CNOTs.
+  (``gray_walk``).  ``Circuit.cnot_count`` and ``Circuit.depth`` describe
+  that lowered circuit, counted off the walk's control positions without
+  building it, so resource reports count CNOTs.
+* ``marginal_probabilities`` is one sum over the other qubits' axes of a
+  ``(2,)*n`` view of the probabilities.  ``sample_shots`` and
+  ``sample_counts`` share one seeded draw of basis states; the counts
+  come from it without a record per shot.
 * All randomness goes through numpy's PCG64 generator seeded explicitly, so
   every stochastic operation is bit-reproducible from its seed.
 
@@ -50,6 +63,13 @@ MULTIPLEXED_RY = "mry"
 PERMUTATION = "perm"
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
+_IDENTITY = np.eye(2, dtype=np.complex128)
+_SWAP_TABLE = (0, 2, 1, 3)  # local bits 0 <-> 1
+# Block halves of at least this many amplitudes are updated one block at a
+# time: the loop's few microseconds per block are then small next to the
+# numpy work, and per-block temporaries stay in cache.  Smaller blocks are
+# updated all at once.
+_BLOCK_LOOP_MIN = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -69,6 +89,8 @@ class Gate:
     angle: float | None = None
     angles: tuple[float, ...] | None = None
     table: tuple[int, ...] | None = None
+    # apply_gate's plan at the width it last ran at; not part of the value
+    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.qubits)) != len(self.qubits):
@@ -134,7 +156,7 @@ def cry(theta: float, control: int, target: int) -> Gate:
 
 
 def multiplexed_ry(angles: Sequence[float], controls: Sequence[int], target: int) -> Gate:
-    return Gate(MULTIPLEXED_RY, (*controls, target), angles=tuple(float(a) for a in angles))
+    return Gate(MULTIPLEXED_RY, (*controls, target), angles=tuple(np.asarray(angles, dtype=np.float64).tolist()))
 
 
 def permutation(table: Sequence[int], qubits: Sequence[int]) -> Gate:
@@ -177,7 +199,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     dim = 1 << len(gate.qubits)
     if gate.kind in (SWAP, PERMUTATION):
         u = np.zeros((dim, dim), dtype=np.complex128)
-        u[list(gate.table or (0, 2, 1, 3)), range(dim)] = 1.0  # SWAP: local bits 0 <-> 1
+        u[list(gate.table or _SWAP_TABLE), range(dim)] = 1.0
         return u
     blocks = gate_blocks(gate)
     if dim == 2:
@@ -205,23 +227,50 @@ def _gray_angles(alphas: Sequence[float]) -> np.ndarray:
     return w[i ^ (i >> 1)] / w.size
 
 
+@lru_cache(maxsize=32)
+def _gray_controls(k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The control positions of the Gray-code walk over k >= 1 controls:
+    step ``i`` ends with a CNOT from position ``pos[i]``, the lowest set bit
+    of ``i + 1`` (the top position for the last step), so there are
+    ``2**k`` CNOTs.  Also the first and the last step reading each
+    position; position p is first read at step ``2**p - 1``."""
+    total = 1 << k
+    pos = tuple(((i + 1) & -(i + 1)).bit_length() - 1 if i + 1 < total else k - 1 for i in range(total))
+    first = tuple(pos.index(p) for p in range(k))
+    last = tuple(total - 1 - pos[::-1].index(p) for p in range(k))
+    return pos, first, last
+
+
 def gray_walk(kind: str, alphas: Sequence[float], controls: Sequence[int], target: int) -> list[Gate]:
     """A multiplexed ``kind`` rotation (``RY``, or ``PHASE`` standing in for
     RZ up to a global phase) as the Gray-code walk of single-qubit
     rotations and CNOTs (Shende-Bullock-Markov, quant-ph/0406176).  Pattern
     bit ``i`` of the index into ``alphas`` is ``controls[i]``; k controls
     cost exactly ``2**k`` CNOTs, none at k = 0."""
-    k = len(controls)
-    if k == 0:
+    if not controls:
         return [Gate(kind, (target,), angle=float(alphas[0]))]
-    total = 1 << k
     gates = []
-    for i, theta in enumerate(_gray_angles(alphas).tolist()):
-        gates.append(Gate(kind, (target,), angle=theta))
-        flip = (i + 1) & -(i + 1)  # lowest set bit of i+1
-        pos = flip.bit_length() - 1 if i + 1 < total else k - 1
-        gates.append(cnot(controls[pos], target))
+    for theta, p in zip(_gray_angles(alphas).tolist(), _gray_controls(len(controls))[0]):
+        gates += [Gate(kind, (target,), angle=theta), cnot(controls[p], target)]
     return gates
+
+
+def _walk_levels(level: list[int], controls: Sequence[int], target: int) -> None:
+    """Advance the greedy-layering ``level`` of each qubit over the
+    ``gray_walk`` of a multiplexer with k >= 1 controls, without making its
+    gates.  Each step is a rotation on the target, then a CNOT from a
+    control.  Once read, a control's level trails the target's, so a step
+    that reads it adds exactly 2 to the target; only a control's first read
+    can wait on it, and it ends at the target's level at its last read."""
+    pos, first, last = _gray_controls(len(controls))
+    d, done = level[target], 0
+    for p, c in enumerate(controls):  # first reads come in order of p
+        d = 1 + max(d + 2 * (first[p] - done) + 1, level[c])
+        done = first[p] + 1
+    end = d + 2 * (len(pos) - done)
+    for p, c in enumerate(controls):
+        level[c] = end - 2 * (len(pos) - 1 - last[p])
+    level[target] = end
 
 
 @dataclass(frozen=True)
@@ -261,7 +310,8 @@ class Circuit:
     def lowered(self) -> "Circuit":
         """This circuit with every ``mry`` replaced by its ``gray_walk`` of
         RY and CNOT gates; the circuit itself when it has no ``mry``.
-        Computed once per circuit."""
+        Computed once per circuit.  ``depth`` and ``cnot_count`` describe
+        it without building it; it serves as their reference."""
         return self._lowered
 
     @cached_property
@@ -279,20 +329,28 @@ class Circuit:
     @property
     def depth(self) -> int:
         """Longest chain of gates sharing qubits (greedy layering) in the
-        lowered circuit."""
+        lowered circuit, counted without lowering it."""
         level = [0] * self.n_qubits
-        deepest = 0
-        for g in self.lowered().gates:
+        for g in self.gates:
+            if g.kind == MULTIPLEXED_RY and len(g.qubits) > 1:
+                _walk_levels(level, g.qubits[:-1], g.qubits[-1])
+                continue
             d = 1 + max(level[q] for q in g.qubits)
             for q in g.qubits:
                 level[q] = d
-            deepest = max(deepest, d)
-        return deepest
+        return max(level)
 
     @property
     def cnot_count(self) -> int:
-        """CNOT gates in the lowered circuit."""
-        return sum(1 for g in self.lowered().gates if g.kind == CNOT)
+        """CNOT gates in the lowered circuit: one per CNOT and one per step
+        of each multiplexer's Gray-code walk."""
+        count = 0
+        for g in self.gates:
+            if g.kind == CNOT:
+                count += 1
+            elif g.kind == MULTIPLEXED_RY and len(g.qubits) > 1:
+                count += len(_gray_controls(len(g.qubits) - 1)[0])
+        return count
 
     def concat(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:
@@ -387,27 +445,82 @@ def _check_qubits(qubits: tuple[int, ...], n: int) -> None:
 
 
 @lru_cache(maxsize=256)
-def _block_slices(qubits: tuple[int, ...], n: int) -> tuple[tuple[tuple, tuple], ...]:
-    """Index pairs (target bit 0, target bit 1) into the ``(1, 2, ..., 2)``
-    view of an n-qubit buffer, one pair per control pattern ``j`` of a
-    ``(*controls, target)`` gate.  Axis ``n - q`` holds qubit ``q``; the
-    leading length-1 axis keeps every selection a view, even at n = 1."""
+def _view_shape(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Shape of the low-rank view of an n-qubit buffer that gives each of
+    ``qubits`` its own length-2 axis and merges the qubits between them:
+    gap, qubit, gap, ..., qubit, gap, with the qubits in descending order
+    (axis ``2*i + 1`` holds the i-th highest).  A gap may have length 1,
+    which keeps every selection a view, even at n = 1."""
     _check_qubits(qubits, n)
-    *controls, target = qubits
-    pairs = []
-    for j in range(1 << len(controls)):
-        idx = [slice(None)] * (n + 1)
-        for i, c in enumerate(controls):
-            idx[n - c] = (j >> i) & 1
-        idx[n - target] = 0
+    shape, above = [], n
+    for q in sorted(qubits, reverse=True):
+        shape += [1 << (above - 1 - q), 2]
+        above = q
+    shape.append(1 << above)
+    return tuple(shape)
+
+
+def _gate_plan(gate: Gate, n: int) -> tuple:
+    """What ``apply_gate`` does for ``gate`` on n qubits, read once off its
+    definition.
+
+    SWAP and PERMUTATION: ``(n, "perm", src, dst)`` from ``_perm_moves``.
+    Every other kind: ``(n, view shape, updates)``, where each update is
+    ``(shape tag, target-0 index, target-1 index, u00, u01, u10, u11)`` on
+    the ``_view_shape`` view.  Each non-identity block of ``gate_blocks``
+    is one update of its control pattern's halves, tagged by the block's
+    shape: ``"scale"`` for a diagonal, ``"flip"`` for the bit flip,
+    ``"dense"`` otherwise.  A multiplexer with halves below
+    ``_BLOCK_LOOP_MIN`` amplitudes is instead one ``"dense"`` update whose
+    entries are arrays over the control axes, so all its blocks move in one
+    broadcast pass.
+    """
+    if gate.kind in (SWAP, PERMUTATION):
+        return (n, "perm", *_perm_moves(gate.table or _SWAP_TABLE, gate.qubits, n))
+    shape = _view_shape(gate.qubits, n)
+    blocks = gate_blocks(gate)
+    active = np.flatnonzero((blocks != _IDENTITY).any(axis=(1, 2))).tolist()
+    *controls, target = gate.qubits
+    axis = {q: 2 * i + 1 for i, q in enumerate(sorted(gate.qubits, reverse=True))}
+    t = axis[target]
+
+    def halves(idx: list) -> tuple[tuple, tuple]:
+        idx[t] = 0
         i0 = tuple(idx)
-        idx[n - target] = 1
-        pairs.append((i0, tuple(idx)))
-    return tuple(pairs)
+        idx[t] = 1
+        return i0, tuple(idx)
+
+    if len(active) > 1 and (1 << n) >> len(gate.qubits) < _BLOCK_LOOP_MIN:
+        # Block j's control bit i is controls[i]; reshaped to (2,)*k the
+        # axes run controls[k-1] .. controls[0]; reorder them to their view
+        # order and give the gaps length-1 axes.
+        k = len(controls)
+        order = [k - 1 - controls.index(q) for q in sorted(controls, reverse=True)]
+        coef = blocks.reshape((2,) * k + (2, 2)).transpose(order + [k, k + 1])
+        control_axes = {axis[c] for c in controls}
+        coef = coef.reshape([2 if a in control_axes else 1 for a in range(len(shape)) if a != t] + [2, 2])
+        u = (coef[..., 0, 0], coef[..., 0, 1], coef[..., 1, 0], coef[..., 1, 1])
+        return (n, shape, [("dense", *halves([slice(None)] * len(shape)), *u)])
+    updates = []
+    for j in active:
+        (u00, u01), (u10, u11) = blocks[j].tolist()
+        idx = [slice(None)] * len(shape)
+        for i, c in enumerate(controls):
+            idx[axis[c]] = (j >> i) & 1
+        if u01 == 0 and u10 == 0:
+            how = "scale"
+        elif u00 == 0 and u11 == 0 and u01 == 1 and u10 == 1:
+            how = "flip"
+        else:
+            how = "dense"
+        updates.append((how, *halves(idx), u00, u01, u10, u11))
+    return (n, shape, updates)
 
 
 @lru_cache(maxsize=128)
-def _perm_destinations(table: tuple[int, ...], qubits: tuple[int, ...], n: int) -> np.ndarray:
+def _perm_moves(table: tuple[int, ...], qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices ``(src, dst)`` of the amplitudes a permutation gate moves:
+    the amplitude at ``src[i]`` goes to ``dst[i]``; all others stay."""
     _check_qubits(qubits, n)
     src = np.arange(1 << n)
     local = np.zeros(1 << n, dtype=np.int64)
@@ -418,39 +531,42 @@ def _perm_destinations(table: tuple[int, ...], qubits: tuple[int, ...], n: int) 
     for i, q in enumerate(qubits):
         bit = (new_local >> i) & 1
         dest = (dest & ~(1 << q)) | (bit << q)
-    return dest
+    moved = np.flatnonzero(dest != src)
+    return moved, dest[moved]
 
 
 def apply_gate(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     """Apply one gate to ``psi`` in place and return ``psi``.
 
     ``psi`` must be a writable, C-contiguous complex128 array of length
-    ``2**n``.  SWAP and PERMUTATION move amplitudes through a cached index
-    map.  Every other kind updates, for each control pattern ``j``, the
-    target-0 and target-1 slices of a ``[2]*n`` view with block ``j`` of
-    ``gate_blocks``, chosen by the block's shape: identity blocks are
-    skipped, diagonal blocks scale only the slices whose entry is not 1,
-    the bit flip swaps the two slices, and any other block is applied
-    densely.
+    ``2**n``.  The gate's plan (``_gate_plan``) is read off its definition
+    on its first use at width n and kept on the gate.  SWAP and PERMUTATION
+    copy only the amplitudes they move.  Every other kind runs the plan's
+    updates on the target-0 and target-1 halves of a low-rank view
+    (``_view_shape``): a diagonal scales the halves whose entry is not 1,
+    the bit flip swaps them, and anything else is a dense 2x2 update, with
+    scalar entries for one block or arrays for all blocks of a multiplexer.
     """
     flags = psi.flags
     if psi.dtype != np.complex128 or psi.shape != (1 << n,) or not (flags.writeable and flags.c_contiguous):
         raise CircuitError(f"apply_gate needs a writable contiguous complex128 buffer of length {1 << n}")
-    if gate.kind in (SWAP, PERMUTATION):
-        # A permutation's table is its definition; SWAP's is read off its matrix.
-        table = gate.table or tuple(np.abs(gate_matrix(gate)).argmax(axis=0).tolist())
-        psi[_perm_destinations(table, gate.qubits, n)] = psi.copy()
+    plan = gate._plan
+    if plan is None or plan[0] != n:
+        plan = _gate_plan(gate, n)
+        object.__setattr__(gate, "_plan", plan)
+    if plan[1] == "perm":
+        src, dst = plan[2:]
+        psi[dst] = psi[src]
         return psi
-    view = psi.reshape((1,) + (2,) * n)
-    blocks = gate_blocks(gate).tolist()
-    for ((u00, u01), (u10, u11)), (i0, i1) in zip(blocks, _block_slices(gate.qubits, n), strict=True):
+    view = psi.reshape(plan[1])
+    for how, i0, i1, u00, u01, u10, u11 in plan[2]:
         a0, a1 = view[i0], view[i1]
-        if u01 == 0 and u10 == 0:
+        if how == "scale":
             if u00 != 1:
                 a0[...] = u00 * a0
             if u11 != 1:
                 a1[...] = u11 * a1
-        elif u00 == 0 and u11 == 0 and u01 == 1 and u10 == 1:
+        elif how == "flip":
             a0[...], a1[...] = a1, a0.copy()
         else:
             b0 = u00 * a0 + u01 * a1
@@ -497,22 +613,45 @@ def build_unitary(circuit: Circuit) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _check_register(register: tuple[int, ...], n: int) -> None:
+    if any(q < 0 or q >= n for q in register):
+        raise CircuitError("register qubit outside state width")
+    if len(set(register)) != len(register):
+        raise CircuitError("register repeats a qubit")
+
+
 def marginal_probabilities(state: StateVector, register: Sequence[int]) -> np.ndarray:
     """Outcome distribution of ``register``; bit ``j`` of the outcome is
     ``register[j]``."""
     register = tuple(register)
     if not register:
         raise CircuitError("marginal over an empty register")
-    if any(q < 0 or q >= state.n_qubits for q in register):
-        raise CircuitError("register qubit outside state width")
-    if len(set(register)) != len(register):
-        raise CircuitError("register repeats a qubit")
-    idx = np.arange(1 << state.n_qubits)
-    key = np.zeros(idx.size, dtype=np.int64)
-    for j, q in enumerate(register):
-        key |= ((idx >> q) & 1) << j
+    n = state.n_qubits
+    _check_register(register, n)
+    # Axis n-1-q of the (2,)*n view holds qubit q.  Summing out the other
+    # qubits leaves the register's axes in descending qubit order; the
+    # outcome's top bit, register[-1], must come first.
+    probs = (np.abs(state.amplitudes) ** 2).reshape((2,) * n)
+    marginal = probs.sum(axis=tuple(n - 1 - q for q in range(n) if q not in register))
+    kept = sorted(register, reverse=True)
+    return marginal.transpose([kept.index(q) for q in reversed(register)]).reshape(-1)
+
+
+def _draws(state: StateVector, shots: int, seed: int) -> np.ndarray:
+    """``shots`` basis-state indices drawn from ``state`` with PCG64(seed)."""
+    if shots < 1:
+        raise CircuitError("shots must be >= 1")
+    rng = np.random.Generator(np.random.PCG64(seed))
     probs = np.abs(state.amplitudes) ** 2
-    return np.bincount(key, weights=probs, minlength=1 << len(register))
+    return rng.choice(probs.size, size=shots, p=probs / probs.sum())
+
+
+def _outcomes(draws: np.ndarray, register: Sequence[int]) -> np.ndarray:
+    """Each draw's outcome on ``register``: bit ``j`` is ``register[j]``."""
+    out = np.zeros(draws.size, dtype=np.int64)
+    for j, q in enumerate(register):
+        out |= ((draws >> q) & 1) << j
+    return out
 
 
 def sample_shots(
@@ -523,21 +662,21 @@ def sample_shots(
 ) -> list[ShotRecord]:
     """Draw ``shots`` i.i.d. outcomes; identical ``(seed, shots)`` reproduce
     identical records bit for bit."""
-    if shots < 1:
-        raise CircuitError("shots must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    draws = rng.choice(probs.size, size=shots, p=probs)
-    columns = []
-    for qs in registers.values():
-        out = np.zeros(shots, dtype=np.int64)
-        for j, q in enumerate(qs):
-            out |= ((draws >> q) & 1) << j
-        columns.append(out.tolist())
+    draws = _draws(state, shots, seed)
+    columns = [_outcomes(draws, qs).tolist() for qs in registers.values()]
     names = tuple(registers)
     rows = zip(*columns) if columns else [()] * shots
     return [ShotRecord(dict(zip(names, bits)), i, seed) for i, bits in enumerate(rows)]
+
+
+def sample_counts(state: StateVector, register: Sequence[int], shots: int, seed: int) -> np.ndarray:
+    """How often each outcome of ``register`` occurs in ``shots`` draws:
+    ``counts[y]`` over the same draws as ``sample_shots`` with the same
+    ``(shots, seed)``, without making a record per shot.  Bit ``j`` of
+    ``y`` is ``register[j]``."""
+    register = tuple(register)
+    _check_register(register, state.n_qubits)
+    return np.bincount(_outcomes(_draws(state, shots, seed), register), minlength=1 << len(register))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -78,6 +78,23 @@ class TestSwapTest:
             assert res.overlap_estimate == pytest.approx(np.sqrt(overlap), abs=1e-6)
 
 
+class TestNaiveEstimate:
+    def test_interval_coverage_matches_confidence(self):
+        # Normal-approximation intervals at alpha = 0.95 over 400 seeds: the
+        # number covering the exact flag probability is Binomial(400, ~0.95);
+        # 4 standard deviations either side.
+        alpha, seeds = 0.95, 400
+        f = random_loader(np.random.default_rng(3), 2)
+        p = flag_probability(f, 0)  # 0.61
+        covered = 0
+        for seed in range(seeds):
+            res = ext.naive_amplitude_estimate(f, 2000, alpha, seed, flag=0)
+            assert (res.shots_used, res.oracle_queries, res.confidence) == (2000, 2000, alpha)
+            covered += abs(res.estimate - p) <= res.error_target
+        sigma = np.sqrt(seeds * alpha * (1 - alpha))
+        assert abs(covered - alpha * seeds) <= 4 * sigma
+
+
 class TestReadouts:
     def test_required_shots_formula(self):
         # The textbook 95% / +-1% worst case: 0.25 * 1.96^2 / 1e-4 -> 9604.
@@ -98,6 +115,23 @@ class TestReadouts:
             else:
                 assert res.histogram == {res.mode: 2}
         assert ties > 0
+
+    def test_mode_and_median_match_shot_records(self):
+        # Odd and even shot counts; with 2 shots of outcomes 1 and 3 the two
+        # middle outcomes differ and the median (2) is neither.
+        spread = sim.run(random_loader(np.random.default_rng(17), 3))
+        tie = sim.state_from_amplitudes([0, 2**-0.5, 0, 2**-0.5])
+        for state, reg, shots in ((spread, (2, 0), 64), (spread, (1, 2, 0), 65), (tie, (0, 1), 2)):
+            for seed in range(5):
+                outcomes = [r.measured_bits["r"] for r in sim.sample_shots(state, {"r": reg}, shots, seed)]
+                hist = {y: outcomes.count(y) for y in set(outcomes)}
+                best = max(hist.values())
+                mode = ext.mode_readout(state, reg, shots, seed)
+                assert mode.histogram == hist
+                assert mode.mode == min(y for y, v in hist.items() if v == best)
+                median = ext.mode_readout(state, reg, shots, seed, strategy="median")
+                assert median.mode == int(np.median(sorted(outcomes)))
+                assert median.histogram == hist
 
     def test_basis_readout(self):
         assert ext.basis_readout(sim.basis_state(3, 5), (0, 2)) == 3

@@ -256,11 +256,15 @@ def assert_lowering_equivalent(c: sim.Circuit) -> None:
 
 class TestLowering:
     def test_load_amplitude(self):
+        # n multiplexers for the RY pyramid; complex input adds one RZ
+        # multiplexer (an RY between H S and S^dag H) per qubit.
         rng = np.random.default_rng(12)
-        for n in range(1, 7):
-            for a in (rng.random(1 << n), rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)):
+        for n in range(1, 9):
+            real = rng.random(1 << n)
+            cplx = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            for stages, a in ((n, real), (2 * n, cplx)):
                 c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
-                assert sum(g.kind == sim.MULTIPLEXED_RY for g in c.gates) == n
+                assert sum(g.kind == sim.MULTIPLEXED_RY for g in c.gates) == stages
                 assert_lowering_equivalent(c)
 
     def test_load_bidirectional(self):

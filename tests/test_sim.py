@@ -141,6 +141,47 @@ class TestApplyCircuit:
                 assert all(sim.apply_gate(psi, g, n) is psi for g in c.gates)
                 np.testing.assert_allclose(psi, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("loop_min", [1, 1 << 30])
+    def test_mry_placements_match_kron_oracle(self, monkeypatch, loop_min):
+        # 0-5 controls above, below and around the target, on qubits 0 and
+        # n-1 too; loop_min forces one update per block (1) or one broadcast
+        # pass over all blocks (2**30).
+        monkeypatch.setattr(sim, "_BLOCK_LOOP_MIN", loop_min)
+        n = 6
+        for k in range(6):
+            placements = [(list(range(1, k + 1)), 0), (list(range(n - 1 - k, n - 1)), n - 1)]
+            for _ in range(3):
+                qs = [int(q) for q in RNG.permutation(n)]
+                placements.append((qs[:k], qs[k]))
+            for controls, target in placements:
+                c = sim.Circuit(n, [sim.multiplexed_ry(RNG.uniform(-np.pi, np.pi, 1 << k), controls, target)])
+                s = random_state(RNG, n)
+                np.testing.assert_allclose(
+                    sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=1e-12
+                )
+
+    def test_one_gate_at_several_widths(self):
+        for gate in (sim.cnot(1, 0), sim.multiplexed_ry([0.3, -1.2], [0], 1), sim.swap(0, 1)):
+            for n in (2, 4, 3, 2):
+                s = random_state(RNG, n)
+                c = sim.Circuit(n, [gate])
+                np.testing.assert_allclose(
+                    sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=1e-12
+                )
+
+    def test_identity_gates_leave_buffer_untouched(self):
+        n = 5
+        psi = np.array(random_state(RNG, n).amplitudes)
+        before = psi.tobytes()
+        for gate in (
+            sim.multiplexed_ry(np.zeros(8), [4, 0, 2], 1),
+            sim.multiplexed_ry([0.0], [], 3),
+            sim.cry(0.0, 1, 0),
+            sim.permutation(range(8), [3, 0, 4]),
+        ):
+            assert sim.apply_gate(psi, gate, n) is psi
+            assert psi.tobytes() == before
+
     def test_blocks_are_handled_by_shape(self, monkeypatch):
         # The kernel reads only the blocks: identity, diagonal, bit-flip and
         # dense blocks, in every pairing, under one control.
@@ -152,11 +193,12 @@ class TestApplyCircuit:
             np.array([[0, ph[2]], [ph[3], 0]]),
             sim.gate_matrix(sim.ry(0.9, 0)),
         ]
-        c = sim.Circuit(3, [sim.cnot(2, 0)])
         for b0 in shapes:
             for b1 in shapes:
                 blocks = np.array([b0, b1], dtype=np.complex128)
                 monkeypatch.setattr(sim, "gate_blocks", lambda g, blocks=blocks: blocks)
+                # a fresh gate: a gate keeps the plan read on its first use
+                c = sim.Circuit(3, [sim.cnot(2, 0)])
                 s = random_state(RNG, 3)
                 np.testing.assert_allclose(
                     sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=1e-12
@@ -277,6 +319,30 @@ class TestMarginals:
             expected[k] += abs(amp) ** 2
         np.testing.assert_allclose(sim.marginal_probabilities(s, reg), expected, atol=1e-12)
 
+    @staticmethod
+    def bincount_marginal(state: sim.StateVector, register) -> np.ndarray:
+        """Reference: sum |amplitude|^2 by each index's register bits."""
+        idx = np.arange(1 << state.n_qubits)
+        key = np.zeros(idx.size, dtype=np.int64)
+        for j, q in enumerate(register):
+            key |= ((idx >> q) & 1) << j
+        return np.bincount(key, weights=np.abs(state.amplitudes) ** 2, minlength=1 << len(register))
+
+    def test_matches_bincount(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 10):
+            s = random_state(rng, n)
+            for size in range(1, n + 1):
+                reg = [int(q) for q in rng.permutation(n)[:size]]
+                np.testing.assert_allclose(
+                    sim.marginal_probabilities(s, reg), self.bincount_marginal(s, reg), rtol=0, atol=1e-14
+                )
+
+    def test_rejects_bad_register(self):
+        for reg in ([0, 0], [3], [-1]):
+            with pytest.raises(CircuitError):
+                sim.marginal_probabilities(sim.zero_state(3), reg)
+
 
 class TestSampling:
     def test_deterministic_state(self):
@@ -325,6 +391,20 @@ class TestSampling:
             assert sim.sample_shots(s, regs, 300, seed) == expected
         assert sim.sample_shots(s, {}, 3, 0) == [sim.ShotRecord({}, i, 0) for i in range(3)]
 
+    def test_counts_match_shot_records(self):
+        s = random_state(RNG, 6)
+        reg = (4, 0, 5)
+        for seed in range(5):
+            outcomes = [r.measured_bits["r"] for r in sim.sample_shots(s, {"r": reg}, 999, seed)]
+            counts = sim.sample_counts(s, reg, 999, seed)
+            np.testing.assert_array_equal(counts, np.bincount(outcomes, minlength=8))
+
+    def test_counts_reject_bad_input(self):
+        with pytest.raises(CircuitError):
+            sim.sample_counts(sim.zero_state(2), (0,), 0, 1)
+        with pytest.raises(CircuitError):
+            sim.sample_counts(sim.zero_state(2), (2,), 10, 1)
+
 
 class TestFidelity:
     def test_self(self):
@@ -367,6 +447,31 @@ class TestCircuitMetrics:
         assert (c.cnot_count, c.depth) == (low.cnot_count, low.depth) == (5, 9)
         plain = sim.Circuit(2, [sim.h(0), sim.cnot(0, 1)])
         assert plain.lowered() is plain
+
+    @staticmethod
+    def lowered_depth_and_cnots(c: sim.Circuit) -> tuple[int, int]:
+        """Reference: greedy layering and CNOT count of the lowered gates."""
+        level = [0] * c.n_qubits
+        deepest = 0
+        for g in c.lowered().gates:
+            d = 1 + max(level[q] for q in g.qubits)
+            for q in g.qubits:
+                level[q] = d
+            deepest = max(deepest, d)
+        return deepest, sum(1 for g in c.lowered().gates if g.kind == "cnot")
+
+    def test_counts_match_lowered_circuit(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            gates = [random_gate(rng, n) for _ in range(int(rng.integers(0, 25)))]
+            if n >= 2:  # wide multiplexers as well
+                k = int(rng.integers(1, n))
+                qs = [int(q) for q in rng.permutation(n)]
+                wide = sim.multiplexed_ry(rng.uniform(size=1 << k), qs[:k], qs[k])
+                gates.insert(int(rng.integers(0, len(gates) + 1)), wide)
+            c = sim.Circuit(n, gates)
+            assert (c.depth, c.cnot_count) == self.lowered_depth_and_cnots(c)
 
     def test_register_overlap_rejected(self):
         with pytest.raises(CircuitError):
