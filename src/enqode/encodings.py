@@ -460,7 +460,7 @@ def decode(d: EncodingDescriptor, state: StateVector):
     amps = state.amplitudes
 
     if isinstance(d, (Basis, MappedBasis, MultiRegister)):
-        probs = np.abs(amps) ** 2
+        probs = state.probabilities
         top = int(np.argmax(probs))
         if probs[top] < 1.0 - ATOL_DECODE:
             raise DecodeError("superposition is not a basis state")
@@ -500,7 +500,7 @@ def decode(d: EncodingDescriptor, state: StateVector):
         return x
 
     if isinstance(d, EquallyWeighted):
-        probs = np.abs(amps) ** 2
+        probs = state.probabilities
         support = np.nonzero(probs > 1e-9)[0]
         if support.size == 0:
             raise DecodeError("empty support")
@@ -524,7 +524,7 @@ def decode(d: EncodingDescriptor, state: StateVector):
     if isinstance(d, QRam):
         n_idx = d.index_qubits
         table = []
-        probs = np.abs(amps) ** 2
+        probs = state.probabilities
         for i in range(1 << n_idx):
             cand = [v for v in range(1 << d.value_qubits) if probs[i | (v << n_idx)] > 1e-9]
             if len(cand) != 1:

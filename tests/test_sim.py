@@ -4,13 +4,14 @@ The independent oracle here builds the full matrix of every gate via
 explicit Kronecker products (``kron_embed``) and multiplies it out, never
 going through the simulator's in-place bit-sliced application.
 """
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enqode import sim
+from enqode import loaders, sim
 from enqode.errors import CapacityError, CircuitError
 
 RNG = np.random.default_rng(20240811)
@@ -115,8 +116,10 @@ class TestApplyCircuit:
         with pytest.raises(CircuitError):
             sim.apply_circuit(sim.zero_state(2), sim.Circuit(3, [sim.x(0)]))
 
-    def test_every_kind_matches_kron_oracle(self):
-        for n in range(1, 7):
+    def test_every_kind_matches_kron_oracle(self, monkeypatch):
+        # _SLAB = 1 cuts every update into the most slabs, 2**30 into none.
+        for slab, n in itertools.product((1, 1 << 30), range(1, 7)):
+            monkeypatch.setattr(sim, "_SLAB", slab)
             top = n - 1
             # gates on the outermost wires, in both roles
             edges = [sim.h(0), sim.ry(0.4, top), sim.p(-1.1, 0), sim.x(top)]
@@ -145,10 +148,11 @@ class TestApplyCircuit:
     def test_mry_placements_match_kron_oracle(self, monkeypatch, loop_min):
         # 0-5 controls above, below and around the target, on qubits 0 and
         # n-1 too; loop_min forces one update per block (1) or one broadcast
-        # pass over all blocks (2**30).
+        # pass over all blocks (2**30), each with and without slabs.
         monkeypatch.setattr(sim, "_BLOCK_LOOP_MIN", loop_min)
         n = 6
-        for k in range(6):
+        for slab, k in itertools.product((1, 1 << 30), range(6)):
+            monkeypatch.setattr(sim, "_SLAB", slab)
             placements = [(list(range(1, k + 1)), 0), (list(range(n - 1 - k, n - 1)), n - 1)]
             for _ in range(3):
                 qs = [int(q) for q in RNG.permutation(n)]
@@ -159,6 +163,39 @@ class TestApplyCircuit:
                 np.testing.assert_allclose(
                     sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=1e-12
                 )
+
+    def test_slabs_are_bit_identical(self, monkeypatch):
+        # Slabs split the same elementwise arithmetic into pieces, so results
+        # must not move by a bit.  Gates keep their plan, so each setting
+        # gets its own copy of every circuit.
+        def final_states(slab, seed):
+            monkeypatch.setattr(sim, "_SLAB", slab)
+            rng = np.random.default_rng(seed)
+            out = []
+            for _ in range(100):
+                n = int(rng.integers(8, 11))
+                c = sim.Circuit(n, [random_gate(rng, n) for _ in range(20)])
+                out.append(sim.apply_circuit(random_state(rng, n), c).amplitudes)
+            return out
+
+        for a, b in zip(final_states(1, 61), final_states(1 << 30, 61)):
+            assert a.tobytes() == b.tobytes()
+        # n = 16 (halves of 2**15 amplitudes): an RY on every qubit,
+        # qubits 0, 1, 2 and n-1 among them, at the default slab size.
+        thetas = RNG.uniform(0.0, np.pi / 2, 16)
+        slabbed = sim.run(loaders.load_angle(thetas).circuit).amplitudes
+        monkeypatch.setattr(sim, "_SLAB", 1 << 30)
+        assert slabbed.tobytes() == sim.run(loaders.load_angle(thetas).circuit).amplitudes.tobytes()
+
+    def test_result_owns_a_read_only_buffer(self):
+        s = random_state(RNG, 4)
+        before = s.amplitudes.tobytes()
+        out = sim.apply_circuit(s, sim.Circuit(4, [sim.h(0), sim.cnot(0, 3)]))
+        for amps in (out.amplitudes, sim.zero_state(3).amplitudes, sim.basis_state(3, 5).amplitudes):
+            with pytest.raises(ValueError):
+                amps[0] = 1.0
+        assert not np.shares_memory(out.amplitudes, s.amplitudes)
+        assert s.amplitudes.tobytes() == before
 
     def test_one_gate_at_several_widths(self):
         for gate in (sim.cnot(1, 0), sim.multiplexed_ry([0.3, -1.2], [0], 1), sim.swap(0, 1)):
@@ -233,6 +270,17 @@ class TestApplyCircuit:
         monkeypatch.setattr(sim, "gate_blocks", lambda g: 1.01 * true_blocks(g))
         with pytest.raises(CircuitError):
             sim.apply_circuit(sim.zero_state(2), sim.Circuit(2, [sim.h(0)]))
+
+
+class TestStateVector:
+    def test_probabilities_are_cached_and_read_only(self):
+        for n in (1, 5, 9):
+            s = random_state(RNG, n)
+            probs = s.probabilities
+            assert probs.tobytes() == (np.abs(s.amplitudes) ** 2).tobytes()
+            assert s.probabilities is probs
+            with pytest.raises(ValueError):
+                probs[0] = 0.5
 
 
 class TestBuildUnitary:
@@ -330,13 +378,17 @@ class TestMarginals:
 
     def test_matches_bincount(self):
         rng = np.random.default_rng(31)
-        for n in range(1, 10):
+        for n in range(1, 13):
             s = random_state(rng, n)
+            middle = [int(q) for q in rng.permutation(range(1, n - 1))]
             for size in range(1, n + 1):
                 reg = [int(q) for q in rng.permutation(n)[:size]]
-                np.testing.assert_allclose(
-                    sim.marginal_probabilities(s, reg), self.bincount_marginal(s, reg), rtol=0, atol=1e-14
-                )
+                # unsorted, with qubits 0 and n-1 inside
+                edges = [n - 1, *middle[: size - 2], 0] if size >= 2 else [n - 1]
+                for r in (reg, edges):
+                    np.testing.assert_allclose(
+                        sim.marginal_probabilities(s, r), self.bincount_marginal(s, r), rtol=0, atol=1e-14
+                    )
 
     def test_rejects_bad_register(self):
         for reg in ([0, 0], [3], [-1]):
@@ -374,8 +426,8 @@ class TestSampling:
     def test_records_match_per_shot_loop(self):
         # Reference: the per-shot bit loop over the same seeded draws.
         s = random_state(RNG, 5)
-        regs = {"a": (0, 2), "b": (4, 1, 0), "none": ()}
-        for seed in range(5):
+        registers = ({"a": (0, 2), "b": (4, 1, 0), "none": ()}, {"one": (3, 0, 4)})
+        for seed, regs in itertools.product(range(5), registers):
             rng = np.random.Generator(np.random.PCG64(seed))
             probs = np.abs(s.amplitudes) ** 2
             draws = rng.choice(probs.size, size=300, p=probs / probs.sum())
