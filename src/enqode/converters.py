@@ -73,9 +73,8 @@ def _oracle_digit_table(u_d: Circuit, m: int) -> list[int]:
     table = []
     for i in range(1 << n_idx):
         out = sim.apply_circuit(sim.basis_state(u_d.n_qubits, i), u_d)
-        probs = np.abs(out.amplitudes) ** 2
-        top = int(np.argmax(probs))
-        if probs[top] < 1.0 - 1e-9 or (top & ((1 << n_idx) - 1)) != i:
+        top = sim.certain_outcome(out.probabilities)
+        if top is None or (top & ((1 << n_idx) - 1)) != i:
             raise EncodingError(
                 "digit loader must act as a value oracle |i>|0> -> |i>|v_i>; "
                 f"basis input {i} came out superposed or moved"
@@ -116,10 +115,11 @@ def convert_ew_to_amplitude(u_d: Circuit, m: int, seed: int) -> ConversionResult
     index_reg = tuple(range(n_idx))
     digit_reg = tuple(range(n_idx, n_idx + m))
 
-    psi = sim.run(prep).amplitudes
+    prepared = sim.run(prep)
+    psi = prepared.amplitudes
     idx = np.arange(psi.size)
     ones = (idx >> anc) & 1 == 1
-    p_success = float(np.sum(np.abs(psi[ones]) ** 2))
+    p_success = float(prepared.probabilities[ones].sum())
 
     rng = np.random.Generator(np.random.PCG64(seed))
     success = bool(rng.random() < p_success)

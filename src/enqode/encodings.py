@@ -6,6 +6,18 @@ arithmetically (no circuit) and serves as ground truth for the loader
 circuits; ``decode`` inverts it where the inverse is well defined, and
 ``validate`` reports domain violations without raising.
 
+Each domain rule is written once, in ``validate``; ``check`` raises on its
+violations, and ``reference_state`` and every loader call it.  A squared
+norm is 1 within ``NORM_ATOL``, the simulator's own bound.
+
+Decode contract: ``decode`` computes a candidate ``x`` from the state and
+returns it only if ``fidelity(reference_state(d, x), state) >= 1 -
+ATOL_DECODE``; otherwise, or when ``x`` is outside the domain, it raises
+``DecodeError``.  NaN fails the check.  A basis-family candidate is the
+peak outcome, whose reference fidelity is its probability
+(``sim.certain_outcome``); an Amplitude candidate is the state itself,
+accepted when its squared norm is 1.
+
 Bit conventions follow :mod:`enqode.sim`: qubit 0 is the least-significant
 bit, so the amplitude of ``|x>`` sits at array index ``x``.  The Fourier
 variant is defined normatively through the transform's closed form
@@ -16,15 +28,15 @@ binary fraction of the trailing bits of ``x``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Mapping, Sequence, Union, get_args
 
 import numpy as np
 
-from .errors import DecodeError, EncodingError
+from . import sim
+from .errors import CapacityError, DecodeError, EncodingError
 from .sim import StateVector, state_from_amplitudes
-
-ATOL_DECODE = 1e-9
+from .tolerances import ATOL_DECODE, NORM_ATOL
 
 INTEGERS = "integers"
 REALS = "reals"
@@ -53,11 +65,11 @@ class DataSet:
             arr = np.asarray(arr, dtype=np.float64)
             if np.any(arr < 0):
                 raise EncodingError("probability vector has negative entries")
-            if abs(arr.sum() - 1.0) > 1e-12:
+            if not _unit(arr.sum()):
                 raise EncodingError("probability vector does not sum to 1")
         else:
             arr = np.asarray(arr, dtype=np.complex128)
-            if abs(np.vdot(arr, arr).real - 1.0) > 1e-12:
+            if not _unit(np.vdot(arr, arr).real):
                 raise EncodingError("complex vector is not normalized")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -65,6 +77,11 @@ class DataSet:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def _unit(norm_sq) -> bool:
+    """Whether a squared norm is 1 within ``NORM_ATOL``; NaN is not."""
+    return abs(norm_sq - 1.0) <= NORM_ATOL
 
 
 def integers(values) -> DataSet:
@@ -222,9 +239,7 @@ EncodingDescriptor = Union[
 
 def register_width(d: EncodingDescriptor) -> int:
     """Qubits of the full register the reference state lives on."""
-    if isinstance(d, (Basis, Fourier, EquallyWeighted)):
-        return d.m
-    if isinstance(d, MappedBasis):
+    if isinstance(d, (Basis, MappedBasis, Fourier, EquallyWeighted)):
         return d.m
     if isinstance(d, Angle):
         return d.n_points
@@ -262,7 +277,7 @@ def validate(d: EncodingDescriptor, data) -> list[str]:
     """Domain violations of ``data`` for ``d``; empty iff
     ``reference_state`` would succeed."""
     v: list[str] = []
-    if isinstance(d, Basis):
+    if isinstance(d, (Basis, Fourier)):
         x = _scalar_int(data, v)
         if x is not None and not 0 <= x < (1 << d.m):
             v.append(f"value {x} outside 0..{(1 << d.m) - 1}")
@@ -283,13 +298,9 @@ def validate(d: EncodingDescriptor, data) -> list[str]:
         thetas = _as_array(data)
         if thetas.size != d.n_points:
             v.append(f"expected {d.n_points} angles, got {thetas.size}")
-        bad = thetas[(thetas < 0) | (thetas > np.pi / 2)]
+        bad = thetas[~((thetas >= 0) & (thetas <= np.pi / 2))]
         for t in np.atleast_1d(bad):
             v.append(f"angle {float(t)} outside [0, pi/2]")
-    elif isinstance(d, Fourier):
-        x = _scalar_int(data, v)
-        if x is not None and not 0 <= x < (1 << d.m):
-            v.append(f"value {x} outside 0..{(1 << d.m) - 1}")
     elif isinstance(d, MultiRegister):
         xs = _as_array(data).astype(np.int64)
         if xs.size != d.n_registers:
@@ -310,7 +321,7 @@ def validate(d: EncodingDescriptor, data) -> list[str]:
         a = _as_array(data).astype(np.complex128)
         if a.size > (1 << d.n):
             v.append(f"{a.size} amplitudes exceed 2^{d.n}")
-        elif abs(np.vdot(a, a).real - 1.0) > 1e-10:
+        elif not _unit(np.vdot(a, a).real):
             v.append("not normalized")
     elif isinstance(d, (DivideConquer, Bidirectional)):
         a = _as_array(data)
@@ -319,7 +330,7 @@ def validate(d: EncodingDescriptor, data) -> list[str]:
         a = np.real(a)
         if a.size != (1 << d.n):
             v.append(f"expected 2^{d.n} entries, got {a.size}")
-        elif abs(np.dot(a, a) - 1.0) > 1e-10:
+        elif not _unit(np.dot(a, a)):
             v.append("not normalized")
         if np.any(a < 0):
             v.append("requires nonnegative entries (signs are a loader concern)")
@@ -368,21 +379,31 @@ def _as_array(data) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+def check(d: EncodingDescriptor, data) -> None:
+    """Raise ``EncodingError`` listing ``validate``'s violations, if any."""
+    problems = validate(d, data)
+    if problems:
+        raise EncodingError(f"{type(d).__name__} domain violation: " + "; ".join(problems))
+
+
 def reference_state(d: EncodingDescriptor, data) -> StateVector:
     """The mathematically defined state of ``data`` under ``d``.
 
     Built arithmetically except for the divide-and-conquer and
     bidirectional variants, whose loader circuits are definitional.
+    Raises ``CapacityError``, before any array is made, when the register
+    is wider than the simulator's cap.
     """
-    problems = validate(d, data)
-    if problems:
-        raise EncodingError(f"{type(d).__name__} domain violation: " + "; ".join(problems))
+    width = register_width(d)
+    if width > sim.MAX_QUBITS:
+        raise CapacityError(f"{type(d).__name__} needs {width} qubits; states are capped at {sim.MAX_QUBITS}")
+    check(d, data)
 
     if isinstance(d, Basis):
-        return _basis_ref(d.m, _scalar_int(data, []))
+        return sim.basis_state(d.m, _scalar_int(data, []))
     if isinstance(d, MappedBasis):
         x = data.values.item() if isinstance(data, DataSet) and len(data) == 1 else data
-        return _basis_ref(d.m, d.forward()[x])
+        return sim.basis_state(d.m, d.forward()[x])
     if isinstance(d, Angle):
         thetas = _as_array(data).astype(np.float64)
         amps = np.array([1.0], dtype=np.complex128)
@@ -399,7 +420,7 @@ def reference_state(d: EncodingDescriptor, data) -> StateVector:
         index = 0
         for i, xval in enumerate(xs):
             index |= int(xval) << (i * d.m)
-        return _basis_ref(d.m * d.n_registers, index)
+        return sim.basis_state(width, index)
     if isinstance(d, EquallyWeighted):
         xs = _as_array(data).astype(np.int64)
         amps = np.zeros(1 << d.m, dtype=np.complex128)
@@ -418,9 +439,7 @@ def reference_state(d: EncodingDescriptor, data) -> StateVector:
             out = loaders.load_divide_conquer(a)
         else:
             out = loaders.load_bidirectional(a, d.s)
-        from .sim import run
-
-        return run(out.circuit)
+        return sim.run(out.circuit)
     if isinstance(d, QRam):
         xs = _as_array(data).astype(np.int64)
         n_idx = d.index_qubits
@@ -436,12 +455,6 @@ def reference_state(d: EncodingDescriptor, data) -> StateVector:
     raise EncodingError(f"unknown descriptor {d!r}")
 
 
-def _basis_ref(m: int, index: int) -> StateVector:
-    amps = np.zeros(1 << m, dtype=np.complex128)
-    amps[index] = 1.0
-    return state_from_amplitudes(amps)
-
-
 # --------------------------------------------------------------------------
 # Decoding
 # --------------------------------------------------------------------------
@@ -451,7 +464,8 @@ def decode(d: EncodingDescriptor, state: StateVector):
     """Recover the classical data represented by ``state`` under ``d``.
 
     Raises :class:`DecodeError` when the state is not representable in the
-    encoding (e.g. a superposition offered to a basis decode).
+    encoding (e.g. a superposition offered to a basis decode); see the
+    module docstring for the acceptance rule.
     """
     if state.n_qubits != register_width(d):
         raise DecodeError(
@@ -460,9 +474,8 @@ def decode(d: EncodingDescriptor, state: StateVector):
     amps = state.amplitudes
 
     if isinstance(d, (Basis, MappedBasis, MultiRegister)):
-        probs = state.probabilities
-        top = int(np.argmax(probs))
-        if probs[top] < 1.0 - ATOL_DECODE:
+        top = sim.certain_outcome(state.probabilities)
+        if top is None:
             raise DecodeError("superposition is not a basis state")
         if isinstance(d, Basis):
             return top
@@ -471,148 +484,93 @@ def decode(d: EncodingDescriptor, state: StateVector):
         return integers([(top >> (i * d.m)) & ((1 << d.m) - 1) for i in range(d.n_registers)])
 
     if isinstance(d, Angle):
-        from .sim import marginal_probabilities
-
         thetas = []
         for q in range(d.n_points):
-            p0, p1 = marginal_probabilities(state, [q])
+            p0, p1 = sim.marginal_probabilities(state, [q])
             thetas.append(float(np.arctan2(np.sqrt(p1), np.sqrt(p0))))
-        rebuilt = reference_state(d, reals(thetas))
-        if _fid(rebuilt.amplitudes, amps) < 1.0 - ATOL_DECODE:
-            raise DecodeError("state is not a product of angle-encoded qubits")
-        return reals(thetas)
+        return _verified(d, reals(thetas), state)
 
     if isinstance(d, Fourier):
-        if abs(amps[0]) < 1e-6:
-            raise DecodeError("state lacks the uniform-magnitude Fourier structure")
-        # Qubit k carries phase 2*pi*(x mod 2^(m-k))/2^(m-k); walk from the
-        # top qubit down, revealing one low bit of x at a time.
+        # Qubit k carries phase 2*pi*(x mod 2^(m-k))/2^(m-k) relative to
+        # |0>; walk from the top qubit down, revealing one low bit of x at a
+        # time.  A NaN phase reveals nothing and fails the final check.
         x = 0
         for k in range(d.m - 1, -1, -1):
             span = 1 << (d.m - k)
-            phase = float(np.angle(amps[1 << k] / amps[0]))
-            vk = int(round(phase / (2 * np.pi) * span)) % span
-            if vk - x >= span // 2:
+            phase = np.angle(amps[1 << k]) - np.angle(amps[0])
+            if np.round(phase / (2 * np.pi) * span) % span - x >= span // 2:
                 x |= span // 2
-        rebuilt = reference_state(d, x)
-        if _fid(rebuilt.amplitudes, amps) < 1.0 - ATOL_DECODE:
-            raise DecodeError("per-qubit phases do not form a Fourier encoding")
-        return x
+        return _verified(d, x, state)
 
     if isinstance(d, EquallyWeighted):
         probs = state.probabilities
-        support = np.nonzero(probs > 1e-9)[0]
-        if support.size == 0:
-            raise DecodeError("empty support")
-        expected = 1.0 / support.size
-        if np.any(np.abs(probs[support] - expected) > 1e-9):
-            raise DecodeError("support is not equally weighted")
-        rel = amps[support] / amps[support[0]]
-        if np.any(np.abs(rel - 1.0) > 1e-6):
-            raise DecodeError("support carries nonuniform phases")
-        return integers(sorted(int(i) for i in support))
+        return _verified(d, integers(np.flatnonzero(probs > probs.max() / 2)), state)
 
     if isinstance(d, Amplitude):
-        return normalized(amps)
+        try:
+            return normalized(amps)
+        except EncodingError as err:
+            raise DecodeError(f"not an amplitude encoding: {err}") from err
 
     if isinstance(d, (DivideConquer, Bidirectional)):
-        from .sim import marginal_probabilities
-
-        probs = marginal_probabilities(state, data_register(d))
-        return reals(np.sqrt(probs))
+        probs = sim.marginal_probabilities(state, data_register(d))
+        return _verified(d, reals(np.sqrt(probs)), state)
 
     if isinstance(d, QRam):
-        n_idx = d.index_qubits
-        table = []
-        probs = state.probabilities
-        for i in range(1 << n_idx):
-            cand = [v for v in range(1 << d.value_qubits) if probs[i | (v << n_idx)] > 1e-9]
-            if len(cand) != 1:
-                raise DecodeError(f"index {i} is not paired with a unique value")
-            if abs(probs[i | (cand[0] << n_idx)] - 1.0 / (1 << n_idx)) > 1e-9:
-                raise DecodeError(f"index {i} does not carry uniform weight")
-            table.append(cand[0])
-        return integers(table)
+        probs = state.probabilities.reshape(1 << d.value_qubits, 1 << d.index_qubits)
+        return _verified(d, integers(probs.argmax(axis=0)), state)
 
     if isinstance(d, Entangled):
         if d.joint:
             raise DecodeError("joint entangled encodings are descriptor-only")
         out = []
         rest = amps
-        rest_qubits = state.n_qubits
         for c in d.components:
-            w = register_width(c)
-            mat = rest.reshape(1 << (rest_qubits - w), 1 << w)
-            u, sv, vh = np.linalg.svd(mat, full_matrices=False)
-            if sv.size > 1 and sv[1] > 1e-6:
-                raise DecodeError("components are entangled, not independent")
-            factor = vh[0]
-            # fix the factor's global phase so basis-style decodes are clean
-            lead = factor[np.argmax(np.abs(factor))]
-            factor = factor * (np.conj(lead) / np.abs(lead))
+            # Component c holds the lowest qubits of what is left: in a
+            # product state every row of this matrix is a multiple of its
+            # state, so the largest row is the candidate factor.
+            mat = rest.reshape(-1, 1 << register_width(c))
+            row = mat[np.argmax(np.linalg.norm(mat, axis=1))]
+            lead = row[np.argmax(np.abs(row))]
+            # fix the factor's global phase so basis-style decodes are
+            # clean; a zero or NaN row gives a NaN factor, which fails
+            with np.errstate(invalid="ignore", divide="ignore"):
+                factor = row * (np.conj(lead) / (np.abs(lead) * np.linalg.norm(row)))
             out.append(decode(c, state_from_amplitudes(factor)))
-            rest = u[:, 0] * sv[0]
-            rest_qubits -= w
-        return out
+            rest = mat @ np.conj(factor)
+        return _verified(d, out, state)
 
     raise DecodeError(f"unknown descriptor {d!r}")
 
 
-def _fid(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(np.vdot(a, b)) ** 2)
+def _verified(d: EncodingDescriptor, x, state: StateVector):
+    """``x`` if its reference state under ``d`` has fidelity at least
+    ``1 - ATOL_DECODE`` with ``state``; ``DecodeError`` otherwise."""
+    try:
+        ref = reference_state(d, x)
+    except EncodingError as err:
+        raise DecodeError(f"decoded candidate is outside the domain: {err}") from err
+    if not sim.fidelity(ref, state) >= 1.0 - ATOL_DECODE:
+        raise DecodeError(f"state is not a {type(d).__name__} encoding of its decoded candidate")
+    return x
 
 
 # --------------------------------------------------------------------------
 # Descriptor (de)serialization
 # --------------------------------------------------------------------------
 
-_VARIANTS = {
-    "basis": Basis,
-    "mapped_basis": MappedBasis,
-    "angle": Angle,
-    "fourier": Fourier,
-    "multi_register": MultiRegister,
-    "equally_weighted": EquallyWeighted,
-    "amplitude": Amplitude,
-    "divide_conquer": DivideConquer,
-    "bidirectional": Bidirectional,
-    "qram": QRam,
-    "entangled": Entangled,
-}
+_VARIANTS = {cls.variant: cls for cls in get_args(EncodingDescriptor)}
 
 
 def descriptor_to_dict(d: EncodingDescriptor) -> dict:
-    if isinstance(d, Basis):
-        return {"variant": "basis", "m": d.m}
+    if not isinstance(d, get_args(EncodingDescriptor)):
+        raise EncodingError(f"unknown descriptor {d!r}")
+    out = {f.name: getattr(d, f.name) for f in fields(d)}
     if isinstance(d, MappedBasis):
-        return {"variant": "mapped_basis", "m": d.m, "g": [[k, v] for k, v in d.g]}
-    if isinstance(d, Angle):
-        return {"variant": "angle", "n_points": d.n_points}
-    if isinstance(d, Fourier):
-        return {"variant": "fourier", "m": d.m}
-    if isinstance(d, MultiRegister):
-        return {"variant": "multi_register", "m": d.m, "n_registers": d.n_registers}
-    if isinstance(d, EquallyWeighted):
-        return {"variant": "equally_weighted", "m": d.m}
-    if isinstance(d, Amplitude):
-        return {"variant": "amplitude", "n": d.n}
-    if isinstance(d, DivideConquer):
-        return {"variant": "divide_conquer", "n": d.n}
-    if isinstance(d, Bidirectional):
-        return {"variant": "bidirectional", "n": d.n, "s": d.s}
-    if isinstance(d, QRam):
-        return {
-            "variant": "qram",
-            "index_qubits": d.index_qubits,
-            "value_qubits": d.value_qubits,
-        }
+        out["g"] = [[k, v] for k, v in d.g]
     if isinstance(d, Entangled):
-        return {
-            "variant": "entangled",
-            "joint": d.joint,
-            "components": [descriptor_to_dict(c) for c in d.components],
-        }
-    raise EncodingError(f"unknown descriptor {d!r}")
+        out["components"] = [descriptor_to_dict(c) for c in d.components]
+    return out
 
 
 def descriptor_from_dict(obj: Mapping) -> EncodingDescriptor:

@@ -60,10 +60,10 @@ def basis_readout(state: StateVector, register) -> int:
     """Single-measurement readout; valid only when the register's marginal
     is concentrated on one outcome."""
     probs = sim.marginal_probabilities(state, register)
-    top = int(np.argmax(probs))
-    if probs[top] < 1.0 - 1e-9:
+    top = sim.certain_outcome(probs)
+    if top is None:
         raise NotDeterministicError(
-            f"register marginal peaks at {probs[top]:.6f} < 1; not a deterministic readout"
+            f"register marginal peaks at {np.max(probs):.6f} < 1; not a deterministic readout"
         )
     return top
 

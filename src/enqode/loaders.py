@@ -15,6 +15,10 @@ meaningful (a full multiplexer over k controls costs exactly 2^k CNOTs);
 ``sim.Circuit`` counts them without building that circuit.  The phase
 pass fixes each phase up to one global phase, which this package never
 compares.
+
+Each loader checks its input's domain (ranges, normalization, duplicates)
+with ``encodings.check``, the check ``reference_state`` runs, and keeps
+only its own shape rules.
 """
 from __future__ import annotations
 
@@ -22,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import encodings as enc
 from . import sim
 from .errors import CapacityError, EncodingError
 from .sim import Circuit, Gate
+from .tolerances import PHASE_ATOL
 from .trees import AngleTree, build_state_tree, tree_to_angles
 
 MAX_DC_QUBITS = 5  # divide-and-conquer ancillas grow as 2^n
-PHASE_ATOL = 1e-14  # input phases at most this far from 0 need no phase pass
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,7 @@ def _phase_pass(gates: list[Gate], a: np.ndarray, n: int) -> int:
 
 def load_basis(x: int, m: int) -> LoaderOutput:
     """X gates on the set bits of ``x``; depth at most 1."""
-    if not 0 <= x < (1 << m):
-        raise EncodingError(f"value {x} outside 0..{(1 << m) - 1}")
+    enc.check(enc.Basis(m), x)
     gates = [sim.x(q) for q in range(m) if (x >> q) & 1]
     return _output(Circuit(m, gates, {"data": tuple(range(m))}), range(m))
 
@@ -122,8 +126,7 @@ def load_basis(x: int, m: int) -> LoaderOutput:
 def load_angle(thetas) -> LoaderOutput:
     """One RY(2*theta) per qubit; depth 1."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    if np.any((thetas < 0) | (thetas > np.pi / 2)):
-        raise EncodingError("angle outside [0, pi/2]")
+    enc.check(enc.Angle(thetas.size), thetas)
     gates = [sim.ry(2.0 * t, q) for q, t in enumerate(thetas)]
     n = thetas.size
     return _output(Circuit(n, gates, {"data": tuple(range(n))}), range(n))
@@ -132,8 +135,7 @@ def load_angle(thetas) -> LoaderOutput:
 def load_fourier(x: int, m: int) -> LoaderOutput:
     """H then a phase gate per qubit; qubit k gets the binary fraction of
     the trailing ``m - k`` bits of ``x``.  Depth 2."""
-    if not 0 <= x < (1 << m):
-        raise EncodingError(f"value {x} outside 0..{(1 << m) - 1}")
+    enc.check(enc.Fourier(m), x)
     gates = []
     for k in range(m):
         span = 1 << (m - k)
@@ -156,11 +158,11 @@ def _amplitude_input(a) -> tuple[np.ndarray, int, AngleTree, int]:
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     if a.size < 2 or a.size & (a.size - 1):
         raise EncodingError(f"amplitude count {a.size} is not a power of two (>= 2)")
-    if abs(np.vdot(a, a).real - 1.0) > 1e-10:
-        raise EncodingError("input vector is not normalized")
+    n = a.size.bit_length() - 1
+    enc.check(enc.Amplitude(n), a)
     angle_tree = tree_to_angles(build_state_tree(np.abs(a)))
     preprocessing = sum(lvl.size for lvl in angle_tree.levels) + (2 * a.size - 1)
-    return a, a.size.bit_length() - 1, angle_tree, preprocessing
+    return a, n, angle_tree, preprocessing
 
 
 def _amplitude_stages(gates: list[Gate], angle_levels, n: int) -> None:
@@ -189,12 +191,7 @@ def load_equally_weighted(xs, m: int) -> LoaderOutput:
     indicator vector (correctness over the swap-network asymptotics).
     """
     xs = sorted(int(v) for v in np.atleast_1d(np.asarray(xs, dtype=np.int64)))
-    if len(set(xs)) != len(xs):
-        raise EncodingError("duplicate indices in the set")
-    if not xs:
-        raise EncodingError("empty index set")
-    if any(not 0 <= v < (1 << m) for v in xs):
-        raise EncodingError(f"index outside 0..{(1 << m) - 1}")
+    enc.check(enc.EquallyWeighted(m), xs)
     if len(xs) == 1 << m:
         gates = [sim.h(q) for q in range(m)]
         return _output(Circuit(m, gates, {"data": tuple(range(m))}), range(m))
@@ -315,13 +312,10 @@ def load_bidirectional(a, s: int) -> LoaderOutput:
 def qram_oracle(xs, value_qubits: int) -> Circuit:
     """Query-access oracle |i>|y> -> |i>|y + x_i mod 2^v>, acting on every
     address in quantum parallel; a single permutation gate accounted as one
-    oracle query."""
+    oracle query.  A one-entry table needs no index qubits."""
     xs = [int(v) for v in np.atleast_1d(np.asarray(xs, dtype=np.int64))]
-    if len(xs) < 1 or len(xs) & (len(xs) - 1):
-        raise EncodingError(f"table length {len(xs)} is not a power of two")
-    n_idx = max(1, (len(xs) - 1).bit_length())
-    if any(not 0 <= v < (1 << value_qubits) for v in xs):
-        raise EncodingError(f"table value overflows {value_qubits} value qubits")
+    n_idx = (len(xs) - 1).bit_length()
+    enc.check(enc.QRam(n_idx, value_qubits), xs)
     width = n_idx + value_qubits
     table = []
     for local in range(1 << width):

@@ -51,11 +51,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, CircuitError
+from .tolerances import ATOL_DECODE, NORM_ATOL
 
 MAX_QUBITS = 24
 MAX_UNITARY_QUBITS = 12
-
-NORM_ATOL = 1e-9
 
 # Gate kinds.  Controlled kinds list the control(s) first in ``qubits``.
 X = "x"
@@ -626,7 +625,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Run ``circuit`` on a copy of ``state``.
 
     Raises ``CircuitError`` if the squared norm moved by more than
-    ``NORM_ATOL``.
+    ``NORM_ATOL`` or is no longer a number (a NaN angle).
     """
     if circuit.n_qubits != state.n_qubits:
         raise CircuitError(
@@ -638,7 +637,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         apply_gate(psi, g, state.n_qubits)
     out = StateVector._owning(state.n_qubits, psi)
     drift = abs(out.norm_sq - norm_sq)
-    if drift > NORM_ATOL:
+    if not drift <= NORM_ATOL:
         raise CircuitError(f"circuit changed the squared norm by {drift:.3g} > {NORM_ATOL}")
     return out
 
@@ -683,6 +682,15 @@ def marginal_probabilities(state: StateVector, register: Sequence[int]) -> np.nd
     marginal = state.probabilities.reshape(shape).sum(axis=tuple(range(0, len(shape), 2)))
     kept = sorted(register, reverse=True)
     return marginal.transpose([kept.index(q) for q in reversed(register)]).reshape(-1)
+
+
+def certain_outcome(probs: np.ndarray) -> int | None:
+    """The outcome of ``probs`` with probability at least
+    ``1 - ATOL_DECODE``, or None when no outcome is that certain (or a
+    probability is NaN).  For a basis state ``|y>`` this probability is its
+    fidelity with the state, so it is the decode acceptance rule too."""
+    top = int(np.argmax(probs))
+    return top if probs[top] >= 1.0 - ATOL_DECODE else None
 
 
 def _draws(state: StateVector, shots: int, seed: int) -> np.ndarray:

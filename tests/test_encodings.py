@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enqode import encodings as enc
-from enqode import sim
-from enqode.errors import DecodeError, EncodingError
+from enqode import loaders, sim
+from enqode.errors import CapacityError, DecodeError, EncodingError
+from enqode.tolerances import ATOL_DECODE, NORM_ATOL
 
 
 class TestDataSet:
@@ -94,6 +95,15 @@ class TestReferenceStates:
         a /= np.linalg.norm(a)
         st_ = enc.reference_state(enc.Amplitude(3), enc.normalized(a))
         assert abs(st_.norm_sq - 1.0) < 1e-12
+
+    def test_capacity_checked_before_allocation(self):
+        for d, data in (
+            (enc.Basis(30), 3),
+            (enc.Angle(30), np.zeros(30)),
+            (enc.Amplitude(25), enc.normalized([1.0])),
+        ):
+            with pytest.raises(CapacityError):
+                enc.reference_state(d, data)
 
     def test_divide_conquer_reference_is_loader_output(self):
         a = np.sqrt([0.1, 0.2, 0.3, 0.4])
@@ -232,6 +242,98 @@ def test_roundtrip_property(m, seed):
     np.testing.assert_allclose(
         enc.decode(da, enc.reference_state(da, enc.normalized(a))).values, a, atol=1e-9
     )
+
+
+# The eleven variants of TestDescriptorJson.test_roundtrip_all_variants, each
+# with a seeded generator of valid data.
+def _unit_complex(rng, size):
+    a = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return a / np.linalg.norm(a)
+
+
+def _phase_fixed(a):
+    """``a`` with its largest entry real positive, the phase Entangled
+    decode gives a component."""
+    lead = a[np.argmax(np.abs(a))]
+    return a * (np.conj(lead) / abs(lead))
+
+
+def _nonneg_unit(rng, size):
+    a = rng.random(size)
+    return a / np.linalg.norm(a)
+
+
+CONTRACT_CASES = [
+    (enc.Basis(3), lambda rng: int(rng.integers(8))),
+    (enc.MappedBasis(1, ((4, 0), (9, 1))), lambda rng: int(rng.choice([4, 9]))),
+    (enc.Angle(2), lambda rng: enc.reals(rng.uniform(0, np.pi / 2, 2))),
+    (enc.Fourier(4), lambda rng: int(rng.integers(16))),
+    (enc.MultiRegister(2, 3), lambda rng: enc.integers(rng.integers(0, 4, 3))),
+    (enc.EquallyWeighted(3), lambda rng: enc.integers(np.sort(rng.choice(8, int(rng.integers(1, 9)), replace=False)))),
+    (enc.Amplitude(5), lambda rng: enc.normalized(_unit_complex(rng, 32))),
+    (enc.DivideConquer(3), lambda rng: enc.reals(_nonneg_unit(rng, 8))),
+    (enc.Bidirectional(4, 2), lambda rng: enc.reals(_nonneg_unit(rng, 16))),
+    (enc.QRam(2, 3), lambda rng: enc.integers(rng.integers(0, 8, 4))),
+    (
+        enc.Entangled((enc.Basis(1), enc.Amplitude(2)), joint=False),
+        lambda rng: [int(rng.integers(2)), enc.normalized(_phase_fixed(_unit_complex(rng, 4)))],
+    ),
+]
+CONTRACT_IDS = [type(d).__name__ for d, _ in CONTRACT_CASES]
+
+
+def _flat(data) -> np.ndarray:
+    """Input or decoded data as one flat complex array."""
+    if isinstance(data, list):
+        return np.concatenate([_flat(part) for part in data])
+    return np.atleast_1d(np.asarray(getattr(data, "values", data), dtype=np.complex128))
+
+
+class TestDecodeContract:
+    """decode returns x only if reference_state(d, x) has fidelity at least
+    1 - ATOL_DECODE with the state; otherwise it raises DecodeError."""
+
+    @pytest.mark.parametrize("d, draw", CONTRACT_CASES, ids=CONTRACT_IDS)
+    def test_valid_data_roundtrips(self, d, draw):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            x = draw(rng)
+            got = enc.decode(d, enc.reference_state(d, x))
+            np.testing.assert_allclose(_flat(got), _flat(x), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("d, draw", CONTRACT_CASES, ids=CONTRACT_IDS)
+    def test_random_states_decode_or_raise(self, d, draw):
+        rng = np.random.default_rng(32)
+        n = enc.register_width(d)
+        for _ in range(50):
+            state = sim.state_from_amplitudes(_unit_complex(rng, 1 << n))
+            try:
+                x = enc.decode(d, state)
+            except DecodeError:
+                continue
+            assert sim.fidelity(enc.reference_state(d, x), state) >= 1 - ATOL_DECODE
+
+    @pytest.mark.parametrize("d, draw", CONTRACT_CASES, ids=CONTRACT_IDS)
+    def test_nan_state_raises(self, d, draw):
+        n = enc.register_width(d)
+        with pytest.raises(DecodeError):
+            enc.decode(d, sim.StateVector(n, np.full(1 << n, np.nan)))
+
+    def test_norm_bound_is_the_same_everywhere(self):
+        d = enc.Amplitude(2)
+        unit = _unit_complex(np.random.default_rng(33), 4)
+        for sign in (1, -1):
+            inside = unit * np.sqrt(1 + sign * 0.5 * NORM_ATOL)
+            assert enc.validate(d, inside) == []
+            got = enc.decode(d, enc.reference_state(d, enc.normalized(inside)))
+            np.testing.assert_array_equal(got.values, inside)
+            loaders.load_amplitude(inside)
+            outside = unit * np.sqrt(1 + sign * 2 * NORM_ATOL)
+            assert enc.validate(d, outside) != []
+            with pytest.raises(EncodingError):
+                enc.normalized(outside)
+            with pytest.raises(EncodingError):
+                loaders.load_amplitude(outside)
 
 
 class TestDescriptorJson:

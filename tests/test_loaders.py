@@ -50,8 +50,9 @@ class TestLoadAngle:
         assert fid_with(loaders.load_angle(thetas), target) == pytest.approx(1.0)
 
     def test_domain(self):
-        with pytest.raises(EncodingError):
-            loaders.load_angle([2.0])
+        for bad in ([2.0], [np.nan]):
+            with pytest.raises(EncodingError):
+                loaders.load_angle(bad)
 
 
 class TestLoadFourier:
@@ -93,8 +94,9 @@ class TestLoadAmplitude:
             assert fid_with(loaders.load_amplitude(a), a) >= 1 - 1e-9
 
     def test_normalization_enforced(self):
-        with pytest.raises(EncodingError):
-            loaders.load_amplitude([1.0, 1.0])
+        for a in ([1.0, 1.0], [np.nan, 1, 0, 0], [np.inf, 0, 0, 0]):
+            with pytest.raises(EncodingError):
+                loaders.load_amplitude(a)
 
     def test_cnot_count_exact(self):
         # a full RY pyramid costs 2^n - 2 CNOTs for real input
@@ -303,6 +305,17 @@ class TestQramOracle:
 
     def test_query_count(self):
         assert loaders.qram_oracle([0, 1], 1).query_count == 1
+
+    def test_one_entry_table_has_no_index_qubits(self):
+        c = loaders.qram_oracle([3], 2)
+        assert c.n_qubits == 2 and c.registers["index"] == ()
+        ref = enc.reference_state(enc.QRam(0, 2), enc.integers([3]))
+        assert sim.fidelity(sim.run(c), ref) == pytest.approx(1.0)
+
+    def test_table_length_not_power_of_two(self):
+        for xs in ([], [0, 1, 2]):
+            with pytest.raises(EncodingError):
+                loaders.qram_oracle(xs, 2)
 
     def test_offset_add_semantics(self):
         c = loaders.qram_oracle([3, 1], 2)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from enqode import loaders, sim
 from enqode.errors import CapacityError, CircuitError
+from enqode.tolerances import EQUIV_ATOL
 
 RNG = np.random.default_rng(20240811)
 
@@ -161,7 +162,7 @@ class TestApplyCircuit:
                 c = sim.Circuit(n, [sim.multiplexed_ry(RNG.uniform(-np.pi, np.pi, 1 << k), controls, target)])
                 s = random_state(RNG, n)
                 np.testing.assert_allclose(
-                    sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=1e-12
+                    sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=EQUIV_ATOL
                 )
 
     def test_slabs_are_bit_identical(self, monkeypatch):
@@ -203,7 +204,7 @@ class TestApplyCircuit:
                 s = random_state(RNG, n)
                 c = sim.Circuit(n, [gate])
                 np.testing.assert_allclose(
-                    sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=1e-12
+                    sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=EQUIV_ATOL
                 )
 
     def test_identity_gates_leave_buffer_untouched(self):
@@ -238,7 +239,7 @@ class TestApplyCircuit:
                 c = sim.Circuit(3, [sim.cnot(2, 0)])
                 s = random_state(RNG, 3)
                 np.testing.assert_allclose(
-                    sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=1e-12
+                    sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=EQUIV_ATOL
                 )
 
     def test_wide_mry_needs_no_dense_matrix(self):
@@ -270,6 +271,11 @@ class TestApplyCircuit:
         monkeypatch.setattr(sim, "gate_blocks", lambda g: 1.01 * true_blocks(g))
         with pytest.raises(CircuitError):
             sim.apply_circuit(sim.zero_state(2), sim.Circuit(2, [sim.h(0)]))
+
+    def test_nan_angle_raises(self):
+        # a NaN norm drift must fail the drift check, not slip past it
+        with pytest.raises(CircuitError):
+            sim.run(sim.Circuit(2, [sim.h(1), sim.ry(np.nan, 0)]))
 
 
 class TestStateVector:
