@@ -124,6 +124,11 @@ class MappedBasis:
     g: tuple[tuple[object, int], ...]
     variant: str = field(default="mapped_basis", init=False)
 
+    def __post_init__(self):
+        size = 1 << self.m
+        if len(self.g) != size or len(self.forward()) != size or set(self.backward()) != set(range(size)):
+            raise EncodingError(f"g is not a bijection onto 0..{size - 1}")
+
     def forward(self) -> dict:
         return {k: v for k, v in self.g}
 
@@ -283,8 +288,6 @@ def validate(d: EncodingDescriptor, data) -> list[str]:
             v.append(f"value {x} outside 0..{(1 << d.m) - 1}")
     elif isinstance(d, MappedBasis):
         table = d.forward()
-        if sorted(table.values()) != list(range(1 << d.m)):
-            v.append("g is not a bijection onto 0..2^m-1")
         if isinstance(data, DataSet):
             if len(data) != 1:
                 v.append("expected a single domain value")
@@ -302,21 +305,19 @@ def validate(d: EncodingDescriptor, data) -> list[str]:
         for t in np.atleast_1d(bad):
             v.append(f"angle {float(t)} outside [0, pi/2]")
     elif isinstance(d, MultiRegister):
-        xs = _as_array(data).astype(np.int64)
-        if xs.size != d.n_registers:
-            v.append(f"expected {d.n_registers} integers, got {xs.size}")
-        for x in xs:
-            if not 0 <= x < (1 << d.m):
-                v.append(f"value {int(x)} outside 0..{(1 << d.m) - 1}")
+        xs = _integers(data, v)
+        if xs is not None:
+            if xs.size != d.n_registers:
+                v.append(f"expected {d.n_registers} integers, got {xs.size}")
+            v.extend(f"value {int(x)} outside 0..{(1 << d.m) - 1}" for x in xs if not 0 <= x < (1 << d.m))
     elif isinstance(d, EquallyWeighted):
-        xs = _as_array(data).astype(np.int64)
-        if xs.size == 0:
-            v.append("empty index set")
-        if len(set(xs.tolist())) != xs.size:
-            v.append("duplicate indices in the set")
-        for x in xs:
-            if not 0 <= x < (1 << d.m):
-                v.append(f"index {int(x)} outside 0..{(1 << d.m) - 1}")
+        xs = _integers(data, v)
+        if xs is not None:
+            if xs.size == 0:
+                v.append("empty index set")
+            if len(set(xs.tolist())) != xs.size:
+                v.append("duplicate indices in the set")
+            v.extend(f"index {int(x)} outside 0..{(1 << d.m) - 1}" for x in xs if not 0 <= x < (1 << d.m))
     elif isinstance(d, Amplitude):
         a = _as_array(data).astype(np.complex128)
         if a.size > (1 << d.n):
@@ -335,12 +336,13 @@ def validate(d: EncodingDescriptor, data) -> list[str]:
         if np.any(a < 0):
             v.append("requires nonnegative entries (signs are a loader concern)")
     elif isinstance(d, QRam):
-        xs = _as_array(data).astype(np.int64)
-        if xs.size != (1 << d.index_qubits):
-            v.append(f"table length {xs.size} != 2^{d.index_qubits}")
-        for x in xs:
-            if not 0 <= x < (1 << d.value_qubits):
-                v.append(f"value {int(x)} overflows {d.value_qubits} value qubits")
+        xs = _integers(data, v)
+        if xs is not None:
+            if xs.size != (1 << d.index_qubits):
+                v.append(f"table length {xs.size} != 2^{d.index_qubits}")
+            v.extend(
+                f"value {int(x)} overflows {d.value_qubits} value qubits" for x in xs if not 0 <= x < (1 << d.value_qubits)
+            )
     elif isinstance(d, Entangled):
         if d.joint:
             v.append("joint entangled encodings are descriptor-only (no reference state)")
@@ -360,12 +362,28 @@ def _scalar_int(data, violations: list[str]):
         if len(data) != 1:
             violations.append("expected a single integer")
             return None
-        return int(data.values[0])
-    try:
-        return int(data)
-    except (TypeError, ValueError):
+    elif np.ndim(data) != 0:
         violations.append(f"expected an integer, got {data!r}")
         return None
+    xs = _integers(data, violations)
+    return None if xs is None else int(xs[0])
+
+
+def _integers(data, violations: list[str]) -> np.ndarray | None:
+    """The values of ``data`` as a real array, or None, with a violation
+    for each value, when some value is not an integer (2.7, NaN, 2+1j, a
+    string).  Integral floats such as 3.0 count as integers."""
+    a = _as_array(data)
+    if a.dtype.kind in "biu":
+        return a
+    if a.dtype.kind in "fc":
+        integral = np.isfinite(a) & (a == np.round(a.real))
+        if integral.all():
+            return a.real
+        violations.extend(f"value {x} is not an integer" for x in a[~integral].tolist())
+    else:
+        violations.append(f"expected integers, got {data!r}")
+    return None
 
 
 def _as_array(data) -> np.ndarray:

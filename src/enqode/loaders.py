@@ -119,6 +119,7 @@ def _phase_pass(gates: list[Gate], a: np.ndarray, n: int) -> int:
 def load_basis(x: int, m: int) -> LoaderOutput:
     """X gates on the set bits of ``x``; depth at most 1."""
     enc.check(enc.Basis(m), x)
+    x = int(x)  # an integral value, as checked
     gates = [sim.x(q) for q in range(m) if (x >> q) & 1]
     return _output(Circuit(m, gates, {"data": tuple(range(m))}), range(m))
 
@@ -136,6 +137,7 @@ def load_fourier(x: int, m: int) -> LoaderOutput:
     """H then a phase gate per qubit; qubit k gets the binary fraction of
     the trailing ``m - k`` bits of ``x``.  Depth 2."""
     enc.check(enc.Fourier(m), x)
+    x = int(x)  # an integral value, as checked
     gates = []
     for k in range(m):
         span = 1 << (m - k)
@@ -190,8 +192,8 @@ def load_equally_weighted(xs, m: int) -> LoaderOutput:
     anything else goes through the amplitude loader on the normalized
     indicator vector (correctness over the swap-network asymptotics).
     """
-    xs = sorted(int(v) for v in np.atleast_1d(np.asarray(xs, dtype=np.int64)))
     enc.check(enc.EquallyWeighted(m), xs)
+    xs = sorted(np.atleast_1d(np.asarray(xs)).astype(np.int64).tolist())
     if len(xs) == 1 << m:
         gates = [sim.h(q) for q in range(m)]
         return _output(Circuit(m, gates, {"data": tuple(range(m))}), range(m))
@@ -313,9 +315,10 @@ def qram_oracle(xs, value_qubits: int) -> Circuit:
     """Query-access oracle |i>|y> -> |i>|y + x_i mod 2^v>, acting on every
     address in quantum parallel; a single permutation gate accounted as one
     oracle query.  A one-entry table needs no index qubits."""
-    xs = [int(v) for v in np.atleast_1d(np.asarray(xs, dtype=np.int64))]
-    n_idx = (len(xs) - 1).bit_length()
+    xs = np.atleast_1d(np.asarray(xs))
+    n_idx = (xs.size - 1).bit_length()
     enc.check(enc.QRam(n_idx, value_qubits), xs)
+    xs = xs.astype(np.int64).tolist()
     width = n_idx + value_qubits
     table = []
     for local in range(1 << width):

@@ -128,11 +128,39 @@ class TestValidate:
         assert enc.validate(enc.Basis(3), 7) == []
         assert enc.validate(enc.Basis(3), 8) != []
 
+    @pytest.mark.parametrize(
+        "d, data",
+        [
+            (enc.Basis(3), 2.7),
+            (enc.Basis(3), enc.reals([1.5])),
+            (enc.Basis(3), np.nan),
+            (enc.Fourier(3), 2.5),
+            (enc.MultiRegister(2, 2), [1, 2.5]),
+            (enc.EquallyWeighted(2), [1, 2.5]),
+            (enc.QRam(1, 2), [0, 1.5]),
+            (enc.QRam(1, 2), [0, 1 + 1j]),
+        ],
+    )
+    def test_integer_domains_reject_non_integral_values(self, d, data):
+        # int() used to truncate 2.7 to 2, so validate accepted it
+        violations = enc.validate(d, data)
+        assert violations and "is not an integer" in violations[0]
+        with pytest.raises(EncodingError):
+            enc.reference_state(d, data)
+
+    def test_integral_floats_are_integers(self):
+        assert enc.validate(enc.Basis(3), 5.0) == []
+        assert enc.decode(enc.Basis(3), enc.reference_state(enc.Basis(3), 5.0)) == 5
+        assert enc.validate(enc.QRam(1, 2), enc.reals([3.0, 1.0])) == []
+
     def test_mapped_basis_bijection(self):
+        # a table that is not a bijection cannot be built, so decode never
+        # meets one (it used to raise a bare KeyError)
         good = enc.MappedBasis(1, (("a", 0), ("b", 1)))
         assert enc.validate(good, "a") == []
-        bad = enc.MappedBasis(1, (("a", 0), ("b", 0)))
-        assert enc.validate(bad, "a") != []
+        for g in ((("a", 0), ("b", 0)), (("a", 0), ("a", 1)), (("a", 0),), (("a", 0), ("b", 1), ("c", 2))):
+            with pytest.raises(EncodingError):
+                enc.MappedBasis(1, g)
 
     def test_empty_iff_reference_succeeds(self):
         rng = np.random.default_rng(2)

@@ -34,6 +34,18 @@ class TestLoadBasis:
             target = enc.reference_state(enc.Basis(m), x).amplitudes
             assert fid_with(loaders.load_basis(x, m), target) == pytest.approx(1.0)
 
+    def test_non_integral_values_rejected(self):
+        # each used to raise a bare TypeError or truncate silently
+        for load, args in (
+            (loaders.load_basis, (2.7, 3)),
+            (loaders.load_fourier, (2.5, 3)),
+            (loaders.load_equally_weighted, ([1, 2.5], 2)),
+            (loaders.qram_oracle, ([0, 1.5], 2)),
+        ):
+            with pytest.raises(EncodingError, match="not an integer"):
+                load(*args)
+        assert loaders.load_basis(5.0, 3).circuit.gates == loaders.load_basis(5, 3).circuit.gates
+
 
 class TestLoadAngle:
     def test_zero(self):

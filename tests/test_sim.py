@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enqode import loaders, sim
+from enqode import converters, extractors, loaders, sim
 from enqode.errors import CapacityError, CircuitError
 from enqode.tolerances import EQUIV_ATOL
 
@@ -257,6 +257,31 @@ class TestApplyCircuit:
         assert peak < 1 << 20
         np.testing.assert_allclose(np.linalg.norm(psi), 1.0, atol=1e-12)
 
+    def test_shared_permutation_moves_are_bounded_by_bytes(self):
+        # At n = 16 one bit-flip permutation moves every amplitude: 1 MiB of
+        # indices.  Once the gates are gone, the moves kept for later equal
+        # gates stay within the byte bound (a bound of 128 entries kept all
+        # 31 MiB).
+        n = 16
+        psi = np.array(sim.zero_state(n).amplitudes)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for q, k in itertools.product(range(n), range(1, 3)):
+                if q + k <= n:
+                    sim.apply_gate(psi, sim.permutation(list(range(1 << k))[::-1], range(q, q + k)), n)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= sim._SHARED_MOVES_BYTES + (1 << 18)
+        held = sum(src.nbytes + dst.nbytes for src, dst in sim._shared_moves.values())
+        assert held == sim._shared_moves.held <= sim._SHARED_MOVES_BYTES
+        # equal gates share their moves
+        gates = [sim.permutation([1, 0], [3]) for _ in range(2)]
+        for g in gates:
+            sim.apply_gate(np.array(sim.zero_state(10).amplitudes), g, 10)
+        assert gates[0]._plan[2] is gates[1]._plan[2]
+
     def test_apply_gate_rejects_bad_input(self):
         psi = sim.zero_state(2).amplitudes  # read-only
         for bad in (psi, psi.real.copy(), np.zeros(8, dtype=np.complex128), np.zeros(8, complex)[::2]):
@@ -276,6 +301,145 @@ class TestApplyCircuit:
         # a NaN norm drift must fail the drift check, not slip past it
         with pytest.raises(CircuitError):
             sim.run(sim.Circuit(2, [sim.h(1), sim.ry(np.nan, 0)]))
+
+
+def gate_loop(circuit: sim.Circuit, state: sim.StateVector | None = None) -> np.ndarray:
+    """``circuit`` run one gate at a time through ``apply_gate``: the path
+    the execution plan's powers replace."""
+    psi = np.array((state or sim.zero_state(circuit.n_qubits)).amplitudes)
+    for g in circuit.gates:
+        sim.apply_gate(psi, g, circuit.n_qubits)
+    return psi
+
+
+def powers(circuit: sim.Circuit) -> int:
+    return sum(type(step) is not sim.Gate for step in circuit._steps)
+
+
+def benchmark_qae_input(seed: int, index: int):
+    """Amplitudes and sampling seed of instance ``index`` of a qae
+    benchmark run seeded with ``seed`` (n = 3), drawn as the benchmark
+    draws them."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index + (1 << 20)])))
+    a = np.abs(rng.normal(size=8))
+    return a / np.linalg.norm(a), int(rng.integers(1 << 31))
+
+
+class TestExecutionPlan:
+    """Runs of a repeated gate period execute as one matrix power; every
+    result must match the gate-by-gate loop within ``EQUIV_ATOL``."""
+
+    def test_qae_circuits_match_gate_loop(self):
+        rng = np.random.default_rng(41)
+        for n, m in itertools.product((2, 3), range(1, 7)):
+            a = np.abs(rng.normal(size=1 << n))
+            f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+            c = extractors.qae_circuit(f, m)
+            assert powers(c) == m - 1  # Q^(2^j) for j >= 1
+            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    @pytest.mark.parametrize("r", [2, 3, 5, 7])
+    def test_repeated_grover_operator(self, r):
+        f = loaders.load_amplitude(np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])).circuit
+        q = extractors.grover_operator(f, flag=2)
+        c = sim.Circuit(3, [sim.h(0)] + list(q.gates) * r + [sim.h(1)])
+        assert len(c._steps) == 3 and powers(c) == 1
+        s = random_state(RNG, 3)
+        np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
+
+    @pytest.mark.parametrize("slab", [1, 4, 1 << 30])
+    def test_random_repeated_segments(self, monkeypatch, slab):
+        # _SLAB = 1 cuts every gap axis into single elements, 4 cuts some
+        # axes part-way, 2**30 leaves the view whole.
+        monkeypatch.setattr(sim, "_SLAB", slab)
+        rng = np.random.default_rng(83)
+        kinds = set()
+        for trial in range(40):
+            n = int(rng.integers(2, 8))
+            segment = [random_gate(rng, n) for _ in range(int(rng.integers(1, 6)))]
+            kinds.update(g.kind for g in segment)
+            r = int(rng.integers(2, 6))
+            c = sim.Circuit(n, [random_gate(rng, n)] + segment * r + [random_gate(rng, n)])
+            wide = len({q for g in segment for q in g.qubits}) > sim._POWER_QUBITS
+            assert powers(c) == (0 if wide else 1)
+            s = random_state(rng, n)
+            np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
+        assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "cry", "mry", "perm"}
+
+    def test_period_wider_than_cap_is_gate_by_gate(self):
+        n = sim._POWER_QUBITS + 2
+        period = [sim.h(q) for q in range(n)] + [sim.cry(0.3, 0, n - 1)]
+        c = sim.Circuit(n, period * 3)
+        assert powers(c) == 0 and len(c._steps) == len(c.gates)
+        s = random_state(RNG, n)
+        assert sim.apply_circuit(s, c).amplitudes.tobytes() == gate_loop(c, s).tobytes()
+
+    def test_plan_is_computed_once_per_circuit(self, monkeypatch):
+        calls = []
+        plan = sim._execution_plan
+        monkeypatch.setattr(sim, "_execution_plan", lambda *a: calls.append(1) or plan(*a))
+        g = sim.ry(0.4, 1)
+        c = sim.Circuit(2, [sim.h(0), g, g, g])
+        first = sim.run(c).amplitudes
+        assert sim.run(c).amplitudes.tobytes() == first.tobytes()
+        sim.build_unitary(c)
+        assert len(calls) == 1
+        sim.run(sim.Circuit(2, c.gates))  # a new circuit plans anew
+        assert len(calls) == 2
+
+    def test_wide_power_runs_in_slabs(self):
+        # n = 18: the state takes 4 MiB and apply_circuit copies it once.
+        # Slab temporaries (the 2x2 updates' too) stay under 1 MiB; a power
+        # on whole-state temporaries would add 8 MiB.
+        n = 18
+        period = [sim.ry(0.3, 0), sim.cnot(0, 9), sim.h(17), sim.cp(0.2, 9, 17)]
+        c = sim.Circuit(n, [sim.h(q) for q in (0, 9, 17)] + period * 5)
+        c._steps  # the plan itself is small; measure the run
+        assert powers(c) == 1
+        state = sim.zero_state(n)
+        tracemalloc.start()
+        try:
+            out = sim.apply_circuit(state, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 << n) + (2 << 20)
+        np.testing.assert_allclose(out.amplitudes, gate_loop(c, state), rtol=0, atol=EQUIV_ATOL)
+
+    def test_inverse_keeps_runs_repeated(self):
+        for g in (sim.ry(0.3, 0), sim.cp(0.1, 0, 1), sim.multiplexed_ry([0.1, 0.2], [0], 1),
+                  sim.permutation([1, 2, 3, 0], [0, 1]), sim.h(0)):
+            assert g.inverse() is g.inverse()
+            assert g.inverse().inverse() == g
+        # amplitude -> equally-weighted: the uncompute half repeats the
+        # inverses of the estimate half's controlled Grover powers
+        a = np.sqrt([0.1, 0.2, 0.3, 0.4])
+        c = converters.convert_amplitude_to_ew(loaders.load_amplitude(a).circuit, 4)
+        assert powers(c) == 6
+        np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    def test_seeded_qae_estimates_match_gate_loop(self):
+        # the test seeds, then instances -2..4 of benchmark seeds 0, 77, 78
+        rng = np.random.default_rng(7)
+        cases = []
+        for seed in range(5):
+            a = np.abs(rng.normal(size=8))
+            cases.append((a / np.linalg.norm(a), seed, int(rng.integers(3, 8))))
+        for seed, index in itertools.product((0, 77, 78), range(-2, 5)):
+            a, sample_seed = benchmark_qae_input(seed, index)
+            cases.append((a, sample_seed, 7))
+        for a, sample_seed, m in cases:
+            f = loaders.load_amplitude(a).circuit
+            result = extractors.qae_estimate(f, m, 1024, sample_seed, flag=2)
+            c = extractors.qae_circuit(f, m, flag=2)
+            phase = c.registers["qae_phase"]
+            looped = sim.StateVector(c.n_qubits, gate_loop(c))
+            mode = extractors.mode_readout(looped, phase, 1024, sample_seed).mode
+            assert result.estimate == extractors.outcome_to_mu(mode, m)
+            np.testing.assert_array_equal(
+                sim.sample_counts(sim.run(c), phase, 1024, sample_seed),
+                sim.sample_counts(looped, phase, 1024, sample_seed),
+            )
 
 
 class TestStateVector:
@@ -538,6 +702,11 @@ class TestCircuitMetrics:
     def test_gate_outside_width_rejected(self):
         with pytest.raises(CircuitError):
             sim.Circuit(2, [sim.x(5)])
+
+    def test_gate_outside_width_names_its_kind(self):
+        for bad in (sim.cry(0.1, 0, 3), sim.permutation([1, 0], [-1])):
+            with pytest.raises(CircuitError, match=f"gate {bad.kind} touches"):
+                sim.Circuit(3, [sim.h(0), sim.x(2), bad, sim.h(1)])
 
 
 class TestGrayWalk:
