@@ -427,12 +427,12 @@ def reference_state(d: EncodingDescriptor, data) -> StateVector:
         amps = np.array([1.0], dtype=np.complex128)
         for t in thetas:  # qubit i gets theta_i; lowest qubit varies fastest
             amps = np.kron(np.array([np.cos(t), np.sin(t)]), amps)
-        return state_from_amplitudes(amps)
+        return StateVector._owning(width, amps)
     if isinstance(d, Fourier):
         x = _scalar_int(data, [])
         dim = 1 << d.m
         j = np.arange(dim)
-        return state_from_amplitudes(np.exp(2j * np.pi * x * j / dim) / np.sqrt(dim))
+        return StateVector._owning(width, np.exp(2j * np.pi * x * j / dim) / np.sqrt(dim))
     if isinstance(d, MultiRegister):
         xs = _as_array(data).astype(np.int64)
         index = 0
@@ -443,12 +443,12 @@ def reference_state(d: EncodingDescriptor, data) -> StateVector:
         xs = _as_array(data).astype(np.int64)
         amps = np.zeros(1 << d.m, dtype=np.complex128)
         amps[xs] = 1.0 / np.sqrt(xs.size)
-        return state_from_amplitudes(amps)
+        return StateVector._owning(width, amps)
     if isinstance(d, Amplitude):
         a = _as_array(data).astype(np.complex128)
         amps = np.zeros(1 << d.n, dtype=np.complex128)
         amps[: a.size] = a
-        return state_from_amplitudes(amps)
+        return StateVector._owning(width, amps)
     if isinstance(d, (DivideConquer, Bidirectional)):
         from . import loaders  # loader output is the definition here
 
@@ -464,12 +464,12 @@ def reference_state(d: EncodingDescriptor, data) -> StateVector:
         amps = np.zeros(1 << (n_idx + d.value_qubits), dtype=np.complex128)
         for i, xval in enumerate(xs):
             amps[i | (int(xval) << n_idx)] = 1.0 / np.sqrt(xs.size)
-        return state_from_amplitudes(amps)
+        return StateVector._owning(width, amps)
     if isinstance(d, Entangled):
         amps = np.array([1.0], dtype=np.complex128)
         for c, cd in zip(d.components, data):
             amps = np.kron(reference_state(c, cd).amplitudes, amps)
-        return state_from_amplitudes(amps)
+        return StateVector._owning(width, amps)
     raise EncodingError(f"unknown descriptor {d!r}")
 
 

@@ -170,21 +170,13 @@ def grover_operator(f: Circuit, flag: int | None = None, reflection_qubits=None)
     return Circuit(f.n_qubits, gates, f.registers, f.query_count)
 
 
-def _controlled_grover_gates(
-    f: Circuit, flag: int, control: int, reflection_qubits, width: int
-) -> list[Gate]:
+def _controlled_grover_gates(f: Circuit, flag: int, control: int, reflection_qubits) -> list[Gate]:
     """Controlled Q: only the reflections (and the global sign) need the
     control; F and F-inverse cancel on the control-0 branch."""
-    refl = tuple(reflection_qubits)
     gates: list[Gate] = [sim.cp(np.pi, control, flag)]
-    gates.extend(f.inverse().shifted(0, width).gates)
-    gates.extend(sim.x(q) for q in refl)
-    pivot = refl[-1]
-    gates.append(sim.h(pivot))
-    gates.append(_mcx_gate((control, *refl[:-1]), pivot))
-    gates.append(sim.h(pivot))
-    gates.extend(sim.x(q) for q in refl)
-    gates.extend(f.shifted(0, width).gates)
+    gates.extend(f.inverse().gates)
+    gates.extend(_reflection_about_zero(reflection_qubits, (control,)))
+    gates.extend(f.gates)
     gates.append(sim.p(np.pi, control))  # controlled global -1
     return gates
 
@@ -197,7 +189,7 @@ def qpe_gates(f: Circuit, flag: int, m: int, reflection_qubits=None, width: int 
     refl = tuple(reflection_qubits) if reflection_qubits is not None else tuple(range(w))
     gates: list[Gate] = [sim.h(w + j) for j in range(m)]
     for j in range(m):
-        cq = _controlled_grover_gates(f, flag, w + j, refl, width)
+        cq = _controlled_grover_gates(f, flag, w + j, refl)
         for _ in range(1 << j):
             gates.extend(cq)
     gates.extend(qft_circuit(m).inverse().shifted(w, width).gates)
@@ -209,7 +201,7 @@ def qae_circuit(f: Circuit, m: int, flag: int | None = None) -> Circuit:
     ``m``-qubit phase register."""
     flag = _flag_qubit(f, flag)
     width = f.n_qubits + m
-    gates = list(f.shifted(0, width).gates)
+    gates = list(f.gates)
     gates.extend(qpe_gates(f, flag, m, width=width))
     regs = dict(f.registers)
     regs["qae_phase"] = tuple(range(f.n_qubits, width))

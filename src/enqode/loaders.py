@@ -119,7 +119,7 @@ def _phase_pass(gates: list[Gate], a: np.ndarray, n: int) -> int:
 def load_basis(x: int, m: int) -> LoaderOutput:
     """X gates on the set bits of ``x``; depth at most 1."""
     enc.check(enc.Basis(m), x)
-    x = int(x)  # an integral value, as checked
+    x = enc._scalar_int(x, [])
     gates = [sim.x(q) for q in range(m) if (x >> q) & 1]
     return _output(Circuit(m, gates, {"data": tuple(range(m))}), range(m))
 
@@ -137,7 +137,7 @@ def load_fourier(x: int, m: int) -> LoaderOutput:
     """H then a phase gate per qubit; qubit k gets the binary fraction of
     the trailing ``m - k`` bits of ``x``.  Depth 2."""
     enc.check(enc.Fourier(m), x)
-    x = int(x)  # an integral value, as checked
+    x = enc._scalar_int(x, [])
     gates = []
     for k in range(m):
         span = 1 << (m - k)

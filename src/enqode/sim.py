@@ -20,23 +20,26 @@ Conventions used throughout the package:
   (scale, swap or dense 2x2).  A multiplexer updates all of its blocks in
   one broadcast pass, or one block at a time once blocks are large
   (``_BLOCK_LOOP_MIN``).  Updates on halves larger than ``_SLAB``
-  amplitudes are cut, in the plan, into slabs along a gap axis of the
-  view, so the temporaries of each 2x2 update stay in cache on wide
-  states; the arithmetic per amplitude is the same, so results are bit
-  for bit those of one whole-half pass.  SWAP and PERMUTATION copy only
-  the amplitudes they move.
+  amplitudes are cut, in the plan, into slabs along the gap axes of the
+  view (``_slabs``), so the temporaries of each 2x2 update stay in cache
+  on wide states; the arithmetic per amplitude is the same, so results are
+  bit for bit those of one whole-half pass.  SWAP and PERMUTATION copy
+  only the amplitudes they move.  ``apply_gate`` is the only code that
+  applies a gate to amplitudes.
 * ``apply_circuit`` runs a circuit's execution plan (``Circuit._steps``),
   made once per circuit.  A run of one period of gates repeated back to
   back (the same ``Gate`` objects, as phase estimation repeats its
   controlled operator ``2**j`` times) is one step when the period touches
   at most ``_POWER_QUBITS`` qubits: the period's ``2**k``-square matrix,
-  built from the gates' blocks, raised to the run's length by repeated
-  squaring and applied as one dense update on the ``_view_shape`` view of
-  those qubits, slab by slab on wide states.  Every other gate runs through
-  ``apply_gate``.  The plan rewrites nothing: ``Circuit.gates``,
-  ``lowered()`` and every resource count stay those of the gate list.  A
-  power agrees with the gate-by-gate run within ``EQUIV_ATOL``, not bit for
-  bit.
+  raised to the run's length by repeated squaring and applied as one dense
+  update on the ``_view_shape`` view of those qubits, slab by slab
+  (``_slabs``) on wide states.  ``apply_gate`` builds the matrix on the
+  flattened identity, once per period that is distinct on its own qubits,
+  so phase estimation's controlled powers share one.  Every other gate
+  runs through ``apply_gate``.  The plan rewrites nothing:
+  ``Circuit.gates``, ``lowered()`` and every resource count stay those of
+  the gate list.  A power agrees with the gate-by-gate run within
+  ``EQUIV_ATOL``, not bit for bit.
 * Builders may emit the native multiplexer ``mry``.  ``Circuit.lowered``
   rewrites each one as its Gray-code walk of RY and CNOT gates
   (``gray_walk``).  ``Circuit.cnot_count`` and ``Circuit.depth`` describe
@@ -89,10 +92,11 @@ _SWAP_TABLE = (0, 2, 1, 3)  # local bits 0 <-> 1
 # numpy work, and per-block temporaries stay in cache.  Smaller blocks are
 # updated all at once.
 _BLOCK_LOOP_MIN = 1 << 12
-# Updates on halves of more than this many amplitudes (256 KiB) run slab by
-# slab, so the temporaries of one 2x2 update stay in a core's L2 cache.  At
-# n = 18 on a 2 MiB-L2 Xeon, 2**13-2**14 ran RY on each target in about a
-# third of the unslabbed time; 2**12 and 2**15-2**16 were slower.
+# Updates that touch more than this many amplitudes (256 KiB) run slab by
+# slab (``_slabs``): a 2x2 update per half, a power per gathered slab, so
+# the temporaries of one update stay in a core's L2 cache.  At n = 18 on a
+# 2 MiB-L2 Xeon, 2**13-2**14 ran RY on each target in about a third of the
+# unslabbed time; 2**12 and 2**15-2**16 were slower.
 _SLAB = 1 << 14
 # SWAP and PERMUTATION moves are shared between gates with the same table,
 # qubits and width, least recently used first out, up to this many bytes of
@@ -532,6 +536,25 @@ def _view_shape(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
+@lru_cache(maxsize=256)
+def _slabs(shape: tuple[int, ...], size: int) -> tuple[tuple[slice, ...], ...]:
+    """Index tuples that cut the ``_view_shape`` view ``shape`` into the
+    pieces of an update that touches ``size`` amplitudes of it (a half for
+    a 2x2 update, the whole view for a power), so that each piece touches
+    at most ``_SLAB`` of them, or one element of every gap axis.  The
+    outermost gap axes are cut first, which keeps the rows inside them
+    whole and contiguous."""
+    cuts = [[slice(None)] for _ in shape]
+    for a in range(0, len(shape), 2):
+        if size <= _SLAB:
+            break
+        size //= shape[a]
+        step = max(1, _SLAB // size)
+        cuts[a] = [slice(s, s + step) for s in range(0, shape[a], step)]
+        size *= step
+    return tuple(itertools.product(*cuts))
+
+
 def _gate_plan(gate: Gate, n: int) -> tuple:
     """What ``apply_gate`` does for ``gate`` on n qubits, read once off its
     definition.
@@ -544,11 +567,11 @@ def _gate_plan(gate: Gate, n: int) -> tuple:
     is one update of its control pattern's halves, tagged by the block's
     shape: ``"scale"`` for a diagonal, ``"flip"`` for the bit flip,
     ``"dense"`` otherwise.  Halves larger than ``_SLAB`` amplitudes are cut
-    into slabs of about that size along one gap axis of the view, one
-    update per slab, so each update's temporaries stay in cache.  A
-    multiplexer with halves below ``_BLOCK_LOOP_MIN`` amplitudes is instead
-    one ``"dense"`` update whose entries are arrays over the control axes,
-    so all its blocks move in one broadcast pass.
+    into slabs of at most that size (``_slabs``), one update per slab, so
+    each update's temporaries stay in cache.  A multiplexer with halves
+    below ``_BLOCK_LOOP_MIN`` amplitudes is instead one ``"dense"`` update
+    whose entries are arrays over the control axes, so all its blocks move
+    in one broadcast pass.
     """
     if gate.kind in (SWAP, PERMUTATION):
         return (n, "perm", *_shared_moves.moves(gate.table or _SWAP_TABLE, gate.qubits, n))
@@ -576,23 +599,10 @@ def _gate_plan(gate: Gate, n: int) -> tuple:
         coef = coef.reshape([2 if a in control_axes else 1 for a in range(len(shape)) if a != t] + [2, 2])
         u = (coef[..., 0, 0], coef[..., 0, 1], coef[..., 1, 0], coef[..., 1, 1])
         return (n, shape, [("dense", *halves([slice(None)] * len(shape)), *u)])
-    # Slabs: chunks of about _SLAB amplitudes per half along the outermost
-    # gap axis that is long enough, which keeps the rows of the axes inside
-    # it whole and contiguous, else along the longest gap axis; the whole
-    # of axis 0 when the halves are no larger than a slab.
-    gap, slabs = 0, (slice(None),)
-    half = (1 << n) >> len(gate.qubits)
-    if half > _SLAB:
-        gaps = range(0, len(shape), 2)
-        gap = next((a for a in gaps if shape[a] >= half // _SLAB), max(gaps, key=shape.__getitem__))
-        step = max(1, shape[gap] * _SLAB // half)
-        slabs = [slice(s, s + step) for s in range(0, shape[gap], step)]
     updates = []
+    slabs = _slabs(shape, (1 << n) >> len(gate.qubits))
     for j in active:
         (u00, u01), (u10, u11) = blocks[j].tolist()
-        idx = [slice(None)] * len(shape)
-        for i, c in enumerate(controls):
-            idx[axis[c]] = (j >> i) & 1
         if u01 == 0 and u10 == 0:
             how = "scale"
         elif u00 == 0 and u11 == 0 and u01 == 1 and u10 == 1:
@@ -600,7 +610,9 @@ def _gate_plan(gate: Gate, n: int) -> tuple:
         else:
             how = "dense"
         for slab in slabs:
-            idx[gap] = slab
+            idx = list(slab)
+            for i, c in enumerate(controls):
+                idx[axis[c]] = (j >> i) & 1
             updates.append((how, *halves(idx), u00, u01, u10, u11))
     return (n, shape, updates)
 
@@ -706,7 +718,9 @@ def _execution_plan(gates: Sequence[Gate], n: int) -> tuple:
     ``_POWER_QUBITS`` qubits.  Every other gate is a step of its own, run
     by ``apply_gate``.  At each gate the shortest period that repeats is
     taken; a candidate period ends just before a later occurrence of the
-    gate.
+    gate.  Periods that are equal once moved onto their own qubits
+    (``_row_gates``), as phase estimation's controlled operators on
+    different control wires are, share one ``_period_matrix``.
     """
     ids = [id(g) for g in gates]
     after: dict[int, int] = {}
@@ -714,13 +728,17 @@ def _execution_plan(gates: Sequence[Gate], n: int) -> tuple:
     for i in range(len(ids) - 1, -1, -1):
         nxt[i] = after.get(ids[i], 0)
         after[ids[i]] = i
+    matrices: dict[tuple[Gate, ...], np.ndarray] = {}
     steps: list = []
     i = 0
     while i < len(ids):
         j, r = nxt[i], 1
         while j and 2 * j - i <= len(ids):
             p = j - i
-            if ids[j - 1] == ids[j + p - 1] and ids[i:j] == ids[j : j + p]:
+            # compared in place, not by slices: gates shared by many
+            # periods (F in every controlled Grover operator) make long
+            # candidates that fail after a few gates
+            if ids[j - 1] == ids[j + p - 1] and all(ids[i + t] == ids[j + t] for t in range(p)):
                 r = 2
                 while ids[i:j] == ids[i + r * p : j + r * p]:
                     r += 1
@@ -733,65 +751,36 @@ def _execution_plan(gates: Sequence[Gate], n: int) -> tuple:
         period = gates[i:j]
         qubits = sorted({q for g in period for q in g.qubits})
         if len(qubits) <= _POWER_QUBITS:
-            matrix = np.linalg.matrix_power(_period_matrix(period, qubits), r)
+            key = _row_gates(period, qubits)
+            if key not in matrices:
+                matrices[key] = _period_matrix(period, qubits)
             shape = _view_shape(tuple(qubits), n)
-            steps.append(_Power(matrix, shape, _power_slabs(shape, n)))
+            steps.append(_Power(np.linalg.matrix_power(matrices[key], r), shape, _slabs(shape, 1 << n)))
         else:
             steps.extend(gates[i : i + r * p])
         i += r * p
     return tuple(steps)
 
 
+def _row_gates(period: Sequence[Gate], qubits: Sequence[int]) -> tuple[Gate, ...]:
+    """``period``'s gates moved onto the row bits of a flattened
+    ``2**k``-square matrix over the k ``qubits``: ``qubits[i]`` becomes bit
+    ``k + i`` of a 2k-qubit buffer."""
+    row = {q: len(qubits) + i for i, q in enumerate(qubits)}
+    return tuple(Gate(g.kind, tuple(row[q] for q in g.qubits), g.angle, g.angles, g.table) for g in period)
+
+
 def _period_matrix(period: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
     """The product of ``period``'s gate matrices on the 2**k-dimensional
     space of ``qubits`` (local bit i = ``qubits[i]``), first gate
-    rightmost.  Each gate updates the rows of the product it mixes: SWAP
-    and PERMUTATION move rows, every other kind combines the target-0 and
-    target-1 rows of each control pattern by that pattern's block."""
+    rightmost.  ``apply_gate`` runs the gates on the row bits of the
+    flattened identity (``_row_gates``), at width 2k, so every column of
+    the identity goes through the period."""
     k = len(qubits)
-    where = {q: i for i, q in enumerate(qubits)}
     u = np.eye(1 << k, dtype=np.complex128)
-    for g in period:
-        rows = _embed_rows(tuple(where[q] for q in g.qubits), k)
-        if g.kind in (SWAP, PERMUTATION):
-            u[rows[:, list(g.table or _SWAP_TABLE)]] = u[rows]
-            continue
-        # gate-local index t * 2**c + j: target bit t, control pattern j;
-        # one (2, 2) @ (2, rows * 2**k) product per control pattern
-        rows = rows.reshape(len(rows), 2, -1).T
-        a = u[rows]
-        u[rows] = (gate_blocks(g) @ a.reshape(len(a), 2, -1)).reshape(a.shape)
+    for g in _row_gates(period, qubits):
+        apply_gate(u.reshape(-1), g, 2 * k)
     return u
-
-
-@lru_cache(maxsize=256)
-def _embed_rows(bits: tuple[int, ...], k: int) -> np.ndarray:
-    """Row indices of a k-bit space grouped for a gate on local ``bits``:
-    ``rows[r, j]`` has gate-local index j (bit i at ``bits[i]``) and the
-    r-th pattern of the other bits."""
-    spread = np.zeros(1 << len(bits), dtype=np.int64)
-    for i, b in enumerate(bits):
-        spread |= ((np.arange(spread.size) >> i) & 1) << b
-    idx = np.arange(1 << k)
-    rest = idx[(idx & int(spread[-1])) == 0]
-    return rest[:, None] | spread[None, :]
-
-
-def _power_slabs(shape: tuple[int, ...], n: int) -> tuple[tuple, ...]:
-    """Index tuples that cut the ``_view_shape`` view ``shape`` of an
-    n-qubit buffer into slabs of at most ``_SLAB`` amplitudes (or one gap
-    element, once every gap is cut to single elements), cutting the
-    outermost gap axes first so rows stay contiguous."""
-    cuts = [[slice(None)] for _ in shape]
-    size = 1 << n
-    for a in range(0, len(shape), 2):
-        if size <= _SLAB:
-            break
-        size //= shape[a]
-        step = max(1, _SLAB // size)
-        cuts[a] = [slice(s, s + step) for s in range(0, shape[a], step)]
-        size *= step
-    return tuple(itertools.product(*cuts))
 
 
 def _apply_power(psi: np.ndarray, step: _Power) -> None:

@@ -105,6 +105,30 @@ class TestReferenceStates:
             with pytest.raises(CapacityError):
                 enc.reference_state(d, data)
 
+    def test_states_own_read_only_arrays(self):
+        # a reference state keeps the array it builds, read-only; an array
+        # a caller passes in is still copied
+        a = np.sqrt([0.1, 0.2, 0.3, 0.4]).astype(np.complex128)
+        cases = [
+            (enc.Basis(3), 5),
+            (enc.Angle(2), enc.reals([0.3, 1.1])),
+            (enc.Fourier(3), 5),
+            (enc.MultiRegister(2, 2), enc.integers([3, 1])),
+            (enc.EquallyWeighted(2), enc.integers([0, 3])),
+            (enc.Amplitude(2), a),
+            (enc.DivideConquer(2), enc.reals(a.real)),
+            (enc.QRam(2, 2), enc.integers([1, 0, 3, 2])),
+            (enc.Entangled((enc.Basis(2), enc.Angle(1))), [enc.integers([2]), enc.reals([0.3])]),
+        ]
+        for d, data in cases:
+            amps = enc.reference_state(d, data).amplitudes
+            assert amps.shape == (1 << enc.register_width(d),) and amps.dtype == np.complex128
+            with pytest.raises(ValueError):
+                amps[0] = 0.0
+        assert not np.shares_memory(enc.reference_state(enc.Amplitude(2), a).amplitudes, a)
+        assert not np.shares_memory(sim.state_from_amplitudes(a).amplitudes, a)
+        assert a.flags.writeable
+
     def test_divide_conquer_reference_is_loader_output(self):
         a = np.sqrt([0.1, 0.2, 0.3, 0.4])
         st_ = enc.reference_state(enc.DivideConquer(2), enc.reals(a))

@@ -46,6 +46,16 @@ class TestLoadBasis:
                 load(*args)
         assert loaders.load_basis(5.0, 3).circuit.gates == loaders.load_basis(5, 3).circuit.gates
 
+    def test_one_value_dataset(self):
+        # validate and reference_state take a one-value DataSet; both
+        # loaders used to raise a bare TypeError on it
+        for load, d in ((loaders.load_basis, enc.Basis(3)), (loaders.load_fourier, enc.Fourier(3))):
+            out = load(enc.integers([5]), 3)
+            assert out.circuit.gates == load(5, 3).circuit.gates
+            assert fid_with(out, enc.reference_state(d, enc.integers([5])).amplitudes) == pytest.approx(1.0)
+            with pytest.raises(EncodingError):
+                load(enc.integers([5, 6]), 3)
+
 
 class TestLoadAngle:
     def test_zero(self):

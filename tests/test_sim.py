@@ -18,6 +18,15 @@ from enqode.tolerances import EQUIV_ATOL
 RNG = np.random.default_rng(20240811)
 
 
+@pytest.fixture(autouse=True)
+def uncached_slabs(monkeypatch):
+    """Tests here set ``sim._SLAB``.  ``sim._slabs`` caches its cuts by
+    shape and size only, so each test gets the uncached function: cuts made
+    under one ``_SLAB`` must not reach a test, or a later caller, that runs
+    under another."""
+    monkeypatch.setattr(sim, "_slabs", sim._slabs.__wrapped__)
+
+
 def kron_embed(local: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Embed a local unitary (bit i = qubits[i]) into the full 2^n space."""
     dim = 1 << n
@@ -417,6 +426,79 @@ class TestExecutionPlan:
         c = converters.convert_amplitude_to_ew(loaders.load_amplitude(a).circuit, 4)
         assert powers(c) == 6
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    def test_period_matrix_matches_kron_oracle(self):
+        # _period_matrix runs its gates through apply_gate, as gate_loop
+        # does, so it is checked against products of kron_embed matrices
+        rng = np.random.default_rng(29)
+        cases, kinds = [], set()
+        for trial in range(60):
+            k = int(rng.integers(1, sim._POWER_QUBITS + 1))
+            spread = sorted(int(q) for q in rng.choice(20, size=k, replace=False))
+            period = []
+            for _ in range(int(rng.integers(1, 6))):
+                g = random_gate(rng, k)
+                period.append(sim.Gate(g.kind, tuple(spread[q] for q in g.qubits), g.angle, g.angles, g.table))
+            kinds.update(g.kind for g in period)
+            cases.append(period)
+        assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "cry", "mry", "perm"}
+        a = np.abs(rng.normal(size=8))
+        f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+        w, m = f.n_qubits, 3
+        grover = extractors._controlled_grover_gates(f, w - 1, w + 1, range(w))
+        start = len(f.gates) + m + len(grover)  # after the H layer and Q on qubit w
+        assert extractors.qae_circuit(f, m).gates[start : start + len(grover)] == tuple(grover)
+        cases.append(grover)
+        for period in cases:
+            qubits = sorted({q for g in period for q in g.qubits})
+            k = len(qubits)
+            expected = np.eye(1 << k, dtype=np.complex128)
+            for g in period:
+                local = tuple(qubits.index(q) for q in g.qubits)
+                expected = kron_embed(sim.gate_matrix(g), local, k) @ expected
+            np.testing.assert_allclose(sim._period_matrix(period, qubits), expected, rtol=0, atol=EQUIV_ATOL)
+
+    def test_equal_periods_share_one_matrix(self, monkeypatch):
+        # QAE's controlled Grover operators differ only in their control
+        # wire, so the plan builds one period matrix for all m - 1 powers
+        calls = []
+        build = sim._period_matrix
+        monkeypatch.setattr(sim, "_period_matrix", lambda *a: calls.append(1) or build(*a))
+        a = np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])
+        c = extractors.qae_circuit(loaders.load_amplitude(a).circuit, 7)
+        assert powers(c) == 6 and len(calls) == 1
+        np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+        # amplitude -> equally-weighted: Q's powers, then their inverses
+        c = converters.convert_amplitude_to_ew(loaders.load_amplitude(np.sqrt([0.1, 0.2, 0.3, 0.4])).circuit, 4)
+        assert powers(c) == 6 and len(calls) == 3
+
+    def test_slabs_bound_and_cover_every_update(self):
+        # One cutting rule for both kinds of step.  At n = 18, for every
+        # placement of 1-3 qubits and for a power on spread qubits, each
+        # piece touches at most _SLAB amplitudes (per half for a 2x2 update,
+        # per gathered slab for a power) and the pieces cover the view once.
+        n = 18
+        placements = [qs for k in (1, 2, 3) for qs in itertools.combinations(range(n), k)]
+        for i, qs in enumerate(placements):
+            qs = qs[i % len(qs) :] + qs[: i % len(qs)]  # vary the target
+            gate = sim.multiplexed_ry(np.linspace(0.1, 1.0, 1 << (len(qs) - 1)), qs[:-1], qs[-1])
+            _, shape, updates = sim._gate_plan(gate, n)
+            hits = np.zeros(shape, dtype=np.int8)
+            for _, i0, i1, *_ in updates:
+                assert hits[i0].size <= sim._SLAB
+                hits[i0] += 1
+                hits[i1] += 1
+            assert (hits == 1).all()
+            if len(qs) == 1:  # the same slabs as a cut along one gap axis
+                assert len(updates) == (1 << n - 1) // sim._SLAB
+        period = [sim.h(2), sim.cnot(2, 7), sim.cry(0.3, 7, 11), sim.multiplexed_ry([0.1, 0.2], [11], 16)]
+        c = sim.Circuit(n, [sim.x(0)] + period * 3)
+        (step,) = [step for step in c._steps if type(step) is not sim.Gate]
+        hits = np.zeros(step.shape, dtype=np.int8)
+        for slab in step.slabs:
+            assert hits[slab].size <= sim._SLAB
+            hits[slab] += 1
+        assert (hits == 1).all()
 
     def test_seeded_qae_estimates_match_gate_loop(self):
         # the test seeds, then instances -2..4 of benchmark seeds 0, 77, 78
