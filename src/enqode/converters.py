@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .errors import CapacityError, EncodingError
+from .errors import CapacityError, CircuitError, EncodingError
 from .sim import Circuit, Gate, StateVector
 
 MAX_QFT_QUBITS = 12
@@ -137,6 +137,8 @@ def ew_conversion_success_frequency(u_d: Circuit, m: int, trials: int, seed: int
     """Number of successes over ``trials`` seeded repetitions of the
     protocol (the state is simulated once; only the measurement is
     repeated)."""
+    if not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise CircuitError(f"trials must be an integer >= 0, got {trials!r}")
     probe = convert_ew_to_amplitude(u_d, m, seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     return int(np.sum(rng.random(trials) < probe.success_prob_estimate))

@@ -102,8 +102,15 @@ def mode_readout(
 def required_shots(epsilon: float, alpha: float, p: float) -> int:
     """Shots for absolute error ``epsilon`` at confidence ``alpha`` when
     the flag probability is ``p`` (normal asymptotics)."""
+    if not (epsilon > 0 and 0 < alpha < 1 and 0 <= p <= 1):
+        raise CircuitError(f"required_shots needs epsilon > 0, 0 < alpha < 1, 0 <= p <= 1; got {epsilon}, {alpha}, {p}")
     z = NormalDist().inv_cdf((1.0 + alpha) / 2.0)
     return int(np.ceil(p * (1.0 - p) * z * z / (epsilon * epsilon)))
+
+
+def _check_shots(shots: int, least: int) -> None:
+    if not isinstance(shots, (int, np.integer)) or shots < least:
+        raise CircuitError(f"shots must be an integer >= {least}, got {shots!r}")
 
 
 def naive_amplitude_estimate(
@@ -111,8 +118,7 @@ def naive_amplitude_estimate(
 ) -> EstimateResult:
     """Frequency of flag = 1 over ``shots`` repetitions of ``F``, with a
     normal-approximation confidence interval."""
-    if shots < 1:
-        raise CircuitError("shots must be >= 1")
+    _check_shots(shots, 1)
     flag = _flag_qubit(f, flag)
     state = sim.run(f)
     p = float(sim.marginal_probabilities(state, [flag])[1])
@@ -261,6 +267,7 @@ def swap_test(load_a: Circuit, load_b: Circuit, shots: int, seed: int) -> SwapTe
 
     ``shots = 0`` skips sampling and reports the exact probability.
     """
+    _check_shots(shots, 0)
     n = load_a.n_qubits
     if load_b.n_qubits != n:
         raise CircuitError("swap test needs equal register sizes")

@@ -13,19 +13,20 @@ Conventions used throughout the package:
   kind is defined by ``gate_blocks``, one 2x2 target unitary per control
   pattern, and ``gate_matrix`` assembles its dense matrix from them.  SWAP
   and PERMUTATION are index maps.
-* The kernel reads a gate's blocks once per width into a plan kept on the
-  gate.  It views the buffer with one length-2 axis per gate qubit and one
-  axis for each run of qubits between them.  A gate with one non-identity
-  block updates that block's target-0/target-1 halves by the block's shape
-  (scale, swap or dense 2x2).  A multiplexer updates all of its blocks in
-  one broadcast pass, or one block at a time once blocks are large
-  (``_BLOCK_LOOP_MIN``).  Updates on halves larger than ``_SLAB``
-  amplitudes are cut, in the plan, into slabs along the gap axes of the
-  view (``_slabs``), so the temporaries of each 2x2 update stay in cache
-  on wide states; the arithmetic per amplitude is the same, so results are
-  bit for bit those of one whole-half pass.  SWAP and PERMUTATION copy
-  only the amplitudes they move.  ``apply_gate`` is the only code that
-  applies a gate to amplitudes.
+* The kernel keeps nothing per gate: ``apply_gate`` reads a gate's
+  blocks on every call.  It views the buffer with one length-2 axis per
+  gate qubit and one axis for each run of qubits between them; that layout
+  depends only on the gate's qubits and the width (``_layout``).  Each
+  non-identity block updates its target-0/target-1 halves by the block's
+  shape (scale, swap or dense 2x2).  A multiplexer updates all of its
+  blocks in one broadcast pass, or one block at a time once blocks are
+  large (``_BLOCK_LOOP_MIN``).  Halves larger than ``_SLAB`` amplitudes
+  are updated slab by slab along the gap axes of the view (``_slabs``), so
+  the temporaries of each 2x2 update stay in cache on wide states; the
+  arithmetic per amplitude is the same, so results are bit for bit those
+  of one whole-half pass.  SWAP and PERMUTATION copy only the amplitudes
+  they move.  ``apply_gate`` is the only code that applies a gate to
+  amplitudes.
 * ``apply_circuit`` runs a circuit's execution plan (``Circuit._steps``),
   made once per circuit.  A run of one period of gates repeated back to
   back (the same ``Gate`` objects, as phase estimation repeats its
@@ -33,12 +34,13 @@ Conventions used throughout the package:
   at most ``_POWER_QUBITS`` qubits: the period's ``2**k``-square matrix,
   raised to the run's length by repeated squaring and applied as one dense
   update on the ``_view_shape`` view of those qubits, slab by slab
-  (``_slabs``) on wide states.  ``apply_gate`` builds the matrix on the
-  flattened identity, once per period that is distinct on its own qubits,
-  so phase estimation's controlled powers share one.  Every other gate
-  runs through ``apply_gate``.  The plan rewrites nothing:
-  ``Circuit.gates``, ``lowered()`` and every resource count stay those of
-  the gate list.  A power agrees with the gate-by-gate run within
+  (``_slabs``) on wide states.  The period tried at each gate ends just
+  before the next occurrence of that gate.  ``apply_gate`` builds the
+  matrix on the flattened identity, once per period that is distinct on
+  its own qubits, so phase estimation's controlled powers share one.
+  Every other gate runs through ``apply_gate``.  The plan rewrites
+  nothing: ``Circuit.gates``, ``lowered()`` and every resource count stay
+  those of the gate list.  A power agrees with the gate-by-gate run within
   ``EQUIV_ATOL``, not bit for bit.
 * Builders may emit the native multiplexer ``mry``.  ``Circuit.lowered``
   rewrites each one as its Gray-code walk of RY and CNOT gates
@@ -100,8 +102,8 @@ _BLOCK_LOOP_MIN = 1 << 12
 _SLAB = 1 << 14
 # SWAP and PERMUTATION moves are shared between gates with the same table,
 # qubits and width, least recently used first out, up to this many bytes of
-# indices in all.  One n = 20 permutation can move 2 * 8 MiB; a gate whose
-# moves do not fit keeps them in its own plan only.
+# indices in all.  One n = 20 permutation can move 2 * 8 MiB; moves that do
+# not fit are made again on each use.
 _SHARED_MOVES_BYTES = 8 << 20
 # A run of one period of gates repeated back to back runs as one matrix
 # power (``Circuit._steps``) when the period touches at most this many
@@ -131,9 +133,7 @@ class Gate:
     angle: float | None = None
     angles: tuple[float, ...] | None = None
     table: tuple[int, ...] | None = None
-    # apply_gate's plan at the width it last ran at, and the gate inverse()
-    # returned; not part of the value
-    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the gate inverse() returned; not part of the value
     _inverse: "Gate | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -478,8 +478,7 @@ class StateVector:
         return probs
 
 
-@dataclass(frozen=True)
-class ShotRecord:
+class ShotRecord(NamedTuple):
     """One measurement shot: outcome per register, plus provenance."""
 
     measured_bits: Mapping[str, int]
@@ -555,66 +554,25 @@ def _slabs(shape: tuple[int, ...], size: int) -> tuple[tuple[slice, ...], ...]:
     return tuple(itertools.product(*cuts))
 
 
-def _gate_plan(gate: Gate, n: int) -> tuple:
-    """What ``apply_gate`` does for ``gate`` on n qubits, read once off its
-    definition.
-
-    SWAP and PERMUTATION: ``(n, "perm", src, dst)`` from ``_perm_moves``,
-    shared between equal gates (``_shared_moves``).
-    Every other kind: ``(n, view shape, updates)``, where each update is
-    ``(shape tag, target-0 index, target-1 index, u00, u01, u10, u11)`` on
-    the ``_view_shape`` view.  Each non-identity block of ``gate_blocks``
-    is one update of its control pattern's halves, tagged by the block's
-    shape: ``"scale"`` for a diagonal, ``"flip"`` for the bit flip,
-    ``"dense"`` otherwise.  Halves larger than ``_SLAB`` amplitudes are cut
-    into slabs of at most that size (``_slabs``), one update per slab, so
-    each update's temporaries stay in cache.  A multiplexer with halves
-    below ``_BLOCK_LOOP_MIN`` amplitudes is instead one ``"dense"`` update
-    whose entries are arrays over the control axes, so all its blocks move
-    in one broadcast pass.
-    """
-    if gate.kind in (SWAP, PERMUTATION):
-        return (n, "perm", *_shared_moves.moves(gate.table or _SWAP_TABLE, gate.qubits, n))
-    shape = _view_shape(gate.qubits, n)
-    blocks = gate_blocks(gate)
-    active = np.flatnonzero((blocks != _IDENTITY).any(axis=(1, 2))).tolist()
-    *controls, target = gate.qubits
-    axis = {q: 2 * i + 1 for i, q in enumerate(sorted(gate.qubits, reverse=True))}
-    t = axis[target]
-
-    def halves(idx: list) -> tuple[tuple, tuple]:
-        idx[t] = 0
-        i0 = tuple(idx)
-        idx[t] = 1
-        return i0, tuple(idx)
-
-    if len(active) > 1 and (1 << n) >> len(gate.qubits) < _BLOCK_LOOP_MIN:
-        # Block j's control bit i is controls[i]; reshaped to (2,)*k the
-        # axes run controls[k-1] .. controls[0]; reorder them to their view
-        # order and give the gaps length-1 axes.
-        k = len(controls)
-        order = [k - 1 - controls.index(q) for q in sorted(controls, reverse=True)]
-        coef = blocks.reshape((2,) * k + (2, 2)).transpose(order + [k, k + 1])
-        control_axes = {axis[c] for c in controls}
-        coef = coef.reshape([2 if a in control_axes else 1 for a in range(len(shape)) if a != t] + [2, 2])
-        u = (coef[..., 0, 0], coef[..., 0, 1], coef[..., 1, 0], coef[..., 1, 1])
-        return (n, shape, [("dense", *halves([slice(None)] * len(shape)), *u)])
-    updates = []
-    slabs = _slabs(shape, (1 << n) >> len(gate.qubits))
-    for j in active:
-        (u00, u01), (u10, u11) = blocks[j].tolist()
-        if u01 == 0 and u10 == 0:
-            how = "scale"
-        elif u00 == 0 and u11 == 0 and u01 == 1 and u10 == 1:
-            how = "flip"
-        else:
-            how = "dense"
-        for slab in slabs:
-            idx = list(slab)
-            for i, c in enumerate(controls):
-                idx[axis[c]] = (j >> i) & 1
-            updates.append((how, *halves(idx), u00, u01, u10, u11))
-    return (n, shape, updates)
+@lru_cache(maxsize=256)
+def _layout(qubits: tuple[int, ...], n: int) -> tuple:
+    """The index structure ``apply_gate`` uses for a ``(*controls,
+    target)`` gate on ``qubits`` at width n, which holds for any gate on
+    those wires: the ``_view_shape``, the target's axis, each control's
+    axis (in the order of ``qubits``), and the transpose and shape that lay
+    a multiplexer's blocks out over the view's axes for one broadcast
+    pass."""
+    shape = _view_shape(qubits, n)
+    *controls, target = qubits
+    axis = {q: 2 * i + 1 for i, q in enumerate(sorted(qubits, reverse=True))}
+    # Block j's control bit i is controls[i]; reshaped to (2,)*k the axes
+    # run controls[k-1] .. controls[0]; reorder them to their view order
+    # and give the gaps length-1 axes.
+    k = len(controls)
+    order = tuple(k - 1 - controls.index(q) for q in sorted(controls, reverse=True)) + (k, k + 1)
+    control_axes = {axis[c] for c in controls}
+    coef_shape = tuple(2 if a in control_axes else 1 for a in range(len(shape)) if a != axis[target]) + (2, 2)
+    return shape, axis[target], tuple(axis[c] for c in controls), order, coef_shape
 
 
 def _perm_moves(table: tuple[int, ...], qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -661,41 +619,67 @@ def apply_gate(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     """Apply one gate to ``psi`` in place and return ``psi``.
 
     ``psi`` must be a writable, C-contiguous complex128 array of length
-    ``2**n``.  The gate's plan (``_gate_plan``) is read off its definition
-    on its first use at width n and kept on the gate.  SWAP and PERMUTATION
-    copy only the amplitudes they move.  Every other kind runs the plan's
-    updates on the target-0 and target-1 halves of a low-rank view
-    (``_view_shape``): a diagonal scales the halves whose entry is not 1,
-    the bit flip swaps them, and anything else is a dense 2x2 update, with
-    scalar entries for one block (slab by slab on large halves) or arrays
-    for all blocks of a multiplexer.
+    ``2**n``.  SWAP and PERMUTATION copy only the amplitudes they move,
+    shared between equal gates (``_shared_moves``).  Every other kind reads
+    its ``gate_blocks`` and updates the target-0 and target-1 halves of
+    each non-identity block on a low-rank view of ``psi`` (``_layout``) by
+    the block's shape (``_update_halves``), slab by slab (``_slabs``) on
+    halves larger than ``_SLAB`` amplitudes.  A multiplexer with halves
+    below ``_BLOCK_LOOP_MIN`` amplitudes instead updates all its blocks in
+    one dense broadcast pass, its entries arrays over the control axes.
     """
     flags = psi.flags
     if psi.dtype != np.complex128 or psi.shape != (1 << n,) or not (flags.writeable and flags.c_contiguous):
         raise CircuitError(f"apply_gate needs a writable contiguous complex128 buffer of length {1 << n}")
-    plan = gate._plan
-    if plan is None or plan[0] != n:
-        plan = _gate_plan(gate, n)
-        object.__setattr__(gate, "_plan", plan)
-    if plan[1] == "perm":
-        src, dst = plan[2:]
+    if gate.kind in (SWAP, PERMUTATION):
+        src, dst = _shared_moves.moves(gate.table or _SWAP_TABLE, gate.qubits, n)
         psi[dst] = psi[src]
         return psi
-    view = psi.reshape(plan[1])
-    for how, i0, i1, u00, u01, u10, u11 in plan[2]:
-        a0, a1 = view[i0], view[i1]
-        if how == "scale":
-            if u00 != 1:
-                a0[...] = u00 * a0
-            if u11 != 1:
-                a1[...] = u11 * a1
-        elif how == "flip":
-            a0[...], a1[...] = a1, a0.copy()
-        else:
-            b0 = u00 * a0 + u01 * a1
-            a1[...] = u10 * a0 + u11 * a1
-            a0[...] = b0
+    shape, t, controls, order, coef_shape = _layout(gate.qubits, n)
+    blocks = gate_blocks(gate)
+    active = np.flatnonzero((blocks != _IDENTITY).any(axis=(1, 2))).tolist()
+    view = psi.reshape(shape)
+    half = (1 << n) >> len(gate.qubits)
+    if len(active) > 1 and half < _BLOCK_LOOP_MIN:
+        coef = blocks.reshape((2,) * len(controls) + (2, 2)).transpose(order).reshape(coef_shape)
+        idx = [slice(None)] * len(shape)
+        idx[t] = 0
+        a0 = view[tuple(idx)]
+        idx[t] = 1
+        a1 = view[tuple(idx)]
+        b0 = coef[..., 0, 0] * a0 + coef[..., 0, 1] * a1
+        a1[...] = coef[..., 1, 0] * a0 + coef[..., 1, 1] * a1
+        a0[...] = b0
+        return psi
+    for j in active:
+        u = blocks[j].ravel().tolist()
+        for slab in _slabs(shape, half):
+            idx = list(slab)
+            for i, a in enumerate(controls):
+                idx[a] = (j >> i) & 1
+            idx[t] = 0
+            a0 = view[tuple(idx)]
+            idx[t] = 1
+            _update_halves(a0, view[tuple(idx)], *u)
     return psi
+
+
+def _update_halves(a0: np.ndarray, a1: np.ndarray, u00: complex, u01: complex, u10: complex, u11: complex) -> None:
+    """Update a block's target-0 and target-1 halves ``a0``, ``a1`` in
+    place by the block ``[[u00, u01], [u10, u11]]``, by its shape: a
+    diagonal scales the halves whose entry is not 1, the bit flip swaps
+    them, and anything else is a dense 2x2 update."""
+    if u01 == 0 and u10 == 0:
+        if u00 != 1:
+            a0[...] = u00 * a0
+        if u11 != 1:
+            a1[...] = u11 * a1
+    elif u00 == 0 and u11 == 0 and u01 == 1 and u10 == 1:
+        a0[...], a1[...] = a1, a0.copy()
+    else:
+        b0 = u00 * a0 + u01 * a1
+        a1[...] = u10 * a0 + u11 * a1
+        a0[...] = b0
 
 
 class _Power(NamedTuple):
@@ -716,10 +700,11 @@ def _execution_plan(gates: Sequence[Gate], n: int) -> tuple:
     same ``Gate`` objects, as phase estimation repeats a controlled
     operator) becomes one ``_Power`` step when the period touches at most
     ``_POWER_QUBITS`` qubits.  Every other gate is a step of its own, run
-    by ``apply_gate``.  At each gate the shortest period that repeats is
-    taken; a candidate period ends just before a later occurrence of the
-    gate.  Periods that are equal once moved onto their own qubits
-    (``_row_gates``), as phase estimation's controlled operators on
+    by ``apply_gate``.  At each gate one period is tried: the gates up to
+    the next occurrence of the same gate.  A period in which its first gate
+    occurs twice, as in ``[a, b, a, c] * 2``, is therefore not found and
+    runs gate by gate.  Periods that are equal once moved onto their own
+    qubits (``_row_gates``), as phase estimation's controlled operators on
     different control wires are, share one ``_period_matrix``.
     """
     ids = [id(g) for g in gates]
@@ -733,17 +718,9 @@ def _execution_plan(gates: Sequence[Gate], n: int) -> tuple:
     i = 0
     while i < len(ids):
         j, r = nxt[i], 1
-        while j and 2 * j - i <= len(ids):
-            p = j - i
-            # compared in place, not by slices: gates shared by many
-            # periods (F in every controlled Grover operator) make long
-            # candidates that fail after a few gates
-            if ids[j - 1] == ids[j + p - 1] and all(ids[i + t] == ids[j + t] for t in range(p)):
-                r = 2
-                while ids[i:j] == ids[i + r * p : j + r * p]:
-                    r += 1
-                break
-            j = nxt[j]
+        p = j - i
+        while j and ids[i:j] == ids[i + r * p : j + r * p]:
+            r += 1
         if r == 1:
             steps.append(gates[i])
             i += 1
@@ -897,12 +874,11 @@ def sample_shots(
 ) -> list[ShotRecord]:
     """Draw ``shots`` i.i.d. outcomes; identical ``(seed, shots)`` reproduce
     identical records bit for bit."""
+    for qs in registers.values():
+        _check_register(tuple(qs), state.n_qubits)
     draws = _draws(state, shots, seed)
     columns = [_outcomes(draws, qs).tolist() for qs in registers.values()]
     names = tuple(registers)
-    if len(names) == 1:
-        (name,) = names
-        return [ShotRecord({name: b}, i, seed) for i, b in enumerate(columns[0])]
     rows = zip(*columns) if columns else [()] * shots
     return [ShotRecord(dict(zip(names, bits)), i, seed) for i, bits in enumerate(rows)]
 

@@ -4,7 +4,7 @@ import pytest
 from enqode import converters as conv
 from enqode import encodings as enc
 from enqode import loaders, sim
-from enqode.errors import CapacityError, EncodingError
+from enqode.errors import CapacityError, CircuitError, EncodingError
 
 
 def dft_matrix(m: int) -> np.ndarray:
@@ -116,6 +116,9 @@ class TestEwToAmplitude:
         p = 0.3125
         sigma = np.sqrt(p * (1 - p) * 10_000)
         assert abs(hits - p * 10_000) <= 3 * sigma
+        for trials in (-1, 2.5):
+            with pytest.raises(CircuitError):
+                conv.ew_conversion_success_frequency(ud, 2, trials, seed=9)
 
     def test_rejects_non_oracle_loader(self):
         # an H layer is not a value oracle

@@ -13,7 +13,7 @@ import pytest
 
 from enqode import extractors as ext
 from enqode import loaders, sim
-from enqode.errors import NotDeterministicError
+from enqode.errors import CircuitError, NotDeterministicError
 
 
 def bhmt_distribution(a: float, m: int) -> np.ndarray:
@@ -77,6 +77,14 @@ class TestSwapTest:
             assert res.p0_estimate == res.p0_exact
             assert res.overlap_estimate == pytest.approx(np.sqrt(overlap), abs=1e-6)
 
+    def test_rejects_bad_shot_counts(self):
+        f = sim.Circuit(1, [sim.h(0)])
+        for shots in (-1, 2.5):
+            with pytest.raises(CircuitError):
+                ext.swap_test(f, f, shots, 1)
+            with pytest.raises(CircuitError):
+                ext.naive_amplitude_estimate(f, shots, 0.95, 1)
+
 
 class TestNaiveEstimate:
     def test_interval_coverage_matches_confidence(self):
@@ -102,6 +110,9 @@ class TestReadouts:
         for eps, alpha, p in ((0.05, 0.9, 0.2), (0.001, 0.99, 0.7), (0.1, 0.5, 0.01)):
             z = NormalDist().inv_cdf((1 + alpha) / 2)
             assert ext.required_shots(eps, alpha, p) == int(np.ceil(p * (1 - p) * z * z / eps**2))
+        for eps, alpha, p in ((0.0, 0.95, 0.5), (-0.1, 0.95, 0.5), (0.1, 1.0, 0.5), (0.1, 0.95, 1.5)):
+            with pytest.raises(CircuitError):
+                ext.required_shots(eps, alpha, p)
 
     def test_mode_breaks_ties_toward_smaller_outcome(self):
         # |+> on qubit 1 of |x1 1>: outcomes 1 and 3, equally likely.

@@ -176,8 +176,8 @@ class TestApplyCircuit:
 
     def test_slabs_are_bit_identical(self, monkeypatch):
         # Slabs split the same elementwise arithmetic into pieces, so results
-        # must not move by a bit.  Gates keep their plan, so each setting
-        # gets its own copy of every circuit.
+        # must not move by a bit.  A circuit keeps its execution plan, so
+        # each setting gets its own copy of every circuit.
         def final_states(slab, seed):
             monkeypatch.setattr(sim, "_SLAB", slab)
             rng = np.random.default_rng(seed)
@@ -244,12 +244,35 @@ class TestApplyCircuit:
             for b1 in shapes:
                 blocks = np.array([b0, b1], dtype=np.complex128)
                 monkeypatch.setattr(sim, "gate_blocks", lambda g, blocks=blocks: blocks)
-                # a fresh gate: a gate keeps the plan read on its first use
                 c = sim.Circuit(3, [sim.cnot(2, 0)])
                 s = random_state(RNG, 3)
                 np.testing.assert_allclose(
                     sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=EQUIV_ATOL
                 )
+
+    def test_forced_settings_change_the_path(self, monkeypatch):
+        # _SLAB and _BLOCK_LOOP_MIN are read on every call: forcing either
+        # on a gate that has already run changes the 2x2 updates it takes
+        # (the sizes of their halves, in order; none for a broadcast pass).
+        halves = []
+        update = sim._update_halves
+        monkeypatch.setattr(sim, "_update_halves", lambda *a: halves.append(a[0].size) or update(*a))
+
+        def sizes(gate, n):
+            halves.clear()
+            sim.apply_gate(np.array(random_state(RNG, n).amplitudes), gate, n)
+            return halves[:]
+
+        wide = sim.ry(0.3, 8)  # n = 16: halves of 2**15
+        assert sizes(wide, 16) == [1 << 14] * 2
+        monkeypatch.setattr(sim, "_SLAB", 1 << 30)
+        assert sizes(wide, 16) == [1 << 15]
+        mry = sim.multiplexed_ry([0.1, 0.2, 0.3, 0.4], [0, 3], 5)  # n = 6: halves of 8
+        assert sizes(mry, 6) == []
+        monkeypatch.setattr(sim, "_BLOCK_LOOP_MIN", 1)
+        assert sizes(mry, 6) == [8] * 4
+        monkeypatch.setattr(sim, "_SLAB", 1)
+        assert sizes(mry, 6) == [1] * 32
 
     def test_wide_mry_needs_no_dense_matrix(self):
         # 10 controls at n = 11: blocks take 16 KiB, a dense 2^11-square
@@ -266,11 +289,12 @@ class TestApplyCircuit:
         assert peak < 1 << 20
         np.testing.assert_allclose(np.linalg.norm(psi), 1.0, atol=1e-12)
 
-    def test_shared_permutation_moves_are_bounded_by_bytes(self):
+    def test_shared_permutation_moves_are_bounded_by_bytes(self, monkeypatch):
         # At n = 16 one bit-flip permutation moves every amplitude: 1 MiB of
         # indices.  Once the gates are gone, the moves kept for later equal
         # gates stay within the byte bound (a bound of 128 entries kept all
-        # 31 MiB).
+        # 31 MiB).  The test runs on its own store of moves.
+        monkeypatch.setattr(sim, "_shared_moves", sim._SharedMoves())
         n = 16
         psi = np.array(sim.zero_state(n).amplitudes)
         tracemalloc.start()
@@ -285,11 +309,13 @@ class TestApplyCircuit:
         assert kept <= sim._SHARED_MOVES_BYTES + (1 << 18)
         held = sum(src.nbytes + dst.nbytes for src, dst in sim._shared_moves.values())
         assert held == sim._shared_moves.held <= sim._SHARED_MOVES_BYTES
-        # equal gates share their moves
-        gates = [sim.permutation([1, 0], [3]) for _ in range(2)]
-        for g in gates:
+        # equal gates share their moves: only the first one makes them
+        made = []
+        perm_moves = sim._perm_moves
+        monkeypatch.setattr(sim, "_perm_moves", lambda *a: made.append(a) or perm_moves(*a))
+        for g in [sim.permutation([1, 0], [3]) for _ in range(2)]:
             sim.apply_gate(np.array(sim.zero_state(10).amplitudes), g, 10)
-        assert gates[0]._plan[2] is gates[1]._plan[2]
+        assert made == [((1, 0), (3,), 10)]
 
     def test_apply_gate_rejects_bad_input(self):
         psi = sim.zero_state(2).amplitudes  # read-only
@@ -374,6 +400,15 @@ class TestExecutionPlan:
             s = random_state(rng, n)
             np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
         assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "cry", "mry", "perm"}
+
+    def test_period_whose_first_gate_recurs_is_gate_by_gate(self):
+        # The period tried at a gate ends just before the gate's next
+        # occurrence, so a period holding its first gate twice is not found.
+        a, b, c = sim.ry(0.3, 0), sim.cnot(0, 1), sim.h(1)
+        circuit = sim.Circuit(2, [a, b, a, c] * 2)
+        assert powers(circuit) == 0 and len(circuit._steps) == 8
+        s = random_state(RNG, 2)
+        assert sim.apply_circuit(s, circuit).amplitudes.tobytes() == gate_loop(circuit, s).tobytes()
 
     def test_period_wider_than_cap_is_gate_by_gate(self):
         n = sim._POWER_QUBITS + 2
@@ -472,25 +507,37 @@ class TestExecutionPlan:
         c = converters.convert_amplitude_to_ew(loaders.load_amplitude(np.sqrt([0.1, 0.2, 0.3, 0.4])).circuit, 4)
         assert powers(c) == 6 and len(calls) == 3
 
-    def test_slabs_bound_and_cover_every_update(self):
+    def test_slabs_bound_and_cover_every_update(self, monkeypatch):
         # One cutting rule for both kinds of step.  At n = 18, for every
         # placement of 1-3 qubits and for a power on spread qubits, each
         # piece touches at most _SLAB amplitudes (per half for a 2x2 update,
         # per gathered slab for a power) and the pieces cover the view once.
         n = 18
+        pieces = []
+        monkeypatch.setattr(sim, "_update_halves", lambda a0, a1, *u: pieces.append((a0, a1)))
+        psi = np.zeros(1 << n, dtype=np.complex128)
+        hits = np.zeros(1 << n, dtype=np.int8)
+
+        def hits_under(a: np.ndarray) -> np.ndarray:
+            """The entries of ``hits`` at the amplitudes the view ``a`` of
+            ``psi`` holds (a 16x smaller array to count on than ``psi``)."""
+            start = (a.ctypes.data - psi.ctypes.data) // psi.itemsize
+            return np.lib.stride_tricks.as_strided(hits[start:], a.shape, [s // psi.itemsize for s in a.strides])
+
         placements = [qs for k in (1, 2, 3) for qs in itertools.combinations(range(n), k)]
         for i, qs in enumerate(placements):
             qs = qs[i % len(qs) :] + qs[: i % len(qs)]  # vary the target
             gate = sim.multiplexed_ry(np.linspace(0.1, 1.0, 1 << (len(qs) - 1)), qs[:-1], qs[-1])
-            _, shape, updates = sim._gate_plan(gate, n)
-            hits = np.zeros(shape, dtype=np.int8)
-            for _, i0, i1, *_ in updates:
-                assert hits[i0].size <= sim._SLAB
-                hits[i0] += 1
-                hits[i1] += 1
+            pieces.clear()
+            sim.apply_gate(psi, gate, n)
+            hits[:] = 0
+            for a0, a1 in pieces:
+                assert a0.size <= sim._SLAB
+                hits_under(a0)[...] += 1
+                hits_under(a1)[...] += 1
             assert (hits == 1).all()
             if len(qs) == 1:  # the same slabs as a cut along one gap axis
-                assert len(updates) == (1 << n - 1) // sim._SLAB
+                assert len(pieces) == (1 << n - 1) // sim._SLAB
         period = [sim.h(2), sim.cnot(2, 7), sim.cry(0.3, 7, 11), sim.multiplexed_ry([0.1, 0.2], [11], 16)]
         c = sim.Circuit(n, [sim.x(0)] + period * 3)
         (step,) = [step for step in c._steps if type(step) is not sim.Gate]
@@ -708,6 +755,15 @@ class TestSampling:
             sim.sample_counts(sim.zero_state(2), (0,), 0, 1)
         with pytest.raises(CircuitError):
             sim.sample_counts(sim.zero_state(2), (2,), 10, 1)
+
+    def test_both_samplers_reject_bad_registers(self):
+        for reg in ((5,), (-1,), (0, 0), (2,)):
+            with pytest.raises(CircuitError):
+                sim.sample_counts(sim.zero_state(2), reg, 3, 1)
+            with pytest.raises(CircuitError):
+                sim.sample_shots(sim.zero_state(2), {"r": reg}, 3, 1)
+            with pytest.raises(CircuitError):
+                sim.sample_shots(sim.zero_state(2), {"ok": (0,), "r": reg}, 3, 1)
 
 
 class TestFidelity:
