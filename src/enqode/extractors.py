@@ -108,17 +108,12 @@ def required_shots(epsilon: float, alpha: float, p: float) -> int:
     return int(np.ceil(p * (1.0 - p) * z * z / (epsilon * epsilon)))
 
 
-def _check_shots(shots: int, least: int) -> None:
-    if not isinstance(shots, (int, np.integer)) or shots < least:
-        raise CircuitError(f"shots must be an integer >= {least}, got {shots!r}")
-
-
 def naive_amplitude_estimate(
     f: Circuit, shots: int, alpha: float, seed: int, flag: int | None = None
 ) -> EstimateResult:
     """Frequency of flag = 1 over ``shots`` repetitions of ``F``, with a
     normal-approximation confidence interval."""
-    _check_shots(shots, 1)
+    sim.check_shots(shots, 1)
     flag = _flag_qubit(f, flag)
     state = sim.run(f)
     p = float(sim.marginal_probabilities(state, [flag])[1])
@@ -267,7 +262,7 @@ def swap_test(load_a: Circuit, load_b: Circuit, shots: int, seed: int) -> SwapTe
 
     ``shots = 0`` skips sampling and reports the exact probability.
     """
-    _check_shots(shots, 0)
+    sim.check_shots(shots, 0)
     n = load_a.n_qubits
     if load_b.n_qubits != n:
         raise CircuitError("swap test needs equal register sizes")

@@ -204,10 +204,10 @@ def load_equally_weighted(xs, m: int) -> LoaderOutput:
     return load_amplitude(indicator)
 
 
-def _heap_qubit(n: int, level: int, pos: int) -> int:
-    """Ancilla qubit hosting tree node (level, pos); heap order, after the
-    n data qubits."""
-    return n + (1 << level) + pos - 1
+def _forest_qubit(n: int, s: int, level: int, pos: int) -> int:
+    """Ancilla qubit hosting tree node (level, pos) of the forest of the
+    angle tree's levels s..n-1; heap order, after the n data qubits."""
+    return n + (1 << level) - (1 << s) + pos
 
 
 _CSWAP_TABLE = (0, 1, 2, 5, 4, 3, 6, 7)  # bit0 control: swap bits 1 and 2
@@ -215,6 +215,23 @@ _CSWAP_TABLE = (0, 1, 2, 5, 4, 3, 6, 7)  # bit0 control: swap bits 1 and 2
 
 def _fredkin(control: int, a: int, b: int) -> Gate:
     return sim.permutation(_CSWAP_TABLE, (control, a, b))
+
+
+def _emit_forest(gates: list[Gate], angle_levels, n: int, s: int) -> None:
+    """Fan out angle-tree levels s..n-1 as one RY per node on its
+    ``_forest_qubit``, then combine bottom-up: node (l, p) routes its
+    chosen child's canonical path onto the left-child positions by
+    controlled swaps."""
+    for k in range(s, n):
+        for pos, theta in enumerate(angle_levels[k]):
+            gates.append(sim.ry(float(theta), _forest_qubit(n, s, k, pos)))
+    for level in range(n - 2, s - 1, -1):
+        for pos in range(1 << level):
+            control = _forest_qubit(n, s, level, pos)
+            for d in range(n - 1 - level):
+                left = _forest_qubit(n, s, level + 1 + d, (2 * pos) << d)
+                right = _forest_qubit(n, s, level + 1 + d, (2 * pos + 1) << d)
+                gates.append(_fredkin(control, left, right))
 
 
 def load_divide_conquer(a) -> LoaderOutput:
@@ -229,20 +246,9 @@ def load_divide_conquer(a) -> LoaderOutput:
     width = n + (1 << n)
 
     gates: list[Gate] = []
-    for k, level in enumerate(angle_tree.levels):
-        for pos, theta in enumerate(level):
-            gates.append(sim.ry(float(theta), _heap_qubit(n, k, pos)))
-    # combine bottom-up: node (l, p) routes its chosen child's canonical
-    # path onto the left-child positions
-    for level in range(n - 2, -1, -1):
-        for pos in range(1 << level):
-            control = _heap_qubit(n, level, pos)
-            for d in range(n - 1 - level):
-                left = _heap_qubit(n, level + 1 + d, (2 * pos) << d)
-                right = _heap_qubit(n, level + 1 + d, ((2 * pos + 1) << d))
-                gates.append(_fredkin(control, left, right))
+    _emit_forest(gates, angle_tree.levels, n, 0)
     for t in range(n):
-        gates.append(sim.cnot(_heap_qubit(n, t, 0), n - 1 - t))
+        gates.append(sim.cnot(_forest_qubit(n, 0, t, 0), n - 1 - t))
     preprocessing += _phase_pass(gates, a, n)
 
     data = tuple(range(n))
@@ -265,31 +271,15 @@ def load_bidirectional(a, s: int) -> LoaderOutput:
         raise CapacityError(f"bidirectional needs up to {n + (1 << n)} qubits; n capped at {MAX_DC_QUBITS}")
     width = n + (1 << n) - (1 << s)
 
-    def forest_qubit(level: int, pos: int) -> int:
-        return n + (1 << level) - (1 << s) + pos
-
     gates: list[Gate] = []
     _amplitude_stages(gates, angle_tree.levels[:s], n)
-    for k in range(s, n):
-        for pos, theta in enumerate(angle_tree.levels[k]):
-            gates.append(sim.ry(float(theta), forest_qubit(k, pos)))
-    for level in range(n - 2, s - 1, -1):
-        for pos in range(1 << level):
-            control = forest_qubit(level, pos)
-            for d in range(n - 1 - level):
-                gates.append(
-                    _fredkin(
-                        control,
-                        forest_qubit(level + 1 + d, (2 * pos) << d),
-                        forest_qubit(level + 1 + d, (2 * pos + 1) << d),
-                    )
-                )
+    _emit_forest(gates, angle_tree.levels, n, s)
     # route the canonical path of forest root p onto the low data qubits,
     # conditioned on the top register holding p
     top = list(range(n - s, n))
     for p in range(1 << s):
         for d in range(n - s):
-            path = forest_qubit(s + d, p << d)
+            path = _forest_qubit(n, s, s + d, p << d)
             target = n - 1 - s - d
             dim = 1 << (s + 2)
             table = list(range(dim))

@@ -24,9 +24,10 @@ Conventions used throughout the package:
   are updated slab by slab along the gap axes of the view (``_slabs``), so
   the temporaries of each 2x2 update stay in cache on wide states; the
   arithmetic per amplitude is the same, so results are bit for bit those
-  of one whole-half pass.  SWAP and PERMUTATION copy only the amplitudes
-  they move.  ``apply_gate`` is the only code that applies a gate to
-  amplitudes.
+  of one whole-half pass.  SWAP and PERMUTATION copy, slab by slab, the
+  rows their table moves on the same view with the gate's qubit axes
+  first (``_qubit_major``, ``_moved_rows``).  ``apply_gate`` is the only
+  code that applies a gate to amplitudes.
 * ``apply_circuit`` runs a circuit's execution plan (``Circuit._steps``),
   made once per circuit.  A run of one period of gates repeated back to
   back (the same ``Gate`` objects, as phase estimation repeats its
@@ -57,14 +58,17 @@ Conventions used throughout the package:
   every stochastic operation is bit-reproducible from its seed.
 
 The hard cap of 24 qubits keeps a state below 256 MB, and the cap of 12
-qubits on ``build_unitary`` keeps its matrix to the same budget.
+qubits on ``build_unitary`` keeps its matrix to the same budget.  The
+matrix is built in place, every gate applied once to the flattened
+identity, so it is the only large allocation: each update's temporaries
+stay slab-sized.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,16 +99,11 @@ _SWAP_TABLE = (0, 2, 1, 3)  # local bits 0 <-> 1
 # updated all at once.
 _BLOCK_LOOP_MIN = 1 << 12
 # Updates that touch more than this many amplitudes (256 KiB) run slab by
-# slab (``_slabs``): a 2x2 update per half, a power per gathered slab, so
-# the temporaries of one update stay in a core's L2 cache.  At n = 18 on a
-# 2 MiB-L2 Xeon, 2**13-2**14 ran RY on each target in about a third of the
-# unslabbed time; 2**12 and 2**15-2**16 were slower.
+# slab (``_slabs``): a 2x2 update per half, a power or a permutation per
+# slab, so the temporaries of one update stay in a core's L2 cache.  At
+# n = 18 on a 2 MiB-L2 Xeon, 2**13-2**14 ran RY on each target in about a
+# third of the unslabbed time; 2**12 and 2**15-2**16 were slower.
 _SLAB = 1 << 14
-# SWAP and PERMUTATION moves are shared between gates with the same table,
-# qubits and width, least recently used first out, up to this many bytes of
-# indices in all.  One n = 20 permutation can move 2 * 8 MiB; moves that do
-# not fit are made again on each use.
-_SHARED_MOVES_BYTES = 8 << 20
 # A run of one period of gates repeated back to back runs as one matrix
 # power (``Circuit._steps``) when the period touches at most this many
 # qubits.  Building the period's matrix costs about 4**k per gate and the
@@ -539,10 +538,10 @@ def _view_shape(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
 def _slabs(shape: tuple[int, ...], size: int) -> tuple[tuple[slice, ...], ...]:
     """Index tuples that cut the ``_view_shape`` view ``shape`` into the
     pieces of an update that touches ``size`` amplitudes of it (a half for
-    a 2x2 update, the whole view for a power), so that each piece touches
-    at most ``_SLAB`` of them, or one element of every gap axis.  The
-    outermost gap axes are cut first, which keeps the rows inside them
-    whole and contiguous."""
+    a 2x2 update, the whole view for a power or a permutation), so that
+    each piece touches at most ``_SLAB`` of them, or one element of every
+    gap axis.  The outermost gap axes are cut first, which keeps the rows
+    inside them whole and contiguous."""
     cuts = [[slice(None)] for _ in shape]
     for a in range(0, len(shape), 2):
         if size <= _SLAB:
@@ -575,65 +574,52 @@ def _layout(qubits: tuple[int, ...], n: int) -> tuple:
     return shape, axis[target], tuple(axis[c] for c in controls), order, coef_shape
 
 
-def _perm_moves(table: tuple[int, ...], qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices ``(src, dst)`` of the amplitudes a permutation gate moves:
-    the amplitude at ``src[i]`` goes to ``dst[i]``; all others stay."""
-    _check_qubits(qubits, n)
-    src = np.arange(1 << n)
-    local = np.zeros(1 << n, dtype=np.int64)
-    for i, q in enumerate(qubits):
-        local |= ((src >> q) & 1) << i
-    new_local = np.asarray(table, dtype=np.int64)[local]
-    dest = src.copy()
-    for i, q in enumerate(qubits):
-        bit = (new_local >> i) & 1
-        dest = (dest & ~(1 << q)) | (bit << q)
-    moved = np.flatnonzero(dest != src)
-    return moved, dest[moved]
+@lru_cache(maxsize=256)
+def _moved_rows(table: tuple[int, ...], qubits: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Rows ``(dst, src)`` that a permutation gate on ``qubits`` moves, as
+    read-only index arrays for the qubit axes of a ``_qubit_major`` block
+    (one per qubit, in descending qubit order): row ``src`` goes to row
+    ``dst``, and the rows the table fixes stay."""
+    src = np.flatnonzero(np.array(table) != np.arange(len(table)))
+    dst = np.array(table)[src]
+    shifts = np.array([qubits.index(q) for q in sorted(qubits, reverse=True)])[:, None]
+    rows = (np.stack([dst, src])[:, None] >> shifts) & 1  # (dst/src, qubit axis, moved row)
+    rows.setflags(write=False)
+    return tuple(rows[0]), tuple(rows[1])
 
 
-class _SharedMoves(dict):
-    """``_perm_moves`` results kept for equal gates, keyed by ``(table,
-    qubits, n)``, least recently used first out, within
-    ``_SHARED_MOVES_BYTES`` of indices in all (dict order is use order)."""
-
-    held = 0
-
-    def moves(self, table: tuple[int, ...], qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (table, qubits, n)
-        moves = self.pop(key, None)
-        if moves is None:
-            moves = _perm_moves(table, qubits, n)
-            self.held += moves[0].nbytes + moves[1].nbytes
-        self[key] = moves
-        while self.held > _SHARED_MOVES_BYTES:
-            src, dst = self.pop(next(iter(self)))
-            self.held -= src.nbytes + dst.nbytes
-        return moves
-
-
-_shared_moves = _SharedMoves()
+def _qubit_major(psi: np.ndarray, shape: tuple[int, ...], slabs: tuple[tuple, ...]) -> Iterator[np.ndarray]:
+    """Each slab of the ``_view_shape`` view ``shape`` of ``psi``, as a
+    view with the qubit axes first (in descending qubit order) and the gap
+    axes after them."""
+    view = psi.reshape(shape)
+    order = [*range(1, len(shape), 2), *range(0, len(shape), 2)]
+    for slab in slabs:
+        yield view[slab].transpose(order)
 
 
 def apply_gate(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     """Apply one gate to ``psi`` in place and return ``psi``.
 
     ``psi`` must be a writable, C-contiguous complex128 array of length
-    ``2**n``.  SWAP and PERMUTATION copy only the amplitudes they move,
-    shared between equal gates (``_shared_moves``).  Every other kind reads
-    its ``gate_blocks`` and updates the target-0 and target-1 halves of
-    each non-identity block on a low-rank view of ``psi`` (``_layout``) by
-    the block's shape (``_update_halves``), slab by slab (``_slabs``) on
-    halves larger than ``_SLAB`` amplitudes.  A multiplexer with halves
-    below ``_BLOCK_LOOP_MIN`` amplitudes instead updates all its blocks in
-    one dense broadcast pass, its entries arrays over the control axes.
+    ``2**n``.  SWAP and PERMUTATION move, slab by slab (``_slabs``), only
+    the rows of the gate's ``_qubit_major`` view that the table moves
+    (``_moved_rows``).  Every other kind reads its ``gate_blocks`` and
+    updates the target-0 and target-1 halves of each non-identity block on
+    a low-rank view of ``psi`` (``_layout``) by the block's shape
+    (``_update_halves``), slab by slab on halves larger than ``_SLAB``
+    amplitudes.  A multiplexer with halves below ``_BLOCK_LOOP_MIN``
+    amplitudes instead updates all its blocks in one dense broadcast pass,
+    its entries arrays over the control axes.
     """
     flags = psi.flags
     if psi.dtype != np.complex128 or psi.shape != (1 << n,) or not (flags.writeable and flags.c_contiguous):
         raise CircuitError(f"apply_gate needs a writable contiguous complex128 buffer of length {1 << n}")
     if gate.kind in (SWAP, PERMUTATION):
-        src, dst = _shared_moves.moves(gate.table or _SWAP_TABLE, gate.qubits, n)
-        psi[dst] = psi[src]
+        dst, src = _moved_rows(gate.table or _SWAP_TABLE, gate.qubits)
+        shape = _view_shape(gate.qubits, n)
+        for block in _qubit_major(psi, shape, _slabs(shape, 1 << n)):
+            block[dst] = block[src]
         return psi
     shape, t, controls, order, coef_shape = _layout(gate.qubits, n)
     blocks = gate_blocks(gate)
@@ -761,14 +747,11 @@ def _period_matrix(period: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
 
 
 def _apply_power(psi: np.ndarray, step: _Power) -> None:
-    """Apply a ``_Power`` step to ``psi`` in place, slab by slab: each slab
-    is gathered into a (2**k, rest) matrix with the k qubit axes first,
+    """Apply a ``_Power`` step to ``psi`` in place, slab by slab: each
+    ``_qubit_major`` slab is gathered into a (2**k, rest) matrix,
     multiplied, and written back."""
-    view = psi.reshape(step.shape)
-    order = [*range(1, len(step.shape), 2), *range(0, len(step.shape), 2)]
     dim = step.matrix.shape[0]
-    for slab in step.slabs:
-        block = view[slab].transpose(order)
+    for block in _qubit_major(psi, step.shape, step.slabs):
         block[...] = (step.matrix @ block.reshape(dim, -1)).reshape(block.shape)
 
 
@@ -804,16 +787,25 @@ def run(circuit: Circuit) -> StateVector:
 
 
 def build_unitary(circuit: Circuit) -> np.ndarray:
-    """Full ``2**n x 2**n`` matrix of ``circuit``, for n <= 12."""
+    """Full ``2**n x 2**n`` matrix of ``circuit``, for n <= 12: each gate
+    applied once, by ``apply_gate``, to every column of the identity at
+    once (``_period_matrix``).
+
+    Raises ``CircuitError`` if a column's squared norm is off 1 by more
+    than ``NORM_ATOL`` or is no longer a number (a NaN angle), as
+    ``apply_circuit`` does for one state.
+    """
     if circuit.n_qubits > MAX_UNITARY_QUBITS:
         raise CapacityError(
             f"unitary of {circuit.n_qubits} qubits exceeds the cap of {MAX_UNITARY_QUBITS}"
         )
-    dim = 1 << circuit.n_qubits
-    cols = []
-    for b in range(dim):
-        cols.append(apply_circuit(basis_state(circuit.n_qubits, b), circuit).amplitudes)
-    return np.stack(cols, axis=1)
+    u = _period_matrix(circuit.gates, range(circuit.n_qubits))
+    # real and imaginary parts are views: no matrix-sized temporaries
+    norm_sq = np.einsum("ij,ij->j", u.real, u.real) + np.einsum("ij,ij->j", u.imag, u.imag)
+    drift = np.abs(norm_sq - 1.0).max()
+    if not drift <= NORM_ATOL:
+        raise CircuitError(f"a column's squared norm moved by {drift:.3g} > {NORM_ATOL}")
+    return u
 
 
 def _check_register(register: tuple[int, ...], n: int) -> None:
@@ -849,10 +841,16 @@ def certain_outcome(probs: np.ndarray) -> int | None:
     return top if probs[top] >= 1.0 - ATOL_DECODE else None
 
 
+def check_shots(shots: int, least: int) -> None:
+    """Raise ``CircuitError`` unless ``shots`` is an integer >= ``least``:
+    the one check of every shot count."""
+    if not isinstance(shots, (int, np.integer)) or shots < least:
+        raise CircuitError(f"shots must be an integer >= {least}, got {shots!r}")
+
+
 def _draws(state: StateVector, shots: int, seed: int) -> np.ndarray:
     """``shots`` basis-state indices drawn from ``state`` with PCG64(seed)."""
-    if shots < 1:
-        raise CircuitError("shots must be >= 1")
+    check_shots(shots, 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     probs = state.probabilities
     return rng.choice(probs.size, size=shots, p=probs / probs.sum())

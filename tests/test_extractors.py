@@ -65,6 +65,13 @@ class TestAmplitudeEstimation:
         np.testing.assert_allclose(probs, [0, 0.5, 0, 0, 0, 0, 0, 0.5], atol=1e-12)
         assert ext.qae_estimate(f, 3, shots=16, seed=1).estimate == pytest.approx(np.sin(np.pi / 8) ** 2)
 
+    def test_rejects_non_integer_shots(self):
+        f = sim.Circuit(1, [sim.ry(0.3, 0)])
+        with pytest.raises(CircuitError):
+            ext.qae_estimate(f, 2, shots=2.5, seed=1)
+        with pytest.raises(CircuitError):
+            ext.mode_readout(sim.run(f), (0,), 2.5, 1)
+
 
 class TestSwapTest:
     def test_exact_probability_matches_overlap(self):

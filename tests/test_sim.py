@@ -4,6 +4,7 @@ The independent oracle here builds the full matrix of every gate via
 explicit Kronecker products (``kron_embed``) and multiplies it out, never
 going through the simulator's in-place bit-sliced application.
 """
+import functools
 import itertools
 import tracemalloc
 
@@ -289,33 +290,30 @@ class TestApplyCircuit:
         assert peak < 1 << 20
         np.testing.assert_allclose(np.linalg.norm(psi), 1.0, atol=1e-12)
 
-    def test_shared_permutation_moves_are_bounded_by_bytes(self, monkeypatch):
-        # At n = 16 one bit-flip permutation moves every amplitude: 1 MiB of
-        # indices.  Once the gates are gone, the moves kept for later equal
-        # gates stay within the byte bound (a bound of 128 entries kept all
-        # 31 MiB).  The test runs on its own store of moves.
-        monkeypatch.setattr(sim, "_shared_moves", sim._SharedMoves())
+    def test_permutations_keep_no_memory(self, monkeypatch):
+        # At n = 16 a reversal of two neighbouring qubits moves every
+        # amplitude (1 MiB).  Once its row indices and slabs are made,
+        # applying it keeps nothing and its temporaries stay slab-sized.
+        # The slabs are cached, as outside this file, in a cache of this
+        # test's own.
+        monkeypatch.setattr(sim, "_slabs", functools.lru_cache(sim._slabs))
         n = 16
-        psi = np.array(sim.zero_state(n).amplitudes)
+        gates = [sim.permutation([3, 2, 1, 0], (q, q + 1)) for q in range(n - 1)]
+        state = random_state(RNG, n)
+        psi = np.array(state.amplitudes)
+        for g in gates:
+            sim.apply_gate(psi, g, n)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for q, k in itertools.product(range(n), range(1, 3)):
-                if q + k <= n:
-                    sim.apply_gate(psi, sim.permutation(list(range(1 << k))[::-1], range(q, q + k)), n)
-            kept = tracemalloc.get_traced_memory()[0] - before
+            for g in gates[::-1]:  # each gate is an involution
+                sim.apply_gate(psi, g, n)
+            kept, peak = np.subtract(tracemalloc.get_traced_memory(), before)
         finally:
             tracemalloc.stop()
-        assert kept <= sim._SHARED_MOVES_BYTES + (1 << 18)
-        held = sum(src.nbytes + dst.nbytes for src, dst in sim._shared_moves.values())
-        assert held == sim._shared_moves.held <= sim._SHARED_MOVES_BYTES
-        # equal gates share their moves: only the first one makes them
-        made = []
-        perm_moves = sim._perm_moves
-        monkeypatch.setattr(sim, "_perm_moves", lambda *a: made.append(a) or perm_moves(*a))
-        for g in [sim.permutation([1, 0], [3]) for _ in range(2)]:
-            sim.apply_gate(np.array(sim.zero_state(10).amplitudes), g, 10)
-        assert made == [((1, 0), (3,), 10)]
+        assert kept == 0
+        assert peak < 1 << 20
+        assert psi.tobytes() == state.amplitudes.tobytes()
 
     def test_apply_gate_rejects_bad_input(self):
         psi = sim.zero_state(2).amplitudes  # read-only
@@ -582,10 +580,52 @@ class TestStateVector:
                 probs[0] = 0.5
 
 
+def column_loop(circuit: sim.Circuit) -> np.ndarray:
+    """``circuit``'s matrix one column at a time, each basis state run
+    through ``apply_circuit``: the reference for ``build_unitary``."""
+    n = circuit.n_qubits
+    return np.stack([sim.apply_circuit(sim.basis_state(n, b), circuit).amplitudes for b in range(1 << n)], axis=1)
+
+
 class TestBuildUnitary:
     def test_cap_before_allocation(self):
         with pytest.raises(CapacityError):
             sim.build_unitary(sim.Circuit(13, [sim.h(0)]))
+
+    def test_matches_column_loop(self):
+        # Without repeated runs both apply the same gates by the same
+        # arithmetic, so they agree bit for bit.
+        circuits = [converters.qft_circuit(m) for m in range(1, 9)]
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            circuits += [sim.Circuit(n, [random_gate(rng, n) for _ in range(20)]) for _ in range(4)]
+        for c in circuits:
+            assert powers(c) == 0
+            assert sim.build_unitary(c).tobytes() == column_loop(c).tobytes()
+        # The column loop runs repeated runs as powers.
+        period = [sim.ry(0.3, 0), sim.cnot(0, 1), sim.swap(1, 2), sim.cp(0.2, 2, 0),
+                  sim.permutation([1, 2, 3, 0], [2, 0])]
+        c = sim.Circuit(3, [sim.h(1)] + period * 5)
+        assert powers(c) == 1
+        np.testing.assert_allclose(sim.build_unitary(c), column_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    def test_matrix_is_the_only_large_allocation(self):
+        c = converters.qft_circuit(10)
+        tracemalloc.start()
+        try:
+            sim.build_unitary(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 << 20) + (2 << 20)
+
+    def test_bad_columns_raise(self, monkeypatch):
+        with pytest.raises(CircuitError):
+            sim.build_unitary(sim.Circuit(2, [sim.h(1), sim.ry(np.nan, 0)]))
+        true_blocks = sim.gate_blocks
+        monkeypatch.setattr(sim, "gate_blocks", lambda g: 1.01 * true_blocks(g))
+        with pytest.raises(CircuitError):
+            sim.build_unitary(sim.Circuit(2, [sim.h(0)]))
 
 
 class TestGateUnitarity:
@@ -751,8 +791,11 @@ class TestSampling:
             np.testing.assert_array_equal(counts, np.bincount(outcomes, minlength=8))
 
     def test_counts_reject_bad_input(self):
-        with pytest.raises(CircuitError):
-            sim.sample_counts(sim.zero_state(2), (0,), 0, 1)
+        for shots in (0, 2.5):
+            with pytest.raises(CircuitError):
+                sim.sample_counts(sim.zero_state(2), (0,), shots, 1)
+            with pytest.raises(CircuitError):
+                sim.sample_shots(sim.zero_state(2), {"r": (0,)}, shots, 1)
         with pytest.raises(CircuitError):
             sim.sample_counts(sim.zero_state(2), (2,), 10, 1)
 
