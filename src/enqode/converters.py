@@ -196,7 +196,7 @@ def convert_amplitude_to_ew(u_a: Circuit, m: int) -> Circuit:
     f_gates = list(u_a.shifted(n, w).gates) + [sim.permutation(eq_table, eq_qubits)]
     f_circ = Circuit(w, f_gates)
 
-    gates: list[Gate] = [sim.h(q) for q in index_reg]
+    gates: list[Gate | sim.Repeat] = [sim.h(q) for q in index_reg]
     # estimate block: F once, then phase estimation on its Grover operator
     estimate = list(f_circ.shifted(0, width).gates)
     estimate.extend(qpe_gates(f_circ, flag, m, reflection_qubits=work_reg + (flag,), width=width))

@@ -8,7 +8,9 @@ circuits; ``decode`` inverts it where the inverse is well defined, and
 
 Each domain rule is written once, in ``validate``; ``check`` raises on its
 violations, and ``reference_state`` and every loader call it.  A squared
-norm is 1 within ``NORM_ATOL``, the simulator's own bound.
+norm is 1 within ``NORM_ATOL``, the simulator's own bound.  Sizes are
+checked once, when a descriptor is made, and every entry point raises
+``EncodingError`` for anything that is not a descriptor (``_known``).
 
 Decode contract: ``decode`` computes a candidate ``x`` from the state and
 returns it only if ``fidelity(reference_state(d, x), state) >= 1 -
@@ -105,8 +107,25 @@ def probabilities(values) -> DataSet:
 # --------------------------------------------------------------------------
 
 
+class _Sized:
+    """Checks a descriptor's sizes once, when it is made: each ``int``
+    field must be an integer >= 0 (stored as ``int``), and the register
+    must have at least one qubit."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type != "int":
+                continue
+            value = getattr(self, f.name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 0:
+                raise EncodingError(f"{type(self).__name__} size {f.name}={value!r} is not an integer >= 0")
+            object.__setattr__(self, f.name, int(value))
+        if register_width(self) == 0:
+            raise EncodingError(f"{type(self).__name__} register has no qubits")
+
+
 @dataclass(frozen=True)
-class Basis:
+class Basis(_Sized):
     """Integer x in {0..2^m-1} stored as the basis state |x>."""
 
     m: int
@@ -114,7 +133,7 @@ class Basis:
 
 
 @dataclass(frozen=True)
-class MappedBasis:
+class MappedBasis(_Sized):
     """Basis encoding through a bijection g: domain -> {0..2^m-1}.
 
     ``g`` is an explicit table, the most general desk-scale form.
@@ -125,6 +144,7 @@ class MappedBasis:
     variant: str = field(default="mapped_basis", init=False)
 
     def __post_init__(self):
+        super().__post_init__()
         size = 1 << self.m
         if len(self.g) != size or len(self.forward()) != size or set(self.backward()) != set(range(size)):
             raise EncodingError(f"g is not a bijection onto 0..{size - 1}")
@@ -137,7 +157,7 @@ class MappedBasis:
 
 
 @dataclass(frozen=True)
-class Angle:
+class Angle(_Sized):
     """N reals in [0, pi/2], one qubit each: cos(t)|0> + sin(t)|1>."""
 
     n_points: int
@@ -145,7 +165,7 @@ class Angle:
 
 
 @dataclass(frozen=True)
-class Fourier:
+class Fourier(_Sized):
     """Integer x stored in per-qubit phases; the image of |x> under the
     Fourier transform circuit."""
 
@@ -154,7 +174,7 @@ class Fourier:
 
 
 @dataclass(frozen=True)
-class MultiRegister:
+class MultiRegister(_Sized):
     """N integers, each in its own m-qubit register in basis encoding.
     Register i occupies qubits [i*m, (i+1)*m)."""
 
@@ -164,7 +184,7 @@ class MultiRegister:
 
 
 @dataclass(frozen=True)
-class EquallyWeighted:
+class EquallyWeighted(_Sized):
     """Uniform superposition of the basis states of a set of integers."""
 
     m: int
@@ -172,7 +192,7 @@ class EquallyWeighted:
 
 
 @dataclass(frozen=True)
-class Amplitude:
+class Amplitude(_Sized):
     """Normalized complex vector stored directly in the amplitudes."""
 
     n: int
@@ -180,7 +200,7 @@ class Amplitude:
 
 
 @dataclass(frozen=True)
-class DivideConquer:
+class DivideConquer(_Sized):
     """Amplitude data on an n-qubit register entangled with a 2^n-qubit
     ancilla register; the loader circuit is the operative definition."""
 
@@ -189,7 +209,7 @@ class DivideConquer:
 
 
 @dataclass(frozen=True)
-class Bidirectional:
+class Bidirectional(_Sized):
     """Split-level interpolation between amplitude (s = n) and
     divide-and-conquer (s = 1) loading trade-offs."""
 
@@ -198,12 +218,13 @@ class Bidirectional:
     variant: str = field(default="bidirectional", init=False)
 
     def __post_init__(self):
+        super().__post_init__()
         if not 1 <= self.s <= self.n:
             raise EncodingError(f"split level {self.s} outside 1..{self.n}")
 
 
 @dataclass(frozen=True)
-class QRam:
+class QRam(_Sized):
     """Values entangled with addresses: 2^(-idx/2) * sum_i |i>|x_i>, the
     state a query oracle produces from a uniform index register."""
 
@@ -213,7 +234,7 @@ class QRam:
 
 
 @dataclass(frozen=True)
-class Entangled:
+class Entangled(_Sized):
     """A composite of component encodings.
 
     ``joint=False`` means independently encoded components (tensor
@@ -240,10 +261,19 @@ EncodingDescriptor = Union[
     QRam,
     Entangled,
 ]
+_DESCRIPTORS = get_args(EncodingDescriptor)
+
+
+def _known(d) -> None:
+    """Raise ``EncodingError`` unless ``d`` is a descriptor: the one check
+    behind every entry point that takes one."""
+    if not isinstance(d, _DESCRIPTORS):
+        raise EncodingError(f"unknown descriptor {d!r}")
 
 
 def register_width(d: EncodingDescriptor) -> int:
     """Qubits of the full register the reference state lives on."""
+    _known(d)
     if isinstance(d, (Basis, MappedBasis, Fourier, EquallyWeighted)):
         return d.m
     if isinstance(d, Angle):
@@ -258,9 +288,7 @@ def register_width(d: EncodingDescriptor) -> int:
         return d.n + (1 << d.n) - (1 << d.s)
     if isinstance(d, QRam):
         return d.index_qubits + d.value_qubits
-    if isinstance(d, Entangled):
-        return sum(register_width(c) for c in d.components)
-    raise EncodingError(f"unknown descriptor {d!r}")
+    return sum(register_width(c) for c in d.components)  # Entangled
 
 
 def data_register(d: EncodingDescriptor) -> tuple[int, ...]:
@@ -281,6 +309,7 @@ def data_register(d: EncodingDescriptor) -> tuple[int, ...]:
 def validate(d: EncodingDescriptor, data) -> list[str]:
     """Domain violations of ``data`` for ``d``; empty iff
     ``reference_state`` would succeed."""
+    _known(d)
     v: list[str] = []
     if isinstance(d, (Basis, Fourier)):
         x = _scalar_int(data, v)
@@ -343,17 +372,13 @@ def validate(d: EncodingDescriptor, data) -> list[str]:
             v.extend(
                 f"value {int(x)} overflows {d.value_qubits} value qubits" for x in xs if not 0 <= x < (1 << d.value_qubits)
             )
-    elif isinstance(d, Entangled):
-        if d.joint:
-            v.append("joint entangled encodings are descriptor-only (no reference state)")
-        else:
-            if not isinstance(data, Sequence) or len(data) != len(d.components):
-                v.append(f"expected {len(d.components)} component data sets")
-            else:
-                for i, (c, cd) in enumerate(zip(d.components, data)):
-                    v.extend(f"component {i}: {msg}" for msg in validate(c, cd))
+    elif d.joint:  # Entangled
+        v.append("joint entangled encodings are descriptor-only (no reference state)")
+    elif not isinstance(data, Sequence) or len(data) != len(d.components):
+        v.append(f"expected {len(d.components)} component data sets")
     else:
-        v.append(f"unknown descriptor {d!r}")
+        for i, (c, cd) in enumerate(zip(d.components, data)):
+            v.extend(f"component {i}: {msg}" for msg in validate(c, cd))
     return v
 
 
@@ -465,12 +490,10 @@ def reference_state(d: EncodingDescriptor, data) -> StateVector:
         for i, xval in enumerate(xs):
             amps[i | (int(xval) << n_idx)] = 1.0 / np.sqrt(xs.size)
         return StateVector._owning(width, amps)
-    if isinstance(d, Entangled):
-        amps = np.array([1.0], dtype=np.complex128)
-        for c, cd in zip(d.components, data):
-            amps = np.kron(reference_state(c, cd).amplitudes, amps)
-        return StateVector._owning(width, amps)
-    raise EncodingError(f"unknown descriptor {d!r}")
+    amps = np.array([1.0], dtype=np.complex128)  # Entangled
+    for c, cd in zip(d.components, data):
+        amps = np.kron(reference_state(c, cd).amplitudes, amps)
+    return StateVector._owning(width, amps)
 
 
 # --------------------------------------------------------------------------
@@ -538,27 +561,24 @@ def decode(d: EncodingDescriptor, state: StateVector):
         probs = state.probabilities.reshape(1 << d.value_qubits, 1 << d.index_qubits)
         return _verified(d, integers(probs.argmax(axis=0)), state)
 
-    if isinstance(d, Entangled):
-        if d.joint:
-            raise DecodeError("joint entangled encodings are descriptor-only")
-        out = []
-        rest = amps
-        for c in d.components:
-            # Component c holds the lowest qubits of what is left: in a
-            # product state every row of this matrix is a multiple of its
-            # state, so the largest row is the candidate factor.
-            mat = rest.reshape(-1, 1 << register_width(c))
-            row = mat[np.argmax(np.linalg.norm(mat, axis=1))]
-            lead = row[np.argmax(np.abs(row))]
-            # fix the factor's global phase so basis-style decodes are
-            # clean; a zero or NaN row gives a NaN factor, which fails
-            with np.errstate(invalid="ignore", divide="ignore"):
-                factor = row * (np.conj(lead) / (np.abs(lead) * np.linalg.norm(row)))
-            out.append(decode(c, state_from_amplitudes(factor)))
-            rest = mat @ np.conj(factor)
-        return _verified(d, out, state)
-
-    raise DecodeError(f"unknown descriptor {d!r}")
+    if d.joint:  # Entangled
+        raise DecodeError("joint entangled encodings are descriptor-only")
+    out = []
+    rest = amps
+    for c in d.components:
+        # Component c holds the lowest qubits of what is left: in a
+        # product state every row of this matrix is a multiple of its
+        # state, so the largest row is the candidate factor.
+        mat = rest.reshape(-1, 1 << register_width(c))
+        row = mat[np.argmax(np.linalg.norm(mat, axis=1))]
+        lead = row[np.argmax(np.abs(row))]
+        # fix the factor's global phase so basis-style decodes are
+        # clean; a zero or NaN row gives a NaN factor, which fails
+        with np.errstate(invalid="ignore", divide="ignore"):
+            factor = row * (np.conj(lead) / (np.abs(lead) * np.linalg.norm(row)))
+        out.append(decode(c, state_from_amplitudes(factor)))
+        rest = mat @ np.conj(factor)
+    return _verified(d, out, state)
 
 
 def _verified(d: EncodingDescriptor, x, state: StateVector):
@@ -577,12 +597,11 @@ def _verified(d: EncodingDescriptor, x, state: StateVector):
 # Descriptor (de)serialization
 # --------------------------------------------------------------------------
 
-_VARIANTS = {cls.variant: cls for cls in get_args(EncodingDescriptor)}
+_VARIANTS = {cls.variant: cls for cls in _DESCRIPTORS}
 
 
 def descriptor_to_dict(d: EncodingDescriptor) -> dict:
-    if not isinstance(d, get_args(EncodingDescriptor)):
-        raise EncodingError(f"unknown descriptor {d!r}")
+    _known(d)
     out = {f.name: getattr(d, f.name) for f in fields(d)}
     if isinstance(d, MappedBasis):
         out["g"] = [[k, v] for k, v in d.g]
@@ -592,16 +611,19 @@ def descriptor_to_dict(d: EncodingDescriptor) -> dict:
 
 
 def descriptor_from_dict(obj: Mapping) -> EncodingDescriptor:
-    variant = obj.get("variant")
-    if variant not in _VARIANTS:
-        raise EncodingError(f"unknown encoding variant {variant!r}")
-    if variant == "mapped_basis":
-        return MappedBasis(obj["m"], tuple((k, v) for k, v in obj["g"]))
-    if variant == "entangled":
-        comps = tuple(descriptor_from_dict(c) for c in obj["components"])
-        return Entangled(comps, bool(obj.get("joint", False)))
-    kwargs = {k: v for k, v in obj.items() if k != "variant"}
-    return _VARIANTS[variant](**kwargs)
+    """The descriptor ``descriptor_to_dict`` made ``obj`` from.  Anything
+    else (not a mapping, an unknown variant, a missing or unknown field, a
+    value the descriptor rejects) raises ``EncodingError``."""
+    try:
+        kwargs = {**obj}
+        cls = _VARIANTS[kwargs.pop("variant")]
+        if cls is MappedBasis:
+            kwargs["g"] = tuple((k, v) for k, v in kwargs["g"])
+        if cls is Entangled:
+            kwargs["components"] = tuple(descriptor_from_dict(c) for c in kwargs["components"])
+        return cls(**kwargs)
+    except (KeyError, TypeError, ValueError) as err:
+        raise EncodingError(f"not an encoding descriptor: {obj!r} ({err})") from err
 
 
 def descriptor_to_json(d: EncodingDescriptor) -> str:
@@ -609,4 +631,8 @@ def descriptor_to_json(d: EncodingDescriptor) -> str:
 
 
 def descriptor_from_json(text: str) -> EncodingDescriptor:
-    return descriptor_from_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except ValueError as err:
+        raise EncodingError(f"descriptor JSON does not parse: {err}") from err
+    return descriptor_from_dict(obj)

@@ -158,7 +158,8 @@ def _reflection_about_zero(reflection_qubits, extra_controls=()) -> list[Gate]:
 def grover_operator(f: Circuit, flag: int | None = None, reflection_qubits=None) -> Circuit:
     """Q = F . (reflection about |0..0>) . F-inverse . (flag phase flip),
     with the overall sign fixed so the eigenphases are exactly ``+-2*theta``
-    where ``sin(theta)**2`` is the flag-1 probability of ``F|0>``."""
+    where ``sin(theta)**2`` is the flag-1 probability of ``F|0>``.  A caller
+    repeating Q declares a ``sim.Repeat`` of its gates (one matrix power)."""
     flag = _flag_qubit(f, flag)
     refl = tuple(reflection_qubits) if reflection_qubits is not None else tuple(range(f.n_qubits))
     # S_flag: phase -1 on flag = 1
@@ -182,17 +183,15 @@ def _controlled_grover_gates(f: Circuit, flag: int, control: int, reflection_qub
     return gates
 
 
-def qpe_gates(f: Circuit, flag: int, m: int, reflection_qubits=None, width: int | None = None) -> list[Gate]:
+def qpe_gates(f: Circuit, flag: int, m: int, reflection_qubits=None, width: int | None = None) -> list[Gate | sim.Repeat]:
     """Phase estimation on Q(F): H layer, controlled powers of Q, inverse
-    Fourier transform on the ``m`` phase qubits sitting above ``f``."""
+    Fourier transform on the ``m`` phase qubits sitting above ``f``.  Each
+    power ``Q**(2**j)`` is one ``Repeat`` of the controlled Q."""
     w = f.n_qubits
     width = width if width is not None else w + m
     refl = tuple(reflection_qubits) if reflection_qubits is not None else tuple(range(w))
-    gates: list[Gate] = [sim.h(w + j) for j in range(m)]
-    for j in range(m):
-        cq = _controlled_grover_gates(f, flag, w + j, refl)
-        for _ in range(1 << j):
-            gates.extend(cq)
+    gates: list[Gate | sim.Repeat] = [sim.h(w + j) for j in range(m)]
+    gates += (sim.Repeat(tuple(_controlled_grover_gates(f, flag, w + j, refl)), 1 << j) for j in range(m))
     gates.extend(qft_circuit(m).inverse().shifted(w, width).gates)
     return gates
 

@@ -29,20 +29,18 @@ Conventions used throughout the package:
   first (``_qubit_major``, ``_moved_rows``).  ``apply_gate`` is the only
   code that applies a gate to amplitudes.
 * ``apply_circuit`` runs a circuit's execution plan (``Circuit._steps``),
-  made once per circuit.  A run of one period of gates repeated back to
-  back (the same ``Gate`` objects, as phase estimation repeats its
-  controlled operator ``2**j`` times) is one step when the period touches
-  at most ``_POWER_QUBITS`` qubits: the period's ``2**k``-square matrix,
-  raised to the run's length by repeated squaring and applied as one dense
-  update on the ``_view_shape`` view of those qubits, slab by slab
-  (``_slabs``) on wide states.  The period tried at each gate ends just
-  before the next occurrence of that gate.  ``apply_gate`` builds the
-  matrix on the flattened identity, once per period that is distinct on
-  its own qubits, so phase estimation's controlled powers share one.
-  Every other gate runs through ``apply_gate``.  The plan rewrites
-  nothing: ``Circuit.gates``, ``lowered()`` and every resource count stay
-  those of the gate list.  A power agrees with the gate-by-gate run within
-  ``EQUIV_ATOL``, not bit for bit.
+  made once per circuit.  Builders declare repetition as ``Repeat``
+  items, gates applied ``count`` times back to back (phase estimation's
+  controlled powers).  A ``Repeat`` of count >= 2 on at most
+  ``_POWER_QUBITS`` qubits is one step: its ``2**k``-square matrix, raised
+  to the count by repeated squaring and applied as one dense update on the
+  ``_view_shape`` view of those qubits, slab by slab (``_slabs``).
+  ``apply_gate`` builds the matrix on the flattened identity, once per
+  repeat that is distinct on its own qubits.  Every other gate runs through
+  ``apply_gate``; a plain gate list is never searched for repeats.
+  ``Circuit.gates`` (every ``Repeat`` expanded), ``lowered()`` and every
+  resource count are those of the flat list.  A power agrees with the
+  gate-by-gate run within ``EQUIV_ATOL``, not bit for bit.
 * Builders may emit the native multiplexer ``mry``.  ``Circuit.lowered``
   rewrites each one as its Gray-code walk of RY and CNOT gates
   (``gray_walk``).  ``Circuit.cnot_count`` and ``Circuit.depth`` describe
@@ -104,14 +102,13 @@ _BLOCK_LOOP_MIN = 1 << 12
 # n = 18 on a 2 MiB-L2 Xeon, 2**13-2**14 ran RY on each target in about a
 # third of the unslabbed time; 2**12 and 2**15-2**16 were slower.
 _SLAB = 1 << 14
-# A run of one period of gates repeated back to back runs as one matrix
-# power (``Circuit._steps``) when the period touches at most this many
-# qubits.  Building the period's matrix costs about 4**k per gate and the
-# power 8**k per squaring.  Over fresh QAE circuits with k = n + 1 = 4..8
-# and m = 2..5 (best of 18 runs on a 2-vCPU Xeon, about +-20% noise), the
-# power ran at 0.95-1.1x the gate-by-gate speed for k <= 6 and m = 2 (one
-# power, r = 2) and at 1.25-2.9x for m >= 3; at k = 7 it ran at 0.55-0.87x
-# until m = 5, and at k = 8 at 0.16-0.26x.
+# A ``Repeat`` runs as one matrix power (``_execution_plan``) when its
+# gates touch at most this many qubits.  Building their matrix costs about
+# 4**k per gate and the power 8**k per squaring.  Over fresh QAE circuits
+# with k = n + 1 = 4..8 and m = 2..5 (best of 18 runs on a 2-vCPU Xeon,
+# about +-20% noise), the power ran at 0.95-1.1x the gate-by-gate speed for
+# k <= 6 and m = 2 (one power, r = 2) and at 1.25-2.9x for m >= 3; at k = 7
+# it ran at 0.55-0.87x until m = 5, and at k = 8 at 0.16-0.26x.
 _POWER_QUBITS = 6
 
 
@@ -132,8 +129,6 @@ class Gate:
     angle: float | None = None
     angles: tuple[float, ...] | None = None
     table: tuple[int, ...] | None = None
-    # the gate inverse() returned; not part of the value
-    _inverse: "Gate | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.qubits)) != len(self.qubits):
@@ -151,15 +146,10 @@ class Gate:
                 raise CircuitError("permutation table must be a bijection on basis indices")
 
     def inverse(self) -> "Gate":
-        """The adjoint gate (same kind family), made once per gate, so the
-        inverse of a run of repeated gates repeats the same gates."""
+        """The adjoint gate, of the same kind; a new gate unless self-inverse.
+        A caller repeating an inverse declares a ``Repeat``."""
         if self.kind in (X, H, CNOT, SWAP):
             return self
-        if self._inverse is None:
-            object.__setattr__(self, "_inverse", self._adjoint())
-        return self._inverse
-
-    def _adjoint(self) -> "Gate":
         if self.kind in (RY, PHASE, CP, CRY):
             return Gate(self.kind, self.qubits, angle=-self.angle)
         if self.kind == MULTIPLEXED_RY:
@@ -170,6 +160,25 @@ class Gate:
                 inv[dst] = src
             return Gate(self.kind, self.qubits, table=tuple(inv))
         raise CircuitError(f"unknown gate kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class Repeat:
+    """A circuit item: the tuple ``gates`` applied ``count`` times in a
+    row.  A ``Circuit`` lists its expansion in ``gates``; its plan runs it
+    as one matrix power (``_execution_plan``)."""
+
+    gates: tuple[Gate, ...]
+    count: int
+
+    def __post_init__(self):
+        if type(self.gates) is not tuple or not self.gates or any(type(g) is not Gate for g in self.gates):
+            raise CircuitError("a repeat holds a non-empty tuple of gates")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
+            raise CircuitError(f"repeat count must be an integer >= 1, got {self.count!r}")
+
+    def inverse(self) -> "Repeat":
+        return Repeat(tuple(g.inverse() for g in reversed(self.gates)), self.count)
 
 
 def x(q: int) -> Gate:
@@ -326,6 +335,9 @@ def _walk_levels(level: list[int], controls: Sequence[int], target: int) -> None
 class Circuit:
     """An ordered gate list over ``n_qubits`` wires with named registers.
 
+    ``gates`` may be given ``Repeat`` items, kept in ``items`` (for
+    ``inverse``, ``concat``, ``shifted`` and the plan); ``gates`` is flat.
+
     ``query_count`` counts oracle queries declared by circuit builders (e.g.
     a simulated qRAM access); it is not derived from the gate list.
     """
@@ -334,15 +346,21 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
     registers: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     query_count: int = 0
+    items: tuple[Gate | Repeat, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise CircuitError("circuit needs at least one qubit")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        qubits = [q for g in self.gates for q in g.qubits]
+        items = members = flat = tuple(self.gates)
+        if Repeat in map(type, items):
+            members = tuple(itertools.chain.from_iterable(i.gates if type(i) is Repeat else (i,) for i in items))
+            flat = tuple(itertools.chain.from_iterable(i.gates * i.count if type(i) is Repeat else (i,) for i in items))
+        qubits = [q for g in members for q in g.qubits]
         if qubits and (min(qubits) < 0 or max(qubits) >= self.n_qubits):
-            g = next(g for g in self.gates if not all(0 <= q < self.n_qubits for q in g.qubits))
+            g = next(g for g in members if not all(0 <= q < self.n_qubits for q in g.qubits))
             raise CircuitError(f"gate {g.kind} touches qubit outside 0..{self.n_qubits - 1}")
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "gates", flat)
         regs = {k: tuple(v) for k, v in dict(self.registers).items()}
         seen: set[int] = set()
         for name, qs in regs.items():
@@ -378,9 +396,9 @@ class Circuit:
 
     @cached_property
     def _steps(self) -> tuple:
-        """What ``apply_circuit`` runs: ``_execution_plan`` of the gates,
+        """What ``apply_circuit`` runs: ``_execution_plan`` of the items,
         computed once per circuit."""
-        return _execution_plan(self.gates, self.n_qubits)
+        return _execution_plan(self.items, self.n_qubits)
 
     @property
     def depth(self) -> int:
@@ -413,7 +431,7 @@ class Circuit:
             raise CircuitError("cannot concatenate circuits of different widths")
         return Circuit(
             self.n_qubits,
-            self.gates + other.gates,
+            self.items + other.items,
             self.registers or other.registers,
             self.query_count + other.query_count,
         )
@@ -421,19 +439,20 @@ class Circuit:
     def inverse(self) -> "Circuit":
         return Circuit(
             self.n_qubits,
-            tuple(g.inverse() for g in reversed(self.gates)),
+            tuple(i.inverse() for i in reversed(self.items)),
             self.registers,
             self.query_count,
         )
 
     def shifted(self, offset: int, n_qubits: int) -> "Circuit":
-        """The same gates embedded at ``offset`` in a ``n_qubits``-wide circuit."""
-        gates = tuple(
-            Gate(g.kind, tuple(q + offset for q in g.qubits), g.angle, g.angles, g.table)
-            for g in self.gates
-        )
+        """The same items embedded at ``offset`` in a ``n_qubits``-wide circuit."""
+
+        def move(g: Gate) -> Gate:
+            return Gate(g.kind, tuple(q + offset for q in g.qubits), g.angle, g.angles, g.table)
+
+        items = tuple(Repeat(tuple(map(move, i.gates)), i.count) if type(i) is Repeat else move(i) for i in self.items)
         regs = {k: tuple(q + offset for q in v) for k, v in self.registers.items()}
-        return Circuit(n_qubits, gates, regs, self.query_count)
+        return Circuit(n_qubits, items, regs, self.query_count)
 
 
 @dataclass(frozen=True)
@@ -679,49 +698,29 @@ class _Power(NamedTuple):
     slabs: tuple[tuple, ...]
 
 
-def _execution_plan(gates: Sequence[Gate], n: int) -> tuple:
-    """The steps ``apply_circuit`` runs for ``gates`` on n qubits.
-
-    A run of one period of gates repeated r >= 2 times back to back (the
-    same ``Gate`` objects, as phase estimation repeats a controlled
-    operator) becomes one ``_Power`` step when the period touches at most
-    ``_POWER_QUBITS`` qubits.  Every other gate is a step of its own, run
-    by ``apply_gate``.  At each gate one period is tried: the gates up to
-    the next occurrence of the same gate.  A period in which its first gate
-    occurs twice, as in ``[a, b, a, c] * 2``, is therefore not found and
-    runs gate by gate.  Periods that are equal once moved onto their own
-    qubits (``_row_gates``), as phase estimation's controlled operators on
-    different control wires are, share one ``_period_matrix``.
-    """
-    ids = [id(g) for g in gates]
-    after: dict[int, int] = {}
-    nxt = [0] * len(ids)  # next position of the same gate, 0 if none
-    for i in range(len(ids) - 1, -1, -1):
-        nxt[i] = after.get(ids[i], 0)
-        after[ids[i]] = i
+def _execution_plan(items: Sequence[Gate | Repeat], n: int) -> tuple:
+    """The steps ``apply_circuit`` runs for a circuit's ``items`` on n
+    qubits: one ``_Power`` per ``Repeat`` of count >= 2 on at most
+    ``_POWER_QUBITS`` qubits, and every other gate, those of other repeats
+    included, on its own through ``apply_gate``.  Repeats whose gates are
+    equal once moved onto their own qubits (``_row_gates``), as phase
+    estimation's controlled operators on different control wires are,
+    share one ``_period_matrix``."""
     matrices: dict[tuple[Gate, ...], np.ndarray] = {}
     steps: list = []
-    i = 0
-    while i < len(ids):
-        j, r = nxt[i], 1
-        p = j - i
-        while j and ids[i:j] == ids[i + r * p : j + r * p]:
-            r += 1
-        if r == 1:
-            steps.append(gates[i])
-            i += 1
+    for item in items:
+        if type(item) is Gate:
+            steps.append(item)
             continue
-        period = gates[i:j]
-        qubits = sorted({q for g in period for q in g.qubits})
-        if len(qubits) <= _POWER_QUBITS:
-            key = _row_gates(period, qubits)
-            if key not in matrices:
-                matrices[key] = _period_matrix(period, qubits)
-            shape = _view_shape(tuple(qubits), n)
-            steps.append(_Power(np.linalg.matrix_power(matrices[key], r), shape, _slabs(shape, 1 << n)))
-        else:
-            steps.extend(gates[i : i + r * p])
-        i += r * p
+        qubits = sorted({q for g in item.gates for q in g.qubits})
+        if item.count == 1 or len(qubits) > _POWER_QUBITS:
+            steps += item.gates * item.count
+            continue
+        key = _row_gates(item.gates, qubits)
+        if key not in matrices:
+            matrices[key] = _period_matrix(item.gates, qubits)
+        shape = _view_shape(tuple(qubits), n)
+        steps.append(_Power(np.linalg.matrix_power(matrices[key], item.count), shape, _slabs(shape, 1 << n)))
     return tuple(steps)
 
 
@@ -757,8 +756,8 @@ def _apply_power(psi: np.ndarray, step: _Power) -> None:
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Run ``circuit`` on a copy of ``state``, by its execution plan
-    (``Circuit._steps``): gates through ``apply_gate``, runs of a repeated
-    few-qubit period as one matrix power.
+    (``Circuit._steps``): gates through ``apply_gate``, each few-qubit
+    ``Repeat`` as one matrix power.
 
     Raises ``CircuitError`` if the squared norm moved by more than
     ``NORM_ATOL`` or is no longer a number (a NaN angle).

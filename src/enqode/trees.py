@@ -17,12 +17,9 @@ import numpy as np
 from .errors import EncodingError
 
 
-@dataclass(frozen=True)
-class StateDecompositionTree:
-    """Partial norms per level; ``levels[0]`` is the root, the last level
-    the leaf moduli.  ``parent**2 == left**2 + right**2`` throughout."""
-
-    levels: tuple[np.ndarray, ...]
+class _Levels:
+    """``n_levels`` and ``to_json`` of a tree stored as ``levels``, one
+    array per level, root level first."""
 
     @property
     def n_levels(self) -> int:
@@ -33,7 +30,15 @@ class StateDecompositionTree:
 
 
 @dataclass(frozen=True)
-class AngleTree:
+class StateDecompositionTree(_Levels):
+    """Partial norms per level; ``levels[0]`` is the root, the last level
+    the leaf moduli.  ``parent**2 == left**2 + right**2`` throughout."""
+
+    levels: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True)
+class AngleTree(_Levels):
     """RY angles per level; level ``k`` has ``2**k`` entries in [0, pi].
 
     Convention: ``RY(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>``, so a
@@ -42,13 +47,6 @@ class AngleTree:
     """
 
     levels: tuple[np.ndarray, ...]
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
-    def to_json(self) -> str:
-        return json.dumps([lvl.tolist() for lvl in self.levels])
 
 
 def build_state_tree(values) -> StateDecompositionTree:

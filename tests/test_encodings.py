@@ -412,9 +412,74 @@ class TestDescriptorJson:
         assert obj["variant"] == "amplitude"
 
     def test_unknown_variant(self):
-        with pytest.raises(EncodingError):
-            enc.descriptor_from_json('{"variant": "amplitud"}')
+        for text in (
+            '{"variant": "amplitud"}',
+            '{"variant": "basis"}',
+            '{"variant": "mapped_basis", "m": 1}',
+            '{"variant": "mapped_basis", "m": 1, "g": [[4, 0], [9]]}',
+            '{"variant": "entangled", "components": [{"variant": "basis"}]}',
+            '{"variant": "basis", "m": 3, "n": 2}',
+            '{"variant": "basis", "m": 3, "variant_": 1}',
+            '{"variant": ["basis"], "m": 3}',
+            '{"m": 3}',
+            "[1]",
+            "3",
+            "{",
+        ):
+            with pytest.raises(EncodingError):
+                enc.descriptor_from_json(text)
 
     def test_bidirectional_split_invariant(self):
         with pytest.raises(EncodingError):
             enc.Bidirectional(3, 4)
+
+
+class TestDescriptorChecks:
+    @pytest.mark.parametrize(
+        "make, args",
+        [
+            (enc.Basis, (-1,)),
+            (enc.Basis, (2.5,)),
+            (enc.Basis, ("3",)),
+            (enc.Basis, (True,)),
+            (enc.Basis, (0,)),
+            (enc.MappedBasis, (-1, ())),
+            (enc.Angle, (0,)),
+            (enc.Fourier, (0,)),
+            (enc.Amplitude, (0,)),
+            (enc.MultiRegister, (2, 0)),
+            (enc.MultiRegister, (0, 3)),
+            (enc.Bidirectional, (3.0, 1)),
+            (enc.QRam, (0, 0)),
+            (enc.QRam, (-1, 2)),
+            (enc.Entangled, ((),)),
+        ],
+    )
+    def test_sizes_are_checked_when_made(self, make, args):
+        with pytest.raises(EncodingError):
+            make(*args)
+
+    def test_accepted_sizes_are_ints(self):
+        assert enc.register_width(enc.QRam(0, 2)) == 2  # a one-entry table
+        d = enc.MultiRegister(np.int64(2), np.uint8(3))
+        assert d == enc.MultiRegister(2, 3) and type(d.m) is int and type(d.n_registers) is int
+        assert enc.descriptor_from_json(enc.descriptor_to_json(d)) == d
+        with pytest.raises(EncodingError):
+            enc.descriptor_from_json('{"variant": "basis", "m": "3"}')
+
+    def test_one_unknown_descriptor_error(self):
+        unknown = object()
+        state = sim.zero_state(1)
+        calls = (
+            lambda: enc.register_width(unknown),
+            lambda: enc.data_register(unknown),
+            lambda: enc.validate(unknown, 0),
+            lambda: enc.check(unknown, 0),
+            lambda: enc.reference_state(unknown, 0),
+            lambda: enc.decode(unknown, state),
+            lambda: enc.descriptor_to_dict(unknown),
+            lambda: enc.Entangled((enc.Basis(1), unknown)),
+        )
+        for call in calls:
+            with pytest.raises(EncodingError, match="unknown descriptor"):
+                call()

@@ -359,8 +359,8 @@ def benchmark_qae_input(seed: int, index: int):
 
 
 class TestExecutionPlan:
-    """Runs of a repeated gate period execute as one matrix power; every
-    result must match the gate-by-gate loop within ``EQUIV_ATOL``."""
+    """Declared repeats execute as one matrix power; every result must
+    match the gate-by-gate loop within ``EQUIV_ATOL``."""
 
     def test_qae_circuits_match_gate_loop(self):
         rng = np.random.default_rng(41)
@@ -375,7 +375,7 @@ class TestExecutionPlan:
     def test_repeated_grover_operator(self, r):
         f = loaders.load_amplitude(np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])).circuit
         q = extractors.grover_operator(f, flag=2)
-        c = sim.Circuit(3, [sim.h(0)] + list(q.gates) * r + [sim.h(1)])
+        c = sim.Circuit(3, [sim.h(0), sim.Repeat(tuple(q.gates), r), sim.h(1)])
         assert len(c._steps) == 3 and powers(c) == 1
         s = random_state(RNG, 3)
         np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
@@ -392,7 +392,7 @@ class TestExecutionPlan:
             segment = [random_gate(rng, n) for _ in range(int(rng.integers(1, 6)))]
             kinds.update(g.kind for g in segment)
             r = int(rng.integers(2, 6))
-            c = sim.Circuit(n, [random_gate(rng, n)] + segment * r + [random_gate(rng, n)])
+            c = sim.Circuit(n, [random_gate(rng, n), sim.Repeat(tuple(segment), r), random_gate(rng, n)])
             wide = len({q for g in segment for q in g.qubits}) > sim._POWER_QUBITS
             assert powers(c) == (0 if wide else 1)
             s = random_state(rng, n)
@@ -400,18 +400,23 @@ class TestExecutionPlan:
         assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "cry", "mry", "perm"}
 
     def test_period_whose_first_gate_recurs_is_gate_by_gate(self):
-        # The period tried at a gate ends just before the gate's next
-        # occurrence, so a period holding its first gate twice is not found.
+        # Declared, a period holding its first gate twice is one power; the
+        # same gates as a flat list are not searched and run gate by gate.
         a, b, c = sim.ry(0.3, 0), sim.cnot(0, 1), sim.h(1)
-        circuit = sim.Circuit(2, [a, b, a, c] * 2)
-        assert powers(circuit) == 0 and len(circuit._steps) == 8
         s = random_state(RNG, 2)
+        declared = sim.Circuit(2, [sim.Repeat((a, b, a, c), 2)])
+        assert powers(declared) == 1 and len(declared._steps) == 1
+        np.testing.assert_allclose(sim.apply_circuit(s, declared).amplitudes, gate_loop(declared, s),
+                                   rtol=0, atol=EQUIV_ATOL)
+        circuit = sim.Circuit(2, [a, b, a, c] * 2)
+        assert circuit.gates == declared.gates
+        assert powers(circuit) == 0 and len(circuit._steps) == 8
         assert sim.apply_circuit(s, circuit).amplitudes.tobytes() == gate_loop(circuit, s).tobytes()
 
     def test_period_wider_than_cap_is_gate_by_gate(self):
         n = sim._POWER_QUBITS + 2
         period = [sim.h(q) for q in range(n)] + [sim.cry(0.3, 0, n - 1)]
-        c = sim.Circuit(n, period * 3)
+        c = sim.Circuit(n, [sim.Repeat(tuple(period), 3)])
         assert powers(c) == 0 and len(c._steps) == len(c.gates)
         s = random_state(RNG, n)
         assert sim.apply_circuit(s, c).amplitudes.tobytes() == gate_loop(c, s).tobytes()
@@ -435,7 +440,7 @@ class TestExecutionPlan:
         # on whole-state temporaries would add 8 MiB.
         n = 18
         period = [sim.ry(0.3, 0), sim.cnot(0, 9), sim.h(17), sim.cp(0.2, 9, 17)]
-        c = sim.Circuit(n, [sim.h(q) for q in (0, 9, 17)] + period * 5)
+        c = sim.Circuit(n, [sim.h(q) for q in (0, 9, 17)] + [sim.Repeat(tuple(period), 5)])
         c._steps  # the plan itself is small; measure the run
         assert powers(c) == 1
         state = sim.zero_state(n)
@@ -451,7 +456,6 @@ class TestExecutionPlan:
     def test_inverse_keeps_runs_repeated(self):
         for g in (sim.ry(0.3, 0), sim.cp(0.1, 0, 1), sim.multiplexed_ry([0.1, 0.2], [0], 1),
                   sim.permutation([1, 2, 3, 0], [0, 1]), sim.h(0)):
-            assert g.inverse() is g.inverse()
             assert g.inverse().inverse() == g
         # amplitude -> equally-weighted: the uncompute half repeats the
         # inverses of the estimate half's controlled Grover powers
@@ -537,7 +541,7 @@ class TestExecutionPlan:
             if len(qs) == 1:  # the same slabs as a cut along one gap axis
                 assert len(pieces) == (1 << n - 1) // sim._SLAB
         period = [sim.h(2), sim.cnot(2, 7), sim.cry(0.3, 7, 11), sim.multiplexed_ry([0.1, 0.2], [11], 16)]
-        c = sim.Circuit(n, [sim.x(0)] + period * 3)
+        c = sim.Circuit(n, [sim.x(0), sim.Repeat(tuple(period), 3)])
         (step,) = [step for step in c._steps if type(step) is not sim.Gate]
         hits = np.zeros(step.shape, dtype=np.int8)
         for slab in step.slabs:
@@ -567,6 +571,47 @@ class TestExecutionPlan:
                 sim.sample_counts(sim.run(c), phase, 1024, sample_seed),
                 sim.sample_counts(looped, phase, 1024, sample_seed),
             )
+
+
+class TestRepeat:
+    def test_gates_are_the_flat_expansion(self):
+        a, b, c = sim.ry(0.3, 0), sim.cnot(0, 1), sim.h(1)
+        circuit = sim.Circuit(2, [c, sim.Repeat((a, b), 3), sim.Repeat((c,), 1)], {"data": (0, 1)})
+        flat = sim.Circuit(2, [c, a, b, a, b, a, b, c], {"data": (0, 1)})
+        assert circuit.gates == flat.gates and circuit == flat
+        assert circuit.items == (c, sim.Repeat((a, b), 3), sim.Repeat((c,), 1))
+        assert (circuit.depth, circuit.cnot_count) == (flat.depth, flat.cnot_count)
+        assert circuit.lowered() == flat.lowered()
+        # a count of 1 runs gate by gate
+        assert powers(circuit) == 1 and len(circuit._steps) == 3
+
+    @pytest.mark.parametrize("count", [0, -2, 2.0, 1.5, "2", None])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(CircuitError):
+            sim.Repeat((sim.h(0),), count)
+
+    def test_gates_must_be_gates_inside_the_width(self):
+        for gates in ((), [sim.h(0)]):
+            with pytest.raises(CircuitError):
+                sim.Repeat(gates, 2)
+        with pytest.raises(CircuitError):
+            sim.Repeat((sim.Repeat((sim.h(0),), 2),), 2)
+        with pytest.raises(CircuitError, match="cnot touches qubit outside 0..1"):
+            sim.Circuit(2, [sim.h(0), sim.Repeat((sim.h(1), sim.cnot(1, 2)), 2)])
+
+    def test_shifted_concat_and_inverse_keep_powers(self):
+        a = np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])
+        c = extractors.qae_circuit(loaders.load_amplitude(a).circuit, 4)
+        flat = sim.Circuit(c.n_qubits, c.gates, c.registers)
+        assert powers(c) == 3 and powers(flat) == 0
+        shifted = c.shifted(1, c.n_qubits + 1)
+        assert powers(shifted) == 3 and shifted.gates == flat.shifted(1, c.n_qubits + 1).gates
+        both = c.concat(c)
+        assert powers(both) == 6 and both.gates == c.gates + c.gates
+        inverse = c.inverse()
+        assert powers(inverse) == 3 and inverse.gates == flat.inverse().gates
+        undone = sim.apply_circuit(sim.run(c), inverse).amplitudes
+        np.testing.assert_allclose(undone, sim.zero_state(c.n_qubits).amplitudes, rtol=0, atol=EQUIV_ATOL)
 
 
 class TestStateVector:
@@ -602,10 +647,10 @@ class TestBuildUnitary:
         for c in circuits:
             assert powers(c) == 0
             assert sim.build_unitary(c).tobytes() == column_loop(c).tobytes()
-        # The column loop runs repeated runs as powers.
+        # The column loop runs a declared repeat as a power.
         period = [sim.ry(0.3, 0), sim.cnot(0, 1), sim.swap(1, 2), sim.cp(0.2, 2, 0),
                   sim.permutation([1, 2, 3, 0], [2, 0])]
-        c = sim.Circuit(3, [sim.h(1)] + period * 5)
+        c = sim.Circuit(3, [sim.h(1), sim.Repeat(tuple(period), 5)])
         assert powers(c) == 1
         np.testing.assert_allclose(sim.build_unitary(c), column_loop(c), rtol=0, atol=EQUIV_ATOL)
 
