@@ -525,11 +525,8 @@ def decode(d: EncodingDescriptor, state: StateVector):
         return integers([(top >> (i * d.m)) & ((1 << d.m) - 1) for i in range(d.n_registers)])
 
     if isinstance(d, Angle):
-        thetas = []
-        for q in range(d.n_points):
-            p0, p1 = sim.marginal_probabilities(state, [q])
-            thetas.append(float(np.arctan2(np.sqrt(p1), np.sqrt(p0))))
-        return _verified(d, reals(thetas), state)
+        marginals = np.sqrt(sim.qubit_marginals(state))
+        return _verified(d, reals(np.arctan2(marginals[:, 1], marginals[:, 0])), state)
 
     if isinstance(d, Fourier):
         # Qubit k carries phase 2*pi*(x mod 2^(m-k))/2^(m-k) relative to

@@ -235,6 +235,16 @@ class TestDecode:
         out = enc.decode(enc.Angle(3), enc.reference_state(enc.Angle(3), thetas))
         np.testing.assert_allclose(out.values, thetas.values, atol=1e-9)
 
+    def test_angle_wide_roundtrip(self):
+        thetas = np.random.default_rng(34).uniform(0, np.pi / 2, 18)
+        state = sim.run(loaders.load_angle(thetas).circuit)
+        out = enc.decode(enc.Angle(18), state)
+        np.testing.assert_allclose(out.values, thetas, rtol=0, atol=ATOL_DECODE)
+        amps = state.amplitudes.copy()
+        amps[5] = np.nan
+        with pytest.raises(DecodeError):
+            enc.decode(enc.Angle(18), sim.state_from_amplitudes(amps))
+
     def test_mapped_basis_roundtrip(self):
         d = enc.MappedBasis(2, ((-2, 0), (-1, 1), (0, 2), (1, 3)))
         assert enc.decode(d, enc.reference_state(d, -1)) == -1

@@ -7,6 +7,7 @@ going through the simulator's in-place bit-sliced application.
 import functools
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -779,6 +780,17 @@ class TestMarginals:
             with pytest.raises(CircuitError):
                 sim.marginal_probabilities(sim.zero_state(3), reg)
 
+    def test_qubit_marginals_match_bincount(self):
+        # n = 1 leaves the low half of the split empty.
+        rng = np.random.default_rng(32)
+        for n in range(1, 13):
+            s = random_state(rng, n)
+            got = sim.qubit_marginals(s)
+            assert got.shape == (n, 2)
+            for q in range(n):
+                np.testing.assert_allclose(got[q], self.bincount_marginal(s, [q]), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
 
 class TestSampling:
     def test_deterministic_state(self):
@@ -834,6 +846,34 @@ class TestSampling:
             outcomes = [r.measured_bits["r"] for r in sim.sample_shots(s, {"r": reg}, 999, seed)]
             counts = sim.sample_counts(s, reg, 999, seed)
             np.testing.assert_array_equal(counts, np.bincount(outcomes, minlength=8))
+
+    def test_draws_match_numpy_choice(self):
+        # Oracle: numpy's own sampler, which the seeded draws must equal byte
+        # for byte on every numpy the project supports.
+        rng = np.random.default_rng(33)
+        for n in range(1, 13):
+            # unnormalized, with exact zeros at both ends (one end at n = 1)
+            amps = random_state(rng, n).amplitudes * (1.0 + n)
+            amps[0 if n == 1 else [0, -1]] = 0.0
+            s = sim.state_from_amplitudes(amps)
+            probs = np.abs(s.amplitudes) ** 2
+            for shots, seed in itertools.product((1, 7, 5000), (0, 5, 78)):
+                want = np.random.Generator(np.random.PCG64(seed)).choice(
+                    probs.size, size=shots, p=probs / probs.sum()
+                )
+                got = sim._draws(s, shots, seed)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_unsampleable_states_raise(self):
+        for amps in ([np.nan, 0], [0, 0], [np.inf, 0]):
+            s = sim.state_from_amplitudes(amps)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CircuitError):
+                    sim.sample_counts(s, (0,), 10, 1)
+                with pytest.raises(CircuitError):
+                    sim.sample_shots(s, {"r": (0,)}, 10, 1)
 
     def test_counts_reject_bad_input(self):
         for shots in (0, 2.5):
