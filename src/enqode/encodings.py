@@ -6,19 +6,21 @@ arithmetically (no circuit) and serves as ground truth for the loader
 circuits; ``decode`` inverts it where the inverse is well defined, and
 ``validate`` reports domain violations without raising.
 
-Each domain rule is written once, in ``validate``; ``check`` raises on its
-violations, and ``reference_state`` and every loader call it.  A squared
-norm is 1 within ``NORM_ATOL``, the simulator's own bound.  Sizes are
-checked once, when a descriptor is made, and every entry point raises
-``EncodingError`` for anything that is not a descriptor (``_known``).
+Each format's data is read once, by ``_parse``, which holds every domain
+rule: ``validate`` returns its violations, and ``check`` raises on them or
+returns the value read, from which ``reference_state`` and every loader
+build.  A squared norm is 1 within ``NORM_ATOL``, the simulator's own
+bound.  Sizes are checked once, when a descriptor is made, and every entry
+point raises ``EncodingError`` for anything that is not a descriptor
+(``_known``).
 
 Decode contract: ``decode`` computes a candidate ``x`` from the state and
 returns it only if ``fidelity(reference_state(d, x), state) >= 1 -
 ATOL_DECODE``; otherwise, or when ``x`` is outside the domain, it raises
-``DecodeError``.  NaN fails the check.  A basis-family candidate is the
-peak outcome, whose reference fidelity is its probability
-(``sim.certain_outcome``); an Amplitude candidate is the state itself,
-accepted when its squared norm is 1.
+``DecodeError``.  NaN fails the check.  Each format but Amplitude computes
+one candidate (the basis family takes the peak outcome) and passes it
+through that check; an Amplitude candidate is the state itself, accepted
+when its squared norm is 1.
 
 Bit conventions follow :mod:`enqode.sim`: qubit 0 is the least-significant
 bit, so the amplitude of ``|x>`` sits at array index ``x``.  The Fourier
@@ -30,6 +32,7 @@ binary fraction of the trailing bits of ``x``.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence, Union, get_args
 
@@ -136,7 +139,8 @@ class Basis(_Sized):
 class MappedBasis(_Sized):
     """Basis encoding through a bijection g: domain -> {0..2^m-1}.
 
-    ``g`` is an explicit table, the most general desk-scale form.
+    ``g`` is an explicit table, the most general desk-scale form; any
+    iterable of (value, index) pairs is stored as a tuple of tuples.
     """
 
     m: int
@@ -146,7 +150,12 @@ class MappedBasis(_Sized):
     def __post_init__(self):
         super().__post_init__()
         size = 1 << self.m
-        if len(self.g) != size or len(self.forward()) != size or set(self.backward()) != set(range(size)):
+        try:
+            object.__setattr__(self, "g", tuple((k, operator.index(v)) for k, v in self.g))
+            bijective = len(self.g) == len(self.forward()) == size and set(self.backward()) == set(range(size))
+        except (TypeError, ValueError):  # not pairs, an unhashable value, an index that is no integer
+            bijective = False
+        if not bijective:
             raise EncodingError(f"g is not a bijection onto 0..{size - 1}")
 
     def forward(self) -> dict:
@@ -302,131 +311,150 @@ def data_register(d: EncodingDescriptor) -> tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
-# Validation
+# Reading data
 # --------------------------------------------------------------------------
 
 
 def validate(d: EncodingDescriptor, data) -> list[str]:
     """Domain violations of ``data`` for ``d``; empty iff
     ``reference_state`` would succeed."""
+    violations: list[str] = []
+    _parse(d, data, violations)
+    return violations
+
+
+def check(d: EncodingDescriptor, data):
+    """Raise ``EncodingError`` listing ``validate``'s violations, if any;
+    otherwise return the value ``data`` reads as (see ``_parse``), the one
+    ``reference_state`` and the loaders build from."""
+    violations: list[str] = []
+    x = _parse(d, data, violations)
+    if violations:
+        raise EncodingError(f"{type(d).__name__} domain violation: " + "; ".join(violations))
+    return x
+
+
+def _parse(d: EncodingDescriptor, data, v: list[str]):
+    """Read ``data`` under ``d`` once: append each domain violation to
+    ``v`` and return the value read (of no use once a violation is
+    appended): an ``int`` for Basis and Fourier, the index ``g(x)`` for
+    MappedBasis, an int64 array for MultiRegister, EquallyWeighted and
+    QRam, a float64 array for Angle, DivideConquer and Bidirectional, a
+    complex128 array for Amplitude, and the components' values for
+    Entangled."""
     _known(d)
-    v: list[str] = []
     if isinstance(d, (Basis, Fourier)):
-        x = _scalar_int(data, v)
-        if x is not None and not 0 <= x < (1 << d.m):
-            v.append(f"value {x} outside 0..{(1 << d.m) - 1}")
-    elif isinstance(d, MappedBasis):
-        table = d.forward()
-        if isinstance(data, DataSet):
-            if len(data) != 1:
-                v.append("expected a single domain value")
-                return v
-            x = data.values.item()
-        else:
-            x = data
-        if x not in table:
+        xs = _integers(data, v, 1 << d.m, 1)
+        if xs is not None and not isinstance(data, DataSet) and np.ndim(data) != 0:
+            v.append(f"expected an integer, got {data!r}")
+        return None if xs is None else int(xs[0])
+    if isinstance(d, MappedBasis):
+        x = data.values.item() if isinstance(data, DataSet) and len(data) == 1 else data
+        try:
+            return d.forward()[x]
+        except (KeyError, TypeError):  # TypeError: x is unhashable
             v.append(f"value {x!r} not in the domain of g")
-    elif isinstance(d, Angle):
-        thetas = _as_array(data)
-        if thetas.size != d.n_points:
-            v.append(f"expected {d.n_points} angles, got {thetas.size}")
-        bad = thetas[~((thetas >= 0) & (thetas <= np.pi / 2))]
-        for t in np.atleast_1d(bad):
-            v.append(f"angle {float(t)} outside [0, pi/2]")
-    elif isinstance(d, MultiRegister):
-        xs = _integers(data, v)
-        if xs is not None:
-            if xs.size != d.n_registers:
-                v.append(f"expected {d.n_registers} integers, got {xs.size}")
-            v.extend(f"value {int(x)} outside 0..{(1 << d.m) - 1}" for x in xs if not 0 <= x < (1 << d.m))
-    elif isinstance(d, EquallyWeighted):
-        xs = _integers(data, v)
-        if xs is not None:
-            if xs.size == 0:
-                v.append("empty index set")
-            if len(set(xs.tolist())) != xs.size:
-                v.append("duplicate indices in the set")
-            v.extend(f"index {int(x)} outside 0..{(1 << d.m) - 1}" for x in xs if not 0 <= x < (1 << d.m))
-    elif isinstance(d, Amplitude):
-        a = _as_array(data).astype(np.complex128)
-        if a.size > (1 << d.n):
-            v.append(f"{a.size} amplitudes exceed 2^{d.n}")
-        elif not _unit(np.vdot(a, a).real):
-            v.append("not normalized")
-    elif isinstance(d, (DivideConquer, Bidirectional)):
-        a = _as_array(data)
-        if np.iscomplexobj(a) and np.any(np.abs(a.imag) > 0):
-            v.append("requires a real vector")
-        a = np.real(a)
-        if a.size != (1 << d.n):
-            v.append(f"expected 2^{d.n} entries, got {a.size}")
-        elif not _unit(np.dot(a, a)):
-            v.append("not normalized")
-        if np.any(a < 0):
-            v.append("requires nonnegative entries (signs are a loader concern)")
-    elif isinstance(d, QRam):
-        xs = _integers(data, v)
-        if xs is not None:
-            if xs.size != (1 << d.index_qubits):
-                v.append(f"table length {xs.size} != 2^{d.index_qubits}")
-            v.extend(
-                f"value {int(x)} overflows {d.value_qubits} value qubits" for x in xs if not 0 <= x < (1 << d.value_qubits)
-            )
-    elif d.joint:  # Entangled
-        v.append("joint entangled encodings are descriptor-only (no reference state)")
-    elif not isinstance(data, Sequence) or len(data) != len(d.components):
-        v.append(f"expected {len(d.components)} component data sets")
-    else:
-        for i, (c, cd) in enumerate(zip(d.components, data)):
-            v.extend(f"component {i}: {msg}" for msg in validate(c, cd))
-    return v
-
-
-def _scalar_int(data, violations: list[str]):
-    if isinstance(data, DataSet):
-        if len(data) != 1:
-            violations.append("expected a single integer")
             return None
-    elif np.ndim(data) != 0:
-        violations.append(f"expected an integer, got {data!r}")
-        return None
-    xs = _integers(data, violations)
-    return None if xs is None else int(xs[0])
-
-
-def _integers(data, violations: list[str]) -> np.ndarray | None:
-    """The values of ``data`` as a real array, or None, with a violation
-    for each value, when some value is not an integer (2.7, NaN, 2+1j, a
-    string).  Integral floats such as 3.0 count as integers."""
-    a = _as_array(data)
-    if a.dtype.kind in "biu":
+    if isinstance(d, Angle):
+        thetas = _reals(data, v, d.n_points)
+        if thetas is not None:
+            bad = thetas[~((thetas >= 0) & (thetas <= np.pi / 2))]
+            v.extend(f"angle {t} outside [0, pi/2]" for t in bad.tolist())
+        return thetas
+    if isinstance(d, MultiRegister):
+        return _integers(data, v, 1 << d.m, d.n_registers)
+    if isinstance(d, EquallyWeighted):
+        xs = _integers(data, v, 1 << d.m)
+        if xs is not None and xs.size == 0:
+            v.append("empty index set")
+        if xs is not None and np.unique(xs).size != xs.size:
+            v.append("duplicate indices in the set")
+        return xs
+    if isinstance(d, Amplitude):
+        a = _array(data, v, "numbers")
+        if a is not None:
+            a = a.astype(np.complex128)
+            if a.size > (1 << d.n):
+                v.append(f"{a.size} amplitudes exceed 2^{d.n}")
+            elif not _unit(np.vdot(a, a).real):
+                v.append("not normalized")
         return a
+    if isinstance(d, (DivideConquer, Bidirectional)):
+        a = _reals(data, v, 1 << d.n)
+        if a is not None:
+            if not _unit(np.dot(a, a)):
+                v.append("not normalized")
+            if np.any(a < 0):
+                v.append("requires nonnegative entries (signs are a loader concern)")
+        return a
+    if isinstance(d, QRam):
+        return _integers(data, v, 1 << d.value_qubits, 1 << d.index_qubits)
+    if d.joint:  # Entangled
+        v.append("joint entangled encodings are descriptor-only (no reference state)")
+        return None
+    if not isinstance(data, Sequence) or len(data) != len(d.components):
+        v.append(f"expected {len(d.components)} component data sets")
+        return None
+    values = []
+    for i, (c, cd) in enumerate(zip(d.components, data)):
+        component: list[str] = []
+        values.append(_parse(c, cd, component))
+        v.extend(f"component {i}: {msg}" for msg in component)
+    return values
+
+
+def _array(data, violations: list[str], what: str, size: int | None = None) -> np.ndarray | None:
+    """``data`` (a ``DataSet``, a sequence or a scalar) as a 1-D numeric
+    array, or None, with a violation, when it is not a flat sequence of
+    numbers (a string, a 2-D or ragged sequence) or, given a ``size``, has
+    another number of values."""
+    try:
+        a = np.atleast_1d(np.asarray(data.values if isinstance(data, DataSet) else data))
+    except ValueError:  # a ragged sequence
+        a = None
+    if a is None or a.ndim != 1 or a.dtype.kind not in "biufc":
+        violations.append(f"expected a flat sequence of {what}, got {data!r}")
+        return None
+    if size is not None and a.size != size:
+        violations.append(f"expected {size} {what}, got {a.size}")
+        return None
+    return a
+
+
+def _integers(data, violations: list[str], bound: int, size: int | None = None) -> np.ndarray | None:
+    """``data`` as an int64 array, or None, with a violation for each
+    value, when some value is not an integer in ``0..bound-1`` (2.7, NaN,
+    2+1j, -1).  Integral floats such as 3.0 count as integers."""
+    a = _array(data, violations, "integers", size)
+    if a is None:
+        return None
     if a.dtype.kind in "fc":
         integral = np.isfinite(a) & (a == np.round(a.real))
-        if integral.all():
-            return a.real
-        violations.extend(f"value {x} is not an integer" for x in a[~integral].tolist())
-    else:
-        violations.append(f"expected integers, got {data!r}")
-    return None
+        if not integral.all():
+            violations.extend(f"value {x} is not an integer" for x in a[~integral].tolist())
+            return None
+        a = a.real
+    outside = [f"value {int(x)} outside 0..{bound - 1}" for x in a.tolist() if not 0 <= x < bound]
+    violations.extend(outside)
+    return None if outside else a.astype(np.int64)
 
 
-def _as_array(data) -> np.ndarray:
-    if isinstance(data, DataSet):
-        return np.asarray(data.values)
-    return np.atleast_1d(np.asarray(data))
+def _reals(data, violations: list[str], size: int) -> np.ndarray | None:
+    """``data`` as a float64 array, or None, with a violation, when it is
+    not a flat sequence of ``size`` real numbers.  Complex values with
+    imaginary part 0 count as real."""
+    a = _array(data, violations, "real numbers", size)
+    if a is not None and np.iscomplexobj(a):
+        if np.any(a.imag != 0):
+            violations.append("requires a real vector")
+            return None
+        a = a.real
+    return None if a is None else a.astype(np.float64)
 
 
 # --------------------------------------------------------------------------
 # Reference states
 # --------------------------------------------------------------------------
-
-
-def check(d: EncodingDescriptor, data) -> None:
-    """Raise ``EncodingError`` listing ``validate``'s violations, if any."""
-    problems = validate(d, data)
-    if problems:
-        raise EncodingError(f"{type(d).__name__} domain violation: " + "; ".join(problems))
 
 
 def reference_state(d: EncodingDescriptor, data) -> StateVector:
@@ -440,59 +468,49 @@ def reference_state(d: EncodingDescriptor, data) -> StateVector:
     width = register_width(d)
     if width > sim.MAX_QUBITS:
         raise CapacityError(f"{type(d).__name__} needs {width} qubits; states are capped at {sim.MAX_QUBITS}")
-    check(d, data)
+    return _reference(d, check(d, data))
 
-    if isinstance(d, Basis):
-        return sim.basis_state(d.m, _scalar_int(data, []))
-    if isinstance(d, MappedBasis):
-        x = data.values.item() if isinstance(data, DataSet) and len(data) == 1 else data
-        return sim.basis_state(d.m, d.forward()[x])
+
+def _reference(d: EncodingDescriptor, x) -> StateVector:
+    """The reference state of ``x``, a value ``check`` returned for ``d``.
+    Basis, MappedBasis, MultiRegister, EquallyWeighted and QRam each name
+    the set of basis states whose uniform superposition is their state."""
+    width = register_width(d)
     if isinstance(d, Angle):
-        thetas = _as_array(data).astype(np.float64)
         amps = np.array([1.0], dtype=np.complex128)
-        for t in thetas:  # qubit i gets theta_i; lowest qubit varies fastest
+        for t in x:  # qubit i gets theta_i; lowest qubit varies fastest
             amps = np.kron(np.array([np.cos(t), np.sin(t)]), amps)
         return StateVector._owning(width, amps)
     if isinstance(d, Fourier):
-        x = _scalar_int(data, [])
         dim = 1 << d.m
         j = np.arange(dim)
         return StateVector._owning(width, np.exp(2j * np.pi * x * j / dim) / np.sqrt(dim))
-    if isinstance(d, MultiRegister):
-        xs = _as_array(data).astype(np.int64)
-        index = 0
-        for i, xval in enumerate(xs):
-            index |= int(xval) << (i * d.m)
-        return sim.basis_state(width, index)
-    if isinstance(d, EquallyWeighted):
-        xs = _as_array(data).astype(np.int64)
-        amps = np.zeros(1 << d.m, dtype=np.complex128)
-        amps[xs] = 1.0 / np.sqrt(xs.size)
-        return StateVector._owning(width, amps)
     if isinstance(d, Amplitude):
-        a = _as_array(data).astype(np.complex128)
         amps = np.zeros(1 << d.n, dtype=np.complex128)
-        amps[: a.size] = a
+        amps[: x.size] = x
         return StateVector._owning(width, amps)
     if isinstance(d, (DivideConquer, Bidirectional)):
         from . import loaders  # loader output is the definition here
 
-        a = np.real(_as_array(data))
         if isinstance(d, DivideConquer):
-            out = loaders.load_divide_conquer(a)
-        else:
-            out = loaders.load_bidirectional(a, d.s)
-        return sim.run(out.circuit)
-    if isinstance(d, QRam):
-        xs = _as_array(data).astype(np.int64)
-        n_idx = d.index_qubits
-        amps = np.zeros(1 << (n_idx + d.value_qubits), dtype=np.complex128)
-        for i, xval in enumerate(xs):
-            amps[i | (int(xval) << n_idx)] = 1.0 / np.sqrt(xs.size)
+            return sim.run(loaders.load_divide_conquer(x).circuit)
+        return sim.run(loaders.load_bidirectional(x, d.s).circuit)
+    if isinstance(d, Entangled):
+        amps = np.array([1.0], dtype=np.complex128)
+        for c, cx in zip(d.components, x):
+            amps = np.kron(_reference(c, cx).amplitudes, amps)
         return StateVector._owning(width, amps)
-    amps = np.array([1.0], dtype=np.complex128)  # Entangled
-    for c, cd in zip(d.components, data):
-        amps = np.kron(reference_state(c, cd).amplitudes, amps)
+
+    if isinstance(d, (Basis, MappedBasis)):
+        support = [x]
+    elif isinstance(d, MultiRegister):
+        support = [sum(int(xi) << (i * d.m) for i, xi in enumerate(x))]
+    elif isinstance(d, QRam):
+        support = np.arange(x.size) | (x << d.index_qubits)
+    else:  # EquallyWeighted
+        support = x
+    amps = np.zeros(1 << width, dtype=np.complex128)
+    amps[support] = 1.0 / np.sqrt(len(support))
     return StateVector._owning(width, amps)
 
 
@@ -513,22 +531,22 @@ def decode(d: EncodingDescriptor, state: StateVector):
             f"state has {state.n_qubits} qubits, {type(d).__name__} needs {register_width(d)}"
         )
     amps = state.amplitudes
+    if isinstance(d, Amplitude):
+        try:
+            return normalized(amps)
+        except EncodingError as err:
+            raise DecodeError(f"not an amplitude encoding: {err}") from err
 
     if isinstance(d, (Basis, MappedBasis, MultiRegister)):
-        top = sim.certain_outcome(state.probabilities)
-        if top is None:
-            raise DecodeError("superposition is not a basis state")
-        if isinstance(d, Basis):
-            return top
+        x = int(np.argmax(state.probabilities))
         if isinstance(d, MappedBasis):
-            return d.backward()[top]
-        return integers([(top >> (i * d.m)) & ((1 << d.m) - 1) for i in range(d.n_registers)])
-
-    if isinstance(d, Angle):
+            x = d.backward()[x]
+        elif isinstance(d, MultiRegister):
+            x = integers([(x >> (i * d.m)) & ((1 << d.m) - 1) for i in range(d.n_registers)])
+    elif isinstance(d, Angle):
         marginals = np.sqrt(sim.qubit_marginals(state))
-        return _verified(d, reals(np.arctan2(marginals[:, 1], marginals[:, 0])), state)
-
-    if isinstance(d, Fourier):
+        x = reals(np.arctan2(marginals[:, 1], marginals[:, 0]))
+    elif isinstance(d, Fourier):
         # Qubit k carries phase 2*pi*(x mod 2^(m-k))/2^(m-k) relative to
         # |0>; walk from the top qubit down, revealing one low bit of x at a
         # time.  A NaN phase reveals nothing and fails the final check.
@@ -538,44 +556,34 @@ def decode(d: EncodingDescriptor, state: StateVector):
             phase = np.angle(amps[1 << k]) - np.angle(amps[0])
             if np.round(phase / (2 * np.pi) * span) % span - x >= span // 2:
                 x |= span // 2
-        return _verified(d, x, state)
-
-    if isinstance(d, EquallyWeighted):
+    elif isinstance(d, EquallyWeighted):
         probs = state.probabilities
-        return _verified(d, integers(np.flatnonzero(probs > probs.max() / 2)), state)
-
-    if isinstance(d, Amplitude):
-        try:
-            return normalized(amps)
-        except EncodingError as err:
-            raise DecodeError(f"not an amplitude encoding: {err}") from err
-
-    if isinstance(d, (DivideConquer, Bidirectional)):
+        x = integers(np.flatnonzero(probs > probs.max() / 2))
+    elif isinstance(d, (DivideConquer, Bidirectional)):
         probs = sim.marginal_probabilities(state, data_register(d))
-        return _verified(d, reals(np.sqrt(probs)), state)
-
-    if isinstance(d, QRam):
+        x = reals(np.sqrt(probs))
+    elif isinstance(d, QRam):
         probs = state.probabilities.reshape(1 << d.value_qubits, 1 << d.index_qubits)
-        return _verified(d, integers(probs.argmax(axis=0)), state)
-
-    if d.joint:  # Entangled
+        x = integers(probs.argmax(axis=0))
+    elif d.joint:  # Entangled
         raise DecodeError("joint entangled encodings are descriptor-only")
-    out = []
-    rest = amps
-    for c in d.components:
-        # Component c holds the lowest qubits of what is left: in a
-        # product state every row of this matrix is a multiple of its
-        # state, so the largest row is the candidate factor.
-        mat = rest.reshape(-1, 1 << register_width(c))
-        row = mat[np.argmax(np.linalg.norm(mat, axis=1))]
-        lead = row[np.argmax(np.abs(row))]
-        # fix the factor's global phase so basis-style decodes are
-        # clean; a zero or NaN row gives a NaN factor, which fails
-        with np.errstate(invalid="ignore", divide="ignore"):
-            factor = row * (np.conj(lead) / (np.abs(lead) * np.linalg.norm(row)))
-        out.append(decode(c, state_from_amplitudes(factor)))
-        rest = mat @ np.conj(factor)
-    return _verified(d, out, state)
+    else:
+        x = []
+        rest = amps
+        for c in d.components:
+            # Component c holds the lowest qubits of what is left: in a
+            # product state every row of this matrix is a multiple of its
+            # state, so the largest row is the candidate factor.
+            mat = rest.reshape(-1, 1 << register_width(c))
+            row = mat[np.argmax(np.linalg.norm(mat, axis=1))]
+            lead = row[np.argmax(np.abs(row))]
+            # fix the factor's global phase so basis-style decodes are
+            # clean; a zero or NaN row gives a NaN factor, which fails
+            with np.errstate(invalid="ignore", divide="ignore"):
+                factor = row * (np.conj(lead) / (np.abs(lead) * np.linalg.norm(row)))
+            x.append(decode(c, state_from_amplitudes(factor)))
+            rest = mat @ np.conj(factor)
+    return _verified(d, x, state)
 
 
 def _verified(d: EncodingDescriptor, x, state: StateVector):
@@ -600,8 +608,6 @@ _VARIANTS = {cls.variant: cls for cls in _DESCRIPTORS}
 def descriptor_to_dict(d: EncodingDescriptor) -> dict:
     _known(d)
     out = {f.name: getattr(d, f.name) for f in fields(d)}
-    if isinstance(d, MappedBasis):
-        out["g"] = [[k, v] for k, v in d.g]
     if isinstance(d, Entangled):
         out["components"] = [descriptor_to_dict(c) for c in d.components]
     return out
@@ -614,8 +620,6 @@ def descriptor_from_dict(obj: Mapping) -> EncodingDescriptor:
     try:
         kwargs = {**obj}
         cls = _VARIANTS[kwargs.pop("variant")]
-        if cls is MappedBasis:
-            kwargs["g"] = tuple((k, v) for k, v in kwargs["g"])
         if cls is Entangled:
             kwargs["components"] = tuple(descriptor_from_dict(c) for c in kwargs["components"])
         return cls(**kwargs)

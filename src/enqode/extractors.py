@@ -99,12 +99,21 @@ def mode_readout(
 # --------------------------------------------------------------------------
 
 
+def _z(alpha: float) -> float:
+    """The two-sided normal quantile for confidence ``alpha``: the one
+    check of every confidence level, which raises ``CircuitError`` unless
+    0 < alpha < 1."""
+    if not 0 < alpha < 1:
+        raise CircuitError(f"confidence alpha must be in (0, 1), got {alpha!r}")
+    return NormalDist().inv_cdf((1.0 + alpha) / 2.0)
+
+
 def required_shots(epsilon: float, alpha: float, p: float) -> int:
     """Shots for absolute error ``epsilon`` at confidence ``alpha`` when
     the flag probability is ``p`` (normal asymptotics)."""
-    if not (epsilon > 0 and 0 < alpha < 1 and 0 <= p <= 1):
-        raise CircuitError(f"required_shots needs epsilon > 0, 0 < alpha < 1, 0 <= p <= 1; got {epsilon}, {alpha}, {p}")
-    z = NormalDist().inv_cdf((1.0 + alpha) / 2.0)
+    if not (epsilon > 0 and 0 <= p <= 1):
+        raise CircuitError(f"required_shots needs epsilon > 0 and 0 <= p <= 1; got {epsilon}, {p}")
+    z = _z(alpha)
     return int(np.ceil(p * (1.0 - p) * z * z / (epsilon * epsilon)))
 
 
@@ -114,13 +123,13 @@ def naive_amplitude_estimate(
     """Frequency of flag = 1 over ``shots`` repetitions of ``F``, with a
     normal-approximation confidence interval."""
     sim.check_shots(shots, 1)
+    z = _z(alpha)
     flag = _flag_qubit(f, flag)
     state = sim.run(f)
     p = float(sim.marginal_probabilities(state, [flag])[1])
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = int(rng.binomial(shots, p))
     p_hat = hits / shots
-    z = NormalDist().inv_cdf((1.0 + alpha) / 2.0)
     half_width = z * np.sqrt(p_hat * (1.0 - p_hat) / shots)
     return EstimateResult(p_hat, float(half_width), alpha, shots, shots, "naive")
 

@@ -16,9 +16,10 @@ meaningful (a full multiplexer over k controls costs exactly 2^k CNOTs);
 pass fixes each phase up to one global phase, which this package never
 compares.
 
-Each loader checks its input's domain (ranges, normalization, duplicates)
-with ``encodings.check``, the check ``reference_state`` runs, and keeps
-only its own shape rules.
+Each loader reads its input through ``encodings.check``, which applies the
+format's domain rules (ranges, normalization, duplicates) and returns the
+value ``reference_state`` builds from; the loader builds from that value
+and keeps only its own shape rules.
 """
 from __future__ import annotations
 
@@ -60,12 +61,15 @@ class LoaderOutput:
     ancilla_register: tuple[int, ...]
 
 
-def _report(circuit: Circuit, preprocessing: int = 0) -> ResourceReport:
-    return ResourceReport(circuit.width, circuit.depth, circuit.cnot_count, preprocessing)
-
-
-def _output(circuit: Circuit, data, ancilla=(), preprocessing: int = 0) -> LoaderOutput:
-    return LoaderOutput(circuit, _report(circuit, preprocessing), tuple(data), tuple(ancilla))
+def _output(gates: list[Gate], n: int, width: int | None = None, preprocessing: int = 0) -> LoaderOutput:
+    """A loader's circuit and its report: the data on qubits 0..n-1 and,
+    when a ``width`` is given, an ancilla register on qubits n..width-1."""
+    registers = {"data": tuple(range(n))}
+    if width is not None:
+        registers["ancilla"] = tuple(range(n, width))
+    circuit = Circuit(width or n, gates, registers)
+    report = ResourceReport(circuit.width, circuit.depth, circuit.cnot_count, preprocessing)
+    return LoaderOutput(circuit, report, registers["data"], registers.get("ancilla", ()))
 
 
 # --------------------------------------------------------------------------
@@ -118,32 +122,28 @@ def _phase_pass(gates: list[Gate], a: np.ndarray, n: int) -> int:
 
 def load_basis(x: int, m: int) -> LoaderOutput:
     """X gates on the set bits of ``x``; depth at most 1."""
-    enc.check(enc.Basis(m), x)
-    x = enc._scalar_int(x, [])
+    x = enc.check(enc.Basis(m), x)
     gates = [sim.x(q) for q in range(m) if (x >> q) & 1]
-    return _output(Circuit(m, gates, {"data": tuple(range(m))}), range(m))
+    return _output(gates, m)
 
 
 def load_angle(thetas) -> LoaderOutput:
     """One RY(2*theta) per qubit; depth 1."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    enc.check(enc.Angle(thetas.size), thetas)
+    thetas = enc.check(enc.Angle(np.size(thetas)), thetas)
     gates = [sim.ry(2.0 * t, q) for q, t in enumerate(thetas)]
-    n = thetas.size
-    return _output(Circuit(n, gates, {"data": tuple(range(n))}), range(n))
+    return _output(gates, thetas.size)
 
 
 def load_fourier(x: int, m: int) -> LoaderOutput:
     """H then a phase gate per qubit; qubit k gets the binary fraction of
     the trailing ``m - k`` bits of ``x``.  Depth 2."""
-    enc.check(enc.Fourier(m), x)
-    x = enc._scalar_int(x, [])
+    x = enc.check(enc.Fourier(m), x)
     gates = []
     for k in range(m):
         span = 1 << (m - k)
         gates.append(sim.h(k))
         gates.append(sim.p(2.0 * np.pi * (x % span) / span, k))
-    return _output(Circuit(m, gates, {"data": tuple(range(m))}), range(m))
+    return _output(gates, m)
 
 
 # --------------------------------------------------------------------------
@@ -157,11 +157,11 @@ def _amplitude_input(a) -> tuple[np.ndarray, int, AngleTree, int]:
     Returns the vector as complex128, its qubit count ``n``, the angle tree
     of its moduli and the classical operations spent on the tree.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
-    if a.size < 2 or a.size & (a.size - 1):
-        raise EncodingError(f"amplitude count {a.size} is not a power of two (>= 2)")
-    n = a.size.bit_length() - 1
-    enc.check(enc.Amplitude(n), a)
+    size = np.size(a)
+    if size < 2 or size & (size - 1):
+        raise EncodingError(f"amplitude count {size} is not a power of two (>= 2)")
+    n = size.bit_length() - 1
+    a = enc.check(enc.Amplitude(n), a)
     angle_tree = tree_to_angles(build_state_tree(np.abs(a)))
     preprocessing = sum(lvl.size for lvl in angle_tree.levels) + (2 * a.size - 1)
     return a, n, angle_tree, preprocessing
@@ -181,8 +181,7 @@ def load_amplitude(a) -> LoaderOutput:
     gates: list[Gate] = []
     _amplitude_stages(gates, angle_tree.levels, n)
     preprocessing += _phase_pass(gates, a, n)
-    circuit = Circuit(n, gates, {"data": tuple(range(n))})
-    return _output(circuit, range(n), preprocessing=preprocessing)
+    return _output(gates, n, preprocessing=preprocessing)
 
 
 def load_equally_weighted(xs, m: int) -> LoaderOutput:
@@ -192,11 +191,10 @@ def load_equally_weighted(xs, m: int) -> LoaderOutput:
     anything else goes through the amplitude loader on the normalized
     indicator vector (correctness over the swap-network asymptotics).
     """
-    enc.check(enc.EquallyWeighted(m), xs)
-    xs = sorted(np.atleast_1d(np.asarray(xs)).astype(np.int64).tolist())
+    xs = sorted(enc.check(enc.EquallyWeighted(m), xs).tolist())
     if len(xs) == 1 << m:
         gates = [sim.h(q) for q in range(m)]
-        return _output(Circuit(m, gates, {"data": tuple(range(m))}), range(m))
+        return _output(gates, m)
     if len(xs) == 1:
         return load_basis(xs[0], m)
     indicator = np.zeros(1 << m)
@@ -250,11 +248,7 @@ def load_divide_conquer(a) -> LoaderOutput:
     for t in range(n):
         gates.append(sim.cnot(_forest_qubit(n, 0, t, 0), n - 1 - t))
     preprocessing += _phase_pass(gates, a, n)
-
-    data = tuple(range(n))
-    ancilla = tuple(range(n, width))
-    circuit = Circuit(width, gates, {"data": data, "ancilla": ancilla})
-    return _output(circuit, data, ancilla, preprocessing)
+    return _output(gates, n, width, preprocessing)
 
 
 def load_bidirectional(a, s: int) -> LoaderOutput:
@@ -265,8 +259,7 @@ def load_bidirectional(a, s: int) -> LoaderOutput:
     the plain amplitude loader and s = 1 has divide-and-conquer shape.
     """
     a, n, angle_tree, preprocessing = _amplitude_input(a)
-    if not 1 <= s <= n:
-        raise EncodingError(f"split level {s} outside 1..{n}")
+    s = enc.Bidirectional(n, s).s
     if n > MAX_DC_QUBITS:
         raise CapacityError(f"bidirectional needs up to {n + (1 << n)} qubits; n capped at {MAX_DC_QUBITS}")
     width = n + (1 << n) - (1 << s)
@@ -289,11 +282,7 @@ def load_bidirectional(a, s: int) -> LoaderOutput:
                 table[local] = swapped
             gates.append(sim.permutation(table, (*top, path, target)))
     preprocessing += _phase_pass(gates, a, n)
-
-    data = tuple(range(n))
-    ancilla = tuple(range(n, width))
-    circuit = Circuit(width, gates, {"data": data, "ancilla": ancilla})
-    return _output(circuit, data, ancilla, preprocessing)
+    return _output(gates, n, width, preprocessing)
 
 
 # --------------------------------------------------------------------------
@@ -305,10 +294,8 @@ def qram_oracle(xs, value_qubits: int) -> Circuit:
     """Query-access oracle |i>|y> -> |i>|y + x_i mod 2^v>, acting on every
     address in quantum parallel; a single permutation gate accounted as one
     oracle query.  A one-entry table needs no index qubits."""
-    xs = np.atleast_1d(np.asarray(xs))
-    n_idx = (xs.size - 1).bit_length()
-    enc.check(enc.QRam(n_idx, value_qubits), xs)
-    xs = xs.astype(np.int64).tolist()
+    n_idx = (np.size(xs) - 1).bit_length()
+    xs = enc.check(enc.QRam(n_idx, value_qubits), xs).tolist()
     width = n_idx + value_qubits
     table = []
     for local in range(1 << width):

@@ -868,8 +868,9 @@ def qubit_marginals(state: StateVector) -> np.ndarray:
 def certain_outcome(probs: np.ndarray) -> int | None:
     """The outcome of ``probs`` with probability at least
     ``1 - ATOL_DECODE``, or None when no outcome is that certain (or a
-    probability is NaN).  For a basis state ``|y>`` this probability is its
-    fidelity with the state, so it is the decode acceptance rule too."""
+    probability is NaN): the certainty rule of the basis readouts.  For a
+    basis state ``|y>`` this probability is its fidelity with the state, so
+    the rule agrees with ``encodings.decode``'s fidelity check."""
     top = int(np.argmax(probs))
     return top if probs[top] >= 1.0 - ATOL_DECODE else None
 

@@ -1,15 +1,18 @@
 """Every numerical tolerance of the package, one name per meaning.
 
-* ``NORM_ATOL``: a squared norm equals 1, or did not move.  ``DataSet``,
-  ``encodings.validate`` and, through it, the loaders reject input whose
-  squared norm is further from 1; ``sim.apply_circuit`` rejects a circuit
-  that moved the squared norm further.  One value for both is what lets a
-  state the simulator accepts also be decoded.
+* ``NORM_ATOL``: a squared norm equals 1, or did not move.  ``DataSet``
+  and the domain rules of ``encodings`` (so ``validate``, ``check`` and
+  the loaders) reject input whose squared norm is further from 1;
+  ``sim.apply_circuit`` rejects a circuit that moved the squared norm
+  further.  One value for both is what lets a state the simulator accepts
+  also be decoded.
 * ``ATOL_DECODE``: a probability or fidelity equals its target.
-  ``encodings.decode`` accepts a candidate only if its reference state has
-  fidelity at least ``1 - ATOL_DECODE`` with the state, and a readout is
-  certain (``sim.certain_outcome``) only if its peak outcome has
-  probability at least ``1 - ATOL_DECODE``.
+  ``encodings.decode`` accepts the candidate of every format but Amplitude
+  only if its reference state has fidelity at least ``1 - ATOL_DECODE``
+  with the state.  A basis readout or conversion is certain
+  (``sim.certain_outcome``) only if its peak outcome has probability at
+  least ``1 - ATOL_DECODE``, the same bound, since a basis state's
+  fidelity with ``|y>`` is the probability of ``y``.
 * ``PHASE_ATOL``: a phase counts as 0.  An amplitude load whose phases are
   all this close to 0 emits no phase pass.
 * ``EQUIV_ATOL``: the amplitude equivalence bound.  Two computations of

@@ -186,6 +186,45 @@ class TestValidate:
             with pytest.raises(EncodingError):
                 enc.MappedBasis(1, g)
 
+    def test_mapped_basis_table_is_normalized(self):
+        # a table given as lists used to be unhashable, unequal to the same
+        # table given as tuples, and failed the JSON round trip
+        listed = enc.MappedBasis(1, [["a", 0], ["b", np.int64(1)]])
+        tupled = enc.MappedBasis(1, (("a", 0), ("b", 1)))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert enc.descriptor_from_json(enc.descriptor_to_json(listed)) == tupled
+        assert enc.decode(listed, enc.reference_state(listed, "b")) == "b"
+        for g in ([["a", 0], ["b"]], [[["a"], 0], ["b", 1]], [["a", 0.0], ["b", 1]], None):
+            with pytest.raises(EncodingError):
+                enc.MappedBasis(1, g)
+
+    @pytest.mark.parametrize(
+        "d, data, load",
+        [
+            (enc.Angle(1), [0.1 + 1j], loaders.load_angle),
+            (enc.Angle(1), ["a"], loaders.load_angle),
+            (enc.Angle(2), [[0.1, 0.2]], loaders.load_angle),
+            (enc.Amplitude(1), ["a", "b"], loaders.load_amplitude),
+            (enc.Amplitude(2), [[0.5, 0.5], [0.5, 0.5]], loaders.load_amplitude),
+            (enc.EquallyWeighted(2), [[0, 1], [2, 3]], lambda xs: loaders.load_equally_weighted(xs, 2)),
+            (enc.QRam(2, 2), [[0, 1], [2, 3]], lambda xs: loaders.qram_oracle(xs, 2)),
+            (enc.MultiRegister(2, 2), [[0, 1]], None),
+            (enc.MultiRegister(2, 2), [[0], [1, 2]], None),
+            (enc.MappedBasis(1, (("a", 0), ("b", 1))), ["a"], None),
+        ],
+        ids=["complex-angle", "string-angle", "2d-angle", "string-amplitude", "2d-amplitude",
+             "2d-equally-weighted", "2d-qram", "2d-multi-register", "ragged", "unhashable-mapped"],
+    )
+    def test_malformed_data_is_a_violation(self, d, data, load):
+        # each used to pass validate or raise a bare TypeError, ValueError
+        # or UFuncTypeError
+        assert enc.validate(d, data) != []
+        with pytest.raises(EncodingError):
+            enc.reference_state(d, data)
+        if load is not None:
+            with pytest.raises(EncodingError):
+                load(data)
+
     def test_empty_iff_reference_succeeds(self):
         rng = np.random.default_rng(2)
         cases = [

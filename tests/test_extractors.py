@@ -109,6 +109,16 @@ class TestNaiveEstimate:
         sigma = np.sqrt(seeds * alpha * (1 - alpha))
         assert abs(covered - alpha * seeds) <= 4 * sigma
 
+    def test_confidence_level_outside_unit_interval_rejected(self):
+        # alpha = 1.0 or 1.5 used to raise StatisticsError, and alpha = -0.1
+        # returned a negative error_target
+        f = random_loader(np.random.default_rng(3), 2)
+        for alpha in (0.0, 1.0, 1.5, -0.1, float("nan")):
+            with pytest.raises(CircuitError, match="confidence alpha"):
+                ext.naive_amplitude_estimate(f, 100, alpha, 0, flag=0)
+            with pytest.raises(CircuitError, match="confidence alpha"):
+                ext.required_shots(0.1, alpha, 0.5)
+
 
 class TestReadouts:
     def test_required_shots_formula(self):

@@ -270,6 +270,17 @@ class TestLoadBidirectional:
         with pytest.raises(EncodingError):
             loaders.load_bidirectional([1, 0], 3)
 
+    def test_split_level_is_read_by_the_descriptor(self):
+        # s = 1.0 and s = "1" used to raise TypeError, s = True was taken as
+        # 1, and s = np.int64(1) made the reported width an np.int64
+        a = np.full(4, 0.5)
+        for s in (1.0, "1", True, 0, 3):
+            with pytest.raises(EncodingError):
+                loaders.load_bidirectional(a, s)
+        out = loaders.load_bidirectional(a, np.int64(1))
+        assert type(out.report.width) is int
+        assert out.report == loaders.load_bidirectional(a, 1).report
+
 
 def assert_lowering_equivalent(c: sim.Circuit) -> None:
     low = c.lowered()
