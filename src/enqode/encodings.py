@@ -20,7 +20,9 @@ ATOL_DECODE``; otherwise, or when ``x`` is outside the domain, it raises
 ``DecodeError``.  NaN fails the check.  Each format but Amplitude computes
 one candidate (the basis family takes the peak outcome) and passes it
 through that check; an Amplitude candidate is the state itself, accepted
-when its squared norm is 1.
+when its squared norm is 1.  A format whose reference state is a uniform
+superposition of basis states reads that fidelity off the state's
+amplitudes, without building the reference state (``_fidelity``).
 
 Bit conventions follow :mod:`enqode.sim`: qubit 0 is the least-significant
 bit, so the amplitude of ``|x>`` sits at array index ``x``.  The Fourier
@@ -62,8 +64,14 @@ class DataSet:
         if self.kind not in _KINDS:
             raise EncodingError(f"unknown data kind {self.kind!r}")
         arr = np.asarray(self.values)
+        if arr.dtype.kind not in "biufc":  # not numbers, refused as ``_array`` refuses them
+            raise EncodingError(f"expected numbers, got {self.values!r}")
         if self.kind == INTEGERS:
-            arr = np.asarray(arr, dtype=np.int64)
+            violations: list[str] = []
+            arr = _integral(arr, violations)
+            if violations:
+                raise EncodingError("; ".join(violations))
+            arr = arr.astype(np.int64)
         elif self.kind == REALS:
             arr = np.asarray(arr, dtype=np.float64)
         elif self.kind == PROBABILITY:
@@ -426,17 +434,40 @@ def _integers(data, violations: list[str], bound: int, size: int | None = None) 
     value, when some value is not an integer in ``0..bound-1`` (2.7, NaN,
     2+1j, -1).  Integral floats such as 3.0 count as integers."""
     a = _array(data, violations, "integers", size)
+    if a is not None:
+        a = _integral(a, violations)
     if a is None:
         return None
+    outside = [f"value {int(x)} outside 0..{bound - 1}" for x in a.tolist() if not 0 <= x < bound]
+    violations.extend(outside)
+    return None if outside else a.astype(np.int64)
+
+
+def _integral(a: np.ndarray, violations: list[str]) -> np.ndarray | None:
+    """``a`` with its float or complex values made real, or None, with a
+    violation for each value, when some value is not an integer (2.7, NaN,
+    2+1j).  Integral floats such as 3.0 count as integers.  ``DataSet``
+    applies this rule too, so ``integers([2.7])`` is refused as ``2.7``
+    is."""
     if a.dtype.kind in "fc":
         integral = np.isfinite(a) & (a == np.round(a.real))
         if not integral.all():
             violations.extend(f"value {x} is not an integer" for x in a[~integral].tolist())
             return None
         a = a.real
-    outside = [f"value {int(x)} outside 0..{bound - 1}" for x in a.tolist() if not 0 <= x < bound]
-    violations.extend(outside)
-    return None if outside else a.astype(np.int64)
+    return a
+
+
+def value_count(data) -> int:
+    """How many values ``data`` (a ``DataSet``, a sequence or a scalar)
+    holds: the size of the descriptor a loader reads it under.  Raises
+    ``EncodingError``, as ``check`` would, when ``data`` is not a flat
+    sequence of numbers (a string, a 2-D or ragged sequence)."""
+    violations: list[str] = []
+    a = _array(data, violations, "numbers")
+    if a is None:
+        raise EncodingError("domain violation: " + "; ".join(violations))
+    return a.size
 
 
 def _reals(data, violations: list[str], size: int) -> np.ndarray | None:
@@ -472,10 +503,13 @@ def reference_state(d: EncodingDescriptor, data) -> StateVector:
 
 
 def _reference(d: EncodingDescriptor, x) -> StateVector:
-    """The reference state of ``x``, a value ``check`` returned for ``d``.
-    Basis, MappedBasis, MultiRegister, EquallyWeighted and QRam each name
-    the set of basis states whose uniform superposition is their state."""
+    """The reference state of ``x``, a value ``check`` returned for ``d``."""
     width = register_width(d)
+    support = _support(d, x)
+    if support is not None:
+        amps = np.zeros(1 << width, dtype=np.complex128)
+        amps[support] = 1.0 / np.sqrt(len(support))
+        return StateVector._owning(width, amps)
     if isinstance(d, Angle):
         amps = np.array([1.0], dtype=np.complex128)
         for t in x:  # qubit i gets theta_i; lowest qubit varies fastest
@@ -495,23 +529,26 @@ def _reference(d: EncodingDescriptor, x) -> StateVector:
         if isinstance(d, DivideConquer):
             return sim.run(loaders.load_divide_conquer(x).circuit)
         return sim.run(loaders.load_bidirectional(x, d.s).circuit)
-    if isinstance(d, Entangled):
-        amps = np.array([1.0], dtype=np.complex128)
-        for c, cx in zip(d.components, x):
-            amps = np.kron(_reference(c, cx).amplitudes, amps)
-        return StateVector._owning(width, amps)
-
-    if isinstance(d, (Basis, MappedBasis)):
-        support = [x]
-    elif isinstance(d, MultiRegister):
-        support = [sum(int(xi) << (i * d.m) for i, xi in enumerate(x))]
-    elif isinstance(d, QRam):
-        support = np.arange(x.size) | (x << d.index_qubits)
-    else:  # EquallyWeighted
-        support = x
-    amps = np.zeros(1 << width, dtype=np.complex128)
-    amps[support] = 1.0 / np.sqrt(len(support))
+    amps = np.array([1.0], dtype=np.complex128)  # Entangled
+    for c, cx in zip(d.components, x):
+        amps = np.kron(_reference(c, cx).amplitudes, amps)
     return StateVector._owning(width, amps)
+
+
+def _support(d: EncodingDescriptor, x):
+    """The basis states whose uniform superposition is the reference state
+    of ``x``, a value ``check`` returned for ``d``, when ``d`` is Basis,
+    MappedBasis, MultiRegister, EquallyWeighted or QRam; None for every
+    other format."""
+    if isinstance(d, (Basis, MappedBasis)):
+        return [x]
+    if isinstance(d, MultiRegister):
+        return [sum(int(xi) << (i * d.m) for i, xi in enumerate(x))]
+    if isinstance(d, QRam):
+        return np.arange(x.size) | (x << d.index_qubits)
+    if isinstance(d, EquallyWeighted):
+        return x
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -590,12 +627,23 @@ def _verified(d: EncodingDescriptor, x, state: StateVector):
     """``x`` if its reference state under ``d`` has fidelity at least
     ``1 - ATOL_DECODE`` with ``state``; ``DecodeError`` otherwise."""
     try:
-        ref = reference_state(d, x)
+        value = check(d, x)
     except EncodingError as err:
         raise DecodeError(f"decoded candidate is outside the domain: {err}") from err
-    if not sim.fidelity(ref, state) >= 1.0 - ATOL_DECODE:
+    if not _fidelity(d, value, state) >= 1.0 - ATOL_DECODE:
         raise DecodeError(f"state is not a {type(d).__name__} encoding of its decoded candidate")
     return x
+
+
+def _fidelity(d: EncodingDescriptor, x, state: StateVector) -> float:
+    """The fidelity of ``state`` with the reference state of ``x``, a value
+    ``check`` returned for ``d``.  A uniform superposition over a set S of
+    basis states (``_support``) has fidelity ``|sum_{y in S} psi_y|**2 /
+    |S|``, read off the amplitudes without building the reference state."""
+    support = _support(d, x)
+    if support is None:
+        return sim.fidelity(_reference(d, x), state)
+    return float(abs(state.amplitudes[support].sum()) ** 2 / len(support))
 
 
 # --------------------------------------------------------------------------

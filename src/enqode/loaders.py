@@ -129,7 +129,7 @@ def load_basis(x: int, m: int) -> LoaderOutput:
 
 def load_angle(thetas) -> LoaderOutput:
     """One RY(2*theta) per qubit; depth 1."""
-    thetas = enc.check(enc.Angle(np.size(thetas)), thetas)
+    thetas = enc.check(enc.Angle(enc.value_count(thetas)), thetas)
     gates = [sim.ry(2.0 * t, q) for q, t in enumerate(thetas)]
     return _output(gates, thetas.size)
 
@@ -157,7 +157,7 @@ def _amplitude_input(a) -> tuple[np.ndarray, int, AngleTree, int]:
     Returns the vector as complex128, its qubit count ``n``, the angle tree
     of its moduli and the classical operations spent on the tree.
     """
-    size = np.size(a)
+    size = enc.value_count(a)
     if size < 2 or size & (size - 1):
         raise EncodingError(f"amplitude count {size} is not a power of two (>= 2)")
     n = size.bit_length() - 1
@@ -294,7 +294,7 @@ def qram_oracle(xs, value_qubits: int) -> Circuit:
     """Query-access oracle |i>|y> -> |i>|y + x_i mod 2^v>, acting on every
     address in quantum parallel; a single permutation gate accounted as one
     oracle query.  A one-entry table needs no index qubits."""
-    n_idx = (np.size(xs) - 1).bit_length()
+    n_idx = (enc.value_count(xs) - 1).bit_length()
     xs = enc.check(enc.QRam(n_idx, value_qubits), xs).tolist()
     width = n_idx + value_qubits
     table = []

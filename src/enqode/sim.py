@@ -10,24 +10,32 @@ Conventions used throughout the package:
   ``apply_gate`` updates that buffer in place, and the resulting state
   takes the buffer over, read-only, without another copy.
 * A gate's action is written in one place.  Every ``(*controls, target)``
-  kind is defined by ``gate_blocks``, one 2x2 target unitary per control
-  pattern, and ``gate_matrix`` assembles its dense matrix from them.  SWAP
-  and PERMUTATION are index maps.
+  kind is defined by ``gate_blocks`` in the compact form of its family: a
+  flip (X, CNOT), one phase (P, CP), one dense 2x2 (H), or real ``c`` and
+  ``s`` vectors with one entry per control pattern (RY, ``mry``).  A
+  flip, phase or dense form acts only when every control reads 1, so the
+  kind, not a scan, says which patterns are the identity; in the RY form
+  they are those with ``s == 0``.  ``gate_matrix`` expands the form into
+  the gate's dense matrix.  SWAP and PERMUTATION are index maps.
 * The kernel keeps nothing per gate: ``apply_gate`` reads a gate's
-  blocks on every call.  It views the buffer with one length-2 axis per
-  gate qubit and one axis for each run of qubits between them; that layout
-  depends only on the gate's qubits and the width (``_layout``).  Each
-  non-identity block updates its target-0/target-1 halves by the block's
-  shape (scale, swap or dense 2x2).  A multiplexer updates all of its
-  blocks in one broadcast pass, or one block at a time once blocks are
-  large (``_BLOCK_LOOP_MIN``).  Halves larger than ``_SLAB`` amplitudes
-  are updated slab by slab along the gap axes of the view (``_slabs``), so
-  the temporaries of each 2x2 update stay in cache on wide states; the
-  arithmetic per amplitude is the same, so results are bit for bit those
-  of one whole-half pass.  SWAP and PERMUTATION copy, slab by slab, the
-  rows their table moves on the same view with the gate's qubit axes
-  first (``_qubit_major``, ``_moved_rows``).  ``apply_gate`` is the only
-  code that applies a gate to amplitudes.
+  compact form on every call.  It views the buffer with one length-2 axis
+  per gate qubit and one axis for each run of qubits between them; that
+  layout depends only on the gate's qubits and the width (``_layout``).
+  Each control pattern that acts updates its target-0/target-1 halves by
+  its form (``_update_halves``: swap, scale or dense 2x2).  A multiplexer
+  updates all of its patterns in one broadcast pass of its ``c``, ``-s``,
+  ``s``, ``c`` vectors, or one pattern at a time once halves are large
+  (``_BLOCK_LOOP_MIN``).  Real entries multiply as complex numbers of
+  imaginary part 0, and no product is written in place into the view
+  (``_dense``): numpy's complex multiply can round a last bit differently
+  when it writes in place into a strided view.  Halves larger than ``_SLAB``
+  amplitudes are updated slab by slab along the gap axes of the view
+  (``_slabs``), so the temporaries of each 2x2 update stay in cache on
+  wide states; the arithmetic per amplitude is the same, so results are
+  bit for bit those of one whole-half pass.  SWAP and PERMUTATION copy,
+  slab by slab, the rows their table moves on the same view with the
+  gate's qubit axes first (``_qubit_major``, ``_moved_rows``).
+  ``apply_gate`` is the only code that applies a gate to amplitudes.
 * ``apply_circuit`` runs a circuit's execution plan (``Circuit._steps``),
   made once per circuit.  Builders declare repetition as ``Repeat``
   items, gates applied ``count`` times back to back (phase estimation's
@@ -41,7 +49,8 @@ Conventions used throughout the package:
   ``Circuit.gates`` (every ``Repeat`` expanded), ``lowered()`` and every
   resource count are those of the flat list.  A power agrees with the
   gate-by-gate run within ``EQUIV_ATOL``, not bit for bit.
-* Builders may emit the native multiplexer ``mry``.  ``Circuit.lowered``
+* Builders may emit the native multiplexer ``mry``; a controlled RY
+  (``cry``) is one, with angles ``(0, theta)``.  ``Circuit.lowered``
   rewrites each one as its Gray-code walk of RY and CNOT gates
   (``gray_walk``).  ``Circuit.cnot_count`` and ``Circuit.depth`` describe
   that lowered circuit, counted off the walk's control positions without
@@ -90,12 +99,12 @@ PHASE = "p"
 CNOT = "cnot"
 CP = "cp"
 SWAP = "swap"
-CRY = "cry"
 MULTIPLEXED_RY = "mry"
 PERMUTATION = "perm"
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _IDENTITY = np.eye(2, dtype=np.complex128)
+_H_ENTRIES = (float(_SQRT1_2), float(_SQRT1_2), float(_SQRT1_2), -float(_SQRT1_2))
 _SWAP_TABLE = (0, 2, 1, 3)  # local bits 0 <-> 1
 # Block halves of at least this many amplitudes are updated one block at a
 # time: the loop's few microseconds per block are then small next to the
@@ -156,7 +165,7 @@ class Gate:
         A caller repeating an inverse declares a ``Repeat``."""
         if self.kind in (X, H, CNOT, SWAP):
             return self
-        if self.kind in (RY, PHASE, CP, CRY):
+        if self.kind in (RY, PHASE, CP):
             return Gate(self.kind, self.qubits, angle=-self.angle)
         if self.kind == MULTIPLEXED_RY:
             return Gate(self.kind, self.qubits, angles=tuple(-a for a in self.angles))
@@ -216,7 +225,9 @@ def swap(a: int, b: int) -> Gate:
 
 
 def cry(theta: float, control: int, target: int) -> Gate:
-    return Gate(CRY, (control, target), angle=float(theta))
+    """Controlled RY: the multiplexer that rotates by ``theta`` when
+    ``control`` reads 1, so it lowers, and counts, as two CNOTs."""
+    return multiplexed_ry([0.0, theta], [control], target)
 
 
 def multiplexed_ry(angles: Sequence[float], controls: Sequence[int], target: int) -> Gate:
@@ -227,30 +238,37 @@ def permutation(table: Sequence[int], qubits: Sequence[int]) -> Gate:
     return Gate(PERMUTATION, tuple(qubits), table=tuple(int(i) for i in table))
 
 
-def gate_blocks(gate: Gate) -> np.ndarray:
-    """The ``(2**k, 2, 2)`` blocks of a ``(*controls, target)`` gate with k
-    controls: block ``j`` is the 2x2 unitary the target gets when the
-    controls, read with ``qubits[0]`` as the least-significant bit, equal
-    ``j``.  This is the only place the action of such a gate is written.
-    SWAP and PERMUTATION have no blocks.
+def gate_blocks(gate: Gate) -> tuple[str, object]:
+    """The action of a ``(*controls, target)`` gate with k controls, as a
+    ``(form, values)`` pair in the compact form of its family.  This is the
+    only place the action of such a gate is written.
+
+    * ``("flip", None)`` for X and CNOT: the target's bit flips.
+    * ``("phase", phase)`` for P and CP: ``phase = exp(i*theta)`` scales
+      the target-1 amplitudes.
+    * ``("dense", (u00, u01, u10, u11))`` for H: one 2x2 unitary
+      ``[[u00, u01], [u10, u11]]``.
+    * ``("ry", (c, s))`` for RY and ``mry``: real vectors with one entry per
+      control pattern, read with ``qubits[0]`` as the least-significant
+      bit.  Pattern ``j`` rotates the target by ``[[c[j], -s[j]], [s[j],
+      c[j]]]``, the identity exactly when ``s[j] == 0``.
+
+    A flip, phase or dense form acts only when every control reads 1 (the
+    top pattern, ``2**k - 1``); every other pattern is the identity, and
+    so is a phase of 1.  SWAP and PERMUTATION have no blocks.
     """
     kind = gate.kind
     if kind in (X, CNOT):
-        blocks = np.array([[[0, 1], [1, 0]]], dtype=np.complex128)
-    elif kind == H:
-        blocks = np.array([[[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]]], dtype=np.complex128)
-    elif kind in (RY, CRY, MULTIPLEXED_RY):
-        half = np.asarray(gate.angles if kind == MULTIPLEXED_RY else (gate.angle,)) / 2.0
-        c, s = np.cos(half), np.sin(half)
-        blocks = np.empty((half.size, 2, 2), dtype=np.complex128)
-        blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1] = c, -s, s, c
-    elif kind in (PHASE, CP):
-        blocks = np.array([[[1.0, 0.0], [0.0, np.exp(1j * gate.angle)]]], dtype=np.complex128)
-    else:
-        raise CircuitError(f"gate kind {kind!r} has no control blocks")
-    if kind in (CNOT, CP, CRY):
-        blocks = np.concatenate([np.eye(2, dtype=np.complex128)[None], blocks])  # control reads 0: identity
-    return blocks
+        return "flip", None
+    if kind == H:
+        return "dense", _H_ENTRIES
+    if kind in (PHASE, CP):
+        return "phase", np.exp(1j * gate.angle)
+    if kind in (RY, MULTIPLEXED_RY):
+        angles = gate.angles if kind == MULTIPLEXED_RY else (gate.angle,)
+        half = np.fromiter(angles, np.float64, len(angles)) / 2.0
+        return "ry", (np.cos(half), np.sin(half))
+    raise CircuitError(f"gate kind {kind!r} has no control blocks")
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -258,18 +276,27 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
     Every kind but SWAP and PERMUTATION is laid out as ``(*controls,
     target)`` and is block-diagonal over control patterns: ``u[j::half,
-    j::half]`` is block ``j`` of ``gate_blocks``.
+    j::half]`` is the 2x2 block of pattern ``j``, expanded from the
+    compact form of ``gate_blocks``.
     """
     dim = 1 << len(gate.qubits)
     if gate.kind in (SWAP, PERMUTATION):
         u = np.zeros((dim, dim), dtype=np.complex128)
         u[list(gate.table or _SWAP_TABLE), range(dim)] = 1.0
         return u
-    blocks = gate_blocks(gate)
-    if dim == 2:
-        return blocks[0]
-    u = np.zeros((dim, dim), dtype=np.complex128)
+    form, values = gate_blocks(gate)
     half = dim // 2
+    blocks = np.tile(_IDENTITY, (half, 1, 1))
+    if form == "ry":
+        c, s = values
+        blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1] = c, -s, s, c
+    elif form == "flip":
+        blocks[-1] = [[0, 1], [1, 0]]
+    elif form == "phase":
+        blocks[-1, 1, 1] = values
+    else:
+        blocks[-1] = np.reshape(values, (2, 2))
+    u = np.zeros((dim, dim), dtype=np.complex128)
     for j, block in enumerate(blocks):
         u[j::half, j::half] = block
     return u
@@ -583,20 +610,25 @@ def _layout(qubits: tuple[int, ...], n: int) -> tuple:
     """The index structure ``apply_gate`` uses for a ``(*controls,
     target)`` gate on ``qubits`` at width n, which holds for any gate on
     those wires: the ``_view_shape``, the target's axis, each control's
-    axis (in the order of ``qubits``), and the transpose and shape that lay
-    a multiplexer's blocks out over the view's axes for one broadcast
-    pass."""
+    axis (in the order of ``qubits``), and the layout of one broadcast
+    pass.  That pass views the buffer without the view's length-1 gaps,
+    which numpy iterates at a cost per axis; its layout is that shape, the
+    target's axis in it, and the transpose and shape that lay a vector with
+    one entry per control pattern out over its axes, the target's
+    dropped."""
     shape = _view_shape(qubits, n)
     *controls, target = qubits
     axis = {q: 2 * i + 1 for i, q in enumerate(sorted(qubits, reverse=True))}
-    # Block j's control bit i is controls[i]; reshaped to (2,)*k the axes
+    # Pattern j's control bit i is controls[i]; reshaped to (2,)*k the axes
     # run controls[k-1] .. controls[0]; reorder them to their view order
-    # and give the gaps length-1 axes.
+    # and give the gaps of the broadcast view length-1 axes.
     k = len(controls)
-    order = tuple(k - 1 - controls.index(q) for q in sorted(controls, reverse=True)) + (k, k + 1)
+    order = tuple(k - 1 - controls.index(q) for q in sorted(controls, reverse=True))
+    kept = [a for a, size in enumerate(shape) if size > 1]
     control_axes = {axis[c] for c in controls}
-    coef_shape = tuple(2 if a in control_axes else 1 for a in range(len(shape)) if a != axis[target]) + (2, 2)
-    return shape, axis[target], tuple(axis[c] for c in controls), order, coef_shape
+    coef_shape = tuple(2 if a in control_axes else 1 for a in kept if a != axis[target])
+    broadcast = tuple(shape[a] for a in kept), kept.index(axis[target]), order, coef_shape
+    return shape, axis[target], tuple(axis[c] for c in controls), broadcast
 
 
 @lru_cache(maxsize=256)
@@ -629,13 +661,16 @@ def apply_gate(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     ``psi`` must be a writable, C-contiguous complex128 array of length
     ``2**n``.  SWAP and PERMUTATION move, slab by slab (``_slabs``), only
     the rows of the gate's ``_qubit_major`` view that the table moves
-    (``_moved_rows``).  Every other kind reads its ``gate_blocks`` and
-    updates the target-0 and target-1 halves of each non-identity block on
-    a low-rank view of ``psi`` (``_layout``) by the block's shape
-    (``_update_halves``), slab by slab on halves larger than ``_SLAB``
-    amplitudes.  A multiplexer with halves below ``_BLOCK_LOOP_MIN``
-    amplitudes instead updates all its blocks in one dense broadcast pass,
-    its entries arrays over the control axes.
+    (``_moved_rows``).  Every other kind reads its compact form from
+    ``gate_blocks`` and updates the target-0 and target-1 halves of each
+    control pattern that acts on a low-rank view of ``psi`` (``_layout``):
+    a flip, phase or dense form only its top pattern, unless the phase is
+    1; the RY family each pattern with ``s[j] != 0``, as a dense 2x2.  The
+    halves are updated by ``_update_halves``, slab by slab on halves larger
+    than ``_SLAB`` amplitudes.  A multiplexer with more than one acting
+    pattern and halves below ``_BLOCK_LOOP_MIN`` amplitudes instead updates
+    every pattern in one broadcast pass: its real ``c``, ``-s``, ``s``,
+    ``c`` vectors laid out over the control axes.
     """
     flags = psi.flags
     if psi.dtype != np.complex128 or psi.shape != (1 << n,) or not (flags.writeable and flags.c_contiguous):
@@ -646,24 +681,29 @@ def apply_gate(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         for block in _qubit_major(psi, shape, _slabs(shape, 1 << n)):
             block[dst] = block[src]
         return psi
-    shape, t, controls, order, coef_shape = _layout(gate.qubits, n)
-    blocks = gate_blocks(gate)
-    active = np.flatnonzero((blocks != _IDENTITY).any(axis=(1, 2))).tolist()
-    view = psi.reshape(shape)
+    shape, t, controls, broadcast = _layout(gate.qubits, n)
+    form, values = gate_blocks(gate)
     half = (1 << n) >> len(gate.qubits)
-    if len(active) > 1 and half < _BLOCK_LOOP_MIN:
-        coef = blocks.reshape((2,) * len(controls) + (2, 2)).transpose(order).reshape(coef_shape)
-        idx = [slice(None)] * len(shape)
-        idx[t] = 0
-        a0 = view[tuple(idx)]
-        idx[t] = 1
-        a1 = view[tuple(idx)]
-        b0 = coef[..., 0, 0] * a0 + coef[..., 0, 1] * a1
-        a1[...] = coef[..., 1, 0] * a0 + coef[..., 1, 1] * a1
-        a0[...] = b0
+    if form == "ry":
+        c, s = values
+        if controls and half < _BLOCK_LOOP_MIN and np.count_nonzero(s) > 1:
+            shape, t, order, coef_shape = broadcast
+            cos, neg, sin = (v.reshape((2,) * len(controls)).transpose(order).reshape(coef_shape) for v in (c, -s, s))
+            view = psi.reshape(shape)
+            idx = [slice(None)] * len(shape)
+            idx[t] = 0
+            a0 = view[tuple(idx)]
+            idx[t] = 1
+            _dense(a0, view[tuple(idx)], cos, neg, sin, cos)
+            return psi
+        cl, sl = c.tolist(), s.tolist()
+        form, acting = "dense", [(j, (cl[j], -sl[j], sl[j], cl[j])) for j in np.flatnonzero(s).tolist()]
+    elif form == "phase" and values == 1:
         return psi
-    for j in active:
-        u = blocks[j].ravel().tolist()
+    else:
+        acting = [((1 << len(controls)) - 1, values)]
+    view = psi.reshape(shape)
+    for j, u in acting:
         for slab in _slabs(shape, half):
             idx = list(slab)
             for i, a in enumerate(controls):
@@ -671,26 +711,36 @@ def apply_gate(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
             idx[t] = 0
             a0 = view[tuple(idx)]
             idx[t] = 1
-            _update_halves(a0, view[tuple(idx)], *u)
+            _update_halves(a0, view[tuple(idx)], form, u)
     return psi
 
 
-def _update_halves(a0: np.ndarray, a1: np.ndarray, u00: complex, u01: complex, u10: complex, u11: complex) -> None:
-    """Update a block's target-0 and target-1 halves ``a0``, ``a1`` in
-    place by the block ``[[u00, u01], [u10, u11]]``, by its shape: a
-    diagonal scales the halves whose entry is not 1, the bit flip swaps
-    them, and anything else is a dense 2x2 update."""
-    if u01 == 0 and u10 == 0:
-        if u00 != 1:
-            a0[...] = u00 * a0
-        if u11 != 1:
-            a1[...] = u11 * a1
-    elif u00 == 0 and u11 == 0 and u01 == 1 and u10 == 1:
+def _update_halves(a0: np.ndarray, a1: np.ndarray, form: str, u) -> None:
+    """Update one control pattern's target-0 and target-1 halves ``a0``,
+    ``a1`` in place by a compact form of ``gate_blocks``: a flip swaps
+    them, a phase ``u`` scales ``a1``, and a dense ``u = (u00, u01, u10,
+    u11)`` is a 2x2 update (``_dense``)."""
+    if form == "flip":
         a0[...], a1[...] = a1, a0.copy()
+    elif form == "phase":
+        a1[...] = u * a1
     else:
-        b0 = u00 * a0 + u01 * a1
-        a1[...] = u10 * a0 + u11 * a1
-        a0[...] = b0
+        _dense(a0, a1, *u)
+
+
+def _dense(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
+    """``a0, a1 = u00*a0 + u01*a1, u10*a0 + u11*a1`` in place, on three
+    temporaries.  The entries are scalars, or arrays that broadcast against
+    the halves (one entry per control pattern); real entries multiply as
+    complex numbers of imaginary part 0.  No product is written in place
+    into the halves: numpy's complex multiply can round a last bit
+    differently when it writes in place into a strided view."""
+    b0 = np.multiply(u00, a0)
+    b1 = np.multiply(u01, a1)
+    np.add(b0, b1, out=b0)
+    np.multiply(u10, a0, out=b1)
+    np.add(b1, np.multiply(u11, a1), out=a1)
+    a0[...] = b0
 
 
 class _Power(NamedTuple):

@@ -23,6 +23,19 @@ class TestDataSet:
         with pytest.raises(EncodingError):
             enc.normalized([1.0, 1.0])
 
+    def test_integers_are_read_by_the_domain_rule(self):
+        # A tagged integer set refuses 2.7 as the plain value is refused,
+        # instead of storing 2.
+        assert enc.validate(enc.Basis(3), 2.7) == ["value 2.7 is not an integer"]
+        for bad in ([2.7], [1, np.nan], [2 + 1j]):
+            with pytest.raises(EncodingError, match="is not an integer"):
+                enc.integers(bad)
+        for make, text in ((enc.integers, ["3"]), (enc.reals, ["0.5"])):  # strings are not numbers either
+            with pytest.raises(EncodingError, match="expected numbers"):
+                make(text)
+        assert enc.integers([3.0, 2]).values.tolist() == [3, 2]
+        assert enc.validate(enc.Basis(3), enc.integers([3.0])) == []
+
 
 class TestReferenceStates:
     def test_basis(self):
@@ -381,6 +394,7 @@ CONTRACT_CASES = [
     ),
 ]
 CONTRACT_IDS = [type(d).__name__ for d, _ in CONTRACT_CASES]
+SET_FORMATS = (enc.Basis, enc.MappedBasis, enc.MultiRegister, enc.EquallyWeighted, enc.QRam)
 
 
 def _flat(data) -> np.ndarray:
@@ -419,6 +433,34 @@ class TestDecodeContract:
         n = enc.register_width(d)
         with pytest.raises(DecodeError):
             enc.decode(d, sim.StateVector(n, np.full(1 << n, np.nan)))
+
+    @pytest.mark.parametrize(
+        "d, draw",
+        [c for c in CONTRACT_CASES if isinstance(c[0], SET_FORMATS)],
+        ids=[i for (d, _), i in zip(CONTRACT_CASES, CONTRACT_IDS) if isinstance(d, SET_FORMATS)],
+    )
+    def test_set_fidelity_matches_reference_state(self, d, draw):
+        # The formats that superpose a set S of basis states read their
+        # fidelity off the state, |sum of psi over S|^2 / |S|, instead of
+        # building the reference state; both agree on random states and on
+        # states near the reference, and decode accepts by that value.
+        rng = np.random.default_rng(34)
+        n = enc.register_width(d)
+        for _ in range(20):
+            x = draw(rng)
+            ref = enc.reference_state(d, x).amplitudes
+            noise = _unit_complex(rng, 1 << n)
+            for amps in (noise, ref + 1e-5 * noise, ref + 0.3 * noise):
+                state = sim.state_from_amplitudes(amps / np.linalg.norm(amps))
+                expected = abs(np.vdot(ref, state.amplitudes)) ** 2
+                got = enc._fidelity(d, enc.check(d, x), state)
+                assert got == pytest.approx(expected, rel=0, abs=1e-14)
+                try:
+                    enc.decode(d, state)
+                except DecodeError:
+                    assert expected < 1 - ATOL_DECODE + 1e-14
+                else:
+                    assert expected >= 1 - ATOL_DECODE - 1e-14
 
     def test_norm_bound_is_the_same_everywhere(self):
         d = enc.Amplitude(2)

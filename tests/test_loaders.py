@@ -76,6 +76,14 @@ class TestLoadAngle:
             with pytest.raises(EncodingError):
                 loaders.load_angle(bad)
 
+    def test_ragged_list_is_an_encoding_error(self):
+        with pytest.raises(EncodingError, match="flat sequence"):
+            loaders.load_angle([[0.1], [0.2, 0.3]])
+
+    def test_tagged_data_is_sized_by_its_values(self):
+        out = loaders.load_angle(enc.reals([0.1, 0.2]))
+        assert out.circuit.n_qubits == 2
+
 
 class TestLoadFourier:
     def test_zero_uniform(self):
@@ -119,6 +127,11 @@ class TestLoadAmplitude:
         for a in ([1.0, 1.0], [np.nan, 1, 0, 0], [np.inf, 0, 0, 0]):
             with pytest.raises(EncodingError):
                 loaders.load_amplitude(a)
+
+    def test_ragged_list_is_an_encoding_error(self):
+        with pytest.raises(EncodingError, match="flat sequence"):
+            loaders.load_amplitude([[0.6], [0.8, 0.0]])
+        assert loaders.load_amplitude(enc.normalized([0.6, 0.8])).circuit.n_qubits == 1
 
     def test_cnot_count_exact(self):
         # a full RY pyramid costs 2^n - 2 CNOTs for real input
@@ -344,6 +357,11 @@ class TestQramOracle:
         assert c.n_qubits == 2 and c.registers["index"] == ()
         ref = enc.reference_state(enc.QRam(0, 2), enc.integers([3]))
         assert sim.fidelity(sim.run(c), ref) == pytest.approx(1.0)
+
+    def test_ragged_list_is_an_encoding_error(self):
+        with pytest.raises(EncodingError, match="flat sequence"):
+            loaders.qram_oracle([[1], [2, 3]], 2)
+        assert loaders.qram_oracle(enc.integers([1, 2]), 2).n_qubits == 3
 
     def test_table_length_not_power_of_two(self):
         for xs in ([], [0, 1, 2]):

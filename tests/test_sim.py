@@ -72,8 +72,10 @@ def random_gate(rng, n: int) -> sim.Gate:
         return sim.Gate(kind, (int(qs[0]),), angle=float(rng.uniform(-np.pi, np.pi)))
     if kind in ("cnot", "swap"):
         return sim.Gate(kind, (int(qs[0]), int(qs[1])))
-    if kind in ("cp", "cry"):
+    if kind == "cp":
         return sim.Gate(kind, (int(qs[0]), int(qs[1])), angle=float(rng.uniform(-np.pi, np.pi)))
+    if kind == "cry":  # a multiplexer, kind mry
+        return sim.cry(float(rng.uniform(-np.pi, np.pi)), int(qs[0]), int(qs[1]))
     if kind == "mry":
         k = int(rng.integers(1, min(4, n)))
         return sim.multiplexed_ry(
@@ -82,6 +84,57 @@ def random_gate(rng, n: int) -> sim.Gate:
     k = int(rng.integers(1, min(4, n + 1)))
     table = rng.permutation(1 << k)
     return sim.permutation([int(t) for t in table], [int(q) for q in qs[:k]])
+
+
+def ry_matrix(theta: float) -> np.ndarray:
+    """RY(theta) in closed form."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
+def controlled(block: np.ndarray) -> np.ndarray:
+    """The 4x4 matrix that applies ``block`` to local bit 1 when local bit 0
+    reads 1."""
+    u = np.eye(4, dtype=np.complex128)
+    u[1::2, 1::2] = block
+    return u
+
+
+def closed_form(g: sim.Gate) -> np.ndarray:
+    """``g``'s local matrix (bit i = ``g.qubits[i]``) written from its
+    textbook definition, without ``gate_blocks``."""
+    flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    if g.kind == "x":
+        return flip
+    if g.kind == "h":
+        return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+    if g.kind == "ry":
+        return ry_matrix(g.angle)
+    if g.kind == "p":
+        return np.diag([1, np.exp(1j * g.angle)])
+    if g.kind == "cnot":
+        return controlled(flip)
+    if g.kind == "cp":
+        return controlled(np.diag([1, np.exp(1j * g.angle)]))
+    dim = 1 << len(g.qubits)
+    u = np.zeros((dim, dim), dtype=np.complex128)
+    if g.kind == "mry":
+        for j, theta in enumerate(g.angles):
+            u[j :: dim // 2, j :: dim // 2] = ry_matrix(theta)
+        return u
+    u[list(g.table or (0, 2, 1, 3)), range(dim)] = 1  # perm, swap
+    return u
+
+
+def non_unitary_blocks(gate_blocks):
+    """``gate_blocks`` whose dense forms (H) are scaled by 1.01: an action
+    that does not keep the norm."""
+
+    def scaled(g):
+        form, values = gate_blocks(g)
+        return (form, tuple(1.01 * u for u in values)) if form == "dense" else (form, values)
+
+    return scaled
 
 
 def random_state(rng, n: int) -> sim.StateVector:
@@ -156,6 +209,33 @@ class TestApplyCircuit:
                 assert all(sim.apply_gate(psi, g, n) is psi for g in c.gates)
                 np.testing.assert_allclose(psi, expected, atol=1e-10)
 
+    def test_every_kind_matches_its_closed_form(self):
+        # Angles 0, -0.0, pi and -pi, and states with exact zero
+        # amplitudes, on every kind.  Gates that only move amplitudes, or
+        # whose angle is zero, give the closed form's result exactly.
+        rng = np.random.default_rng(97)
+        special = [0.0, -0.0, np.pi, -np.pi]
+        kinds = set()
+        for trial in range(400):
+            n = int(rng.integers(1, 7))
+            g = random_gate(rng, n)
+            if g.angle is not None and trial % 2:
+                g = sim.Gate(g.kind, g.qubits, angle=special[trial // 2 % 4])
+            if g.angles is not None and trial % 2:
+                g = sim.Gate(g.kind, g.qubits, angles=tuple(rng.choice(special, len(g.angles)).tolist()))
+            kinds.add(g.kind)
+            u = closed_form(g)
+            np.testing.assert_allclose(sim.gate_matrix(g), u, rtol=0, atol=1e-15)
+            psi = np.array(random_state(rng, n).amplitudes)
+            psi[rng.random(psi.size) < 0.3] = 0
+            expected = kron_embed(u, g.qubits, n) @ psi
+            sim.apply_gate(psi, g, n)
+            if g.kind != "h" and not any(g.angles or (g.angle or 0.0,)):  # a move, or a rotation by 0
+                np.testing.assert_array_equal(psi, expected)
+            else:
+                np.testing.assert_allclose(psi, expected, rtol=0, atol=EQUIV_ATOL)
+        assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "mry", "perm"}
+
     @pytest.mark.parametrize("loop_min", [1, 1 << 30])
     def test_mry_placements_match_kron_oracle(self, monkeypatch, loop_min):
         # 0-5 controls above, below and around the target, on qubits 0 and
@@ -221,6 +301,8 @@ class TestApplyCircuit:
     def test_identity_gates_leave_buffer_untouched(self):
         n = 5
         psi = np.array(random_state(RNG, n).amplitudes)
+        psi[::3] = 0  # signed zeros too: an identity pass would move them
+        psi.real[1::4] = -0.0
         before = psi.tobytes()
         for gate in (
             sim.multiplexed_ry(np.zeros(8), [4, 0, 2], 1),
@@ -232,25 +314,39 @@ class TestApplyCircuit:
             assert psi.tobytes() == before
 
     def test_blocks_are_handled_by_shape(self, monkeypatch):
-        # The kernel reads only the blocks: identity, diagonal, bit-flip and
-        # dense blocks, in every pairing, under one control.
+        # The kernel reads only the compact form of gate_blocks, injected
+        # here on a one-control gate.  Beside the identity on control 0, the
+        # flip, phase and dense forms act on control 1: a phase of 1 (the
+        # identity), a diagonal, an anti-diagonal and a full dense block.
+        # The RY form holds a block per pattern: the identity (s = 0), a
+        # rotation by pi and two others, in every pairing, through the
+        # block loop and through the broadcast pass.
         ph = np.exp(1j * RNG.uniform(-np.pi, np.pi, 4))
-        shapes = [
-            np.eye(2),
-            np.diag(ph[:2]),
-            np.array([[0, 1], [1, 0]]),
-            np.array([[0, ph[2]], [ph[3], 0]]),
-            sim.gate_matrix(sim.ry(0.9, 0)),
+        q, _ = np.linalg.qr(RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2)))
+        anti = np.array([[0, ph[3]], [ph[2], 0]])
+        forms = [
+            (("flip", None), np.array([[0, 1], [1, 0]])),
+            (("phase", ph[0]), np.diag([1, ph[0]])),
+            (("phase", 1.0 + 0j), np.eye(2)),
+            (("dense", tuple(np.diag(ph[1:3]).ravel().tolist())), np.diag(ph[1:3])),
+            (("dense", tuple(anti.ravel().tolist())), anti),
+            (("dense", tuple(q.ravel().tolist())), q),
         ]
-        for b0 in shapes:
-            for b1 in shapes:
-                blocks = np.array([b0, b1], dtype=np.complex128)
-                monkeypatch.setattr(sim, "gate_blocks", lambda g, blocks=blocks: blocks)
-                c = sim.Circuit(3, [sim.cnot(2, 0)])
-                s = random_state(RNG, 3)
-                np.testing.assert_allclose(
-                    sim.apply_circuit(s, c).amplitudes, oracle_apply(np.array(s.amplitudes), c), atol=EQUIV_ATOL
-                )
+        cases = [(form, (np.eye(2), block)) for form, block in forms]
+        for a, b in itertools.product([0.0, np.pi, 0.9, -2.1], repeat=2):
+            half = np.array([a, b]) / 2
+            cases.append((("ry", (np.cos(half), np.sin(half))), (ry_matrix(a), ry_matrix(b))))
+        for loop_min, (form, blocks) in itertools.product((1, 1 << 30), cases):
+            monkeypatch.setattr(sim, "_BLOCK_LOOP_MIN", loop_min)
+            monkeypatch.setattr(sim, "gate_blocks", lambda g, form=form: form)
+            u = np.zeros((4, 4), dtype=np.complex128)
+            u[0::2, 0::2], u[1::2, 1::2] = blocks
+            c = sim.Circuit(3, [sim.cnot(2, 0)])
+            np.testing.assert_allclose(sim.gate_matrix(c.gates[0]), u, rtol=0, atol=1e-15)
+            s = random_state(RNG, 3)
+            np.testing.assert_allclose(
+                sim.apply_circuit(s, c).amplitudes, kron_embed(u, (2, 0), 3) @ s.amplitudes, atol=EQUIV_ATOL
+            )
 
     def test_forced_settings_change_the_path(self, monkeypatch):
         # _SLAB and _BLOCK_LOOP_MIN are read on every call: forcing either
@@ -271,6 +367,7 @@ class TestApplyCircuit:
         assert sizes(wide, 16) == [1 << 15]
         mry = sim.multiplexed_ry([0.1, 0.2, 0.3, 0.4], [0, 3], 5)  # n = 6: halves of 8
         assert sizes(mry, 6) == []
+        assert sizes(sim.multiplexed_ry([0.0, 0.2, 0.0, -0.0], [0, 3], 5), 6) == [8]  # one pattern acts
         monkeypatch.setattr(sim, "_BLOCK_LOOP_MIN", 1)
         assert sizes(mry, 6) == [8] * 4
         monkeypatch.setattr(sim, "_SLAB", 1)
@@ -326,8 +423,7 @@ class TestApplyCircuit:
                 sim.apply_gate(psi.copy(), gate, 2)
 
     def test_norm_drift_raises(self, monkeypatch):
-        true_blocks = sim.gate_blocks
-        monkeypatch.setattr(sim, "gate_blocks", lambda g: 1.01 * true_blocks(g))
+        monkeypatch.setattr(sim, "gate_blocks", non_unitary_blocks(sim.gate_blocks))
         with pytest.raises(CircuitError):
             sim.apply_circuit(sim.zero_state(2), sim.Circuit(2, [sim.h(0)]))
 
@@ -398,7 +494,7 @@ class TestExecutionPlan:
             assert powers(c) == (0 if wide else 1)
             s = random_state(rng, n)
             np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
-        assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "cry", "mry", "perm"}
+        assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "mry", "perm"}
 
     def test_period_whose_first_gate_recurs_is_gate_by_gate(self):
         # Declared, a period holding its first gate twice is one power; the
@@ -479,7 +575,7 @@ class TestExecutionPlan:
                 period.append(sim.Gate(g.kind, tuple(spread[q] for q in g.qubits), g.angle, g.angles, g.table))
             kinds.update(g.kind for g in period)
             cases.append(period)
-        assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "cry", "mry", "perm"}
+        assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "mry", "perm"}
         a = np.abs(rng.normal(size=8))
         f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
         w, m = f.n_qubits, 3
@@ -668,14 +764,13 @@ class TestBuildUnitary:
     def test_bad_columns_raise(self, monkeypatch):
         with pytest.raises(CircuitError):
             sim.build_unitary(sim.Circuit(2, [sim.h(1), sim.ry(np.nan, 0)]))
-        true_blocks = sim.gate_blocks
-        monkeypatch.setattr(sim, "gate_blocks", lambda g: 1.01 * true_blocks(g))
+        monkeypatch.setattr(sim, "gate_blocks", non_unitary_blocks(sim.gate_blocks))
         with pytest.raises(CircuitError):
             sim.build_unitary(sim.Circuit(2, [sim.h(0)]))
 
 
 class TestGateUnitarity:
-    @pytest.mark.parametrize("kind", ["x", "h", "ry", "p", "cnot", "cp", "swap", "cry", "mry", "perm"])
+    @pytest.mark.parametrize("kind", ["x", "h", "ry", "p", "cnot", "cp", "swap", "mry", "perm"])
     def test_unitary(self, kind):
         rng = np.random.default_rng(5)
         for n in (2, 3, 4):
@@ -935,6 +1030,18 @@ class TestCircuitMetrics:
         assert (c.cnot_count, c.depth) == (low.cnot_count, low.depth) == (5, 9)
         plain = sim.Circuit(2, [sim.h(0), sim.cnot(0, 1)])
         assert plain.lowered() is plain
+
+    def test_cry_counts_as_its_lowering(self):
+        # A controlled RY is the multiplexer with angles (0, theta): two
+        # CNOTs once lowered, as its Gray-code walk.
+        g = sim.cry(0.7, 2, 0)
+        assert (g.kind, g.qubits, g.angles) == ("mry", (2, 0), (0.0, 0.7))
+        np.testing.assert_allclose(sim.gate_matrix(g), controlled(ry_matrix(0.7)), rtol=0, atol=1e-15)
+        assert sim.Circuit(3, [g]).cnot_count == 2
+        c = sim.Circuit(3, [sim.h(1), g, sim.cnot(1, 2), sim.cry(-0.2, 0, 1)])
+        low = c.lowered()
+        assert all(g.kind != "mry" for g in low.gates)
+        assert (c.cnot_count, c.depth) == (low.cnot_count, low.depth) == (5, 9)
 
     @staticmethod
     def lowered_depth_and_cnots(c: sim.Circuit) -> tuple[int, int]:
