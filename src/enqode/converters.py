@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .errors import CapacityError, CircuitError, EncodingError
+from .errors import CapacityError, EncodingError
+from .loaders import qram_oracle
 from .sim import Circuit, Gate, StateVector
 
 MAX_QFT_QUBITS = 12
@@ -121,8 +122,7 @@ def convert_ew_to_amplitude(u_d: Circuit, m: int, seed: int) -> ConversionResult
     ones = (idx >> anc) & 1 == 1
     p_success = float(prepared.probabilities[ones].sum())
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    success = bool(rng.random() < p_success)
+    success = bool(sim.seeded_generator(seed).random() < p_success)
 
     branch = psi.copy()
     branch[~ones if success else ones] = 0.0
@@ -137,11 +137,9 @@ def ew_conversion_success_frequency(u_d: Circuit, m: int, trials: int, seed: int
     """Number of successes over ``trials`` seeded repetitions of the
     protocol (the state is simulated once; only the measurement is
     repeated)."""
-    if not isinstance(trials, (int, np.integer)) or trials < 0:
-        raise CircuitError(f"trials must be an integer >= 0, got {trials!r}")
+    sim.check_shots(trials, 0)
     probe = convert_ew_to_amplitude(u_d, m, seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return int(np.sum(rng.random(trials) < probe.success_prob_estimate))
+    return int(np.sum(sim.seeded_generator(seed).random(trials) < probe.success_prob_estimate))
 
 
 # --------------------------------------------------------------------------
@@ -201,14 +199,10 @@ def convert_amplitude_to_ew(u_a: Circuit, m: int) -> Circuit:
     estimate = list(f_circ.shifted(0, width).gates)
     estimate.extend(qpe_gates(f_circ, flag, m, reflection_qubits=work_reg + (flag,), width=width))
     gates.extend(estimate)
-    # reversible digit write: |y>|z> -> |y>|z + g(y) mod 2^m>
-    dig_table = []
-    for local in range(1 << (2 * m)):
-        y = local & ((1 << m) - 1)
-        z = local >> m
-        g = digit_of_phase_outcome(y, m)
-        dig_table.append(y | (((z + g) % (1 << m)) << m))
-    gates.append(sim.permutation(dig_table, phase_reg + out_reg))
+    # reversible digit write |y>|z> -> |y>|z + g(y) mod 2^m>: the qRAM
+    # oracle of the digit table g, indexed by the phase register
+    digits = [digit_of_phase_outcome(y, m) for y in range(1 << m)]
+    gates.extend(qram_oracle(digits, m).shifted(w, width).gates)
     # uncompute the whole estimate block so only index (x) digits remain
     gates.extend(g.inverse() for g in reversed(estimate))
 

@@ -34,15 +34,6 @@ class EstimateResult:
     oracle_queries: int
     method: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "ci": self.error_target,
-            "shots": self.shots_used,
-            "queries": self.oracle_queries,
-            "method": self.method,
-        }
-
 
 def _flag_qubit(f: Circuit, flag: int | None) -> int:
     if flag is not None:
@@ -127,8 +118,7 @@ def naive_amplitude_estimate(
     flag = _flag_qubit(f, flag)
     state = sim.run(f)
     p = float(sim.marginal_probabilities(state, [flag])[1])
-    rng = np.random.Generator(np.random.PCG64(seed))
-    hits = int(rng.binomial(shots, p))
+    hits = int(sim.seeded_generator(seed).binomial(shots, p))
     p_hat = hits / shots
     half_width = z * np.sqrt(p_hat * (1.0 - p_hat) / shots)
     return EstimateResult(p_hat, float(half_width), alpha, shots, shots, "naive")
@@ -139,29 +129,17 @@ def naive_amplitude_estimate(
 # --------------------------------------------------------------------------
 
 
-def _mcx_gate(controls, target: int) -> Gate:
-    """Multi-controlled X as a permutation gate (the gate set has no
-    Toffoli)."""
-    qubits = (*controls, target)
-    k = len(qubits)
-    full = (1 << (k - 1)) - 1
-    table = [
-        b ^ (1 << (k - 1)) if (b & full) == full else b for b in range(1 << k)
-    ]
-    return sim.permutation(table, qubits)
-
-
 def _reflection_about_zero(reflection_qubits, extra_controls=()) -> list[Gate]:
     """Gates for phase -1 on |0...0> of ``reflection_qubits`` (optionally
-    further controlled): X-conjugated multi-controlled Z."""
+    further controlled): an X layer, one phase of pi on the pattern where
+    every qubit involved reads 1 (a multi-controlled CP, or a P on one
+    qubit), and the X layer again."""
     refl = tuple(reflection_qubits)
-    pivot = refl[-1]
-    gates = [sim.x(q) for q in refl]
-    gates.append(sim.h(pivot))
-    gates.append(_mcx_gate((*extra_controls, *refl[:-1]), pivot))
-    gates.append(sim.h(pivot))
-    gates.extend(sim.x(q) for q in refl)
-    return gates
+    if not refl:
+        raise CircuitError("a reflection about |0...0> needs at least one qubit")
+    qubits = (*extra_controls, *refl)
+    flips = [sim.x(q) for q in refl]
+    return [*flips, Gate(sim.CP if len(qubits) > 1 else sim.PHASE, qubits, angle=np.pi), *flips]
 
 
 def grover_operator(f: Circuit, flag: int | None = None, reflection_qubits=None) -> Circuit:
@@ -279,8 +257,7 @@ def swap_test(load_a: Circuit, load_b: Circuit, shots: int, seed: int) -> SwapTe
     gates = list(load_a.shifted(0, width).gates)
     gates.extend(load_b.shifted(n, width).gates)
     gates.append(sim.h(anc))
-    for q in range(n):
-        gates.append(sim.permutation((0, 1, 2, 5, 4, 3, 6, 7), (anc, q, n + q)))
+    gates.extend(sim.cswap(anc, q, n + q) for q in range(n))
     gates.append(sim.h(anc))
     circ = Circuit(width, gates, {"a": tuple(range(n)), "b": tuple(range(n, 2 * n)), "anc": (anc,)})
     state = sim.run(circ)
@@ -288,7 +265,6 @@ def swap_test(load_a: Circuit, load_b: Circuit, shots: int, seed: int) -> SwapTe
     if shots == 0:
         p0_hat = p0
     else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        p0_hat = float(rng.binomial(shots, p0)) / shots
+        p0_hat = float(sim.seeded_generator(seed).binomial(shots, p0)) / shots
     overlap = float(np.sqrt(max(0.0, 2.0 * p0_hat - 1.0)))
     return SwapTestResult(p0_hat, overlap, p0, shots)

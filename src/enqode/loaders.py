@@ -1,20 +1,23 @@
 """Circuit builders that realize each encoding from classical data.
 
-Every loader returns the circuit together with a resource report so the
-width/depth/CNOT trade-offs of the different encodings can be measured
-rather than taken on faith.
+Every loader returns its circuit, with the data register on qubits
+``0..n-1`` (``registers["data"]``) and any ancillas above it
+(``registers["ancilla"]``), and the number of classical operations spent
+preparing it.  The circuit's ``n_qubits``, ``depth`` and ``cnot_count``
+measure the width/depth/CNOT trade-offs of the different encodings.
 
 Amplitude-family loaders emit one native multiplexed rotation
 (``sim.multiplexed_ry``) per stage of the angle tree.  For complex input a
 diagonal phase pass follows: one multiplexed RZ per qubit, written as a
 multiplexed RY between ``H, S`` and ``S^dag, H`` (RZ = H S^dag RY S H), so
-a complex load of n qubits holds 2n multiplexers.  Reports describe the
-lowered circuit (``sim.Circuit.lowered``), in which each multiplexer is
-the standard Gray-code walk of RY + CNOT gates, so ``cnot_count`` stays
-meaningful (a full multiplexer over k controls costs exactly 2^k CNOTs);
-``sim.Circuit`` counts them without building that circuit.  The phase
-pass fixes each phase up to one global phase, which this package never
-compares.
+a complex load of n qubits holds 2n multiplexers.  Depth and CNOT count
+describe the lowered circuit (``sim.Circuit.lowered``), in which each
+multiplexer is the standard Gray-code walk of RY + CNOT gates, so
+``cnot_count`` stays meaningful (a full multiplexer over k controls costs
+exactly 2^k CNOTs); ``sim.Circuit`` counts them without building that
+circuit.  Controlled swaps are permutation gates, which are not lowered
+and count no CNOTs.  The phase pass fixes each phase up to one global
+phase, which this package never compares.
 
 Each loader reads its input through ``encodings.check``, which applies the
 format's domain rules (ranges, normalization, duplicates) and returns the
@@ -38,38 +41,21 @@ MAX_DC_QUBITS = 5  # divide-and-conquer ancillas grow as 2^n
 
 
 @dataclass(frozen=True)
-class ResourceReport:
-    width: int
-    depth: int
-    cnot_count: int
-    classical_preprocessing_ops: int
-
-    def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "depth": self.depth,
-            "cnots": self.cnot_count,
-            "classical_preprocessing_ops": self.classical_preprocessing_ops,
-        }
-
-
-@dataclass(frozen=True)
 class LoaderOutput:
+    """A loader's circuit and the classical operations (tree nodes and
+    angles) spent building it."""
+
     circuit: Circuit
-    report: ResourceReport
-    data_register: tuple[int, ...]
-    ancilla_register: tuple[int, ...]
+    preprocessing_ops: int
 
 
 def _output(gates: list[Gate], n: int, width: int | None = None, preprocessing: int = 0) -> LoaderOutput:
-    """A loader's circuit and its report: the data on qubits 0..n-1 and,
-    when a ``width`` is given, an ancilla register on qubits n..width-1."""
+    """A loader's output: the data on qubits 0..n-1 and, when a ``width``
+    is given, an ancilla register on qubits n..width-1."""
     registers = {"data": tuple(range(n))}
     if width is not None:
         registers["ancilla"] = tuple(range(n, width))
-    circuit = Circuit(width or n, gates, registers)
-    report = ResourceReport(circuit.width, circuit.depth, circuit.cnot_count, preprocessing)
-    return LoaderOutput(circuit, report, registers["data"], registers.get("ancilla", ()))
+    return LoaderOutput(Circuit(width or n, gates, registers), preprocessing)
 
 
 # --------------------------------------------------------------------------
@@ -208,13 +194,6 @@ def _forest_qubit(n: int, s: int, level: int, pos: int) -> int:
     return n + (1 << level) - (1 << s) + pos
 
 
-_CSWAP_TABLE = (0, 1, 2, 5, 4, 3, 6, 7)  # bit0 control: swap bits 1 and 2
-
-
-def _fredkin(control: int, a: int, b: int) -> Gate:
-    return sim.permutation(_CSWAP_TABLE, (control, a, b))
-
-
 def _emit_forest(gates: list[Gate], angle_levels, n: int, s: int) -> None:
     """Fan out angle-tree levels s..n-1 as one RY per node on its
     ``_forest_qubit``, then combine bottom-up: node (l, p) routes its
@@ -229,7 +208,7 @@ def _emit_forest(gates: list[Gate], angle_levels, n: int, s: int) -> None:
             for d in range(n - 1 - level):
                 left = _forest_qubit(n, s, level + 1 + d, (2 * pos) << d)
                 right = _forest_qubit(n, s, level + 1 + d, (2 * pos + 1) << d)
-                gates.append(_fredkin(control, left, right))
+                gates.append(sim.cswap(control, left, right))
 
 
 def load_divide_conquer(a) -> LoaderOutput:

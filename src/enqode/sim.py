@@ -11,12 +11,13 @@ Conventions used throughout the package:
   takes the buffer over, read-only, without another copy.
 * A gate's action is written in one place.  Every ``(*controls, target)``
   kind is defined by ``gate_blocks`` in the compact form of its family: a
-  flip (X, CNOT), one phase (P, CP), one dense 2x2 (H), or real ``c`` and
-  ``s`` vectors with one entry per control pattern (RY, ``mry``).  A
-  flip, phase or dense form acts only when every control reads 1, so the
-  kind, not a scan, says which patterns are the identity; in the RY form
-  they are those with ``s == 0``.  ``gate_matrix`` expands the form into
-  the gate's dense matrix.  SWAP and PERMUTATION are index maps.
+  flip (X, CNOT), one phase (P, and CP with one or more controls), one
+  dense 2x2 (H), or real ``c`` and ``s`` vectors with one entry per
+  control pattern (RY, ``mry``).  A flip, phase or dense form acts only
+  when every control reads 1, so the kind, not a scan, says which patterns
+  are the identity; in the RY form they are those with ``s == 0``.
+  ``gate_matrix`` expands the form into the gate's dense matrix.  SWAP and
+  PERMUTATION are index maps; ``cswap`` is a PERMUTATION.
 * The kernel keeps nothing per gate: ``apply_gate`` reads a gate's
   compact form on every call.  It views the buffer with one length-2 axis
   per gate qubit and one axis for each run of qubits between them; that
@@ -54,7 +55,8 @@ Conventions used throughout the package:
   rewrites each one as its Gray-code walk of RY and CNOT gates
   (``gray_walk``).  ``Circuit.cnot_count`` and ``Circuit.depth`` describe
   that lowered circuit, counted off the walk's control positions without
-  building it, so resource reports count CNOTs.
+  building it, so they count CNOTs.  CP (with one control or many), SWAP
+  and PERMUTATION are not lowered and count 0 CNOTs.
 * A state computes ``|amplitudes|**2`` once, on first use
   (``StateVector.probabilities``), and every marginal, draw and decode of
   it reads that array.  ``qubit_marginals`` gives every single-qubit
@@ -67,8 +69,9 @@ Conventions used throughout the package:
   the same ``p``; the counts come from it without a record per shot.
   ``sample_shots`` still makes one ``ShotRecord`` and one dict per shot,
   all of them before it returns.
-* All randomness goes through numpy's PCG64 generator seeded explicitly, so
-  every stochastic operation is bit-reproducible from its seed.
+* All randomness goes through numpy's PCG64 generator, made by
+  ``seeded_generator`` from an explicit integer seed, so every stochastic
+  operation is bit-reproducible from its seed.
 
 The hard cap of 24 qubits keeps a state below 256 MB, and the cap of 12
 qubits on ``build_unitary`` keeps its matrix to the same budget.  The
@@ -106,6 +109,14 @@ _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _IDENTITY = np.eye(2, dtype=np.complex128)
 _H_ENTRIES = (float(_SQRT1_2), float(_SQRT1_2), float(_SQRT1_2), -float(_SQRT1_2))
 _SWAP_TABLE = (0, 2, 1, 3)  # local bits 0 <-> 1
+_CSWAP_TABLE = (0, 1, 2, 5, 4, 3, 6, 7)  # local bit 0 set: bits 1 <-> 2
+# The fewest and most qubits a gate of each kind acts on.
+_QUBIT_COUNTS = {
+    **dict.fromkeys((X, H, RY, PHASE), (1, 1)),
+    **dict.fromkeys((CNOT, SWAP), (2, 2)),
+    CP: (2, MAX_QUBITS),
+    **dict.fromkeys((MULTIPLEXED_RY, PERMUTATION), (1, MAX_QUBITS)),
+}
 # Block halves of at least this many amplitudes are updated one block at a
 # time: the loop's few microseconds per block are then small next to the
 # numpy work, and per-block temporaries stay in cache.  Smaller blocks are
@@ -131,12 +142,15 @@ _POWER_QUBITS = 6
 class Gate:
     """A single gate.
 
-    ``qubits`` holds the wires the gate acts on.  For controlled kinds the
-    control comes first; for ``mry`` the layout is ``(*controls, target)``
-    and ``angles[j]`` is the RY angle applied when the control bits, read
-    with ``qubits[0]`` as the least-significant, equal ``j``.  For ``perm``
-    the ``table`` maps local basis indices (bit ``i`` = ``qubits[i]``) to
-    local basis indices and must be a bijection.
+    ``qubits`` holds the wires the gate acts on: one for X, H, RY and P,
+    two for CNOT and SWAP.  Controlled kinds are laid out as ``(*controls,
+    target)``: CNOT has one control, CP one or more (it multiplies the
+    all-ones pattern of its qubits by ``exp(i*angle)``), and for ``mry``
+    ``angles[j]`` is the RY angle applied when the control bits, read with
+    ``qubits[0]`` as the least-significant, equal ``j``.  For ``perm`` the
+    ``table`` maps local basis indices (bit ``i`` = ``qubits[i]``) to local
+    basis indices and must be a bijection.  A gate that breaks these rules,
+    or of an unknown kind, raises ``CircuitError`` when it is made.
     """
 
     kind: str
@@ -146,8 +160,15 @@ class Gate:
     table: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.kind not in _QUBIT_COUNTS:
+            raise CircuitError(f"unknown gate kind {self.kind!r}")
+        least, most = _QUBIT_COUNTS[self.kind]
+        if not least <= len(self.qubits) <= most:
+            raise CircuitError(f"gate {self.kind} cannot act on {len(self.qubits)} qubits: {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise CircuitError(f"gate {self.kind} repeats a qubit: {self.qubits}")
+        if self.kind in (RY, PHASE, CP) and self.angle is None:
+            raise CircuitError(f"gate {self.kind} needs an angle")
         if self.kind == MULTIPLEXED_RY:
             k = len(self.qubits) - 1
             if self.angles is None or len(self.angles) != 1 << k:
@@ -169,12 +190,10 @@ class Gate:
             return Gate(self.kind, self.qubits, angle=-self.angle)
         if self.kind == MULTIPLEXED_RY:
             return Gate(self.kind, self.qubits, angles=tuple(-a for a in self.angles))
-        if self.kind == PERMUTATION:
-            inv = [0] * len(self.table)
-            for src, dst in enumerate(self.table):
-                inv[dst] = src
-            return Gate(self.kind, self.qubits, table=tuple(inv))
-        raise CircuitError(f"unknown gate kind {self.kind!r}")
+        inv = [0] * len(self.table)
+        for src, dst in enumerate(self.table):
+            inv[dst] = src
+        return Gate(self.kind, self.qubits, table=tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -189,7 +208,7 @@ class Repeat:
     def __post_init__(self):
         if type(self.gates) is not tuple or not self.gates or any(type(g) is not Gate for g in self.gates):
             raise CircuitError("a repeat holds a non-empty tuple of gates")
-        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
+        if not _is_integer(self.count) or self.count < 1:
             raise CircuitError(f"repeat count must be an integer >= 1, got {self.count!r}")
 
     def inverse(self) -> "Repeat":
@@ -222,6 +241,12 @@ def cp(theta: float, control: int, target: int) -> Gate:
 
 def swap(a: int, b: int) -> Gate:
     return Gate(SWAP, (a, b))
+
+
+def cswap(control: int, a: int, b: int) -> Gate:
+    """Controlled SWAP (Fredkin): ``a`` and ``b`` trade values when
+    ``control`` reads 1."""
+    return permutation(_CSWAP_TABLE, (control, a, b))
 
 
 def cry(theta: float, control: int, target: int) -> Gate:
@@ -404,10 +429,6 @@ class Circuit:
             seen |= set(qs)
         object.__setattr__(self, "registers", regs)
 
-    @property
-    def width(self) -> int:
-        return self.n_qubits
-
     def lowered(self) -> "Circuit":
         """This circuit with every ``mry`` replaced by its ``gray_walk`` of
         RY and CNOT gates; the circuit itself when it has no ``mry``.
@@ -436,7 +457,9 @@ class Circuit:
     @property
     def depth(self) -> int:
         """Longest chain of gates sharing qubits (greedy layering) in the
-        lowered circuit, counted without lowering it."""
+        lowered circuit, counted without lowering it.  A CP with any number
+        of controls, a SWAP and a PERMUTATION are not lowered: each is one
+        layer over its qubits."""
         level = [0] * self.n_qubits
         for g in self.gates:
             if g.kind == MULTIPLEXED_RY and len(g.qubits) > 1:
@@ -450,7 +473,9 @@ class Circuit:
     @property
     def cnot_count(self) -> int:
         """CNOT gates in the lowered circuit: one per CNOT and one per step
-        of each multiplexer's Gray-code walk."""
+        of each multiplexer's Gray-code walk.  SWAP, PERMUTATION and CP (with
+        one control or many) are not lowered and count 0, so a circuit's
+        controlled swaps, for one, are left out of its count."""
         count = 0
         for g in self.gates:
             if g.kind == CNOT:
@@ -537,17 +562,20 @@ class ShotRecord(NamedTuple):
     seed: int
 
 
+def _is_integer(value) -> bool:
+    """True for an ``int`` or numpy integer; a bool is not one."""
+    return type(value) is not bool and isinstance(value, (int, np.integer))
+
+
 def zero_state(n: int) -> StateVector:
     """The all-zeros state ``|0...0>`` on ``n`` qubits, 1 <= n <= 24."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise CapacityError(f"qubit count {n} outside 1..{MAX_QUBITS}")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector._owning(n, amps)
+    return basis_state(n, 0)
 
 
 def basis_state(n: int, index: int) -> StateVector:
     """The computational basis state ``|index>`` on ``n`` qubits."""
+    if not (_is_integer(n) and _is_integer(index)):
+        raise CircuitError(f"basis state needs an integer width and index, got {n!r}, {index!r}")
     if not 1 <= n <= MAX_QUBITS:
         raise CapacityError(f"qubit count {n} outside 1..{MAX_QUBITS}")
     if not 0 <= index < (1 << n):
@@ -928,12 +956,22 @@ def certain_outcome(probs: np.ndarray) -> int | None:
 def check_shots(shots: int, least: int) -> None:
     """Raise ``CircuitError`` unless ``shots`` is an integer >= ``least``:
     the one check of every shot count."""
-    if not isinstance(shots, (int, np.integer)) or shots < least:
+    if not _is_integer(shots) or shots < least:
         raise CircuitError(f"shots must be an integer >= {least}, got {shots!r}")
 
 
+def seeded_generator(seed: int) -> np.random.Generator:
+    """numpy's PCG64 generator seeded with ``seed``, the source of every
+    draw.  Raises ``CircuitError`` unless ``seed`` is an integer >= 0: a
+    ``None`` seed would draw fresh entropy, and no run could be repeated."""
+    if not _is_integer(seed) or seed < 0:
+        raise CircuitError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def _draws(state: StateVector, shots: int, seed: int) -> np.ndarray:
-    """``shots`` basis-state indices drawn from ``state`` with PCG64(seed).
+    """``shots`` basis-state indices drawn from ``state`` with PCG64(seed)
+    (``seeded_generator``).
 
     The draws are byte-equal to ``Generator(PCG64(seed)).choice(size,
     shots, p=probs / probs.sum())``: this is the inverse-CDF lookup that
@@ -948,7 +986,7 @@ def _draws(state: StateVector, shots: int, seed: int) -> np.ndarray:
         raise CircuitError(f"cannot sample a state of squared norm {total}")
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
-    uniforms = np.random.Generator(np.random.PCG64(seed)).random(shots)
+    uniforms = seeded_generator(seed).random(shots)
     # Searched in ascending order, consecutive lookups walk nearby parts of
     # the cdf: at n = 18 and 8192 shots on a 2-vCPU Xeon that took 0.6 ms
     # against 1.2 ms, sort included.  Each draw is still its own uniform's

@@ -20,10 +20,10 @@ class TestLoadBasis:
     def test_zero_is_empty(self):
         out = loaders.load_basis(0, 4)
         assert out.circuit.gates == ()
-        assert out.report.depth == 0
+        assert out.circuit.depth == 0
 
     def test_depth_one(self):
-        assert loaders.load_basis(7, 3).report.depth == 1
+        assert loaders.load_basis(7, 3).circuit.depth == 1
 
     def test_range_error(self):
         with pytest.raises(EncodingError):
@@ -95,7 +95,7 @@ class TestLoadFourier:
         np.testing.assert_allclose(out.amplitudes, [2**-0.5, -(2**-0.5)], atol=1e-12)
 
     def test_depth_two(self):
-        assert loaders.load_fourier(3, 4).report.depth == 2
+        assert loaders.load_fourier(3, 4).circuit.depth == 2
 
     def test_matches_reference_all_x(self):
         for m in range(1, 6):
@@ -137,7 +137,7 @@ class TestLoadAmplitude:
         # a full RY pyramid costs 2^n - 2 CNOTs for real input
         for n in (2, 3, 4, 5):
             a = np.full(1 << n, (1 << n) ** -0.5)
-            assert loaders.load_amplitude(a).report.cnot_count == (1 << n) - 2
+            assert loaders.load_amplitude(a).circuit.cnot_count == (1 << n) - 2
 
     def test_cnot_scaling_slope(self):
         rng = np.random.default_rng(3)
@@ -146,9 +146,23 @@ class TestLoadAmplitude:
         for n in ns:
             a = rng.random(1 << int(n))
             a /= np.linalg.norm(a)
-            logs.append(np.log2(loaders.load_amplitude(a).report.cnot_count))
+            logs.append(np.log2(loaders.load_amplitude(a).circuit.cnot_count))
         slope = np.polyfit(ns, logs, 1)[0]
         assert 0.9 <= slope <= 1.1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_preprocessing_ops(self, n):
+        # The angle tree's 2N - 1 nodes and N - 1 angles; complex input
+        # adds the phase pass's N - 1 angles.
+        rng = np.random.default_rng(n)
+        size = 1 << n
+        real = rng.random(size)
+        cplx = rng.normal(size=size) + 1j * rng.normal(size=size)
+        real, cplx = real / np.linalg.norm(real), cplx / np.linalg.norm(cplx)
+        assert loaders.load_amplitude(real).preprocessing_ops == 3 * size - 2
+        assert loaders.load_amplitude(cplx).preprocessing_ops == 4 * size - 3
+        assert loaders.load_divide_conquer(real).preprocessing_ops == 3 * size - 2
+        assert loaders.load_basis(1, n).preprocessing_ops == 0
 
     def test_multiplexer_matches_native_gate(self):
         # Gray-decomposed multiplexer == the simulator's native mry gate
@@ -178,7 +192,7 @@ class TestLoadEquallyWeighted:
     def test_full_set_is_h_layer(self):
         out = loaders.load_equally_weighted(range(8), 3)
         assert all(g.kind == sim.H for g in out.circuit.gates)
-        assert out.report.depth == 1
+        assert out.circuit.depth == 1
 
     def test_singleton_is_basis_load(self):
         out = loaders.load_equally_weighted([3], 2)
@@ -206,12 +220,12 @@ class TestLoadEquallyWeighted:
 class TestLoadDivideConquer:
     def test_basis_vector(self):
         out = loaders.load_divide_conquer([1, 0, 0, 0])
-        marg = sim.marginal_probabilities(sim.run(out.circuit), out.data_register)
+        marg = sim.marginal_probabilities(sim.run(out.circuit), out.circuit.registers["data"])
         np.testing.assert_allclose(marg, [1, 0, 0, 0], atol=1e-9)
 
     def test_uniform(self):
         out = loaders.load_divide_conquer([0.5] * 4)
-        marg = sim.marginal_probabilities(sim.run(out.circuit), out.data_register)
+        marg = sim.marginal_probabilities(sim.run(out.circuit), out.circuit.registers["data"])
         np.testing.assert_allclose(marg, [0.25] * 4, atol=1e-9)
 
     def test_marginals_random(self):
@@ -220,20 +234,20 @@ class TestLoadDivideConquer:
             a = rng.normal(size=1 << n)
             a /= np.linalg.norm(a)
             out = loaders.load_divide_conquer(a)
-            marg = sim.marginal_probabilities(sim.run(out.circuit), out.data_register)
+            marg = sim.marginal_probabilities(sim.run(out.circuit), out.circuit.registers["data"])
             np.testing.assert_allclose(marg, np.abs(a) ** 2, atol=1e-9)
 
     def test_width(self):
         for n in (2, 3, 4, 5):
             a = np.full(1 << n, (1 << n) ** -0.5)
-            assert loaders.load_divide_conquer(a).report.width == n + (1 << n)
+            assert loaders.load_divide_conquer(a).circuit.n_qubits == n + (1 << n)
 
     def test_depth_quadratic_fit(self):
         depths = []
         ns = np.arange(2, 6)
         for n in ns:
             a = np.full(1 << int(n), float(1 << int(n)) ** -0.5)
-            depths.append(loaders.load_divide_conquer(a).report.depth)
+            depths.append(loaders.load_divide_conquer(a).circuit.depth)
         x = ns.astype(float) ** 2
         c = float(np.dot(x, depths) / np.dot(x, x))
         resid = np.asarray(depths) - c * x
@@ -252,12 +266,12 @@ class TestLoadBidirectional:
         a = rng.random(8)
         a /= np.linalg.norm(a)
         out = loaders.load_bidirectional(a, 3)
-        assert out.report.width == 3
+        assert out.circuit.n_qubits == 3
         assert fid_with(out, a) >= 1 - 1e-9
 
     def test_uniform_s1(self):
         out = loaders.load_bidirectional(np.full(8, 8**-0.5), 1)
-        marg = sim.marginal_probabilities(sim.run(out.circuit), out.data_register)
+        marg = sim.marginal_probabilities(sim.run(out.circuit), out.circuit.registers["data"])
         np.testing.assert_allclose(marg, np.full(8, 0.125), atol=1e-9)
 
     def test_marginals_random_all_splits(self):
@@ -267,16 +281,16 @@ class TestLoadBidirectional:
                 a = rng.normal(size=1 << n)
                 a /= np.linalg.norm(a)
                 out = loaders.load_bidirectional(a, s)
-                marg = sim.marginal_probabilities(sim.run(out.circuit), out.data_register)
+                marg = sim.marginal_probabilities(sim.run(out.circuit), out.circuit.registers["data"])
                 np.testing.assert_allclose(marg, np.abs(a) ** 2, atol=1e-9)
 
     def test_width_nonincreasing_depth_endpoints(self):
         n = 4
         a = np.full(1 << n, float(1 << n) ** -0.5)
         outs = [loaders.load_bidirectional(a, s) for s in range(1, n + 1)]
-        widths = [o.report.width for o in outs]
+        widths = [o.circuit.n_qubits for o in outs]
         assert widths == sorted(widths, reverse=True)
-        assert outs[0].report.depth <= outs[-1].report.depth
+        assert outs[0].circuit.depth <= outs[-1].circuit.depth
         assert widths[0] >= widths[-1]
 
     def test_split_range(self):
@@ -285,14 +299,14 @@ class TestLoadBidirectional:
 
     def test_split_level_is_read_by_the_descriptor(self):
         # s = 1.0 and s = "1" used to raise TypeError, s = True was taken as
-        # 1, and s = np.int64(1) made the reported width an np.int64
+        # 1, and s = np.int64(1) made the circuit's width an np.int64
         a = np.full(4, 0.5)
         for s in (1.0, "1", True, 0, 3):
             with pytest.raises(EncodingError):
                 loaders.load_bidirectional(a, s)
         out = loaders.load_bidirectional(a, np.int64(1))
-        assert type(out.report.width) is int
-        assert out.report == loaders.load_bidirectional(a, 1).report
+        assert type(out.circuit.n_qubits) is int
+        assert out.circuit == loaders.load_bidirectional(a, 1).circuit
 
 
 def assert_lowering_equivalent(c: sim.Circuit) -> None:
@@ -325,9 +339,11 @@ class TestLowering:
     def test_pinned_reports(self):
         # (depth, cnot_count) of the lowered circuits, as before builders
         # emitted native multiplexers.
-        uniform = [loaders.load_amplitude(np.full(1 << n, (1 << n) ** -0.5)).report for n in (2, 3, 4, 5)]
+        uniform = [loaders.load_amplitude(np.full(1 << n, (1 << n) ** -0.5)).circuit for n in (2, 3, 4, 5)]
         assert [(r.depth, r.cnot_count) for r in uniform] == [(4, 2), (11, 6), (26, 14), (57, 30)]
-        bidir = [loaders.load_bidirectional(np.full(16, 0.25), s).report for s in (1, 2, 3, 4)]
+        # Controlled swaps are permutation gates and count no CNOTs, hence
+        # (10, 0) at s = 1.
+        bidir = [loaders.load_bidirectional(np.full(16, 0.25), s).circuit for s in (1, 2, 3, 4)]
         assert [(r.depth, r.cnot_count) for r in bidir] == [(10, 0), (12, 2), (19, 6), (26, 14)]
 
 

@@ -155,6 +155,13 @@ class TestZeroState:
         with pytest.raises(CapacityError):
             sim.zero_state(0)
 
+    def test_basis_index_is_an_integer(self):
+        # numpy read amps[True] as a mask: an unnormalized all-ones state
+        for n, index in ((2, True), (2, 1.0), (True, 0)):
+            with pytest.raises(CircuitError):
+                sim.basis_state(n, index)
+        assert sim.basis_state(2, np.int64(3)).amplitudes[3] == 1.0
+
 
 class TestApplyCircuit:
     def test_hadamard(self):
@@ -199,6 +206,7 @@ class TestApplyCircuit:
                 ]
             if n >= 4:
                 edges.append(sim.multiplexed_ry(RNG.uniform(-np.pi, np.pi, 8), [top, 1, 0], 2))
+                edges.append(sim.Gate(sim.CP, (top, 1, 0), angle=np.pi))
             for trial in range(12):
                 s = random_state(RNG, n)
                 gates = [random_gate(RNG, n) for _ in range(6)]
@@ -682,7 +690,7 @@ class TestRepeat:
         # a count of 1 runs gate by gate
         assert powers(circuit) == 1 and len(circuit._steps) == 3
 
-    @pytest.mark.parametrize("count", [0, -2, 2.0, 1.5, "2", None])
+    @pytest.mark.parametrize("count", [0, -2, 2.0, 1.5, "2", None, True])
     def test_count_must_be_a_positive_integer(self, count):
         with pytest.raises(CircuitError):
             sim.Repeat((sim.h(0),), count)
@@ -784,6 +792,43 @@ class TestGateUnitarity:
     def test_permutation_rejects_non_bijection(self):
         with pytest.raises(CircuitError):
             sim.permutation([0, 0, 1, 2], [0, 1])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sim.Gate("bogus", (0,)),  # used to build, and fail only when run
+            lambda: sim.Gate("ry", (0,)),  # used to surface as a NaN norm
+            lambda: sim.Gate("p", (0,)),
+            lambda: sim.Gate("cp", (0, 1)),
+            lambda: sim.Gate("swap", (0,)),  # used to act as an X
+            lambda: sim.Gate("h", (0, 1)),  # used to act as a controlled H
+            lambda: sim.Gate("x", ()),
+            lambda: sim.Gate("cnot", (0,)),
+            lambda: sim.Gate("cnot", (0, 1, 2)),
+            lambda: sim.Gate("swap", (0, 1, 2)),
+            lambda: sim.Gate("cp", (0,), angle=0.5),
+            lambda: sim.Gate("mry", (), angles=()),
+            lambda: sim.Gate("perm", (), table=(0,)),
+            # an empty reflection used to raise a bare IndexError
+            lambda: extractors.grover_operator(sim.Circuit(1, [sim.h(0)]), reflection_qubits=[]),
+        ],
+    )
+    def test_gates_that_cannot_run_are_refused(self, make):
+        with pytest.raises(CircuitError):
+            make()
+
+    def test_cp_takes_one_or_more_controls(self):
+        g = sim.Gate("cp", (3, 0, 1), angle=0.4)
+        u = np.eye(8, dtype=np.complex128)
+        u[7, 7] = np.exp(0.4j)  # every qubit reads 1
+        np.testing.assert_allclose(sim.gate_matrix(g), u, rtol=0, atol=1e-15)
+        s = random_state(RNG, 4)
+        np.testing.assert_allclose(
+            sim.apply_circuit(s, sim.Circuit(4, [g])).amplitudes,
+            kron_embed(u, g.qubits, 4) @ s.amplitudes,
+            atol=EQUIV_ATOL,
+        )
+        assert sim.Circuit(4, [g]).cnot_count == 0
 
 
 class TestNormAndComposition:
@@ -908,8 +953,7 @@ class TestSampling:
     def test_frequencies_match_marginals(self):
         s = random_state(np.random.default_rng(4), 3)
         reg = (0, 2)
-        recs = sim.sample_shots(s, {"r": reg}, 1_000_000, seed=11)
-        counts = np.bincount([r.measured_bits["r"] for r in recs], minlength=4)
+        counts = sim.sample_counts(s, reg, 1_000_000, seed=11)
         probs = sim.marginal_probabilities(s, reg)
         sigma = np.sqrt(probs * (1 - probs) / 1_000_000)
         assert np.all(np.abs(counts / 1_000_000 - probs) <= 4 * sigma + 1e-12)
@@ -971,13 +1015,41 @@ class TestSampling:
                     sim.sample_shots(s, {"r": (0,)}, 10, 1)
 
     def test_counts_reject_bad_input(self):
-        for shots in (0, 2.5):
+        for shots in (0, 2.5, True):
             with pytest.raises(CircuitError):
                 sim.sample_counts(sim.zero_state(2), (0,), shots, 1)
             with pytest.raises(CircuitError):
                 sim.sample_shots(sim.zero_state(2), {"r": (0,)}, shots, 1)
         with pytest.raises(CircuitError):
             sim.sample_counts(sim.zero_state(2), (2,), 10, 1)
+
+    def test_bool_is_not_a_shot_count(self):
+        # passed here, and numpy raised a TypeError later
+        with pytest.raises(CircuitError):
+            sim.check_shots(True, 1)
+        sim.check_shots(np.int64(1), 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True, "3"])
+    def test_seed_is_a_non_negative_integer(self, seed):
+        # -1 raised numpy's ValueError, 1.5 a TypeError, and None drew
+        # fresh entropy: a run that could not be repeated
+        state = random_state(RNG, 2)
+        for draw in (
+            lambda: sim.seeded_generator(seed),
+            lambda: sim.sample_counts(state, (0,), 3, seed),
+            lambda: sim.sample_shots(state, {"r": (0,)}, 3, seed),
+            lambda: extractors.naive_amplitude_estimate(sim.Circuit(1, [sim.h(0)]), 3, 0.95, seed),
+            lambda: extractors.swap_test(sim.Circuit(1, [sim.h(0)]), sim.Circuit(1), 3, seed),
+            lambda: converters.convert_ew_to_amplitude(loaders.qram_oracle([1, 2], 2), 2, seed),
+            lambda: converters.ew_conversion_success_frequency(loaders.qram_oracle([1, 2], 2), 2, 5, seed),
+        ):
+            with pytest.raises(CircuitError):
+                draw()
+
+    def test_numpy_integer_seeds_draw_as_ints(self):
+        state = random_state(RNG, 3)
+        want = sim.sample_counts(state, (0, 2), 50, 7)
+        np.testing.assert_array_equal(sim.sample_counts(state, (0, 2), 50, np.int64(7)), want)
 
     def test_both_samplers_reject_bad_registers(self):
         for reg in ((5,), (-1,), (0, 0), (2,)):
