@@ -1,9 +1,9 @@
 """Encoding-to-encoding conversion circuits.
 
 * ``qft_circuit`` converts basis to Fourier encoding (and back via its
-  inverse); the assembled matrix equals the DFT ``2**(-m/2) *
-  exp(2*pi*i*j*k/2**m)`` exactly, including the final qubit-reversal
-  swaps.
+  inverse): one ``sim.Qft`` block, whose matrix is the DFT ``2**(-m/2) *
+  exp(2*pi*i*j*k/2**m)``.  The simulator runs it as one FFT; its flat
+  expansion ends in the qubit-reversal swaps, so it is that DFT too.
 * ``convert_ew_to_amplitude`` turns a digit table held in an
   equally-weighted/qRAM-style state into an amplitude encoding, by
   post-selection; success probability is ``mean(d_i^2)``.
@@ -19,24 +19,21 @@ import numpy as np
 from . import sim
 from .errors import CapacityError, EncodingError
 from .loaders import qram_oracle
-from .sim import Circuit, Gate, StateVector
+from .sim import Circuit, StateVector
 
 MAX_QFT_QUBITS = 12
 
 
 def qft_circuit(m: int) -> Circuit:
-    """Fourier transform on ``m`` qubits: H + controlled-phase ladder,
-    ending in qubit-reversal swaps so the closed form holds verbatim."""
+    """Fourier transform on ``m`` qubits, basis to Fourier encoding:
+    ``|x> -> 2**(-m/2) * sum_y exp(2*pi*i*x*y/2**m) |y>`` with qubit 0 the
+    low bit.  It is one ``sim.Qft`` block: the simulator runs it as one
+    orthonormal FFT, and ``gates`` lists its H + controlled-phase ladder
+    ending in qubit-reversal swaps, so the closed form holds verbatim for
+    both."""
     if not 1 <= m <= MAX_QFT_QUBITS:
         raise CapacityError(f"qft size {m} outside 1..{MAX_QFT_QUBITS}")
-    gates: list[Gate] = []
-    for i in range(m - 1, -1, -1):
-        gates.append(sim.h(i))
-        for j in range(i - 1, -1, -1):
-            gates.append(sim.cp(np.pi / (1 << (i - j)), j, i))
-    for k in range(m // 2):
-        gates.append(sim.swap(k, m - 1 - k))
-    return Circuit(m, gates, {"data": tuple(range(m))})
+    return Circuit(m, [sim.Qft(tuple(range(m)))], {"data": tuple(range(m))})
 
 
 def qft_inverse_circuit(m: int) -> Circuit:
@@ -91,8 +88,8 @@ def _ew_prep_circuit(u_d: Circuit, m: int) -> Circuit:
     n_idx = u_d.n_qubits - m
     width = u_d.n_qubits + 1
     angles = [2.0 * np.arcsin(v / float(1 << m)) for v in range(1 << m)]
-    gates: list[Gate] = [sim.h(q) for q in range(n_idx)]
-    gates.extend(u_d.shifted(0, width).gates)
+    gates: list = [sim.h(q) for q in range(n_idx)]
+    gates.extend(u_d.shifted(0, width).items)
     gates.append(sim.multiplexed_ry(angles, range(n_idx, n_idx + m), width - 1))
     return Circuit(width, gates, query_count=u_d.query_count)
 
@@ -191,12 +188,11 @@ def convert_amplitude_to_ew(u_a: Circuit, m: int) -> Circuit:
         i = local & ((1 << n) - 1)
         wk = (local >> n) & ((1 << n) - 1)
         eq_table.append(local ^ (1 << (2 * n)) if i == wk else local)
-    f_gates = list(u_a.shifted(n, w).gates) + [sim.permutation(eq_table, eq_qubits)]
-    f_circ = Circuit(w, f_gates)
+    f_circ = Circuit(w, u_a.shifted(n, w).items + (sim.permutation(eq_table, eq_qubits),))
 
-    gates: list[Gate | sim.Repeat] = [sim.h(q) for q in index_reg]
+    gates: list = [sim.h(q) for q in index_reg]
     # estimate block: F once, then phase estimation on its Grover operator
-    estimate = list(f_circ.shifted(0, width).gates)
+    estimate = list(f_circ.shifted(0, width).items)
     estimate.extend(qpe_gates(f_circ, flag, m, reflection_qubits=work_reg + (flag,), width=width))
     gates.extend(estimate)
     # reversible digit write |y>|z> -> |y>|z + g(y) mod 2^m>: the qRAM

@@ -150,36 +150,41 @@ def grover_operator(f: Circuit, flag: int | None = None, reflection_qubits=None)
     flag = _flag_qubit(f, flag)
     refl = tuple(reflection_qubits) if reflection_qubits is not None else tuple(range(f.n_qubits))
     # S_flag: phase -1 on flag = 1
-    gates: list[Gate] = [sim.p(np.pi, flag)]
-    gates.extend(f.inverse().gates)
+    gates: list = [sim.p(np.pi, flag)]
+    gates.extend(f.inverse().items)
     gates.extend(_reflection_about_zero(refl))
-    gates.extend(f.gates)
+    gates.extend(f.items)
     # global -1: (X P(pi))^2 = -I on any one qubit
     gates.extend([sim.p(np.pi, flag), sim.x(flag), sim.p(np.pi, flag), sim.x(flag)])
     return Circuit(f.n_qubits, gates, f.registers, f.query_count)
 
 
-def _controlled_grover_gates(f: Circuit, flag: int, control: int, reflection_qubits) -> list[Gate]:
-    """Controlled Q: only the reflections (and the global sign) need the
-    control; F and F-inverse cancel on the control-0 branch."""
+def _controlled_grover_gates(
+    f: Circuit, f_inverse: tuple[Gate, ...], flag: int, control: int, reflection_qubits
+) -> list[Gate]:
+    """Controlled Q, given F and the gates of F-inverse: only the
+    reflections (and the global sign) need the control; F and F-inverse
+    cancel on the control-0 branch."""
     gates: list[Gate] = [sim.cp(np.pi, control, flag)]
-    gates.extend(f.inverse().gates)
+    gates.extend(f_inverse)
     gates.extend(_reflection_about_zero(reflection_qubits, (control,)))
     gates.extend(f.gates)
     gates.append(sim.p(np.pi, control))  # controlled global -1
     return gates
 
 
-def qpe_gates(f: Circuit, flag: int, m: int, reflection_qubits=None, width: int | None = None) -> list[Gate | sim.Repeat]:
+def qpe_gates(f: Circuit, flag: int, m: int, reflection_qubits=None, width: int | None = None) -> list:
     """Phase estimation on Q(F): H layer, controlled powers of Q, inverse
     Fourier transform on the ``m`` phase qubits sitting above ``f``.  Each
-    power ``Q**(2**j)`` is one ``Repeat`` of the controlled Q."""
+    power ``Q**(2**j)`` is one ``Repeat`` of the controlled Q, and the
+    inverse transform one ``sim.Qft`` block."""
     w = f.n_qubits
     width = width if width is not None else w + m
     refl = tuple(reflection_qubits) if reflection_qubits is not None else tuple(range(w))
-    gates: list[Gate | sim.Repeat] = [sim.h(w + j) for j in range(m)]
-    gates += (sim.Repeat(tuple(_controlled_grover_gates(f, flag, w + j, refl)), 1 << j) for j in range(m))
-    gates.extend(qft_circuit(m).inverse().shifted(w, width).gates)
+    f_inverse = f.inverse().gates
+    gates: list = [sim.h(w + j) for j in range(m)]
+    gates += (sim.Repeat(tuple(_controlled_grover_gates(f, f_inverse, flag, w + j, refl)), 1 << j) for j in range(m))
+    gates.extend(qft_circuit(m).inverse().shifted(w, width).items)
     return gates
 
 
@@ -188,7 +193,7 @@ def qae_circuit(f: Circuit, m: int, flag: int | None = None) -> Circuit:
     ``m``-qubit phase register."""
     flag = _flag_qubit(f, flag)
     width = f.n_qubits + m
-    gates = list(f.gates)
+    gates = list(f.items)
     gates.extend(qpe_gates(f, flag, m, width=width))
     regs = dict(f.registers)
     regs["qae_phase"] = tuple(range(f.n_qubits, width))
@@ -246,16 +251,18 @@ class SwapTestResult:
 def swap_test(load_a: Circuit, load_b: Circuit, shots: int, seed: int) -> SwapTestResult:
     """Hadamard test of state overlap: P(ancilla = 0) = 1/2 + |<a|b>|^2/2.
 
-    ``shots = 0`` skips sampling and reports the exact probability.
+    ``shots = 0`` skips sampling and reports the exact probability; the
+    seed is checked either way.
     """
     sim.check_shots(shots, 0)
+    rng = sim.seeded_generator(seed)
     n = load_a.n_qubits
     if load_b.n_qubits != n:
         raise CircuitError("swap test needs equal register sizes")
     width = 2 * n + 1
     anc = 2 * n
-    gates = list(load_a.shifted(0, width).gates)
-    gates.extend(load_b.shifted(n, width).gates)
+    gates = list(load_a.shifted(0, width).items)
+    gates.extend(load_b.shifted(n, width).items)
     gates.append(sim.h(anc))
     gates.extend(sim.cswap(anc, q, n + q) for q in range(n))
     gates.append(sim.h(anc))
@@ -265,6 +272,6 @@ def swap_test(load_a: Circuit, load_b: Circuit, shots: int, seed: int) -> SwapTe
     if shots == 0:
         p0_hat = p0
     else:
-        p0_hat = float(sim.seeded_generator(seed).binomial(shots, p0)) / shots
+        p0_hat = float(rng.binomial(shots, p0)) / shots
     overlap = float(np.sqrt(max(0.0, 2.0 * p0_hat - 1.0)))
     return SwapTestResult(p0_hat, overlap, p0, shots)

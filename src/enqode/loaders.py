@@ -8,16 +8,18 @@ measure the width/depth/CNOT trade-offs of the different encodings.
 
 Amplitude-family loaders emit one native multiplexed rotation
 (``sim.multiplexed_ry``) per stage of the angle tree.  For complex input a
-diagonal phase pass follows: one multiplexed RZ per qubit, written as a
+diagonal phase pass follows, declared as one ``sim.Diagonal`` block: the
+simulator runs it as one multiply by the phases, and its flat expansion
+(``Circuit.gates``) is one multiplexed RZ per qubit, written as a
 multiplexed RY between ``H, S`` and ``S^dag, H`` (RZ = H S^dag RY S H), so
-a complex load of n qubits holds 2n multiplexers.  Depth and CNOT count
+a complex load of n qubits still holds 2n multiplexers.  Depth and CNOT count
 describe the lowered circuit (``sim.Circuit.lowered``), in which each
 multiplexer is the standard Gray-code walk of RY + CNOT gates, so
 ``cnot_count`` stays meaningful (a full multiplexer over k controls costs
 exactly 2^k CNOTs); ``sim.Circuit`` counts them without building that
 circuit.  Controlled swaps are permutation gates, which are not lowered
 and count no CNOTs.  The phase pass fixes each phase up to one global
-phase, which this package never compares.
+phase (the mean phase), which this package never compares.
 
 Each loader reads its input through ``encodings.check``, which applies the
 format's domain rules (ranges, normalization, duplicates) and returns the
@@ -49,7 +51,7 @@ class LoaderOutput:
     preprocessing_ops: int
 
 
-def _output(gates: list[Gate], n: int, width: int | None = None, preprocessing: int = 0) -> LoaderOutput:
+def _output(gates: list[Gate | sim.Diagonal], n: int, width: int | None = None, preprocessing: int = 0) -> LoaderOutput:
     """A loader's output: the data on qubits 0..n-1 and, when a ``width``
     is given, an ancilla register on qubits n..width-1."""
     registers = {"data": tuple(range(n))}
@@ -63,41 +65,16 @@ def _output(gates: list[Gate], n: int, width: int | None = None, preprocessing: 
 # --------------------------------------------------------------------------
 
 
-def _phase_stage_angles(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One halving step of the diagonal-phase recursion: per-pair phase
-    differences to multiplex onto the low qubit, and the means left for the
-    remaining qubits."""
-    return omega[1::2] - omega[0::2], (omega[0::2] + omega[1::2]) / 2.0
-
-
-def _emit_diagonal_phases(gates: list[Gate], omega: np.ndarray, qubits) -> int:
-    """Imprint ``exp(i*omega[b])`` on basis state ``|b>`` of ``qubits`` (bit
-    j of b = qubits[j]), up to one global phase.  Returns the number of
-    classical angle computations performed."""
-    qubits = list(qubits)
-    work = np.asarray(omega, dtype=np.float64)
-    ops = 0
-    for t, q in enumerate(qubits):
-        deltas, work = _phase_stage_angles(work)
-        ops += deltas.size
-        # RZ(delta) multiplexed over the higher qubits, as H S^dag RY S H.
-        gates += [
-            sim.h(q),
-            sim.p(np.pi / 2, q),
-            sim.multiplexed_ry(deltas, qubits[t + 1 :], q),
-            sim.p(-np.pi / 2, q),
-            sim.h(q),
-        ]
-    return ops
-
-
-def _phase_pass(gates: list[Gate], a: np.ndarray, n: int) -> int:
-    """Append the diagonal phase pass for ``a`` on qubits ``0..n-1`` unless
-    every phase is within ``PHASE_ATOL`` of 0.  Returns the number of
-    classical angle computations performed."""
+def _phase_pass(gates: list[Gate | sim.Diagonal], a: np.ndarray, n: int) -> int:
+    """Append the diagonal phase pass for ``a`` on qubits ``0..n-1``, one
+    ``sim.Diagonal`` of its phases, unless every phase is within
+    ``PHASE_ATOL`` of 0.  Returns the number of classical angle
+    computations its expansion performs: one per multiplexed angle,
+    ``2**n - 1``."""
     omega = np.angle(a)
     if np.any(np.abs(omega) > PHASE_ATOL):
-        return _emit_diagonal_phases(gates, omega, range(n))
+        gates.append(sim.Diagonal(omega, range(n)))
+        return (1 << n) - 1
     return 0
 
 
@@ -164,7 +141,7 @@ def load_amplitude(a) -> LoaderOutput:
     """Multiplexed-RY pyramid driven by the angle tree, then a diagonal
     phase pass for complex inputs.  CNOT count grows as O(2^n)."""
     a, n, angle_tree, preprocessing = _amplitude_input(a)
-    gates: list[Gate] = []
+    gates: list[Gate | sim.Diagonal] = []
     _amplitude_stages(gates, angle_tree.levels, n)
     preprocessing += _phase_pass(gates, a, n)
     return _output(gates, n, preprocessing=preprocessing)
@@ -222,7 +199,7 @@ def load_divide_conquer(a) -> LoaderOutput:
         raise CapacityError(f"divide-and-conquer needs {n + (1 << n)} qubits; n capped at {MAX_DC_QUBITS}")
     width = n + (1 << n)
 
-    gates: list[Gate] = []
+    gates: list[Gate | sim.Diagonal] = []
     _emit_forest(gates, angle_tree.levels, n, 0)
     for t in range(n):
         gates.append(sim.cnot(_forest_qubit(n, 0, t, 0), n - 1 - t))
@@ -243,7 +220,7 @@ def load_bidirectional(a, s: int) -> LoaderOutput:
         raise CapacityError(f"bidirectional needs up to {n + (1 << n)} qubits; n capped at {MAX_DC_QUBITS}")
     width = n + (1 << n) - (1 << s)
 
-    gates: list[Gate] = []
+    gates: list[Gate | sim.Diagonal] = []
     _amplitude_stages(gates, angle_tree.levels[:s], n)
     _emit_forest(gates, angle_tree.levels, n, s)
     # route the canonical path of forest root p onto the low data qubits,

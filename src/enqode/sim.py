@@ -38,18 +38,31 @@ Conventions used throughout the package:
   gate's qubit axes first (``_qubit_major``, ``_moved_rows``).
   ``apply_gate`` is the only code that applies a gate to amplitudes.
 * ``apply_circuit`` runs a circuit's execution plan (``Circuit._steps``),
-  made once per circuit.  Builders declare repetition as ``Repeat``
-  items, gates applied ``count`` times back to back (phase estimation's
-  controlled powers).  A ``Repeat`` of count >= 2 on at most
-  ``_POWER_QUBITS`` qubits is one step: its ``2**k``-square matrix, raised
-  to the count by repeated squaring and applied as one dense update on the
-  ``_view_shape`` view of those qubits, slab by slab (``_slabs``).
-  ``apply_gate`` builds the matrix on the flattened identity, once per
-  repeat that is distinct on its own qubits.  Every other gate runs through
-  ``apply_gate``; a plain gate list is never searched for repeats.
-  ``Circuit.gates`` (every ``Repeat`` expanded), ``lowered()`` and every
-  resource count are those of the flat list.  A power agrees with the
-  gate-by-gate run within ``EQUIV_ATOL``, not bit for bit.
+  made once per circuit.  Builders declare structure in declared blocks:
+  circuit items with a flat expansion (the block's ``gates``) and one plan
+  step.  ``Circuit.gates`` (every block expanded), ``lowered()``,
+  ``depth``, ``cnot_count``, ``==`` and ``build_unitary`` read the flat
+  list; ``inverse``, ``concat`` and ``shifted`` keep the blocks.  There
+  are three blocks, each run on the ``_view_shape`` view of its qubits:
+
+  - ``Repeat``: gates applied ``count`` times back to back (phase
+    estimation's controlled powers).  With count >= 2 on at most
+    ``_POWER_QUBITS`` qubits its step is its ``2**k``-square matrix,
+    raised to the count by repeated squaring and applied as one dense
+    update, slab by slab (``_slabs``).  ``apply_gate`` builds the matrix on
+    the flattened identity, once per repeat that is distinct on its own
+    qubits.  Any other repeat runs gate by gate.
+  - ``Diagonal``: a diagonal unitary (an amplitude load's phase pass),
+    expanded as one multiplexed RZ per qubit and run as one elementwise
+    multiply by its diagonal (Bullock & Markov, quant-ph/0303039).
+  - ``Qft``: the quantum Fourier transform or its inverse, expanded as
+    its H and controlled-phase ladder and run as one orthonormal FFT per
+    slab (Häner et al., arXiv 1604.06460).
+
+  Every gate outside a block runs through ``apply_gate``; a plain gate
+  list is never searched for structure.  A block's step agrees with the
+  gate-by-gate run of its expansion within ``EQUIV_ATOL``, not bit for
+  bit.
 * Builders may emit the native multiplexer ``mry``; a controlled RY
   (``cry``) is one, with angles ``(0, theta)``.  ``Circuit.lowered``
   rewrites each one as its Gray-code walk of RY and CNOT gates
@@ -196,23 +209,160 @@ class Gate:
         return Gate(self.kind, self.qubits, table=tuple(inv))
 
 
+def _moved(g: Gate, offset: int) -> Gate:
+    """``g`` with every qubit moved up by ``offset``."""
+    return Gate(g.kind, tuple(q + offset for q in g.qubits), g.angle, g.angles, g.table)
+
+
+def _inverted(gates: Sequence[Gate]) -> tuple[Gate, ...]:
+    """The adjoint of a gate list: each gate's inverse, in reverse order."""
+    return tuple(g.inverse() for g in reversed(gates))
+
+
+def _check_block_qubits(qubits: tuple[int, ...], name: str) -> None:
+    if not qubits or len(set(qubits)) != len(qubits):
+        raise CircuitError(f"a {name} acts on a non-empty tuple of distinct qubits, got {qubits}")
+
+
 @dataclass(frozen=True)
 class Repeat:
-    """A circuit item: the tuple ``gates`` applied ``count`` times in a
-    row.  A ``Circuit`` lists its expansion in ``gates``; its plan runs it
-    as one matrix power (``_execution_plan``)."""
+    """A declared block: the tuple ``period`` of gates applied ``count``
+    times in a row.  Its flat expansion ``gates`` is the period ``count``
+    times over; its plan step is one matrix power (``_execution_plan``)."""
 
-    gates: tuple[Gate, ...]
+    period: tuple[Gate, ...]
     count: int
 
     def __post_init__(self):
-        if type(self.gates) is not tuple or not self.gates or any(type(g) is not Gate for g in self.gates):
+        if type(self.period) is not tuple or not self.period or any(type(g) is not Gate for g in self.period):
             raise CircuitError("a repeat holds a non-empty tuple of gates")
         if not _is_integer(self.count) or self.count < 1:
             raise CircuitError(f"repeat count must be an integer >= 1, got {self.count!r}")
 
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return self.period * self.count
+
+    @cached_property
+    def qubits(self) -> tuple[int, ...]:
+        return tuple(sorted({q for g in self.period for q in g.qubits}))
+
     def inverse(self) -> "Repeat":
-        return Repeat(tuple(g.inverse() for g in reversed(self.gates)), self.count)
+        return Repeat(_inverted(self.period), self.count)
+
+    def shifted(self, offset: int) -> "Repeat":
+        return Repeat(tuple(_moved(g, offset) for g in self.period), self.count)
+
+
+@dataclass(frozen=True, eq=False)
+class Diagonal:
+    """A declared block: the diagonal unitary that multiplies basis state
+    ``|b>`` of ``qubits`` (bit j of b = ``qubits[j]``) by
+    ``exp(1j*(phases[b] - mean(phases)))``, or its adjoint when
+    ``inverted``.  ``phases`` is kept as a read-only float64 array; two
+    diagonals are equal when their fields are.
+
+    Its flat expansion ``gates`` is one multiplexed RZ per qubit, written
+    as ``H, P(pi/2), mry, P(-pi/2), H`` (RZ = H S^dag RY S H): the RZ on
+    ``qubits[t]`` is multiplexed over ``qubits[t+1:]`` by the phase
+    differences of adjacent pairs, and the pair means pass on to the next
+    qubit (Bullock & Markov, quant-ph/0303039).  That diagonal is exactly
+    the one above, global phase included.  Its plan step is one elementwise
+    multiply by that diagonal (``_execution_plan``).
+    """
+
+    phases: np.ndarray
+    qubits: tuple[int, ...]
+    inverted: bool = False
+
+    def __post_init__(self):
+        phases = np.array(self.phases, dtype=np.float64).ravel()
+        phases.setflags(write=False)
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "qubits", tuple(self.qubits))
+        _check_block_qubits(self.qubits, "diagonal")
+        if phases.size != 1 << len(self.qubits):
+            raise CircuitError(f"a diagonal on {len(self.qubits)} qubits needs {1 << len(self.qubits)} phases")
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is Diagonal
+            and (self.qubits, self.inverted) == (other.qubits, other.inverted)
+            and np.array_equal(self.phases, other.phases)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.qubits, self.inverted, self.phases.tobytes()))
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        work = self.phases
+        gates: list[Gate] = []
+        for t, q in enumerate(self.qubits):
+            deltas, work = work[1::2] - work[0::2], (work[0::2] + work[1::2]) / 2.0
+            hq, s, sdg = _rz_frame(q)
+            gates += [hq, s, multiplexed_ry(deltas, self.qubits[t + 1 :], q), sdg, hq]
+        return _inverted(gates) if self.inverted else tuple(gates)
+
+    def inverse(self) -> "Diagonal":
+        return Diagonal(self.phases, self.qubits, not self.inverted)
+
+    def shifted(self, offset: int) -> "Diagonal":
+        return Diagonal(self.phases, tuple(q + offset for q in self.qubits), self.inverted)
+
+
+@lru_cache(maxsize=64)
+def _rz_frame(q: int) -> tuple[Gate, Gate, Gate]:
+    """H, P(pi/2) and P(-pi/2) on qubit q, the gates around a ``Diagonal``'s
+    multiplexed RY; made once per qubit, since gates are immutable."""
+    return h(q), p(np.pi / 2, q), p(-np.pi / 2, q)
+
+
+@dataclass(frozen=True)
+class Qft:
+    """A declared block: the quantum Fourier transform on ``qubits``,
+    ``|x> -> 2**(-k/2) * sum_y exp(2*pi*i*x*y/2**k) |y>`` with
+    ``qubits[0]`` as the low bit of ``x`` and ``y``, or its inverse when
+    ``inverted``.  Its flat expansion ``gates`` is the H and
+    controlled-phase ladder followed by the qubit-reversal swaps
+    (``_qft_gates``); its plan step is one orthonormal FFT
+    (``_execution_plan``)."""
+
+    qubits: tuple[int, ...]
+    inverted: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "qubits", tuple(self.qubits))
+        _check_block_qubits(self.qubits, "qft")
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return _qft_gates(self.qubits, self.inverted)
+
+    def inverse(self) -> "Qft":
+        return Qft(self.qubits, not self.inverted)
+
+    def shifted(self, offset: int) -> "Qft":
+        return Qft(tuple(q + offset for q in self.qubits), self.inverted)
+
+
+_ITEM_TYPES = frozenset((Gate, Repeat, Diagonal, Qft))
+
+
+@lru_cache(maxsize=64)
+def _qft_gates(qubits: tuple[int, ...], inverted: bool) -> tuple[Gate, ...]:
+    """The flat expansion of ``Qft(qubits, inverted)``: from the top local
+    bit down, an H, then a CP of ``pi/2**d`` from each lower bit at distance
+    d; then swaps that reverse the bit order."""
+    k = len(qubits)
+    gates: list[Gate] = []
+    for i in range(k - 1, -1, -1):
+        gates.append(h(qubits[i]))
+        for j in range(i - 1, -1, -1):
+            gates.append(cp(np.pi / (1 << (i - j)), qubits[j], qubits[i]))
+    for j in range(k // 2):
+        gates.append(swap(qubits[j], qubits[k - 1 - j]))
+    return _inverted(gates) if inverted else tuple(gates)
 
 
 def x(q: int) -> Gate:
@@ -393,8 +543,11 @@ def _walk_levels(level: list[int], controls: Sequence[int], target: int) -> None
 class Circuit:
     """An ordered gate list over ``n_qubits`` wires with named registers.
 
-    ``gates`` may be given ``Repeat`` items, kept in ``items`` (for
-    ``inverse``, ``concat``, ``shifted`` and the plan); ``gates`` is flat.
+    ``gates`` is given circuit items: gates and declared blocks
+    (``Repeat``, ``Diagonal``, ``Qft``).  ``items`` keeps them as given, for
+    ``inverse``, ``concat``, ``shifted`` and the plan; ``gates`` becomes
+    the flat list, every block replaced by its expansion.  Any other item
+    raises ``CircuitError``.
 
     ``query_count`` counts oracle queries declared by circuit builders (e.g.
     a simulated qRAM access); it is not derived from the gate list.
@@ -404,18 +557,21 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
     registers: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     query_count: int = 0
-    items: tuple[Gate | Repeat, ...] = field(init=False, repr=False, compare=False)
+    items: tuple[Gate | Repeat | Diagonal | Qft, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise CircuitError("circuit needs at least one qubit")
-        items = members = flat = tuple(self.gates)
-        if Repeat in map(type, items):
-            members = tuple(itertools.chain.from_iterable(i.gates if type(i) is Repeat else (i,) for i in items))
-            flat = tuple(itertools.chain.from_iterable(i.gates * i.count if type(i) is Repeat else (i,) for i in items))
-        qubits = [q for g in members for q in g.qubits]
+        items = flat = tuple(self.gates)
+        types = set(map(type, items))
+        if not types <= _ITEM_TYPES:
+            bad = next(i for i in items if type(i) not in _ITEM_TYPES)
+            raise CircuitError(f"circuit item {bad!r} is neither a gate nor a declared block")
+        if types - {Gate}:
+            flat = tuple(itertools.chain.from_iterable((i,) if type(i) is Gate else i.gates for i in items))
+        qubits = [q for i in items for q in i.qubits]
         if qubits and (min(qubits) < 0 or max(qubits) >= self.n_qubits):
-            g = next(g for g in members if not all(0 <= q < self.n_qubits for q in g.qubits))
+            g = next(g for g in flat if not all(0 <= q < self.n_qubits for q in g.qubits))
             raise CircuitError(f"gate {g.kind} touches qubit outside 0..{self.n_qubits - 1}")
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "gates", flat)
@@ -504,11 +660,7 @@ class Circuit:
 
     def shifted(self, offset: int, n_qubits: int) -> "Circuit":
         """The same items embedded at ``offset`` in a ``n_qubits``-wide circuit."""
-
-        def move(g: Gate) -> Gate:
-            return Gate(g.kind, tuple(q + offset for q in g.qubits), g.angle, g.angles, g.table)
-
-        items = tuple(Repeat(tuple(map(move, i.gates)), i.count) if type(i) is Repeat else move(i) for i in self.items)
+        items = tuple(_moved(i, offset) if type(i) is Gate else i.shifted(offset) for i in self.items)
         regs = {k: tuple(q + offset for q in v) for k, v in self.registers.items()}
         return Circuit(n_qubits, items, regs, self.query_count)
 
@@ -647,16 +799,23 @@ def _layout(qubits: tuple[int, ...], n: int) -> tuple:
     shape = _view_shape(qubits, n)
     *controls, target = qubits
     axis = {q: 2 * i + 1 for i, q in enumerate(sorted(qubits, reverse=True))}
-    # Pattern j's control bit i is controls[i]; reshaped to (2,)*k the axes
-    # run controls[k-1] .. controls[0]; reorder them to their view order
-    # and give the gaps of the broadcast view length-1 axes.
-    k = len(controls)
-    order = tuple(k - 1 - controls.index(q) for q in sorted(controls, reverse=True))
+    # Pattern j's control bit i is controls[i]; lay the patterns out in
+    # their view order and give the gaps of the broadcast view length-1 axes.
+    order = _pattern_order(controls)
     kept = [a for a, size in enumerate(shape) if size > 1]
     control_axes = {axis[c] for c in controls}
     coef_shape = tuple(2 if a in control_axes else 1 for a in kept if a != axis[target])
     broadcast = tuple(shape[a] for a in kept), kept.index(axis[target]), order, coef_shape
     return shape, axis[target], tuple(axis[c] for c in controls), broadcast
+
+
+def _pattern_order(qubits: Sequence[int]) -> tuple[int, ...]:
+    """The transpose that takes a vector with one entry per pattern of
+    ``qubits`` (bit i = ``qubits[i]``), reshaped to ``(2,)*k`` so that its
+    axes run ``qubits[k-1] .. qubits[0]``, to the descending qubit order of
+    the ``_view_shape`` view."""
+    k = len(qubits)
+    return tuple(k - 1 - qubits.index(q) for q in sorted(qubits, reverse=True))
 
 
 @lru_cache(maxsize=256)
@@ -772,8 +931,8 @@ def _dense(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
 
 
 class _Power(NamedTuple):
-    """A run of gates as one dense update on the ``_view_shape`` view of
-    the qubits it touches: ``matrix`` is the run's 2**k-square unitary with
+    """A ``Repeat`` as one dense update on the ``_view_shape`` view of the
+    qubits it touches: ``matrix`` is the repeat's 2**k-square unitary with
     local bit i = i-th lowest qubit, and each slab of ``slabs`` indexes a
     piece of the view that holds every value of those k qubits."""
 
@@ -781,31 +940,99 @@ class _Power(NamedTuple):
     shape: tuple[int, ...]
     slabs: tuple[tuple, ...]
 
+    def apply(self, psi: np.ndarray) -> None:
+        """Each ``_qubit_major`` slab gathered into a (2**k, rest) matrix,
+        multiplied, and written back."""
+        dim = self.matrix.shape[0]
+        for block in _qubit_major(psi, self.shape, self.slabs):
+            block[...] = (self.matrix @ block.reshape(dim, -1)).reshape(block.shape)
 
-def _execution_plan(items: Sequence[Gate | Repeat], n: int) -> tuple:
+
+class _Multiply(NamedTuple):
+    """A ``Diagonal`` as one elementwise multiply: the buffer viewed as
+    ``shape`` (its ``_view_shape`` without length-1 gaps) times
+    ``factors``, the diagonal laid out over the same axes (length 1 on the
+    gaps)."""
+
+    factors: np.ndarray
+    shape: tuple[int, ...]
+
+    def apply(self, psi: np.ndarray) -> None:
+        view = psi.reshape(self.shape)
+        np.multiply(view, self.factors, out=view)
+
+
+class _Fourier(NamedTuple):
+    """A ``Qft`` as one orthonormal FFT per slab of the ``_view_shape``
+    view ``shape``: ``order`` puts the qubit axes first, top local bit
+    first, so each slab reads as a (2**k, rest) matrix whose row is the
+    local index; its columns are transformed by ``numpy.fft.ifft`` (the
+    QFT's ``exp(+2*pi*i*x*y/2**k)``) or, when ``inverted``, ``fft``."""
+
+    shape: tuple[int, ...]
+    order: tuple[int, ...]
+    slabs: tuple[tuple, ...]
+    inverted: bool
+
+    def apply(self, psi: np.ndarray) -> None:
+        view = psi.reshape(self.shape)
+        dim = 1 << (len(self.shape) // 2)
+        transform = np.fft.fft if self.inverted else np.fft.ifft
+        for slab in self.slabs:
+            block = view[slab].transpose(self.order)
+            block[...] = transform(block.reshape(dim, -1), axis=0, norm="ortho").reshape(block.shape)
+
+
+def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], n: int) -> tuple:
     """The steps ``apply_circuit`` runs for a circuit's ``items`` on n
-    qubits: one ``_Power`` per ``Repeat`` of count >= 2 on at most
-    ``_POWER_QUBITS`` qubits, and every other gate, those of other repeats
-    included, on its own through ``apply_gate``.  Repeats whose gates are
-    equal once moved onto their own qubits (``_row_gates``), as phase
-    estimation's controlled operators on different control wires are,
-    share one ``_period_matrix``."""
+    qubits: each gate on its own through ``apply_gate``, one ``_Multiply``
+    per ``Diagonal``, one ``_Fourier`` per ``Qft``, and one ``_Power`` per
+    ``Repeat`` of count >= 2 on at most ``_POWER_QUBITS`` qubits; the gates
+    of other repeats run one by one.  Repeats whose gates are equal once
+    moved onto their own qubits (``_row_gates``), as phase estimation's
+    controlled operators on different control wires are, share one
+    ``_period_matrix``."""
     matrices: dict[tuple[Gate, ...], np.ndarray] = {}
     steps: list = []
     for item in items:
-        if type(item) is Gate:
+        kind = type(item)
+        if kind is Gate:
             steps.append(item)
-            continue
-        qubits = sorted({q for g in item.gates for q in g.qubits})
-        if item.count == 1 or len(qubits) > _POWER_QUBITS:
-            steps += item.gates * item.count
-            continue
-        key = _row_gates(item.gates, qubits)
-        if key not in matrices:
-            matrices[key] = _period_matrix(item.gates, qubits)
-        shape = _view_shape(tuple(qubits), n)
-        steps.append(_Power(np.linalg.matrix_power(matrices[key], item.count), shape, _slabs(shape, 1 << n)))
+        elif kind is Diagonal:
+            steps.append(_multiply_step(item, n))
+        elif kind is Qft:
+            steps.append(_fourier_step(item, n))
+        elif item.count == 1 or len(item.qubits) > _POWER_QUBITS:
+            steps += item.gates
+        else:
+            key = _row_gates(item.period, item.qubits)
+            if key not in matrices:
+                matrices[key] = _period_matrix(item.period, item.qubits)
+            shape = _view_shape(item.qubits, n)
+            steps.append(_Power(np.linalg.matrix_power(matrices[key], item.count), shape, _slabs(shape, 1 << n)))
     return tuple(steps)
+
+
+def _multiply_step(block: Diagonal, n: int) -> _Multiply:
+    """``block``'s diagonal, ``exp(1j*(phases - mean))`` (negated when
+    inverted), laid out over the ``_view_shape`` axes of its qubits."""
+    phases = block.phases - block.phases.mean()
+    factors = np.exp(-1j * phases if block.inverted else 1j * phases)
+    shape = _view_shape(block.qubits, n)
+    kept = [a for a, size in enumerate(shape) if size > 1]
+    coef_shape = tuple(shape[a] if a % 2 else 1 for a in kept)
+    factors = factors.reshape((2,) * len(block.qubits)).transpose(_pattern_order(block.qubits))
+    return _Multiply(np.ascontiguousarray(factors.reshape(coef_shape)), tuple(shape[a] for a in kept))
+
+
+def _fourier_step(block: Qft, n: int) -> _Fourier:
+    """The slabs and axis order that run ``block`` as FFTs on the
+    ``_view_shape`` view of its qubits (axis ``2*i + 1`` holds the i-th
+    highest qubit)."""
+    shape = _view_shape(block.qubits, n)
+    axis = {q: 2 * i + 1 for i, q in enumerate(sorted(block.qubits, reverse=True))}
+    order = (*(axis[q] for q in reversed(block.qubits)), *range(0, len(shape), 2))
+    return _Fourier(shape, order, _slabs(shape, 1 << n), block.inverted)
 
 
 def _row_gates(period: Sequence[Gate], qubits: Sequence[int]) -> tuple[Gate, ...]:
@@ -829,19 +1056,11 @@ def _period_matrix(period: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
     return u
 
 
-def _apply_power(psi: np.ndarray, step: _Power) -> None:
-    """Apply a ``_Power`` step to ``psi`` in place, slab by slab: each
-    ``_qubit_major`` slab is gathered into a (2**k, rest) matrix,
-    multiplied, and written back."""
-    dim = step.matrix.shape[0]
-    for block in _qubit_major(psi, step.shape, step.slabs):
-        block[...] = (step.matrix @ block.reshape(dim, -1)).reshape(block.shape)
-
-
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Run ``circuit`` on a copy of ``state``, by its execution plan
-    (``Circuit._steps``): gates through ``apply_gate``, each few-qubit
-    ``Repeat`` as one matrix power.
+    (``Circuit._steps``): gates through ``apply_gate``, each declared block
+    by its step (``_execution_plan``): a few-qubit ``Repeat`` as one matrix
+    power, a ``Diagonal`` as one multiply, a ``Qft`` as one FFT.
 
     Raises ``CircuitError`` if the squared norm moved by more than
     ``NORM_ATOL`` or is no longer a number (a NaN angle).
@@ -856,7 +1075,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         if type(step) is Gate:
             apply_gate(psi, step, state.n_qubits)
         else:
-            _apply_power(psi, step)
+            step.apply(psi)
     out = StateVector._owning(state.n_qubits, psi)
     drift = abs(out.norm_sq - norm_sq)
     if not drift <= NORM_ATOL:

@@ -73,6 +73,16 @@ class TestAmplitudeEstimation:
             ext.mode_readout(sim.run(f), (0,), 2.5, 1)
 
 
+def test_phase_estimation_inverts_f_once(monkeypatch):
+    # F-inverse is built once per circuit, not once per controlled power
+    calls = []
+    inverse = sim.Circuit.inverse
+    monkeypatch.setattr(sim.Circuit, "inverse", lambda self: calls.append(self.n_qubits) or inverse(self))
+    f = loaders.load_amplitude(np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])).circuit
+    ext.qae_circuit(f, 6)
+    assert calls == [3, 6]  # F, then the 6-qubit QFT
+
+
 class TestSwapTest:
     def test_exact_probability_matches_overlap(self):
         rng = np.random.default_rng(7)

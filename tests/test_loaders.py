@@ -181,9 +181,7 @@ class TestLoadAmplitude:
         rng = np.random.default_rng(5)
         for n in (1, 2, 3):
             omega = rng.uniform(-np.pi, np.pi, 1 << n)
-            gates = []
-            loaders._emit_diagonal_phases(gates, omega, range(n))
-            u = sim.build_unitary(sim.Circuit(n, gates))
+            u = sim.build_unitary(sim.Circuit(n, sim.Diagonal(omega, range(n)).gates))
             target = np.diag(np.exp(1j * omega))
             np.testing.assert_allclose(u, target * (u[0, 0] / target[0, 0]), atol=1e-10)
 

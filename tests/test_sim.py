@@ -451,7 +451,7 @@ def gate_loop(circuit: sim.Circuit, state: sim.StateVector | None = None) -> np.
 
 
 def powers(circuit: sim.Circuit) -> int:
-    return sum(type(step) is not sim.Gate for step in circuit._steps)
+    return sum(type(step) is sim._Power for step in circuit._steps)
 
 
 def benchmark_qae_input(seed: int, index: int):
@@ -587,7 +587,7 @@ class TestExecutionPlan:
         a = np.abs(rng.normal(size=8))
         f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
         w, m = f.n_qubits, 3
-        grover = extractors._controlled_grover_gates(f, w - 1, w + 1, range(w))
+        grover = extractors._controlled_grover_gates(f, f.inverse().gates, w - 1, w + 1, range(w))
         start = len(f.gates) + m + len(grover)  # after the H layer and Q on qubit w
         assert extractors.qae_circuit(f, m).gates[start : start + len(grover)] == tuple(grover)
         cases.append(grover)
@@ -668,6 +668,7 @@ class TestExecutionPlan:
             f = loaders.load_amplitude(a).circuit
             result = extractors.qae_estimate(f, m, 1024, sample_seed, flag=2)
             c = extractors.qae_circuit(f, m, flag=2)
+            assert steps_of(c)[-1] is sim._Fourier  # the inverse QFT runs as one FFT
             phase = c.registers["qae_phase"]
             looped = sim.StateVector(c.n_qubits, gate_loop(c))
             mode = extractors.mode_readout(looped, phase, 1024, sample_seed).mode
@@ -719,6 +720,156 @@ class TestRepeat:
         np.testing.assert_allclose(undone, sim.zero_state(c.n_qubits).amplitudes, rtol=0, atol=EQUIV_ATOL)
 
 
+def dft_matrix(k: int) -> np.ndarray:
+    """The QFT's closed form ``2**(-k/2) * exp(2*pi*i*x*y/2**k)``."""
+    x = np.arange(1 << k)
+    return np.exp(2j * np.pi * np.outer(x, x) / (1 << k)) / np.sqrt(1 << k)
+
+
+def block_registers(rng, k: int) -> dict[str, tuple[tuple[int, ...], int]]:
+    """``(qubits, width)`` of a k-qubit block on contiguous, reversed and
+    scattered registers, none wider than 10 qubits."""
+    width = min(k + 2, 10)
+    return {
+        "contiguous": (tuple(range(width - k, width)), width),
+        "reversed": (tuple(range(k - 1, -1, -1)), k),
+        "scattered": (tuple(int(q) for q in rng.permutation(width)[:k]), width),
+    }
+
+
+def steps_of(circuit: sim.Circuit) -> list[type]:
+    return [type(step) for step in circuit._steps]
+
+
+class TestDeclaredBlocks:
+    """``Diagonal`` and ``Qft`` run as one step each; their flat expansion
+    is what ``gates``, ``==``, the counts and ``build_unitary`` read."""
+
+    def blocks(self, rng, qubits):
+        k = len(qubits)
+        diagonal = sim.Diagonal(rng.uniform(-np.pi, np.pi, 1 << k), qubits)
+        phases = diagonal.phases - diagonal.phases.mean()
+        local = {diagonal: np.diag(np.exp(1j * phases)), sim.Qft(qubits): dft_matrix(k)}
+        local[diagonal.inverse()] = local[diagonal].conj().T
+        local[sim.Qft(qubits, inverted=True)] = dft_matrix(k).conj().T
+        return local
+
+    def test_step_matches_flat_expansion_and_closed_form(self):
+        # Up to 7 qubits the whole matrix of the step is checked against
+        # build_unitary of the flat expansion, and that against the
+        # Kronecker oracle of the closed form.  From 8 to 10 qubits, where a
+        # matrix costs 0.1-0.3 s, each check runs on a random state instead.
+        rng = np.random.default_rng(61)
+        for k in range(1, 11):
+            for qubits, width in block_registers(rng, k).values():
+                for block, local in self.blocks(rng, qubits).items():
+                    c = sim.Circuit(width, [block])
+                    assert len(c._steps) == 1 and type(c._steps[0]) is not sim.Gate
+                    flat = sim.Circuit(width, block.gates)
+                    if width <= 7:
+                        u = sim.build_unitary(flat)
+                        np.testing.assert_allclose(column_loop(c), u, rtol=0, atol=EQUIV_ATOL)
+                        np.testing.assert_allclose(u, kron_embed(local, qubits, width), rtol=0, atol=EQUIV_ATOL)
+                    else:
+                        s = random_state(rng, width)
+                        out = sim.apply_circuit(s, c).amplitudes
+                        np.testing.assert_allclose(out, gate_loop(flat, s), rtol=0, atol=EQUIV_ATOL)
+                        expected = local_apply(s.amplitudes, local, qubits)
+                        np.testing.assert_allclose(out, expected, rtol=0, atol=EQUIV_ATOL)
+
+    def test_wide_qft_runs_in_slabs(self, monkeypatch):
+        monkeypatch.setattr(sim, "_SLAB", 4)
+        rng = np.random.default_rng(62)
+        for qubits in ((3, 0, 5), (6, 1), (2,)):
+            for inverted in (False, True):
+                c = sim.Circuit(7, [sim.Qft(qubits, inverted)])
+                assert len(c._steps[0].slabs) > 1
+                s = random_state(rng, 7)
+                np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
+
+    def test_inverse_shifted_and_concat_keep_blocks(self):
+        rng = np.random.default_rng(63)
+        d = sim.Diagonal(rng.uniform(-np.pi, np.pi, 8), (2, 0, 1))
+        q = sim.Qft((1, 3))
+        c = sim.Circuit(4, [sim.h(3), d, q, sim.Repeat((sim.x(2), sim.cp(0.3, 2, 3)), 3)])
+        flat = sim.Circuit(4, c.gates)
+        assert c == flat and c.items != flat.items
+        assert (c.depth, c.cnot_count, c.lowered()) == (flat.depth, flat.cnot_count, flat.lowered())
+        assert steps_of(c) == [sim.Gate, sim._Multiply, sim._Fourier, sim._Power]
+        inverse = c.inverse()
+        assert inverse == flat.inverse() and steps_of(inverse) == [sim._Power, sim._Fourier, sim._Multiply, sim.Gate]
+        assert inverse.items[1:3] == (q.inverse(), d.inverse()) and inverse.inverse().items == c.items
+        shifted = c.shifted(2, 6)
+        assert shifted == flat.shifted(2, 6) and steps_of(shifted) == steps_of(c)
+        assert shifted.items[1:3] == (sim.Diagonal(d.phases, (4, 2, 3)), sim.Qft((3, 5)))
+        both = c.concat(inverse)
+        assert both == flat.concat(flat.inverse()) and len(both._steps) == 8
+        s = random_state(rng, 4)
+        np.testing.assert_allclose(sim.apply_circuit(s, both).amplitudes, s.amplitudes, rtol=0, atol=EQUIV_ATOL)
+        # == reads the flat expansion: a block equals its gates listed flat
+        assert sim.Circuit(4, [d]) == sim.Circuit(4, d.gates)
+        assert sim.Circuit(4, [d]) != sim.Circuit(4, [d.inverse()])
+
+    def test_blocks_check_their_shape(self):
+        for make in (
+            lambda: sim.Diagonal([0.1, 0.2, 0.3], (0, 1)),
+            lambda: sim.Diagonal([0.1, 0.2, 0.3, 0.4], (1, 1)),
+            lambda: sim.Diagonal([0.1], ()),
+            lambda: sim.Qft(()),
+            lambda: sim.Qft((2, 0, 2)),
+        ):
+            with pytest.raises(CircuitError):
+                make()
+        with pytest.raises(CircuitError, match="touches qubit outside 0..2"):
+            sim.Circuit(3, [sim.Qft((1, 3))])
+        with pytest.raises(CircuitError, match="outside 0..1"):
+            sim.Circuit(2, [sim.Diagonal([0.0, 0.1, 0.2, 0.3], (0, 2))])
+
+    @pytest.mark.parametrize("item", [None, (sim.h(0),), "h", [sim.h(0)], sim.gate_matrix(sim.h(0))])
+    def test_items_are_gates_or_declared_blocks(self, item):
+        # None, a tuple and a string raised AttributeError on ``qubits``
+        with pytest.raises(CircuitError, match="neither a gate nor a declared block"):
+            sim.Circuit(2, [sim.h(0), item])
+
+    def test_complex_loads_run_the_phase_pass_as_one_multiply(self):
+        rng = np.random.default_rng(64)
+        for n in range(1, 10):
+            a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            a /= np.linalg.norm(a)
+            outs = [loaders.load_amplitude(a)]
+            if n <= 3:  # divide and conquer is n + 2**n qubits wide
+                outs += [loaders.load_divide_conquer(a)] + [loaders.load_bidirectional(a, s) for s in range(1, n + 1)]
+            for out in outs:
+                c = out.circuit
+                assert steps_of(c).count(sim._Multiply) == 1 and len(c.gates) == len(c._steps) - 1 + 5 * n
+                np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+        assert sim._Multiply not in steps_of(loaders.load_amplitude(np.abs(a) / np.linalg.norm(a)).circuit)
+
+    def test_qae_and_conversion_run_the_qft_as_one_fft(self):
+        a = np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])
+        c = extractors.qae_circuit(loaders.load_amplitude(a).circuit, 5)
+        assert steps_of(c).count(sim._Fourier) == 1 and c.items[-1] == sim.Qft(tuple(range(3, 8)), inverted=True)
+        rng = np.random.default_rng(65)
+        for a in (np.sqrt([0.1, 0.2, 0.3, 0.4]), rng.normal(size=4) + 1j * rng.normal(size=4)):
+            u_a = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+            c = converters.convert_amplitude_to_ew(u_a, 3)
+            fouriers = [step for step in c._steps if type(step) is sim._Fourier]
+            assert [f.inverted for f in fouriers] == [True, False]  # estimate, then its uncompute
+            assert steps_of(c).count(sim._Multiply) == (0 if np.isrealobj(a) else 2)
+            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+
+def local_apply(psi: np.ndarray, local: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """``local`` (bit i = ``qubits[i]``) applied to the state ``psi`` by one
+    matrix product over its qubit axes, moved to the front: an oracle that
+    shares nothing with the plan steps or ``apply_gate``."""
+    n = psi.size.bit_length() - 1
+    axes = [n - 1 - q for q in reversed(qubits)]  # axis a of (2,)*n is qubit n-1-a
+    order = axes + [a for a in range(n) if a not in axes]
+    moved = psi.reshape((2,) * n).transpose(order).reshape(local.shape[0], -1)
+    return (local @ moved).reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
+
+
 class TestStateVector:
     def test_probabilities_are_cached_and_read_only(self):
         for n in (1, 5, 9):
@@ -743,9 +894,9 @@ class TestBuildUnitary:
             sim.build_unitary(sim.Circuit(13, [sim.h(0)]))
 
     def test_matches_column_loop(self):
-        # Without repeated runs both apply the same gates by the same
+        # Without declared blocks both apply the same gates by the same
         # arithmetic, so they agree bit for bit.
-        circuits = [converters.qft_circuit(m) for m in range(1, 9)]
+        circuits = [sim.Circuit(m, converters.qft_circuit(m).gates) for m in range(1, 9)]
         rng = np.random.default_rng(31)
         for n in range(1, 7):
             circuits += [sim.Circuit(n, [random_gate(rng, n) for _ in range(20)]) for _ in range(4)]
@@ -758,6 +909,11 @@ class TestBuildUnitary:
         c = sim.Circuit(3, [sim.h(1), sim.Repeat(tuple(period), 5)])
         assert powers(c) == 1
         np.testing.assert_allclose(sim.build_unitary(c), column_loop(c), rtol=0, atol=EQUIV_ATOL)
+        # The column loop runs a QFT as one FFT.
+        for m in range(1, 9):
+            c = converters.qft_circuit(m)
+            assert [type(step) for step in c._steps] == [sim._Fourier]
+            np.testing.assert_allclose(sim.build_unitary(c), column_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     def test_matrix_is_the_only_large_allocation(self):
         c = converters.qft_circuit(10)
@@ -1040,6 +1196,7 @@ class TestSampling:
             lambda: sim.sample_shots(state, {"r": (0,)}, 3, seed),
             lambda: extractors.naive_amplitude_estimate(sim.Circuit(1, [sim.h(0)]), 3, 0.95, seed),
             lambda: extractors.swap_test(sim.Circuit(1, [sim.h(0)]), sim.Circuit(1), 3, seed),
+            lambda: extractors.swap_test(sim.Circuit(1, [sim.h(0)]), sim.Circuit(1), 0, seed),
             lambda: converters.convert_ew_to_amplitude(loaders.qram_oracle([1, 2], 2), 2, seed),
             lambda: converters.ew_conversion_success_frequency(loaders.qram_oracle([1, 2], 2), 2, 5, seed),
         ):
