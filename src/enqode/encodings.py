@@ -20,9 +20,11 @@ ATOL_DECODE``; otherwise, or when ``x`` is outside the domain, it raises
 ``DecodeError``.  NaN fails the check.  Each format but Amplitude computes
 one candidate (the basis family takes the peak outcome) and passes it
 through that check; an Amplitude candidate is the state itself, accepted
-when its squared norm is 1.  A format whose reference state is a uniform
-superposition of basis states reads that fidelity off the state's
-amplitudes, without building the reference state (``_fidelity``).
+when its squared norm is 1.  Two kinds of format compute that fidelity
+without building the reference state (``_fidelity``): one whose reference
+state is a uniform superposition of basis states reads it off the state's
+amplitudes, and Angle contracts the amplitudes against its per-qubit
+``[cos t, sin t]`` factors.
 
 Bit conventions follow :mod:`enqode.sim`: qubit 0 is the least-significant
 bit, so the amplitude of ``|x>`` sits at array index ``x``.  The Fourier
@@ -639,7 +641,18 @@ def _fidelity(d: EncodingDescriptor, x, state: StateVector) -> float:
     """The fidelity of ``state`` with the reference state of ``x``, a value
     ``check`` returned for ``d``.  A uniform superposition over a set S of
     basis states (``_support``) has fidelity ``|sum_{y in S} psi_y|**2 /
-    |S|``, read off the amplitudes without building the reference state."""
+    |S|``, read off the amplitudes without building the reference state.
+    The Angle reference is the real product of ``[cos t, sin t]`` over its
+    qubits, so its overlap with ``state`` is the amplitudes contracted
+    against those factors one qubit at a time, each pass half as long as
+    the last."""
+    if isinstance(d, Angle):
+        amps = state.amplitudes
+        # The top qubit first: its two halves are contiguous, which read
+        # 4 MiB about 1.3x as fast as pairs of neighbours (qubit 0 first).
+        for t in x[::-1]:
+            amps = np.array([np.cos(t), np.sin(t)]) @ amps.reshape(2, -1)
+        return float(abs(amps[0]) ** 2)
     support = _support(d, x)
     if support is None:
         return sim.fidelity(_reference(d, x), state)

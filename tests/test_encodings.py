@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from enqode import encodings as enc
 from enqode import loaders, sim
 from enqode.errors import CapacityError, DecodeError, EncodingError
-from enqode.tolerances import ATOL_DECODE, NORM_ATOL
+from enqode.tolerances import ATOL_DECODE, EQUIV_ATOL, NORM_ATOL
 
 
 class TestDataSet:
@@ -461,6 +461,32 @@ class TestDecodeContract:
                     assert expected < 1 - ATOL_DECODE + 1e-14
                 else:
                     assert expected >= 1 - ATOL_DECODE - 1e-14
+
+    def test_angle_fidelity_matches_reference_state(self):
+        # Angle contracts the state against each qubit's [cos t, sin t]
+        # instead of building the reference state; both agree on product
+        # states, on entangled states and on states near the reference,
+        # and a state that is not a product still fails decode.
+        rng = np.random.default_rng(36)
+        for n in range(1, 13):
+            d = enc.Angle(n)
+            thetas = enc.check(d, rng.uniform(0.0, np.pi / 2, n))
+            ref = enc.reference_state(d, thetas)
+            product = np.ones(1)
+            for _ in range(n):
+                product = np.kron(_unit_complex(rng, 2), product)
+            entangled = _unit_complex(rng, 1 << n)
+            for amps in (product, entangled, ref.amplitudes + 1e-5 * entangled, ref.amplitudes):
+                state = sim.state_from_amplitudes(amps / np.linalg.norm(amps))
+                expected = sim.fidelity(ref, state)
+                assert enc._fidelity(d, thetas, state) == pytest.approx(expected, rel=0, abs=EQUIV_ATOL)
+            if n > 1:
+                with pytest.raises(DecodeError):
+                    enc.decode(d, sim.state_from_amplitudes(entangled))
+                ghz = np.zeros(1 << n)
+                ghz[[0, -1]] = 2**-0.5
+                with pytest.raises(DecodeError):
+                    enc.decode(d, sim.state_from_amplitudes(ghz))
 
     def test_norm_bound_is_the_same_everywhere(self):
         d = enc.Amplitude(2)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enqode import converters, extractors, loaders, sim
+from enqode import converters, encodings, extractors, loaders, sim
 from enqode.errors import CapacityError, CircuitError
-from enqode.tolerances import EQUIV_ATOL
+from enqode.tolerances import ATOL_DECODE, EQUIV_ATOL
 
 RNG = np.random.default_rng(20240811)
 
@@ -281,11 +281,13 @@ class TestApplyCircuit:
         for a, b in zip(final_states(1, 61), final_states(1 << 30, 61)):
             assert a.tobytes() == b.tobytes()
         # n = 16 (halves of 2**15 amplitudes): an RY on every qubit,
-        # qubits 0, 1, 2 and n-1 among them, at the default slab size.
-        thetas = RNG.uniform(0.0, np.pi / 2, 16)
-        slabbed = sim.run(loaders.load_angle(thetas).circuit).amplitudes
+        # qubits 0, 1, 2 and n-1 among them, at the default slab size.  The
+        # plan fuses these gates at this width, so they run through the
+        # kernel itself, gate by gate.
+        circuit = loaders.load_angle(RNG.uniform(0.0, np.pi / 2, 16)).circuit
+        slabbed = gate_loop(circuit)
         monkeypatch.setattr(sim, "_SLAB", 1 << 30)
-        assert slabbed.tobytes() == sim.run(loaders.load_angle(thetas).circuit).amplitudes.tobytes()
+        assert slabbed.tobytes() == gate_loop(circuit).tobytes()
 
     def test_result_owns_a_read_only_buffer(self):
         s = random_state(RNG, 4)
@@ -443,7 +445,7 @@ class TestApplyCircuit:
 
 def gate_loop(circuit: sim.Circuit, state: sim.StateVector | None = None) -> np.ndarray:
     """``circuit`` run one gate at a time through ``apply_gate``: the path
-    the execution plan's powers replace."""
+    that the execution plan's powers, fused runs and block steps replace."""
     psi = np.array((state or sim.zero_state(circuit.n_qubits)).amplitudes)
     for g in circuit.gates:
         sim.apply_gate(psi, g, circuit.n_qubits)
@@ -541,13 +543,17 @@ class TestExecutionPlan:
 
     def test_wide_power_runs_in_slabs(self):
         # n = 18: the state takes 4 MiB and apply_circuit copies it once.
-        # Slab temporaries (the 2x2 updates' too) stay under 1 MiB; a power
-        # on whole-state temporaries would add 8 MiB.
+        # Slab temporaries stay under 1 MiB; a power on whole-state
+        # temporaries would add 8 MiB.  The H layer is fused into one
+        # dense step of its own, ahead of the repeat's power.
         n = 18
         period = [sim.ry(0.3, 0), sim.cnot(0, 9), sim.h(17), sim.cp(0.2, 9, 17)]
         c = sim.Circuit(n, [sim.h(q) for q in (0, 9, 17)] + [sim.Repeat(tuple(period), 5)])
-        c._steps  # the plan itself is small; measure the run
-        assert powers(c) == 1
+        layer, power = c._steps  # the plan itself is small; measure the run
+        assert type(layer) is sim._Power and layer.matrix.shape == (8, 8)
+        assert type(power) is sim._Power
+        np.testing.assert_allclose(power.matrix, np.linalg.matrix_power(sim._period_matrix(period, (0, 9, 17)), 5),
+                                   rtol=0, atol=EQUIV_ATOL)
         state = sim.zero_state(n)
         tracemalloc.start()
         try:
@@ -677,6 +683,98 @@ class TestExecutionPlan:
                 sim.sample_counts(sim.run(c), phase, 1024, sample_seed),
                 sim.sample_counts(looped, phase, 1024, sample_seed),
             )
+
+
+def spread_gate(rng, n: int, k: int) -> sim.Gate:
+    """A ``random_gate`` on k qubits, moved onto k random qubits of n."""
+    qubits = [int(q) for q in rng.choice(n, size=k, replace=False)]
+    g = random_gate(rng, k)
+    return sim.Gate(g.kind, tuple(qubits[q] for q in g.qubits), g.angle, g.angles, g.table)
+
+
+class TestFusion:
+    """On states of more than ``_FUSE_MIN`` amplitudes the plan fuses runs
+    of gates on at most ``_FUSE_QUBITS`` qubits into one dense step; every
+    result must match the gate-by-gate loop within ``EQUIV_ATOL``."""
+
+    def test_random_circuits_match_gate_loop(self):
+        rng = np.random.default_rng(97)
+        kinds = set()
+        for n in (15, 16, 17):
+            # gates drawn on 5 of the n qubits often fit a run of 4; the
+            # 6-qubit multiplexer fits no run, and the QFT block ends one
+            gates = [spread_gate(rng, n, 5) for _ in range(24)] + [random_gate(rng, n) for _ in range(6)]
+            wide = sim.multiplexed_ry(rng.uniform(-np.pi, np.pi, 32), range(5), n - 1)
+            items = [*gates[:10], wide, *gates[10:20], sim.Qft((0, 3, n - 1)), *gates[20:]]
+            c = sim.Circuit(n, items)
+            kinds.update(g.kind for g in gates)
+            fused = [step for step in c._steps if type(step) is sim._Power]
+            assert fused and all(step.matrix.shape[0] <= 1 << sim._FUSE_QUBITS for step in fused)
+            assert wide in c._steps and sim._Fourier in steps_of(c)
+            s = random_state(rng, n)
+            np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
+        assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "mry", "perm"}
+
+    def test_runs_are_greedy(self):
+        a, b, c, d, e = (sim.ry(0.1 * i, q) for i, q in enumerate((0, 1, 2, 3, 4), 1))
+        n = 16
+        circuit = sim.Circuit(n, [a, b, sim.cnot(0, 2), c, d, e, sim.Diagonal([0.0, 1.0], (5,)), sim.h(9), a, b])
+        first, lone, diagonal, last = circuit._steps
+        assert lone == e and type(diagonal) is sim._Multiply
+        local = sim._period_matrix([a, b, sim.cnot(0, 2), c, d], (0, 1, 2, 3))
+        np.testing.assert_allclose(first.matrix, local, rtol=0, atol=EQUIV_ATOL)
+        np.testing.assert_allclose(last.matrix, sim._period_matrix([sim.h(9), a, b], (0, 1, 9)), rtol=0, atol=EQUIV_ATOL)
+        s = random_state(RNG, n)
+        np.testing.assert_allclose(sim.apply_circuit(s, circuit).amplitudes, gate_loop(circuit, s),
+                                   rtol=0, atol=EQUIV_ATOL)
+
+    def test_wide_loads_decode(self):
+        rng = np.random.default_rng(98)
+        for n in (15, 16, 17, 18):
+            thetas = rng.uniform(0.0, np.pi / 2, n)
+            c = loaders.load_angle(thetas).circuit
+            # runs of _FUSE_QUBITS gates, and a last run of what is left
+            assert len(c._steps) == -(-n // sim._FUSE_QUBITS)
+            assert powers(c) == len(c._steps) - (n % sim._FUSE_QUBITS == 1)
+            got = encodings.decode(encodings.Angle(n), sim.run(c))
+            np.testing.assert_allclose(got.values, thetas, rtol=0, atol=ATOL_DECODE)
+            x = int(rng.integers(1 << n))
+            c = loaders.load_fourier(x, n).circuit
+            assert powers(c) == len(c._steps) < len(c.gates)
+            assert encodings.decode(encodings.Fourier(n), sim.run(c)) == x
+
+    def test_fused_run_stays_in_slabs(self):
+        # As test_wide_power_runs_in_slabs: the copy of the 4 MiB state
+        # plus slab-sized temporaries.
+        n = 18
+        c = loaders.load_angle(RNG.uniform(0.0, np.pi / 2, n)).circuit
+        c._steps  # the plan itself is small; measure the run
+        state = sim.zero_state(n)
+        tracemalloc.start()
+        try:
+            out = sim.apply_circuit(state, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 << n) + (2 << 20)
+        np.testing.assert_allclose(out.amplitudes, gate_loop(c, state), rtol=0, atol=EQUIV_ATOL)
+
+    def test_narrow_plans_are_not_fused(self, monkeypatch):
+        # At most _FUSE_MIN amplitudes the plan is the unfused one, made
+        # without a pass over its steps: QAE (n = 10) and amplitude loads
+        # up to n = 14.  At n = 15 a load fuses.
+        monkeypatch.setattr(sim, "_fused", lambda *a: pytest.fail("a narrow plan was fused"))
+        rng = np.random.default_rng(99)
+        a = np.abs(rng.normal(size=8))
+        c = extractors.qae_circuit(loaders.load_amplitude(a / np.linalg.norm(a)).circuit, 7)
+        assert c.n_qubits == 10 and powers(c) == 6
+        for n in (1, 5, 9, 14):
+            a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+            assert powers(c) == 0 and steps_of(c).count(sim.Gate) == len(c.items) - 1
+        monkeypatch.undo()
+        c = loaders.load_angle(np.full(15, 0.3)).circuit
+        assert powers(c) == len(c._steps) == 4
 
 
 class TestRepeat:
