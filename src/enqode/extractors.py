@@ -129,16 +129,22 @@ def naive_amplitude_estimate(
 # --------------------------------------------------------------------------
 
 
-def _reflection_about_zero(reflection_qubits, extra_controls=()) -> list[Gate]:
-    """Gates for phase -1 on |0...0> of ``reflection_qubits`` (optionally
-    further controlled): an X layer, one phase of pi on the pattern where
-    every qubit involved reads 1 (a multi-controlled CP, or a P on one
-    qubit), and the X layer again."""
-    refl = tuple(reflection_qubits)
-    if not refl:
+def _x_layer(reflection_qubits) -> tuple[Gate, ...]:
+    """One X on each of ``reflection_qubits``: the layer on either side of
+    a reflection about |0...0>, made once and shared by every reflection
+    on those qubits (gates are immutable)."""
+    flips = tuple(sim.x(q) for q in reflection_qubits)
+    if not flips:
         raise CircuitError("a reflection about |0...0> needs at least one qubit")
-    qubits = (*extra_controls, *refl)
-    flips = [sim.x(q) for q in refl]
+    return flips
+
+
+def _reflection_about_zero(flips: tuple[Gate, ...], extra_controls=()) -> list[Gate]:
+    """Gates for phase -1 on |0...0> of the qubits of the X layer ``flips``
+    (``_x_layer``; optionally further controlled): the X layer, one phase
+    of pi on the pattern where every qubit involved reads 1 (a
+    multi-controlled CP, or a P on one qubit), and the X layer again."""
+    qubits = (*extra_controls, *(g.qubits[0] for g in flips))
     return [*flips, Gate(sim.CP if len(qubits) > 1 else sim.PHASE, qubits, angle=np.pi), *flips]
 
 
@@ -148,11 +154,11 @@ def grover_operator(f: Circuit, flag: int | None = None, reflection_qubits=None)
     where ``sin(theta)**2`` is the flag-1 probability of ``F|0>``.  A caller
     repeating Q declares a ``sim.Repeat`` of its gates (one matrix power)."""
     flag = _flag_qubit(f, flag)
-    refl = tuple(reflection_qubits) if reflection_qubits is not None else tuple(range(f.n_qubits))
+    flips = _x_layer(reflection_qubits if reflection_qubits is not None else range(f.n_qubits))
     # S_flag: phase -1 on flag = 1
     gates: list = [sim.p(np.pi, flag)]
     gates.extend(f.inverse().items)
-    gates.extend(_reflection_about_zero(refl))
+    gates.extend(_reflection_about_zero(flips))
     gates.extend(f.items)
     # global -1: (X P(pi))^2 = -I on any one qubit
     gates.extend([sim.p(np.pi, flag), sim.x(flag), sim.p(np.pi, flag), sim.x(flag)])
@@ -160,14 +166,15 @@ def grover_operator(f: Circuit, flag: int | None = None, reflection_qubits=None)
 
 
 def _controlled_grover_gates(
-    f: Circuit, f_inverse: tuple[Gate, ...], flag: int, control: int, reflection_qubits
+    f: Circuit, f_inverse: tuple[Gate, ...], flag: int, control: int, flips: tuple[Gate, ...]
 ) -> list[Gate]:
-    """Controlled Q, given F and the gates of F-inverse: only the
-    reflections (and the global sign) need the control; F and F-inverse
-    cancel on the control-0 branch."""
+    """Controlled Q, given F, the gates of F-inverse and the reflection's X
+    layer ``flips`` (``_x_layer``): only the reflections (and the global
+    sign) need the control; F and F-inverse cancel on the control-0
+    branch."""
     gates: list[Gate] = [sim.cp(np.pi, control, flag)]
     gates.extend(f_inverse)
-    gates.extend(_reflection_about_zero(reflection_qubits, (control,)))
+    gates.extend(_reflection_about_zero(flips, (control,)))
     gates.extend(f.gates)
     gates.append(sim.p(np.pi, control))  # controlled global -1
     return gates
@@ -176,14 +183,17 @@ def _controlled_grover_gates(
 def qpe_gates(f: Circuit, flag: int, m: int, reflection_qubits=None, width: int | None = None) -> list:
     """Phase estimation on Q(F): H layer, controlled powers of Q, inverse
     Fourier transform on the ``m`` phase qubits sitting above ``f``.  Each
-    power ``Q**(2**j)`` is one ``Repeat`` of the controlled Q, and the
-    inverse transform one ``sim.Qft`` block."""
+    power ``Q**(2**j)``, ``Q**1`` included, is one ``Repeat`` of the
+    controlled Q, which the simulator runs as one matrix power; the powers
+    differ only in their control wire, so they share one matrix.  F-inverse
+    and the reflection's X layer are made once and shared by every power.
+    The inverse transform is one ``sim.Qft`` block."""
     w = f.n_qubits
     width = width if width is not None else w + m
-    refl = tuple(reflection_qubits) if reflection_qubits is not None else tuple(range(w))
+    flips = _x_layer(reflection_qubits if reflection_qubits is not None else range(w))
     f_inverse = f.inverse().gates
     gates: list = [sim.h(w + j) for j in range(m)]
-    gates += (sim.Repeat(tuple(_controlled_grover_gates(f, f_inverse, flag, w + j, refl)), 1 << j) for j in range(m))
+    gates += (sim.Repeat(tuple(_controlled_grover_gates(f, f_inverse, flag, w + j, flips)), 1 << j) for j in range(m))
     gates.extend(qft_circuit(m).inverse().shifted(w, width).items)
     return gates
 

@@ -48,12 +48,13 @@ Conventions used throughout the package:
   each run on the ``_view_shape`` view of its qubits:
 
   - ``Repeat``: gates applied ``count`` times back to back (phase
-    estimation's controlled powers).  With count >= 2 on at most
-    ``_POWER_QUBITS`` qubits its step is its ``2**k``-square matrix,
-    raised to the count by repeated squaring and applied as one dense
-    update, slab by slab (``_slabs``).  ``apply_gate`` builds the matrix on
-    the flattened identity, once per repeat that is distinct on its own
-    qubits.  Any other repeat runs gate by gate.
+    estimation's controlled powers).  On at most ``_POWER_QUBITS`` qubits,
+    count 1 included, its step is its ``2**k``-square matrix raised to the
+    count and applied as one dense update, slab by slab (``_slabs``).
+    ``apply_gate`` builds the matrix on the flattened identity, once per
+    period that is distinct on its own qubits, and the plan keeps that
+    period's powers, each squared from a smaller one.  A wider repeat runs
+    gate by gate.
   - ``Diagonal``: a diagonal unitary (an amplitude load's phase pass),
     expanded as one multiplexed RZ per qubit and run as one elementwise
     multiply by its diagonal (Bullock & Markov, quant-ph/0303039).
@@ -69,9 +70,11 @@ Conventions used throughout the package:
   a repeat's power is (``_fused``; Häner & Steiger, arXiv 1704.01127).  A
   block's step ends a run.  A plain gate list is searched for nothing
   else, and fusion lives only in the plan: ``gates``, depth, CNOT count
-  and ``build_unitary`` do not see it.  A block's step, and a fused run,
-  agree with the gate-by-gate run of their gates within ``EQUIV_ATOL``,
-  not bit for bit.
+  and ``build_unitary`` do not see it.  A fused or repeated product with
+  no imaginary part, as a run of RY, H and CNOT gates has, on qubits
+  above qubit 0, is applied as a real one (``_power_step``).  A block's
+  step, and a fused run, agree with the gate-by-gate run of their gates
+  within ``EQUIV_ATOL``, not bit for bit.
 * Builders may emit the native multiplexer ``mry``; a controlled RY
   (``cry``) is one, with angles ``(0, theta)``.  ``Circuit.lowered``
   rewrites each one as its Gray-code walk of RY and CNOT gates
@@ -156,7 +159,13 @@ _SLAB = 1 << 14
 # with k = n + 1 = 4..8 and m = 2..5 (best of 18 runs on a 2-vCPU Xeon,
 # about +-20% noise), the power ran at 0.95-1.1x the gate-by-gate speed for
 # k <= 6 and m = 2 (one power, r = 2) and at 1.25-2.9x for m >= 3; at k = 7
-# it ran at 0.55-0.87x until m = 5, and at k = 8 at 0.16-0.26x.
+# it ran at 0.55-0.87x until m = 5, and at k = 8 at 0.16-0.26x.  Those
+# sweeps had count >= 2 only; a count-1 repeat is a power too.  A lone one
+# at n = 10 (a controlled Grover operator, medians of 200 fresh circuits)
+# ran in 0.03-0.06 ms against 0.28-0.51 ms gate by gate, but its matrix
+# took 0.26-0.43 ms to build at k = 4 and 0.71-0.76 ms at k = 6, so plan
+# plus run cost 1.0-1.1x and 1.6-1.7x the gates once.  QPE's count-1
+# power shares the matrix of its larger powers and builds none.
 _POWER_QUBITS = 6
 # On states of more than ``_FUSE_MIN`` amplitudes, which do not stay in a
 # core's L2 cache from one gate to the next, the plan fuses runs of
@@ -247,7 +256,8 @@ def _check_block_qubits(qubits: tuple[int, ...], name: str) -> None:
 class Repeat:
     """A declared block: the tuple ``period`` of gates applied ``count``
     times in a row.  Its flat expansion ``gates`` is the period ``count``
-    times over; its plan step is one matrix power (``_execution_plan``)."""
+    times over; its plan step, for any count, is one matrix power when it
+    acts on at most ``_POWER_QUBITS`` qubits (``_execution_plan``)."""
 
     period: tuple[Gate, ...]
     count: int
@@ -954,17 +964,21 @@ class _Power(NamedTuple):
     dense update on the ``_view_shape`` view of the qubits it touches:
     ``matrix`` is its 2**k-square unitary with local bit i = i-th lowest
     qubit, and each slab of ``slabs`` indexes a piece of the view that
-    holds every value of those k qubits."""
+    holds every value of those k qubits.  A real ``matrix`` is float64 and
+    acts on the buffer's float64 view: its real and imaginary parts are
+    one more trailing axis of length 2, so ``shape`` has its last gap
+    doubled and each product is a real one, with no copy of the parts."""
 
     matrix: np.ndarray
     shape: tuple[int, ...]
     slabs: tuple[tuple, ...]
 
     def apply(self, psi: np.ndarray) -> None:
-        """Each ``_qubit_major`` slab gathered into a (2**k, rest) matrix,
-        multiplied, and written back."""
+        """Each ``_qubit_major`` slab of the buffer, viewed as the
+        matrix's dtype, gathered into a (2**k, rest) matrix, multiplied,
+        and written back."""
         dim = self.matrix.shape[0]
-        for block in _qubit_major(psi, self.shape, self.slabs):
+        for block in _qubit_major(psi.view(self.matrix.dtype), self.shape, self.slabs):
             block[...] = (self.matrix @ block.reshape(dim, -1)).reshape(block.shape)
 
 
@@ -1007,14 +1021,17 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], n: int) -> 
     """The steps ``apply_circuit`` runs for a circuit's ``items`` on n
     qubits: each gate on its own through ``apply_gate``, one ``_Multiply``
     per ``Diagonal``, one ``_Fourier`` per ``Qft``, and one ``_Power`` per
-    ``Repeat`` of count >= 2 on at most ``_POWER_QUBITS`` qubits; the gates
-    of other repeats run one by one.  Repeats whose gates are equal once
-    moved onto their own qubits (``_row_gates``), as phase estimation's
-    controlled operators on different control wires are, share one
-    ``_period_matrix``.  On states of more than ``_FUSE_MIN`` amplitudes,
-    runs of gates that follow one another in these steps are then fused
-    into dense updates (``_fused``); a block's step ends a run."""
-    matrices: dict[tuple[Gate, ...], np.ndarray] = {}
+    ``Repeat`` on at most ``_POWER_QUBITS`` qubits, of any count; the gates
+    of wider repeats run one by one.  Repeats whose periods are equal once
+    moved onto their own qubits, as phase estimation's controlled operators
+    on different control wires are, share one ``_period_matrix`` and its
+    powers (``_power``).  The key of a period is a plain tuple per gate:
+    its kind, the positions of its qubits within the repeat's qubits, and
+    its angle, angles and table.  On states of more than ``_FUSE_MIN``
+    amplitudes, runs of gates that follow one another in these steps are
+    then fused into dense updates (``_fused``); a block's step ends a
+    run."""
+    powers: dict[tuple, dict[int, np.ndarray]] = {}
     steps: list = []
     for item in items:
         kind = type(item)
@@ -1024,21 +1041,43 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], n: int) -> 
             steps.append(_multiply_step(item, n))
         elif kind is Qft:
             steps.append(_fourier_step(item, n))
-        elif item.count == 1 or len(item.qubits) > _POWER_QUBITS:
+        elif len(item.qubits) > _POWER_QUBITS:
             steps += item.gates
         else:
-            key = _row_gates(item.period, item.qubits)
-            if key not in matrices:
-                matrices[key] = _period_matrix(item.period, item.qubits)
-            steps.append(_power_step(np.linalg.matrix_power(matrices[key], item.count), item.qubits, n))
+            at = {q: i for i, q in enumerate(item.qubits)}.__getitem__
+            key = tuple([(g.kind, tuple(map(at, g.qubits)), g.angle, g.angles, g.table) for g in item.period])
+            if key not in powers:
+                powers[key] = {1: _period_matrix(item.period, item.qubits)}
+            steps.append(_power_step(_power(powers[key], item.count), item.qubits, n))
     return tuple(_fused(steps, n) if (1 << n) > _FUSE_MIN else steps)
+
+
+def _power(powers: dict[int, np.ndarray], count: int) -> np.ndarray:
+    """``powers[count]``, made as ``power(count - count//2) @
+    power(count//2)`` from the powers kept in ``powers`` (at least
+    ``powers[1]``) and kept there too.  ``Q**(2**j)`` is then one squaring
+    of ``Q**(2**(j-1))``, byte-equal to ``np.linalg.matrix_power(Q,
+    2**j)``, which squares in the same order."""
+    if count not in powers:
+        powers[count] = _power(powers, count - count // 2) @ _power(powers, count // 2)
+    return powers[count]
 
 
 def _power_step(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> _Power:
     """``matrix`` (local bit i = ``qubits[i]``, in ascending order) as one
-    dense update of an n-qubit state, slab by slab."""
+    dense update of an n-qubit state, slab by slab.  A matrix with no
+    imaginary part on qubits above qubit 0 is kept as float64 and applied
+    to the float64 view of the buffer, whose last gap is twice as long
+    (``_Power``).  With qubit 0 among the qubits that gap would hold one
+    real and imaginary pair, and numpy gathers a slab two floats at a
+    time: at n = 18 (2-vCPU Xeon) a 4-qubit step then took 6-8 ms real
+    against 2.1-3.5 ms complex, while above qubit 0 it took 1.0-5.0 ms
+    against 2.0-6.1 ms."""
     shape = _view_shape(qubits, n)
-    return _Power(matrix, shape, _slabs(shape, 1 << n))
+    if shape[-1] == 1 or matrix.imag.any():
+        return _Power(matrix, shape, _slabs(shape, 1 << n))
+    shape = (*shape[:-1], 2 * shape[-1])
+    return _Power(np.ascontiguousarray(matrix.real), shape, _slabs(shape, 2 << n))
 
 
 def _fused(steps: Sequence, n: int) -> list:
@@ -1090,24 +1129,18 @@ def _fourier_step(block: Qft, n: int) -> _Fourier:
     return _Fourier(shape, order, _slabs(shape, 1 << n), block.inverted)
 
 
-def _row_gates(period: Sequence[Gate], qubits: Sequence[int]) -> tuple[Gate, ...]:
-    """``period``'s gates moved onto the row bits of a flattened
-    ``2**k``-square matrix over the k ``qubits``: ``qubits[i]`` becomes bit
-    ``k + i`` of a 2k-qubit buffer."""
-    row = {q: len(qubits) + i for i, q in enumerate(qubits)}
-    return tuple(Gate(g.kind, tuple(row[q] for q in g.qubits), g.angle, g.angles, g.table) for g in period)
-
-
 def _period_matrix(period: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
     """The product of ``period``'s gate matrices on the 2**k-dimensional
     space of ``qubits`` (local bit i = ``qubits[i]``), first gate
     rightmost.  ``apply_gate`` runs the gates on the row bits of the
-    flattened identity (``_row_gates``), at width 2k, so every column of
-    the identity goes through the period."""
+    flattened identity at width 2k (``qubits[i]`` becomes bit ``k + i``),
+    so every column of the identity goes through the period."""
     k = len(qubits)
+    row = {q: k + i for i, q in enumerate(qubits)}
     u = np.eye(1 << k, dtype=np.complex128)
-    for g in _row_gates(period, qubits):
-        apply_gate(u.reshape(-1), g, 2 * k)
+    flat = u.reshape(-1)
+    for g in period:
+        apply_gate(flat, Gate(g.kind, tuple(row[q] for q in g.qubits), g.angle, g.angles, g.table), 2 * k)
     return u
 
 

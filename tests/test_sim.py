@@ -475,7 +475,7 @@ class TestExecutionPlan:
             a = np.abs(rng.normal(size=1 << n))
             f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
             c = extractors.qae_circuit(f, m)
-            assert powers(c) == m - 1  # Q^(2^j) for j >= 1
+            assert powers(c) == m  # Q^(2^j) for j >= 0
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     @pytest.mark.parametrize("r", [2, 3, 5, 7])
@@ -572,7 +572,7 @@ class TestExecutionPlan:
         # inverses of the estimate half's controlled Grover powers
         a = np.sqrt([0.1, 0.2, 0.3, 0.4])
         c = converters.convert_amplitude_to_ew(loaders.load_amplitude(a).circuit, 4)
-        assert powers(c) == 6
+        assert powers(c) == 8
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     def test_period_matrix_matches_kron_oracle(self):
@@ -593,7 +593,8 @@ class TestExecutionPlan:
         a = np.abs(rng.normal(size=8))
         f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
         w, m = f.n_qubits, 3
-        grover = extractors._controlled_grover_gates(f, f.inverse().gates, w - 1, w + 1, range(w))
+        flips = extractors._x_layer(range(w))
+        grover = extractors._controlled_grover_gates(f, f.inverse().gates, w - 1, w + 1, flips)
         start = len(f.gates) + m + len(grover)  # after the H layer and Q on qubit w
         assert extractors.qae_circuit(f, m).gates[start : start + len(grover)] == tuple(grover)
         cases.append(grover)
@@ -608,17 +609,55 @@ class TestExecutionPlan:
 
     def test_equal_periods_share_one_matrix(self, monkeypatch):
         # QAE's controlled Grover operators differ only in their control
-        # wire, so the plan builds one period matrix for all m - 1 powers
+        # wire, so the plan builds one period matrix for all m powers
         calls = []
         build = sim._period_matrix
         monkeypatch.setattr(sim, "_period_matrix", lambda *a: calls.append(1) or build(*a))
         a = np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])
         c = extractors.qae_circuit(loaders.load_amplitude(a).circuit, 7)
-        assert powers(c) == 6 and len(calls) == 1
+        assert powers(c) == 7 and len(calls) == 1
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
         # amplitude -> equally-weighted: Q's powers, then their inverses
         c = converters.convert_amplitude_to_ew(loaders.load_amplitude(np.sqrt([0.1, 0.2, 0.3, 0.4])).circuit, 4)
-        assert powers(c) == 6 and len(calls) == 3
+        assert powers(c) == 8 and len(calls) == 3
+
+    def test_periods_share_a_matrix_only_when_equal_on_their_qubits(self, monkeypatch):
+        calls = []
+        build = sim._period_matrix
+        monkeypatch.setattr(sim, "_period_matrix", lambda *a: calls.append(1) or build(*a))
+        base = (sim.h(0), sim.ry(0.3, 1), sim.multiplexed_ry([0.1, 0.2], [0], 1),
+                sim.permutation([1, 2, 3, 0], [0, 1]), sim.cnot(0, 1))
+        variants = [
+            base,
+            (base[0], sim.ry(0.4, 1), *base[2:]),  # one angle
+            (*base[:2], sim.multiplexed_ry([0.1, 0.25], [0], 1), *base[3:]),  # one mry angle
+            (*base[:3], sim.permutation([3, 0, 1, 2], [0, 1]), base[4]),  # a table
+            (sim.h(0), sim.Gate("p", (1,), angle=0.3), *base[2:]),  # a kind, same angle
+            (*base[:4], sim.cnot(1, 0)),  # control and target swapped
+        ]
+        n = 4
+        relabelled = [tuple(sim.Gate(g.kind, tuple(qs[q] for q in g.qubits), g.angle, g.angles, g.table) for g in base)
+                      for qs in ((1, 3), (0, 2))]
+        items = [sim.Repeat(v, 1) for v in variants] + [sim.Repeat(relabelled[0], 3), sim.Repeat(relabelled[1], 2)]
+        c = sim.Circuit(n, items)
+        assert powers(c) == len(items) and len(calls) == len(variants)
+        matrices = [step.matrix for step in c._steps[: len(variants)]]
+        for a, b in itertools.combinations(matrices, 2):
+            assert not np.allclose(a, b)
+        s = random_state(RNG, n)
+        np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
+
+    def test_qae_powers_are_byte_equal_to_matrix_power(self):
+        a = np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])
+        f = loaders.load_amplitude(a).circuit
+        for m in range(1, 10):
+            c = extractors.qae_circuit(f, m)
+            repeats = [item for item in c.items if type(item) is sim.Repeat]
+            steps = [step for step in c._steps if type(step) is sim._Power]
+            assert [r.count for r in repeats] == [1 << j for j in range(m)] and len(steps) == m
+            for r, step in zip(repeats, steps):
+                expected = np.linalg.matrix_power(sim._period_matrix(r.period, r.qubits), r.count)
+                assert step.matrix.dtype == np.complex128 and step.matrix.tobytes() == expected.tobytes()
 
     def test_slabs_bound_and_cover_every_update(self, monkeypatch):
         # One cutting rule for both kinds of step.  At n = 18, for every
@@ -759,6 +798,22 @@ class TestFusion:
         assert peak < (16 << n) + (2 << 20)
         np.testing.assert_allclose(out.amplitudes, gate_loop(c, state), rtol=0, atol=EQUIV_ATOL)
 
+    def test_real_runs_multiply_as_real(self):
+        # RY, H, CNOT and mry have real matrices, so their run's product is
+        # kept as float64 above qubit 0; a P gate makes its run's product
+        # complex, and so does qubit 0.
+        rng = np.random.default_rng(101)
+        for n in (15, 16, 17):
+            real = [sim.ry(0.3, 1), sim.h(5), sim.cnot(1, n - 1), sim.multiplexed_ry([0.2, -0.4], [5], 7)]
+            phased = [sim.h(2), sim.p(0.7, 2), sim.cnot(2, 9), sim.cnot(9, 11)]
+            low = [sim.cnot(0, 4), sim.ry(0.2, 0)]
+            c = sim.Circuit(n, real + phased + low)
+            first, second, third = c._steps
+            assert first.matrix.dtype == np.float64 and first.shape[-1] == 2 * sim._view_shape((1, 5, 7, n - 1), n)[-1]
+            assert second.matrix.dtype == third.matrix.dtype == np.complex128
+            s = random_state(rng, n)
+            np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
+
     def test_narrow_plans_are_not_fused(self, monkeypatch):
         # At most _FUSE_MIN amplitudes the plan is the unfused one, made
         # without a pass over its steps: QAE (n = 10) and amplitude loads
@@ -767,7 +822,7 @@ class TestFusion:
         rng = np.random.default_rng(99)
         a = np.abs(rng.normal(size=8))
         c = extractors.qae_circuit(loaders.load_amplitude(a / np.linalg.norm(a)).circuit, 7)
-        assert c.n_qubits == 10 and powers(c) == 6
+        assert c.n_qubits == 10 and powers(c) == 7
         for n in (1, 5, 9, 14):
             a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
@@ -786,8 +841,8 @@ class TestRepeat:
         assert circuit.items == (c, sim.Repeat((a, b), 3), sim.Repeat((c,), 1))
         assert (circuit.depth, circuit.cnot_count) == (flat.depth, flat.cnot_count)
         assert circuit.lowered() == flat.lowered()
-        # a count of 1 runs gate by gate
-        assert powers(circuit) == 1 and len(circuit._steps) == 3
+        # a count of 1 is a power too
+        assert powers(circuit) == 2 and len(circuit._steps) == 3
 
     @pytest.mark.parametrize("count", [0, -2, 2.0, 1.5, "2", None, True])
     def test_count_must_be_a_positive_integer(self, count):
@@ -807,13 +862,13 @@ class TestRepeat:
         a = np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])
         c = extractors.qae_circuit(loaders.load_amplitude(a).circuit, 4)
         flat = sim.Circuit(c.n_qubits, c.gates, c.registers)
-        assert powers(c) == 3 and powers(flat) == 0
+        assert powers(c) == 4 and powers(flat) == 0
         shifted = c.shifted(1, c.n_qubits + 1)
-        assert powers(shifted) == 3 and shifted.gates == flat.shifted(1, c.n_qubits + 1).gates
+        assert powers(shifted) == 4 and shifted.gates == flat.shifted(1, c.n_qubits + 1).gates
         both = c.concat(c)
-        assert powers(both) == 6 and both.gates == c.gates + c.gates
+        assert powers(both) == 8 and both.gates == c.gates + c.gates
         inverse = c.inverse()
-        assert powers(inverse) == 3 and inverse.gates == flat.inverse().gates
+        assert powers(inverse) == 4 and inverse.gates == flat.inverse().gates
         undone = sim.apply_circuit(sim.run(c), inverse).amplitudes
         np.testing.assert_allclose(undone, sim.zero_state(c.n_qubits).amplitudes, rtol=0, atol=EQUIV_ATOL)
 
