@@ -17,11 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .errors import CapacityError, EncodingError
+from .errors import CapacityError, CircuitError, EncodingError
 from .loaders import qram_oracle
 from .sim import Circuit, StateVector
 
 MAX_QFT_QUBITS = 12
+
+
+def _check_m(m: int) -> None:
+    """The one check of a Fourier or phase register's size: ``CircuitError``
+    unless ``m`` is an integer, ``CapacityError`` unless it is in
+    ``1..MAX_QFT_QUBITS``."""
+    if not sim._is_integer(m):
+        raise CircuitError(f"register size m must be an integer, got {m!r}")
+    if not 1 <= m <= MAX_QFT_QUBITS:
+        raise CapacityError(f"qft size {m} outside 1..{MAX_QFT_QUBITS}")
 
 
 def qft_circuit(m: int) -> Circuit:
@@ -31,8 +41,7 @@ def qft_circuit(m: int) -> Circuit:
     orthonormal FFT, and ``gates`` lists its H + controlled-phase ladder
     ending in qubit-reversal swaps, so the closed form holds verbatim for
     both."""
-    if not 1 <= m <= MAX_QFT_QUBITS:
-        raise CapacityError(f"qft size {m} outside 1..{MAX_QFT_QUBITS}")
+    _check_m(m)
     return Circuit(m, [sim.Qft(tuple(range(m)))], {"data": tuple(range(m))})
 
 
@@ -170,6 +179,7 @@ def convert_amplitude_to_ew(u_a: Circuit, m: int) -> Circuit:
     """
     from .extractors import qpe_gates  # circular at module load otherwise
 
+    _check_m(m)
     n = u_a.n_qubits
     if n + m > 12:
         raise CapacityError(f"index qubits + m = {n + m} exceeds the cap of 12")

@@ -130,7 +130,7 @@ class _Sized:
             if f.type != "int":
                 continue
             value = getattr(self, f.name)
-            if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 0:
+            if not sim._is_integer(value) or value < 0:
                 raise EncodingError(f"{type(self).__name__} size {f.name}={value!r} is not an integer >= 0")
             object.__setattr__(self, f.name, int(value))
         if register_width(self) == 0:

@@ -18,7 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import sim
-from .converters import qft_circuit
+from .converters import _check_m, qft_circuit
 from .errors import CircuitError, NotDeterministicError
 from .sim import Circuit, Gate, StateVector
 
@@ -188,6 +188,7 @@ def qpe_gates(f: Circuit, flag: int, m: int, reflection_qubits=None, width: int 
     differ only in their control wire, so they share one matrix.  F-inverse
     and the reflection's X layer are made once and shared by every power.
     The inverse transform is one ``sim.Qft`` block."""
+    _check_m(m)
     w = f.n_qubits
     width = width if width is not None else w + m
     flips = _x_layer(reflection_qubits if reflection_qubits is not None else range(w))
@@ -229,8 +230,11 @@ def qae_estimate(
     the sine-squared grid.
 
     One shot costs ``2**m - 1`` Grover applications = ``2*(2**m - 1)``
-    F-queries.
+    F-queries.  ``m``, ``shots`` and ``seed`` are checked before anything
+    is simulated.
     """
+    sim.check_shots(shots, 1)
+    sim.check_seed(seed)
     circ = qae_circuit(f, m, flag)
     state = sim.run(circ)
     readout = mode_readout(state, circ.registers["qae_phase"], shots, seed)

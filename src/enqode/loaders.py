@@ -225,18 +225,10 @@ def load_bidirectional(a, s: int) -> LoaderOutput:
     _emit_forest(gates, angle_tree.levels, n, s)
     # route the canonical path of forest root p onto the low data qubits,
     # conditioned on the top register holding p
-    top = list(range(n - s, n))
+    top = range(n - s, n)
     for p in range(1 << s):
         for d in range(n - s):
-            path = _forest_qubit(n, s, s + d, p << d)
-            target = n - 1 - s - d
-            dim = 1 << (s + 2)
-            table = list(range(dim))
-            for y in range(4):
-                local = p | (y << s)
-                swapped = p | ((((y >> 1) | ((y & 1) << 1))) << s)
-                table[local] = swapped
-            gates.append(sim.permutation(table, (*top, path, target)))
+            gates.append(sim.controlled_swap(top, p, _forest_qubit(n, s, s + d, p << d), n - 1 - s - d))
     preprocessing += _phase_pass(gates, a, n)
     return _output(gates, n, width, preprocessing)
 

@@ -50,6 +50,13 @@ class TestQft:
         with pytest.raises(CapacityError):
             conv.qft_circuit(13)
 
+    @pytest.mark.parametrize("m", [2.0, 1.5, True, "2", None])
+    def test_size_is_an_integer(self, m):
+        with pytest.raises(CircuitError):
+            conv.qft_circuit(m)
+        with pytest.raises(CircuitError):
+            conv.convert_amplitude_to_ew(loaders.load_amplitude([0.6, 0.8]).circuit, m)
+
 
 class TestEwToAmplitude:
     def test_success_probability_formula(self):

@@ -72,6 +72,13 @@ class TestAmplitudeEstimation:
         with pytest.raises(CircuitError):
             ext.mode_readout(sim.run(f), (0,), 2.5, 1)
 
+    def test_checks_m_shots_and_seed_before_simulating(self, monkeypatch):
+        f = sim.Circuit(1, [sim.ry(0.3, 0)])
+        monkeypatch.setattr(sim, "run", lambda circuit: pytest.fail("simulated before checking its input"))
+        for m, shots, seed in ((3, 0, 0), (3, 8, -1), (3, 8, 1.5), (2.5, 8, 0), (True, 8, 0), (2.0, 8, 0)):
+            with pytest.raises(CircuitError):
+                ext.qae_estimate(f, m, shots, seed)
+
 
 def test_phase_estimation_inverts_f_once(monkeypatch):
     # F-inverse is built once per circuit, not once per controlled power

@@ -306,6 +306,27 @@ class TestLoadBidirectional:
         assert type(out.circuit.n_qubits) is int
         assert out.circuit == loaders.load_bidirectional(a, 1).circuit
 
+    def test_routing_tables_match_the_hand_derivation(self):
+        # Routing gate (p, d) swaps forest path qubit and data target when
+        # the top register holds p: local index p | y << s, y = (path,
+        # target) bits, goes to p | swapped(y) << s, every other is fixed.
+        rng = np.random.default_rng(10)
+        for n in range(2, 6):
+            a = rng.normal(size=1 << n)
+            for s in range(1, n + 1):
+                top = tuple(range(n - s, n))
+                expected = []
+                for p in range(1 << s):
+                    for d in range(n - s):
+                        table = list(range(1 << (s + 2)))
+                        for y in range(4):
+                            table[p | (y << s)] = p | (((y >> 1) | ((y & 1) << 1)) << s)
+                        qubits = (*top, loaders._forest_qubit(n, s, s + d, p << d), n - 1 - s - d)
+                        expected.append((qubits, tuple(table)))
+                gates = loaders.load_bidirectional(a / np.linalg.norm(a), s).circuit.gates
+                routing = [(g.qubits, g.table) for g in gates if g.kind == sim.PERMUTATION and g.qubits[:s] == top]
+                assert routing == expected
+
 
 def assert_lowering_equivalent(c: sim.Circuit) -> None:
     low = c.lowered()

@@ -1561,3 +1561,127 @@ def test_norm_preserved_property(n, seed):
     gates = [random_gate(rng, n) for _ in range(10)] if n >= 2 else [sim.h(0), sim.ry(0.3, 0)]
     out = sim.apply_circuit(s, sim.Circuit(n, gates))
     assert abs(out.norm_sq - 1.0) <= 1e-9
+
+
+# Each use puts a pair of qubits to work on a 2-qubit width: as the wires of
+# every item kind inside a circuit, as a register, or as the register of a
+# marginal or a draw.
+QUBIT_USES = {
+    "gate": lambda qs: sim.Circuit(2, [sim.Gate(sim.SWAP, qs)]),
+    "cnot": lambda qs: sim.Circuit(2, [sim.cnot(*qs)]),
+    "cp": lambda qs: sim.Circuit(2, [sim.cp(0.3, *qs)]),
+    "mry": lambda qs: sim.Circuit(2, [sim.multiplexed_ry([0.1, 0.2], qs[:1], qs[1])]),
+    "perm": lambda qs: sim.Circuit(2, [sim.permutation([0, 2, 1, 3], qs)]),
+    "controlled_swap": lambda qs: sim.Circuit(2, [sim.controlled_swap((), 0, *qs)]),
+    "repeat": lambda qs: sim.Circuit(2, [sim.Repeat((sim.cnot(*qs),), 2)]),
+    "diagonal": lambda qs: sim.Circuit(2, [sim.Diagonal([0.0, 0.1, 0.2, 0.3], qs)]),
+    "qft": lambda qs: sim.Circuit(2, [sim.Qft(qs)]),
+    "register": lambda qs: sim.Circuit(2, [], {"a": qs}),
+    "marginal": lambda qs: sim.marginal_probabilities(sim.zero_state(2), qs),
+    "sample_shots": lambda qs: sim.sample_shots(sim.zero_state(2), {"a": qs}, 4, 0),
+    "sample_counts": lambda qs: sim.sample_counts(sim.zero_state(2), qs, 4, 0),
+}
+BAD_QUBITS = {
+    "float": (0, 1.0),
+    "bool": (0, True),
+    "string": (0, "1"),
+    "repeated": (1, 1),
+    "out of range": (0, 2),
+    "negative": (-1, 0),
+}
+
+
+class TestQubitCheck:
+    """Every qubit tuple goes through ``sim._check_qubits``: gates, blocks,
+    registers, marginals and draws refuse the same inputs the same way."""
+
+    @pytest.mark.parametrize("qubits", BAD_QUBITS.values(), ids=BAD_QUBITS)
+    @pytest.mark.parametrize("use", QUBIT_USES)
+    def test_bad_qubits_raise_circuit_error(self, use, qubits):
+        with pytest.raises(CircuitError):
+            QUBIT_USES[use](qubits)
+
+    @pytest.mark.parametrize("use", QUBIT_USES)
+    def test_numpy_integers_become_plain_ints(self, use):
+        got = QUBIT_USES[use]((np.int64(0), np.uint8(1)))
+        want = QUBIT_USES[use]((0, 1))
+        if type(got) is sim.Circuit:
+            assert got == want and got.items == want.items
+            for qubits in [*(i.qubits for i in got.items), *got.registers.values()]:
+                assert {type(q) for q in qubits} <= {int}
+        elif type(got) is list:
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    def test_gates_check_their_qubits_when_made(self):
+        for make in (lambda: sim.h(1.0), lambda: sim.x(True), lambda: sim.Gate(sim.X, 0), lambda: sim.ry(0.1, None)):
+            with pytest.raises(CircuitError):
+                make()
+        assert sim.h(np.int64(1)) == sim.h(1) and type(sim.h(np.int64(1)).qubits[0]) is int
+
+    @pytest.mark.parametrize("width", [2.0, True, False, 0, -1, "2", None])
+    def test_circuit_width_is_an_integer_of_at_least_one(self, width):
+        with pytest.raises(CircuitError):
+            sim.Circuit(width)
+
+    def test_concat_keeps_both_circuits_registers(self):
+        a = sim.Circuit(3, [sim.h(0)], {"a": (0,)})
+        b = sim.Circuit(3, [sim.x(1)], {"b": (1, 2)})
+        assert a.concat(b).registers == {"a": (0,), "b": (1, 2)}
+        assert b.concat(a).registers == {"b": (1, 2), "a": (0,)}
+        assert a.concat(a).registers == {"a": (0,)} and sim.Circuit(3).concat(b).registers == b.registers
+        with pytest.raises(CircuitError, match="'a' is bound to different qubits"):
+            a.concat(sim.Circuit(3, [], {"a": (1,)}))
+        with pytest.raises(CircuitError, match="overlap"):
+            a.concat(sim.Circuit(3, [], {"c": (2, 0)}))
+
+
+class TestDeferredExpansion:
+    """A circuit stores its items; its flat list, and each block's
+    expansion, are made on first read and never by a run."""
+
+    def test_running_a_complex_load_never_expands_its_diagonal(self):
+        rng = np.random.default_rng(66)
+        n = 5
+        a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+        (d,) = [i for i in c.items if type(i) is sim.Diagonal]
+        sim.run(c)
+        assert "gates" not in vars(d) and "gates" not in vars(c)
+        stages = [i for i in c.items if type(i) is sim.Gate]
+        assert c.gates == (*stages, *d.gates) and len(c.gates) == n + 5 * n
+        flat = sim.Circuit(n, list(c.gates), c.registers)
+        assert c == flat and (c.depth, c.cnot_count) == (flat.depth, flat.cnot_count)
+        assert (c.depth, c.cnot_count) == (c.lowered().depth, sum(g.kind == sim.CNOT for g in c.lowered().gates))
+
+    def test_item_protocol(self):
+        rng = np.random.default_rng(67)
+        g = sim.cry(0.4, 0, 2)
+        items = [g, sim.Repeat((g, sim.h(1)), 2), sim.Diagonal(rng.uniform(size=4), (2, 0)), sim.Qft((1, 0))]
+        for item in items:
+            moved = item.shifted(3)
+            assert moved.qubits == tuple(q + 3 for q in item.qubits)
+            assert moved.gates == tuple(x.on([q + 3 for q in x.qubits]) for x in item.gates)
+            assert sim.Circuit(3, [item.inverse()]) == sim.Circuit(3, [item]).inverse()
+        assert g.gates == (g,) and g.on((5, 4)) == sim.cry(0.4, 5, 4)
+
+
+class TestControlledSwap:
+    def test_fredkin_table(self):
+        assert sim.cswap(0, 1, 2).table == (0, 1, 2, 5, 4, 3, 6, 7)
+
+    def test_matches_projector_oracle(self):
+        # SWAP on the subspace where the controls read the pattern, the
+        # identity elsewhere, from Kronecker products of projectors; the
+        # local index has the controls as its low bits, then a, then b
+        proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        for k in range(4):
+            for pattern in range(1 << k):
+                on = np.ones((1, 1))
+                for i in reversed(range(k)):
+                    on = np.kron(on, proj[(pattern >> i) & 1])
+                expected = np.kron(swap - np.eye(4), on) + np.eye(4 << k)
+                got = sim.gate_matrix(sim.controlled_swap(tuple(range(k)), pattern, k, k + 1))
+                np.testing.assert_array_equal(got, expected)
