@@ -31,7 +31,7 @@ def _check_m(m: int) -> None:
     if not sim._is_integer(m):
         raise CircuitError(f"register size m must be an integer, got {m!r}")
     if not 1 <= m <= MAX_QFT_QUBITS:
-        raise CapacityError(f"qft size {m} outside 1..{MAX_QFT_QUBITS}")
+        raise CapacityError(f"register size {m} outside 1..{MAX_QFT_QUBITS}")
 
 
 def qft_circuit(m: int) -> Circuit:
@@ -112,8 +112,10 @@ def convert_ew_to_amplitude(u_d: Circuit, m: int, seed: int) -> ConversionResult
     by ``2*arcsin(d_i)``; the ancilla is then measured, and on outcome 1
     (probability ``mean(d_i**2)``, drawn from the seeded generator against
     the exact simulated probability) one call to the inverse loader clears
-    the digit register.
+    the digit register.  ``m`` is checked (``_check_m``) before anything is
+    simulated.
     """
+    _check_m(m)
     _oracle_digit_table(u_d, m)
     prep = _ew_prep_circuit(u_d, m)
     width = prep.n_qubits

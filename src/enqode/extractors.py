@@ -139,45 +139,38 @@ def _x_layer(reflection_qubits) -> tuple[Gate, ...]:
     return flips
 
 
-def _reflection_about_zero(flips: tuple[Gate, ...], extra_controls=()) -> list[Gate]:
-    """Gates for phase -1 on |0...0> of the qubits of the X layer ``flips``
-    (``_x_layer``; optionally further controlled): the X layer, one phase
-    of pi on the pattern where every qubit involved reads 1 (a
-    multi-controlled CP, or a P on one qubit), and the X layer again."""
-    qubits = (*extra_controls, *(g.qubits[0] for g in flips))
-    return [*flips, Gate(sim.CP if len(qubits) > 1 else sim.PHASE, qubits, angle=np.pi), *flips]
+def _grover_gates(f_items, f_inverse, flag: int, flips: tuple[Gate, ...], control: int | None = None) -> list:
+    """The items of Q = F . (reflection about |0..0>) . F-inverse . (flag
+    phase flip), given F's items, F-inverse's items and the reflection's X
+    layer ``flips`` (``_x_layer``), with the overall sign fixed so the
+    eigenphases are exactly ``+-2*theta``.  The reflection is the X layer,
+    one phase of pi on the pattern where every qubit involved reads 1 (a
+    multi-controlled CP, or a P on one qubit), and the X layer again.
+    With a ``control`` this is controlled Q: only the reflections and the
+    global sign need the control, since F and F-inverse cancel on the
+    control-0 branch."""
+    controls = () if control is None else (control,)
+
+    def phase_pi(*qubits: int) -> Gate:
+        qubits = (*controls, *qubits)
+        return Gate(sim.CP if len(qubits) > 1 else sim.PHASE, qubits, angle=np.pi)
+
+    reflection = phase_pi(*(g.qubits[0] for g in flips))
+    gates = [phase_pi(flag), *f_inverse, *flips, reflection, *flips, *f_items]
+    if control is None:  # global -1: (X P(pi))^2 = -I on any one qubit
+        return gates + [sim.p(np.pi, flag), sim.x(flag), sim.p(np.pi, flag), sim.x(flag)]
+    return gates + [sim.p(np.pi, control)]  # controlled global -1
 
 
 def grover_operator(f: Circuit, flag: int | None = None, reflection_qubits=None) -> Circuit:
-    """Q = F . (reflection about |0..0>) . F-inverse . (flag phase flip),
-    with the overall sign fixed so the eigenphases are exactly ``+-2*theta``
-    where ``sin(theta)**2`` is the flag-1 probability of ``F|0>``.  A caller
+    """Q = F . (reflection about |0..0>) . F-inverse . (flag phase flip)
+    (``_grover_gates``), whose eigenphases are ``+-2*theta`` where
+    ``sin(theta)**2`` is the flag-1 probability of ``F|0>``.  A caller
     repeating Q declares a ``sim.Repeat`` of its gates (one matrix power)."""
     flag = _flag_qubit(f, flag)
     flips = _x_layer(reflection_qubits if reflection_qubits is not None else range(f.n_qubits))
-    # S_flag: phase -1 on flag = 1
-    gates: list = [sim.p(np.pi, flag)]
-    gates.extend(f.inverse().items)
-    gates.extend(_reflection_about_zero(flips))
-    gates.extend(f.items)
-    # global -1: (X P(pi))^2 = -I on any one qubit
-    gates.extend([sim.p(np.pi, flag), sim.x(flag), sim.p(np.pi, flag), sim.x(flag)])
+    gates = _grover_gates(f.items, f.inverse().items, flag, flips)
     return Circuit(f.n_qubits, gates, f.registers, f.query_count)
-
-
-def _controlled_grover_gates(
-    f: Circuit, f_inverse: tuple[Gate, ...], flag: int, control: int, flips: tuple[Gate, ...]
-) -> list[Gate]:
-    """Controlled Q, given F, the gates of F-inverse and the reflection's X
-    layer ``flips`` (``_x_layer``): only the reflections (and the global
-    sign) need the control; F and F-inverse cancel on the control-0
-    branch."""
-    gates: list[Gate] = [sim.cp(np.pi, control, flag)]
-    gates.extend(f_inverse)
-    gates.extend(_reflection_about_zero(flips, (control,)))
-    gates.extend(f.gates)
-    gates.append(sim.p(np.pi, control))  # controlled global -1
-    return gates
 
 
 def qpe_gates(f: Circuit, flag: int, m: int, reflection_qubits=None, width: int | None = None) -> list:
@@ -194,7 +187,7 @@ def qpe_gates(f: Circuit, flag: int, m: int, reflection_qubits=None, width: int 
     flips = _x_layer(reflection_qubits if reflection_qubits is not None else range(w))
     f_inverse = f.inverse().gates
     gates: list = [sim.h(w + j) for j in range(m)]
-    gates += (sim.Repeat(tuple(_controlled_grover_gates(f, f_inverse, flag, w + j, flips)), 1 << j) for j in range(m))
+    gates += (sim.Repeat(tuple(_grover_gates(f.gates, f_inverse, flag, flips, w + j)), 1 << j) for j in range(m))
     gates.extend(qft_circuit(m).inverse().shifted(w, width).items)
     return gates
 

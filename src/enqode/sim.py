@@ -17,13 +17,20 @@ Conventions used throughout the package:
   dense 2x2 (H), or real ``c`` and ``s`` vectors with one entry per
   control pattern (RY, ``mry``).  A flip, phase or dense form acts only
   when every control reads 1, so the kind, not a scan, says which patterns
-  are the identity; in the RY form they are those with ``s == 0``.
-  ``gate_matrix`` expands the form into the gate's dense matrix.  SWAP and
-  PERMUTATION are index maps; ``cswap`` is a PERMUTATION.
+  are the identity; in the RY form they are those with ``s == 0``.  SWAP
+  and PERMUTATION are index maps; ``cswap`` is a PERMUTATION.
+* Every update acts on one view of the buffer (``_view_shape``): one
+  length-2 axis per qubit it touches, the qubits in descending order
+  between gap axes that merge the qubits in between, so a qubit's axis is
+  one past twice the number of higher qubits (``_axes``).  A step that
+  reads a local index, bit i = ``qubits[i]``, gathers that view with the
+  axes of ``qubits`` first, ``qubits[-1]`` leading (``_qubit_major``): a
+  ``(2**k, rest)`` reshape then indexes its rows by the local index.
+  Permutations, powers and the FFT gather this way.
 * The kernel keeps nothing per gate: ``apply_gate`` reads a gate's
   compact form on every call and updates by it the target-0/target-1
-  halves of each control pattern that acts, on a view of the buffer with
-  one length-2 axis per gate qubit (``_layout``).  Halves larger than
+  halves of each control pattern that acts, on the view of its qubits
+  (``_layout``).  Halves larger than
   ``_SLAB`` amplitudes are updated slab by slab (``_slabs``), so the
   temporaries stay in cache; the arithmetic per amplitude is the same, so
   results are bit for bit those of one whole-half pass.  SWAP and
@@ -114,7 +121,6 @@ MULTIPLEXED_RY = "mry"
 PERMUTATION = "perm"
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
-_IDENTITY = np.eye(2, dtype=np.complex128)
 _H_ENTRIES = (float(_SQRT1_2), float(_SQRT1_2), float(_SQRT1_2), -float(_SQRT1_2))
 _SWAP_TABLE = (0, 2, 1, 3)  # local bits 0 <-> 1
 # The fewest and most qubits a gate of each kind acts on.
@@ -456,37 +462,6 @@ def gate_blocks(gate: Gate) -> tuple[str, object]:
     raise CircuitError(f"gate kind {kind!r} has no control blocks")
 
 
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """Local unitary of ``gate`` with local bit ``i`` = ``gate.qubits[i]``.
-
-    Every kind but SWAP and PERMUTATION is laid out as ``(*controls,
-    target)`` and is block-diagonal over control patterns: ``u[j::half,
-    j::half]`` is the 2x2 block of pattern ``j``, expanded from the
-    compact form of ``gate_blocks``.
-    """
-    dim = 1 << len(gate.qubits)
-    if gate.kind in (SWAP, PERMUTATION):
-        u = np.zeros((dim, dim), dtype=np.complex128)
-        u[list(gate.table or _SWAP_TABLE), range(dim)] = 1.0
-        return u
-    form, values = gate_blocks(gate)
-    half = dim // 2
-    blocks = np.tile(_IDENTITY, (half, 1, 1))
-    if form == "ry":
-        c, s = values
-        blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1] = c, -s, s, c
-    elif form == "flip":
-        blocks[-1] = [[0, 1], [1, 0]]
-    elif form == "phase":
-        blocks[-1, 1, 1] = values
-    else:
-        blocks[-1] = np.reshape(values, (2, 2))
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for j, block in enumerate(blocks):
-        u[j::half, j::half] = block
-    return u
-
-
 def _gray_angles(alphas: Sequence[float]) -> np.ndarray:
     """Walk angles for a multiplexer whose pattern-j angle is ``alphas[j]``:
     step ``i`` of the Gray-code walk rotates by ``sum_j (-1)**popcount(j &
@@ -799,8 +774,8 @@ def _view_shape(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Shape of the low-rank view of an n-qubit buffer that gives each of
     ``qubits`` its own length-2 axis and merges the qubits between them:
     gap, qubit, gap, ..., qubit, gap, with the qubits in descending order
-    (axis ``2*i + 1`` holds the i-th highest).  A gap may have length 1,
-    which keeps every selection a view, even at n = 1."""
+    (``_axes``).  A gap may have length 1, which keeps every selection a
+    view, even at n = 1."""
     _check_qubits(qubits, n)
     shape, above = [], n
     for q in sorted(qubits, reverse=True):
@@ -808,6 +783,14 @@ def _view_shape(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
         above = q
     shape.append(1 << above)
     return tuple(shape)
+
+
+@lru_cache(maxsize=256)
+def _axes(qubits: tuple[int, ...]) -> tuple[int, ...]:
+    """The axis of each of ``qubits``, in their order, in the
+    ``_view_shape`` view of them: one past twice the number of higher
+    qubits."""
+    return tuple(1 + 2 * sum(r > q for r in qubits) for q in qubits)
 
 
 @lru_cache(maxsize=256)
@@ -841,47 +824,40 @@ def _layout(qubits: tuple[int, ...], n: int) -> tuple:
     one entry per control pattern out over its axes, the target's
     dropped."""
     shape = _view_shape(qubits, n)
-    *controls, target = qubits
-    axis = {q: 2 * i + 1 for i, q in enumerate(sorted(qubits, reverse=True))}
-    # Pattern j's control bit i is controls[i]; lay the patterns out in
-    # their view order and give the gaps of the broadcast view length-1 axes.
-    order = _pattern_order(controls)
+    *controls, target = _axes(qubits)
+    # Pattern j's control bit i is controls[i]: reshaped to (2,)*k, the
+    # patterns' axes run controls[-1] .. controls[0].  Sort them into view
+    # order and give the gaps of the broadcast view length-1 axes.
+    order = tuple(sorted(range(len(controls)), key=controls[::-1].__getitem__))
     kept = [a for a, size in enumerate(shape) if size > 1]
-    control_axes = {axis[c] for c in controls}
-    coef_shape = tuple(2 if a in control_axes else 1 for a in kept if a != axis[target])
-    broadcast = tuple(shape[a] for a in kept), kept.index(axis[target]), order, coef_shape
-    return shape, axis[target], tuple(axis[c] for c in controls), broadcast
-
-
-def _pattern_order(qubits: Sequence[int]) -> tuple[int, ...]:
-    """The transpose that takes a vector with one entry per pattern of
-    ``qubits`` (bit i = ``qubits[i]``), reshaped to ``(2,)*k`` so that its
-    axes run ``qubits[k-1] .. qubits[0]``, to the descending qubit order of
-    the ``_view_shape`` view."""
-    k = len(qubits)
-    return tuple(k - 1 - qubits.index(q) for q in sorted(qubits, reverse=True))
+    coef_shape = tuple(2 if a in controls else 1 for a in kept if a != target)
+    broadcast = tuple(shape[a] for a in kept), kept.index(target), order, coef_shape
+    return shape, target, tuple(controls), broadcast
 
 
 @lru_cache(maxsize=256)
-def _moved_rows(table: tuple[int, ...], qubits: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Rows ``(dst, src)`` that a permutation gate on ``qubits`` moves, as
-    read-only index arrays for the qubit axes of a ``_qubit_major`` block
-    (one per qubit, in descending qubit order): row ``src`` goes to row
+def _moved_rows(table: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Rows ``(dst, src)`` that a permutation ``table`` moves, as read-only
+    index arrays for the qubit axes of a ``_qubit_major`` block (one per
+    bit of the local index, the top bit first): row ``src`` goes to row
     ``dst``, and the rows the table fixes stay."""
-    src = np.flatnonzero(np.array(table) != np.arange(len(table)))
-    dst = np.array(table)[src]
-    shifts = np.array([qubits.index(q) for q in sorted(qubits, reverse=True)])[:, None]
-    rows = (np.stack([dst, src])[:, None] >> shifts) & 1  # (dst/src, qubit axis, moved row)
+    table = np.array(table)
+    src = np.flatnonzero(table != np.arange(table.size))
+    shifts = np.arange(table.size.bit_length() - 2, -1, -1)[:, None]
+    rows = (np.stack([table[src], src])[:, None] >> shifts) & 1  # (dst/src, qubit axis, moved row)
     rows.setflags(write=False)
     return tuple(rows[0]), tuple(rows[1])
 
 
-def _qubit_major(psi: np.ndarray, shape: tuple[int, ...], slabs: tuple[tuple, ...]) -> Iterator[np.ndarray]:
+def _qubit_major(
+    psi: np.ndarray, shape: tuple[int, ...], qubits: tuple[int, ...], slabs: tuple[tuple, ...]
+) -> Iterator[np.ndarray]:
     """Each slab of the ``_view_shape`` view ``shape`` of ``psi``, as a
-    view with the qubit axes first (in descending qubit order) and the gap
-    axes after them."""
+    view with the axes of ``qubits`` first, ``qubits[-1]`` leading, and the
+    gap axes after them: a ``(2**k, rest)`` reshape of a slab indexes its
+    rows by the local index, bit i = ``qubits[i]``."""
     view = psi.reshape(shape)
-    order = [*range(1, len(shape), 2), *range(0, len(shape), 2)]
+    order = [*_axes(qubits)[::-1], *range(0, len(shape), 2)]
     for slab in slabs:
         yield view[slab].transpose(order)
 
@@ -907,9 +883,9 @@ def apply_gate(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     if psi.dtype != np.complex128 or psi.shape != (1 << n,) or not (flags.writeable and flags.c_contiguous):
         raise CircuitError(f"apply_gate needs a writable contiguous complex128 buffer of length {1 << n}")
     if gate.kind in (SWAP, PERMUTATION):
-        dst, src = _moved_rows(gate.table or _SWAP_TABLE, gate.qubits)
+        dst, src = _moved_rows(gate.table or _SWAP_TABLE)
         shape = _view_shape(gate.qubits, n)
-        for block in _qubit_major(psi, shape, _slabs(shape, 1 << n)):
+        for block in _qubit_major(psi, shape, gate.qubits, _slabs(shape, 1 << n)):
             block[dst] = block[src]
         return psi
     shape, t, controls, broadcast = _layout(gate.qubits, n)
@@ -977,14 +953,15 @@ def _dense(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
 class _Power(NamedTuple):
     """A ``Repeat``'s power, or a fused run of gates (``_fused``), as one
     dense update on the ``_view_shape`` view of the qubits it touches:
-    ``matrix`` is its 2**k-square unitary with local bit i = i-th lowest
-    qubit, and each slab of ``slabs`` indexes a piece of the view that
-    holds every value of those k qubits.  A real ``matrix`` is float64 and
+    ``matrix`` is its 2**k-square unitary with local bit i = ``qubits[i]``,
+    and each slab of ``slabs`` indexes a piece of the view that holds every
+    value of those k qubits.  A real ``matrix`` is float64 and
     acts on the buffer's float64 view: its real and imaginary parts are
     one more trailing axis of length 2, so ``shape`` has its last gap
     doubled and each product is a real one, with no copy of the parts."""
 
     matrix: np.ndarray
+    qubits: tuple[int, ...]
     shape: tuple[int, ...]
     slabs: tuple[tuple, ...]
 
@@ -993,7 +970,7 @@ class _Power(NamedTuple):
         matrix's dtype, gathered into a (2**k, rest) matrix, multiplied,
         and written back."""
         dim = self.matrix.shape[0]
-        for block in _qubit_major(psi.view(self.matrix.dtype), self.shape, self.slabs):
+        for block in _qubit_major(psi.view(self.matrix.dtype), self.shape, self.qubits, self.slabs):
             block[...] = (self.matrix @ block.reshape(dim, -1)).reshape(block.shape)
 
 
@@ -1012,23 +989,21 @@ class _Multiply(NamedTuple):
 
 
 class _Fourier(NamedTuple):
-    """A ``Qft`` as one orthonormal FFT per slab of the ``_view_shape``
-    view ``shape``: ``order`` puts the qubit axes first, top local bit
-    first, so each slab reads as a (2**k, rest) matrix whose row is the
-    local index; its columns are transformed by ``numpy.fft.ifft`` (the
-    QFT's ``exp(+2*pi*i*x*y/2**k)``) or, when ``inverted``, ``fft``."""
+    """A ``Qft`` on ``qubits`` as one orthonormal FFT per slab of the
+    ``_view_shape`` view ``shape``: each ``_qubit_major`` slab reads as a
+    (2**k, rest) matrix whose row is the local index, and its columns are
+    transformed by ``numpy.fft.ifft`` (the QFT's ``exp(+2*pi*i*x*y/2**k)``)
+    or, when ``inverted``, ``fft``."""
 
+    qubits: tuple[int, ...]
     shape: tuple[int, ...]
-    order: tuple[int, ...]
     slabs: tuple[tuple, ...]
     inverted: bool
 
     def apply(self, psi: np.ndarray) -> None:
-        view = psi.reshape(self.shape)
-        dim = 1 << (len(self.shape) // 2)
+        dim = 1 << len(self.qubits)
         transform = np.fft.fft if self.inverted else np.fft.ifft
-        for slab in self.slabs:
-            block = view[slab].transpose(self.order)
+        for block in _qubit_major(psi, self.shape, self.qubits, self.slabs):
             block[...] = transform(block.reshape(dim, -1), axis=0, norm="ortho").reshape(block.shape)
 
 
@@ -1088,9 +1063,9 @@ def _power_step(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> _Power:
     against 2.0-6.1 ms."""
     shape = _view_shape(qubits, n)
     if shape[-1] == 1 or matrix.imag.any():
-        return _Power(matrix, shape, _slabs(shape, 1 << n))
+        return _Power(matrix, qubits, shape, _slabs(shape, 1 << n))
     shape = (*shape[:-1], 2 * shape[-1])
-    return _Power(np.ascontiguousarray(matrix.real), shape, _slabs(shape, 2 << n))
+    return _Power(np.ascontiguousarray(matrix.real), qubits, shape, _slabs(shape, 2 << n))
 
 
 def _fused(steps: Sequence, n: int) -> list:
@@ -1128,18 +1103,17 @@ def _multiply_step(block: Diagonal, n: int) -> _Multiply:
     shape = _view_shape(block.qubits, n)
     kept = [a for a, size in enumerate(shape) if size > 1]
     coef_shape = tuple(shape[a] if a % 2 else 1 for a in kept)
-    factors = factors.reshape((2,) * len(block.qubits)).transpose(_pattern_order(block.qubits))
+    # Reshaped to (2,)*k, the factors' axes run qubits[-1] .. qubits[0];
+    # sort them into view order.
+    axes = _axes(block.qubits)[::-1]
+    factors = factors.reshape((2,) * len(axes)).transpose(sorted(range(len(axes)), key=axes.__getitem__))
     return _Multiply(np.ascontiguousarray(factors.reshape(coef_shape)), tuple(shape[a] for a in kept))
 
 
 def _fourier_step(block: Qft, n: int) -> _Fourier:
-    """The slabs and axis order that run ``block`` as FFTs on the
-    ``_view_shape`` view of its qubits (axis ``2*i + 1`` holds the i-th
-    highest qubit)."""
+    """The view and slabs that run ``block`` as FFTs on its qubits."""
     shape = _view_shape(block.qubits, n)
-    axis = {q: 2 * i + 1 for i, q in enumerate(sorted(block.qubits, reverse=True))}
-    order = (*(axis[q] for q in reversed(block.qubits)), *range(0, len(shape), 2))
-    return _Fourier(shape, order, _slabs(shape, 1 << n), block.inverted)
+    return _Fourier(block.qubits, shape, _slabs(shape, 1 << n), block.inverted)
 
 
 def _period_matrix(period: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
@@ -1250,13 +1224,12 @@ def marginal_probabilities(state: StateVector, register: Sequence[int]) -> np.nd
     register = _check_qubits(register, n)
     if not register:
         raise CircuitError("marginal over an empty register")
-    # The _view_shape view gives each register qubit an axis, in descending
-    # qubit order, between gap axes.  Summing out the gaps leaves the
-    # register's axes; the outcome's top bit, register[-1], must come first.
+    # Summing out the gaps of the _view_shape view leaves the register's
+    # axes, axis (a - 1) // 2 for view axis a; the outcome's top bit,
+    # register[-1], must come first.
     shape = _view_shape(register, n)
     marginal = state.probabilities.reshape(shape).sum(axis=tuple(range(0, len(shape), 2)))
-    kept = sorted(register, reverse=True)
-    return marginal.transpose([kept.index(q) for q in reversed(register)]).reshape(-1)
+    return marginal.transpose([(a - 1) // 2 for a in _axes(register)[::-1]]).reshape(-1)
 
 
 def qubit_marginals(state: StateVector) -> np.ndarray:

@@ -133,6 +133,21 @@ class TestEwToAmplitude:
         with pytest.raises(EncodingError):
             conv.convert_ew_to_amplitude(bad, 2, seed=0)
 
+    def test_rejects_loader_without_index_register(self):
+        with pytest.raises(EncodingError, match="leaves no index register"):
+            conv.convert_ew_to_amplitude(loaders.qram_oracle([1], 2), 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "m, error", [(1.5, CircuitError), (2.0, CircuitError), (True, CircuitError), (0, CapacityError), (-1, CapacityError)]
+    )
+    def test_digit_register_size_is_checked_before_simulating(self, monkeypatch, m, error):
+        # 1.5 and 2.0 raised a bare TypeError; True, 0 and -1 ran the oracle
+        # check and failed with an EncodingError about the oracle
+        for name in ("run", "apply_circuit"):
+            monkeypatch.setattr(sim, name, lambda *args: pytest.fail("simulated before checking m"))
+        with pytest.raises(error):
+            conv.convert_ew_to_amplitude(loaders.qram_oracle([2, 3], 2), m, seed=0)
+
     def test_determinism(self):
         ud = loaders.qram_oracle([2, 3], 2)
         a = conv.convert_ew_to_amplitude(ud, 2, seed=4)

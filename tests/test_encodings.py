@@ -224,9 +224,14 @@ class TestValidate:
             (enc.MultiRegister(2, 2), [[0, 1]], None),
             (enc.MultiRegister(2, 2), [[0], [1, 2]], None),
             (enc.MappedBasis(1, (("a", 0), ("b", 1))), ["a"], None),
+            (enc.Basis(2), [3], None),
+            (enc.Amplitude(1), [0.6, 0.8, 0.0], loaders.load_amplitude),
+            (enc.DivideConquer(1), [0.6, -0.8], None),
+            (enc.Entangled((enc.Basis(1), enc.Basis(1))), [1], None),
         ],
         ids=["complex-angle", "string-angle", "2d-angle", "string-amplitude", "2d-amplitude",
-             "2d-equally-weighted", "2d-qram", "2d-multi-register", "ragged", "unhashable-mapped"],
+             "2d-equally-weighted", "2d-qram", "2d-multi-register", "ragged", "unhashable-mapped",
+             "list-basis", "too-many-amplitudes", "negative-divide-conquer", "entangled-count"],
     )
     def test_malformed_data_is_a_violation(self, d, data, load):
         # each used to pass validate or raise a bare TypeError, ValueError
@@ -237,6 +242,13 @@ class TestValidate:
         if load is not None:
             with pytest.raises(EncodingError):
                 load(data)
+
+    def test_angle_accepts_complex_values_with_zero_imaginary_parts(self):
+        assert enc.validate(enc.Angle(2), [0.3 + 0j, 1.2 + 0j]) == []
+        np.testing.assert_array_equal(
+            enc.reference_state(enc.Angle(2), [0.3 + 0j, 1.2 + 0j]).amplitudes,
+            enc.reference_state(enc.Angle(2), [0.3, 1.2]).amplitudes,
+        )
 
     def test_empty_iff_reference_succeeds(self):
         rng = np.random.default_rng(2)
@@ -329,6 +341,18 @@ class TestDecode:
         bell = sim.state_from_amplitudes([2**-0.5, 0, 0, 2**-0.5])
         with pytest.raises(DecodeError):
             enc.decode(d, bell)
+
+    def test_width_mismatch_and_joint_entangled_raise(self):
+        with pytest.raises(DecodeError, match="needs 3"):
+            enc.decode(enc.Basis(3), sim.zero_state(2))
+        joint = enc.Entangled((enc.Basis(1), enc.Basis(1)), joint=True)
+        with pytest.raises(DecodeError, match="descriptor-only"):
+            enc.decode(joint, sim.zero_state(2))
+
+    def test_data_register_leaves_out_ancillas_and_values(self):
+        assert enc.data_register(enc.QRam(2, 3)) == (0, 1)
+        assert enc.data_register(enc.DivideConquer(2)) == (0, 1)
+        assert enc.data_register(enc.Basis(3)) == (0, 1, 2)
 
     def test_divide_conquer_moduli(self):
         a = np.sqrt([0.1, 0.2, 0.3, 0.4])
@@ -570,6 +594,7 @@ class TestDescriptorChecks:
             (enc.QRam, (0, 0)),
             (enc.QRam, (-1, 2)),
             (enc.Entangled, ((),)),
+            (enc.DataSet, ([1], "bogus")),
         ],
     )
     def test_sizes_are_checked_when_made(self, make, args):

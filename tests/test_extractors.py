@@ -101,6 +101,24 @@ class TestSwapTest:
             assert res.p0_estimate == res.p0_exact
             assert res.overlap_estimate == pytest.approx(np.sqrt(overlap), abs=1e-6)
 
+    def test_sampled_estimate(self):
+        rng = np.random.default_rng(13)
+        shots = 4000
+        for n in (1, 2):
+            fa, fb = random_loader(rng, n, True), random_loader(rng, n, True)
+            for seed in (0, 1, 2):
+                res = ext.swap_test(fa, fb, shots, seed)
+                assert res == ext.swap_test(fa, fb, shots, seed)
+                assert res.shots_used == shots and res.p0_estimate != res.p0_exact
+                sigma = np.sqrt(res.p0_exact * (1.0 - res.p0_exact) / shots)
+                assert abs(res.p0_estimate - res.p0_exact) <= 4 * sigma
+                assert res.overlap_estimate == np.sqrt(max(0.0, 2 * res.p0_estimate - 1))
+
+    def test_rejects_unequal_widths(self):
+        for shots in (0, 10):
+            with pytest.raises(CircuitError, match="equal register sizes"):
+                ext.swap_test(sim.Circuit(1, [sim.h(0)]), sim.Circuit(2), shots, 1)
+
     def test_rejects_bad_shot_counts(self):
         f = sim.Circuit(1, [sim.h(0)])
         for shots in (-1, 2.5):
@@ -177,6 +195,10 @@ class TestReadouts:
                 median = ext.mode_readout(state, reg, shots, seed, strategy="median")
                 assert median.mode == int(np.median(sorted(outcomes)))
                 assert median.histogram == hist
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(CircuitError, match="unknown readout strategy"):
+            ext.mode_readout(sim.zero_state(1), (0,), 4, 1, strategy="mean")
 
     def test_basis_readout(self):
         assert ext.basis_readout(sim.basis_state(3, 5), (0, 2)) == 3

@@ -259,6 +259,10 @@ class TestLoadDivideConquer:
 
 
 class TestLoadBidirectional:
+    def test_cap(self):
+        with pytest.raises(CapacityError):
+            loaders.load_bidirectional(np.full(64, 64**-0.5), 1)
+
     def test_top_split_is_amplitude_loader(self):
         rng = np.random.default_rng(8)
         a = rng.random(8)

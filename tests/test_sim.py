@@ -54,7 +54,7 @@ def kron_embed(local: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray
 def oracle_apply(state: np.ndarray, circuit: sim.Circuit) -> np.ndarray:
     psi = state.copy()
     for g in circuit.gates:
-        psi = kron_embed(sim.gate_matrix(g), g.qubits, circuit.n_qubits) @ psi
+        psi = kron_embed(closed_form(g), g.qubits, circuit.n_qubits) @ psi
     return psi
 
 
@@ -114,9 +114,9 @@ def closed_form(g: sim.Gate) -> np.ndarray:
         return np.diag([1, np.exp(1j * g.angle)])
     if g.kind == "cnot":
         return controlled(flip)
-    if g.kind == "cp":
-        return controlled(np.diag([1, np.exp(1j * g.angle)]))
     dim = 1 << len(g.qubits)
+    if g.kind == "cp":  # any number of controls: a phase on the all-ones pattern
+        return np.diag(np.append(np.ones(dim - 1), np.exp(1j * g.angle)))
     u = np.zeros((dim, dim), dtype=np.complex128)
     if g.kind == "mry":
         for j, theta in enumerate(g.angles):
@@ -162,6 +162,11 @@ class TestZeroState:
                 sim.basis_state(n, index)
         assert sim.basis_state(2, np.int64(3)).amplitudes[3] == 1.0
 
+    def test_basis_index_is_inside_the_state(self):
+        for index in (4, -1):
+            with pytest.raises(CapacityError):
+                sim.basis_state(2, index)
+
 
 class TestApplyCircuit:
     def test_hadamard(self):
@@ -176,8 +181,8 @@ class TestApplyCircuit:
 
     def test_bell_state_matches_hand_matrix_product(self):
         # 4x4 oracle: CNOT(0->1) . (I (x) H) applied to e_0.
-        h_full = kron_embed(sim.gate_matrix(sim.h(0)), (0,), 2)
-        cx_full = kron_embed(sim.gate_matrix(sim.cnot(0, 1)), (0, 1), 2)
+        h_full = kron_embed(closed_form(sim.h(0)), (0,), 2)
+        cx_full = kron_embed(closed_form(sim.cnot(0, 1)), (0, 1), 2)
         expected = cx_full @ h_full @ np.array([1, 0, 0, 0], dtype=np.complex128)
         c = sim.Circuit(2, [sim.h(0), sim.cnot(0, 1)])
         out = sim.apply_circuit(sim.zero_state(2), c)
@@ -257,7 +262,6 @@ class TestApplyCircuit:
                 g = sim.Gate(g.kind, g.qubits, angles=tuple(rng.choice(special, len(g.angles)).tolist()))
             kinds.add(g.kind)
             u = closed_form(g)
-            np.testing.assert_allclose(sim.gate_matrix(g), u, rtol=0, atol=1e-15)
             psi = np.array(random_state(rng, n).amplitudes)
             psi[rng.random(psi.size) < 0.3] = 0
             expected = kron_embed(u, g.qubits, n) @ psi
@@ -267,6 +271,36 @@ class TestApplyCircuit:
             else:
                 np.testing.assert_allclose(psi, expected, rtol=0, atol=EQUIV_ATOL)
         assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "mry", "perm"}
+
+    def test_closed_form_reads_no_kernel_form(self, monkeypatch):
+        # The oracle's matrices come from the textbook definitions alone:
+        # with the kernel's compact form unusable, every kind still has
+        # one, and it is the matrix build_unitary gives once that form is
+        # back.
+        gates = [
+            sim.x(0),
+            sim.h(0),
+            sim.ry(0.3, 0),
+            sim.p(-1.2, 0),
+            sim.cnot(1, 0),
+            sim.cp(0.7, 0, 1),
+            sim.Gate(sim.CP, (2, 0, 1), angle=0.4),
+            sim.swap(0, 1),
+            sim.multiplexed_ry([0.1, -0.5, 0.9, 2.0], [2, 0], 1),
+            sim.permutation([2, 0, 3, 1], [1, 0]),
+        ]
+        assert {g.kind for g in gates} == {"x", "h", "ry", "p", "cnot", "cp", "swap", "mry", "perm"}
+        with monkeypatch.context() as patched:
+            patched.setattr(sim, "gate_blocks", lambda g: pytest.fail("closed_form read gate_blocks"))
+            forms = [closed_form(g) for g in gates]
+        for g, u in zip(gates, forms):
+            k = len(g.qubits)
+            np.testing.assert_allclose(sim.build_unitary(sim.Circuit(k, [g.on(range(k))])), u, rtol=0, atol=EQUIV_ATOL)
+
+    def test_index_maps_have_no_compact_form(self):
+        for g in (sim.swap(0, 1), sim.permutation([1, 0], [0])):
+            with pytest.raises(CircuitError, match="has no control blocks"):
+                sim.gate_blocks(g)
 
     @pytest.mark.parametrize("loop_min", [1, 1 << 30])
     def test_mry_placements_match_kron_oracle(self, monkeypatch, loop_min):
@@ -376,7 +410,6 @@ class TestApplyCircuit:
             u = np.zeros((4, 4), dtype=np.complex128)
             u[0::2, 0::2], u[1::2, 1::2] = blocks
             c = sim.Circuit(3, [sim.cnot(2, 0)])
-            np.testing.assert_allclose(sim.gate_matrix(c.gates[0]), u, rtol=0, atol=1e-15)
             s = random_state(RNG, 3)
             np.testing.assert_allclose(
                 sim.apply_circuit(s, c).amplitudes, kron_embed(u, (2, 0), 3) @ s.amplitudes, atol=EQUIV_ATOL
@@ -618,7 +651,7 @@ class TestExecutionPlan:
         f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
         w, m = f.n_qubits, 3
         flips = extractors._x_layer(range(w))
-        grover = extractors._controlled_grover_gates(f, f.inverse().gates, w - 1, w + 1, flips)
+        grover = extractors._grover_gates(f.gates, f.inverse().gates, w - 1, flips, w + 1)
         start = len(f.gates) + m + len(grover)  # after the H layer and Q on qubit w
         assert extractors.qae_circuit(f, m).gates[start : start + len(grover)] == tuple(grover)
         cases.append(grover)
@@ -628,7 +661,7 @@ class TestExecutionPlan:
             expected = np.eye(1 << k, dtype=np.complex128)
             for g in period:
                 local = tuple(qubits.index(q) for q in g.qubits)
-                expected = kron_embed(sim.gate_matrix(g), local, k) @ expected
+                expected = kron_embed(closed_form(g), local, k) @ expected
             np.testing.assert_allclose(sim._period_matrix(period, qubits), expected, rtol=0, atol=EQUIV_ATOL)
 
     def test_equal_periods_share_one_matrix(self, monkeypatch):
@@ -1002,7 +1035,7 @@ class TestDeclaredBlocks:
         with pytest.raises(CircuitError, match="outside 0..1"):
             sim.Circuit(2, [sim.Diagonal([0.0, 0.1, 0.2, 0.3], (0, 2))])
 
-    @pytest.mark.parametrize("item", [None, (sim.h(0),), "h", [sim.h(0)], sim.gate_matrix(sim.h(0))])
+    @pytest.mark.parametrize("item", [None, (sim.h(0),), "h", [sim.h(0)], np.eye(2)])
     def test_items_are_gates_or_declared_blocks(self, item):
         # None, a tuple and a string raised AttributeError on ``qubits``
         with pytest.raises(CircuitError, match="neither a gate nor a declared block"):
@@ -1061,6 +1094,10 @@ class TestStateVector:
                 sim.StateVector(n, [1.0])
         with pytest.raises(CircuitError):
             sim.StateVector(1.0, [1.0, 0.0])
+
+    def test_amplitude_count_must_match_the_width(self):
+        with pytest.raises(CircuitError, match="needs 4 amplitudes"):
+            sim.StateVector(2, [1.0, 0.0])
 
     def test_probabilities_are_cached_and_read_only(self):
         for n in (1, 5, 9):
@@ -1133,7 +1170,7 @@ class TestGateUnitarity:
                 g = random_gate(rng, n)
                 if g.kind != kind:
                     continue
-                u = kron_embed(sim.gate_matrix(g), g.qubits, n)
+                u = kron_embed(closed_form(g), g.qubits, n)
                 np.testing.assert_allclose(u @ u.conj().T, np.eye(1 << n), atol=1e-10)
 
     def test_permutation_rejects_non_bijection(self):
@@ -1158,6 +1195,7 @@ class TestGateUnitarity:
             lambda: sim.Gate("perm", (), table=(0,)),
             # an empty reflection used to raise a bare IndexError
             lambda: extractors.grover_operator(sim.Circuit(1, [sim.h(0)]), reflection_qubits=[]),
+            lambda: sim.Gate("mry", (0, 1), angles=(0.1,)),
         ],
     )
     def test_gates_that_cannot_run_are_refused(self, make):
@@ -1168,7 +1206,7 @@ class TestGateUnitarity:
         g = sim.Gate("cp", (3, 0, 1), angle=0.4)
         u = np.eye(8, dtype=np.complex128)
         u[7, 7] = np.exp(0.4j)  # every qubit reads 1
-        np.testing.assert_allclose(sim.gate_matrix(g), u, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(closed_form(g), u, rtol=0, atol=1e-15)
         s = random_state(RNG, 4)
         np.testing.assert_allclose(
             sim.apply_circuit(s, sim.Circuit(4, [g])).amplitudes,
@@ -1477,7 +1515,7 @@ class TestCircuitMetrics:
         # CNOTs once lowered, as its Gray-code walk.
         g = sim.cry(0.7, 2, 0)
         assert (g.kind, g.qubits, g.angles) == ("mry", (2, 0), (0.0, 0.7))
-        np.testing.assert_allclose(sim.gate_matrix(g), controlled(ry_matrix(0.7)), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(closed_form(g), controlled(ry_matrix(0.7)), rtol=0, atol=1e-15)
         assert sim.Circuit(3, [g]).cnot_count == 2
         c = sim.Circuit(3, [sim.h(1), g, sim.cnot(1, 2), sim.cry(-0.2, 0, 1)])
         low = c.lowered()
@@ -1636,6 +1674,14 @@ class TestQubitCheck:
         with pytest.raises(CircuitError, match="overlap"):
             a.concat(sim.Circuit(3, [], {"c": (2, 0)}))
 
+    def test_concat_needs_equal_widths(self):
+        with pytest.raises(CircuitError, match="different widths"):
+            sim.Circuit(2, [sim.h(0)]).concat(sim.Circuit(3))
+
+    def test_a_circuit_equals_only_circuits(self):
+        assert sim.Circuit(1).__eq__(5) is NotImplemented
+        assert sim.Circuit(1) != 5 and sim.Circuit(1) == sim.Circuit(1)
+
 
 class TestDeferredExpansion:
     """A circuit stores its items; its flat list, and each block's
@@ -1683,5 +1729,5 @@ class TestControlledSwap:
                 for i in reversed(range(k)):
                     on = np.kron(on, proj[(pattern >> i) & 1])
                 expected = np.kron(swap - np.eye(4), on) + np.eye(4 << k)
-                got = sim.gate_matrix(sim.controlled_swap(tuple(range(k)), pattern, k, k + 1))
+                got = closed_form(sim.controlled_swap(tuple(range(k)), pattern, k, k + 1))
                 np.testing.assert_array_equal(got, expected)
