@@ -7,10 +7,10 @@ Conventions used throughout the package:
   ``|x2 x1 x0>`` are a display convention only.
 * A ``StateVector`` holds a read-only complex128 array of length
   ``2**n_qubits``, 1 <= n_qubits <= ``MAX_QUBITS``.  ``apply_circuit``
-  copies it once into a buffer it owns; ``run`` makes ``|0...0>`` in its
-  buffer directly, with no state to copy.  ``apply_gate`` updates that
-  buffer in place, and the resulting state takes the buffer over,
-  read-only, without another copy.
+  copies it once into a buffer it owns.  ``run`` starts from ``|0...0>``
+  with no state to copy and grows it qubit by qubit (the rule is given
+  at ``run``).  Each step updates the buffer in place, and the resulting
+  state takes the buffer over, read-only, without another copy.
 * A gate's action is written in one place.  Every ``(*controls, target)``
   kind is defined by ``gate_blocks`` in the compact form of its family: a
   flip (X, CNOT), one phase (P, and CP with one or more controls), one
@@ -45,10 +45,13 @@ Conventions used throughout the package:
   ``shifted(offset)``.  ``inverse``, ``concat``, ``shifted`` and the run
   read the items, so running a circuit expands no block; the flat list
   ``Circuit.gates`` is made on first read, for ``lowered()``, ``depth``,
-  ``cnot_count``, ``==`` and ``build_unitary``.  ``apply_circuit`` runs
-  the execution plan (``Circuit._steps``), made once per circuit from the
-  items: each block as one step, and gates by ``apply_gate`` or, on wide
-  states, in fused runs (below).  There are three blocks, each run on the
+  ``cnot_count``, ``==`` and ``build_unitary``.  ``apply_circuit`` and
+  ``run`` run the execution plan (``_execution_plan``), made once per
+  circuit from the items for each of them (``Circuit._steps`` from width
+  n, ``Circuit._grown_steps`` from width 0): each block as one step, gates
+  by ``apply_gate`` or, on wide states, in fused runs (below), and from
+  width 0 a growth (``_Grow``) wherever an item first touches a qubit at
+  or above the width.  There are three blocks, each run on the
   ``_view_shape`` view of its qubits:
 
   - ``Repeat``: gates applied ``count`` times back to back (phase
@@ -63,14 +66,14 @@ Conventions used throughout the package:
     its H and controlled-phase ladder and run as one orthonormal FFT per
     slab (Häner et al., arXiv 1604.06460).
 
-  Every other gate runs through ``apply_gate``, except on states of more
-  than ``_FUSE_MIN`` amplitudes (n >= 15), where the plan fuses each
+  Every other gate runs through ``apply_gate``, except at widths of more
+  than ``_FUSE_MIN`` amplitudes (w >= 15), where the plan fuses each
   greedy run of consecutive gates on at most ``_FUSE_QUBITS`` qubits into
   one dense update (``_fused``; Häner & Steiger, arXiv 1704.01127).  A
-  block's step ends a run, and fusion lives only in the plan.  A fused or
-  repeated product with no imaginary part, on qubits above qubit 0, is
-  applied as a real one (``_power_step``).  A block's step, and a fused
-  run, agree with the gate-by-gate run of their gates within
+  block's step or a growth ends a run, and fusion lives only in the plan.
+  A fused or repeated product with no imaginary part, on qubits above
+  qubit 0, is applied as a real one (``_power_step``).  A block's step,
+  and a fused run, agree with the gate-by-gate run of their gates within
   ``EQUIV_ATOL``, not bit for bit.
 * Builders may emit the native multiplexer ``mry``; a controlled RY
   (``cry``) is one, with angles ``(0, theta)``.  ``Circuit.lowered``
@@ -220,8 +223,12 @@ class Gate:
         return Gate(self.kind, tuple(qubits), self.angle, self.angles, self.table)
 
     def shifted(self, offset: int) -> "Gate":
-        """The same gate with every qubit moved up by ``offset``."""
-        return self.on([q + offset for q in self.qubits])
+        """The same gate with every qubit moved up by ``offset``.  A plain
+        int keeps the qubits plain, distinct ints, so they are not checked
+        again."""
+        if type(offset) is not int:
+            return self.on([q + offset for q in self.qubits])
+        return _unchecked(self, qubits=tuple([q + offset for q in self.qubits]))
 
     def inverse(self) -> "Gate":
         """The adjoint gate, of the same kind; a new gate unless self-inverse.
@@ -229,13 +236,24 @@ class Gate:
         if self.kind in (X, H, CNOT, SWAP):
             return self
         if self.kind in (RY, PHASE, CP):
-            return Gate(self.kind, self.qubits, angle=-self.angle)
+            return _unchecked(self, angle=-self.angle)
         if self.kind == MULTIPLEXED_RY:
-            return Gate(self.kind, self.qubits, angles=tuple(-a for a in self.angles))
+            return _unchecked(self, angles=tuple([-a for a in self.angles]))
         inv = [0] * len(self.table)
         for src, dst in enumerate(self.table):
             inv[dst] = src
-        return Gate(self.kind, self.qubits, table=tuple(inv))
+        return _unchecked(self, table=tuple(inv))
+
+
+def _unchecked(item, **changes):
+    """A copy of the checked circuit item ``item`` with ``changes`` made to
+    its fields, made without its ``__post_init__``: for changes that keep
+    it valid, such as an adjoint's angles, table or period, or qubits moved
+    by a plain int.  Values cached on ``item`` are copied too, so a change
+    must leave what they are computed from as it was."""
+    out = object.__new__(type(item))
+    out.__dict__.update(item.__dict__, **changes)
+    return out
 
 
 def _inverted(gates: Sequence[Gate]) -> tuple[Gate, ...]:
@@ -268,7 +286,7 @@ class Repeat:
         return tuple(sorted({q for g in self.period for q in g.qubits}))
 
     def inverse(self) -> "Repeat":
-        return Repeat(_inverted(self.period), self.count)
+        return _unchecked(self, period=_inverted(self.period))
 
     def shifted(self, offset: int) -> "Repeat":
         return Repeat(tuple(g.shifted(offset) for g in self.period), self.count)
@@ -593,9 +611,15 @@ class Circuit:
 
     @cached_property
     def _steps(self) -> tuple:
-        """What ``apply_circuit`` runs: ``_execution_plan`` of the items,
-        computed once per circuit."""
+        """What ``apply_circuit`` runs: ``_execution_plan`` of the items
+        from width n, computed once per circuit."""
         return _execution_plan(self.items, self.n_qubits)
+
+    @cached_property
+    def _grown_steps(self) -> tuple:
+        """What ``run`` runs: ``_execution_plan`` of the items from width 0,
+        growing the state from ``|0...0>``; computed once per circuit."""
+        return _execution_plan(self.items, 0)
 
     @property
     def depth(self) -> int:
@@ -1007,28 +1031,94 @@ class _Fourier(NamedTuple):
             block[...] = transform(block.reshape(dim, -1), axis=0, norm="ortho").reshape(block.shape)
 
 
-def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], n: int) -> tuple:
-    """The steps ``apply_circuit`` runs for a circuit's ``items`` on n
-    qubits: each gate on its own through ``apply_gate``, one ``_Multiply``
-    per ``Diagonal``, one ``_Fourier`` per ``Qft``, and one ``_Power`` per
-    ``Repeat`` on at most ``_POWER_QUBITS`` qubits, of any count; the gates
-    of wider repeats run one by one.  Repeats whose periods are equal once
-    moved onto their own qubits, as phase estimation's controlled operators
-    on different control wires are, share one ``_period_matrix`` and its
-    powers (``_power``).  The key of a period is a plain tuple per gate:
-    its kind, the positions of its qubits within the repeat's qubits, and
-    its angle, angles and table.  On states of more than ``_FUSE_MIN``
-    amplitudes, runs of gates that follow one another in these steps are
-    then fused into dense updates (``_fused``); a block's step ends a
-    run."""
+class _Grow(NamedTuple):
+    """The prefix ``psi[:2**start]`` grown to ``psi[:2**width]`` by a
+    one-qubit gate on qubit ``width - 1`` that maps |0> to ``u00|0> +
+    u10|1>`` (``_first_column``; ``(1, 0)`` for none): ``psi[h:h + s]``
+    becomes ``u10 * psi[:s]`` and ``psi[:s]`` is scaled by ``u00``, with
+    ``s = 2**start`` and ``h = 2**(width - 1)``; the rest is zero-filled.
+    A factor of 1 copies and one of 0 fills; any other multiplies as
+    ``apply_gate``'s 2x2 update does, whose second product is with a zero,
+    so only the sign of a zero can differ from it."""
+
+    start: int
+    width: int
+    u00: complex
+    u10: complex
+
+    def apply(self, psi: np.ndarray) -> None:
+        s, h = 1 << self.start, 1 << (self.width - 1)
+        low, high = psi[:s], psi[h : h + s]
+        psi[s:h] = 0.0
+        psi[h + s : 2 * h] = 0.0
+        if self.u10 == 0:
+            high.fill(0.0)
+        elif self.u10 == 1:
+            high[...] = low
+        else:
+            np.multiply(low, self.u10, out=high)
+        if self.u00 == 0:
+            low.fill(0.0)
+        elif self.u00 != 1:
+            low *= self.u00
+
+
+def _first_column(gate: Gate) -> tuple:
+    """``(u00, u10)``: the one-qubit ``gate`` maps |0> to ``u00|0> +
+    u10|1>``.  A phase leaves |0> as it is, but a phase that is no number
+    (a NaN angle) is kept as both factors, so that the norm check still
+    sees it."""
+    if gate.kind == PERMUTATION:
+        return (0.0, 1.0) if gate.table[0] else (1.0, 0.0)
+    form, values = gate_blocks(gate)
+    if form == "flip":
+        return 0.0, 1.0
+    if form == "dense":
+        return values[0], values[2]
+    if form == "phase":
+        return (1.0, 0.0) if np.isfinite(values) else (values, values)
+    c, s = values
+    return float(c[0]), float(s[0])
+
+
+def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], width: int) -> tuple:
+    """The steps that run a circuit's ``items`` on a state whose qubits
+    from ``width`` up read 0: ``apply_circuit`` plans from width n, ``run``
+    from width 0.  Each gate runs on its own through ``apply_gate``, one
+    ``_Multiply`` per ``Diagonal``, one ``_Fourier`` per ``Qft``, and one
+    ``_Power`` per ``Repeat`` on at most ``_POWER_QUBITS`` qubits, of any
+    count; the gates of wider repeats run one by one.  Repeats whose
+    periods are equal once moved onto their own qubits, as phase
+    estimation's controlled operators on different control wires are,
+    share one ``_period_matrix`` and its powers (``_power``).  The key of a
+    period is a plain tuple per gate: its kind, the positions of its qubits
+    within the repeat's qubits, and its angle, angles and table.
+
+    Each step is planned for the prefix ``psi[:2**width]`` (``run``).  An
+    item that touches a qubit at or above the width grows it first
+    (``_Grow``): a one-qubit gate on qubit q is itself the growth to width
+    q + 1, and any other item zero-fills up to its highest qubit.  At
+    widths of more than ``_FUSE_MIN`` amplitudes, runs of gates that follow
+    one another at one width are then fused into dense updates
+    (``_fused``); a block's step, or a growth, ends a run."""
     powers: dict[tuple, dict[int, np.ndarray]] = {}
     steps: list = []
+    unfused = 0  # the steps made at the current width start here
     for item in items:
         kind = type(item)
+        top = 1 + max(item.qubits)
+        if top > width:
+            if (1 << width) > _FUSE_MIN:
+                steps[unfused:] = _fused(steps[unfused:], width)
+            single = kind is Gate and len(item.qubits) == 1
+            steps.append(_Grow(width, top, *(_first_column(item) if single else (1.0, 0.0))))
+            width, unfused = top, len(steps)
+            if single:
+                continue
         if kind is Diagonal:
-            steps.append(_multiply_step(item, n))
+            steps.append(_multiply_step(item, width))
         elif kind is Qft:
-            steps.append(_fourier_step(item, n))
+            steps.append(_fourier_step(item, width))
         elif kind is Gate or len(item.qubits) > _POWER_QUBITS:
             steps += item.gates
         else:
@@ -1036,8 +1126,10 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], n: int) -> 
             key = tuple([(g.kind, tuple(map(at, g.qubits)), g.angle, g.angles, g.table) for g in item.period])
             if key not in powers:
                 powers[key] = {1: _period_matrix(item.period, item.qubits)}
-            steps.append(_power_step(_power(powers[key], item.count), item.qubits, n))
-    return tuple(_fused(steps, n) if (1 << n) > _FUSE_MIN else steps)
+            steps.append(_power_step(_power(powers[key], item.count), item.qubits, width))
+    if (1 << width) > _FUSE_MIN:
+        steps[unfused:] = _fused(steps[unfused:], width)
+    return tuple(steps)
 
 
 def _power(powers: dict[int, np.ndarray], count: int) -> np.ndarray:
@@ -1132,55 +1224,76 @@ def _period_matrix(period: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Run ``circuit`` on a copy of ``state``, by its execution plan
-    (``Circuit._steps``): gates through ``apply_gate``, or on states of more
-    than ``_FUSE_MIN`` amplitudes a run of few-qubit gates as one dense
-    update, and each declared block by its step (``_execution_plan``): a
-    few-qubit ``Repeat`` as one matrix power, a ``Diagonal`` as one
-    multiply, a ``Qft`` as one FFT.
+    """Run ``circuit`` on a copy of ``state``, by its execution plan from
+    width n (``Circuit._steps``): gates through ``apply_gate``, or on
+    states of more than ``_FUSE_MIN`` amplitudes a run of few-qubit gates
+    as one dense update, and each declared block by its step
+    (``_execution_plan``): a few-qubit ``Repeat`` as one matrix power, a
+    ``Diagonal`` as one multiply, a ``Qft`` as one FFT.  Any qubit of
+    ``state`` may read 1, so every step acts on the whole state.
 
     The copy and the squared norm it is checked against are one pass over
-    the state each; on ``|0...0>`` call ``run``, which needs neither.
-    Raises ``CircuitError`` if the squared norm moved by more than
-    ``NORM_ATOL`` or is no longer a number (a NaN angle).
+    the state each; on ``|0...0>`` call ``run``, which needs neither and
+    grows the state instead.  Raises ``CircuitError`` if the squared norm
+    moved by more than ``NORM_ATOL`` or is no longer a number (a NaN
+    angle).
     """
     if circuit.n_qubits != state.n_qubits:
         raise CircuitError(
             f"circuit width {circuit.n_qubits} != state width {state.n_qubits}"
         )
-    return _run_steps(state.amplitudes.copy(), circuit, state.norm_sq)
+    n = circuit.n_qubits
+    return _run_steps(state.amplitudes.copy(), n, circuit._steps, n, state.norm_sq)
 
 
 def run(circuit: Circuit) -> StateVector:
-    """``circuit`` applied to ``|0...0>``: the result of ``apply_circuit``
-    on ``zero_state``, byte for byte, and checked the same way.
+    """``circuit`` applied to ``|0...0>``, checked as ``apply_circuit``
+    checks it, by the plan that grows the state from width 0
+    (``Circuit._grown_steps``).
 
-    The buffer is made as ``|0...0>`` itself, with no state to copy and a
-    squared norm of exactly 1.  It is zeroed by one write pass, not by
-    ``np.zeros``: a calloc'd buffer's pages fault twice in the first
-    step, once read as the shared zero page and once on the write.  At
-    n = 18 on a 2-vCPU Xeon a wide_sample run took 9.9-10.3 ms this way,
-    12.6-12.8 ms from ``np.zeros`` and 11.5-11.6 ms through
-    ``zero_state``, its norm and a copy (medians of 40 instances).  The
-    width is checked (``_check_width``) before the buffer is allocated."""
+    The state is kept as its prefix ``psi[:2**w]``, w one more than the
+    highest qubit touched so far; every qubit above reads 0.  A one-qubit
+    gate on a qubit at or above w writes the new half from the prefix
+    (``_Grow``), so an angle load is n such doublings.  Every other step
+    runs at the width it finds, and the amplitudes above the last width
+    are zero-filled once at the end.  At n = 18 on a 2-vCPU Xeon an angle
+    load planned in 0.06-0.11 ms and ran in 0.63-0.74 ms this way, against
+    0.35-0.38 and 4.6-5.0 ms fused on a zero-filled buffer (medians of 40).
+    A circuit whose first item touches its top qubit, as every amplitude
+    loader's does, grows to full width at once and then runs as
+    ``apply_circuit`` would.
+
+    The result agrees with ``apply_circuit`` on ``zero_state`` within
+    ``EQUIV_ATOL``; it is byte-equal to it when the circuit grows to full
+    width in its first item, and to the gate-by-gate ``apply_gate`` run
+    when every step is a growth.  The width is checked (``_check_width``)
+    before the buffer is allocated."""
     n = circuit.n_qubits
     _check_width(n)
     psi = np.empty(1 << n, dtype=np.complex128)
-    psi.fill(0.0)
     psi[0] = 1.0
-    return _run_steps(psi, circuit, 1.0)
+    return _run_steps(psi, n, circuit._grown_steps, 0, 1.0)
 
 
-def _run_steps(psi: np.ndarray, circuit: Circuit, norm_sq: float) -> StateVector:
-    """Run ``circuit``'s plan on the buffer ``psi`` in place and return the
-    state that takes it over; ``CircuitError`` if its squared norm is no
+def _run_steps(psi: np.ndarray, n: int, steps: tuple, width: int, norm_sq: float) -> StateVector:
+    """Run the plan ``steps`` (``_execution_plan`` from ``width``) on the
+    n-qubit buffer ``psi`` in place: each step on the prefix
+    ``psi[:2**width]``, and each ``_Grow`` on the buffer, widening it.  The
+    amplitudes above the last width are then zero-filled.  Return the state
+    that takes the buffer over; ``CircuitError`` if its squared norm is no
     longer ``norm_sq`` within ``NORM_ATOL``."""
-    n = circuit.n_qubits
-    for step in circuit._steps:
-        if type(step) is Gate:
-            apply_gate(psi, step, n)
-        else:
+    view = psi[: 1 << width]
+    for step in steps:
+        kind = type(step)
+        if kind is Gate:
+            apply_gate(view, step, width)
+        elif kind is _Grow:
             step.apply(psi)
+            width = step.width
+            view = psi[: 1 << width]
+        else:
+            step.apply(view)
+    psi[1 << width :] = 0.0
     out = StateVector._owning(n, psi)
     drift = abs(out.norm_sq - norm_sq)
     if not drift <= NORM_ATOL:

@@ -8,6 +8,7 @@ import functools
 import itertools
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,18 +195,23 @@ class TestApplyCircuit:
             sim.apply_circuit(sim.zero_state(2), sim.Circuit(3, [sim.x(0)]))
 
     def test_run_is_apply_circuit_on_zero_state(self):
-        # run makes |0...0> itself; its result must be the copy path's, byte
-        # for byte: a complex amplitude load (n = 9, phase pass) and an
-        # angle load wide enough that its gates run fused (n = 16)
+        # run grows |0...0> from width 0.  An amplitude load touches its top
+        # qubit first, so it grows to full width at once and its result is
+        # the copy path's, byte for byte (n = 9, phase pass).  An angle load
+        # is all growths: byte-equal to the gate-by-gate loop, and within
+        # EQUIV_ATOL of apply_circuit, which fuses its gates (n = 16).
         rng = np.random.default_rng(21)
         a = rng.normal(size=512) + 1j * rng.normal(size=512)
         amplitude = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
         angle = loaders.load_angle(rng.uniform(0.0, np.pi / 2, 16)).circuit
         assert sim._Multiply in steps_of(amplitude)
         assert sim._Power in steps_of(angle)
-        for c in (amplitude, angle):
-            want = sim.apply_circuit(sim.zero_state(c.n_qubits), c).amplitudes
-            assert sim.run(c).amplitudes.tobytes() == want.tobytes()
+        assert {type(step) for step in angle._grown_steps} == {sim._Grow}
+        want = sim.apply_circuit(sim.zero_state(9), amplitude).amplitudes
+        assert sim.run(amplitude).amplitudes.tobytes() == want.tobytes()
+        got = sim.run(angle).amplitudes
+        assert got.tobytes() == gate_loop(angle).tobytes()
+        np.testing.assert_allclose(got, sim.apply_circuit(sim.zero_state(16), angle).amplitudes, rtol=0, atol=EQUIV_ATOL)
 
     def test_run_checks_width_before_allocating(self):
         tracemalloc.start()
@@ -674,9 +680,10 @@ class TestExecutionPlan:
         c = extractors.qae_circuit(loaders.load_amplitude(a).circuit, 7)
         assert powers(c) == 7 and len(calls) == 1
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+        assert len(calls) == 2  # run's plan, from width 0, shares one too
         # amplitude -> equally-weighted: Q's powers, then their inverses
         c = converters.convert_amplitude_to_ew(loaders.load_amplitude(np.sqrt([0.1, 0.2, 0.3, 0.4])).circuit, 4)
-        assert powers(c) == 8 and len(calls) == 3
+        assert powers(c) == 8 and len(calls) == 4
 
     def test_periods_share_a_matrix_only_when_equal_on_their_qubits(self, monkeypatch):
         calls = []
@@ -887,6 +894,127 @@ class TestFusion:
         monkeypatch.undo()
         c = loaders.load_angle(np.full(15, 0.3)).circuit
         assert powers(c) == len(c._steps) == 4
+
+
+def benchmark_wide_input(seed: int, index: int):
+    """Angles and sampling seed of instance ``index`` of a wide_sample
+    benchmark run seeded with ``seed`` (n = 18), drawn as the benchmark
+    draws them."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index + (1 << 20)])))
+    return rng.uniform(0.0, np.pi / 2, size=18), int(rng.integers(1 << 31))
+
+
+def touching_item(rng, qubits: list[int], kind: str):
+    """A random item of ``kind`` ("gate", "repeat", "diagonal" or "qft") on
+    some of ``qubits`` that touches ``qubits[-1]``."""
+    while True:
+        k = int(rng.integers(1, min(4, len(qubits)) + 1))
+        on = [qubits[-1], *(int(q) for q in rng.permutation(qubits[:-1])[: k - 1])]
+        if kind == "diagonal":
+            return sim.Diagonal(rng.uniform(-np.pi, np.pi, 1 << k), on, inverted=bool(rng.integers(2)))
+        if kind == "qft":
+            return sim.Qft(tuple(on), inverted=bool(rng.integers(2)))
+        gates = [random_gate(rng, k) for _ in range(int(rng.integers(1, 4)) if kind == "repeat" else 1)]
+        gates = tuple(g.on([on[q] for q in g.qubits]) for g in gates)
+        if any(qubits[-1] in g.qubits for g in gates):
+            return sim.Repeat(gates, int(rng.integers(1, 4))) if kind == "repeat" else gates[0]
+
+
+def growing_circuit(rng, n: int, order: str) -> sim.Circuit:
+    """A random circuit on n qubits that first touches its qubits in
+    ``order``: "ascending", "skipping" (ascending, some left out),
+    "descending", or "low" (the top ones left untouched).  Each first touch
+    is a one-qubit gate, a gate on more qubits, or a block; a random item
+    on the touched qubits may follow it."""
+    touches = {
+        "ascending": range(n),
+        "skipping": sorted(int(q) for q in rng.choice(n, size=max(1, n // 2), replace=False)),
+        "descending": range(n - 1, -1, -1),
+        "low": range(max(1, n - 3)),
+    }[order]
+    items, touched = [], []
+    for q in touches:
+        touched.append(q)
+        kind = rng.choice(["one", "gate", "repeat", "diagonal", "qft"])
+        items.append(random_gate(rng, 1).on([q]) if kind == "one" else touching_item(rng, touched, kind))
+        if rng.random() < 0.3:
+            items.append(touching_item(rng, rng.permutation(touched).tolist(), rng.choice(["gate", "repeat"])))
+    return sim.Circuit(n, items)
+
+
+class TestGrowth:
+    """``run`` grows the state from width 0 (``Circuit._grown_steps``): a
+    one-qubit gate on a fresh top qubit doubles the prefix, and every other
+    step runs at the width it finds.  Every result must match the
+    gate-by-gate loop within ``EQUIV_ATOL``, and byte for byte when every
+    step is a growth."""
+
+    def test_random_circuits_match_gate_loop(self):
+        rng = np.random.default_rng(2026)
+        kinds = set()
+        for n, order in itertools.product([*range(1, 11), 15, 16, 18], ("ascending", "skipping", "descending", "low")):
+            c = growing_circuit(rng, n, order)
+            kinds |= {g.kind for g in c.gates} | {type(i) for i in c.items}
+            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+            top = max(q for i in c.items for q in i.qubits)
+            assert max(step.width for step in c._grown_steps if type(step) is sim._Grow) == top + 1
+        assert kinds == set(sim._QUBIT_COUNTS) | {sim.Gate, sim.Repeat, sim.Diagonal, sim.Qft}
+        for n in (1, 5, 18):
+            c = sim.Circuit(n)
+            assert c._grown_steps == ()
+            assert sim.run(c).amplitudes.tobytes() == sim.zero_state(n).amplitudes.tobytes()
+
+    def test_one_qubit_loads_are_byte_equal_to_gate_loop(self):
+        rng = np.random.default_rng(18)
+        for n in [*range(1, 11), 15, 16, 18]:
+            angle = loaders.load_angle(rng.uniform(0.0, np.pi / 2, n)).circuit
+            fourier = loaders.load_fourier(int(rng.integers(1 << n)), n).circuit
+            assert {type(step) for step in angle._grown_steps} == {sim._Grow}
+            for c in (angle, fourier):
+                assert sim.run(c).amplitudes.tobytes() == gate_loop(c).tobytes()
+
+    def test_every_one_qubit_kind_grows(self):
+        # each kind's first column, on a fresh qubit below and above the
+        # touched ones, against the Kronecker oracle
+        h0 = sim.h(0)
+        for g in (sim.x(0), sim.h(0), sim.ry(-2.5, 0), sim.p(0.7, 0), sim.permutation([1, 0], [0]),
+                  sim.permutation([0, 1], [0]), sim.multiplexed_ry([1.3], [], 0)):
+            for q, n in ((1, 2), (3, 5)):
+                c = sim.Circuit(n, [h0, g.on([q]), sim.cnot(q, 0)])
+                assert type(c._grown_steps[1]) is sim._Grow
+                expected = oracle_apply(sim.zero_state(n).amplitudes, c)
+                np.testing.assert_allclose(sim.run(c).amplitudes, expected, rtol=0, atol=EQUIV_ATOL)
+
+    def test_nan_angle_in_a_growth_raises(self):
+        for g in (sim.ry(np.nan, 1), sim.p(np.nan, 1), sim.multiplexed_ry([np.nan], [], 1)):
+            c = sim.Circuit(3, [sim.h(0), g])
+            assert type(c._grown_steps[-1]) is sim._Grow
+            with pytest.raises(CircuitError):
+                sim.run(c)
+
+    def test_run_keeps_one_state(self):
+        # n = 18: the state takes 4 MiB; growing it needs no temporaries
+        n = 18
+        c = loaders.load_angle(np.full(n, 0.4)).circuit
+        c._grown_steps  # the plan itself is small; measure the run
+        tracemalloc.start()
+        try:
+            sim.run(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 << n) + (1 << 20)
+
+    def test_seeded_wide_sample_shots_match_gate_loop(self):
+        # instances 0..3 of benchmark seeds 0 and 78
+        for seed, index in itertools.product((0, 78), range(4)):
+            thetas, sample_seed = benchmark_wide_input(seed, index)
+            c = loaders.load_angle(thetas).circuit
+            looped = sim.StateVector(18, gate_loop(c))
+            registers = {"data": tuple(range(18))}
+            assert sim.sample_shots(sim.run(c), registers, 1 << 13, sample_seed) == sim.sample_shots(
+                looped, registers, 1 << 13, sample_seed
+            )
 
 
 class TestRepeat:
@@ -1657,6 +1785,25 @@ class TestQubitCheck:
             with pytest.raises(CircuitError):
                 make()
         assert sim.h(np.int64(1)) == sim.h(1) and type(sim.h(np.int64(1)).qubits[0]) is int
+
+    def test_inverse_and_shift_skip_the_check_and_equal_checked_gates(self, monkeypatch):
+        # an adjoint and a plain-int shift of a checked gate are built
+        # without the qubit check; they equal the gates made through it
+        rng = np.random.default_rng(61)
+        gates = [random_gate(rng, 4) for _ in range(40)]
+        repeat = sim.Repeat(tuple(gates[:5]), 3)
+        monkeypatch.setattr(sim, "_check_qubits", lambda *a: pytest.fail("a checked gate was checked again"))
+        inverses = [g.inverse() for g in gates]
+        shifts = [g.shifted(3) for g in gates]
+        inverse_repeat = repeat.inverse()
+        monkeypatch.undo()
+        for g, inv, moved in zip(gates, inverses, shifts):
+            # dataclasses.replace makes the gate anew, through the check
+            assert inv == replace(inv) and moved == replace(g, qubits=tuple(q + 3 for q in g.qubits))
+            np.testing.assert_allclose(closed_form(inv), closed_form(g).conj().T, rtol=0, atol=EQUIV_ATOL)
+        assert inverse_repeat == sim.Repeat(sim._inverted(repeat.period), 3) and inverse_repeat.qubits == repeat.qubits
+        # an offset that is not a plain int goes through Gate.on, and is checked
+        assert {type(q) for q in gates[0].shifted(np.int64(2)).qubits} == {int}
 
     @pytest.mark.parametrize("width", [2.0, True, False, 0, -1, "2", None])
     def test_circuit_width_is_an_integer_of_at_least_one(self, width):
