@@ -8,9 +8,11 @@ Conventions used throughout the package:
 * A ``StateVector`` holds a read-only complex128 array of length
   ``2**n_qubits``, 1 <= n_qubits <= ``MAX_QUBITS``.  ``apply_circuit``
   copies it once into a buffer it owns.  ``run`` starts from ``|0...0>``
-  with no state to copy and grows it qubit by qubit (the rule is given
-  at ``run``).  Each step updates the buffer in place, and the resulting
-  state takes the buffer over, read-only, without another copy.
+  with no state to copy and grows it qubit by qubit, as the compact state
+  of the qubits touched so far at the front of the buffer (the rule is
+  given at ``run``).  Each step updates the buffer in place, and the
+  resulting state takes the buffer over, read-only, without another
+  copy.
 * A gate's action is written in one place.  Every ``(*controls, target)``
   kind is defined by ``gate_blocks`` in the compact form of its family: a
   flip (X, CNOT), one phase (P, and CP with one or more controls), one
@@ -50,9 +52,9 @@ Conventions used throughout the package:
   circuit from the items for each of them (``Circuit._steps`` from width
   n, ``Circuit._grown_steps`` from width 0): each block as one step, gates
   by ``apply_gate`` or, on wide states, in fused runs (below), and from
-  width 0 a growth (``_Grow``) wherever an item first touches a qubit at
-  or above the width.  There are three blocks, each run on the
-  ``_view_shape`` view of its qubits:
+  width 0 a growth (``_Grow``) wherever an item first touches a qubit,
+  every other step relabelled onto the touched qubits.  There are three
+  blocks, each run on the ``_view_shape`` view of its qubits:
 
   - ``Repeat``: gates applied ``count`` times back to back (phase
     estimation's controlled powers).  On at most ``_POWER_QUBITS`` qubits
@@ -225,9 +227,12 @@ class Gate:
     def shifted(self, offset: int) -> "Gate":
         """The same gate with every qubit moved up by ``offset``.  A plain
         int keeps the qubits plain, distinct ints, so they are not checked
-        again."""
+        again; only an offset that takes one below 0 raises
+        ``CircuitError``."""
         if type(offset) is not int:
             return self.on([q + offset for q in self.qubits])
+        if min(self.qubits) + offset < 0:
+            raise CircuitError(f"gate {self.kind} on {self.qubits} shifted by {offset} reaches below qubit 0")
         return _unchecked(self, qubits=tuple([q + offset for q in self.qubits]))
 
     def inverse(self) -> "Gate":
@@ -571,8 +576,8 @@ class Circuit:
             bad = next(i for i in items if type(i) not in _ITEM_TYPES)
             raise CircuitError(f"circuit item {bad!r} is neither a gate nor a declared block")
         qubits = [q for i in items for q in i.qubits]
-        if qubits and (min(qubits) < 0 or max(qubits) >= n):
-            bad = next(g for i in items for g in i.gates if min(g.qubits) < 0 or max(g.qubits) >= n)
+        if qubits and max(qubits) >= n:
+            bad = next(g for i in items for g in i.gates if max(g.qubits) >= n)
             raise CircuitError(f"gate {bad.kind} touches qubit outside 0..{n - 1}")
         regs = {name: _check_qubits(qs, n) for name, qs in dict(self.registers).items()}
         used = [q for qs in regs.values() for q in qs]
@@ -770,18 +775,18 @@ def state_from_amplitudes(amps: Sequence[complex]) -> StateVector:
 def _check_qubits(qubits: Sequence[int], n: int | None = None) -> tuple[int, ...]:
     """``qubits`` as a tuple of plain ints, the one check of every gate's,
     block's and register's wires: ``CircuitError`` for a qubit that is no
-    integer (nor a bool), a repeated qubit, and given a width ``n``, a qubit
-    outside ``0..n-1``.  A tuple of plain ints is returned as it is; every
-    gate comes here, so a loop reads the types: 90-160 ns at 1-4 qubits on
-    a 2-vCPU Xeon, against 350-410 ns for a set of them."""
+    integer (nor a bool), a repeated qubit, a negative qubit, and given a
+    width ``n``, a qubit from ``n`` up.  A tuple of plain ints is returned
+    as it is; every gate comes here, so a loop reads the types: 90-160 ns
+    at 1-4 qubits on a 2-vCPU Xeon, against 350-410 ns for a set of them."""
     if type(qubits) is tuple:
         for q in qubits:
-            if type(q) is not int:
+            if type(q) is not int or q < 0:
                 break
         else:
             if len(qubits) > 1 and len(set(qubits)) != len(qubits):
                 raise CircuitError(f"qubits {qubits} repeat a qubit")
-            if n is not None and qubits and (min(qubits) < 0 or max(qubits) >= n):
+            if n is not None and qubits and max(qubits) >= n:
                 raise CircuitError(f"qubits {qubits} outside 0..{n - 1}")
             return qubits
     try:
@@ -790,6 +795,8 @@ def _check_qubits(qubits: Sequence[int], n: int | None = None) -> tuple[int, ...
         raise CircuitError(f"qubits must be a sequence of integers, got {qubits!r}") from None
     if not all(map(_is_integer, qubits)):
         raise CircuitError(f"qubits must be integers, got {qubits!r}")
+    if min(qubits, default=0) < 0:
+        raise CircuitError(f"qubits {qubits} include a negative qubit")
     return _check_qubits(tuple(map(int, qubits)), n)
 
 
@@ -842,21 +849,41 @@ def _layout(qubits: tuple[int, ...], n: int) -> tuple:
     target)`` gate on ``qubits`` at width n, which holds for any gate on
     those wires: the ``_view_shape``, the target's axis, each control's
     axis (in the order of ``qubits``), and the layout of one broadcast
-    pass.  That pass views the buffer without the view's length-1 gaps,
-    which numpy iterates at a cost per axis; its layout is that shape, the
-    target's axis in it, and the transpose and shape that lay a vector with
-    one entry per control pattern out over its axes, the target's
-    dropped."""
+    pass.  That pass views the buffer without the view's length-1 gaps and
+    with adjacent control axes merged, as numpy iterates at a cost per
+    axis; its layout is that shape, the target's axis in it, and the
+    transpose (None for the identity) and shape that lay a vector with one
+    entry per control pattern out over its axes, the target's dropped
+    (``_laid_out``)."""
     shape = _view_shape(qubits, n)
     *controls, target = _axes(qubits)
     # Pattern j's control bit i is controls[i]: reshaped to (2,)*k, the
     # patterns' axes run controls[-1] .. controls[0].  Sort them into view
     # order and give the gaps of the broadcast view length-1 axes.
     order = tuple(sorted(range(len(controls)), key=controls[::-1].__getitem__))
-    kept = [a for a, size in enumerate(shape) if size > 1]
-    coef_shape = tuple(2 if a in controls else 1 for a in kept if a != target)
-    broadcast = tuple(shape[a] for a in kept), kept.index(target), order, coef_shape
-    return shape, target, tuple(controls), broadcast
+    if order == tuple(range(len(controls))):
+        order = None
+    merged, coef_shape = [], []
+    for a, size in enumerate(shape):
+        if a == target:
+            t = len(merged)
+            merged.append(2)
+        elif a in controls and a - 2 in controls and shape[a - 1] == 1:  # no gap between them
+            merged[-1] *= 2
+            coef_shape[-1] *= 2
+        elif size > 1:
+            merged.append(size)
+            coef_shape.append(2 if a in controls else 1)
+    return shape, target, tuple(controls), (tuple(merged), t, order, tuple(coef_shape))
+
+
+def _laid_out(vectors: Sequence[np.ndarray], order: tuple[int, ...] | None, coef_shape: tuple[int, ...]) -> list:
+    """Each of ``vectors``, one entry per control pattern, laid out over
+    the control axes of a ``_layout`` broadcast pass by its ``order`` and
+    ``coef_shape``."""
+    if order is None:
+        return [v.reshape(coef_shape) for v in vectors]
+    return [v.reshape((2,) * len(order)).transpose(order).reshape(coef_shape) for v in vectors]
 
 
 @lru_cache(maxsize=256)
@@ -919,7 +946,7 @@ def apply_gate(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         c, s = values
         if controls and half < _BLOCK_LOOP_MIN and np.count_nonzero(s) > 1:
             shape, t, order, coef_shape = broadcast
-            cos, neg, sin = (v.reshape((2,) * len(controls)).transpose(order).reshape(coef_shape) for v in (c, -s, s))
+            cos, neg, sin = _laid_out((c, -s, s), order, coef_shape)
             view = psi.reshape(shape)
             idx = [slice(None)] * len(shape)
             idx[t] = 0
@@ -1032,35 +1059,52 @@ class _Fourier(NamedTuple):
 
 
 class _Grow(NamedTuple):
-    """The prefix ``psi[:2**start]`` grown to ``psi[:2**width]`` by a
-    one-qubit gate on qubit ``width - 1`` that maps |0> to ``u00|0> +
-    u10|1>`` (``_first_column``; ``(1, 0)`` for none): ``psi[h:h + s]``
-    becomes ``u10 * psi[:s]`` and ``psi[:s]`` is scaled by ``u00``, with
-    ``s = 2**start`` and ``h = 2**(width - 1)``; the rest is zero-filled.
-    A factor of 1 copies and one of 0 fills; any other multiplies as
-    ``apply_gate``'s 2x2 update does, whose second product is with a zero,
-    so only the sign of a zero can differ from it."""
+    """The compact state of the touched qubits grown from ``psi[:2**start]``
+    to ``psi[:2**width]`` by qubits inserted among them
+    (``_execution_plan``).  In the view ``shape``, ``zero`` indexes the
+    part where every inserted qubit reads 0 and, when a gate inserts one,
+    ``one`` the part where it reads 1: they get the old state times ``u0``
+    and ``u1`` (``_scaled``; scalars, or a multiplexer's vectors laid over
+    its control axes).  With no ``one``, the rest reads 0.  The old state
+    is read in place when every inserted qubit is above it (``in_place``:
+    the ``zero`` part is then ``psi[:2**start]``), else from one copy, at
+    most half the new width."""
 
     start: int
     width: int
-    u00: complex
-    u10: complex
+    shape: tuple[int, ...]
+    zero: tuple
+    one: tuple | None
+    u0: object
+    u1: object
+    in_place: bool
 
     def apply(self, psi: np.ndarray) -> None:
-        s, h = 1 << self.start, 1 << (self.width - 1)
-        low, high = psi[:s], psi[h : h + s]
-        psi[s:h] = 0.0
-        psi[h + s : 2 * h] = 0.0
-        if self.u10 == 0:
-            high.fill(0.0)
-        elif self.u10 == 1:
-            high[...] = low
+        s = 1 << self.start
+        view = psi[: 1 << self.width].reshape(self.shape)
+        low = view[self.zero]
+        old = low if self.in_place else psi[:s].copy().reshape(low.shape)
+        if self.one is not None:
+            _scaled(view[self.one], old, self.u1)
+        elif self.in_place:
+            psi[s : 1 << self.width] = 0.0
         else:
-            np.multiply(low, self.u10, out=high)
-        if self.u00 == 0:
-            low.fill(0.0)
-        elif self.u00 != 1:
-            low *= self.u00
+            view[...] = 0.0
+        _scaled(low, old, self.u0)
+
+
+def _scaled(out: np.ndarray, old: np.ndarray, u) -> None:
+    """``out[...] = u * old``: for a scalar 1 a copy, none when ``out`` is
+    ``old``, and for a 0 a fill.  Any other factor multiplies as
+    ``apply_gate``'s 2x2 update does on a half that reads 0, whose second
+    product is with a zero, so only the sign of a zero can differ from
+    it."""
+    if type(u) is np.ndarray or u not in (0, 1):
+        np.multiply(old, u, out=out)
+    elif not u:
+        out.fill(0.0)
+    elif out is not old:
+        out[...] = old
 
 
 def _first_column(gate: Gate) -> tuple:
@@ -1081,54 +1125,98 @@ def _first_column(gate: Gate) -> tuple:
     return float(c[0]), float(s[0])
 
 
-def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], width: int) -> tuple:
-    """The steps that run a circuit's ``items`` on a state whose qubits
-    from ``width`` up read 0: ``apply_circuit`` plans from width n, ``run``
-    from width 0.  Each gate runs on its own through ``apply_gate``, one
-    ``_Multiply`` per ``Diagonal``, one ``_Fourier`` per ``Qft``, and one
-    ``_Power`` per ``Repeat`` on at most ``_POWER_QUBITS`` qubits, of any
-    count; the gates of wider repeats run one by one.  Repeats whose
-    periods are equal once moved onto their own qubits, as phase
-    estimation's controlled operators on different control wires are,
-    share one ``_period_matrix`` and its powers (``_power``).  The key of a
-    period is a plain tuple per gate: its kind, the positions of its qubits
-    within the repeat's qubits, and its angle, angles and table.
+def _grow_step(start: int, width: int, qubits: tuple[int, ...], gate: Gate | None = None) -> _Grow:
+    """The ``_Grow`` from ``start`` to ``width`` compact qubits that inserts
+    the qubits at positions ``qubits`` of the new width reading 0, or,
+    given a one-qubit or ``mry`` ``gate`` on ``qubits`` whose controls are
+    there already, its target as ``gate`` maps it from |0>: by
+    ``_first_column``, or by the multiplexer's ``c`` and ``s`` laid over
+    the control axes as ``apply_gate``'s broadcast pass lays them."""
+    if gate is None:
+        # the odd axes of a _view_shape are its qubits', here all inserted
+        shape = _view_shape(qubits, width)
+        zero = [0 if a % 2 else slice(None) for a, size in enumerate(shape) if size > 1]
+        kept = tuple(size for size in shape if size > 1)
+        return _Grow(start, width, kept, (*zero, ...), None, 1.0, None, min(qubits) >= start)
+    shape, t, order, coef_shape = _layout(qubits, width)[3]
+    u0, u1 = _first_column(gate) if len(qubits) == 1 else _laid_out(gate_blocks(gate)[1], order, coef_shape)
+    whole = (slice(None),) * t
+    return _Grow(start, width, shape, (*whole, 0, ...), (*whole, 1, ...), u0, u1, qubits[-1] >= start)
 
-    Each step is planned for the prefix ``psi[:2**width]`` (``run``).  An
-    item that touches a qubit at or above the width grows it first
-    (``_Grow``): a one-qubit gate on qubit q is itself the growth to width
-    q + 1, and any other item zero-fills up to its highest qubit.  At
-    widths of more than ``_FUSE_MIN`` amplitudes, runs of gates that follow
-    one another at one width are then fused into dense updates
-    (``_fused``); a block's step, or a growth, ends a run."""
+
+def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], width: int) -> tuple:
+    """The steps that run a circuit's ``items`` on the compact state of its
+    first ``width`` qubits, every other qubit reading 0: ``apply_circuit``
+    plans from width n, ``run`` from width 0.  Each gate runs on its own
+    through ``apply_gate``, one ``_Multiply`` per ``Diagonal``, one
+    ``_Fourier`` per ``Qft``, and one ``_Power`` per ``Repeat`` on at most
+    ``_POWER_QUBITS`` qubits, of any count; the gates of wider repeats run
+    one by one.  Repeats whose periods are equal once moved onto their own
+    qubits, as phase estimation's controlled operators on different
+    control wires are, share one ``_period_matrix`` and its powers
+    (``_power``).  The key of a period is a plain tuple per gate: its kind,
+    the positions of its qubits within the repeat's qubits, and its angle,
+    angles and table.
+
+    The state is kept as the compact state of the touched qubits T, in
+    ascending order, in ``psi[:2**|T|]`` (``run``).  An item that touches a
+    qubit outside T first inserts it (``_Grow``): a one-qubit gate on it,
+    or an ``mry`` on it whose controls are all in T, is itself the growth,
+    and any other item inserts its fresh qubits reading 0.  Every other
+    step runs at width |T| with its qubits relabelled by their rank in T,
+    which is the identity while T is ``0..|T|-1``.  If T is not that at the
+    end, one last growth inserts the qubits below its top that no item
+    touched.  At widths of more than ``_FUSE_MIN`` amplitudes, runs of
+    gates that follow one another at one width are then fused into dense
+    updates (``_fused``); a block's step, or a growth, ends a run."""
     powers: dict[tuple, dict[int, np.ndarray]] = {}
     steps: list = []
     unfused = 0  # the steps made at the current width start here
+    touched = list(range(width))  # ascending: bit r of the compact state is qubit touched[r]
+    prefix = True  # touched is range(width), so no qubit is relabelled
     for item in items:
         kind = type(item)
-        top = 1 + max(item.qubits)
-        if top > width:
-            if (1 << width) > _FUSE_MIN:
-                steps[unfused:] = _fused(steps[unfused:], width)
-            single = kind is Gate and len(item.qubits) == 1
-            steps.append(_Grow(width, top, *(_first_column(item) if single else (1.0, 0.0))))
-            width, unfused = top, len(steps)
-            if single:
-                continue
+        qubits = item.qubits
+        if not prefix or max(qubits) >= width:
+            known = range(width) if prefix else touched
+            fresh = [q for q in qubits if q not in known]
+            if fresh:
+                if (1 << width) > _FUSE_MIN:
+                    steps[unfused:] = _fused(steps[unfused:], width)
+                grows = kind is Gate and fresh == [qubits[-1]] and (len(qubits) == 1 or item.kind == MULTIPLEXED_RY)
+                start, touched = width, sorted(touched + fresh)
+                width = len(touched)
+                prefix = touched[-1] == width - 1
+                inserted = tuple(map(touched.index, qubits if grows else fresh))
+                steps.append(_grow_step(start, width, inserted, item if grows else None))
+                unfused = len(steps)
+                if grows:
+                    continue
+            if not prefix:
+                qubits = tuple(map(touched.index, qubits))
         if kind is Diagonal:
-            steps.append(_multiply_step(item, width))
+            steps.append(_multiply_step(item, qubits, width))
         elif kind is Qft:
-            steps.append(_fourier_step(item, width))
-        elif kind is Gate or len(item.qubits) > _POWER_QUBITS:
-            steps += item.gates
+            shape = _view_shape(qubits, width)
+            steps.append(_Fourier(qubits, shape, _slabs(shape, 1 << width), item.inverted))
+        elif kind is Gate:
+            steps.append(item if prefix else _unchecked(item, qubits=qubits))
+        elif len(qubits) > _POWER_QUBITS:
+            period = item.period
+            if not prefix:
+                period = tuple(_unchecked(g, qubits=tuple(map(touched.index, g.qubits))) for g in period)
+            steps += period * item.count
         else:
             at = {q: i for i, q in enumerate(item.qubits)}.__getitem__
             key = tuple([(g.kind, tuple(map(at, g.qubits)), g.angle, g.angles, g.table) for g in item.period])
             if key not in powers:
                 powers[key] = {1: _period_matrix(item.period, item.qubits)}
-            steps.append(_power_step(_power(powers[key], item.count), item.qubits, width))
+            steps.append(_power_step(_power(powers[key], item.count), qubits, width))
     if (1 << width) > _FUSE_MIN:
         steps[unfused:] = _fused(steps[unfused:], width)
+    if not prefix:
+        top = touched[-1] + 1
+        steps.append(_grow_step(width, top, tuple(q for q in range(top) if q not in touched)))
     return tuple(steps)
 
 
@@ -1187,25 +1275,20 @@ def _fused(steps: Sequence, n: int) -> list:
     return out
 
 
-def _multiply_step(block: Diagonal, n: int) -> _Multiply:
+def _multiply_step(block: Diagonal, qubits: tuple[int, ...], n: int) -> _Multiply:
     """``block``'s diagonal, ``exp(1j*(phases - mean))`` (negated when
-    inverted), laid out over the ``_view_shape`` axes of its qubits."""
+    inverted), laid out over the ``_view_shape`` axes of ``qubits``, the
+    block's qubits at width n."""
     phases = block.phases - block.phases.mean()
     factors = np.exp(-1j * phases if block.inverted else 1j * phases)
-    shape = _view_shape(block.qubits, n)
+    shape = _view_shape(qubits, n)
     kept = [a for a, size in enumerate(shape) if size > 1]
     coef_shape = tuple(shape[a] if a % 2 else 1 for a in kept)
     # Reshaped to (2,)*k, the factors' axes run qubits[-1] .. qubits[0];
     # sort them into view order.
-    axes = _axes(block.qubits)[::-1]
+    axes = _axes(qubits)[::-1]
     factors = factors.reshape((2,) * len(axes)).transpose(sorted(range(len(axes)), key=axes.__getitem__))
     return _Multiply(np.ascontiguousarray(factors.reshape(coef_shape)), tuple(shape[a] for a in kept))
-
-
-def _fourier_step(block: Qft, n: int) -> _Fourier:
-    """The view and slabs that run ``block`` as FFTs on its qubits."""
-    shape = _view_shape(block.qubits, n)
-    return _Fourier(block.qubits, shape, _slabs(shape, 1 << n), block.inverted)
 
 
 def _period_matrix(period: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
@@ -1215,11 +1298,11 @@ def _period_matrix(period: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
     flattened identity at width 2k (``qubits[i]`` becomes bit ``k + i``),
     so every column of the identity goes through the period."""
     k = len(qubits)
-    row = {q: k + i for i, q in enumerate(qubits)}
+    row = {q: k + i for i, q in enumerate(qubits)}.__getitem__
     u = np.eye(1 << k, dtype=np.complex128)
     flat = u.reshape(-1)
     for g in period:
-        apply_gate(flat, g.on([row[q] for q in g.qubits]), 2 * k)
+        apply_gate(flat, _unchecked(g, qubits=tuple(map(row, g.qubits))), 2 * k)
     return u
 
 
@@ -1251,23 +1334,29 @@ def run(circuit: Circuit) -> StateVector:
     checks it, by the plan that grows the state from width 0
     (``Circuit._grown_steps``).
 
-    The state is kept as its prefix ``psi[:2**w]``, w one more than the
-    highest qubit touched so far; every qubit above reads 0.  A one-qubit
-    gate on a qubit at or above w writes the new half from the prefix
-    (``_Grow``), so an angle load is n such doublings.  Every other step
-    runs at the width it finds, and the amplitudes above the last width
-    are zero-filled once at the end.  At n = 18 on a 2-vCPU Xeon an angle
-    load planned in 0.06-0.11 ms and ran in 0.63-0.74 ms this way, against
-    0.35-0.38 and 4.6-5.0 ms fused on a zero-filled buffer (medians of 40).
-    A circuit whose first item touches its top qubit, as every amplitude
-    loader's does, grows to full width at once and then runs as
-    ``apply_circuit`` would.
+    The state is kept as the compact state of the qubits touched so far,
+    in ascending order, in ``psi[:2**|T|]``; every other qubit reads 0.  A
+    one-qubit gate on a fresh qubit, or an ``mry`` on one whose controls
+    are touched, writes the two halves of the grown state from the old one
+    (``_Grow``): an angle load is n such doublings, and so are the stages
+    of an amplitude load, each inserting the qubit below the touched ones.
+    Every other step runs on the compact state with its qubits relabelled
+    by rank.  At the end the amplitudes above the last width are
+    zero-filled, after one strided growth that inserts the untouched
+    qubits below it, if any.  On a 2-vCPU Xeon an angle load at n = 18
+    planned in 0.11-0.16 ms and ran in 0.58-0.65 ms this way, against
+    0.35-0.38 and 4.6-5.0 ms fused on a zero-filled buffer (medians of 40);
+    an amplitude load at n = 9 planned in 0.13-0.22 ms and ran in
+    0.05-0.09 ms, against 0.06-0.09 and 0.24-0.36 ms when it grew to full
+    width at once and ran each stage through ``apply_gate`` (medians of
+    300; the stages' ``cos`` and ``sin`` are now made in the plan).
 
     The result agrees with ``apply_circuit`` on ``zero_state`` within
-    ``EQUIV_ATOL``; it is byte-equal to it when the circuit grows to full
-    width in its first item, and to the gate-by-gate ``apply_gate`` run
-    when every step is a growth.  The width is checked (``_check_width``)
-    before the buffer is allocated."""
+    ``EQUIV_ATOL``.  It is byte-equal to the gate-by-gate ``apply_gate``
+    run when every step is a growth, but for the sign of a zero, and an
+    amplitude load, whose phase pass is the same multiply in both plans,
+    is byte-equal to ``apply_circuit``.  The width is checked
+    (``_check_width``) before the buffer is allocated."""
     n = circuit.n_qubits
     _check_width(n)
     psi = np.empty(1 << n, dtype=np.complex128)
@@ -1277,7 +1366,7 @@ def run(circuit: Circuit) -> StateVector:
 
 def _run_steps(psi: np.ndarray, n: int, steps: tuple, width: int, norm_sq: float) -> StateVector:
     """Run the plan ``steps`` (``_execution_plan`` from ``width``) on the
-    n-qubit buffer ``psi`` in place: each step on the prefix
+    n-qubit buffer ``psi`` in place: each step on the compact state
     ``psi[:2**width]``, and each ``_Grow`` on the buffer, widening it.  The
     amplitudes above the last width are then zero-filled.  Return the state
     that takes the buffer over; ``CircuitError`` if its squared norm is no
@@ -1413,7 +1502,8 @@ def _draws(state: StateVector, shots: int, seed: int) -> np.ndarray:
     total = probs.sum()
     if not 0.0 < total < np.inf:
         raise CircuitError(f"cannot sample a state of squared norm {total}")
-    cdf = (probs / total).cumsum()
+    cdf = np.divide(probs, total)
+    np.cumsum(cdf, out=cdf)  # in place: one 2**n buffer, not two
     cdf /= cdf[-1]
     uniforms = seeded_generator(seed).random(shots)
     # Searched in ascending order, consecutive lookups walk nearby parts of

@@ -195,11 +195,12 @@ class TestApplyCircuit:
             sim.apply_circuit(sim.zero_state(2), sim.Circuit(3, [sim.x(0)]))
 
     def test_run_is_apply_circuit_on_zero_state(self):
-        # run grows |0...0> from width 0.  An amplitude load touches its top
-        # qubit first, so it grows to full width at once and its result is
-        # the copy path's, byte for byte (n = 9, phase pass).  An angle load
-        # is all growths: byte-equal to the gate-by-gate loop, and within
-        # EQUIV_ATOL of apply_circuit, which fuses its gates (n = 16).
+        # run grows |0...0> from width 0.  Each stage of an amplitude load
+        # is a growth that inserts the qubit below the touched ones, and its
+        # phase pass then runs at full width: the result is the copy path's,
+        # byte for byte (n = 9).  An angle load is all growths: byte-equal
+        # to the gate-by-gate loop, and within EQUIV_ATOL of apply_circuit,
+        # which fuses its gates (n = 16).
         rng = np.random.default_rng(21)
         a = rng.normal(size=512) + 1j * rng.normal(size=512)
         amplitude = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
@@ -923,36 +924,67 @@ def touching_item(rng, qubits: list[int], kind: str):
 def growing_circuit(rng, n: int, order: str) -> sim.Circuit:
     """A random circuit on n qubits that first touches its qubits in
     ``order``: "ascending", "skipping" (ascending, some left out),
-    "descending", or "low" (the top ones left untouched).  Each first touch
-    is a one-qubit gate, a gate on more qubits, or a block; a random item
-    on the touched qubits may follow it."""
+    "descending", "low" (the top ones left untouched), or "middle" (the
+    lowest and the highest, then the rest in random order, each between
+    touched ones).  Each first touch is a one-qubit gate, an ``mry`` with
+    touched controls (any of them, in any order), a gate on more qubits, or
+    a block; a random item on the touched qubits may follow it."""
     touches = {
         "ascending": range(n),
         "skipping": sorted(int(q) for q in rng.choice(n, size=max(1, n // 2), replace=False)),
         "descending": range(n - 1, -1, -1),
         "low": range(max(1, n - 3)),
+        "middle": [*sorted({0, n - 1}), *(int(q) for q in rng.permutation(range(1, n - 1)))],
     }[order]
     items, touched = [], []
     for q in touches:
         touched.append(q)
-        kind = rng.choice(["one", "gate", "repeat", "diagonal", "qft"])
-        items.append(random_gate(rng, 1).on([q]) if kind == "one" else touching_item(rng, touched, kind))
+        kind = rng.choice(["one", "mry", "gate", "repeat", "diagonal", "qft"])
+        if kind == "one":
+            items.append(random_gate(rng, 1).on([q]))
+        elif kind == "mry":
+            controls = [int(c) for c in rng.permutation(touched[:-1])[: int(rng.integers(len(touched)))]]
+            items.append(sim.multiplexed_ry(rng.uniform(-np.pi, np.pi, 1 << len(controls)), controls, q))
+        else:
+            items.append(touching_item(rng, touched, kind))
         if rng.random() < 0.3:
             items.append(touching_item(rng, rng.permutation(touched).tolist(), rng.choice(["gate", "repeat"])))
     return sim.Circuit(n, items)
 
 
+def benchmark_amp_input(seed: int, index: int) -> np.ndarray:
+    """The amplitudes of instance ``index`` of an amp_roundtrip benchmark
+    run seeded with ``seed`` (n = 9, complex), drawn as the benchmark draws
+    them."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index + (1 << 20)])))
+    a = rng.normal(size=512) + 1j * rng.normal(size=512)
+    return a / np.linalg.norm(a)
+
+
+def stages_then_phase_pass(load: sim.Circuit) -> np.ndarray:
+    """An amplitude load run as its stages through ``gate_loop``, then its
+    phase pass, if any, as the plan's one multiply."""
+    *stages, last = load.items
+    if type(last) is not sim.Diagonal:
+        return gate_loop(load)
+    psi = gate_loop(sim.Circuit(load.n_qubits, stages))
+    sim._multiply_step(last, last.qubits, load.n_qubits).apply(psi)
+    return psi
+
+
 class TestGrowth:
-    """``run`` grows the state from width 0 (``Circuit._grown_steps``): a
-    one-qubit gate on a fresh top qubit doubles the prefix, and every other
-    step runs at the width it finds.  Every result must match the
-    gate-by-gate loop within ``EQUIV_ATOL``, and byte for byte when every
-    step is a growth."""
+    """``run`` grows the state from width 0 (``Circuit._grown_steps``),
+    keeping the compact state of the touched qubits: a one-qubit gate, or
+    an ``mry`` with touched controls, on a fresh qubit doubles it, and
+    every other step runs on it with its qubits relabelled.  Every result
+    must match the gate-by-gate loop within ``EQUIV_ATOL``, and byte for
+    byte when every step is a growth."""
 
     def test_random_circuits_match_gate_loop(self):
         rng = np.random.default_rng(2026)
         kinds = set()
-        for n, order in itertools.product([*range(1, 11), 15, 16, 18], ("ascending", "skipping", "descending", "low")):
+        orders = ("ascending", "skipping", "descending", "low", "middle")
+        for n, order in itertools.product([*range(1, 11), 15, 16, 18], orders):
             c = growing_circuit(rng, n, order)
             kinds |= {g.kind for g in c.gates} | {type(i) for i in c.items}
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
@@ -986,11 +1018,87 @@ class TestGrowth:
                 np.testing.assert_allclose(sim.run(c).amplitudes, expected, rtol=0, atol=EQUIV_ATOL)
 
     def test_nan_angle_in_a_growth_raises(self):
-        for g in (sim.ry(np.nan, 1), sim.p(np.nan, 1), sim.multiplexed_ry([np.nan], [], 1)):
+        for g in (sim.ry(np.nan, 1), sim.p(np.nan, 1), sim.multiplexed_ry([np.nan], [], 1),
+                  sim.multiplexed_ry([0.3, np.nan], [0], 1)):
             c = sim.Circuit(3, [sim.h(0), g])
             assert type(c._grown_steps[-1]) is sim._Grow
             with pytest.raises(CircuitError):
                 sim.run(c)
+
+    def test_multiplexed_first_touches_grow(self):
+        # an mry on a fresh target whose controls are touched is one growth,
+        # with its controls all of T, a subset, or out of order, and its
+        # target above, between or below them
+        rng = np.random.default_rng(23)
+        base = [sim.h(1), sim.ry(0.7, 3), sim.cry(0.9, 1, 4)]
+        for controls, target in (((1, 3, 4), 2), ((4,), 2), ((4, 1), 2), ((3, 1), 5), ((1, 4), 0), ((4, 3, 1), 0)):
+            g = sim.multiplexed_ry(rng.uniform(-np.pi, np.pi, 1 << len(controls)), controls, target)
+            c = sim.Circuit(6, [*base, g, sim.cnot(target, 3)])
+            steps = c._grown_steps
+            assert [type(step) for step in steps[:5]] == [sim._Grow] * 4 + [sim.Gate] and steps[3].width == 4
+            np.testing.assert_allclose(sim.run(c).amplitudes, oracle_apply(sim.zero_state(6).amplitudes, c),
+                                       rtol=0, atol=EQUIV_ATOL)
+
+    def test_fresh_controls_and_blocks_zero_insert(self):
+        # an mry whose control is fresh inserts its fresh qubits reading 0
+        # and then runs as a gate, as does a block that touches several
+        # fresh qubits; untouched qubits below the top are placed at the end
+        # by one growth
+        mry = sim.multiplexed_ry([0.4, -1.1, 0.2, 2.5], [2, 0], 1)
+        cases = (
+            ([sim.h(0), mry], 2),  # the h, then qubits 1 and 2 as one insertion
+            ([sim.h(2), mry], 2),
+            ([sim.h(1), mry], 2),  # a touched target with fresh controls
+            ([sim.h(0), sim.h(1), mry], 3),  # one fresh control
+            ([sim.Qft((1, 3, 4)), sim.h(4), sim.Diagonal([0.1, 0.5, -0.3, 0.9], (0, 2))], 2),
+            ([sim.h(6), sim.Qft((2, 4), inverted=True), sim.cnot(4, 6)], 3),  # 0, 1, 3, 5 placed last
+            # a repeat on more than _POWER_QUBITS qubits runs relabelled gates
+            ([sim.h(9), sim.Repeat((sim.h(2), sim.cnot(2, 9), sim.ry(0.3, 3), sim.cnot(3, 4), sim.cnot(4, 5),
+                                    sim.cnot(5, 6), sim.cnot(6, 8)), 2)], 3),
+        )
+        for items, count in cases:
+            c = sim.Circuit(10, items)
+            steps = c._grown_steps
+            grows = [step for step in steps if type(step) is sim._Grow]
+            assert len(grows) == count and grows[-1].width == 1 + max(q for i in items for q in i.qubits)
+            assert mry not in items or (type(steps[-1]) is sim.Gate and grows[-1].one is None)
+            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    def test_amplitude_loads_are_byte_equal_to_gate_loop(self):
+        # every stage of an amplitude load is a growth; the phase pass of a
+        # complex load then runs as one multiply at full width
+        rng = np.random.default_rng(24)
+        for n in range(1, 13):
+            real = np.abs(rng.normal(size=1 << n))
+            c = loaders.load_amplitude(real / np.linalg.norm(real)).circuit
+            assert {type(step) for step in c._grown_steps} == {sim._Grow}
+            assert sim.run(c).amplitudes.tobytes() == gate_loop(c).tobytes()
+            a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+            assert sim.run(c).amplitudes.tobytes() == stages_then_phase_pass(c).tobytes()
+
+    def test_benchmark_amplitude_loads_are_byte_equal_to_gate_loop(self):
+        # instances 0..3 of amp_roundtrip benchmark seeds 0 and 78
+        for seed, index in itertools.product((0, 78), range(4)):
+            c = loaders.load_amplitude(benchmark_amp_input(seed, index)).circuit
+            got = sim.run(c).amplitudes
+            assert got.tobytes() == stages_then_phase_pass(c).tobytes()
+            assert got.tobytes() == sim.apply_circuit(sim.zero_state(9), c).amplitudes.tobytes()
+
+    def test_amplitude_load_reads_one_copy_of_half_the_state(self):
+        # n = 18: each stage inserts the lowest qubit, reading the old state
+        # from one copy, at most half the 4 MiB state
+        n = 18
+        a = RNG.normal(size=1 << n) + 1j * RNG.normal(size=1 << n)
+        c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+        c._grown_steps  # the plan itself is small; measure the run
+        tracemalloc.start()
+        try:
+            sim.run(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 << n) + (8 << n) + (1 << 20)
 
     def test_run_keeps_one_state(self):
         # n = 18: the state takes 4 MiB; growing it needs no temporaries
@@ -1324,6 +1432,11 @@ class TestGateUnitarity:
             # an empty reflection used to raise a bare IndexError
             lambda: extractors.grover_operator(sim.Circuit(1, [sim.h(0)]), reflection_qubits=[]),
             lambda: sim.Gate("mry", (0, 1), angles=(0.1,)),
+            # a qubit below 0, made or reached by a shift, outside any circuit
+            lambda: sim.x(-1),
+            lambda: sim.x(0).shifted(-1),
+            lambda: sim.Repeat((sim.h(0), sim.cnot(0, 1)), 2).shifted(-1),
+            lambda: sim.Qft((0, 1)).shifted(-1),
         ],
     )
     def test_gates_that_cannot_run_are_refused(self, make):
@@ -1684,7 +1797,7 @@ class TestCircuitMetrics:
             sim.Circuit(2, [sim.x(5)])
 
     def test_gate_outside_width_names_its_kind(self):
-        for bad in (sim.cry(0.1, 0, 3), sim.permutation([1, 0], [-1])):
+        for bad in (sim.cry(0.1, 0, 3), sim.permutation([1, 0], [4])):
             with pytest.raises(CircuitError, match=f"gate {bad.kind} touches"):
                 sim.Circuit(3, [sim.h(0), sim.x(2), bad, sim.h(1)])
 
