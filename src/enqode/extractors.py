@@ -175,26 +175,29 @@ def grover_operator(f: Circuit, flag: int | None = None, reflection_qubits=None)
 
 def qpe_gates(f: Circuit, flag: int, m: int, reflection_qubits=None, width: int | None = None) -> list:
     """Phase estimation on Q(F): H layer, controlled powers of Q, inverse
-    Fourier transform on the ``m`` phase qubits sitting above ``f``.  Each
-    power ``Q**(2**j)``, ``Q**1`` included, is one ``Repeat`` of the
-    controlled Q, which the simulator runs as one matrix power; the powers
-    differ only in their control wire, so they share one matrix.  F-inverse
-    and the reflection's X layer are made once and shared by every power.
-    The inverse transform is one ``sim.Qft`` block."""
+    Fourier transform on the ``m`` phase qubits sitting above ``f``.  The
+    m powers ``Q**(2**j)``, each controlled on phase qubit j, are one
+    ladder ``sim.Repeat``: controlled Q on the lowest phase qubit, whose
+    control-0 block is the identity (``_grover_gates``), declared once.
+    The simulator runs it as one step, powering Q's control-1 block and
+    applying ``Q**(2**j)`` only where phase qubit j reads 1.  The inverse
+    transform is one ``sim.Qft`` block."""
     _check_m(m)
     w = f.n_qubits
     width = width if width is not None else w + m
     flips = _x_layer(reflection_qubits if reflection_qubits is not None else range(w))
-    f_inverse = f.inverse().gates
+    period = tuple(_grover_gates(f.gates, f.inverse().gates, flag, flips, w))
     gates: list = [sim.h(w + j) for j in range(m)]
-    gates += (sim.Repeat(tuple(_grover_gates(f.gates, f_inverse, flag, flips, w + j)), 1 << j) for j in range(m))
+    gates.append(sim.Repeat(period, 1, tuple(range(w, w + m))))
     gates.extend(qft_circuit(m).inverse().shifted(w, width).items)
     return gates
 
 
 def qae_circuit(f: Circuit, m: int, flag: int | None = None) -> Circuit:
-    """The full amplitude-estimation circuit: F's registers plus an
-    ``m``-qubit phase register."""
+    """The full amplitude-estimation circuit: F's items, then phase
+    estimation on an ``m``-qubit phase register above them (``qpe_gates``),
+    with F's registers plus ``qae_phase``.  Its flat ``gates`` list each
+    controlled power ``Q**(2**j)`` as 2**j copies of controlled Q."""
     flag = _flag_qubit(f, flag)
     width = f.n_qubits + m
     gates = list(f.items)

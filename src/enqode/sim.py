@@ -56,11 +56,13 @@ Conventions used throughout the package:
   every other step relabelled onto the touched qubits.  There are three
   blocks, each run on the ``_view_shape`` view of its qubits:
 
-  - ``Repeat``: gates applied ``count`` times back to back (phase
-    estimation's controlled powers).  On at most ``_POWER_QUBITS`` qubits
-    its step is its ``2**k``-square matrix raised to the count, one dense
-    update; repeats whose periods are equal on their own qubits share one
-    matrix and its powers.  A wider repeat runs gate by gate.
+  - ``Repeat``: gates applied ``count`` times back to back, or a ladder
+    of such repeats (phase estimation's controlled powers).  On at most
+    ``_POWER_QUBITS`` qubits, a ladder's control left out, its step is its
+    ``2**k``-square matrix raised to the count, or a ladder's control-1
+    block raised to each rung's count and applied where the rung's control
+    reads 1; equal periods share one matrix.  A wider repeat runs gate by
+    gate.
   - ``Diagonal``: a diagonal unitary (an amplitude load's phase pass),
     expanded as one multiplexed RZ per qubit and run as one elementwise
     multiply by its diagonal (Bullock & Markov, quant-ph/0303039).
@@ -146,19 +148,16 @@ _BLOCK_LOOP_MIN = 1 << 12
 # n = 18 on a 2 MiB-L2 Xeon, 2**13-2**14 ran RY on each target in about a
 # third of the unslabbed time; 2**12 and 2**15-2**16 were slower.
 _SLAB = 1 << 14
-# A ``Repeat`` runs as one matrix power (``_execution_plan``) when its
-# gates touch at most this many qubits.  Building their matrix costs about
-# 4**k per gate and the power 8**k per squaring.  Over fresh QAE circuits
-# with k = n + 1 = 4..8 and m = 2..5 (best of 18 runs on a 2-vCPU Xeon,
-# about +-20% noise), the power ran at 0.95-1.1x the gate-by-gate speed for
-# k <= 6 and m = 2 (one power, r = 2) and at 1.25-2.9x for m >= 3; at k = 7
-# it ran at 0.55-0.87x until m = 5, and at k = 8 at 0.16-0.26x.  Those
-# sweeps had count >= 2 only; a count-1 repeat is a power too.  A lone one
-# at n = 10 (a controlled Grover operator, medians of 200 fresh circuits)
-# ran in 0.03-0.06 ms against 0.28-0.51 ms gate by gate, but its matrix
-# took 0.26-0.43 ms to build at k = 4 and 0.71-0.76 ms at k = 6, so plan
-# plus run cost 1.0-1.1x and 1.6-1.7x the gates once.  QPE's count-1
-# power shares the matrix of its larger powers and builds none.
+# A ``Repeat`` runs as matrix powers (``_repeat_step``) when its gates
+# touch at most this many qubits, a ladder's control left out.  Building
+# the matrix costs about 4**k per gate and each squaring 8**k.  Over fresh
+# QAE circuits on k = 4..8 qubits, control included, and m = 2..5 (best of
+# 18 runs on a 2-vCPU Xeon, about +-20% noise), full-matrix powers ran at
+# 0.95-1.1x the gate-by-gate speed for k <= 6 and m = 2 and at 1.25-2.9x
+# for m >= 3; at k = 7 at 0.55-0.87x until m = 5, and at k = 8 at
+# 0.16-0.26x.  A ladder builds and powers its period's control-1 block, on
+# k - 1 qubits, and applies each rung to half the state; the cap has not
+# been measured again for that.
 _POWER_QUBITS = 6
 # On states of more than ``_FUSE_MIN`` amplitudes, which do not stay in a
 # core's L2 cache from one gate to the next, the plan fuses runs of
@@ -269,32 +268,96 @@ def _inverted(gates: Sequence[Gate]) -> tuple[Gate, ...]:
 @dataclass(frozen=True)
 class Repeat:
     """A declared block: the tuple ``period`` of gates applied ``count``
-    times in a row.  Its flat expansion ``gates`` is the period ``count``
-    times over; its plan step, for any count, is one matrix power when it
-    acts on at most ``_POWER_QUBITS`` qubits (``_execution_plan``)."""
+    times in a row, its flat expansion ``gates``.  Its plan step, for any
+    count, is one matrix power on at most ``_POWER_QUBITS`` qubits.
+
+    With ``controls`` it is a ladder (phase estimation's controlled
+    powers): the period is written controlled on ``controls[0]`` and
+    declared the identity where that wire reads 0, which only a test can
+    check (``build_unitary`` of the period).  It may touch the wire only as
+    a control of a CNOT, CP or ``mry``, or by a P on it alone
+    (``_control_one``); any other gate on it raises ``CircuitError``.  Rung
+    j is the period moved onto ``controls[j]`` and applied ``count * 2**j``
+    times; ``gates`` lists the rungs in order, or the last first when
+    ``inverted`` (a ladder's adjoint).  Its plan step powers the period's
+    control-1 block (``_repeat_step``)."""
 
     period: tuple[Gate, ...]
     count: int
+    controls: tuple[int, ...] = ()
+    inverted: bool = False
 
     def __post_init__(self):
         if type(self.period) is not tuple or set(map(type, self.period)) != {Gate}:
             raise CircuitError("a repeat holds a non-empty tuple of gates")
         if not _is_integer(self.count) or self.count < 1:
             raise CircuitError(f"repeat count must be an integer >= 1, got {self.count!r}")
+        controls = _check_qubits(self.controls)
+        object.__setattr__(self, "controls", controls)
+        if self.inverted and not controls:
+            raise CircuitError("only a ladder, a repeat with controls, is inverted")
+        if controls:
+            touched = {q for g in self.period for q in g.qubits}
+            if controls[0] not in touched:
+                raise CircuitError(f"a ladder's period must act on its control {controls[0]}")
+            _check_qubits((*touched.difference(controls[:1]), *controls))
+            _control_one(self.period, controls[0])
 
     @property
     def gates(self) -> tuple[Gate, ...]:
-        return self.period * self.count
+        if not self.controls:
+            return self.period * self.count
+        first = self.controls[0]
+        rungs = [
+            tuple(
+                _unchecked(g, qubits=tuple(c if q == first else q for q in g.qubits)) if first in g.qubits else g
+                for g in self.period
+            )
+            * (self.count << j)
+            for j, c in enumerate(self.controls)
+        ]
+        return tuple(itertools.chain.from_iterable(rungs[::-1] if self.inverted else rungs))
 
     @cached_property
     def qubits(self) -> tuple[int, ...]:
-        return tuple(sorted({q for g in self.period for q in g.qubits}))
+        return tuple(sorted({q for g in self.period for q in g.qubits}.union(self.controls)))
 
     def inverse(self) -> "Repeat":
-        return _unchecked(self, period=_inverted(self.period))
+        return _unchecked(self, period=_inverted(self.period), inverted=bool(self.controls) and not self.inverted)
 
     def shifted(self, offset: int) -> "Repeat":
-        return Repeat(tuple(g.shifted(offset) for g in self.period), self.count)
+        controls = tuple(q + offset for q in self.controls)
+        return Repeat(tuple(g.shifted(offset) for g in self.period), self.count, controls, self.inverted)
+
+
+def _control_one(period: Sequence[Gate], control: int) -> tuple[list[Gate], complex]:
+    """The control-1 block of ``period``, a ladder's period that acts on
+    ``control`` only as a control: its gates with ``control`` dropped, and
+    the scalar that the phases on ``control`` alone multiply together.  A
+    CP loses the control (a P if one qubit is left), a CNOT from it is an X
+    on its target, and an ``mry`` over it keeps the angles of the patterns
+    where it reads 1.  Any other gate on ``control`` raises
+    ``CircuitError``."""
+    gates: list[Gate] = []
+    scalar = 1.0
+    for g in period:
+        qubits = g.qubits
+        if control not in qubits:
+            gates.append(g)
+            continue
+        rest = tuple(q for q in qubits if q != control)
+        if g.kind == PHASE:
+            scalar *= gate_blocks(g)[1]
+        elif g.kind == CP:
+            gates.append(_unchecked(g, kind=PHASE if len(rest) == 1 else CP, qubits=rest))
+        elif g.kind == CNOT and qubits[0] == control:
+            gates.append(_unchecked(g, kind=X, qubits=rest))
+        elif g.kind == MULTIPLEXED_RY and qubits[-1] != control:
+            bit = 1 << qubits.index(control)
+            gates.append(_unchecked(g, qubits=rest, angles=tuple(a for j, a in enumerate(g.angles) if j & bit)))
+        else:
+            raise CircuitError(f"gate {g.kind} on {qubits} acts on the ladder's control {control} not as a control")
+    return gates, scalar
 
 
 @dataclass(frozen=True, eq=False)
@@ -1002,27 +1065,43 @@ def _dense(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
 
 
 class _Power(NamedTuple):
-    """A ``Repeat``'s power, or a fused run of gates (``_fused``), as one
-    dense update on the ``_view_shape`` view of the qubits it touches:
-    ``matrix`` is its 2**k-square unitary with local bit i = ``qubits[i]``,
-    and each slab of ``slabs`` indexes a piece of the view that holds every
-    value of those k qubits.  A real ``matrix`` is float64 and
-    acts on the buffer's float64 view: its real and imaginary parts are
-    one more trailing axis of length 2, so ``shape`` has its last gap
-    doubled and each product is a real one, with no copy of the parts."""
+    """A ``Repeat``'s power, a ladder's rung, or a fused run of gates
+    (``_fused``), as one dense update on the ``_view_shape`` view of the
+    qubits it touches: ``matrix`` is its 2**k-square unitary with local bit
+    i = ``qubits[i]``, and each slab of ``slabs`` indexes a piece of the
+    view that holds every value of those k qubits.  When ``controlled``,
+    ``qubits[-1]`` is a control, and the matrix acts on ``qubits[:-1]``
+    only where the control reads 1.  A real ``matrix`` is float64 and acts
+    on the buffer's float64 view: its real and imaginary parts are one more
+    trailing axis of length 2, so ``shape`` has its last gap doubled and
+    each product is a real one, with no copy of the parts."""
 
     matrix: np.ndarray
     qubits: tuple[int, ...]
     shape: tuple[int, ...]
     slabs: tuple[tuple, ...]
+    controlled: bool = False
 
     def apply(self, psi: np.ndarray) -> None:
         """Each ``_qubit_major`` slab of the buffer, viewed as the
-        matrix's dtype, gathered into a (2**k, rest) matrix, multiplied,
-        and written back."""
+        matrix's dtype, or its control-1 half, gathered into a (dim, rest)
+        matrix, multiplied, and written back."""
         dim = self.matrix.shape[0]
         for block in _qubit_major(psi.view(self.matrix.dtype), self.shape, self.qubits, self.slabs):
+            if self.controlled:
+                block = block[1]
             block[...] = (self.matrix @ block.reshape(dim, -1)).reshape(block.shape)
+
+
+class _Ladder(NamedTuple):
+    """A ladder ``Repeat`` as one step: its rungs, each a controlled
+    ``_Power``, in the order they run."""
+
+    rungs: tuple[_Power, ...]
+
+    def apply(self, psi: np.ndarray) -> None:
+        for rung in self.rungs:
+            rung.apply(psi)
 
 
 class _Multiply(NamedTuple):
@@ -1149,14 +1228,13 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], width: int)
     first ``width`` qubits, every other qubit reading 0: ``apply_circuit``
     plans from width n, ``run`` from width 0.  Each gate runs on its own
     through ``apply_gate``, one ``_Multiply`` per ``Diagonal``, one
-    ``_Fourier`` per ``Qft``, and one ``_Power`` per ``Repeat`` on at most
-    ``_POWER_QUBITS`` qubits, of any count; the gates of wider repeats run
-    one by one.  Repeats whose periods are equal once moved onto their own
-    qubits, as phase estimation's controlled operators on different
-    control wires are, share one ``_period_matrix`` and its powers
-    (``_power``).  The key of a period is a plain tuple per gate: its kind,
-    the positions of its qubits within the repeat's qubits, and its angle,
-    angles and table.
+    ``_Fourier`` per ``Qft``, and one ``_repeat_step`` per ``Repeat`` on at
+    most ``_POWER_QUBITS`` qubits, a ladder's control left out: a
+    ``_Power`` of a plain repeat's matrix, or a ``_Ladder`` of powers of a
+    ladder's control-1 block, squared from one matrix.  The flat gates of
+    wider repeats run one by one.  Repeats share their matrices in
+    ``powers``, so an inverted ladder takes the adjoints of its forward
+    ladder's powers and builds no matrix.
 
     The state is kept as the compact state of the touched qubits T, in
     ascending order, in ``psi[:2**|T|]`` (``run``).  An item that touches a
@@ -1201,17 +1279,13 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], width: int)
             steps.append(_Fourier(qubits, shape, _slabs(shape, 1 << width), item.inverted))
         elif kind is Gate:
             steps.append(item if prefix else _unchecked(item, qubits=qubits))
-        elif len(qubits) > _POWER_QUBITS:
-            period = item.period
+        elif len(qubits) - len(item.controls) > _POWER_QUBITS:
+            gates = item.gates
             if not prefix:
-                period = tuple(_unchecked(g, qubits=tuple(map(touched.index, g.qubits))) for g in period)
-            steps += period * item.count
+                gates = [_unchecked(g, qubits=tuple(map(touched.index, g.qubits))) for g in gates]
+            steps += gates
         else:
-            at = {q: i for i, q in enumerate(item.qubits)}.__getitem__
-            key = tuple([(g.kind, tuple(map(at, g.qubits)), g.angle, g.angles, g.table) for g in item.period])
-            if key not in powers:
-                powers[key] = {1: _period_matrix(item.period, item.qubits)}
-            steps.append(_power_step(_power(powers[key], item.count), qubits, width))
+            steps.append(_repeat_step(item, dict(zip(item.qubits, qubits)).__getitem__, width, powers))
     if (1 << width) > _FUSE_MIN:
         steps[unfused:] = _fused(steps[unfused:], width)
     if not prefix:
@@ -1231,9 +1305,41 @@ def _power(powers: dict[int, np.ndarray], count: int) -> np.ndarray:
     return powers[count]
 
 
-def _power_step(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> _Power:
-    """``matrix`` (local bit i = ``qubits[i]``, in ascending order) as one
-    dense update of an n-qubit state, slab by slab.  A matrix with no
+def _repeat_step(item: Repeat, place, n: int, powers: dict[tuple, dict[int, np.ndarray]]) -> _Power | _Ladder:
+    """The step of a few-qubit repeat at width n, ``place`` mapping its
+    qubits into the state: one ``_Power`` of a plain repeat's matrix, or a
+    ``_Ladder`` of the control-1 block of a ladder's period
+    (``_control_one``) raised to each rung's count.  An inverted ladder
+    takes the adjoints of its forward period's powers.  Repeats whose
+    forward periods are equal on their own qubits share one matrix and its
+    powers (``_power``) in ``powers``, keyed by the control's position and
+    a plain tuple per gate: kind, qubit positions, angle, angles, table."""
+    period = _inverted(item.period) if item.inverted else item.period
+    own = sorted({q for g in period for q in g.qubits})
+    control = item.controls[0] if item.controls else None
+    at = {q: i for i, q in enumerate(own)}.__getitem__
+    key = tuple([(g.kind, tuple(map(at, g.qubits)), g.angle, g.angles, g.table) for g in period])
+    key = (None if control is None else at(control), key)
+    others = [q for q in own if q != control]
+    if key not in powers:
+        gates, scalar = (period, 1.0) if control is None else _control_one(period, control)
+        powers[key] = {1: _period_matrix(gates, others) * scalar}
+    others = list(map(place, others))
+    if control is None:
+        return _power_step(_power(powers[key], item.count), tuple(others), n)
+    rungs = []
+    for j, c in enumerate(item.controls):
+        matrix = _power(powers[key], item.count << j)
+        if item.inverted:
+            matrix = np.ascontiguousarray(matrix.conj().T)
+        rungs.append(_power_step(matrix, (*others, place(c)), n, controlled=True))
+    return _Ladder(tuple(rungs[::-1] if item.inverted else rungs))
+
+
+def _power_step(matrix: np.ndarray, qubits: tuple[int, ...], n: int, controlled: bool = False) -> _Power:
+    """``matrix`` (local bit i = ``qubits[i]``) as one dense update of an
+    n-qubit state, slab by slab; when ``controlled``, a matrix on
+    ``qubits[:-1]`` applied where ``qubits[-1]`` reads 1.  A matrix with no
     imaginary part on qubits above qubit 0 is kept as float64 and applied
     to the float64 view of the buffer, whose last gap is twice as long
     (``_Power``).  With qubit 0 among the qubits that gap would hold one
@@ -1243,9 +1349,9 @@ def _power_step(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> _Power:
     against 2.0-6.1 ms."""
     shape = _view_shape(qubits, n)
     if shape[-1] == 1 or matrix.imag.any():
-        return _Power(matrix, qubits, shape, _slabs(shape, 1 << n))
+        return _Power(matrix, qubits, shape, _slabs(shape, 1 << n), controlled)
     shape = (*shape[:-1], 2 * shape[-1])
-    return _Power(np.ascontiguousarray(matrix.real), qubits, shape, _slabs(shape, 2 << n))
+    return _Power(np.ascontiguousarray(matrix.real), qubits, shape, _slabs(shape, 2 << n), controlled)
 
 
 def _fused(steps: Sequence, n: int) -> list:
@@ -1311,7 +1417,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     width n (``Circuit._steps``): gates through ``apply_gate``, or on
     states of more than ``_FUSE_MIN`` amplitudes a run of few-qubit gates
     as one dense update, and each declared block by its step
-    (``_execution_plan``): a few-qubit ``Repeat`` as one matrix power, a
+    (``_execution_plan``): a few-qubit ``Repeat`` as matrix powers, a
     ``Diagonal`` as one multiply, a ``Qft`` as one FFT.  Any qubit of
     ``state`` may read 1, so every step acts on the whole state.
 

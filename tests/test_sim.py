@@ -520,6 +520,11 @@ def powers(circuit: sim.Circuit) -> int:
     return sum(type(step) is sim._Power for step in circuit._steps)
 
 
+def ladder_rungs(circuit: sim.Circuit) -> list[int]:
+    """The number of rungs of each ladder step of ``circuit``'s plan."""
+    return [len(step.rungs) for step in circuit._steps if type(step) is sim._Ladder]
+
+
 def benchmark_qae_input(seed: int, index: int):
     """Amplitudes and sampling seed of instance ``index`` of a qae
     benchmark run seeded with ``seed`` (n = 3), drawn as the benchmark
@@ -539,7 +544,7 @@ class TestExecutionPlan:
             a = np.abs(rng.normal(size=1 << n))
             f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
             c = extractors.qae_circuit(f, m)
-            assert powers(c) == m  # Q^(2^j) for j >= 0
+            assert ladder_rungs(c) == [m]  # Q^(2^j) for j >= 0, as one step
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     @pytest.mark.parametrize("r", [2, 3, 5, 7])
@@ -636,7 +641,7 @@ class TestExecutionPlan:
         # inverses of the estimate half's controlled Grover powers
         a = np.sqrt([0.1, 0.2, 0.3, 0.4])
         c = converters.convert_amplitude_to_ew(loaders.load_amplitude(a).circuit, 4)
-        assert powers(c) == 8
+        assert ladder_rungs(c) == [4, 4]
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     def test_period_matrix_matches_kron_oracle(self):
@@ -679,12 +684,15 @@ class TestExecutionPlan:
         monkeypatch.setattr(sim, "_period_matrix", lambda *a: calls.append(1) or build(*a))
         a = np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])
         c = extractors.qae_circuit(loaders.load_amplitude(a).circuit, 7)
-        assert powers(c) == 7 and len(calls) == 1
+        assert ladder_rungs(c) == [7] and len(calls) == 1
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
         assert len(calls) == 2  # run's plan, from width 0, shares one too
-        # amplitude -> equally-weighted: Q's powers, then their inverses
+        # amplitude -> equally-weighted: Q's powers, then their inverses,
+        # which are the conjugate transposes of the forward powers
         c = converters.convert_amplitude_to_ew(loaders.load_amplitude(np.sqrt([0.1, 0.2, 0.3, 0.4])).circuit, 4)
-        assert powers(c) == 8 and len(calls) == 4
+        assert ladder_rungs(c) == [4, 4] and len(calls) == 3
+        np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+        assert len(calls) == 4
 
     def test_periods_share_a_matrix_only_when_equal_on_their_qubits(self, monkeypatch):
         calls = []
@@ -713,16 +721,20 @@ class TestExecutionPlan:
         np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
 
     def test_qae_powers_are_byte_equal_to_matrix_power(self):
+        # Rung j of the ladder is Q's control-1 block to the power 2**j,
+        # made by squarings in matrix_power's order.
         a = np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])
         f = loaders.load_amplitude(a).circuit
         for m in range(1, 10):
             c = extractors.qae_circuit(f, m)
-            repeats = [item for item in c.items if type(item) is sim.Repeat]
-            steps = [step for step in c._steps if type(step) is sim._Power]
-            assert [r.count for r in repeats] == [1 << j for j in range(m)] and len(steps) == m
-            for r, step in zip(repeats, steps):
-                expected = np.linalg.matrix_power(sim._period_matrix(r.period, r.qubits), r.count)
-                assert step.matrix.dtype == np.complex128 and step.matrix.tobytes() == expected.tobytes()
+            (ladder,) = [item for item in c.items if type(item) is sim.Repeat]
+            (step,) = [step for step in c._steps if type(step) is sim._Ladder]
+            assert ladder.count == 1 and ladder.controls == tuple(range(3, 3 + m)) and len(step.rungs) == m
+            block = step.rungs[0].matrix  # Q's control-1 block, checked in TestLadder
+            for j, rung in enumerate(step.rungs):
+                expected = np.linalg.matrix_power(block, 1 << j)
+                assert rung.controlled and rung.qubits == (0, 1, 2, 3 + j)
+                assert rung.matrix.dtype == np.complex128 and rung.matrix.tobytes() == expected.tobytes()
 
     def test_slabs_bound_and_cover_every_update(self, monkeypatch):
         # One cutting rule for both kinds of step.  At n = 18, for every
@@ -887,7 +899,7 @@ class TestFusion:
         rng = np.random.default_rng(99)
         a = np.abs(rng.normal(size=8))
         c = extractors.qae_circuit(loaders.load_amplitude(a / np.linalg.norm(a)).circuit, 7)
-        assert c.n_qubits == 10 and powers(c) == 7
+        assert c.n_qubits == 10 and ladder_rungs(c) == [7]
         for n in (1, 5, 9, 14):
             a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
@@ -1155,15 +1167,173 @@ class TestRepeat:
         a = np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])
         c = extractors.qae_circuit(loaders.load_amplitude(a).circuit, 4)
         flat = sim.Circuit(c.n_qubits, c.gates, c.registers)
-        assert powers(c) == 4 and powers(flat) == 0
+        assert ladder_rungs(c) == [4] and ladder_rungs(flat) == [] and powers(flat) == 0
         shifted = c.shifted(1, c.n_qubits + 1)
-        assert powers(shifted) == 4 and shifted.gates == flat.shifted(1, c.n_qubits + 1).gates
+        assert ladder_rungs(shifted) == [4] and shifted.gates == flat.shifted(1, c.n_qubits + 1).gates
         both = c.concat(c)
-        assert powers(both) == 8 and both.gates == c.gates + c.gates
+        assert ladder_rungs(both) == [4, 4] and both.gates == c.gates + c.gates
         inverse = c.inverse()
-        assert powers(inverse) == 4 and inverse.gates == flat.inverse().gates
+        assert ladder_rungs(inverse) == [4] and inverse.gates == flat.inverse().gates
         undone = sim.apply_circuit(sim.run(c), inverse).amplitudes
         np.testing.assert_allclose(undone, sim.zero_state(c.n_qubits).amplitudes, rtol=0, atol=EQUIV_ATOL)
+
+
+
+def control_blocks(ladder: sim.Repeat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``build_unitary`` of a ladder's period on its own qubits, split by
+    its control: the control-0 block, the control-1 block (rows and
+    columns in the order of the other qubits' local index) and the two
+    off-diagonal blocks stacked."""
+    period, control = ladder.period, ladder.controls[0]
+    own = sorted({q for g in period for q in g.qubits})
+    local = {q: i for i, q in enumerate(own)}
+    u = sim.build_unitary(sim.Circuit(len(own), [g.on([local[q] for q in g.qubits]) for g in period]))
+    index = np.arange(u.shape[0])
+    zero, one = index[(index >> local[control]) & 1 == 0], index[(index >> local[control]) & 1 == 1]
+    return u[np.ix_(zero, zero)], u[np.ix_(one, one)], np.stack([u[np.ix_(one, zero)], u[np.ix_(zero, one)]])
+
+
+def random_ladder_period(rng, n: int, control: int) -> tuple[sim.Gate, ...]:
+    """A period on qubits ``0..n-1`` but ``control`` that is the identity
+    where ``control`` reads 0: gates A off the control, gates that touch it
+    in every allowed way (a P on it, a CP, a CNOT and an ``mry`` over it,
+    whose control-0 angles are 0), then A undone."""
+    rest = [q for q in range(n) if q != control]
+    a = [spread_gate(rng, len(rest), int(rng.integers(1, min(3, len(rest)) + 1))) for _ in range(3)]
+    a = [sim.h(q) for q in rest] + [g.on([rest[q] for q in g.qubits]) for g in a]
+    t, *others = [int(q) for q in rng.permutation(rest)]
+    controls = [control, *others[: int(rng.integers(0, min(2, len(others)) + 1))]]
+    bit = np.arange(1 << len(controls)) & 1
+    touching = [
+        sim.p(float(rng.uniform(-np.pi, np.pi)), control),
+        sim.cp(float(rng.uniform(-np.pi, np.pi)), control, t),
+        sim.cnot(control, t),
+        sim.multiplexed_ry(bit * rng.uniform(-np.pi, np.pi, size=bit.size), controls, t),
+    ]
+    return (*a, *[touching[i] for i in rng.permutation(4)], *sim._inverted(a))
+
+
+class TestLadder:
+    """A ``Repeat`` with controls: phase estimation's controlled powers,
+    declared once, run as one step on each control's control-1 half."""
+
+    def test_qae_and_amp_to_ew_periods_are_identity_where_the_control_reads_0(self):
+        # The guard of the declaration: the plan powers only the control-1
+        # block, and only build_unitary can show the control-0 block.
+        rng = np.random.default_rng(71)
+        ladders = []
+        for n in range(1, 5):
+            for a in (np.abs(rng.normal(size=1 << n)), rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)):
+                f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+                for flag in range(n):
+                    c = extractors.qae_circuit(f, 2, flag)
+                    ladders += [(item, c) for item in c.items if type(item) is sim.Repeat]
+        for n, m in itertools.product((1, 2), (2, 3, 4)):
+            a = np.abs(rng.normal(size=1 << n))
+            c = converters.convert_amplitude_to_ew(loaders.load_amplitude(a / np.linalg.norm(a)).circuit, m)
+            ladders += [(item, c) for item in c.items if type(item) is sim.Repeat]
+        assert len(ladders) == 2 * (1 + 2 + 3 + 4) + 6 * 2
+        for ladder, c in ladders:
+            zero, one, off = control_blocks(ladder)
+            np.testing.assert_allclose(zero, np.eye(len(zero)), rtol=0, atol=EQUIV_ATOL)
+            np.testing.assert_allclose(off, 0, rtol=0, atol=EQUIV_ATOL)
+            # the plan's control-1 block, rung 0's (count 1), or its
+            # adjoint in an inverted ladder, which runs rung 0 last
+            steps = [s for s in c._steps if type(s) is sim._Ladder]
+            rung = steps[-1].rungs[-1] if ladder.inverted else steps[0].rungs[0]
+            assert rung.qubits[-1] == ladder.controls[0] and ladder.count == 1
+            np.testing.assert_allclose(rung.matrix, one, rtol=0, atol=EQUIV_ATOL)
+
+    @pytest.mark.parametrize("gate", [
+        sim.x(2), sim.h(2), sim.ry(0.3, 2), sim.cnot(0, 2), sim.multiplexed_ry([0.1, 0.2], [0], 2),
+        sim.cry(0.3, 1, 2), sim.swap(2, 1), sim.permutation([1, 0, 2, 3], [2, 0]), sim.cswap(2, 0, 1),
+    ])
+    def test_a_period_acting_on_its_control_not_as_a_control_is_refused(self, gate):
+        period = (sim.cnot(2, 0), gate, sim.cp(0.3, 2, 1))
+        with pytest.raises(CircuitError, match="not as a control"):
+            sim.Repeat(period, 1, (2, 3))
+        assert sim.Repeat((sim.cnot(2, 0), sim.cp(0.3, 2, 1)), 1, (2, 3)).qubits == (0, 1, 2, 3)
+
+    def test_controls_must_be_distinct_and_off_the_rest_of_the_period(self):
+        period = (sim.cnot(2, 0), sim.cp(0.3, 2, 1))
+        for controls in ((2, 0), (2, 3, 3), (2, 1.0), (3, 4)):
+            with pytest.raises(CircuitError):
+                sim.Repeat(period, 1, controls)
+        with pytest.raises(CircuitError, match="outside 0..3"):
+            sim.Circuit(4, [sim.Repeat(period, 1, (2, 3, 4))])
+        with pytest.raises(CircuitError, match="only a ladder"):
+            sim.Repeat(period, 1, inverted=True)
+        assert sim.Repeat(period, 1, [2, 3]).controls == (2, 3) and sim.Repeat(period, 1, []).controls == ()
+
+    def test_random_ladders_match_gate_loop(self):
+        rng = np.random.default_rng(67)
+        for trial in range(40):
+            k, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            n = k + m - 1 + int(rng.integers(0, 2))
+            control = int(rng.integers(k))
+            ladder = sim.Repeat(random_ladder_period(rng, k, control), int(rng.integers(1, 3)),
+                                (control, *range(k, k + m - 1)))
+            if rng.integers(2):
+                ladder = ladder.inverse()
+            c = sim.Circuit(n, [sim.h(q) for q in range(k, n)] + [random_gate(rng, n), ladder, random_gate(rng, n)])
+            assert ladder_rungs(c) == [m]
+            rungs = next(s for s in c._steps if type(s) is sim._Ladder).rungs
+            assert [r.qubits[-1] for r in rungs] == list(ladder.controls[::-1] if ladder.inverted else ladder.controls)
+            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+            s = random_state(rng, n)
+            np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
+
+    def test_ladder_wider_than_cap_runs_its_rungs_gate_by_gate(self):
+        k = sim._POWER_QUBITS + 2
+        period = random_ladder_period(np.random.default_rng(5), k, 0)
+        ladder = sim.Repeat(period, 1, (0, k, k + 1))
+        c = sim.Circuit(k + 2, [sim.h(k), sim.h(k + 1), ladder])
+        assert len({q for g in period for q in g.qubits}) - 1 > sim._POWER_QUBITS
+        assert ladder_rungs(c) == [] and powers(c) == 0 and len(c._steps) == len(c.gates)
+        s = random_state(RNG, k + 2)
+        assert sim.apply_circuit(s, c).amplitudes.tobytes() == gate_loop(c, s).tobytes()
+        np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    def test_qae_flat_form_is_the_per_rung_form(self):
+        # The ladder changes the plan, not the circuit: qae_circuit's flat
+        # gates, depth and CNOT count are those of one Repeat per power.
+        rng = np.random.default_rng(73)
+        for n in range(1, 5):
+            a = np.abs(rng.normal(size=1 << n))
+            f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+            flips = extractors._x_layer(range(n))
+            for m in range(1, 9):
+                c = extractors.qae_circuit(f, m)
+                grover = [extractors._grover_gates(f.gates, f.inverse().gates, n - 1, flips, n + j) for j in range(m)]
+                rungs = [sim.Repeat(tuple(period), 1 << j) for j, period in enumerate(grover)]
+                qft = converters.qft_circuit(m).inverse().shifted(n, n + m).items
+                per_rung = sim.Circuit(n + m, [*f.items, *[sim.h(n + j) for j in range(m)], *rungs, *qft], c.registers)
+                assert c.gates == per_rung.gates and c == per_rung
+                assert (c.depth, c.cnot_count) == (per_rung.depth, per_rung.cnot_count)
+                assert c.inverse().gates == sim._inverted(c.gates)
+
+    def test_amp_to_ew_flat_form_is_the_per_rung_form(self):
+        # The estimate ladder is phase estimation on the Grover operator of
+        # F = (load on work, equality flag); its adjoint expands last rung
+        # first, as the reversed inverses of per-rung repeats did.
+        rng = np.random.default_rng(79)
+        for n, m in itertools.product((1, 2), (2, 3, 4)):
+            a = np.abs(rng.normal(size=1 << n))
+            c = converters.convert_amplitude_to_ew(loaders.load_amplitude(a / np.linalg.norm(a)).circuit, m)
+            w, flag = 2 * n + 1, 2 * n
+            items = list(c.items)
+            forward, inverse = (i for i in items if type(i) is sim.Repeat)
+            assert (forward.inverted, inverse.inverted) == (False, True) and inverse == forward.inverse()
+            f_gates = tuple(itertools.chain.from_iterable(i.gates for i in items[n : items.index(sim.h(w))]))
+            flips = extractors._x_layer((*range(n, 2 * n), flag))
+            grover = [extractors._grover_gates(f_gates, sim._inverted(f_gates), flag, flips, w + j) for j in range(m)]
+            rungs = [sim.Repeat(tuple(period), 1 << j) for j, period in enumerate(grover)]
+            at, back = items.index(forward), items.index(inverse)
+            undo = [r.inverse() for r in reversed(rungs)]
+            per_rung = items[:at] + rungs + items[at + 1 : back] + undo + items[back + 1 :]
+            flat = sim.Circuit(c.n_qubits, per_rung, c.registers, c.query_count)
+            assert c.gates == flat.gates and (c.depth, c.cnot_count) == (flat.depth, flat.cnot_count)
+            assert c.inverse().gates == sim._inverted(c.gates)
 
 
 def dft_matrix(k: int) -> np.ndarray:
