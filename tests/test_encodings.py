@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,6 +512,26 @@ class TestDecodeContract:
                 ghz[[0, -1]] = 2**-0.5
                 with pytest.raises(DecodeError):
                     enc.decode(d, sim.state_from_amplitudes(ghz))
+
+    def test_angle_decode_makes_no_state_sized_temporary(self):
+        # The fidelity check reads the state as a (high, low) matrix against
+        # two half-width vectors, so decode's peak above the traced baseline
+        # stays far below the state's size (a state-sized temporary, or a
+        # first contraction pass over the state, reaches 1/2 or more).
+        n = 16
+        d = enc.Angle(n)
+        thetas = np.random.default_rng(37).uniform(0.0, np.pi / 2, n)
+        state = enc.reference_state(d, thetas)
+        state.probabilities  # computed once per state, and kept
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = enc.decode(d, state)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(got.values, thetas, rtol=0, atol=1e-9)
+        assert peak < state.amplitudes.nbytes / 16
 
     def test_norm_bound_is_the_same_everywhere(self):
         d = enc.Amplitude(2)

@@ -5,6 +5,7 @@ explicit Kronecker products (``kron_embed``) and multiplies it out, never
 going through the simulator's in-place bit-sliced application.
 """
 import functools
+import gc
 import itertools
 import tracemalloc
 import warnings
@@ -1877,6 +1878,29 @@ class TestSampling:
                 sim.sample_shots(sim.zero_state(2), {"r": reg}, 3, 1)
             with pytest.raises(CircuitError):
                 sim.sample_shots(sim.zero_state(2), {"ok": (0,), "r": reg}, 3, 1)
+
+    def test_shots_leave_the_collector_as_they_found_it(self):
+        # The records are made with the cyclic collector paused; a call,
+        # made or refused, turns it back on only if it was on.
+        state = random_state(RNG, 3)
+        refused = (
+            ({"r": (3,)}, 5, 1),
+            ({"ok": (0,), "r": (0, 0)}, 5, 1),
+            ({"r": (0,)}, 0, 1),
+            ({"r": (0,)}, 5, -1),
+        )
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                assert len(sim.sample_shots(state, {"r": (0, 2)}, 40, 3)) == 40
+                assert gc.isenabled() is enabled
+                for registers, shots, seed in refused:
+                    with pytest.raises(CircuitError):
+                        sim.sample_shots(state, registers, shots, seed)
+                    assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestFidelity:
