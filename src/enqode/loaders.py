@@ -6,20 +6,23 @@ Every loader returns its circuit, with the data register on qubits
 preparing it.  The circuit's ``n_qubits``, ``depth`` and ``cnot_count``
 measure the width/depth/CNOT trade-offs of the different encodings.
 
-Amplitude-family loaders emit one native multiplexed rotation
-(``sim.multiplexed_ry``) per stage of the angle tree.  For complex input a
-diagonal phase pass follows, declared as one ``sim.Diagonal`` block: the
-simulator runs it as one multiply by the phases, and its flat expansion
-(``Circuit.gates``) is one multiplexed RZ per qubit, written as a
-multiplexed RY between ``H, S`` and ``S^dag, H`` (RZ = H S^dag RY S H), so
-a complex load of n qubits still holds 2n multiplexers.  Depth and CNOT count
-describe the lowered circuit (``sim.Circuit.lowered``), in which each
-multiplexer is the standard Gray-code walk of RY + CNOT gates, so
-``cnot_count`` stays meaningful (a full multiplexer over k controls costs
-exactly 2^k CNOTs); ``sim.Circuit`` counts them without building that
-circuit.  Controlled swaps are permutation gates, which are not lowered
-and count no CNOTs.  The phase pass fixes each phase up to one global
-phase (the mean phase), which this package never compares.
+Amplitude-family loaders build the angle tree (``trees``) in heap order
+and declare its sequential stages as one ``sim.Pyramid`` block: its flat
+expansion (``Circuit.gates``) is one native multiplexed rotation
+(``sim.multiplexed_ry``) per tree level, and the simulator grows the state
+by one stage at a time from one ``cos``/``sin`` pass over the whole tree.
+For complex input a diagonal phase pass follows, declared as one
+``sim.Diagonal`` block: the simulator runs it as one multiply by the
+phases, and its flat expansion is one multiplexed RZ per qubit, written as
+a multiplexed RY between ``H, S`` and ``S^dag, H`` (RZ = H S^dag RY S H),
+so a complex load of n qubits still holds 2n multiplexers.  Depth and
+CNOT count describe the lowered circuit (``sim.Circuit.lowered``), in
+which each multiplexer is the standard Gray-code walk of RY + CNOT gates,
+so ``cnot_count`` stays meaningful (a full multiplexer over k controls
+costs exactly 2^k CNOTs); ``sim.Circuit`` counts them without building
+that circuit.  Controlled swaps are permutation gates, which are not
+lowered and count no CNOTs.  The phase pass fixes each phase up to one
+global phase (the mean phase), which this package never compares.
 
 Each loader reads its input through ``encodings.check``, which applies the
 format's domain rules (ranges, normalization, duplicates) and returns the
@@ -51,7 +54,7 @@ class LoaderOutput:
     preprocessing_ops: int
 
 
-def _output(gates: list[Gate | sim.Diagonal], n: int, width: int | None = None, preprocessing: int = 0) -> LoaderOutput:
+def _output(gates: list[Gate | sim.Pyramid | sim.Diagonal], n: int, width: int | None = None, preprocessing: int = 0) -> LoaderOutput:
     """A loader's output: the data on qubits 0..n-1 and, when a ``width``
     is given, an ancilla register on qubits n..width-1."""
     registers = {"data": tuple(range(n))}
@@ -65,7 +68,7 @@ def _output(gates: list[Gate | sim.Diagonal], n: int, width: int | None = None, 
 # --------------------------------------------------------------------------
 
 
-def _phase_pass(gates: list[Gate | sim.Diagonal], a: np.ndarray, n: int) -> int:
+def _phase_pass(gates: list[Gate | sim.Pyramid | sim.Diagonal], a: np.ndarray, n: int) -> int:
     """Append the diagonal phase pass for ``a`` on qubits ``0..n-1``, one
     ``sim.Diagonal`` of its phases, unless every phase is within
     ``PHASE_ATOL`` of 0.  Returns the number of classical angle
@@ -73,7 +76,7 @@ def _phase_pass(gates: list[Gate | sim.Diagonal], a: np.ndarray, n: int) -> int:
     ``2**n - 1``."""
     omega = np.angle(a)
     if np.any(np.abs(omega) > PHASE_ATOL):
-        gates.append(sim.Diagonal(omega, range(n)))
+        gates.append(sim.Diagonal(omega, tuple(range(n))))
         return (1 << n) - 1
     return 0
 
@@ -118,31 +121,28 @@ def _amplitude_input(a) -> tuple[np.ndarray, int, AngleTree, int]:
     """Validate an amplitude vector and build its angle tree.
 
     Returns the vector as complex128, its qubit count ``n``, the angle tree
-    of its moduli and the classical operations spent on the tree.
+    of its moduli and the classical operations spent on the tree: one per
+    node of each tree.  More than ``sim.MAX_QUBITS`` qubits raise
+    ``CapacityError`` before any tree is made.
     """
     size = enc.value_count(a)
     if size < 2 or size & (size - 1):
         raise EncodingError(f"amplitude count {size} is not a power of two (>= 2)")
     n = size.bit_length() - 1
+    if n > sim.MAX_QUBITS:
+        raise CapacityError(f"{size} amplitudes need {n} qubits, above the cap of {sim.MAX_QUBITS}")
     a = enc.check(enc.Amplitude(n), a)
     angle_tree = tree_to_angles(build_state_tree(np.abs(a)))
-    preprocessing = sum(lvl.size for lvl in angle_tree.levels) + (2 * a.size - 1)
-    return a, n, angle_tree, preprocessing
-
-
-def _amplitude_stages(gates: list[Gate], angle_levels, n: int) -> None:
-    """Sequential multiplexed-RY stages: stage k rotates qubit n-1-k,
-    multiplexed over the already-fixed higher qubits."""
-    for k, level in enumerate(angle_levels):
-        gates.append(sim.multiplexed_ry(level, range(n - k, n), n - 1 - k))
+    return a, n, angle_tree, angle_tree.heap.size + (2 * a.size - 1)
 
 
 def load_amplitude(a) -> LoaderOutput:
-    """Multiplexed-RY pyramid driven by the angle tree, then a diagonal
-    phase pass for complex inputs.  CNOT count grows as O(2^n)."""
+    """The angle tree's multiplexed-RY pyramid on qubits ``0..n-1``, one
+    ``sim.Pyramid`` whose stage k rotates qubit n-1-k multiplexed over the
+    qubits above it, then a diagonal phase pass for complex inputs.  CNOT
+    count grows as O(2^n)."""
     a, n, angle_tree, preprocessing = _amplitude_input(a)
-    gates: list[Gate | sim.Diagonal] = []
-    _amplitude_stages(gates, angle_tree.levels, n)
+    gates: list[Gate | sim.Pyramid | sim.Diagonal] = [sim.Pyramid(angle_tree.heap, tuple(range(n)))]
     preprocessing += _phase_pass(gates, a, n)
     return _output(gates, n, preprocessing=preprocessing)
 
@@ -209,7 +209,8 @@ def load_divide_conquer(a) -> LoaderOutput:
 
 def load_bidirectional(a, s: int) -> LoaderOutput:
     """Split-level hybrid: angle-tree levels below ``s`` run sequentially
-    on the data register, the rest as a parallel forest of 2^s subtrees
+    on the data register, as one ``sim.Pyramid`` of those levels on its top
+    s qubits, the rest as a parallel forest of 2^s subtrees
     combined divide-and-conquer style and routed onto the data register by
     top-index-controlled swaps.  Width n + 2^n - 2^s, so s = n is exactly
     the plain amplitude loader and s = 1 has divide-and-conquer shape.
@@ -220,8 +221,8 @@ def load_bidirectional(a, s: int) -> LoaderOutput:
         raise CapacityError(f"bidirectional needs up to {n + (1 << n)} qubits; n capped at {MAX_DC_QUBITS}")
     width = n + (1 << n) - (1 << s)
 
-    gates: list[Gate | sim.Diagonal] = []
-    _amplitude_stages(gates, angle_tree.levels[:s], n)
+    stages = sim.Pyramid(angle_tree.heap[: (1 << s) - 1], tuple(range(n - s, n)))
+    gates: list[Gate | sim.Pyramid | sim.Diagonal] = [stages]
     _emit_forest(gates, angle_tree.levels, n, s)
     # route the canonical path of forest root p onto the low data qubits,
     # conditioned on the top register holding p

@@ -53,7 +53,7 @@ Conventions used throughout the package:
   n, ``Circuit._grown_steps`` from width 0): each block as one step, gates
   by ``apply_gate`` or, on wide states, in fused runs (below), and from
   width 0 a growth (``_Grow``) wherever an item first touches a qubit,
-  every other step relabelled onto the touched qubits.  There are three
+  every other step relabelled onto the touched qubits.  There are four
   blocks, each run on the ``_view_shape`` view of its qubits:
 
   - ``Repeat``: gates applied ``count`` times back to back, or a ladder
@@ -69,6 +69,11 @@ Conventions used throughout the package:
   - ``Qft``: the quantum Fourier transform or its inverse, expanded as
     its H and controlled-phase ladder and run as one orthonormal FFT per
     slab (Häner et al., arXiv 1604.06460).
+  - ``Pyramid``: an amplitude load's cascade of multiplexed RY rotations,
+    held as its angle tree in heap order and expanded as one ``mry`` per
+    stage.  On fresh qubits it runs as one growth per stage, fed by one
+    ``cos`` and one ``sin`` over the tree; anywhere else it is planned as
+    its stages, one gate at a time.
 
   Every other gate runs through ``apply_gate``, except at widths of more
   than ``_FUSE_MIN`` amplitudes (w >= 15), where the plan fuses each
@@ -417,6 +422,63 @@ class Diagonal:
         return Diagonal(self.phases, tuple(q + offset for q in self.qubits), self.inverted)
 
 
+@dataclass(frozen=True, eq=False)
+class Pyramid:
+    """A declared block: the cascade of uniformly controlled RY rotations
+    that loads an angle tree (Grover & Rudolph, quant-ph/0208112; Mottonen
+    et al., quant-ph/0407010), or its adjoint when ``inverted``.
+    ``angles`` is the tree in heap order, ``2**k - 1`` angles for k
+    ``qubits``, kept as a read-only float64 array; two pyramids are equal
+    when their fields are.
+
+    Stage j rotates ``qubits[k-1-j]`` by level j of the tree,
+    ``angles[2**j - 1 : 2**(j+1) - 1]``, multiplexed over ``qubits[k-j:]``.
+    Its flat expansion ``gates`` is one ``mry`` per stage, made on first
+    read and shared with its adjoint.  From fresh qubits its plan step is
+    one growth per stage, every stage's ``cos`` and ``sin`` from one pass
+    over the angles; elsewhere it is planned as its stages
+    (``_execution_plan``)."""
+
+    angles: np.ndarray
+    qubits: tuple[int, ...]
+    inverted: bool = False
+
+    def __post_init__(self):
+        angles = np.array(self.angles, dtype=np.float64).ravel()
+        angles.setflags(write=False)
+        object.__setattr__(self, "angles", angles)
+        qubits = _check_qubits(self.qubits)
+        object.__setattr__(self, "qubits", qubits)
+        if not 1 <= len(qubits) <= MAX_QUBITS or angles.size != (1 << len(qubits)) - 1:
+            raise CircuitError(f"a pyramid needs 2**k - 1 angles on 1 <= k <= {MAX_QUBITS} qubits, "
+                               f"got {angles.size} on {qubits}")
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is Pyramid
+            and (self.qubits, self.inverted) == (other.qubits, other.inverted)
+            and np.array_equal(self.angles, other.angles)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.qubits, self.inverted, self.angles.tobytes()))
+
+    @cached_property
+    def _stages(self) -> tuple[Gate, ...]:
+        q, k = self.qubits, len(self.qubits)
+        return tuple(multiplexed_ry(self.angles[(1 << j) - 1 : (2 << j) - 1], q[k - j :], q[k - 1 - j]) for j in range(k))
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return _inverted(self._stages) if self.inverted else self._stages
+
+    def inverse(self) -> "Pyramid":
+        return _unchecked(self, inverted=not self.inverted)
+
+    def shifted(self, offset: int) -> "Pyramid":
+        return Pyramid(self.angles, tuple(q + offset for q in self.qubits), self.inverted)
+
+
 @dataclass(frozen=True)
 class Qft:
     """A declared block: the quantum Fourier transform on ``qubits``,
@@ -456,7 +518,7 @@ class Qft:
         return Qft(tuple(q + offset for q in self.qubits), self.inverted)
 
 
-_ITEM_TYPES = frozenset((Gate, Repeat, Diagonal, Qft))
+_ITEM_TYPES = frozenset((Gate, Repeat, Diagonal, Qft, Pyramid))
 
 
 def x(q: int) -> Gate:
@@ -616,19 +678,19 @@ def _walk_levels(level: list[int], controls: Sequence[int], target: int) -> None
 class Circuit:
     """An ordered list of circuit items over ``n_qubits`` wires, with named
     registers.  ``items`` holds gates and declared blocks (``Repeat``,
-    ``Diagonal``, ``Qft``), which answer one protocol: ``qubits``,
-    ``gates``, ``inverse()`` and ``shifted(offset)``; any other item raises
-    ``CircuitError``.  The circuit stores only its items.  ``gates``, the
-    flat list with each block replaced by its expansion, is made on first
-    read.  Two circuits are equal when their widths, flat lists, registers
-    and query counts are.
+    ``Diagonal``, ``Qft``, ``Pyramid``), which answer one protocol:
+    ``qubits``, ``gates``, ``inverse()`` and ``shifted(offset)``; any other
+    item raises ``CircuitError``.  The circuit stores only its items.
+    ``gates``, the flat list with each block replaced by its expansion, is
+    made on first read.  Two circuits are equal when their widths, flat
+    lists, registers and query counts are.
 
     ``query_count`` counts oracle queries declared by circuit builders (e.g.
     a simulated qRAM access); it is not derived from the gate list.
     """
 
     n_qubits: int
-    items: tuple[Gate | Repeat | Diagonal | Qft, ...] = ()
+    items: tuple[Gate | Repeat | Diagonal | Qft | Pyramid, ...] = ()
     registers: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     query_count: int = 0
 
@@ -1189,10 +1251,12 @@ def _scaled(out: np.ndarray, old: np.ndarray, u) -> None:
 
 
 def _first_column(gate: Gate) -> tuple:
-    """``(u00, u10)``: the one-qubit ``gate`` maps |0> to ``u00|0> +
-    u10|1>``.  A phase leaves |0> as it is, but a phase that is no number
-    (a NaN angle) is kept as both factors, so that the norm check still
-    sees it."""
+    """What a growth by ``gate`` on its fresh target needs (``_grow_step``):
+    for an ``mry`` with controls its ``c`` and ``s`` vectors, and for a
+    one-qubit gate ``(u00, u10)``, as it maps |0> to ``u00|0> + u10|1>``.
+    A phase leaves |0> as it is, but a phase that is no number (a NaN
+    angle) is kept as both factors, so that the norm check still sees
+    it."""
     if gate.kind == PERMUTATION:
         return (0.0, 1.0) if gate.table[0] else (1.0, 0.0)
     form, values = gate_blocks(gate)
@@ -1203,29 +1267,44 @@ def _first_column(gate: Gate) -> tuple:
     if form == "phase":
         return (1.0, 0.0) if np.isfinite(values) else (values, values)
     c, s = values
-    return float(c[0]), float(s[0])
+    return (float(c[0]), float(s[0])) if len(gate.qubits) == 1 else (c, s)
 
 
-def _grow_step(start: int, width: int, qubits: tuple[int, ...], gate: Gate | None = None) -> _Grow:
+def _pyramid_growths(block: Pyramid) -> list[tuple]:
+    """Each stage of ``block`` as a growth: its qubits, ``(*controls,
+    target)``, and its ``_first_column``, every stage's from one ``cos`` and
+    one ``sin`` over all the half-angles.  They are byte-equal to each
+    stage's ``gate_blocks``, which halves and rounds every angle alike."""
+    half = block.angles / 2.0
+    c, s = np.cos(half), np.sin(half)
+    q, k = block.qubits, len(block.qubits)
+    growths = [(q[k - 1 :], (float(c[0]), float(s[0])))]
+    for j in range(1, k):
+        level = slice((1 << j) - 1, (2 << j) - 1)
+        growths.append(((*q[k - j :], q[k - 1 - j]), (c[level], s[level])))
+    return growths
+
+
+def _grow_step(start: int, width: int, qubits: tuple[int, ...], column: tuple | None = None) -> _Grow:
     """The ``_Grow`` from ``start`` to ``width`` compact qubits that inserts
     the qubits at positions ``qubits`` of the new width reading 0, or,
-    given a one-qubit or ``mry`` ``gate`` on ``qubits`` whose controls are
-    there already, its target as ``gate`` maps it from |0>: by
-    ``_first_column``, or by the multiplexer's ``c`` and ``s`` laid over
-    the control axes as ``apply_gate``'s broadcast pass lays them."""
-    if gate is None:
+    given the ``_first_column`` of a one-qubit or ``mry`` gate on
+    ``qubits`` whose controls are there already, its target as the gate
+    maps it from |0>: a multiplexer's ``c`` and ``s`` laid over the control
+    axes as ``apply_gate``'s broadcast pass lays them."""
+    if column is None:
         # the odd axes of a _view_shape are its qubits', here all inserted
         shape = _view_shape(qubits, width)
         zero = [0 if a % 2 else slice(None) for a, size in enumerate(shape) if size > 1]
         kept = tuple(size for size in shape if size > 1)
         return _Grow(start, width, kept, (*zero, ...), None, 1.0, None, min(qubits) >= start)
     shape, t, order, coef_shape = _layout(qubits, width)[3]
-    u0, u1 = _first_column(gate) if len(qubits) == 1 else _laid_out(gate_blocks(gate)[1], order, coef_shape)
+    u0, u1 = column if len(qubits) == 1 else _laid_out(column, order, coef_shape)
     whole = (slice(None),) * t
     return _Grow(start, width, shape, (*whole, 0, ...), (*whole, 1, ...), u0, u1, qubits[-1] >= start)
 
 
-def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], width: int) -> tuple:
+def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], width: int) -> tuple:
     """The steps that run a circuit's ``items`` on the compact state of its
     first ``width`` qubits, every other qubit reading 0: ``apply_circuit``
     plans from width n, ``run`` from width 0.  Each gate runs on its own
@@ -1242,35 +1321,50 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft], width: int)
     ascending order, in ``psi[:2**|T|]`` (``run``).  An item that touches a
     qubit outside T first inserts it (``_Grow``): a one-qubit gate on it,
     or an ``mry`` on it whose controls are all in T, is itself the growth,
-    and any other item inserts its fresh qubits reading 0.  Every other
-    step runs at width |T| with its qubits relabelled by their rank in T,
-    which is the identity while T is ``0..|T|-1``.  If T is not that at the
-    end, one last growth inserts the qubits below its top that no item
-    touched.  At widths of more than ``_FUSE_MIN`` amplitudes, runs of
-    gates that follow one another at one width are then fused into dense
-    updates (``_fused``); a block's step, or a growth, ends a run."""
+    a ``Pyramid`` whose qubits are all outside T is one growth per stage
+    (``_pyramid_growths``), and any other item inserts its fresh qubits
+    reading 0.  Any other ``Pyramid`` is planned as its stages, one gate at
+    a time.  Every other step runs at width |T| with its qubits relabelled
+    by their rank in T, which is the identity while T is ``0..|T|-1``.  If
+    T is not that at the end, one last growth inserts the qubits below its
+    top that no item touched.  At widths of more than ``_FUSE_MIN``
+    amplitudes, runs of gates that follow one another at one width are then
+    fused into dense updates (``_fused``); a block's step, or a growth,
+    ends a run."""
     powers: dict[tuple, dict[int, np.ndarray]] = {}
     steps: list = []
     unfused = 0  # the steps made at the current width start here
     touched = list(range(width))  # ascending: bit r of the compact state is qubit touched[r]
     prefix = True  # touched is range(width), so no qubit is relabelled
-    for item in items:
+    pending = list(items)[::-1]  # the next item last
+    while pending:
+        item = pending.pop()
         kind = type(item)
         qubits = item.qubits
+        if kind is Pyramid:
+            known = range(width) if prefix else touched
+            if item.inverted or any(q in known for q in qubits):
+                pending += item.gates[::-1]  # each stage planned as the gate it is
+                continue
         if not prefix or max(qubits) >= width:
             known = range(width) if prefix else touched
             fresh = [q for q in qubits if q not in known]
             if fresh:
                 if (1 << width) > _FUSE_MIN:
                     steps[unfused:] = _fused(steps[unfused:], width)
-                grows = kind is Gate and fresh == [qubits[-1]] and (len(qubits) == 1 or item.kind == MULTIPLEXED_RY)
-                start, touched = width, sorted(touched + fresh)
-                width = len(touched)
-                prefix = touched[-1] == width - 1
-                inserted = tuple(map(touched.index, qubits if grows else fresh))
-                steps.append(_grow_step(start, width, inserted, item if grows else None))
+                if kind is Pyramid:
+                    growths = _pyramid_growths(item)
+                elif kind is Gate and fresh == [qubits[-1]] and (len(qubits) == 1 or item.kind == MULTIPLEXED_RY):
+                    growths = [(qubits, _first_column(item))]
+                else:
+                    growths = [(fresh, None)]
+                for inserted, column in growths:
+                    start, touched = width, sorted(touched + (fresh if column is None else [inserted[-1]]))
+                    width = len(touched)
+                    prefix = touched[-1] == width - 1
+                    steps.append(_grow_step(start, width, tuple(map(touched.index, inserted)), column))
                 unfused = len(steps)
-                if grows:
+                if column is not None:
                     continue
             if not prefix:
                 qubits = tuple(map(touched.index, qubits))
@@ -1386,8 +1480,12 @@ def _fused(steps: Sequence, n: int) -> list:
 def _multiply_step(block: Diagonal, qubits: tuple[int, ...], n: int) -> _Multiply:
     """``block``'s diagonal, ``exp(1j*(phases - mean))`` (negated when
     inverted), laid out over the ``_view_shape`` axes of ``qubits``, the
-    block's qubits at width n."""
-    phases = block.phases - block.phases.mean()
+    block's qubits at width n.  The mean is ``np.mean``'s pairwise sum and
+    division without its wrapper, and the factors are moved only when the
+    qubits' axes are not in view order already, as they are for
+    ``range(n)``."""
+    phases = block.phases
+    phases = phases - np.add.reduce(phases) / phases.size
     factors = np.exp(-1j * phases if block.inverted else 1j * phases)
     shape = _view_shape(qubits, n)
     kept = [a for a, size in enumerate(shape) if size > 1]
@@ -1395,8 +1493,10 @@ def _multiply_step(block: Diagonal, qubits: tuple[int, ...], n: int) -> _Multipl
     # Reshaped to (2,)*k, the factors' axes run qubits[-1] .. qubits[0];
     # sort them into view order.
     axes = _axes(qubits)[::-1]
-    factors = factors.reshape((2,) * len(axes)).transpose(sorted(range(len(axes)), key=axes.__getitem__))
-    return _Multiply(np.ascontiguousarray(factors.reshape(coef_shape)), tuple(shape[a] for a in kept))
+    order = sorted(range(len(axes)), key=axes.__getitem__)
+    if order != list(range(len(axes))):
+        factors = np.ascontiguousarray(factors.reshape((2,) * len(axes)).transpose(order))
+    return _Multiply(factors.reshape(coef_shape), tuple(shape[a] for a in kept))
 
 
 def _period_matrix(period: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
@@ -1447,17 +1547,18 @@ def run(circuit: Circuit) -> StateVector:
     one-qubit gate on a fresh qubit, or an ``mry`` on one whose controls
     are touched, writes the two halves of the grown state from the old one
     (``_Grow``): an angle load is n such doublings, and so are the stages
-    of an amplitude load, each inserting the qubit below the touched ones.
-    Every other step runs on the compact state with its qubits relabelled
-    by rank.  At the end the amplitudes above the last width are
-    zero-filled, after one strided growth that inserts the untouched
-    qubits below it, if any.  On a 2-vCPU Xeon an angle load at n = 18
-    planned in 0.11-0.16 ms and ran in 0.58-0.65 ms this way, against
-    0.35-0.38 and 4.6-5.0 ms fused on a zero-filled buffer (medians of 40);
-    an amplitude load at n = 9 planned in 0.13-0.22 ms and ran in
-    0.05-0.09 ms, against 0.06-0.09 and 0.24-0.36 ms when it grew to full
-    width at once and ran each stage through ``apply_gate`` (medians of
-    300; the stages' ``cos`` and ``sin`` are now made in the plan).
+    of an amplitude load's ``Pyramid``, each inserting the qubit below the
+    touched ones.  Every other step runs on the compact state with its
+    qubits relabelled by rank.  At the end the amplitudes above the last
+    width are zero-filled, after one strided growth that inserts the
+    untouched qubits below it, if any.  On a 2-vCPU Xeon an angle load at
+    n = 18 planned in 0.11-0.16 ms and ran in 0.58-0.65 ms this way,
+    against 0.35-0.38 and 4.6-5.0 ms fused on a zero-filled buffer (medians
+    of 40); a complex amplitude load at n = 9 planned in 0.054 ms and ran
+    in 0.028 ms, against 0.019 and 0.117 ms by ``apply_circuit`` on
+    ``zero_state``, each stage through ``apply_gate`` (medians of 300, the
+    phase pass included; the stages' ``cos`` and ``sin`` are made in the
+    plan).
 
     The result agrees with ``apply_circuit`` on ``zero_state`` within
     ``EQUIV_ATOL``.  It is byte-equal to the gate-by-gate ``apply_gate``

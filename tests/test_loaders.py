@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enqode import encodings as enc
-from enqode import loaders, sim
+from enqode import loaders, sim, trees
 from enqode.errors import CapacityError, EncodingError
 
 
@@ -184,6 +184,31 @@ class TestLoadAmplitude:
             u = sim.build_unitary(sim.Circuit(n, sim.Diagonal(omega, range(n)).gates))
             target = np.diag(np.exp(1j * omega))
             np.testing.assert_allclose(u, target * (u[0, 0] / target[0, 0]), atol=1e-10)
+
+    def test_size_is_checked_before_the_tree_is_built(self, monkeypatch):
+        # more qubits than the simulator holds raise CapacityError before
+        # any tree array is made, in every amplitude-family loader
+        monkeypatch.setattr(sim, "MAX_QUBITS", 3)
+        assert loaders.load_amplitude(np.full(8, 8**-0.5)).circuit.n_qubits == 3
+        monkeypatch.setattr(loaders, "build_state_tree", lambda *a: pytest.fail("the tree was built"))
+        for load in (loaders.load_amplitude, loaders.load_divide_conquer, lambda a: loaders.load_bidirectional(a, 1)):
+            with pytest.raises(CapacityError, match="above the cap of 3"):
+                load(np.full(16, 0.25))
+
+    def test_one_pyramid_then_the_phase_pass(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 4, 9):
+            real = rng.random(1 << n)
+            cplx = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            for a, count in ((real, 1), (cplx, 2)):
+                a = a / np.linalg.norm(a)
+                items = loaders.load_amplitude(a).circuit.items
+                angles = trees.tree_to_angles(trees.build_state_tree(np.abs(a)))
+                assert len(items) == count and items[0] == sim.Pyramid(angles.heap, range(n))
+                if n <= 4:
+                    for s in range(1, n + 1):
+                        first = loaders.load_bidirectional(a, s).circuit.items[0]
+                        assert first == sim.Pyramid(angles.heap[: (1 << s) - 1], range(n - s, n))
 
 
 class TestLoadEquallyWeighted:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enqode import converters, encodings, extractors, loaders, sim
+from enqode import converters, encodings, extractors, loaders, sim, trees
 from enqode.errors import CapacityError, CircuitError
 from enqode.tolerances import ATOL_DECODE, EQUIV_ATOL
 
@@ -904,7 +904,7 @@ class TestFusion:
         for n in (1, 5, 9, 14):
             a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
-            assert powers(c) == 0 and steps_of(c).count(sim.Gate) == len(c.items) - 1
+            assert powers(c) == 0 and steps_of(c).count(sim.Gate) == n
         monkeypatch.undo()
         c = loaders.load_angle(np.full(15, 0.3)).circuit
         assert powers(c) == len(c._steps) == 4
@@ -919,11 +919,13 @@ def benchmark_wide_input(seed: int, index: int):
 
 
 def touching_item(rng, qubits: list[int], kind: str):
-    """A random item of ``kind`` ("gate", "repeat", "diagonal" or "qft") on
-    some of ``qubits`` that touches ``qubits[-1]``."""
+    """A random item of ``kind`` ("gate", "repeat", "diagonal", "qft" or
+    "pyramid") on some of ``qubits`` that touches ``qubits[-1]``."""
     while True:
         k = int(rng.integers(1, min(4, len(qubits)) + 1))
         on = [qubits[-1], *(int(q) for q in rng.permutation(qubits[:-1])[: k - 1])]
+        if kind == "pyramid":
+            return sim.Pyramid(rng.uniform(-np.pi, np.pi, (1 << k) - 1), on, inverted=bool(rng.integers(2)))
         if kind == "diagonal":
             return sim.Diagonal(rng.uniform(-np.pi, np.pi, 1 << k), on, inverted=bool(rng.integers(2)))
         if kind == "qft":
@@ -952,7 +954,7 @@ def growing_circuit(rng, n: int, order: str) -> sim.Circuit:
     items, touched = [], []
     for q in touches:
         touched.append(q)
-        kind = rng.choice(["one", "mry", "gate", "repeat", "diagonal", "qft"])
+        kind = rng.choice(["one", "mry", "gate", "repeat", "diagonal", "qft", "pyramid"])
         if kind == "one":
             items.append(random_gate(rng, 1).on([q]))
         elif kind == "mry":
@@ -1003,7 +1005,7 @@ class TestGrowth:
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
             top = max(q for i in c.items for q in i.qubits)
             assert max(step.width for step in c._grown_steps if type(step) is sim._Grow) == top + 1
-        assert kinds == set(sim._QUBIT_COUNTS) | {sim.Gate, sim.Repeat, sim.Diagonal, sim.Qft}
+        assert kinds == set(sim._QUBIT_COUNTS) | {sim.Gate, sim.Repeat, sim.Diagonal, sim.Qft, sim.Pyramid}
         for n in (1, 5, 18):
             c = sim.Circuit(n)
             assert c._grown_steps == ()
@@ -1032,7 +1034,7 @@ class TestGrowth:
 
     def test_nan_angle_in_a_growth_raises(self):
         for g in (sim.ry(np.nan, 1), sim.p(np.nan, 1), sim.multiplexed_ry([np.nan], [], 1),
-                  sim.multiplexed_ry([0.3, np.nan], [0], 1)):
+                  sim.multiplexed_ry([0.3, np.nan], [0], 1), sim.Pyramid([0.3, np.nan, 0.2], (1, 2))):
             c = sim.Circuit(3, [sim.h(0), g])
             assert type(c._grown_steps[-1]) is sim._Grow
             with pytest.raises(CircuitError):
@@ -1474,6 +1476,171 @@ class TestDeclaredBlocks:
             assert [f.inverted for f in fouriers] == [True, False]  # estimate, then its uncompute
             assert steps_of(c).count(sim._Multiply) == (0 if np.isrealobj(a) else 2)
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+
+def level_stages(levels, qubits) -> list[sim.Gate]:
+    """An angle tree's levels as one ``mry`` each, as loaders emitted them
+    before the pyramid block: level k rotates ``qubits[-1-k]``, multiplexed
+    over the qubits above it."""
+    k = len(qubits)
+    return [sim.multiplexed_ry(level, qubits[k - j :], qubits[k - 1 - j]) for j, level in enumerate(levels)]
+
+
+def with_level_stages(c: sim.Circuit) -> sim.Circuit:
+    """``c`` with each pyramid replaced by its ``level_stages``, written
+    from the per-level view of its angle tree, or by their adjoints."""
+    items = []
+    for item in c.items:
+        if type(item) is sim.Pyramid:
+            levels = [item.angles[(1 << j) - 1 : (2 << j) - 1] for j in range(len(item.qubits))]
+            stages = level_stages(levels, item.qubits)
+            items += [g.inverse() for g in reversed(stages)] if item.inverted else stages
+        else:
+            items.append(item)
+    return sim.Circuit(c.n_qubits, items, c.registers, c.query_count)
+
+
+def plan_outline(steps) -> list:
+    """Each step's type, with a growth's width and a gate itself."""
+    return [(type(s), s.width if type(s) is sim._Grow else s if type(s) is sim.Gate else None) for s in steps]
+
+
+class TestPyramid:
+    """An amplitude load's stages are one declared block: its expansion is
+    the per-level multiplexers, and a run of it on fresh qubits is
+    byte-equal to a run of those multiplexers."""
+
+    def test_expansion_is_the_level_stages(self):
+        rng = np.random.default_rng(71)
+        for n in range(1, 9):
+            a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            a /= np.linalg.norm(a)
+            tree = trees.tree_to_angles(trees.build_state_tree(np.abs(a)))
+            (pyramid, _) = loaders.load_amplitude(a).circuit.items
+            assert pyramid.gates == tuple(level_stages(tree.levels, tuple(range(n))))
+            assert pyramid.inverse().gates == sim._inverted(pyramid.gates)
+            assert pyramid.inverse().inverse() == pyramid
+
+    def test_equal_and_hashed_by_value(self):
+        angles = np.array([0.3, -1.2, 2.0])
+        p = sim.Pyramid(angles, (4, 1))
+        angles[0] = 9.0  # the block keeps its own copy
+        same = sim.Pyramid([0.3, -1.2, 2.0], [4, 1])
+        assert p == same and hash(p) == hash(same) and {p: 1}[same] == 1
+        assert not p.angles.flags.writeable and p.angles.dtype == np.float64
+        for other in (p.inverse(), sim.Pyramid([0.3, -1.2, 2.5], (4, 1)), sim.Pyramid(p.angles, (1, 4)),
+                      sim.Diagonal([0.3, -1.2, 2.0, 0.0], (4, 1))):
+            assert p != other
+        assert sim.Circuit(5, [p]) == sim.Circuit(5, p.gates)
+        assert sim.Circuit(5, [p.inverse()]) == sim.Circuit(5, p.gates).inverse()
+
+    def test_blocks_check_their_shape(self, monkeypatch):
+        for angles, qubits in (([0.1, 0.2], (0, 1)), ([0.1, 0.2, 0.3], (1, 1)), ([], ()), ([0.1], (-1,)),
+                               ([0.1, 0.2, 0.3], (0, 1.5))):
+            with pytest.raises(CircuitError):
+                sim.Pyramid(angles, qubits)
+        with pytest.raises(CircuitError, match="outside 0..2"):
+            sim.Circuit(3, [sim.Pyramid([0.1, 0.2, 0.3], (1, 3))])
+        monkeypatch.setattr(sim, "MAX_QUBITS", 3)
+        sim.Pyramid(np.zeros(7), range(3))
+        with pytest.raises(CircuitError):
+            sim.Pyramid(np.zeros(15), range(4))
+
+    def test_loads_run_byte_equal_to_their_level_stages(self):
+        # real, complex and equally-weighted loads and every bidirectional
+        # split: the run is the one its per-level multiplexers give
+        rng = np.random.default_rng(72)
+        for n in range(1, 11):
+            real = np.abs(rng.normal(size=1 << n))
+            real[rng.random(1 << n) < 0.3] = 0.0
+            real[0] = 1.0
+            cplx = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            outs = [loaders.load_amplitude(v / np.linalg.norm(v)) for v in (real, cplx)]
+            xs = sorted(int(x) for x in rng.choice(1 << n, size=max(2, (1 << n) // 3), replace=False))
+            if len(xs) < 1 << n:
+                outs.append(loaders.load_equally_weighted(xs, n))
+            if n <= 4:
+                outs += [loaders.load_bidirectional(v / np.linalg.norm(v), s) for v in (real, cplx)
+                         for s in range(1, n + 1)]
+            for out in outs:
+                c = out.circuit
+                got = sim.run(c).amplitudes.tobytes()
+                assert got == sim.run(with_level_stages(c)).amplitudes.tobytes()
+                if c.items[-1] is c.items[0]:  # a real load: every step a growth
+                    assert got == gate_loop(c).tobytes()
+                elif type(c.items[-1]) is sim.Diagonal and len(c.items) == 2:
+                    assert got == stages_then_phase_pass(c).tobytes()
+
+    def test_plans_as_its_level_stages(self):
+        # a pyramid whose qubits are all fresh, above, below or between
+        # touched ones, grows one stage at a time without building its
+        # expansion; an inverted one, or one on a touched qubit, is planned
+        # as its stages: either way as the per-level multiplexers are
+        rng = np.random.default_rng(73)
+        for before, qubits, inverted in (
+            ([], (0, 1, 2), False),
+            ([sim.h(3)], (0, 1, 2), False),
+            ([sim.h(0), sim.h(4)], (3, 1, 2), False),
+            ([sim.h(2)], (5, 0, 3, 1), False),
+            ([], (0, 1, 2), True),
+            ([sim.h(1)], (0, 1, 2), False),
+            ([sim.h(0)], (2, 0), True),
+        ):
+            k = len(qubits)
+            pyramid = sim.Pyramid(rng.uniform(-np.pi, np.pi, (1 << k) - 1), qubits, inverted)
+            c = sim.Circuit(6, [*before, pyramid, sim.cnot(qubits[0], 5 if 5 not in qubits else 4)])
+            flat = with_level_stages(c)
+            assert plan_outline(c._grown_steps) == plan_outline(flat._grown_steps)
+            touched = {q for g in before for q in g.qubits}
+            assert ("_stages" in vars(pyramid)) == (inverted or bool(touched.intersection(qubits)))
+            assert sim.run(c).amplitudes.tobytes() == sim.run(flat).amplitudes.tobytes()
+            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    def test_pyramids_after_touched_qubits(self):
+        # the swap test loads b's pyramid above a's; amp -> EW runs F's
+        # pyramid on the work register after the index H layer, and its
+        # adjoint in the uncompute
+        rng = np.random.default_rng(74)
+        for n in (1, 2, 3):
+            a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            b = np.abs(rng.normal(size=1 << n))
+            load_a = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+            load_b = loaders.load_amplitude(b / np.linalg.norm(b)).circuit
+            result = extractors.swap_test(load_a, load_b, 0, 1)
+            overlap = abs(np.vdot(a / np.linalg.norm(a), b / np.linalg.norm(b))) ** 2
+            assert result.p0_exact == pytest.approx(0.5 + overlap / 2, abs=EQUIV_ATOL)
+        for a in (np.sqrt([0.1, 0.2, 0.3, 0.4]), rng.normal(size=4) + 1j * rng.normal(size=4)):
+            c = converters.convert_amplitude_to_ew(loaders.load_amplitude(a / np.linalg.norm(a)).circuit, 3)
+            assert sum(type(i) is sim.Pyramid for i in c.items) == 2
+            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    def test_qae_expands_its_load_once(self, monkeypatch):
+        # the Grover period reads F's stages and their adjoints, and the
+        # adjoint pyramid takes its stages from F's
+        made, original = [], sim.multiplexed_ry
+        monkeypatch.setattr(sim, "multiplexed_ry", lambda *args: made.append(args[2]) or original(*args))
+        a = np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])
+        f = loaders.load_amplitude(a).circuit
+        c = extractors.qae_circuit(f, 4)
+        sim.run(c)
+        assert len(made) == 3 and c.items[0] is f.items[0]
+
+    def test_multiply_step_keeps_the_mean_and_layout_of_numpy(self):
+        # the diagonal's factors, byte for byte, as np.mean and a transpose
+        # into view order give them, for registers in and out of view order
+        rng = np.random.default_rng(75)
+        for n in range(1, 10):
+            for qubits in (tuple(range(n)), tuple(int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))])):
+                for inverted in (False, True):
+                    d = sim.Diagonal(rng.uniform(-np.pi, np.pi, 1 << len(qubits)), qubits, inverted)
+                    step = sim._multiply_step(d, qubits, n)
+                    phases = d.phases - np.mean(d.phases)
+                    factors = np.exp(-1j * phases if inverted else 1j * phases)
+                    axes = sim._axes(qubits)[::-1]
+                    order = sorted(range(len(axes)), key=axes.__getitem__)
+                    expected = np.ascontiguousarray(factors.reshape((2,) * len(qubits)).transpose(order))
+                    assert step.factors.tobytes() == expected.tobytes()
+                    assert step.factors.size == 1 << len(qubits) and step.factors.flags.c_contiguous
 
 
 def local_apply(psi: np.ndarray, local: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
@@ -2146,11 +2313,11 @@ class TestDeferredExpansion:
         n = 5
         a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
-        (d,) = [i for i in c.items if type(i) is sim.Diagonal]
+        pyramid, d = c.items
+        assert (type(pyramid), type(d)) == (sim.Pyramid, sim.Diagonal)
         sim.run(c)
-        assert "gates" not in vars(d) and "gates" not in vars(c)
-        stages = [i for i in c.items if type(i) is sim.Gate]
-        assert c.gates == (*stages, *d.gates) and len(c.gates) == n + 5 * n
+        assert "_stages" not in vars(pyramid) and "gates" not in vars(d) and "gates" not in vars(c)
+        assert c.gates == (*pyramid.gates, *d.gates) and len(c.gates) == n + 5 * n
         flat = sim.Circuit(n, list(c.gates), c.registers)
         assert c == flat and (c.depth, c.cnot_count) == (flat.depth, flat.cnot_count)
         assert (c.depth, c.cnot_count) == (c.lowered().depth, sum(g.kind == sim.CNOT for g in c.lowered().gates))
@@ -2158,7 +2325,8 @@ class TestDeferredExpansion:
     def test_item_protocol(self):
         rng = np.random.default_rng(67)
         g = sim.cry(0.4, 0, 2)
-        items = [g, sim.Repeat((g, sim.h(1)), 2), sim.Diagonal(rng.uniform(size=4), (2, 0)), sim.Qft((1, 0))]
+        items = [g, sim.Repeat((g, sim.h(1)), 2), sim.Diagonal(rng.uniform(size=4), (2, 0)), sim.Qft((1, 0)),
+                 sim.Pyramid(rng.uniform(size=7), (2, 0, 1))]
         for item in items:
             moved = item.shifted(3)
             assert moved.qubits == tuple(q + 3 for q in item.qubits)

@@ -98,3 +98,62 @@ def test_json_serialization():
     assert levels[0] == [1.0] and len(levels) == 3
     ang = trees.tree_to_angles(t)
     assert len(json.loads(ang.to_json())) == 2
+
+
+def per_level_tree(values) -> list[np.ndarray]:
+    """The state tree built one level at a time, root level first."""
+    levels = [np.asarray(values, dtype=np.float64).copy()]
+    while levels[-1].size > 1:
+        prev = levels[-1]
+        levels.append(np.sqrt(prev[0::2] ** 2 + prev[1::2] ** 2))
+    return levels[::-1]
+
+
+def per_level_angles(levels: list[np.ndarray]) -> list[np.ndarray]:
+    """Each level's angles from its children, zero under a zero parent."""
+    out = []
+    for parents, children in zip(levels, levels[1:]):
+        angles = np.zeros_like(parents)
+        nz = parents > 0
+        angles[nz] = 2.0 * np.arctan2(children[1::2][nz], children[0::2][nz])
+        out.append(angles)
+    return out
+
+
+class TestHeapOrder:
+    """Both trees live in one heap-order array, each level a read-only view
+    of it, with the values the level-by-level construction gives."""
+
+    def test_byte_equal_to_per_level_construction(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 13):
+            for _ in range(3):
+                a = np.abs(rng.normal(size=1 << n))
+                a[rng.random(1 << n) < 0.4] = 0.0  # whole zero subtrees
+                if n > 2:
+                    a[: 1 << (n - 2)] = 0.0
+                tree = trees.build_state_tree(a)
+                angles = trees.tree_to_angles(tree)
+                expected = per_level_tree(a)
+                assert [lvl.tobytes() for lvl in tree.levels] == [lvl.tobytes() for lvl in expected]
+                assert [lvl.tobytes() for lvl in angles.levels] == [
+                    lvl.tobytes() for lvl in per_level_angles(expected)
+                ]
+
+    def test_levels_are_read_only_views_of_the_heap(self):
+        a = np.abs(np.random.default_rng(13).normal(size=32))
+        tree = trees.build_state_tree(a)
+        angles = trees.tree_to_angles(tree)
+        for t, size in ((tree, 63), (angles, 31)):
+            assert t.heap.shape == (size,) and not t.heap.flags.writeable
+            assert [lvl.size for lvl in t.levels] == [1 << k for k in range(t.n_levels)]
+            assert sum(lvl.size for lvl in t.levels) == size
+            for lvl in t.levels:
+                assert lvl.base is t.heap and not lvl.flags.writeable
+        assert (tree.n_levels, angles.n_levels) == (6, 5)
+        assert tree.levels[-1].tobytes() == a.tobytes()
+
+    def test_a_single_leaf_has_no_angles(self):
+        tree = trees.build_state_tree([0.7])
+        assert [lvl.tolist() for lvl in tree.levels] == [[0.7]]
+        assert trees.tree_to_angles(tree).levels == ()
