@@ -37,7 +37,12 @@ Conventions used throughout the package:
   temporaries stay in cache; the arithmetic per amplitude is the same, so
   results are bit for bit those of one whole-half pass.  SWAP and
   PERMUTATION copy the rows their table moves.  ``apply_gate`` is the
-  only code that applies a gate to amplitudes.
+  only code that applies a lone gate to a state.
+* A block matrix, a repeat's period or a fused run, is built by
+  ``_period_matrix``: on at most ``_TREE_QUBITS`` qubits as one batched
+  product of its gates' matrices (Isakov et al., arXiv 2111.02396), wider
+  as ``build_unitary`` is, gate by gate by ``apply_gate`` on the identity
+  (``_unitary``).
 * Every qubit tuple, a gate's, a block's or a register's, passes one
   check (``_check_qubits``): plain ints, none repeated, inside the width
   where one is known.  Anything else raises ``CircuitError`` when made.
@@ -102,10 +107,11 @@ Conventions used throughout the package:
   operation is bit-reproducible from its seed.
 
 The hard cap of 24 qubits keeps a state below 256 MB, and the cap of 12
-qubits on ``build_unitary`` keeps its matrix to the same budget.  The
-matrix is built in place, every gate applied once to the flattened
-identity, so it is the only large allocation: each update's temporaries
-stay slab-sized.
+qubits on ``build_unitary`` keeps its matrix to the same budget.  That
+matrix is built in place, every gate applied once by ``apply_gate`` to
+the flattened identity (``_unitary``), so it is the only large
+allocation: each update's temporaries stay slab-sized, where a stack of
+gate matrices would not fit.
 """
 from __future__ import annotations
 
@@ -157,15 +163,22 @@ _BLOCK_LOOP_MIN = 1 << 12
 _SLAB = 1 << 14
 # A ``Repeat`` runs as matrix powers (``_repeat_step``) when its gates
 # touch at most this many qubits, a ladder's control left out.  Building
-# the matrix costs about 4**k per gate and each squaring 8**k.  Over fresh
-# QAE circuits on k = 4..8 qubits, control included, and m = 2..5 (best of
-# 18 runs on a 2-vCPU Xeon, about +-20% noise), full-matrix powers ran at
-# 0.95-1.1x the gate-by-gate speed for k <= 6 and m = 2 and at 1.25-2.9x
-# for m >= 3; at k = 7 at 0.55-0.87x until m = 5, and at k = 8 at
-# 0.16-0.26x.  A ladder builds and powers its period's control-1 block, on
-# k - 1 qubits, and applies each rung to half the state; the cap has not
-# been measured again for that.
-_POWER_QUBITS = 6
+# the matrix (``_period_matrix``) costs about 8**k per gate up to
+# ``_TREE_QUBITS`` qubits and 4**k above, and each squaring 8**k.  Over
+# amplitude -> equally-weighted conversions (build, plan and run; medians
+# of 5 on a 2-vCPU Xeon, one BLAS thread), whose ladder blocks act on 5, 7
+# and 9 qubits at n = 2, 3 and 4: at n = 3 a cap of 7 took 1.9-13x less
+# time than 6 for m = 3..7 and 1.2x more at m = 2; at n = 4 a cap of 9
+# took 1.4-7.5x more for m = 2..4 and 2-4x less for m = 5, 6.  QAE at
+# n = 3 (3 qubits) and n = 2 did not move.
+_POWER_QUBITS = 7
+# ``_period_matrix`` builds a matrix on at most this many qubits as one
+# batched product (8**k per gate), a wider one gate by gate on the
+# identity (``_unitary``; 4**k and a few numpy calls per gate).  Over
+# random periods of 14 and 100 gates (2-vCPU Xeon, one BLAS thread) the
+# product took 0.15-0.35x the time at k = 1..4, 0.6x at k = 5, 2x at
+# k = 6 and 6-10x at k = 7.
+_TREE_QUBITS = 5
 # On states of more than ``_FUSE_MIN`` amplitudes, which do not stay in a
 # core's L2 cache from one gate to the next, the plan fuses runs of
 # consecutive gates on at most ``_FUSE_QUBITS`` qubits together into one
@@ -189,8 +202,10 @@ class Gate:
     ``angles[j]`` is the RY angle applied when the control bits, read with
     ``qubits[0]`` as the least-significant, equal ``j``.  For ``perm`` the
     ``table`` maps local basis indices (bit ``i`` = ``qubits[i]``) to local
-    basis indices and must be a bijection.  A gate that breaks these rules,
-    or of an unknown kind, raises ``CircuitError`` when it is made.
+    basis indices and must be a bijection of integers, kept as plain ints.
+    ``angle`` and every entry of ``angles`` must be real numbers (not
+    bools), kept as floats.  A gate that breaks these rules, or of an
+    unknown kind, raises ``CircuitError`` when it is made.
     """
 
     kind: str
@@ -212,14 +227,26 @@ class Gate:
             raise CircuitError(f"gate {kind} cannot act on {len(qubits)} qubits: {qubits}")
         if self.angle is None and kind in (RY, PHASE, CP):
             raise CircuitError(f"gate {kind} needs an angle")
+        if self.angle is not None and type(self.angle) is not float:
+            object.__setattr__(self, "angle", _real(self.angle))
+        if self.angles is not None:
+            try:
+                angles = tuple(self.angles)
+            except TypeError:
+                raise CircuitError(f"angles must be a sequence of real numbers, got {self.angles!r}") from None
+            object.__setattr__(self, "angles", angles if set(map(type, angles)) == {float} else tuple(map(_real, angles)))
         if kind == MULTIPLEXED_RY:
             k = len(qubits) - 1
             if self.angles is None or len(self.angles) != 1 << k:
                 raise CircuitError(f"mry with {k} controls needs {1 << k} angles, got {len(self.angles or ())}")
         elif kind == PERMUTATION:
-            dim = 1 << len(qubits)
-            if self.table is None or sorted(self.table) != list(range(dim)):
-                raise CircuitError("permutation table must be a bijection on basis indices")
+            try:
+                table = tuple(map(int, self.table)) if all(map(_is_integer, self.table)) else None
+            except TypeError:
+                table = None
+            if table is None or sorted(table) != list(range(1 << len(qubits))):
+                raise CircuitError(f"permutation table must be a bijection of integers on basis indices, got {self.table!r}")
+            object.__setattr__(self, "table", table)
 
     @property
     def gates(self) -> tuple["Gate", ...]:
@@ -256,6 +283,18 @@ class Gate:
         return _unchecked(self, table=tuple(inv))
 
 
+def _real(value) -> float:
+    """``value`` as a float, the one check of every angle: an int, float
+    or numpy real, not a bool; anything else raises ``CircuitError``.  A
+    NaN passes, and fails the norm check of the run that meets it."""
+    if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise CircuitError(f"an angle must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise CircuitError(f"angle {value!r} is too large for a float") from None
+
+
 def _unchecked(item, **changes):
     """A copy of the checked circuit item ``item`` with ``changes`` made to
     its fields, made without its ``__post_init__``: for changes that keep
@@ -275,8 +314,10 @@ def _inverted(gates: Sequence[Gate]) -> tuple[Gate, ...]:
 @dataclass(frozen=True)
 class Repeat:
     """A declared block: the tuple ``period`` of gates applied ``count``
-    times in a row, its flat expansion ``gates``.  Its plan step, for any
-    count, is one matrix power on at most ``_POWER_QUBITS`` qubits.
+    times in a row, its flat expansion ``gates``.  On at most
+    ``_POWER_QUBITS`` qubits its plan step, for any count, is one power of
+    the period's matrix (``_period_matrix``); a wider repeat runs gate by
+    gate.
 
     With ``controls`` it is a ladder (phase estimation's controlled
     powers): the period is written controlled on ``controls[0]`` and
@@ -286,8 +327,9 @@ class Repeat:
     (``_control_one``); any other gate on it raises ``CircuitError``.  Rung
     j is the period moved onto ``controls[j]`` and applied ``count * 2**j``
     times; ``gates`` lists the rungs in order, or the last first when
-    ``inverted`` (a ladder's adjoint).  Its plan step powers the period's
-    control-1 block (``_repeat_step``)."""
+    ``inverted`` (a ladder's adjoint).  Its plan step powers the matrix of
+    the period's control-1 block (``_repeat_step``), on at most
+    ``_POWER_QUBITS`` qubits once the control is left out."""
 
     period: tuple[Gate, ...]
     count: int
@@ -530,11 +572,11 @@ def h(q: int) -> Gate:
 
 
 def ry(theta: float, q: int) -> Gate:
-    return Gate(RY, (q,), angle=float(theta))
+    return Gate(RY, (q,), angle=theta)
 
 
 def p(theta: float, q: int) -> Gate:
-    return Gate(PHASE, (q,), angle=float(theta))
+    return Gate(PHASE, (q,), angle=theta)
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -542,7 +584,7 @@ def cnot(control: int, target: int) -> Gate:
 
 
 def cp(theta: float, control: int, target: int) -> Gate:
-    return Gate(CP, (control, target), angle=float(theta))
+    return Gate(CP, (control, target), angle=theta)
 
 
 def swap(a: int, b: int) -> Gate:
@@ -572,11 +614,11 @@ def cry(theta: float, control: int, target: int) -> Gate:
 
 
 def multiplexed_ry(angles: Sequence[float], controls: Sequence[int], target: int) -> Gate:
-    return Gate(MULTIPLEXED_RY, (*controls, target), angles=tuple(np.asarray(angles, dtype=np.float64).tolist()))
+    return Gate(MULTIPLEXED_RY, (*controls, target), angles=angles.tolist() if type(angles) is np.ndarray else angles)
 
 
 def permutation(table: Sequence[int], qubits: Sequence[int]) -> Gate:
-    return Gate(PERMUTATION, tuple(qubits), table=tuple(int(i) for i in table))
+    return Gate(PERMUTATION, tuple(qubits), table=table)
 
 
 def gate_blocks(gate: Gate) -> tuple[str, object]:
@@ -597,6 +639,7 @@ def gate_blocks(gate: Gate) -> tuple[str, object]:
     A flip, phase or dense form acts only when every control reads 1 (the
     top pattern, ``2**k - 1``); every other pattern is the identity, and
     so is a phase of 1.  SWAP and PERMUTATION have no blocks.
+    ``_period_matrix`` computes a period's values at once, byte-equal.
     """
     kind = gate.kind
     if kind in (X, CNOT):
@@ -1312,10 +1355,10 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
     ``_Fourier`` per ``Qft``, and one ``_repeat_step`` per ``Repeat`` on at
     most ``_POWER_QUBITS`` qubits, a ladder's control left out: a
     ``_Power`` of a plain repeat's matrix, or a ``_Ladder`` of powers of a
-    ladder's control-1 block, squared from one matrix.  The flat gates of
-    wider repeats run one by one.  Repeats share their matrices in
-    ``powers``, so an inverted ladder takes the adjoints of its forward
-    ladder's powers and builds no matrix.
+    ladder's control-1 block, squared from one matrix that
+    ``_period_matrix`` builds.  The flat gates of wider repeats run one by
+    one.  Repeats share their matrices in ``powers``, so an inverted ladder
+    takes the adjoints of its forward ladder's powers and builds no matrix.
 
     The state is kept as the compact state of the touched qubits T, in
     ascending order, in ``psi[:2**|T|]`` (``run``).  An item that touches a
@@ -1405,11 +1448,13 @@ def _repeat_step(item: Repeat, place, n: int, powers: dict[tuple, dict[int, np.n
     """The step of a few-qubit repeat at width n, ``place`` mapping its
     qubits into the state: one ``_Power`` of a plain repeat's matrix, or a
     ``_Ladder`` of the control-1 block of a ladder's period
-    (``_control_one``) raised to each rung's count.  An inverted ladder
-    takes the adjoints of its forward period's powers.  Repeats whose
-    forward periods are equal on their own qubits share one matrix and its
-    powers (``_power``) in ``powers``, keyed by the control's position and
-    a plain tuple per gate: kind, qubit positions, angle, angles, table."""
+    (``_control_one``) raised to each rung's count; the matrix of the
+    period, or of its control-1 block, is ``_period_matrix``'s.  An
+    inverted ladder takes the adjoints of its forward period's powers.
+    Repeats whose forward periods are equal on their own qubits share one
+    matrix and its powers (``_power``) in ``powers``, keyed by the
+    control's position and a plain tuple per gate: kind, qubit positions,
+    angle, angles, table."""
     period = _inverted(item.period) if item.inverted else item.period
     own = sorted({q for g in period for q in g.qubits})
     control = item.controls[0] if item.controls else None
@@ -1453,10 +1498,11 @@ def _power_step(matrix: np.ndarray, qubits: tuple[int, ...], n: int, controlled:
 def _fused(steps: Sequence, n: int) -> list:
     """``steps`` with each greedy run of two or more consecutive gates whose
     qubits together number at most ``_FUSE_QUBITS`` replaced by one
-    ``_Power`` of their product (``_period_matrix``), so the run costs one
-    pass over the state (Häner & Steiger, arXiv 1704.01127).  A gate that
-    does not fit the run before it starts the next one, a lone gate keeps
-    its 2x2 kernel, and any other step ends a run."""
+    ``_Power`` of their product, built as one batched product of their
+    matrices (``_period_matrix``), so the run costs one pass over the state
+    (Häner & Steiger, arXiv 1704.01127).  A gate that does not fit the run
+    before it starts the next one, a lone gate keeps its 2x2 kernel, and
+    any other step ends a run."""
     runs: list[list] = []
     qubits: set[int] = set()
     for step in steps:
@@ -1502,14 +1548,92 @@ def _multiply_step(block: Diagonal, qubits: tuple[int, ...], n: int) -> _Multipl
 def _period_matrix(period: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
     """The product of ``period``'s gate matrices on the 2**k-dimensional
     space of ``qubits`` (local bit i = ``qubits[i]``), first gate
-    rightmost.  ``apply_gate`` runs the gates on the row bits of the
+    rightmost; ``_unitary``'s on more than ``_TREE_QUBITS`` qubits.
+    Otherwise the gates' matrices are scattered, by the period's cached
+    ``_product_table``, from one ``cos``, ``sin`` and ``exp`` over all its
+    half-angles and phases (byte-equal to ``gate_blocks``'), into stacks
+    of at most ``_SLAB`` entries, each multiplied pairwise, later gates on
+    the left.  It agrees with ``_unitary`` within ``EQUIV_ATOL``."""
+    k = len(qubits)
+    if k > _TREE_QUBITS:
+        return _unitary(period, qubits)
+    at = {q: i for i, q in enumerate(qubits)}.__getitem__
+    chunk = max(1, _SLAB >> (2 * k))  # gates per stack
+    positions, sources = _product_table(tuple([(g.kind, tuple(map(at, g.qubits)), g.table) for g in period]), k, chunk)
+    angles = [a for g in period if g.kind in (RY, MULTIPLEXED_RY) for a in g.angles or (g.angle,)]
+    half = np.array(angles, dtype=np.float64) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    phases = np.exp(1j * np.array([g.angle for g in period if g.kind in (PHASE, CP)], dtype=np.float64))
+    pool = np.concatenate(((0.0, 1.0, *_H_ENTRIES[2:]), c, s, -s, phases))
+    dim, product = 1 << k, None
+    for start in range(0, len(period), chunk):
+        stack = np.zeros((min(chunk, len(period) - start), dim, dim), dtype=np.complex128)
+        stack.reshape(-1)[positions[start : start + chunk]] = pool[sources[start : start + chunk]]
+        while len(stack) > 1:
+            pairs = stack[1::2] @ stack[: len(stack) - 1 : 2]
+            stack = np.concatenate((pairs, stack[-1:])) if len(stack) % 2 else pairs
+        product = stack[0] if product is None else stack[0] @ product
+    return np.eye(dim, dtype=np.complex128) if product is None else product
+
+
+@lru_cache(maxsize=64)
+def _product_table(structure: tuple, k: int, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_period_matrix``'s index table for a period on k qubits whose gates
+    are ``structure``'s ``(kind, local qubits, table)``, ``chunk`` to a
+    stack.  A column of a gate's matrix has two entries, laid out from its
+    ``gate_blocks`` form: the diagonal one and the one in the row with the
+    target's bit flipped (a SWAP or PERMUTATION column's 1, listed twice).
+    For each the table holds its position in the flat stack and the index
+    of its value in the pool ``0, 1, h, -h``, every RY-family ``c``, then
+    ``s``, then ``-s``, and every phase."""
+    dim, col = 1 << k, np.arange(1 << k)
+    # each gate's first angle and its phase, counted over the gates before it
+    angle = np.cumsum([0] + [1 << (len(q) - 1) if kind in (RY, MULTIPLEXED_RY) else 0 for kind, q, _ in structure])
+    phase = np.cumsum([0] + [kind in (PHASE, CP) for kind, _, _ in structure])
+    at_c, at_s, at_neg, at_phase = 4, 4 + angle[-1], 4 + 2 * angle[-1], 4 + 3 * angle[-1]
+    rows = np.empty((len(structure), 2, dim), dtype=np.intp)
+    sources = np.zeros_like(rows)  # a 0 unless set
+    for g, (kind, local, table) in enumerate(structure):
+        places, shifts = np.array(local)[:, None], np.arange(len(local))[:, None]
+        index = (((col >> places) & 1) << shifts).sum(axis=0)  # the gate's local index, bit i = local[i]
+        if kind in (SWAP, PERMUTATION):
+            moved = np.array(table or _SWAP_TABLE)[index]
+            rows[g] = col & ~(1 << places).sum() | (((moved >> shifts) & 1) << places).sum(axis=0)
+            sources[g] = 1
+            continue
+        top = 1 << (len(local) - 1)
+        pattern, one = index % top, index >= top
+        acting = pattern == top - 1
+        rows[g, 0], rows[g, 1] = col, col ^ (1 << local[-1])
+        if kind in (X, CNOT):
+            sources[g, 0], sources[g, 1] = ~acting, acting
+        elif kind in (PHASE, CP):
+            sources[g, 0] = np.where(acting & one, at_phase + phase[g], 1)
+        elif kind == H:
+            sources[g, 0], sources[g, 1] = 2 + one, 2
+        else:
+            j = angle[g] + pattern
+            sources[g, 0], sources[g, 1] = at_c + j, np.where(one, at_neg + j, at_s + j)
+    positions = rows  # in place: (gate in chunk, row, column) in the flat stack
+    positions *= dim
+    positions += (np.arange(len(structure)) % chunk)[:, None, None] * dim * dim + col
+    positions.setflags(write=False)
+    sources.setflags(write=False)
+    return positions, sources
+
+
+def _unitary(gates: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
+    """The product of ``gates``' matrices on the 2**k-dimensional space of
+    ``qubits`` (local bit i = ``qubits[i]``), first gate rightmost, built
+    in place: ``apply_gate`` runs each gate once on the row bits of the
     flattened identity at width 2k (``qubits[i]`` becomes bit ``k + i``),
-    so every column of the identity goes through the period."""
+    so every column goes through the gates and the matrix is the only
+    large allocation."""
     k = len(qubits)
     row = {q: k + i for i, q in enumerate(qubits)}.__getitem__
     u = np.eye(1 << k, dtype=np.complex128)
     flat = u.reshape(-1)
-    for g in period:
+    for g in gates:
         apply_gate(flat, _unchecked(g, qubits=tuple(map(row, g.qubits))), 2 * k)
     return u
 
@@ -1602,7 +1726,8 @@ def _run_steps(psi: np.ndarray, n: int, steps: tuple, width: int, norm_sq: float
 def build_unitary(circuit: Circuit) -> np.ndarray:
     """Full ``2**n x 2**n`` matrix of ``circuit``, for n <= 12: each gate
     applied once, by ``apply_gate``, to every column of the identity at
-    once (``_period_matrix``).
+    once, in place (``_unitary``).  It is the reference that the block
+    matrices of ``_period_matrix`` are checked against.
 
     Raises ``CircuitError`` if a column's squared norm is off 1 by more
     than ``NORM_ATOL`` or is no longer a number (a NaN angle), as
@@ -1612,7 +1737,7 @@ def build_unitary(circuit: Circuit) -> np.ndarray:
         raise CapacityError(
             f"unitary of {circuit.n_qubits} qubits exceeds the cap of {MAX_UNITARY_QUBITS}"
         )
-    u = _period_matrix(circuit.gates, range(circuit.n_qubits))
+    u = _unitary(circuit.gates, range(circuit.n_qubits))
     # real and imaginary parts are views: no matrix-sized temporaries
     norm_sq = np.einsum("ij,ij->j", u.real, u.real) + np.einsum("ij,ij->j", u.imag, u.imag)
     drift = np.abs(norm_sq - 1.0).max()

@@ -646,8 +646,9 @@ class TestExecutionPlan:
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     def test_period_matrix_matches_kron_oracle(self):
-        # _period_matrix runs its gates through apply_gate, as gate_loop
-        # does, so it is checked against products of kron_embed matrices
+        # _period_matrix multiplies out entries laid out from gate_blocks,
+        # or runs wide periods through apply_gate as gate_loop does, so it
+        # is checked against products of kron_embed matrices
         rng = np.random.default_rng(29)
         cases, kinds = [], set()
         for trial in range(60):
@@ -676,6 +677,98 @@ class TestExecutionPlan:
                 local = tuple(qubits.index(q) for q in g.qubits)
                 expected = kron_embed(closed_form(g), local, k) @ expected
             np.testing.assert_allclose(sim._period_matrix(period, qubits), expected, rtol=0, atol=EQUIV_ATOL)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_block_matrix_of_every_kind_matches_kron_oracle(self, monkeypatch, k):
+        # Spread, unsorted qubits, and a _SLAB of two gates' entries, so
+        # that the period spans many stacks.  Up to _TREE_QUBITS the matrix
+        # is the batched product; wider, the gate-by-gate one.
+        monkeypatch.setattr(sim, "_SLAB", 2 << (2 * k))
+        if k <= sim._TREE_QUBITS:
+            monkeypatch.setattr(sim, "_unitary", lambda *a: pytest.fail("a narrow matrix was built gate by gate"))
+        rng = np.random.default_rng(100 + k)
+        gates = [random_gate(rng, k) for _ in range(24)] + [sim.x(0), sim.h(k - 1), sim.ry(0.4, k - 1), sim.p(0.9, 0)]
+        if k > 1:
+            order = [int(q) for q in rng.permutation(k)]
+            gates += [
+                sim.cnot(order[-1], order[0]),
+                sim.Gate("cp", tuple(order), angle=0.7),  # k - 1 controls
+                sim.multiplexed_ry(rng.uniform(-np.pi, np.pi, 1 << (k - 1)), order[:-1], order[-1]),
+                sim.swap(order[0], order[-1]),
+                sim.permutation([int(t) for t in rng.permutation(1 << k)], order),
+            ]
+        gates = [gates[i] for i in rng.permutation(len(gates))]
+        assert {g.kind for g in gates} == ({"x", "h", "ry", "p", "perm"} if k == 1 else
+                                           {"x", "h", "ry", "p", "cnot", "cp", "swap", "mry", "perm"})
+        spread = [int(q) for q in rng.choice(40, size=k, replace=False)]
+        period = [g.on([spread[q] for q in g.qubits]) for g in gates]
+        expected = np.eye(1 << k, dtype=np.complex128)
+        for g in gates:
+            expected = kron_embed(closed_form(g), g.qubits, k) @ expected
+        np.testing.assert_allclose(sim._period_matrix(period, spread), expected, rtol=0, atol=EQUIV_ATOL)
+
+    def test_block_matrix_matches_build_unitary(self):
+        rng = np.random.default_rng(37)
+        for trial in range(60):
+            k = int(rng.integers(1, sim._TREE_QUBITS + 1))
+            period = [random_gate(rng, k) for _ in range(int(rng.integers(1, 40)))]
+            np.testing.assert_allclose(sim._period_matrix(period, range(k)), sim.build_unitary(sim.Circuit(k, period)),
+                                       rtol=0, atol=EQUIV_ATOL)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_long_period_builds_in_stacks_of_slab_size(self, k):
+        # One stack of all 2000 gates would hold 2000 * 4**k entries,
+        # 31 MiB at k = 5.  The batched product keeps an index table of
+        # 32 bytes per gate and column, 2 MiB, and each stack holds at
+        # most _SLAB entries; at k = 6 the matrix is built gate by gate.
+        rng = np.random.default_rng(43)
+        period = [random_gate(rng, k) for _ in range(2000)]
+        sim._product_table.cache_clear()
+        tracemalloc.start()
+        try:
+            u = sim._period_matrix(period, range(k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * len(period) * 2**k + (2 << 20)
+        np.testing.assert_allclose(u, sim._unitary(period, range(k)), rtol=0, atol=EQUIV_ATOL)
+
+    def test_nan_angle_in_a_block_matrix_raises(self):
+        # A NaN reaches the matrix of a repeat, a ladder and a fused run,
+        # and through it the norm check, even where it multiplies only
+        # amplitudes that read 0 (the mry's pattern with qubit 2 at 1).
+        for bad in (sim.ry(np.nan, 0), sim.p(np.nan, 1), sim.cp(np.nan, 0, 1), sim.multiplexed_ry([0.3, np.nan], [2], 0)):
+            period = (sim.cnot(0, 1), bad, sim.h(1))
+            ladder = (sim.cp(0.4, 3, 0), *period)
+            n = 15
+            fused = [*(sim.h(q) for q in range(n)), *period]
+            for c in (sim.Circuit(3, [sim.h(0), sim.Repeat(period, 3)]), sim.Circuit(4, [sim.h(3), sim.Repeat(ladder, 1, (3,))]),
+                      sim.Circuit(n, fused)):
+                for plan in (c._steps, c._grown_steps):
+                    assert {type(step) for step in plan} & {sim._Power, sim._Ladder}
+                with pytest.raises(CircuitError):
+                    sim.run(c)
+                with pytest.raises(CircuitError):
+                    sim.apply_circuit(sim.zero_state(c.n_qubits), c)
+
+    def test_qae_estimates_equal_on_the_gate_by_gate_route(self, monkeypatch):
+        # The equivalence rule: qae's 8x8 ladder block built as one batched
+        # product or gate by gate gives identical seeded estimates and
+        # amplitudes within EQUIV_ATOL.
+        def results():
+            out = []
+            for seed, index in itertools.product((0, 77, 78), range(3)):
+                a, sample_seed = benchmark_qae_input(seed, index)
+                f = loaders.load_amplitude(a).circuit
+                out.append((extractors.qae_estimate(f, 7, 1024, sample_seed, flag=2),
+                            sim.run(extractors.qae_circuit(f, 7, flag=2)).amplitudes))
+            return out
+
+        batched = results()
+        monkeypatch.setattr(sim, "_TREE_QUBITS", 0)
+        for (estimate, amplitudes), (reference, expected) in zip(batched, results(), strict=True):
+            assert estimate == reference
+            np.testing.assert_allclose(amplitudes, expected, rtol=0, atol=EQUIV_ATOL)
 
     def test_equal_periods_share_one_matrix(self, monkeypatch):
         # QAE's controlled Grover operators differ only in their control
@@ -1775,11 +1868,30 @@ class TestGateUnitarity:
             lambda: sim.x(0).shifted(-1),
             lambda: sim.Repeat((sim.h(0), sim.cnot(0, 1)), 2).shifted(-1),
             lambda: sim.Qft((0, 1)).shifted(-1),
+            # a table that is no integers, or an angle that is no real
+            # number, used to run, or to fail only when run
+            lambda: sim.Gate("perm", (0,), table=(1.0, 0.0)),
+            lambda: sim.Gate("perm", (0,), table=(True, False)),
+            lambda: sim.permutation([1.5, 0], [0]),
+            lambda: sim.Gate("ry", (0,), angle="0.3"),
+            lambda: sim.Gate("ry", (0,), angle=1j),
+            lambda: sim.Gate("p", (0,), angle=True),
+            lambda: sim.Gate("mry", (0, 1), angles=("a", "b")),
+            lambda: sim.ry("a", 0),
+            lambda: sim.multiplexed_ry(np.array([0.1, 1j]), [0], 1),
         ],
     )
     def test_gates_that_cannot_run_are_refused(self, make):
         with pytest.raises(CircuitError):
             make()
+
+    def test_tables_and_angles_are_kept_as_plain_numbers(self):
+        g = sim.Gate("perm", (0, 1), table=np.array([1, 2, 3, 0]))
+        assert g.table == (1, 2, 3, 0) and {type(i) for i in g.table} == {int}
+        assert g == sim.permutation([1, 2, 3, 0], [0, 1]) and g.inverse().table == (3, 0, 1, 2)
+        for g in (sim.ry(np.float32(0.5), 0), sim.Gate("p", (0,), angle=1), sim.cp(np.int64(2), 0, 1),
+                  sim.Gate("mry", (0, 1), angles=[np.int64(1), 0.5]), sim.multiplexed_ry(np.arange(2), [0], 1)):
+            assert {type(a) for a in g.angles or (g.angle,)} == {float}
 
     def test_cp_takes_one_or_more_controls(self):
         g = sim.Gate("cp", (3, 0, 1), angle=0.4)
