@@ -9,8 +9,9 @@ measure the width/depth/CNOT trade-offs of the different encodings.
 Amplitude-family loaders build the angle tree (``trees``) in heap order
 and declare its sequential stages as one ``sim.Pyramid`` block: its flat
 expansion (``Circuit.gates``) is one native multiplexed rotation
-(``sim.multiplexed_ry``) per tree level, and the simulator grows the state
-by one stage at a time from one ``cos``/``sin`` pass over the whole tree.
+(``sim.multiplexed_ry``) per tree level.  Met before any qubit is touched,
+the simulator plans it as the state it prepares, made from one
+``cos``/``sin`` pass over the whole tree and written over its buffer.
 For complex input a diagonal phase pass follows, declared as one
 ``sim.Diagonal`` block: the simulator runs it as one multiply by the
 phases, and its flat expansion is one multiplexed RZ per qubit, written as

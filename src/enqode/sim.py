@@ -76,9 +76,9 @@ Conventions used throughout the package:
     slab (Häner et al., arXiv 1604.06460).
   - ``Pyramid``: an amplitude load's cascade of multiplexed RY rotations,
     held as its angle tree in heap order and expanded as one ``mry`` per
-    stage.  On fresh qubits it runs as one growth per stage, fed by one
-    ``cos`` and one ``sin`` over the tree; anywhere else it is planned as
-    its stages, one gate at a time.
+    stage.  Met at width 0 on ascending qubits, its step is the state it
+    prepares, made in the plan (``_Prepared``); anywhere else it is planned
+    as its stages, one gate at a time.
 
   Every other gate runs through ``apply_gate``, except at widths of more
   than ``_FUSE_MIN`` amplitudes (w >= 15), where the plan fuses each
@@ -295,6 +295,18 @@ def _real(value) -> float:
         raise CircuitError(f"angle {value!r} is too large for a float") from None
 
 
+def _reals(values) -> np.ndarray:
+    """``values`` as a read-only flat float64 copy, the one check of a
+    block's angles or phases: integers or floats, as ``_real`` takes them;
+    bools, complex numbers, objects or strings raise ``CircuitError``."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise CircuitError(f"angles must be real numbers, got an array of {array.dtype}")
+    array = array.astype(np.float64).ravel()
+    array.setflags(write=False)
+    return array
+
+
 def _unchecked(item, **changes):
     """A copy of the checked circuit item ``item`` with ``changes`` made to
     its fields, made without its ``__post_init__``: for changes that keep
@@ -431,8 +443,7 @@ class Diagonal:
     inverted: bool = False
 
     def __post_init__(self):
-        phases = np.array(self.phases, dtype=np.float64).ravel()
-        phases.setflags(write=False)
+        phases = _reals(self.phases)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "qubits", _check_qubits(self.qubits))
         if not self.qubits or phases.size != 1 << len(self.qubits):
@@ -476,18 +487,17 @@ class Pyramid:
     Stage j rotates ``qubits[k-1-j]`` by level j of the tree,
     ``angles[2**j - 1 : 2**(j+1) - 1]``, multiplexed over ``qubits[k-j:]``.
     Its flat expansion ``gates`` is one ``mry`` per stage, made on first
-    read and shared with its adjoint.  From fresh qubits its plan step is
-    one growth per stage, every stage's ``cos`` and ``sin`` from one pass
-    over the angles; elsewhere it is planned as its stages
-    (``_execution_plan``)."""
+    read and shared with its adjoint.  On ascending qubits at width 0 its
+    plan step is the state it prepares, made from one ``cos`` and one
+    ``sin`` over the angles (``_pyramid_state``); elsewhere it is planned
+    as its stages (``_execution_plan``)."""
 
     angles: np.ndarray
     qubits: tuple[int, ...]
     inverted: bool = False
 
     def __post_init__(self):
-        angles = np.array(self.angles, dtype=np.float64).ravel()
-        angles.setflags(write=False)
+        angles = _reals(self.angles)
         object.__setattr__(self, "angles", angles)
         qubits = _check_qubits(self.qubits)
         object.__setattr__(self, "qubits", qubits)
@@ -857,6 +867,7 @@ class StateVector:
 
     def __post_init__(self):
         _check_width(self.n_qubits)
+        object.__setattr__(self, "n_qubits", int(self.n_qubits))
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.n_qubits,):
             raise CircuitError(
@@ -873,7 +884,7 @@ class StateVector:
         read-only."""
         amps.setflags(write=False)
         state = object.__new__(cls)
-        object.__setattr__(state, "n_qubits", n_qubits)
+        object.__setattr__(state, "n_qubits", int(n_qubits))
         object.__setattr__(state, "amplitudes", amps)
         return state
 
@@ -1293,6 +1304,41 @@ def _scaled(out: np.ndarray, old: np.ndarray, u) -> None:
         out[...] = old
 
 
+class _Prepared(NamedTuple):
+    """A compact state made in the plan (``_pyramid_state``), written over
+    the buffer at width 0 as ``psi[:2**width]``."""
+
+    width: int
+    state: np.ndarray
+
+    def apply(self, psi: np.ndarray) -> None:
+        psi[: 1 << self.width] = self.state
+
+
+def _pyramid_state(block: Pyramid) -> np.ndarray:
+    """The compact state that ``block``, on ascending fresh qubits, makes
+    from ``|0...0>``, byte-equal to growing it stage by stage: ``[c, s]``
+    of the root, then level by level each amplitude times its pattern's
+    ``c`` and ``s``, the new qubit's bit lowest, from one ``cos`` and one
+    ``sin`` over the half-angles as ``gate_blocks`` makes them.  A growth's
+    products are complex; these are real, their imaginary part +0 once
+    written into the buffer, unless a factor's sign bit is set, which can
+    leave a -0 there."""
+    half = block.angles / 2.0
+    m = half.size
+    cs = np.empty(2 * m)
+    c, s = np.cos(half, out=cs[:m]), np.sin(half, out=cs[m:])
+    # a set sign bit (a negative, -0.0 or a NaN) reads as a negative int64
+    dtype = np.complex128 if cs.view(np.int64).min() < 0 else np.float64
+    state = np.array([c[0], s[0]], dtype=dtype)
+    for w in (1 << j for j in range(1, len(block.qubits))):
+        grown = np.empty((w, 2), dtype=dtype)
+        np.multiply(state, c[w - 1 : 2 * w - 1], out=grown[:, 0])
+        np.multiply(state, s[w - 1 : 2 * w - 1], out=grown[:, 1])
+        state = grown.reshape(-1)
+    return state
+
+
 def _first_column(gate: Gate) -> tuple:
     """What a growth by ``gate`` on its fresh target needs (``_grow_step``):
     for an ``mry`` with controls its ``c`` and ``s`` vectors, and for a
@@ -1311,21 +1357,6 @@ def _first_column(gate: Gate) -> tuple:
         return (1.0, 0.0) if np.isfinite(values) else (values, values)
     c, s = values
     return (float(c[0]), float(s[0])) if len(gate.qubits) == 1 else (c, s)
-
-
-def _pyramid_growths(block: Pyramid) -> list[tuple]:
-    """Each stage of ``block`` as a growth: its qubits, ``(*controls,
-    target)``, and its ``_first_column``, every stage's from one ``cos`` and
-    one ``sin`` over all the half-angles.  They are byte-equal to each
-    stage's ``gate_blocks``, which halves and rounds every angle alike."""
-    half = block.angles / 2.0
-    c, s = np.cos(half), np.sin(half)
-    q, k = block.qubits, len(block.qubits)
-    growths = [(q[k - 1 :], (float(c[0]), float(s[0])))]
-    for j in range(1, k):
-        level = slice((1 << j) - 1, (2 << j) - 1)
-        growths.append(((*q[k - j :], q[k - 1 - j]), (c[level], s[level])))
-    return growths
 
 
 def _grow_step(start: int, width: int, qubits: tuple[int, ...], column: tuple | None = None) -> _Grow:
@@ -1361,19 +1392,20 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
     takes the adjoints of its forward ladder's powers and builds no matrix.
 
     The state is kept as the compact state of the touched qubits T, in
-    ascending order, in ``psi[:2**|T|]`` (``run``).  An item that touches a
-    qubit outside T first inserts it (``_Grow``): a one-qubit gate on it,
-    or an ``mry`` on it whose controls are all in T, is itself the growth,
-    a ``Pyramid`` whose qubits are all outside T is one growth per stage
-    (``_pyramid_growths``), and any other item inserts its fresh qubits
-    reading 0.  Any other ``Pyramid`` is planned as its stages, one gate at
-    a time.  Every other step runs at width |T| with its qubits relabelled
-    by their rank in T, which is the identity while T is ``0..|T|-1``.  If
-    T is not that at the end, one last growth inserts the qubits below its
-    top that no item touched.  At widths of more than ``_FUSE_MIN``
-    amplitudes, runs of gates that follow one another at one width are then
-    fused into dense updates (``_fused``); a block's step, or a growth,
-    ends a run."""
+    ascending order, in ``psi[:2**|T|]`` (``run``).  A non-inverted
+    ``Pyramid`` on ascending qubits met while T is empty is one
+    ``_Prepared`` step, the state it prepares (``_pyramid_state``), and T
+    becomes its qubits; any other ``Pyramid`` is planned as its stages, one
+    gate at a time.  An item that touches a qubit outside T first inserts
+    it (``_Grow``): a one-qubit gate on it, or an ``mry`` on it whose
+    controls are all in T, is itself the growth, and any other item
+    inserts its fresh qubits reading 0.  Every other step runs at width
+    |T| with its qubits relabelled by their rank in T, which is the
+    identity while T is ``0..|T|-1``.  If T is not that at the end, one
+    last growth inserts the qubits below its top that no item touched.  At
+    widths of more than ``_FUSE_MIN`` amplitudes, runs of gates that follow
+    one another at one width are then fused into dense updates
+    (``_fused``); a block's step, or a growth, ends a run."""
     powers: dict[tuple, dict[int, np.ndarray]] = {}
     steps: list = []
     unfused = 0  # the steps made at the current width start here
@@ -1385,29 +1417,28 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
         kind = type(item)
         qubits = item.qubits
         if kind is Pyramid:
-            known = range(width) if prefix else touched
-            if item.inverted or any(q in known for q in qubits):
+            if width or item.inverted or list(qubits) != sorted(qubits):
                 pending += item.gates[::-1]  # each stage planned as the gate it is
                 continue
+            touched, width = list(qubits), len(qubits)
+            prefix = touched[-1] == width - 1
+            steps.append(_Prepared(width, _pyramid_state(item)))
+            unfused = len(steps)
+            continue
         if not prefix or max(qubits) >= width:
             known = range(width) if prefix else touched
             fresh = [q for q in qubits if q not in known]
             if fresh:
                 if (1 << width) > _FUSE_MIN:
                     steps[unfused:] = _fused(steps[unfused:], width)
-                if kind is Pyramid:
-                    growths = _pyramid_growths(item)
-                elif kind is Gate and fresh == [qubits[-1]] and (len(qubits) == 1 or item.kind == MULTIPLEXED_RY):
-                    growths = [(qubits, _first_column(item))]
-                else:
-                    growths = [(fresh, None)]
-                for inserted, column in growths:
-                    start, touched = width, sorted(touched + (fresh if column is None else [inserted[-1]]))
-                    width = len(touched)
-                    prefix = touched[-1] == width - 1
-                    steps.append(_grow_step(start, width, tuple(map(touched.index, inserted)), column))
+                grows = kind is Gate and fresh == [qubits[-1]] and (len(qubits) == 1 or item.kind == MULTIPLEXED_RY)
+                start, touched = width, sorted(touched + fresh)
+                width = len(touched)
+                prefix = touched[-1] == width - 1
+                inserted = tuple(map(touched.index, qubits if grows else fresh))
+                steps.append(_grow_step(start, width, inserted, _first_column(item) if grows else None))
                 unfused = len(steps)
-                if column is not None:
+                if grows:
                     continue
             if not prefix:
                 qubits = tuple(map(touched.index, qubits))
@@ -1670,26 +1701,22 @@ def run(circuit: Circuit) -> StateVector:
     in ascending order, in ``psi[:2**|T|]``; every other qubit reads 0.  A
     one-qubit gate on a fresh qubit, or an ``mry`` on one whose controls
     are touched, writes the two halves of the grown state from the old one
-    (``_Grow``): an angle load is n such doublings, and so are the stages
-    of an amplitude load's ``Pyramid``, each inserting the qubit below the
-    touched ones.  Every other step runs on the compact state with its
-    qubits relabelled by rank.  At the end the amplitudes above the last
-    width are zero-filled, after one strided growth that inserts the
-    untouched qubits below it, if any.  On a 2-vCPU Xeon an angle load at
-    n = 18 planned in 0.11-0.16 ms and ran in 0.58-0.65 ms this way,
-    against 0.35-0.38 and 4.6-5.0 ms fused on a zero-filled buffer (medians
-    of 40); a complex amplitude load at n = 9 planned in 0.054 ms and ran
-    in 0.028 ms, against 0.019 and 0.117 ms by ``apply_circuit`` on
-    ``zero_state``, each stage through ``apply_gate`` (medians of 300, the
-    phase pass included; the stages' ``cos`` and ``sin`` are made in the
-    plan).
+    (``_Grow``): an angle load is n such doublings.  An amplitude load's
+    ``Pyramid``, met before any qubit is touched, is one step instead, its
+    state made in the plan and written over ``psi[:2**k]`` (``_Prepared``).
+    Every other step runs on the compact state with its qubits relabelled
+    by rank.  At the end the amplitudes above the last width are
+    zero-filled, after one strided growth that inserts the untouched
+    qubits below it, if any.  On a 2-vCPU Xeon an angle load at n = 18
+    planned in 0.11-0.16 ms and ran in 0.58-0.65 ms this way, against
+    0.35-0.38 and 4.6-5.0 ms fused on a zero-filled buffer (medians of 40).
 
     The result agrees with ``apply_circuit`` on ``zero_state`` within
     ``EQUIV_ATOL``.  It is byte-equal to the gate-by-gate ``apply_gate``
-    run when every step is a growth, but for the sign of a zero, and an
-    amplitude load, whose phase pass is the same multiply in both plans,
-    is byte-equal to ``apply_circuit``.  The width is checked
-    (``_check_width``) before the buffer is allocated."""
+    run when every step is a growth or a prepared state, but for the sign
+    of a zero, and an amplitude load, whose phase pass is the same multiply
+    in both plans, is byte-equal to ``apply_circuit``.  The width is
+    checked (``_check_width``) before the buffer is allocated."""
     n = circuit.n_qubits
     _check_width(n)
     psi = np.empty(1 << n, dtype=np.complex128)
@@ -1700,16 +1727,16 @@ def run(circuit: Circuit) -> StateVector:
 def _run_steps(psi: np.ndarray, n: int, steps: tuple, width: int, norm_sq: float) -> StateVector:
     """Run the plan ``steps`` (``_execution_plan`` from ``width``) on the
     n-qubit buffer ``psi`` in place: each step on the compact state
-    ``psi[:2**width]``, and each ``_Grow`` on the buffer, widening it.  The
-    amplitudes above the last width are then zero-filled.  Return the state
-    that takes the buffer over; ``CircuitError`` if its squared norm is no
-    longer ``norm_sq`` within ``NORM_ATOL``."""
+    ``psi[:2**width]``, and each ``_Grow`` or ``_Prepared`` on the buffer,
+    widening it.  The amplitudes above the last width are then zero-filled.
+    Return the state that takes the buffer over; ``CircuitError`` if its
+    squared norm is no longer ``norm_sq`` within ``NORM_ATOL``."""
     view = psi[: 1 << width]
     for step in steps:
         kind = type(step)
         if kind is Gate:
             apply_gate(view, step, width)
-        elif kind is _Grow:
+        elif kind is _Grow or kind is _Prepared:
             step.apply(psi)
             width = step.width
             view = psi[: 1 << width]

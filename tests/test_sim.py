@@ -7,6 +7,7 @@ going through the simulator's in-place bit-sliced application.
 import functools
 import gc
 import itertools
+import json
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -1173,13 +1174,13 @@ class TestGrowth:
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     def test_amplitude_loads_are_byte_equal_to_gate_loop(self):
-        # every stage of an amplitude load is a growth; the phase pass of a
-        # complex load then runs as one multiply at full width
+        # a real amplitude load's plan is its pyramid's prepared state; the
+        # phase pass of a complex load then runs as one multiply at full width
         rng = np.random.default_rng(24)
         for n in range(1, 13):
             real = np.abs(rng.normal(size=1 << n))
             c = loaders.load_amplitude(real / np.linalg.norm(real)).circuit
-            assert {type(step) for step in c._grown_steps} == {sim._Grow}
+            assert plan_outline(c._grown_steps) == [(sim._Prepared, n)]
             assert sim.run(c).amplitudes.tobytes() == gate_loop(c).tobytes()
             a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
@@ -1193,20 +1194,20 @@ class TestGrowth:
             assert got.tobytes() == stages_then_phase_pass(c).tobytes()
             assert got.tobytes() == sim.apply_circuit(sim.zero_state(9), c).amplitudes.tobytes()
 
-    def test_amplitude_load_reads_one_copy_of_half_the_state(self):
-        # n = 18: each stage inserts the lowest qubit, reading the old state
-        # from one copy, at most half the 4 MiB state
+    def test_amplitude_load_keeps_one_state(self):
+        # n = 18: the run copies the prepared 4 MiB state into its buffer
+        # and multiplies the phases in, with no state-sized temporary
         n = 18
         a = RNG.normal(size=1 << n) + 1j * RNG.normal(size=1 << n)
         c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
-        c._grown_steps  # the plan itself is small; measure the run
+        c._grown_steps  # the plan holds the pyramid's state and the phases; measure the run
         tracemalloc.start()
         try:
             sim.run(c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (16 << n) + (8 << n) + (1 << 20)
+        assert peak < (16 << n) + (1 << 20)
 
     def test_run_keeps_one_state(self):
         # n = 18: the state takes 4 MiB; growing it needs no temporaries
@@ -1594,8 +1595,10 @@ def with_level_stages(c: sim.Circuit) -> sim.Circuit:
 
 
 def plan_outline(steps) -> list:
-    """Each step's type, with a growth's width and a gate itself."""
-    return [(type(s), s.width if type(s) is sim._Grow else s if type(s) is sim.Gate else None) for s in steps]
+    """Each step's type, with a growth's or prepared state's width and a
+    gate itself."""
+    widths = (sim._Grow, sim._Prepared)
+    return [(type(s), s.width if type(s) in widths else s if type(s) is sim.Gate else None) for s in steps]
 
 
 class TestPyramid:
@@ -1639,6 +1642,24 @@ class TestPyramid:
         with pytest.raises(CircuitError):
             sim.Pyramid(np.zeros(15), range(4))
 
+    @pytest.mark.parametrize("value", [0.3 + 1j, True, None, "a"], ids=["complex", "bool", "none", "string"])
+    @pytest.mark.parametrize("block", [sim.Pyramid, sim.Diagonal])
+    def test_blocks_refuse_angles_gate_refuses(self, block, value):
+        # numpy would keep 0.3 of 0.3+1j, 1.0 of True and NaN of None
+        with pytest.raises(CircuitError):
+            sim.ry(value, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CircuitError, match="real numbers"):
+                block([value] * (1 if block is sim.Pyramid else 2), (0,))
+
+    def test_blocks_take_integer_and_float_angles(self):
+        for values in (np.array([1, -2, 3], dtype=np.int8), np.array([1, 2, 3], dtype=np.uint16), [1, 2, 3],
+                       np.array([0.5, 1.5, -2.0], dtype=np.float32)):
+            for block in (sim.Pyramid(values, (0, 1)), sim.Diagonal([*values, 0], (0, 1))):
+                held = block.angles if type(block) is sim.Pyramid else block.phases[:3]
+                assert held.dtype == np.float64 and held.tolist() == np.asarray(values, dtype=np.float64).tolist()
+
     def test_loads_run_byte_equal_to_their_level_stages(self):
         # real, complex and equally-weighted loads and every bidirectional
         # split: the run is the one its per-level multiplexers give
@@ -1665,13 +1686,16 @@ class TestPyramid:
                     assert got == stages_then_phase_pass(c).tobytes()
 
     def test_plans_as_its_level_stages(self):
-        # a pyramid whose qubits are all fresh, above, below or between
-        # touched ones, grows one stage at a time without building its
-        # expansion; an inverted one, or one on a touched qubit, is planned
-        # as its stages: either way as the per-level multiplexers are
+        # a pyramid on ascending qubits at width 0 is one prepared state,
+        # made without building its expansion, in place of its stages'
+        # growths; any other is planned as its stages: either way as the
+        # per-level multiplexers are
         rng = np.random.default_rng(73)
         for before, qubits, inverted in (
             ([], (0, 1, 2), False),
+            ([], (1, 3), False),
+            ([], (2, 0), False),
+            ([], (1, 3, 4), True),
             ([sim.h(3)], (0, 1, 2), False),
             ([sim.h(0), sim.h(4)], (3, 1, 2), False),
             ([sim.h(2)], (5, 0, 3, 1), False),
@@ -1683,11 +1707,21 @@ class TestPyramid:
             pyramid = sim.Pyramid(rng.uniform(-np.pi, np.pi, (1 << k) - 1), qubits, inverted)
             c = sim.Circuit(6, [*before, pyramid, sim.cnot(qubits[0], 5 if 5 not in qubits else 4)])
             flat = with_level_stages(c)
-            assert plan_outline(c._grown_steps) == plan_outline(flat._grown_steps)
-            touched = {q for g in before for q in g.qubits}
-            assert ("_stages" in vars(pyramid)) == (inverted or bool(touched.intersection(qubits)))
+            prepared = not before and not inverted and list(qubits) == sorted(qubits)
+            outline = plan_outline(flat._grown_steps)
+            if prepared:
+                outline = [(sim._Prepared, k), *outline[k:]]
+            assert plan_outline(c._grown_steps) == outline
+            assert ("_stages" in vars(pyramid)) != prepared
             assert sim.run(c).amplitudes.tobytes() == sim.run(flat).amplitudes.tobytes()
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    def test_nan_angle_in_a_prepared_state_raises(self):
+        # the NaN reaches the prepared state, and the run's norm check
+        c = sim.Circuit(3, [sim.Pyramid([0.3, np.nan, 0.2], (1, 2)), sim.h(0)])
+        assert plan_outline(c._grown_steps)[0] == (sim._Prepared, 2)
+        with pytest.raises(CircuitError, match="squared norm"):
+            sim.run(c)
 
     def test_pyramids_after_touched_qubits(self):
         # the swap test loads b's pyramid above a's; amp -> EW runs F's
@@ -1761,6 +1795,12 @@ class TestStateVector:
                 sim.StateVector(n, [1.0])
         with pytest.raises(CircuitError):
             sim.StateVector(1.0, [1.0, 0.0])
+
+    def test_width_is_a_plain_int(self):
+        # a numpy integer width is stored as an int, so that json takes it
+        for state in (sim.zero_state(np.int64(2)), sim.StateVector(np.int64(1), [1, 0])):
+            assert type(state.n_qubits) is int
+            assert json.dumps(state.n_qubits) == str(state.n_qubits)
 
     def test_amplitude_count_must_match_the_width(self):
         with pytest.raises(CircuitError, match="needs 4 amplitudes"):
