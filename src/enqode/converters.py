@@ -205,7 +205,7 @@ def convert_amplitude_to_ew(u_a: Circuit, m: int) -> Circuit:
     gates: list = [sim.h(q) for q in index_reg]
     # estimate block: F once, then phase estimation on its Grover operator
     estimate = list(f_circ.shifted(0, width).items)
-    estimate.extend(qpe_gates(f_circ, flag, m, reflection_qubits=work_reg + (flag,), width=width))
+    estimate.extend(qpe_gates(f_circ, flag, m, reflection_qubits=work_reg + (flag,)))
     gates.extend(estimate)
     # reversible digit write |y>|z> -> |y>|z + g(y) mod 2^m>: the qRAM
     # oracle of the digit table g, indexed by the phase register

@@ -18,9 +18,9 @@ from statistics import NormalDist
 import numpy as np
 
 from . import sim
-from .converters import _check_m, qft_circuit
+from .converters import _check_m, qft_circuit  # noqa: F401  (benchmarks/tracing.py wraps extractors.qft_circuit)
 from .errors import CircuitError, NotDeterministicError
-from .sim import Circuit, Gate, StateVector
+from .sim import Circuit, StateVector
 
 QAE_CONFIDENCE = 8.0 / np.pi**2
 
@@ -36,10 +36,16 @@ class EstimateResult:
 
 
 def _flag_qubit(f: Circuit, flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    reg = f.registers.get("flag")
-    return reg[0] if reg else f.n_qubits - 1
+    """The flag qubit of ``f``: ``flag``, else its ``flag`` register's
+    qubit, else its top qubit.  The one check of a flag: ``CircuitError``,
+    naming it, unless it is an integer (not a bool) in ``0..n-1`` for ``f``
+    of n qubits."""
+    if flag is None:
+        reg = f.registers.get("flag")
+        return reg[0] if reg else f.n_qubits - 1
+    if not sim._is_integer(flag) or not 0 <= flag < f.n_qubits:
+        raise CircuitError(f"flag {flag!r} is not a qubit of F, 0..{f.n_qubits - 1}")
+    return int(flag)
 
 
 # --------------------------------------------------------------------------
@@ -72,7 +78,8 @@ def mode_readout(
     smaller integer.  ``strategy="median"`` uses the sample median instead
     (no failure bound asserted for it)."""
     counts = sim.sample_counts(state, register, shots, seed)
-    hist = {y: int(counts[y]) for y in np.flatnonzero(counts).tolist()}
+    nz = np.flatnonzero(counts)
+    hist = dict(zip(nz.tolist(), counts[nz].tolist()))
     if strategy == "median":
         # np.median of the sorted outcomes: the mean of the two middle ones
         # (equal when shots is odd), truncated.
@@ -129,67 +136,55 @@ def naive_amplitude_estimate(
 # --------------------------------------------------------------------------
 
 
-def _x_layer(reflection_qubits) -> tuple[Gate, ...]:
-    """One X on each of ``reflection_qubits``: the layer on either side of
-    a reflection about |0...0>, made once and shared by every reflection
-    on those qubits (gates are immutable)."""
-    flips = tuple(sim.x(q) for q in reflection_qubits)
-    if not flips:
-        raise CircuitError("a reflection about |0...0> needs at least one qubit")
-    return flips
-
-
-def _grover_gates(f_items, f_inverse, flag: int, flips: tuple[Gate, ...], control: int | None = None) -> list:
-    """The items of Q = F . (reflection about |0..0>) . F-inverse . (flag
-    phase flip), given F's items, F-inverse's items and the reflection's X
-    layer ``flips`` (``_x_layer``), with the overall sign fixed so the
-    eigenphases are exactly ``+-2*theta``.  The reflection is the X layer,
-    one phase of pi on the pattern where every qubit involved reads 1 (a
-    multi-controlled CP, or a P on one qubit), and the X layer again.
-    With a ``control`` this is controlled Q: only the reflections and the
-    global sign need the control, since F and F-inverse cancel on the
-    control-0 branch."""
-    controls = () if control is None else (control,)
-
-    def phase_pi(*qubits: int) -> Gate:
-        qubits = (*controls, *qubits)
-        return Gate(sim.CP if len(qubits) > 1 else sim.PHASE, qubits, angle=np.pi)
-
-    reflection = phase_pi(*(g.qubits[0] for g in flips))
-    gates = [phase_pi(flag), *f_inverse, *flips, reflection, *flips, *f_items]
+def _grover_gates(f_items, flag: int, reflected, control: int | None = None) -> list:
+    """The period of Q = F . (reflection about |0..0>) . F-inverse . (flag
+    phase flip), given F's items and the qubits the reflection reads, with
+    the overall sign fixed so the eigenphases are exactly ``+-2*theta``:
+    the flag's phase of pi, one ``sim.Reflection`` (F-inverse, the
+    reflection about |0..0> of ``reflected`` and F), and the sign.  With a
+    ``control`` this is controlled Q: only the flag phase, the reflection's
+    middle phase and the global sign need the control, since F and
+    F-inverse cancel on the control-0 branch."""
     if control is None:  # global -1: (X P(pi))^2 = -I on any one qubit
-        return gates + [sim.p(np.pi, flag), sim.x(flag), sim.p(np.pi, flag), sim.x(flag)]
-    return gates + [sim.p(np.pi, control)]  # controlled global -1
+        sign = [sim.p(np.pi, flag), sim.x(flag), sim.p(np.pi, flag), sim.x(flag)]
+        return [sim.p(np.pi, flag), sim.Reflection(f_items, reflected), *sign]
+    return [sim.cp(np.pi, control, flag), sim.Reflection(f_items, reflected, (control,)), sim.p(np.pi, control)]
 
 
 def grover_operator(f: Circuit, flag: int | None = None, reflection_qubits=None) -> Circuit:
     """Q = F . (reflection about |0..0>) . F-inverse . (flag phase flip)
     (``_grover_gates``), whose eigenphases are ``+-2*theta`` where
-    ``sin(theta)**2`` is the flag-1 probability of ``F|0>``.  A caller
-    repeating Q declares a ``sim.Repeat`` of its gates (one matrix power)."""
+    ``sin(theta)**2`` is the flag-1 probability of ``F|0>``.  It is one
+    ``sim.Repeat`` of count 1 whose period holds a ``sim.Reflection``, so
+    its plan step is one matrix on at most ``sim._POWER_QUBITS`` qubits.  A
+    caller repeating Q r times declares ``sim.Repeat(period, r)`` of that
+    period (one matrix power)."""
     flag = _flag_qubit(f, flag)
-    flips = _x_layer(reflection_qubits if reflection_qubits is not None else range(f.n_qubits))
-    gates = _grover_gates(f.items, f.inverse().items, flag, flips)
-    return Circuit(f.n_qubits, gates, f.registers, f.query_count)
+    reflected = reflection_qubits if reflection_qubits is not None else range(f.n_qubits)
+    period = tuple(_grover_gates(f.items, flag, reflected))
+    return Circuit(f.n_qubits, [sim.Repeat(period, 1)], f.registers, f.query_count)
 
 
-def qpe_gates(f: Circuit, flag: int, m: int, reflection_qubits=None, width: int | None = None) -> list:
+def qpe_gates(f: Circuit, flag: int | None, m: int, reflection_qubits=None) -> list:
     """Phase estimation on Q(F): H layer, controlled powers of Q, inverse
     Fourier transform on the ``m`` phase qubits sitting above ``f``.  The
     m powers ``Q**(2**j)``, each controlled on phase qubit j, are one
     ladder ``sim.Repeat``: controlled Q on the lowest phase qubit, whose
     control-0 block is the identity (``_grover_gates``), declared once.
-    The simulator runs it as one step, powering Q's control-1 block and
-    applying ``Q**(2**j)`` only where phase qubit j reads 1.  The inverse
-    transform is one ``sim.Qft`` block."""
+    The simulator runs it as one step, powering Q's control-1 block, whose
+    reflection is planned from the state F prepares without multiplying
+    F's gates, and applying ``Q**(2**j)`` only where phase qubit j reads 1.
+    The inverse transform is one ``sim.Qft`` block.  The flag is checked
+    (``_flag_qubit``); no circuit is built here, and F is never inverted:
+    the reflection holds F's items."""
     _check_m(m)
+    flag = _flag_qubit(f, flag)
     w = f.n_qubits
-    width = width if width is not None else w + m
-    flips = _x_layer(reflection_qubits if reflection_qubits is not None else range(w))
-    period = tuple(_grover_gates(f.gates, f.inverse().gates, flag, flips, w))
-    gates: list = [sim.h(w + j) for j in range(m)]
-    gates.append(sim.Repeat(period, 1, tuple(range(w, w + m))))
-    gates.extend(qft_circuit(m).inverse().shifted(w, width).items)
+    reflected = reflection_qubits if reflection_qubits is not None else range(w)
+    phase = tuple(range(w, w + m))
+    gates: list = [sim.h(q) for q in phase]
+    gates.append(sim.Repeat(tuple(_grover_gates(f.items, flag, reflected, w)), 1, phase))
+    gates.append(sim.Qft(phase, True))
     return gates
 
 
@@ -198,13 +193,10 @@ def qae_circuit(f: Circuit, m: int, flag: int | None = None) -> Circuit:
     estimation on an ``m``-qubit phase register above them (``qpe_gates``),
     with F's registers plus ``qae_phase``.  Its flat ``gates`` list each
     controlled power ``Q**(2**j)`` as 2**j copies of controlled Q."""
-    flag = _flag_qubit(f, flag)
-    width = f.n_qubits + m
-    gates = list(f.items)
-    gates.extend(qpe_gates(f, flag, m, width=width))
+    gates = [*f.items, *qpe_gates(f, flag, m)]
     regs = dict(f.registers)
-    regs["qae_phase"] = tuple(range(f.n_qubits, width))
-    return Circuit(width, gates, regs, f.query_count)
+    regs["qae_phase"] = tuple(range(f.n_qubits, f.n_qubits + m))
+    return Circuit(f.n_qubits + m, gates, regs, f.query_count)
 
 
 def qae_outcome_distribution(f: Circuit, m: int, flag: int | None = None) -> np.ndarray:

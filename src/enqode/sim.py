@@ -58,16 +58,22 @@ Conventions used throughout the package:
   n, ``Circuit._grown_steps`` from width 0): each block as one step, gates
   by ``apply_gate`` or, on wide states, in fused runs (below), and from
   width 0 a growth (``_Grow``) wherever an item first touches a qubit,
-  every other step relabelled onto the touched qubits.  There are four
-  blocks, each run on the ``_view_shape`` view of its qubits:
+  every other step relabelled onto the touched qubits.  There are five
+  blocks; the four that are items run on the ``_view_shape`` view of
+  their qubits:
 
-  - ``Repeat``: gates applied ``count`` times back to back, or a ladder
-    of such repeats (phase estimation's controlled powers).  On at most
-    ``_POWER_QUBITS`` qubits, a ladder's control left out, its step is its
-    ``2**k``-square matrix raised to the count, or a ladder's control-1
-    block raised to each rung's count and applied where the rung's control
-    reads 1; equal periods share one matrix.  A wider repeat runs gate by
-    gate.
+  - ``Repeat``: gates and reflections applied ``count`` times back to
+    back, or a ladder of such repeats (phase estimation's controlled
+    powers).  On at most ``_POWER_QUBITS`` qubits, a ladder's control left
+    out, its step is its ``2**k``-square matrix raised to the count, or a
+    ladder's control-1 block raised to each rung's count and applied where
+    the rung's control reads 1; equal periods share one matrix.  A wider
+    repeat runs gate by gate.
+  - ``Reflection``: ``F (I - 2 P) F^dagger``, a Grover operator's
+    reflection about the state that the items F prepare, met only in a
+    repeat's period.  Its part of the period's matrix is made from the
+    columns of F that P keeps, for QAE ``F|0...0>`` alone, and not from
+    F's gates.
   - ``Diagonal``: a diagonal unitary (an amplitude load's phase pass),
     expanded as one multiplexed RZ per qubit and run as one elementwise
     multiply by its diagonal (Bullock & Markov, quant-ph/0303039).
@@ -324,33 +330,77 @@ def _inverted(gates: Sequence[Gate]) -> tuple[Gate, ...]:
 
 
 @dataclass(frozen=True)
+class Reflection:
+    """A declared block, met only in a ``Repeat``'s period: ``F (I - 2 P)
+    F^dagger``, a Grover operator's reflection about the encoded state
+    (Brassard et al., quant-ph/0005055), with ``F`` the circuit items
+    ``items`` and ``P`` the projector onto the states where ``reflected``
+    reads 0 and ``controls`` read 1.  Its flat expansion ``gates`` is
+    ``F``-inverse, an X on each reflected qubit, a phase of pi where they
+    and the controls read 1, the X layer and ``F``, or that list's adjoint
+    when ``inverted``.  Its matrix is made without them
+    (``_reflected_product``)."""
+
+    items: tuple
+    reflected: tuple[int, ...]
+    controls: tuple[int, ...] = ()
+    inverted: bool = False
+
+    def __post_init__(self):
+        items, reflected, controls = tuple(self.items), _check_qubits(self.reflected), _check_qubits(self.controls)
+        if not reflected or not set(map(type, items)) <= _ITEM_TYPES:
+            raise CircuitError("a reflection needs a reflected qubit, and an F of gates and declared blocks")
+        touched = {q for i in items for q in i.qubits}.union(reflected)
+        _check_qubits((*touched, *controls))  # no control on F or a reflected qubit
+        qubits = tuple(sorted(touched.union(controls)))
+        for name, value in zip(("items", "reflected", "controls", "qubits"), (items, reflected, controls, qubits)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        f = tuple(itertools.chain.from_iterable(i.gates for i in self.items))
+        flips = tuple(map(x, self.reflected))
+        qubits = (*self.controls, *self.reflected)
+        gates = (*_inverted(f), *flips, Gate(CP if len(qubits) > 1 else PHASE, qubits, angle=np.pi), *flips, *f)
+        return _inverted(gates) if self.inverted else gates
+
+    def inverse(self) -> "Reflection":
+        return _unchecked(self, inverted=not self.inverted)
+
+    def shifted(self, offset: int) -> "Reflection":
+        moved = [tuple(q + offset for q in qs) for qs in (self.reflected, self.controls)]
+        return Reflection(tuple(i.shifted(offset) for i in self.items), *moved, self.inverted)
+
+
+@dataclass(frozen=True)
 class Repeat:
-    """A declared block: the tuple ``period`` of gates applied ``count``
-    times in a row, its flat expansion ``gates``.  On at most
-    ``_POWER_QUBITS`` qubits its plan step, for any count, is one power of
-    the period's matrix (``_period_matrix``); a wider repeat runs gate by
-    gate.
+    """A declared block: the tuple ``period`` of gates and ``Reflection``
+    blocks applied ``count`` times in a row, its flat expansion ``gates``.
+    On at most ``_POWER_QUBITS`` qubits its plan step, for any count, is one
+    power of the period's matrix (``_period_matrix``); a wider repeat runs
+    gate by gate.
 
     With ``controls`` it is a ladder (phase estimation's controlled
     powers): the period is written controlled on ``controls[0]`` and
     declared the identity where that wire reads 0, which only a test can
     check (``build_unitary`` of the period).  It may touch the wire only as
-    a control of a CNOT, CP or ``mry``, or by a P on it alone
+    a control of a CNOT, CP, ``mry`` or reflection, or by a P on it alone
     (``_control_one``); any other gate on it raises ``CircuitError``.  Rung
     j is the period moved onto ``controls[j]`` and applied ``count * 2**j``
     times; ``gates`` lists the rungs in order, or the last first when
     ``inverted`` (a ladder's adjoint).  Its plan step powers the matrix of
     the period's control-1 block (``_repeat_step``), on at most
-    ``_POWER_QUBITS`` qubits once the control is left out."""
+    ``_POWER_QUBITS`` qubits once the control is left out; the block is made
+    once, with the ladder."""
 
-    period: tuple[Gate, ...]
+    period: tuple[Gate | Reflection, ...]
     count: int
     controls: tuple[int, ...] = ()
     inverted: bool = False
 
     def __post_init__(self):
-        if type(self.period) is not tuple or set(map(type, self.period)) != {Gate}:
-            raise CircuitError("a repeat holds a non-empty tuple of gates")
+        if type(self.period) is not tuple or not self.period or not set(map(type, self.period)) <= {Gate, Reflection}:
+            raise CircuitError("a repeat holds a non-empty tuple of gates and reflections")
         if not _is_integer(self.count) or self.count < 1:
             raise CircuitError(f"repeat count must be an integer >= 1, got {self.count!r}")
         controls = _check_qubits(self.controls)
@@ -362,17 +412,19 @@ class Repeat:
             if controls[0] not in touched:
                 raise CircuitError(f"a ladder's period must act on its control {controls[0]}")
             _check_qubits((*touched.difference(controls[:1]), *controls))
-            _control_one(self.period, controls[0])
+            forward = _inverted(self.period) if self.inverted else self.period
+            object.__setattr__(self, "_control_block", _control_one(forward, controls[0]))
 
     @property
     def gates(self) -> tuple[Gate, ...]:
+        period = tuple(itertools.chain.from_iterable(g.gates for g in self.period))
         if not self.controls:
-            return self.period * self.count
+            return period * self.count
         first = self.controls[0]
         rungs = [
             tuple(
                 _unchecked(g, qubits=tuple(c if q == first else q for q in g.qubits)) if first in g.qubits else g
-                for g in self.period
+                for g in period
             )
             * (self.count << j)
             for j, c in enumerate(self.controls)
@@ -391,15 +443,15 @@ class Repeat:
         return Repeat(tuple(g.shifted(offset) for g in self.period), self.count, controls, self.inverted)
 
 
-def _control_one(period: Sequence[Gate], control: int) -> tuple[list[Gate], complex]:
+def _control_one(period: Sequence[Gate | Reflection], control: int) -> tuple[list[Gate | Reflection], complex]:
     """The control-1 block of ``period``, a ladder's period that acts on
-    ``control`` only as a control: its gates with ``control`` dropped, and
+    ``control`` only as a control: its items with ``control`` dropped, and
     the scalar that the phases on ``control`` alone multiply together.  A
-    CP loses the control (a P if one qubit is left), a CNOT from it is an X
-    on its target, and an ``mry`` over it keeps the angles of the patterns
-    where it reads 1.  Any other gate on ``control`` raises
+    CP or a reflection loses the control (a CP on one qubit is a P), a CNOT
+    from it is an X on its target, and an ``mry`` over it keeps the angles
+    of the patterns where it reads 1.  Any other item on ``control`` raises
     ``CircuitError``."""
-    gates: list[Gate] = []
+    gates: list[Gate | Reflection] = []
     scalar = 1.0
     for g in period:
         qubits = g.qubits
@@ -407,7 +459,11 @@ def _control_one(period: Sequence[Gate], control: int) -> tuple[list[Gate], comp
             gates.append(g)
             continue
         rest = tuple(q for q in qubits if q != control)
-        if g.kind == PHASE:
+        if type(g) is Reflection:
+            if control not in g.controls:
+                raise CircuitError(f"a reflection on {qubits} acts on the ladder's control {control} not as a control")
+            gates.append(Reflection(g.items, g.reflected, tuple(q for q in g.controls if q != control), g.inverted))
+        elif g.kind == PHASE:
             scalar *= gate_blocks(g)[1]
         elif g.kind == CP:
             gates.append(_unchecked(g, kind=PHASE if len(rest) == 1 else CP, qubits=rest))
@@ -731,9 +787,10 @@ def _walk_levels(level: list[int], controls: Sequence[int], target: int) -> None
 class Circuit:
     """An ordered list of circuit items over ``n_qubits`` wires, with named
     registers.  ``items`` holds gates and declared blocks (``Repeat``,
-    ``Diagonal``, ``Qft``, ``Pyramid``), which answer one protocol:
-    ``qubits``, ``gates``, ``inverse()`` and ``shifted(offset)``; any other
-    item raises ``CircuitError``.  The circuit stores only its items.
+    whose period may hold a ``Reflection``, ``Diagonal``, ``Qft``,
+    ``Pyramid``); gates and all five blocks answer one protocol: ``qubits``,
+    ``gates``, ``inverse()`` and ``shifted(offset)``.  Any other item
+    raises ``CircuitError``.  The circuit stores only its items.
     ``gates``, the flat list with each block replaced by its expansion, is
     made on first read.  Two circuits are equal when their widths, flat
     lists, registers and query counts are.
@@ -1323,7 +1380,12 @@ def _pyramid_state(block: Pyramid) -> np.ndarray:
     ``sin`` over the half-angles as ``gate_blocks`` makes them.  A growth's
     products are complex; these are real, their imaginary part +0 once
     written into the buffer, unless a factor's sign bit is set, which can
-    leave a -0 there."""
+    leave a -0 there.  It is made once and kept, read-only, on the block
+    (``inverse`` copies it): a reflection about the state that a load
+    prepares reads it again."""
+    state = block.__dict__.get("_state")
+    if state is not None:
+        return state
     half = block.angles / 2.0
     m = half.size
     cs = np.empty(2 * m)
@@ -1336,6 +1398,8 @@ def _pyramid_state(block: Pyramid) -> np.ndarray:
         np.multiply(state, c[w - 1 : 2 * w - 1], out=grown[:, 0])
         np.multiply(state, s[w - 1 : 2 * w - 1], out=grown[:, 1])
         state = grown.reshape(-1)
+    state.setflags(write=False)
+    block.__dict__["_state"] = state
     return state
 
 
@@ -1485,23 +1549,28 @@ def _repeat_step(item: Repeat, place, n: int, powers: dict[tuple, dict[int, np.n
     Repeats whose forward periods are equal on their own qubits share one
     matrix and its powers (``_power``) in ``powers``, keyed by the
     control's position and a plain tuple per gate: kind, qubit positions,
-    angle, angles, table."""
+    angle, angles, table; a reflection is keyed by its qubits' positions
+    and itself."""
     period = _inverted(item.period) if item.inverted else item.period
     own = sorted({q for g in period for q in g.qubits})
     control = item.controls[0] if item.controls else None
     at = {q: i for i, q in enumerate(own)}.__getitem__
-    key = tuple([(g.kind, tuple(map(at, g.qubits)), g.angle, g.angles, g.table) for g in period])
+    key = tuple([
+        (g.kind, tuple(map(at, g.qubits)), g.angle, g.angles, g.table) if type(g) is Gate else (tuple(map(at, g.qubits)), g)
+        for g in period
+    ])
     key = (None if control is None else at(control), key)
     others = [q for q in own if q != control]
-    if key not in powers:
-        gates, scalar = (period, 1.0) if control is None else _control_one(period, control)
-        powers[key] = {1: _period_matrix(gates, others) * scalar}
+    shared = powers.get(key)
+    if shared is None:
+        gates, scalar = (period, 1.0) if control is None else item._control_block
+        shared = powers[key] = {1: _period_matrix(gates, others) * scalar}
     others = list(map(place, others))
     if control is None:
-        return _power_step(_power(powers[key], item.count), tuple(others), n)
+        return _power_step(_power(shared, item.count), tuple(others), n)
     rungs = []
     for j, c in enumerate(item.controls):
-        matrix = _power(powers[key], item.count << j)
+        matrix = _power(shared, item.count << j)
         if item.inverted:
             matrix = np.ascontiguousarray(matrix.conj().T)
         rungs.append(_power_step(matrix, (*others, place(c)), n, controlled=True))
@@ -1576,15 +1645,18 @@ def _multiply_step(block: Diagonal, qubits: tuple[int, ...], n: int) -> _Multipl
     return _Multiply(factors.reshape(coef_shape), tuple(shape[a] for a in kept))
 
 
-def _period_matrix(period: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
-    """The product of ``period``'s gate matrices on the 2**k-dimensional
-    space of ``qubits`` (local bit i = ``qubits[i]``), first gate
-    rightmost; ``_unitary``'s on more than ``_TREE_QUBITS`` qubits.
-    Otherwise the gates' matrices are scattered, by the period's cached
+def _period_matrix(period: Sequence[Gate | Reflection], qubits: Sequence[int]) -> np.ndarray:
+    """The product of ``period``'s matrices on the 2**k-dimensional space
+    of ``qubits`` (local bit i = ``qubits[i]``), first item rightmost;
+    ``_reflected_product``'s for a period that holds a ``Reflection``, and
+    ``_unitary``'s on more than ``_TREE_QUBITS`` qubits.  Otherwise the
+    gates' matrices are scattered, by the period's cached
     ``_product_table``, from one ``cos``, ``sin`` and ``exp`` over all its
     half-angles and phases (byte-equal to ``gate_blocks``'), into stacks
     of at most ``_SLAB`` entries, each multiplied pairwise, later gates on
     the left.  It agrees with ``_unitary`` within ``EQUIV_ATOL``."""
+    if Reflection in map(type, period):
+        return _reflected_product(period, qubits)
     k = len(qubits)
     if k > _TREE_QUBITS:
         return _unitary(period, qubits)
@@ -1653,19 +1725,47 @@ def _product_table(structure: tuple, k: int, chunk: int) -> tuple[np.ndarray, np
     return positions, sources
 
 
-def _unitary(gates: Sequence[Gate], qubits: Sequence[int]) -> np.ndarray:
+def _reflected_product(period: Sequence[Gate | Reflection], qubits: Sequence[int]) -> np.ndarray:
+    """``_period_matrix`` of a period with a ``Reflection``, made on the
+    identity ``u`` item by item: a gate runs on its rows (``_unitary``), and
+    a reflection makes it ``u - 2 F_P (F_P^dagger u)``, ``F_P`` the columns
+    of ``F`` that ``P`` keeps.  If that is ``|0...0>`` of ascending qubits,
+    ``F_P`` is ``run`` of ``F`` (an amplitude load's prepared state), and
+    no gate of ``F`` is multiplied; else ``F``'s gates run on the columns."""
+    k, at, lo = len(qubits), {q: i for i, q in enumerate(qubits)}, qubits[0]
+    u = np.eye(1 << k, dtype=np.complex128)
+    for item in period:
+        if type(item) is Gate:
+            _unitary((item,), qubits, u)
+            continue
+        zero = sum(1 << at[q] for q in item.reflected)
+        if zero == (1 << k) - 1 and list(qubits) == list(range(lo, lo + k)):
+            f_p = run(Circuit(k, [i.shifted(-lo) for i in item.items] if lo else item.items)).amplitudes[:, None]
+        else:
+            one = sum(1 << at[q] for q in item.controls)
+            columns = [b for b in range(1 << k) if not b & zero and b & one == one]
+            f_p = np.zeros((1 << k, len(columns)), dtype=np.complex128)
+            f_p[columns, range(len(columns))] = 1.0
+            _unitary([g for i in item.items for g in i.gates], qubits, f_p)
+        u -= f_p @ (2.0 * (f_p.conj().T @ u))
+    return u
+
+
+def _unitary(gates: Sequence[Gate], qubits: Sequence[int], u: np.ndarray | None = None) -> np.ndarray:
     """The product of ``gates``' matrices on the 2**k-dimensional space of
-    ``qubits`` (local bit i = ``qubits[i]``), first gate rightmost, built
-    in place: ``apply_gate`` runs each gate once on the row bits of the
-    flattened identity at width 2k (``qubits[i]`` becomes bit ``k + i``),
+    ``qubits`` (local bit i = ``qubits[i]``), first gate rightmost, times
+    ``u``, a C-contiguous ``(2**k, 2**c)`` matrix (the identity if None),
+    built in ``u``: ``apply_gate`` runs each gate once on the row bits of
+    ``u`` flattened, at width k + c (``qubits[i]`` becomes bit ``c + i``),
     so every column goes through the gates and the matrix is the only
     large allocation."""
     k = len(qubits)
-    row = {q: k + i for i, q in enumerate(qubits)}.__getitem__
-    u = np.eye(1 << k, dtype=np.complex128)
+    u = np.eye(1 << k, dtype=np.complex128) if u is None else u
+    c = u.shape[1].bit_length() - 1
+    row = {q: c + i for i, q in enumerate(qubits)}.__getitem__
     flat = u.reshape(-1)
     for g in gates:
-        apply_gate(flat, _unchecked(g, qubits=tuple(map(row, g.qubits))), 2 * k)
+        apply_gate(flat, _unchecked(g, qubits=tuple(map(row, g.qubits))), k + c)
     return u
 
 

@@ -6,6 +6,7 @@ Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055), the swap test against
 formula.  The closed forms take only the flag probability of ``F|0>`` or
 the overlap of the two loaded states as input.
 """
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -80,14 +81,36 @@ class TestAmplitudeEstimation:
                 ext.qae_estimate(f, m, shots, seed)
 
 
+def test_flag_outside_f_is_refused_by_name():
+    # F's width, a phase qubit, a negative qubit, a bool and a float used
+    # to fail by accident, on a repeated or out-of-range qubit, or not at
+    # all; each of these functions now names the flag.
+    f = random_loader(np.random.default_rng(5), 2)
+    for flag in (f.n_qubits, f.n_qubits + 1, -1, True, 1.0):
+        for call in (
+            lambda: ext.qae_estimate(f, 3, 16, 0, flag=flag),
+            lambda: ext.qae_circuit(f, 3, flag),
+            lambda: ext.grover_operator(f, flag),
+            lambda: ext.naive_amplitude_estimate(f, 16, 0.9, 0, flag=flag),
+        ):
+            with pytest.raises(CircuitError, match=re.escape(f"flag {flag!r} is not a qubit of F")):
+                call()
+    assert ext.qae_circuit(f, 3, np.int64(0)) == ext.qae_circuit(f, 3, 0)
+
+
 def test_phase_estimation_inverts_f_once(monkeypatch):
-    # F-inverse is built once per circuit, not once per controlled power
-    calls = []
-    inverse = sim.Circuit.inverse
+    # F is never inverted per controlled power: building the circuit
+    # inverts no circuit (the reflection holds F's items), and the flat
+    # expansion inverts F's gates once, for the one period of the ladder.
+    calls, inverted = [], []
+    inverse, invert = sim.Circuit.inverse, sim._inverted
     monkeypatch.setattr(sim.Circuit, "inverse", lambda self: calls.append(self.n_qubits) or inverse(self))
+    monkeypatch.setattr(sim, "_inverted", lambda gates: inverted.append(tuple(gates)) or invert(gates))
     f = loaders.load_amplitude(np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])).circuit
-    ext.qae_circuit(f, 6)
-    assert calls == [3, 6]  # F, then the 6-qubit QFT
+    c = ext.qae_circuit(f, 6)
+    assert calls == [] and inverted == []
+    c.gates
+    assert inverted.count(f.gates) == 1
 
 
 class TestSwapTest:
@@ -195,6 +218,13 @@ class TestReadouts:
                 median = ext.mode_readout(state, reg, shots, seed, strategy="median")
                 assert median.mode == int(np.median(sorted(outcomes)))
                 assert median.histogram == hist
+
+    def test_histogram_lists_outcomes_in_ascending_order(self):
+        state = sim.run(random_loader(np.random.default_rng(19), 3))
+        counts = sim.sample_counts(state, (0, 1, 2), 256, 4)
+        histogram = ext.mode_readout(state, (0, 1, 2), 256, 4).histogram
+        assert list(histogram.items()) == [(y, int(counts[y])) for y in range(8) if counts[y]]
+        assert {type(v) for v in histogram.values()} == {int}
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(CircuitError, match="unknown readout strategy"):

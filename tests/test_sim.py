@@ -527,6 +527,17 @@ def ladder_rungs(circuit: sim.Circuit) -> list[int]:
     return [len(step.rungs) for step in circuit._steps if type(step) is sim._Ladder]
 
 
+def controlled_grover(f_gates, flag: int, reflected, control: int) -> tuple[sim.Gate, ...]:
+    """Controlled Q's flat period, written out gate by gate: the flag's
+    phase, F-inverse, the reflection about |0..0> of ``reflected`` (an X
+    layer either side of one multi-controlled phase of pi) and F, then the
+    controlled global sign."""
+    flips = [sim.x(q) for q in reflected]
+    reflection = sim.Gate("cp", (control, *reflected), angle=np.pi)
+    return (sim.cp(np.pi, control, flag), *sim._inverted(f_gates), *flips, reflection, *flips, *f_gates,
+            sim.p(np.pi, control))
+
+
 def benchmark_qae_input(seed: int, index: int):
     """Amplitudes and sampling seed of instance ``index`` of a qae
     benchmark run seeded with ``seed`` (n = 3), drawn as the benchmark
@@ -665,16 +676,30 @@ class TestExecutionPlan:
         a = np.abs(rng.normal(size=8))
         f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
         w, m = f.n_qubits, 3
-        flips = extractors._x_layer(range(w))
-        grover = extractors._grover_gates(f.gates, f.inverse().gates, w - 1, flips, w + 1)
+        grover = controlled_grover(f.gates, w - 1, range(w), w + 1)
         start = len(f.gates) + m + len(grover)  # after the H layer and Q on qubit w
-        assert extractors.qae_circuit(f, m).gates[start : start + len(grover)] == tuple(grover)
+        assert extractors.qae_circuit(f, m).gates[start : start + len(grover)] == grover
         cases.append(grover)
+        # Reflection blocks, planned from F's columns, against the closed
+        # form of their flat gates: F|0> alone (r = 1), with a complex F and
+        # on qubits above 0; F's gates when the reflection keeps 2 columns
+        # (r > 1) or reads a control; controlled Q's control-1 block, whose
+        # control _control_one drops; and adjoints.
+        b = rng.normal(size=8) + 1j * rng.normal(size=8)
+        complex_f = loaders.load_amplitude(b / np.linalg.norm(b)).circuit
+        assert {type(i) for i in complex_f.items} == {sim.Pyramid, sim.Diagonal}
+        reflect = sim.Reflection(complex_f.items, range(3))
+        controlled = extractors._grover_gates(f.items, w - 1, range(w), w + 1)
+        block, scalar = sim._control_one(controlled, w + 1)
+        assert np.isclose(scalar, -1) and [type(i) for i in block] == [sim.Gate, sim.Reflection] and not block[1].controls
+        cases += [[reflect], [reflect.inverse()], [reflect.shifted(4)], [sim.Reflection(f.items, (1, 2))],
+                  [sim.Reflection(f.items, (2, 0)).inverse(), sim.h(1)], controlled, block]
         for period in cases:
-            qubits = sorted({q for g in period for q in g.qubits})
+            flat = [g for i in period for g in i.gates]
+            qubits = sorted({q for g in flat for q in g.qubits})
             k = len(qubits)
             expected = np.eye(1 << k, dtype=np.complex128)
-            for g in period:
+            for g in flat:
                 local = tuple(qubits.index(q) for q in g.qubits)
                 expected = kron_embed(closed_form(g), local, k) @ expected
             np.testing.assert_allclose(sim._period_matrix(period, qubits), expected, rtol=0, atol=EQUIV_ATOL)
@@ -1281,7 +1306,7 @@ def control_blocks(ladder: sim.Repeat) -> tuple[np.ndarray, np.ndarray, np.ndarr
     its control: the control-0 block, the control-1 block (rows and
     columns in the order of the other qubits' local index) and the two
     off-diagonal blocks stacked."""
-    period, control = ladder.period, ladder.controls[0]
+    period, control = [g for i in ladder.period for g in i.gates], ladder.controls[0]
     own = sorted({q for g in period for q in g.qubits})
     local = {q: i for i, q in enumerate(own)}
     u = sim.build_unitary(sim.Circuit(len(own), [g.on([local[q] for q in g.qubits]) for g in period]))
@@ -1341,6 +1366,44 @@ class TestLadder:
             assert rung.qubits[-1] == ladder.controls[0] and ladder.count == 1
             np.testing.assert_allclose(rung.matrix, one, rtol=0, atol=EQUIV_ATOL)
 
+    def test_qae_plan_multiplies_no_gate_of_f(self, monkeypatch):
+        # The ladder's control-1 block is the flag phase and the reflection
+        # about F|0>, which the plan takes from the state F prepares: no
+        # gate of F reaches a matrix product, in either plan, for a real
+        # or a complex load.
+        periods, multiplied = [], []
+        build, unitary = sim._period_matrix, sim._unitary
+        monkeypatch.setattr(sim, "_period_matrix", lambda period, qubits: periods.append(tuple(period)) or build(period, qubits))
+        monkeypatch.setattr(sim, "_unitary", lambda gates, *rest: multiplied.extend(gates) or unitary(gates, *rest))
+        rng = np.random.default_rng(97)
+        for a in (np.abs(rng.normal(size=8)), rng.normal(size=8) + 1j * rng.normal(size=8)):
+            f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+            c = extractors.qae_circuit(f, 5, flag=1)
+            periods.clear(), multiplied.clear()
+            c._grown_steps, c._steps
+            assert periods == [(sim.p(np.pi, 1), sim.Reflection(f.items, range(3)))] * 2
+            assert multiplied == [sim.p(np.pi, 1)] * 2
+            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    def test_reflection_checks_its_qubits_and_items(self):
+        f = (sim.h(0), sim.cnot(0, 1))
+        for make in (
+            lambda: sim.Reflection(f, ()),  # nothing reflected
+            lambda: sim.Reflection(f, (0,), (1,)),  # a control on F
+            lambda: sim.Reflection(f, (2,), (2,)),  # a control reflected
+            lambda: sim.Reflection([sim.Circuit(2)], (0,)),  # F holds a circuit
+            lambda: sim.Reflection(f, (0, 1)).shifted(-1),
+            lambda: sim.Circuit(2, [sim.Reflection(f, (0, 1))]),  # only in a repeat's period
+            lambda: sim.Repeat((sim.cp(0.3, 2, 0), sim.Reflection((*f, sim.h(2)), (0, 1))), 1, (2,)),  # F on the control
+            lambda: sim.Repeat((sim.cp(0.3, 2, 0), sim.Reflection(f, (0, 2))), 1, (2,)),  # the control reflected
+        ):
+            with pytest.raises(CircuitError):
+                make()
+        block = sim.Reflection(f, (0, 1), (3,))
+        assert block.qubits == (0, 1, 3) and block.inverse().inverse() == block != block.inverse()
+        assert block.shifted(2) == sim.Reflection((sim.h(2), sim.cnot(2, 3)), (2, 3), (5,))
+        assert block.inverse().gates == sim._inverted(block.gates)
+
     @pytest.mark.parametrize("gate", [
         sim.x(2), sim.h(2), sim.ry(0.3, 2), sim.cnot(0, 2), sim.multiplexed_ry([0.1, 0.2], [0], 2),
         sim.cry(0.3, 1, 2), sim.swap(2, 1), sim.permutation([1, 0, 2, 3], [2, 0]), sim.cswap(2, 0, 1),
@@ -1398,10 +1461,9 @@ class TestLadder:
         for n in range(1, 5):
             a = np.abs(rng.normal(size=1 << n))
             f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
-            flips = extractors._x_layer(range(n))
             for m in range(1, 9):
                 c = extractors.qae_circuit(f, m)
-                grover = [extractors._grover_gates(f.gates, f.inverse().gates, n - 1, flips, n + j) for j in range(m)]
+                grover = [controlled_grover(f.gates, n - 1, range(n), n + j) for j in range(m)]
                 rungs = [sim.Repeat(tuple(period), 1 << j) for j, period in enumerate(grover)]
                 qft = converters.qft_circuit(m).inverse().shifted(n, n + m).items
                 per_rung = sim.Circuit(n + m, [*f.items, *[sim.h(n + j) for j in range(m)], *rungs, *qft], c.registers)
@@ -1422,8 +1484,7 @@ class TestLadder:
             forward, inverse = (i for i in items if type(i) is sim.Repeat)
             assert (forward.inverted, inverse.inverted) == (False, True) and inverse == forward.inverse()
             f_gates = tuple(itertools.chain.from_iterable(i.gates for i in items[n : items.index(sim.h(w))]))
-            flips = extractors._x_layer((*range(n, 2 * n), flag))
-            grover = [extractors._grover_gates(f_gates, sim._inverted(f_gates), flag, flips, w + j) for j in range(m)]
+            grover = [controlled_grover(f_gates, flag, (*range(n, 2 * n), flag), w + j) for j in range(m)]
             rungs = [sim.Repeat(tuple(period), 1 << j) for j, period in enumerate(grover)]
             at, back = items.index(forward), items.index(inverse)
             undo = [r.inverse() for r in reversed(rungs)]
@@ -1750,7 +1811,9 @@ class TestPyramid:
         f = loaders.load_amplitude(a).circuit
         c = extractors.qae_circuit(f, 4)
         sim.run(c)
-        assert len(made) == 3 and c.items[0] is f.items[0]
+        assert made == [] and c.items[0] is f.items[0]  # the plan expands no stage
+        c.gates
+        assert len(made) == 3
 
     def test_multiply_step_keeps_the_mean_and_layout_of_numpy(self):
         # the diagonal's factors, byte for byte, as np.mean and a transpose
