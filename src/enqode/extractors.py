@@ -48,6 +48,26 @@ def _flag_qubit(f: Circuit, flag: int | None) -> int:
     return int(flag)
 
 
+def _reflected_qubits(f: Circuit, reflection_qubits) -> tuple[int, ...]:
+    """The qubits that Q's reflection about |0..0> reads:
+    ``reflection_qubits``, else all of ``f``'s.  The one check of them:
+    ``CircuitError``, naming the argument, unless it is a non-empty
+    sequence of distinct integers (not bools) in ``0..n-1`` for ``f`` of n
+    qubits."""
+    if reflection_qubits is None:
+        return tuple(range(f.n_qubits))
+    try:
+        qubits = sim._check_qubits(reflection_qubits, f.n_qubits)
+    except CircuitError:
+        qubits = ()
+    if not qubits:
+        raise CircuitError(
+            f"reflection_qubits {reflection_qubits!r} is not a non-empty sequence of distinct qubits of F, "
+            f"0..{f.n_qubits - 1}"
+        )
+    return qubits
+
+
 # --------------------------------------------------------------------------
 # Basis-family readouts
 # --------------------------------------------------------------------------
@@ -158,9 +178,10 @@ def grover_operator(f: Circuit, flag: int | None = None, reflection_qubits=None)
     ``sim.Repeat`` of count 1 whose period holds a ``sim.Reflection``, so
     its plan step is one matrix on at most ``sim._POWER_QUBITS`` qubits.  A
     caller repeating Q r times declares ``sim.Repeat(period, r)`` of that
-    period (one matrix power)."""
+    period (one matrix power).  The flag and the reflected qubits are
+    checked (``_flag_qubit``, ``_reflected_qubits``)."""
     flag = _flag_qubit(f, flag)
-    reflected = reflection_qubits if reflection_qubits is not None else range(f.n_qubits)
+    reflected = _reflected_qubits(f, reflection_qubits)
     period = tuple(_grover_gates(f.items, flag, reflected))
     return Circuit(f.n_qubits, [sim.Repeat(period, 1)], f.registers, f.query_count)
 
@@ -174,13 +195,14 @@ def qpe_gates(f: Circuit, flag: int | None, m: int, reflection_qubits=None) -> l
     The simulator runs it as one step, powering Q's control-1 block, whose
     reflection is planned from the state F prepares without multiplying
     F's gates, and applying ``Q**(2**j)`` only where phase qubit j reads 1.
-    The inverse transform is one ``sim.Qft`` block.  The flag is checked
-    (``_flag_qubit``); no circuit is built here, and F is never inverted:
+    The inverse transform is one ``sim.Qft`` block.  The flag and the
+    reflected qubits are checked (``_flag_qubit``, ``_reflected_qubits``);
+    no circuit is built here, and F is never inverted:
     the reflection holds F's items."""
     _check_m(m)
     flag = _flag_qubit(f, flag)
     w = f.n_qubits
-    reflected = reflection_qubits if reflection_qubits is not None else range(w)
+    reflected = _reflected_qubits(f, reflection_qubits)
     phase = tuple(range(w, w + m))
     gates: list = [sim.h(q) for q in phase]
     gates.append(sim.Repeat(tuple(_grover_gates(f.items, flag, reflected, w)), 1, phase))

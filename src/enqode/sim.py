@@ -38,11 +38,10 @@ Conventions used throughout the package:
   results are bit for bit those of one whole-half pass.  SWAP and
   PERMUTATION copy the rows their table moves.  ``apply_gate`` is the
   only code that applies a lone gate to a state.
-* A block matrix, a repeat's period or a fused run, is built by
-  ``_period_matrix``: on at most ``_TREE_QUBITS`` qubits as one batched
-  product of its gates' matrices (Isakov et al., arXiv 2111.02396), wider
-  as ``build_unitary`` is, gate by gate by ``apply_gate`` on the identity
-  (``_unitary``).
+* A block matrix, a repeat's period or a fused run, is built as
+  ``build_unitary`` builds its matrix: gate by gate by ``apply_gate`` on
+  the identity (``_unitary``).  A reflection in a repeat's period is one
+  low-rank update of it (``_period_matrix``).
 * Every qubit tuple, a gate's, a block's or a register's, passes one
   check (``_check_qubits``): plain ints, none repeated, inside the width
   where one is known.  Anything else raises ``CircuitError`` when made.
@@ -116,8 +115,7 @@ The hard cap of 24 qubits keeps a state below 256 MB, and the cap of 12
 qubits on ``build_unitary`` keeps its matrix to the same budget.  That
 matrix is built in place, every gate applied once by ``apply_gate`` to
 the flattened identity (``_unitary``), so it is the only large
-allocation: each update's temporaries stay slab-sized, where a stack of
-gate matrices would not fit.
+allocation: each update's temporaries stay slab-sized.
 """
 from __future__ import annotations
 
@@ -169,8 +167,8 @@ _BLOCK_LOOP_MIN = 1 << 12
 _SLAB = 1 << 14
 # A ``Repeat`` runs as matrix powers (``_repeat_step``) when its gates
 # touch at most this many qubits, a ladder's control left out.  Building
-# the matrix (``_period_matrix``) costs about 8**k per gate up to
-# ``_TREE_QUBITS`` qubits and 4**k above, and each squaring 8**k.  Over
+# the matrix (``_period_matrix``) costs about 4**k per gate, one
+# ``apply_gate`` on the identity's rows, and each squaring 8**k.  Over
 # amplitude -> equally-weighted conversions (build, plan and run; medians
 # of 5 on a 2-vCPU Xeon, one BLAS thread), whose ladder blocks act on 5, 7
 # and 9 qubits at n = 2, 3 and 4: at n = 3 a cap of 7 took 1.9-13x less
@@ -178,13 +176,6 @@ _SLAB = 1 << 14
 # took 1.4-7.5x more for m = 2..4 and 2-4x less for m = 5, 6.  QAE at
 # n = 3 (3 qubits) and n = 2 did not move.
 _POWER_QUBITS = 7
-# ``_period_matrix`` builds a matrix on at most this many qubits as one
-# batched product (8**k per gate), a wider one gate by gate on the
-# identity (``_unitary``; 4**k and a few numpy calls per gate).  Over
-# random periods of 14 and 100 gates (2-vCPU Xeon, one BLAS thread) the
-# product took 0.15-0.35x the time at k = 1..4, 0.6x at k = 5, 2x at
-# k = 6 and 6-10x at k = 7.
-_TREE_QUBITS = 5
 # On states of more than ``_FUSE_MIN`` amplitudes, which do not stay in a
 # core's L2 cache from one gate to the next, the plan fuses runs of
 # consecutive gates on at most ``_FUSE_QUBITS`` qubits together into one
@@ -338,8 +329,8 @@ class Reflection:
     reads 0 and ``controls`` read 1.  Its flat expansion ``gates`` is
     ``F``-inverse, an X on each reflected qubit, a phase of pi where they
     and the controls read 1, the X layer and ``F``, or that list's adjoint
-    when ``inverted``.  Its matrix is made without them
-    (``_reflected_product``)."""
+    when ``inverted``.  Its part of a period's matrix is made without them,
+    from the columns of ``F`` that ``P`` keeps (``_period_matrix``)."""
 
     items: tuple
     reflected: tuple[int, ...]
@@ -705,7 +696,6 @@ def gate_blocks(gate: Gate) -> tuple[str, object]:
     A flip, phase or dense form acts only when every control reads 1 (the
     top pattern, ``2**k - 1``); every other pattern is the identity, and
     so is a phase of 1.  SWAP and PERMUTATION have no blocks.
-    ``_period_matrix`` computes a period's values at once, byte-equal.
     """
     kind = gate.kind
     if kind in (X, CNOT):
@@ -1572,6 +1562,7 @@ def _repeat_step(item: Repeat, place, n: int, powers: dict[tuple, dict[int, np.n
     for j, c in enumerate(item.controls):
         matrix = _power(shared, item.count << j)
         if item.inverted:
+            # kept contiguous: a transposed view planned amp->EW n = 3, m = 4 0.14 ms faster but ran 0.23 ms slower
             matrix = np.ascontiguousarray(matrix.conj().T)
         rungs.append(_power_step(matrix, (*others, place(c)), n, controlled=True))
     return _Ladder(tuple(rungs[::-1] if item.inverted else rungs))
@@ -1598,9 +1589,9 @@ def _power_step(matrix: np.ndarray, qubits: tuple[int, ...], n: int, controlled:
 def _fused(steps: Sequence, n: int) -> list:
     """``steps`` with each greedy run of two or more consecutive gates whose
     qubits together number at most ``_FUSE_QUBITS`` replaced by one
-    ``_Power`` of their product, built as one batched product of their
-    matrices (``_period_matrix``), so the run costs one pass over the state
-    (Häner & Steiger, arXiv 1704.01127).  A gate that does not fit the run
+    ``_Power`` of their product, built gate by gate on the identity
+    (``_unitary``), so the run costs one pass over the state (Häner &
+    Steiger, arXiv 1704.01127).  A gate that does not fit the run
     before it starts the next one, a lone gate keeps its 2x2 kernel, and
     any other step ends a run."""
     runs: list[list] = []
@@ -1619,7 +1610,7 @@ def _fused(steps: Sequence, n: int) -> list:
             out.append(run[0])
         else:
             ordered = tuple(sorted({q for g in run for q in g.qubits}))
-            out.append(_power_step(_period_matrix(run, ordered), ordered, n))
+            out.append(_power_step(_unitary(run, ordered), ordered, n))
     return out
 
 
@@ -1647,91 +1638,13 @@ def _multiply_step(block: Diagonal, qubits: tuple[int, ...], n: int) -> _Multipl
 
 def _period_matrix(period: Sequence[Gate | Reflection], qubits: Sequence[int]) -> np.ndarray:
     """The product of ``period``'s matrices on the 2**k-dimensional space
-    of ``qubits`` (local bit i = ``qubits[i]``), first item rightmost;
-    ``_reflected_product``'s for a period that holds a ``Reflection``, and
-    ``_unitary``'s on more than ``_TREE_QUBITS`` qubits.  Otherwise the
-    gates' matrices are scattered, by the period's cached
-    ``_product_table``, from one ``cos``, ``sin`` and ``exp`` over all its
-    half-angles and phases (byte-equal to ``gate_blocks``'), into stacks
-    of at most ``_SLAB`` entries, each multiplied pairwise, later gates on
-    the left.  It agrees with ``_unitary`` within ``EQUIV_ATOL``."""
-    if Reflection in map(type, period):
-        return _reflected_product(period, qubits)
-    k = len(qubits)
-    if k > _TREE_QUBITS:
-        return _unitary(period, qubits)
-    at = {q: i for i, q in enumerate(qubits)}.__getitem__
-    chunk = max(1, _SLAB >> (2 * k))  # gates per stack
-    positions, sources = _product_table(tuple([(g.kind, tuple(map(at, g.qubits)), g.table) for g in period]), k, chunk)
-    angles = [a for g in period if g.kind in (RY, MULTIPLEXED_RY) for a in g.angles or (g.angle,)]
-    half = np.array(angles, dtype=np.float64) / 2.0
-    c, s = np.cos(half), np.sin(half)
-    phases = np.exp(1j * np.array([g.angle for g in period if g.kind in (PHASE, CP)], dtype=np.float64))
-    pool = np.concatenate(((0.0, 1.0, *_H_ENTRIES[2:]), c, s, -s, phases))
-    dim, product = 1 << k, None
-    for start in range(0, len(period), chunk):
-        stack = np.zeros((min(chunk, len(period) - start), dim, dim), dtype=np.complex128)
-        stack.reshape(-1)[positions[start : start + chunk]] = pool[sources[start : start + chunk]]
-        while len(stack) > 1:
-            pairs = stack[1::2] @ stack[: len(stack) - 1 : 2]
-            stack = np.concatenate((pairs, stack[-1:])) if len(stack) % 2 else pairs
-        product = stack[0] if product is None else stack[0] @ product
-    return np.eye(dim, dtype=np.complex128) if product is None else product
-
-
-@lru_cache(maxsize=64)
-def _product_table(structure: tuple, k: int, chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_period_matrix``'s index table for a period on k qubits whose gates
-    are ``structure``'s ``(kind, local qubits, table)``, ``chunk`` to a
-    stack.  A column of a gate's matrix has two entries, laid out from its
-    ``gate_blocks`` form: the diagonal one and the one in the row with the
-    target's bit flipped (a SWAP or PERMUTATION column's 1, listed twice).
-    For each the table holds its position in the flat stack and the index
-    of its value in the pool ``0, 1, h, -h``, every RY-family ``c``, then
-    ``s``, then ``-s``, and every phase."""
-    dim, col = 1 << k, np.arange(1 << k)
-    # each gate's first angle and its phase, counted over the gates before it
-    angle = np.cumsum([0] + [1 << (len(q) - 1) if kind in (RY, MULTIPLEXED_RY) else 0 for kind, q, _ in structure])
-    phase = np.cumsum([0] + [kind in (PHASE, CP) for kind, _, _ in structure])
-    at_c, at_s, at_neg, at_phase = 4, 4 + angle[-1], 4 + 2 * angle[-1], 4 + 3 * angle[-1]
-    rows = np.empty((len(structure), 2, dim), dtype=np.intp)
-    sources = np.zeros_like(rows)  # a 0 unless set
-    for g, (kind, local, table) in enumerate(structure):
-        places, shifts = np.array(local)[:, None], np.arange(len(local))[:, None]
-        index = (((col >> places) & 1) << shifts).sum(axis=0)  # the gate's local index, bit i = local[i]
-        if kind in (SWAP, PERMUTATION):
-            moved = np.array(table or _SWAP_TABLE)[index]
-            rows[g] = col & ~(1 << places).sum() | (((moved >> shifts) & 1) << places).sum(axis=0)
-            sources[g] = 1
-            continue
-        top = 1 << (len(local) - 1)
-        pattern, one = index % top, index >= top
-        acting = pattern == top - 1
-        rows[g, 0], rows[g, 1] = col, col ^ (1 << local[-1])
-        if kind in (X, CNOT):
-            sources[g, 0], sources[g, 1] = ~acting, acting
-        elif kind in (PHASE, CP):
-            sources[g, 0] = np.where(acting & one, at_phase + phase[g], 1)
-        elif kind == H:
-            sources[g, 0], sources[g, 1] = 2 + one, 2
-        else:
-            j = angle[g] + pattern
-            sources[g, 0], sources[g, 1] = at_c + j, np.where(one, at_neg + j, at_s + j)
-    positions = rows  # in place: (gate in chunk, row, column) in the flat stack
-    positions *= dim
-    positions += (np.arange(len(structure)) % chunk)[:, None, None] * dim * dim + col
-    positions.setflags(write=False)
-    sources.setflags(write=False)
-    return positions, sources
-
-
-def _reflected_product(period: Sequence[Gate | Reflection], qubits: Sequence[int]) -> np.ndarray:
-    """``_period_matrix`` of a period with a ``Reflection``, made on the
-    identity ``u`` item by item: a gate runs on its rows (``_unitary``), and
-    a reflection makes it ``u - 2 F_P (F_P^dagger u)``, ``F_P`` the columns
-    of ``F`` that ``P`` keeps.  If that is ``|0...0>`` of ascending qubits,
-    ``F_P`` is ``run`` of ``F`` (an amplitude load's prepared state), and
-    no gate of ``F`` is multiplied; else ``F``'s gates run on the columns."""
+    of ``qubits`` (local bit i = ``qubits[i]``), first item rightmost, made
+    on the identity ``u`` item by item: a gate runs on its rows
+    (``_unitary``), and a reflection makes it ``u - 2 F_P (F_P^dagger u)``,
+    ``F_P`` the columns of ``F`` that ``P`` keeps.  If that is ``|0...0>``
+    of ascending qubits, ``F_P`` is ``run`` of ``F`` (an amplitude load's
+    prepared state), and no gate of ``F`` is multiplied; else ``F``'s gates
+    run on the columns.  A period of gates alone is ``_unitary``'s."""
     k, at, lo = len(qubits), {q: i for i, q in enumerate(qubits)}, qubits[0]
     u = np.eye(1 << k, dtype=np.complex128)
     for item in period:
@@ -1853,8 +1766,8 @@ def _run_steps(psi: np.ndarray, n: int, steps: tuple, width: int, norm_sq: float
 def build_unitary(circuit: Circuit) -> np.ndarray:
     """Full ``2**n x 2**n`` matrix of ``circuit``, for n <= 12: each gate
     applied once, by ``apply_gate``, to every column of the identity at
-    once, in place (``_unitary``).  It is the reference that the block
-    matrices of ``_period_matrix`` are checked against.
+    once, in place (``_unitary``), as ``_period_matrix`` builds a block's
+    matrix.
 
     Raises ``CircuitError`` if a column's squared norm is off 1 by more
     than ``NORM_ATOL`` or is no longer a number (a NaN angle), as

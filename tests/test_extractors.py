@@ -98,6 +98,23 @@ def test_flag_outside_f_is_refused_by_name():
     assert ext.qae_circuit(f, 3, np.int64(0)) == ext.qae_circuit(f, 3, 0)
 
 
+def test_reflection_qubits_outside_f_are_refused_by_name():
+    # A phase qubit used to fail as a repeated qubit of the ladder, and
+    # F's width as a gate outside the circuit; both functions now name
+    # the argument.
+    f = random_loader(np.random.default_rng(5), 2)
+    for qubits in ((), (0, 0), (-1,), True, (True,), (f.n_qubits,), (0, f.n_qubits + 1), 3):
+        for call in (
+            lambda: ext.grover_operator(f, reflection_qubits=qubits),
+            lambda: ext.qpe_gates(f, None, 2, reflection_qubits=qubits),
+        ):
+            with pytest.raises(CircuitError, match=re.escape(f"reflection_qubits {qubits!r} is not")):
+                call()
+    period = ext.grover_operator(f, reflection_qubits=[np.int64(1), 0]).items[0].period
+    assert period[1].reflected == (1, 0)
+    assert ext.qpe_gates(f, None, 2, range(f.n_qubits)) == ext.qpe_gates(f, None, 2)
+
+
 def test_phase_estimation_inverts_f_once(monkeypatch):
     # F is never inverted per controlled power: building the circuit
     # inverts no circuit (the reflection holds F's items), and the flat

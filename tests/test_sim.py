@@ -658,9 +658,9 @@ class TestExecutionPlan:
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     def test_period_matrix_matches_kron_oracle(self):
-        # _period_matrix multiplies out entries laid out from gate_blocks,
-        # or runs wide periods through apply_gate as gate_loop does, so it
-        # is checked against products of kron_embed matrices
+        # _period_matrix runs a period's gates through apply_gate, as
+        # gate_loop does, so it is checked against products of kron_embed
+        # matrices
         rng = np.random.default_rng(29)
         cases, kinds = [], set()
         for trial in range(60):
@@ -681,10 +681,11 @@ class TestExecutionPlan:
         assert extractors.qae_circuit(f, m).gates[start : start + len(grover)] == grover
         cases.append(grover)
         # Reflection blocks, planned from F's columns, against the closed
-        # form of their flat gates: F|0> alone (r = 1), with a complex F and
-        # on qubits above 0; F's gates when the reflection keeps 2 columns
-        # (r > 1) or reads a control; controlled Q's control-1 block, whose
-        # control _control_one drops; and adjoints.
+        # form of their flat gates: F|0> alone (r = 1), with a complex F, on
+        # qubits above 0, and there between gates; F's gates when the
+        # reflection keeps 2 columns (r > 1) or reads a control; controlled
+        # Q's control-1 block, whose control _control_one drops; and
+        # adjoints.
         b = rng.normal(size=8) + 1j * rng.normal(size=8)
         complex_f = loaders.load_amplitude(b / np.linalg.norm(b)).circuit
         assert {type(i) for i in complex_f.items} == {sim.Pyramid, sim.Diagonal}
@@ -692,7 +693,8 @@ class TestExecutionPlan:
         controlled = extractors._grover_gates(f.items, w - 1, range(w), w + 1)
         block, scalar = sim._control_one(controlled, w + 1)
         assert np.isclose(scalar, -1) and [type(i) for i in block] == [sim.Gate, sim.Reflection] and not block[1].controls
-        cases += [[reflect], [reflect.inverse()], [reflect.shifted(4)], [sim.Reflection(f.items, (1, 2))],
+        cases += [[reflect], [reflect.inverse()], [reflect.shifted(4)], [sim.h(5), reflect.shifted(4), sim.ry(0.3, 6)],
+                  [sim.Reflection(f.items, (1, 2))],
                   [sim.Reflection(f.items, (2, 0)).inverse(), sim.h(1)], controlled, block]
         for period in cases:
             flat = [g for i in period for g in i.gates]
@@ -705,13 +707,8 @@ class TestExecutionPlan:
             np.testing.assert_allclose(sim._period_matrix(period, qubits), expected, rtol=0, atol=EQUIV_ATOL)
 
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_block_matrix_of_every_kind_matches_kron_oracle(self, monkeypatch, k):
-        # Spread, unsorted qubits, and a _SLAB of two gates' entries, so
-        # that the period spans many stacks.  Up to _TREE_QUBITS the matrix
-        # is the batched product; wider, the gate-by-gate one.
-        monkeypatch.setattr(sim, "_SLAB", 2 << (2 * k))
-        if k <= sim._TREE_QUBITS:
-            monkeypatch.setattr(sim, "_unitary", lambda *a: pytest.fail("a narrow matrix was built gate by gate"))
+    def test_block_matrix_of_every_kind_matches_kron_oracle(self, k):
+        # every kind, on spread and unsorted qubits
         rng = np.random.default_rng(100 + k)
         gates = [random_gate(rng, k) for _ in range(24)] + [sim.x(0), sim.h(k - 1), sim.ry(0.4, k - 1), sim.p(0.9, 0)]
         if k > 1:
@@ -733,31 +730,19 @@ class TestExecutionPlan:
             expected = kron_embed(closed_form(g), g.qubits, k) @ expected
         np.testing.assert_allclose(sim._period_matrix(period, spread), expected, rtol=0, atol=EQUIV_ATOL)
 
-    def test_block_matrix_matches_build_unitary(self):
-        rng = np.random.default_rng(37)
-        for trial in range(60):
-            k = int(rng.integers(1, sim._TREE_QUBITS + 1))
-            period = [random_gate(rng, k) for _ in range(int(rng.integers(1, 40)))]
-            np.testing.assert_allclose(sim._period_matrix(period, range(k)), sim.build_unitary(sim.Circuit(k, period)),
-                                       rtol=0, atol=EQUIV_ATOL)
-
     @pytest.mark.parametrize("k", [5, 6])
-    def test_long_period_builds_in_stacks_of_slab_size(self, k):
-        # One stack of all 2000 gates would hold 2000 * 4**k entries,
-        # 31 MiB at k = 5.  The batched product keeps an index table of
-        # 32 bytes per gate and column, 2 MiB, and each stack holds at
-        # most _SLAB entries; at k = 6 the matrix is built gate by gate.
+    def test_long_period_matrix_is_its_only_large_allocation(self, k):
+        # 2000 gates build one 4**k matrix in place: a matrix per gate
+        # would take 2000 * 16 * 4**k bytes, 31 MiB at k = 5.
         rng = np.random.default_rng(43)
         period = [random_gate(rng, k) for _ in range(2000)]
-        sim._product_table.cache_clear()
         tracemalloc.start()
         try:
-            u = sim._period_matrix(period, range(k))
+            sim._period_matrix(period, range(k))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * len(period) * 2**k + (2 << 20)
-        np.testing.assert_allclose(u, sim._unitary(period, range(k)), rtol=0, atol=EQUIV_ATOL)
+        assert peak < (16 << 2 * k) + (2 << 20)
 
     def test_nan_angle_in_a_block_matrix_raises(self):
         # A NaN reaches the matrix of a repeat, a ladder and a fused run,
@@ -776,25 +761,6 @@ class TestExecutionPlan:
                     sim.run(c)
                 with pytest.raises(CircuitError):
                     sim.apply_circuit(sim.zero_state(c.n_qubits), c)
-
-    def test_qae_estimates_equal_on_the_gate_by_gate_route(self, monkeypatch):
-        # The equivalence rule: qae's 8x8 ladder block built as one batched
-        # product or gate by gate gives identical seeded estimates and
-        # amplitudes within EQUIV_ATOL.
-        def results():
-            out = []
-            for seed, index in itertools.product((0, 77, 78), range(3)):
-                a, sample_seed = benchmark_qae_input(seed, index)
-                f = loaders.load_amplitude(a).circuit
-                out.append((extractors.qae_estimate(f, 7, 1024, sample_seed, flag=2),
-                            sim.run(extractors.qae_circuit(f, 7, flag=2)).amplitudes))
-            return out
-
-        batched = results()
-        monkeypatch.setattr(sim, "_TREE_QUBITS", 0)
-        for (estimate, amplitudes), (reference, expected) in zip(batched, results(), strict=True):
-            assert estimate == reference
-            np.testing.assert_allclose(amplitudes, expected, rtol=0, atol=EQUIV_ATOL)
 
     def test_equal_periods_share_one_matrix(self, monkeypatch):
         # QAE's controlled Grover operators differ only in their control
