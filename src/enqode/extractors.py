@@ -96,7 +96,10 @@ def mode_readout(
 ) -> ModeReadout:
     """Most frequent outcome over ``shots`` samples; ties break toward the
     smaller integer.  ``strategy="median"`` uses the sample median instead
-    (no failure bound asserted for it)."""
+    (no failure bound asserted for it).  The strategy is checked before
+    anything is drawn."""
+    if strategy not in ("mode", "median"):
+        raise CircuitError(f"unknown readout strategy {strategy!r}")
     counts = sim.sample_counts(state, register, shots, seed)
     nz = np.flatnonzero(counts)
     hist = dict(zip(nz.tolist(), counts[nz].tolist()))
@@ -105,10 +108,8 @@ def mode_readout(
         # (equal when shots is odd), truncated.
         lo, hi = np.searchsorted(np.cumsum(counts), [(shots - 1) // 2, shots // 2], side="right").tolist()
         winner = (lo + hi) // 2
-    elif strategy == "mode":
-        winner = int(np.argmax(counts))  # first maximum: the smaller outcome on ties
     else:
-        raise CircuitError(f"unknown readout strategy {strategy!r}")
+        winner = int(np.argmax(counts))  # first maximum: the smaller outcome on ties
     return ModeReadout(winner, hist)
 
 
@@ -139,8 +140,10 @@ def naive_amplitude_estimate(
     f: Circuit, shots: int, alpha: float, seed: int, flag: int | None = None
 ) -> EstimateResult:
     """Frequency of flag = 1 over ``shots`` repetitions of ``F``, with a
-    normal-approximation confidence interval."""
+    normal-approximation confidence interval.  ``shots``, ``alpha``,
+    ``seed`` and the flag are checked before anything is simulated."""
     sim.check_shots(shots, 1)
+    sim.check_seed(seed)
     z = _z(alpha)
     flag = _flag_qubit(f, flag)
     state = sim.run(f)
@@ -192,13 +195,15 @@ def qpe_gates(f: Circuit, flag: int | None, m: int, reflection_qubits=None) -> l
     m powers ``Q**(2**j)``, each controlled on phase qubit j, are one
     ladder ``sim.Repeat``: controlled Q on the lowest phase qubit, whose
     control-0 block is the identity (``_grover_gates``), declared once.
-    The simulator runs it as one step, powering Q's control-1 block, whose
-    reflection is planned from the state F prepares without multiplying
-    F's gates, and applying ``Q**(2**j)`` only where phase qubit j reads 1.
-    The inverse transform is one ``sim.Qft`` block.  The flag and the
-    reflected qubits are checked (``_flag_qubit``, ``_reflected_qubits``);
-    no circuit is built here, and F is never inverted:
-    the reflection holds F's items."""
+    The simulator powers Q's control-1 block, the flag's phase as a row
+    scale and the reflection from the state F's pyramid prepares, without
+    multiplying F's gates.  ``run`` makes the H layer and the ladder one
+    step from the loaded state: where phase qubits ``0..j-1`` hold y, it
+    writes ``Q**(2**j)`` times the rows of y into the rows of ``y + 2**j``,
+    so row y is ``Q**y F|0>``.  The inverse transform is one ``sim.Qft``
+    block.  The flag and the reflected qubits are checked (``_flag_qubit``,
+    ``_reflected_qubits``); no circuit is built here, and F is never
+    inverted: the reflection holds F's items."""
     _check_m(m)
     flag = _flag_qubit(f, flag)
     w = f.n_qubits

@@ -66,8 +66,11 @@ Conventions used throughout the package:
     powers).  On at most ``_POWER_QUBITS`` qubits, a ladder's control left
     out, its step is its ``2**k``-square matrix raised to the count, or a
     ladder's control-1 block raised to each rung's count and applied where
-    the rung's control reads 1; equal periods share one matrix.  A wider
-    repeat runs gate by gate.
+    the rung's control reads 1; equal periods share one matrix.  Met from
+    width 0 right after the H layer that inserts its controls on top, a
+    ladder is one step with that layer, which doubles the rows of the
+    controls rung by rung (``_Doubling``).  A wider repeat runs gate by
+    gate.
   - ``Reflection``: ``F (I - 2 P) F^dagger``, a Grover operator's
     reflection about the state that the items F prepare, met only in a
     repeat's period.  Its part of the period's matrix is made from the
@@ -1269,6 +1272,30 @@ class _Ladder(NamedTuple):
             rung.apply(psi)
 
 
+class _Doubling(NamedTuple):
+    """A ladder and the H growths that inserted its m controls on top
+    (``_grown_controls``), as one step from ``psi[:2**start]`` to
+    ``psi[:2**width]``.  The growths make every row of the ``(2**m,
+    2**start)`` view the old state times their ``factors``, so rung j
+    makes rows ``2**j .. 2**(j+1) - 1`` as its power of the control-1
+    block (held transposed in ``matrices``) times rows ``0 .. 2**j - 1``:
+    phase estimation's ``sum_y |y> Q**y F|0>`` (Brassard et al.,
+    quant-ph/0005055) in m products."""
+
+    start: int
+    width: int
+    factors: tuple
+    matrices: tuple[np.ndarray, ...]
+
+    def apply(self, psi: np.ndarray) -> None:
+        low = psi[: 1 << self.start]
+        for u in self.factors:  # the growths' multiplies, so row 0 is theirs
+            np.multiply(low, u, out=low)
+        rows = psi[: 1 << self.width].reshape(-1, low.size)
+        for j, matrix in enumerate(self.matrices):
+            np.matmul(rows[: 1 << j], matrix, out=rows[1 << j : 2 << j])
+
+
 class _Multiply(NamedTuple):
     """A ``Diagonal`` as one elementwise multiply: the buffer viewed as
     ``shape`` (its ``_view_shape`` without length-1 gaps) times
@@ -1455,7 +1482,10 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
     controls are all in T, is itself the growth, and any other item
     inserts its fresh qubits reading 0.  Every other step runs at width
     |T| with its qubits relabelled by their rank in T, which is the
-    identity while T is ``0..|T|-1``.  If T is not that at the end, one
+    identity while T is ``0..|T|-1``.  A ladder on all of T whose controls
+    are the top of T, inserted by the H growths just before it, is one
+    ``_Doubling`` in place of them and its ``_Ladder``
+    (``_grown_controls``).  If T is not ``0..|T|-1`` at the end, one
     last growth inserts the qubits below its top that no item touched.  At
     widths of more than ``_FUSE_MIN`` amplitudes, runs of gates that follow
     one another at one width are then fused into dense updates
@@ -1509,13 +1539,32 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
                 gates = [_unchecked(g, qubits=tuple(map(touched.index, g.qubits))) for g in gates]
             steps += gates
         else:
-            steps.append(_repeat_step(item, dict(zip(item.qubits, qubits)).__getitem__, width, powers))
+            grown = _grown_controls(steps, item, qubits, width)
+            if grown:  # the growths become part of the ladder's step
+                del steps[-len(grown) :]
+                unfused = len(steps) + 1
+            steps.append(_repeat_step(item, dict(zip(item.qubits, qubits)).__getitem__, width, powers, grown))
     if (1 << width) > _FUSE_MIN:
         steps[unfused:] = _fused(steps[unfused:], width)
     if not prefix:
         top = touched[-1] + 1
         steps.append(_grow_step(width, top, tuple(q for q in range(top) if q not in touched)))
     return tuple(steps)
+
+
+def _grown_controls(steps: list, item: Repeat, qubits: tuple[int, ...], width: int) -> tuple | None:
+    """The factors of the last m steps if they are one-qubit growths on
+    top whose two factors are one scalar (H on fresh qubits), and the
+    non-inverted ladder ``item``, its qubits at width ``width`` being
+    ``qubits``, acts on every touched qubit, its m controls the top ones
+    in ascending order.  Else None."""
+    m = len(item.controls)
+    if not m or item.inverted or len(steps) < m or qubits != tuple(range(width)) or item.controls != item.qubits[-m:]:
+        return None
+    for step in steps[-m:]:
+        if type(step) is not _Grow or not step.in_place or type(step.u0) is np.ndarray or not step.u0 == step.u1:
+            return None
+    return tuple(step.u0 for step in steps[-m:])
 
 
 def _power(powers: dict[int, np.ndarray], count: int) -> np.ndarray:
@@ -1529,12 +1578,15 @@ def _power(powers: dict[int, np.ndarray], count: int) -> np.ndarray:
     return powers[count]
 
 
-def _repeat_step(item: Repeat, place, n: int, powers: dict[tuple, dict[int, np.ndarray]]) -> _Power | _Ladder:
+def _repeat_step(
+    item: Repeat, place, n: int, powers: dict[tuple, dict[int, np.ndarray]], grown: tuple | None = None
+) -> _Power | _Ladder | _Doubling:
     """The step of a few-qubit repeat at width n, ``place`` mapping its
     qubits into the state: one ``_Power`` of a plain repeat's matrix, or a
     ``_Ladder`` of the control-1 block of a ladder's period
-    (``_control_one``) raised to each rung's count; the matrix of the
-    period, or of its control-1 block, is ``_period_matrix``'s.  An
+    (``_control_one``) raised to each rung's count, or a ``_Doubling`` of
+    them given the factors ``grown`` (``_grown_controls``); the matrix of
+    the period, or of its control-1 block, is ``_period_matrix``'s.  An
     inverted ladder takes the adjoints of its forward period's powers.
     Repeats whose forward periods are equal on their own qubits share one
     matrix and its powers (``_power``) in ``powers``, keyed by the
@@ -1558,6 +1610,9 @@ def _repeat_step(item: Repeat, place, n: int, powers: dict[tuple, dict[int, np.n
     others = list(map(place, others))
     if control is None:
         return _power_step(_power(shared, item.count), tuple(others), n)
+    if grown:
+        matrices = tuple(_power(shared, item.count << j).T for j in range(len(grown)))
+        return _Doubling(n - len(grown), n, grown, matrices)
     rungs = []
     for j, c in enumerate(item.controls):
         matrix = _power(shared, item.count << j)
@@ -1639,20 +1694,38 @@ def _multiply_step(block: Diagonal, qubits: tuple[int, ...], n: int) -> _Multipl
 def _period_matrix(period: Sequence[Gate | Reflection], qubits: Sequence[int]) -> np.ndarray:
     """The product of ``period``'s matrices on the 2**k-dimensional space
     of ``qubits`` (local bit i = ``qubits[i]``), first item rightmost, made
-    on the identity ``u`` item by item: a gate runs on its rows
-    (``_unitary``), and a reflection makes it ``u - 2 F_P (F_P^dagger u)``,
-    ``F_P`` the columns of ``F`` that ``P`` keeps.  If that is ``|0...0>``
-    of ascending qubits, ``F_P`` is ``run`` of ``F`` (an amplitude load's
-    prepared state), and no gate of ``F`` is multiplied; else ``F``'s gates
-    run on the columns.  A period of gates alone is ``_unitary``'s."""
-    k, at, lo = len(qubits), {q: i for i, q in enumerate(qubits)}, qubits[0]
+    on the identity ``u`` item by item: a P or CP scales the rows where its
+    qubits read 1, any other gate runs on the rows (``_unitary``), and a
+    reflection makes ``u`` into ``u - 2 F_P (F_P^dagger u)``, ``F_P`` the
+    columns of ``F`` that ``P`` keeps.  If that is ``|0...0>`` alone,
+    ``F_P`` is ``F|0...0>`` as ``run`` makes it: for a ``Pyramid`` on
+    ``qubits`` and any ``Diagonal`` blocks, the pyramid's kept state
+    (``_pyramid_state``) times their factors; else, on ascending qubits,
+    ``run`` of ``F``.  Else ``F``'s gates run on the columns."""
+    k, at, lo = len(qubits), {q: i for i, q in enumerate(qubits)}, min(qubits, default=0)
     u = np.eye(1 << k, dtype=np.complex128)
     for item in period:
         if type(item) is Gate:
-            _unitary((item,), qubits, u)
+            if item.kind not in (PHASE, CP):
+                _unitary((item,), qubits, u)
+                continue
+            rows = [slice(None)] * k  # bit i of a row index is axis k - 1 - i
+            for q in item.qubits:
+                rows[k - 1 - at[q]] = 1
+            phase = gate_blocks(item)[1]
+            if phase != 1:  # as apply_gate skips it
+                view = u.reshape((2,) * k + (-1,))[tuple(rows)]
+                view[...] = phase * view
             continue
         zero = sum(1 << at[q] for q in item.reflected)
-        if zero == (1 << k) - 1 and list(qubits) == list(range(lo, lo + k)):
+        pyramid, *diagonals = item.items or (None,)
+        if zero == (1 << k) - 1 and type(pyramid) is Pyramid and not pyramid.inverted \
+                and pyramid.qubits == tuple(qubits) and all(type(i) is Diagonal for i in diagonals):
+            f_p = _pyramid_state(pyramid).astype(np.complex128)
+            for i in diagonals:
+                _multiply_step(i, tuple(map(at.get, i.qubits)), k).apply(f_p)
+            f_p = f_p[:, None]
+        elif zero == (1 << k) - 1 and list(qubits) == list(range(lo, lo + k)):
             f_p = run(Circuit(k, [i.shifted(-lo) for i in item.items] if lo else item.items)).amplitudes[:, None]
         else:
             one = sum(1 << at[q] for q in item.controls)
@@ -1716,7 +1789,8 @@ def run(circuit: Circuit) -> StateVector:
     are touched, writes the two halves of the grown state from the old one
     (``_Grow``): an angle load is n such doublings.  An amplitude load's
     ``Pyramid``, met before any qubit is touched, is one step instead, its
-    state made in the plan and written over ``psi[:2**k]`` (``_Prepared``).
+    state made in the plan and written over ``psi[:2**k]`` (``_Prepared``),
+    and so is phase estimation's H layer and ladder above it (``_Doubling``).
     Every other step runs on the compact state with its qubits relabelled
     by rank.  At the end the amplitudes above the last width are
     zero-filled, after one strided growth that inserts the untouched
@@ -1740,16 +1814,16 @@ def run(circuit: Circuit) -> StateVector:
 def _run_steps(psi: np.ndarray, n: int, steps: tuple, width: int, norm_sq: float) -> StateVector:
     """Run the plan ``steps`` (``_execution_plan`` from ``width``) on the
     n-qubit buffer ``psi`` in place: each step on the compact state
-    ``psi[:2**width]``, and each ``_Grow`` or ``_Prepared`` on the buffer,
-    widening it.  The amplitudes above the last width are then zero-filled.
-    Return the state that takes the buffer over; ``CircuitError`` if its
+    ``psi[:2**width]``, and each ``_Grow``, ``_Prepared`` or ``_Doubling``
+    on the buffer, widening it.  The amplitudes above the last width are
+    then zero-filled.  Return the state that takes the buffer over; ``CircuitError`` if its
     squared norm is no longer ``norm_sq`` within ``NORM_ATOL``."""
     view = psi[: 1 << width]
     for step in steps:
         kind = type(step)
         if kind is Gate:
             apply_gate(view, step, width)
-        elif kind is _Grow or kind is _Prepared:
+        elif kind is _Grow or kind is _Prepared or kind is _Doubling:
             step.apply(psi)
             width = step.width
             view = psi[: 1 << width]

@@ -184,6 +184,14 @@ class TestNaiveEstimate:
         sigma = np.sqrt(seeds * alpha * (1 - alpha))
         assert abs(covered - alpha * seeds) <= 4 * sigma
 
+    def test_checks_shots_alpha_and_seed_before_simulating(self, monkeypatch):
+        # a bad seed used to be refused only after F was run
+        f = sim.Circuit(1, [sim.ry(0.3, 0)])
+        monkeypatch.setattr(sim, "run", lambda circuit: pytest.fail("simulated before checking its input"))
+        for shots, alpha, seed in ((0, 0.9, 0), (8, 1.0, 0), (8, 0.9, -1), (8, 0.9, 1.5), (8, 0.9, None)):
+            with pytest.raises(CircuitError):
+                ext.naive_amplitude_estimate(f, shots, alpha, seed)
+
     def test_confidence_level_outside_unit_interval_rejected(self):
         # alpha = 1.0 or 1.5 used to raise StatisticsError, and alpha = -0.1
         # returned a negative error_target
@@ -246,6 +254,13 @@ class TestReadouts:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(CircuitError, match="unknown readout strategy"):
             ext.mode_readout(sim.zero_state(1), (0,), 4, 1, strategy="mean")
+
+    def test_checks_strategy_before_sampling(self, monkeypatch):
+        # an unknown strategy used to be refused only after every shot was drawn
+        monkeypatch.setattr(sim, "sample_counts", lambda *a: pytest.fail("sampled before checking the strategy"))
+        for strategy in ("mean", "Mode", "", None):
+            with pytest.raises(CircuitError, match="unknown readout strategy"):
+                ext.mode_readout(sim.zero_state(1), (0,), 4, 1, strategy=strategy)
 
     def test_basis_readout(self):
         assert ext.basis_readout(sim.basis_state(3, 5), (0, 2)) == 3

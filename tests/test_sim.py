@@ -696,6 +696,24 @@ class TestExecutionPlan:
         cases += [[reflect], [reflect.inverse()], [reflect.shifted(4)], [sim.h(5), reflect.shifted(4), sim.ry(0.3, 6)],
                   [sim.Reflection(f.items, (1, 2))],
                   [sim.Reflection(f.items, (2, 0)).inverse(), sim.h(1)], controlled, block]
+        # F_P from the pyramid's kept state, times a diagonal's factors, is
+        # byte for byte the run of F it replaces, on contiguous, shifted
+        # and spread qubits; a P or CP scales rows as _unitary's gate does.
+        spread = sim.Pyramid(rng.uniform(-np.pi, np.pi, 7), (0, 2, 5))
+        for items in (f.items, complex_f.items, f.shifted(4, 7).items, complex_f.shifted(1, 4).items, (spread,)):
+            reflection = sim.Reflection(items, items[0].qubits)
+            qubits = reflection.qubits
+            state = sim.run(sim.Circuit(qubits[-1] + 1, items)).amplitudes
+            local = np.arange(1 << len(qubits))
+            f_p = state[sum(((local >> i) & 1) << q for i, q in enumerate(qubits))][:, None]
+            u = np.eye(1 << len(qubits), dtype=np.complex128)
+            u -= f_p @ (2.0 * (f_p.conj().T @ u))
+            assert np.array_equal(sim._period_matrix([reflection], qubits), u)
+            cases.append([reflection])
+        for gates in ([sim.p(0.4, 3)], [sim.cp(-1.1, 5, 1)], [sim.Gate("cp", (3, 5, 1), angle=0.7)],
+                      [sim.h(1), sim.p(np.pi, 5), sim.ry(0.3, 3), sim.cp(2.2, 1, 3), sim.p(0.0, 1)]):
+            assert np.array_equal(sim._period_matrix(gates, (1, 3, 5)), sim._unitary(gates, (1, 3, 5)))
+            cases.append(gates)
         for period in cases:
             flat = [g for i in period for g in i.gates]
             qubits = sorted({q for g in flat for q in g.qubits})
@@ -1333,22 +1351,24 @@ class TestLadder:
             np.testing.assert_allclose(rung.matrix, one, rtol=0, atol=EQUIV_ATOL)
 
     def test_qae_plan_multiplies_no_gate_of_f(self, monkeypatch):
-        # The ladder's control-1 block is the flag phase and the reflection
-        # about F|0>, which the plan takes from the state F prepares: no
-        # gate of F reaches a matrix product, in either plan, for a real
-        # or a complex load.
-        periods, multiplied = [], []
-        build, unitary = sim._period_matrix, sim._unitary
+        # The ladder's control-1 block is the flag phase, a scale of the
+        # rows where the flag reads 1, and the reflection about F|0>, which
+        # the plan takes from the state the load's pyramid keeps: no gate
+        # reaches a matrix product and no circuit is run, in either plan,
+        # for a real or a complex load.
+        periods, multiplied, ran = [], [], []
+        build, unitary, run = sim._period_matrix, sim._unitary, sim.run
         monkeypatch.setattr(sim, "_period_matrix", lambda period, qubits: periods.append(tuple(period)) or build(period, qubits))
         monkeypatch.setattr(sim, "_unitary", lambda gates, *rest: multiplied.extend(gates) or unitary(gates, *rest))
+        monkeypatch.setattr(sim, "run", lambda circuit: ran.append(circuit) or run(circuit))
         rng = np.random.default_rng(97)
         for a in (np.abs(rng.normal(size=8)), rng.normal(size=8) + 1j * rng.normal(size=8)):
             f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
             c = extractors.qae_circuit(f, 5, flag=1)
-            periods.clear(), multiplied.clear()
+            periods.clear(), multiplied.clear(), ran.clear()
             c._grown_steps, c._steps
             assert periods == [(sim.p(np.pi, 1), sim.Reflection(f.items, range(3)))] * 2
-            assert multiplied == [sim.p(np.pi, 1)] * 2
+            assert multiplied == [] and ran == []
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     def test_reflection_checks_its_qubits_and_items(self):
@@ -1407,6 +1427,80 @@ class TestLadder:
             assert [r.qubits[-1] for r in rungs] == list(ladder.controls[::-1] if ladder.inverted else ladder.controls)
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
             s = random_state(rng, n)
+            np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
+
+    def test_qae_runs_as_row_doubling_from_the_loaded_state(self):
+        # run's plan holds the load's state, one _Doubling in place of the
+        # H layer and the ladder, and the Fourier step; the doubling takes
+        # the rung matrices that apply_circuit's _Ladder applies.  Both
+        # plans agree, and with build_unitary where it is small.
+        rng = np.random.default_rng(53)
+        for n, complex_load in itertools.product((2, 3, 4), (False, True)):
+            a = np.abs(rng.normal(size=1 << n))
+            if complex_load:
+                a = a * np.exp(1j * rng.uniform(-np.pi, np.pi, a.size))
+            f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+            for m, flag in itertools.product(range(1, 8), range(n)):
+                for reflected in (None, tuple(int(q) for q in rng.permutation(n)[: n - 1])):
+                    c = sim.Circuit(n + m, [*f.items, *extractors.qpe_gates(f, flag, m, reflected)])
+                    kinds = [type(s) for s in c._grown_steps]
+                    assert kinds == [sim._Prepared, *[sim._Multiply] * complex_load, sim._Doubling, sim._Fourier]
+                    doubling = c._grown_steps[-2]
+                    assert (doubling.start, doubling.width, doubling.factors) == (n, n + m, (sim._SQRT1_2,) * m)
+                    (ladder,) = [s for s in c._steps if type(s) is sim._Ladder]
+                    for matrix, rung in zip(doubling.matrices, ladder.rungs, strict=True):
+                        assert np.array_equal(matrix.T, rung.matrix)
+                    got = sim.run(c).amplitudes
+                    expected = sim.apply_circuit(sim.zero_state(n + m), c).amplitudes
+                    np.testing.assert_allclose(got, expected, rtol=0, atol=EQUIV_ATOL)
+                    if n + m <= 6:
+                        np.testing.assert_allclose(got, sim.build_unitary(c)[:, 0], rtol=0, atol=EQUIV_ATOL)
+
+    def test_ladders_not_right_after_their_own_h_layer_keep_their_rungs(self):
+        # The doubling needs every row of the controls equal when the
+        # ladder starts, and the controls on top.  Each case breaks one of
+        # those and keeps the _Ladder, and its run matches the gate loop.
+        rng = np.random.default_rng(59)
+        a = np.abs(rng.normal(size=4))
+        f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+        (*layer, ladder, qft), high = extractors.qpe_gates(f, 1, 3), f.shifted(3, 5)
+        below = sim.Repeat(tuple(extractors._grover_gates(high.items, 4, (3, 4), 0)), 1, (0, 1, 2))
+        descending = sim.Repeat(tuple(extractors._grover_gates(f.items, 1, (0, 1), 4)), 1, (4, 3, 2))
+        cases = [
+            [*f.items, *layer, ladder.inverse(), qft],  # an inverted ladder, its last rung first
+            [*f.items, *layer, descending, qft],  # controls on top, in descending order
+            [*f.items, layer[0], sim.x(3), layer[2], ladder, qft],  # a control inserted by X
+            [*f.items, *layer[:2], sim.ry(0.7, 4), ladder, qft],  # or by RY
+            [*f.items, *layer, sim.x(3), ladder, qft],  # an X on a control after its H
+            [*f.items, *layer, sim.p(0.3, 0), ladder, qft],  # a gate between the H layer and the ladder
+            [*high.items, *(sim.h(q) for q in range(3)), below, sim.Qft((0, 1, 2), True)],  # controls below the data
+            # H on a data qubit, inserted below control 3, which an RY inserted
+            [*f.items, sim.ry(0.7, 3), sim.h(4), sim.h(2),
+             sim.Repeat((sim.cp(0.3, 3, 2), sim.cnot(3, 0), sim.cp(0.5, 3, 1)), 1, (3, 4)), sim.Qft((3, 4), True)],
+            # a touched qubit below the controls that the ladder leaves out
+            [*f.items, sim.ry(0.4, 2), *map(sim.h, (3, 4, 5)),
+             sim.Repeat(tuple(extractors._grover_gates(f.items, 1, (0, 1), 3)), 1, (3, 4, 5)), sim.Qft((3, 4, 5), True)],
+        ]
+        for items in cases:
+            c = sim.Circuit(6, items)
+            kinds = [type(s) for s in c._grown_steps]
+            assert sim._Ladder in kinds and sim._Doubling not in kinds
+            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+        # amplitude -> equally-weighted: the forward ladder doubles, and its
+        # inverse, which runs its last rung first, keeps its rungs
+        c = converters.convert_amplitude_to_ew(f, 3)
+        assert [k for k in map(type, c._grown_steps) if k in (sim._Doubling, sim._Ladder)] == [sim._Doubling, sim._Ladder]
+        np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    def test_ladder_on_its_controls_alone(self):
+        # A period that touches only its control, by a P, has a control-1
+        # block on no qubit: a 1x1 matrix, its phase.  Its ladder used to
+        # fail to plan (an index into no qubits).
+        for controls in ((0, 1), (1, 2)):
+            c = sim.Circuit(3, [*map(sim.h, controls), sim.Repeat((sim.p(0.3, controls[0]),), 2, controls)])
+            assert sim._Doubling in map(type, c._grown_steps) and ladder_rungs(c) == [2]
+            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+            s = random_state(RNG, 3)
             np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
 
     def test_ladder_wider_than_cap_runs_its_rungs_gate_by_gate(self):
