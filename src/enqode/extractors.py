@@ -197,13 +197,14 @@ def qpe_gates(f: Circuit, flag: int | None, m: int, reflection_qubits=None) -> l
     control-0 block is the identity (``_grover_gates``), declared once.
     The simulator powers Q's control-1 block, the flag's phase as a row
     scale and the reflection from the state F's pyramid prepares, without
-    multiplying F's gates.  ``run`` makes the H layer and the ladder one
-    step from the loaded state: where phase qubits ``0..j-1`` hold y, it
-    writes ``Q**(2**j)`` times the rows of y into the rows of ``y + 2**j``,
-    so row y is ``Q**y F|0>``.  The inverse transform is one ``sim.Qft``
-    block.  The flag and the reflected qubits are checked (``_flag_qubit``,
-    ``_reflected_qubits``); no circuit is built here, and F is never
-    inverted: the reflection holds F's items."""
+    multiplying F's gates.  ``run``'s plan sees at the first H that the
+    layer leads into its ladder and makes both one step from the loaded
+    state, with no growth for the H gates: where phase qubits ``0..j-1``
+    hold y, it writes ``Q**(2**j)`` times the rows of y into the rows of
+    ``y + 2**j``, so row y is ``Q**y F|0>``.  The inverse transform is one
+    ``sim.Qft`` block.  The flag and the reflected qubits are checked
+    (``_flag_qubit``, ``_reflected_qubits``); no circuit is built here, and
+    F is never inverted: the reflection holds F's items."""
     _check_m(m)
     flag = _flag_qubit(f, flag)
     w = f.n_qubits

@@ -106,9 +106,10 @@ Conventions used throughout the package:
   and PERMUTATION are not lowered and count 0 CNOTs.
 * A state computes ``|amplitudes|**2`` once, on first use
   (``StateVector.probabilities``), and every marginal, draw and decode of
-  it reads that array.  ``sample_shots`` and ``sample_counts`` share one
-  seeded draw of basis states, byte-equal to ``Generator.choice`` with the
-  same ``p`` (``_draws``), and read each register's outcomes off it.
+  it reads that array.  ``sample_shots`` and ``sample_counts`` look the
+  same seeded uniforms up in one cdf (``_cdf``) as ``Generator.choice``
+  does: ``sample_shots`` in draw order (``_draws``), ``sample_counts``
+  sorted, since a histogram has no order.
   ``sample_shots`` makes its records with the cyclic collector paused.
 * All randomness goes through numpy's PCG64 generator, made by
   ``seeded_generator`` from an explicit integer seed, so every stochastic
@@ -1273,9 +1274,9 @@ class _Ladder(NamedTuple):
 
 
 class _Doubling(NamedTuple):
-    """A ladder and the H growths that inserted its m controls on top
-    (``_grown_controls``), as one step from ``psi[:2**start]`` to
-    ``psi[:2**width]``.  The growths make every row of the ``(2**m,
+    """A ladder and the H layer that inserts its m controls on top
+    (``_layer_ladder``), as one step from ``psi[:2**start]`` to
+    ``psi[:2**width]``.  The H gates make every row of the ``(2**m,
     2**start)`` view the old state times their ``factors``, so rung j
     makes rows ``2**j .. 2**(j+1) - 1`` as its power of the control-1
     block (held transposed in ``matrices``) times rows ``0 .. 2**j - 1``:
@@ -1289,7 +1290,7 @@ class _Doubling(NamedTuple):
 
     def apply(self, psi: np.ndarray) -> None:
         low = psi[: 1 << self.start]
-        for u in self.factors:  # the growths' multiplies, so row 0 is theirs
+        for u in self.factors:  # as H growths would multiply row 0
             np.multiply(low, u, out=low)
         rows = psi[: 1 << self.width].reshape(-1, low.size)
         for j, matrix in enumerate(self.matrices):
@@ -1482,11 +1483,11 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
     controls are all in T, is itself the growth, and any other item
     inserts its fresh qubits reading 0.  Every other step runs at width
     |T| with its qubits relabelled by their rank in T, which is the
-    identity while T is ``0..|T|-1``.  A ladder on all of T whose controls
-    are the top of T, inserted by the H growths just before it, is one
-    ``_Doubling`` in place of them and its ``_Ladder``
-    (``_grown_controls``).  If T is not ``0..|T|-1`` at the end, one
-    last growth inserts the qubits below its top that no item touched.  At
+    identity while T is ``0..|T|-1``.  An H layer that inserts qubits on
+    top of T, followed at once by a ladder on T whose controls they are,
+    is one ``_Doubling``, found at its first H, with no growth
+    (``_layer_ladder``).  If T is not ``0..|T|-1`` at the end, one last
+    growth inserts the qubits below its top that no item touched.  At
     widths of more than ``_FUSE_MIN`` amplitudes, runs of gates that follow
     one another at one width are then fused into dense updates
     (``_fused``); a block's step, or a growth, ends a run."""
@@ -1515,6 +1516,15 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
             if fresh:
                 if (1 << width) > _FUSE_MIN:
                     steps[unfused:] = _fused(steps[unfused:], width)
+                ladder = _layer_ladder(item, pending, touched)
+                if ladder:  # the H layer and its ladder are one step
+                    del pending[-len(ladder.controls) :]
+                    touched += ladder.controls
+                    width = len(touched)
+                    prefix = touched[-1] == width - 1
+                    steps.append(_repeat_step(ladder, None, width, powers, doubled=True))
+                    unfused = len(steps)
+                    continue
                 grows = kind is Gate and fresh == [qubits[-1]] and (len(qubits) == 1 or item.kind == MULTIPLEXED_RY)
                 start, touched = width, sorted(touched + fresh)
                 width = len(touched)
@@ -1539,11 +1549,7 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
                 gates = [_unchecked(g, qubits=tuple(map(touched.index, g.qubits))) for g in gates]
             steps += gates
         else:
-            grown = _grown_controls(steps, item, qubits, width)
-            if grown:  # the growths become part of the ladder's step
-                del steps[-len(grown) :]
-                unfused = len(steps) + 1
-            steps.append(_repeat_step(item, dict(zip(item.qubits, qubits)).__getitem__, width, powers, grown))
+            steps.append(_repeat_step(item, dict(zip(item.qubits, qubits)).__getitem__, width, powers))
     if (1 << width) > _FUSE_MIN:
         steps[unfused:] = _fused(steps[unfused:], width)
     if not prefix:
@@ -1552,19 +1558,20 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
     return tuple(steps)
 
 
-def _grown_controls(steps: list, item: Repeat, qubits: tuple[int, ...], width: int) -> tuple | None:
-    """The factors of the last m steps if they are one-qubit growths on
-    top whose two factors are one scalar (H on fresh qubits), and the
-    non-inverted ladder ``item``, its qubits at width ``width`` being
-    ``qubits``, acts on every touched qubit, its m controls the top ones
-    in ascending order.  Else None."""
-    m = len(item.controls)
-    if not m or item.inverted or len(steps) < m or qubits != tuple(range(width)) or item.controls != item.qubits[-m:]:
-        return None
-    for step in steps[-m:]:
-        if type(step) is not _Grow or not step.in_place or type(step.u0) is np.ndarray or not step.u0 == step.u1:
-            return None
-    return tuple(step.u0 for step in steps[-m:])
+def _layer_ladder(item, pending: list, touched: list[int]) -> Repeat | None:
+    """The ladder right after the H gates ``item`` and the next items of
+    ``pending`` (the next item last), if it is not inverted, its controls
+    are those H gates' qubits in order, its qubits are ``touched`` then
+    those, so each H inserts a qubit above the ones before, and it acts on
+    at most ``_POWER_QUBITS`` besides its controls.  Else None."""
+    layer = []
+    for g in itertools.chain((item,), reversed(pending)):
+        if type(g) is not Gate or g.kind != H:
+            break
+        layer.append(g.qubits[0])
+    ladder = pending[-len(layer)] if 0 < len(layer) <= len(pending) else None
+    fits = type(ladder) is Repeat and not ladder.inverted and len(touched) <= _POWER_QUBITS
+    return ladder if fits and ladder.controls == tuple(layer) and list(ladder.qubits) == touched + layer else None
 
 
 def _power(powers: dict[int, np.ndarray], count: int) -> np.ndarray:
@@ -1579,20 +1586,20 @@ def _power(powers: dict[int, np.ndarray], count: int) -> np.ndarray:
 
 
 def _repeat_step(
-    item: Repeat, place, n: int, powers: dict[tuple, dict[int, np.ndarray]], grown: tuple | None = None
+    item: Repeat, place, n: int, powers: dict[tuple, dict[int, np.ndarray]], doubled: bool = False
 ) -> _Power | _Ladder | _Doubling:
     """The step of a few-qubit repeat at width n, ``place`` mapping its
     qubits into the state: one ``_Power`` of a plain repeat's matrix, or a
     ``_Ladder`` of the control-1 block of a ladder's period
-    (``_control_one``) raised to each rung's count, or a ``_Doubling`` of
-    them given the factors ``grown`` (``_grown_controls``); the matrix of
-    the period, or of its control-1 block, is ``_period_matrix``'s.  An
-    inverted ladder takes the adjoints of its forward period's powers.
-    Repeats whose forward periods are equal on their own qubits share one
-    matrix and its powers (``_power``) in ``powers``, keyed by the
-    control's position and a plain tuple per gate: kind, qubit positions,
-    angle, angles, table; a reflection is keyed by its qubits' positions
-    and itself."""
+    (``_control_one``) raised to each rung's count, or, when ``doubled``,
+    a ``_Doubling`` of them (``_layer_ladder``), which needs no ``place``;
+    the matrix of the period, or of its control-1 block, is
+    ``_period_matrix``'s.  An inverted ladder takes the adjoints of its
+    forward period's powers.  Repeats whose forward periods are equal on
+    their own qubits share one matrix and its powers (``_power``) in
+    ``powers``, keyed by the control's position and a plain tuple per gate:
+    kind, qubit positions, angle, angles, table; a reflection is keyed by
+    its qubits' positions and itself."""
     period = _inverted(item.period) if item.inverted else item.period
     own = sorted({q for g in period for q in g.qubits})
     control = item.controls[0] if item.controls else None
@@ -1607,12 +1614,13 @@ def _repeat_step(
     if shared is None:
         gates, scalar = (period, 1.0) if control is None else item._control_block
         shared = powers[key] = {1: _period_matrix(gates, others) * scalar}
+    if doubled:
+        m = len(item.controls)
+        matrices = tuple(_power(shared, item.count << j).T for j in range(m))
+        return _Doubling(n - m, n, (_H_ENTRIES[0],) * m, matrices)
     others = list(map(place, others))
     if control is None:
         return _power_step(_power(shared, item.count), tuple(others), n)
-    if grown:
-        matrices = tuple(_power(shared, item.count << j).T for j in range(len(grown)))
-        return _Doubling(n - len(grown), n, grown, matrices)
     rungs = []
     for j, c in enumerate(item.controls):
         matrix = _power(shared, item.count << j)
@@ -1790,7 +1798,8 @@ def run(circuit: Circuit) -> StateVector:
     (``_Grow``): an angle load is n such doublings.  An amplitude load's
     ``Pyramid``, met before any qubit is touched, is one step instead, its
     state made in the plan and written over ``psi[:2**k]`` (``_Prepared``),
-    and so is phase estimation's H layer and ladder above it (``_Doubling``).
+    and so are phase estimation's H layer and ladder above it, with no
+    growth (``_Doubling``).
     Every other step runs on the compact state with its qubits relabelled
     by rank.  At the end the amplitudes above the last width are
     zero-filled, after one strided growth that inserts the untouched
@@ -1935,16 +1944,10 @@ def seeded_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _draws(state: StateVector, shots: int, seed: int) -> np.ndarray:
-    """``shots`` basis-state indices drawn from ``state`` with PCG64(seed)
-    (``seeded_generator``).
-
-    The draws are byte-equal to ``Generator(PCG64(seed)).choice(size,
-    shots, p=probs / probs.sum())``: this is the inverse-CDF lookup that
-    ``choice`` runs, without its re-checks of ``p`` (NaN and sign scans, a
-    compensated sum), none of which can fail on ``|amplitudes|**2`` over a
-    finite, positive total.  A state whose squared norm is 0, infinite or
-    NaN cannot be sampled and raises ``CircuitError``."""
+def _cdf(state: StateVector, shots: int) -> np.ndarray:
+    """The cdf that draws from ``state`` look uniforms up in, as
+    ``Generator.choice`` makes it; ``CircuitError`` if the squared norm is
+    0, infinite or NaN."""
     check_shots(shots, 1)
     probs = state.probabilities
     total = probs.sum()
@@ -1953,6 +1956,19 @@ def _draws(state: StateVector, shots: int, seed: int) -> np.ndarray:
     cdf = np.divide(probs, total)
     np.cumsum(cdf, out=cdf)  # in place: one 2**n buffer, not two
     cdf /= cdf[-1]
+    return cdf
+
+
+def _draws(state: StateVector, shots: int, seed: int) -> np.ndarray:
+    """``shots`` basis-state indices drawn from ``state`` with PCG64(seed)
+    (``seeded_generator``), in draw order.
+
+    The draws are byte-equal to ``Generator(PCG64(seed)).choice(size,
+    shots, p=probs / probs.sum())``: this is the inverse-CDF lookup
+    (``_cdf``) that ``choice`` runs, without its re-checks of ``p`` (NaN
+    and sign scans, a compensated sum), none of which can fail on
+    ``|amplitudes|**2`` over a finite, positive total."""
+    cdf = _cdf(state, shots)
     uniforms = seeded_generator(seed).random(shots)
     # Searched in ascending order, consecutive lookups walk nearby parts of
     # the cdf: at n = 18 and 8192 shots on a 2-vCPU Xeon that took 0.6 ms
@@ -2021,9 +2037,14 @@ def sample_counts(state: StateVector, register: Sequence[int], shots: int, seed:
     """How often each outcome of ``register`` occurs in ``shots`` draws:
     ``counts[y]`` over the same draws as ``sample_shots`` with the same
     ``(shots, seed)``, without making a record per shot.  Bit ``j`` of
-    ``y`` is ``register[j]``."""
+    ``y`` is ``register[j]``.  A histogram has no order, so the uniforms
+    are sorted in place and looked up in turn (``_cdf``), not put back in
+    draw order as ``_draws`` puts them."""
     register = _check_qubits(register, state.n_qubits)
-    return np.bincount(_outcomes(_draws(state, shots, seed), register), minlength=1 << len(register))
+    cdf = _cdf(state, shots)
+    uniforms = seeded_generator(seed).random(shots)
+    uniforms.sort()
+    return np.bincount(_outcomes(cdf.searchsorted(uniforms, side="right"), register), minlength=1 << len(register))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -1456,6 +1456,37 @@ class TestLadder:
                     if n + m <= 6:
                         np.testing.assert_allclose(got, sim.build_unitary(c)[:, 0], rtol=0, atol=EQUIV_ATOL)
 
+    def test_phase_qubits_are_planned_without_a_growth(self, monkeypatch):
+        # The plan finds the doubling when it meets the layer's first H, so
+        # no growth is made, and no |0> column taken, for a phase qubit.
+        # These plans keep the touched qubits a prefix, so the positions a
+        # growth inserts are qubit numbers.
+        inserted = []
+        grow_step, first_column = sim._grow_step, sim._first_column
+
+        def recorded_grow_step(start, width, qubits, column=None):
+            inserted.extend(qubits if column is None else qubits[-1:])
+            return grow_step(start, width, qubits, column)
+
+        monkeypatch.setattr(sim, "_grow_step", recorded_grow_step)
+        monkeypatch.setattr(sim, "_first_column", lambda gate: inserted.append(gate.qubits[-1]) or first_column(gate))
+        rng = np.random.default_rng(61)
+        for n, complex_load in itertools.product((2, 3, 4), (False, True)):
+            a = np.abs(rng.normal(size=1 << n))
+            if complex_load:
+                a = a * np.exp(1j * rng.uniform(-np.pi, np.pi, a.size))
+            f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+            for m, flag in itertools.product(range(1, 8), range(n)):
+                c = extractors.qae_circuit(f, m, flag)
+                inserted.clear()
+                assert sim._Doubling in map(type, c._grown_steps)
+                assert not set(inserted) & set(c.registers["qae_phase"])
+        a = np.abs(rng.normal(size=4))
+        c = converters.convert_amplitude_to_ew(loaders.load_amplitude(a / np.linalg.norm(a)).circuit, 3)
+        inserted.clear()
+        assert sim._Doubling in map(type, c._grown_steps)
+        assert inserted and not set(inserted) & set(c.registers["phase"])
+
     def test_ladders_not_right_after_their_own_h_layer_keep_their_rungs(self):
         # The doubling needs every row of the controls equal when the
         # ladder starts, and the controls on top.  Each case breaks one of
@@ -1512,6 +1543,18 @@ class TestLadder:
         assert ladder_rungs(c) == [] and powers(c) == 0 and len(c._steps) == len(c.gates)
         s = random_state(RNG, k + 2)
         assert sim.apply_circuit(s, c).amplitudes.tobytes() == gate_loop(c, s).tobytes()
+        np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
+    def test_ladder_wider_than_cap_after_its_h_layer_keeps_its_growths(self):
+        # Over the cap a ladder runs gate by gate, so the H layer before it
+        # is not taken into a doubling: it grows the state one H at a time.
+        k = sim._POWER_QUBITS + 1
+        rng = np.random.default_rng(7)
+        ladder = sim.Repeat(random_ladder_period(rng, k + 1, k), 1, (k, k + 1))
+        load = [sim.ry(float(theta), q) for q, theta in enumerate(rng.uniform(0.0, np.pi, k))]
+        c = sim.Circuit(k + 2, [*load, sim.h(k), sim.h(k + 1), ladder])
+        kinds = [type(s) for s in c._grown_steps]
+        assert sim._Doubling not in kinds and kinds.count(sim._Grow) == k + 2
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     def test_qae_flat_form_is_the_per_rung_form(self):
@@ -1737,6 +1780,23 @@ class TestPyramid:
             assert pyramid.gates == tuple(level_stages(tree.levels, tuple(range(n))))
             assert pyramid.inverse().gates == sim._inverted(pyramid.gates)
             assert pyramid.inverse().inverse() == pyramid
+
+    def test_stages_take_the_heap_as_floats_with_no_check_per_angle(self, monkeypatch):
+        # The block's angles were checked once, as a float64 heap; its
+        # stages take them as Python floats, so expanding it, directly or in
+        # a plan that meets it after a touched qubit, checks no angle again.
+        calls = []
+        real = sim._real
+        monkeypatch.setattr(sim, "_real", lambda value: calls.append(value) or real(value))
+        rng = np.random.default_rng(83)
+        for k in (1, 3, 8):
+            block = sim.Pyramid(rng.uniform(-3.0, 3.0, (1 << k) - 1), tuple(range(k)))
+            calls.clear()
+            angles = [a for g in block.gates for a in g.angles]
+            assert set(map(type, angles)) == {float} and angles == block.angles.tolist()
+            assert all(type(a) is float for g in block.inverse().gates for a in g.angles)
+            sim.Circuit(k + 1, [sim.x(k), sim.Pyramid(block.angles, block.qubits)])._grown_steps
+            assert calls == []
 
     def test_equal_and_hashed_by_value(self):
         angles = np.array([0.3, -1.2, 2.0])
@@ -2263,6 +2323,36 @@ class TestSampling:
                 got = sim._draws(s, shots, seed)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 16])
+    def test_counts_are_the_histogram_of_numpy_choice_and_of_the_records(self, n):
+        # sample_counts looks its uniforms up sorted, which no histogram can
+        # tell from draw order.  Oracles: numpy's own draws, as in
+        # test_draws_match_numpy_choice, and sample_shots' records, on a
+        # state that is exactly zero at both ends (one end at n = 1).
+        rng = np.random.default_rng(89 + n)
+        amps = random_state(rng, n).amplitudes * 3.0
+        amps[0 if n == 1 else [0, -1]] = 0.0
+        s = sim.state_from_amplitudes(amps)
+        probs = np.abs(s.amplitudes) ** 2
+        registers = {
+            "top": tuple(range(n // 2, n)),  # as qae's phase register
+            "low": tuple(range((n + 1) // 2)),
+            "gapped": tuple(range(0, n, 2)),
+            "down": tuple(range(n - 1, -1, -1)),
+            "empty": (),
+        }
+        for shots, seed in itertools.product((1, 7, 1024, 8192), (0, 77, 78)):
+            draws = np.random.Generator(np.random.PCG64(seed)).choice(probs.size, size=shots, p=probs / probs.sum())
+            records = sim.sample_shots(s, registers, shots, seed)
+            for name, qs in registers.items():
+                outcomes = np.zeros(shots, dtype=np.int64)
+                for j, q in enumerate(qs):
+                    outcomes |= ((draws >> q) & 1) << j
+                counts = sim.sample_counts(s, qs, shots, seed)
+                np.testing.assert_array_equal(counts, np.bincount(outcomes, minlength=1 << len(qs)))
+                recorded = [r.measured_bits[name] for r in records]
+                np.testing.assert_array_equal(counts, np.bincount(recorded, minlength=1 << len(qs)))
 
     def test_unsampleable_states_raise(self):
         for amps in ([np.nan, 0], [0, 0], [np.inf, 0]):
