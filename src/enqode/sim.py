@@ -38,10 +38,10 @@ Conventions used throughout the package:
   results are bit for bit those of one whole-half pass.  SWAP and
   PERMUTATION copy the rows their table moves.  ``apply_gate`` is the
   only code that applies a lone gate to a state.
-* A block matrix, a repeat's period or a fused run, is built as
-  ``build_unitary`` builds its matrix: gate by gate by ``apply_gate`` on
-  the identity (``_unitary``).  A reflection in a repeat's period is one
-  low-rank update of it (``_period_matrix``).
+* A repeat's period matrix is built as ``build_unitary`` builds its
+  matrix: gate by gate by ``apply_gate`` on the identity (``_unitary``).
+  A reflection in the period is one low-rank update of it
+  (``_period_matrix``).
 * Every qubit tuple, a gate's, a block's or a register's, passes one
   check (``_check_qubits``): plain ints, none repeated, inside the width
   where one is known.  Anything else raises ``CircuitError`` when made.
@@ -55,9 +55,9 @@ Conventions used throughout the package:
   ``run`` run the execution plan (``_execution_plan``), made once per
   circuit from the items for each of them (``Circuit._steps`` from width
   n, ``Circuit._grown_steps`` from width 0): each block as one step, gates
-  by ``apply_gate`` or, on wide states, in fused runs (below), and from
-  width 0 a growth (``_Grow``) wherever an item first touches a qubit,
-  every other step relabelled onto the touched qubits.  There are five
+  by ``apply_gate``, and from width 0 a growth (``_Grow``) wherever an
+  item first touches a qubit, every other step relabelled onto the
+  touched qubits.  There are five
   blocks; the four that are items run on the ``_view_shape`` view of
   their qubits:
 
@@ -88,15 +88,10 @@ Conventions used throughout the package:
     prepares, made in the plan (``_Prepared``); anywhere else it is planned
     as its stages, one gate at a time.
 
-  Every other gate runs through ``apply_gate``, except at widths of more
-  than ``_FUSE_MIN`` amplitudes (w >= 15), where the plan fuses each
-  greedy run of consecutive gates on at most ``_FUSE_QUBITS`` qubits into
-  one dense update (``_fused``; Häner & Steiger, arXiv 1704.01127).  A
-  block's step or a growth ends a run, and fusion lives only in the plan.
-  A fused or repeated product with no imaginary part, on qubits above
-  qubit 0, is applied as a real one (``_power_step``).  A block's step,
-  and a fused run, agree with the gate-by-gate run of their gates within
-  ``EQUIV_ATOL``, not bit for bit.
+  Every other gate runs through ``apply_gate``.  A repeated product with
+  no imaginary part, on qubits above qubit 0, is applied as a real one
+  (``_power_step``).  A block's step agrees with the gate-by-gate run of
+  its gates within ``EQUIV_ATOL``, not bit for bit.
 * Builders may emit the native multiplexer ``mry``; a controlled RY
   (``cry``) is one, with angles ``(0, theta)``.  ``Circuit.lowered``
   rewrites each one as its Gray-code walk of RY and CNOT gates
@@ -180,16 +175,6 @@ _SLAB = 1 << 14
 # took 1.4-7.5x more for m = 2..4 and 2-4x less for m = 5, 6.  QAE at
 # n = 3 (3 qubits) and n = 2 did not move.
 _POWER_QUBITS = 7
-# On states of more than ``_FUSE_MIN`` amplitudes, which do not stay in a
-# core's L2 cache from one gate to the next, the plan fuses runs of
-# consecutive gates on at most ``_FUSE_QUBITS`` qubits together into one
-# dense update (``_fused``): one pass over the state in place of one per
-# gate.  One RY per qubit at n = 16, 18 and 20 (medians of 30/15/7 runs,
-# one BLAS thread, 2-vCPU Xeon) ran in 10.0/30.0/143 ms unfused, and fused
-# at k = 2..6 in 4.7/13.8/68, 4.4/11.1/51, 3.9/11.4/46, 4.6/10.9/45 and
-# 4.8/13.8/58 ms: k = 4 is within 5% of the fastest at every width.
-_FUSE_MIN = 1 << 14
-_FUSE_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -1234,11 +1219,11 @@ def _dense(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
 
 
 class _Power(NamedTuple):
-    """A ``Repeat``'s power, a ladder's rung, or a fused run of gates
-    (``_fused``), as one dense update on the ``_view_shape`` view of the
-    qubits it touches: ``matrix`` is its 2**k-square unitary with local bit
-    i = ``qubits[i]``, and each slab of ``slabs`` indexes a piece of the
-    view that holds every value of those k qubits.  When ``controlled``,
+    """A ``Repeat``'s power, or a ladder's rung, as one dense update on
+    the ``_view_shape`` view of the qubits it touches: ``matrix`` is its
+    2**k-square unitary with local bit i = ``qubits[i]``, and each slab of
+    ``slabs`` indexes a piece of the view that holds every value of those
+    k qubits.  When ``controlled``,
     ``qubits[-1]`` is a control, and the matrix acts on ``qubits[:-1]``
     only where the control reads 1.  A real ``matrix`` is float64 and acts
     on the buffer's float64 view: its real and imaginary parts are one more
@@ -1276,22 +1261,21 @@ class _Ladder(NamedTuple):
 class _Doubling(NamedTuple):
     """A ladder and the H layer that inserts its m controls on top
     (``_layer_ladder``), as one step from ``psi[:2**start]`` to
-    ``psi[:2**width]``.  The H gates make every row of the ``(2**m,
-    2**start)`` view the old state times their ``factors``, so rung j
-    makes rows ``2**j .. 2**(j+1) - 1`` as its power of the control-1
-    block (held transposed in ``matrices``) times rows ``0 .. 2**j - 1``:
-    phase estimation's ``sum_y |y> Q**y F|0>`` (Brassard et al.,
+    ``psi[:2**width]``, m = ``width - start``.  The H gates make every row
+    of the ``(2**m, 2**start)`` view the old state times ``1/sqrt(2)`` m
+    times, so rung j makes rows ``2**j .. 2**(j+1) - 1`` as its power of
+    the control-1 block (held transposed in ``matrices``) times rows
+    ``0 .. 2**j - 1``: phase estimation's ``sum_y |y> Q**y F|0>`` (Brassard et al.,
     quant-ph/0005055) in m products."""
 
     start: int
     width: int
-    factors: tuple
     matrices: tuple[np.ndarray, ...]
 
     def apply(self, psi: np.ndarray) -> None:
         low = psi[: 1 << self.start]
-        for u in self.factors:  # as H growths would multiply row 0
-            np.multiply(low, u, out=low)
+        for _ in range(self.width - self.start):  # as H growths would multiply row 0
+            np.multiply(low, _H_ENTRIES[0], out=low)
         rows = psi[: 1 << self.width].reshape(-1, low.size)
         for j, matrix in enumerate(self.matrices):
             np.matmul(rows[: 1 << j], matrix, out=rows[1 << j : 2 << j])
@@ -1487,13 +1471,9 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
     top of T, followed at once by a ladder on T whose controls they are,
     is one ``_Doubling``, found at its first H, with no growth
     (``_layer_ladder``).  If T is not ``0..|T|-1`` at the end, one last
-    growth inserts the qubits below its top that no item touched.  At
-    widths of more than ``_FUSE_MIN`` amplitudes, runs of gates that follow
-    one another at one width are then fused into dense updates
-    (``_fused``); a block's step, or a growth, ends a run."""
+    growth inserts the qubits below its top that no item touched."""
     powers: dict[tuple, dict[int, np.ndarray]] = {}
     steps: list = []
-    unfused = 0  # the steps made at the current width start here
     touched = list(range(width))  # ascending: bit r of the compact state is qubit touched[r]
     prefix = True  # touched is range(width), so no qubit is relabelled
     pending = list(items)[::-1]  # the next item last
@@ -1508,14 +1488,11 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
             touched, width = list(qubits), len(qubits)
             prefix = touched[-1] == width - 1
             steps.append(_Prepared(width, _pyramid_state(item)))
-            unfused = len(steps)
             continue
         if not prefix or max(qubits) >= width:
             known = range(width) if prefix else touched
             fresh = [q for q in qubits if q not in known]
             if fresh:
-                if (1 << width) > _FUSE_MIN:
-                    steps[unfused:] = _fused(steps[unfused:], width)
                 ladder = _layer_ladder(item, pending, touched)
                 if ladder:  # the H layer and its ladder are one step
                     del pending[-len(ladder.controls) :]
@@ -1523,7 +1500,6 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
                     width = len(touched)
                     prefix = touched[-1] == width - 1
                     steps.append(_repeat_step(ladder, None, width, powers, doubled=True))
-                    unfused = len(steps)
                     continue
                 grows = kind is Gate and fresh == [qubits[-1]] and (len(qubits) == 1 or item.kind == MULTIPLEXED_RY)
                 start, touched = width, sorted(touched + fresh)
@@ -1531,7 +1507,6 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
                 prefix = touched[-1] == width - 1
                 inserted = tuple(map(touched.index, qubits if grows else fresh))
                 steps.append(_grow_step(start, width, inserted, _first_column(item) if grows else None))
-                unfused = len(steps)
                 if grows:
                     continue
             if not prefix:
@@ -1550,8 +1525,6 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
             steps += gates
         else:
             steps.append(_repeat_step(item, dict(zip(item.qubits, qubits)).__getitem__, width, powers))
-    if (1 << width) > _FUSE_MIN:
-        steps[unfused:] = _fused(steps[unfused:], width)
     if not prefix:
         top = touched[-1] + 1
         steps.append(_grow_step(width, top, tuple(q for q in range(top) if q not in touched)))
@@ -1617,7 +1590,7 @@ def _repeat_step(
     if doubled:
         m = len(item.controls)
         matrices = tuple(_power(shared, item.count << j).T for j in range(m))
-        return _Doubling(n - m, n, (_H_ENTRIES[0],) * m, matrices)
+        return _Doubling(n - m, n, matrices)
     others = list(map(place, others))
     if control is None:
         return _power_step(_power(shared, item.count), tuple(others), n)
@@ -1649,34 +1622,6 @@ def _power_step(matrix: np.ndarray, qubits: tuple[int, ...], n: int, controlled:
     return _Power(np.ascontiguousarray(matrix.real), qubits, shape, _slabs(shape, 2 << n), controlled)
 
 
-def _fused(steps: Sequence, n: int) -> list:
-    """``steps`` with each greedy run of two or more consecutive gates whose
-    qubits together number at most ``_FUSE_QUBITS`` replaced by one
-    ``_Power`` of their product, built gate by gate on the identity
-    (``_unitary``), so the run costs one pass over the state (Häner &
-    Steiger, arXiv 1704.01127).  A gate that does not fit the run
-    before it starts the next one, a lone gate keeps its 2x2 kernel, and
-    any other step ends a run."""
-    runs: list[list] = []
-    qubits: set[int] = set()
-    for step in steps:
-        after_gate = type(step) is Gate and runs and type(runs[-1][-1]) is Gate
-        if after_gate and len(qubits.union(step.qubits)) <= _FUSE_QUBITS:
-            runs[-1].append(step)
-            qubits.update(step.qubits)
-        else:
-            runs.append([step])
-            qubits = set(step.qubits) if type(step) is Gate else set()
-    out = []
-    for run in runs:
-        if len(run) == 1:
-            out.append(run[0])
-        else:
-            ordered = tuple(sorted({q for g in run for q in g.qubits}))
-            out.append(_power_step(_unitary(run, ordered), ordered, n))
-    return out
-
-
 def _multiply_step(block: Diagonal, qubits: tuple[int, ...], n: int) -> _Multiply:
     """``block``'s diagonal, ``exp(1j*(phases - mean))`` (negated when
     inverted), laid out over the ``_view_shape`` axes of ``qubits``, the
@@ -1705,12 +1650,12 @@ def _period_matrix(period: Sequence[Gate | Reflection], qubits: Sequence[int]) -
     on the identity ``u`` item by item: a P or CP scales the rows where its
     qubits read 1, any other gate runs on the rows (``_unitary``), and a
     reflection makes ``u`` into ``u - 2 F_P (F_P^dagger u)``, ``F_P`` the
-    columns of ``F`` that ``P`` keeps.  If that is ``|0...0>`` alone,
-    ``F_P`` is ``F|0...0>`` as ``run`` makes it: for a ``Pyramid`` on
-    ``qubits`` and any ``Diagonal`` blocks, the pyramid's kept state
-    (``_pyramid_state``) times their factors; else, on ascending qubits,
-    ``run`` of ``F``.  Else ``F``'s gates run on the columns."""
-    k, at, lo = len(qubits), {q: i for i, q in enumerate(qubits)}, min(qubits, default=0)
+    columns of ``F`` that ``P`` keeps.  For an ``F`` of a ``Pyramid`` on
+    ``qubits`` and any ``Diagonal`` blocks, reflected about ``|0...0>``,
+    ``F_P`` is ``F|0...0>`` as ``run`` makes it: the pyramid's kept state
+    (``_pyramid_state``) times their factors.  Else ``F``'s gates run on
+    the columns, so planning runs no other circuit."""
+    k, at = len(qubits), {q: i for i, q in enumerate(qubits)}
     u = np.eye(1 << k, dtype=np.complex128)
     for item in period:
         if type(item) is Gate:
@@ -1733,8 +1678,6 @@ def _period_matrix(period: Sequence[Gate | Reflection], qubits: Sequence[int]) -
             for i in diagonals:
                 _multiply_step(i, tuple(map(at.get, i.qubits)), k).apply(f_p)
             f_p = f_p[:, None]
-        elif zero == (1 << k) - 1 and list(qubits) == list(range(lo, lo + k)):
-            f_p = run(Circuit(k, [i.shifted(-lo) for i in item.items] if lo else item.items)).amplitudes[:, None]
         else:
             one = sum(1 << at[q] for q in item.controls)
             columns = [b for b in range(1 << k) if not b & zero and b & one == one]
@@ -1765,12 +1708,12 @@ def _unitary(gates: Sequence[Gate], qubits: Sequence[int], u: np.ndarray | None 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Run ``circuit`` on a copy of ``state``, by its execution plan from
-    width n (``Circuit._steps``): gates through ``apply_gate``, or on
-    states of more than ``_FUSE_MIN`` amplitudes a run of few-qubit gates
-    as one dense update, and each declared block by its step
-    (``_execution_plan``): a few-qubit ``Repeat`` as matrix powers, a
-    ``Diagonal`` as one multiply, a ``Qft`` as one FFT.  Any qubit of
-    ``state`` may read 1, so every step acts on the whole state.
+    width n (``Circuit._steps``): gates through ``apply_gate``, and each
+    declared block by its step (``_execution_plan``): a few-qubit
+    ``Repeat`` as matrix powers, a ``Diagonal`` as one multiply, a ``Qft``
+    as one FFT.  A circuit of gates alone is then byte-equal to applying
+    its gates one by one.  Any qubit of ``state`` may read 1, so every
+    step acts on the whole state.
 
     The copy and the squared norm it is checked against are one pass over
     the state each; on ``|0...0>`` call ``run``, which needs neither and
@@ -1804,8 +1747,8 @@ def run(circuit: Circuit) -> StateVector:
     by rank.  At the end the amplitudes above the last width are
     zero-filled, after one strided growth that inserts the untouched
     qubits below it, if any.  On a 2-vCPU Xeon an angle load at n = 18
-    planned in 0.11-0.16 ms and ran in 0.58-0.65 ms this way, against
-    0.35-0.38 and 4.6-5.0 ms fused on a zero-filled buffer (medians of 40).
+    planned in 0.11-0.16 ms and ran in 0.58-0.65 ms this way (medians of
+    40).
 
     The result agrees with ``apply_circuit`` on ``zero_state`` within
     ``EQUIV_ATOL``.  It is byte-equal to the gate-by-gate ``apply_gate``

@@ -1,10 +1,11 @@
-"""Every private name that the package's docstrings and comments cite
-exists in its code.
+"""Every private name that the docstrings and comments of the package and
+of its tests cite exists in their code.
 
 A docstring or comment cites a name as ````_name```` or a call of it
 (````_name(...)````).  Each such name must be an identifier, an attribute
-or a string constant (not a docstring) of some module of ``src/enqode``,
-read with ``ast``, so text that outlives the code it describes fails here.
+or a string constant (not a docstring) of some module of ``src/enqode`` or
+``tests``, read with ``ast``, so text that outlives the code it describes
+fails here.
 """
 import ast
 import io
@@ -14,8 +15,8 @@ from pathlib import Path
 
 import enqode
 
-MODULES = sorted(Path(enqode.__file__).parent.glob("*.py"))
-CITED = re.compile(r"``(_\w+)")  # a name, or a call of it
+MODULES = sorted(Path(enqode.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+CITED = re.compile(r"(?<!`)``(_\w+)")  # a name, or a call of it; ````_name```` shows the form
 
 
 def _docstrings(tree: ast.AST) -> list[ast.Constant]:
@@ -57,5 +58,5 @@ def test_cited_private_names_exist():
         texts = [d.value for d in docstrings]
         texts += [t.string for t in tokenize.generate_tokens(io.StringIO(source).readline) if t.type == tokenize.COMMENT]
         cited += [(path.name, name) for text in texts for name in CITED.findall(text)]
-    assert cited  # the pattern finds what the package cites
+    assert cited  # the pattern finds what the package and its tests cite
     assert [(module, name) for module, name in cited if name not in names] == []

@@ -201,20 +201,20 @@ class TestApplyCircuit:
         # is a growth that inserts the qubit below the touched ones, and its
         # phase pass then runs at full width: the result is the copy path's,
         # byte for byte (n = 9).  An angle load is all growths: byte-equal
-        # to the gate-by-gate loop, and within EQUIV_ATOL of apply_circuit,
-        # which fuses its gates (n = 16).
+        # to the gate-by-gate loop, as is apply_circuit, which runs its
+        # gates through apply_gate one by one (n = 16).
         rng = np.random.default_rng(21)
         a = rng.normal(size=512) + 1j * rng.normal(size=512)
         amplitude = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
         angle = loaders.load_angle(rng.uniform(0.0, np.pi / 2, 16)).circuit
         assert sim._Multiply in steps_of(amplitude)
-        assert sim._Power in steps_of(angle)
+        assert steps_of(angle) == [sim.Gate] * 16
         assert {type(step) for step in angle._grown_steps} == {sim._Grow}
         want = sim.apply_circuit(sim.zero_state(9), amplitude).amplitudes
         assert sim.run(amplitude).amplitudes.tobytes() == want.tobytes()
-        got = sim.run(angle).amplitudes
-        assert got.tobytes() == gate_loop(angle).tobytes()
-        np.testing.assert_allclose(got, sim.apply_circuit(sim.zero_state(16), angle).amplitudes, rtol=0, atol=EQUIV_ATOL)
+        looped = gate_loop(angle).tobytes()
+        assert sim.run(angle).amplitudes.tobytes() == looped
+        assert sim.apply_circuit(sim.zero_state(16), angle).amplitudes.tobytes() == looped
 
     def test_run_checks_width_before_allocating(self):
         tracemalloc.start()
@@ -348,13 +348,61 @@ class TestApplyCircuit:
         for a, b in zip(final_states(1, 61), final_states(1 << 30, 61)):
             assert a.tobytes() == b.tobytes()
         # n = 16 (halves of 2**15 amplitudes): an RY on every qubit,
-        # qubits 0, 1, 2 and n-1 among them, at the default slab size.  The
-        # plan fuses these gates at this width, so they run through the
-        # kernel itself, gate by gate.
+        # qubits 0, 1, 2 and n-1 among them, at the default slab size, run
+        # through the kernel itself, gate by gate.
         circuit = loaders.load_angle(RNG.uniform(0.0, np.pi / 2, 16)).circuit
         slabbed = gate_loop(circuit)
         monkeypatch.setattr(sim, "_SLAB", 1 << 30)
         assert slabbed.tobytes() == gate_loop(circuit).tobytes()
+
+    def test_wide_gate_circuits_are_the_gate_loop(self):
+        # A circuit of gates alone is planned as its gates, each run through
+        # apply_gate, so at any width apply_circuit is the gate-by-gate loop
+        # byte for byte.
+        rng = np.random.default_rng(97)
+        kinds = set()
+        for n in (15, 16, 17, 18):
+            for _ in range(3):
+                gates = [spread_gate(rng, n, 5) for _ in range(24)] + [random_gate(rng, n) for _ in range(6)]
+                c = sim.Circuit(n, gates)
+                kinds.update(g.kind for g in gates)
+                assert c._steps == tuple(gates)
+                s = random_state(rng, n)
+                assert sim.apply_circuit(s, c).amplitudes.tobytes() == gate_loop(c, s).tobytes()
+        assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "mry", "perm"}
+
+    def test_wide_loads_decode(self):
+        # Angle and Fourier loads at n = 15-18, grown by run and gate by
+        # gate by apply_circuit.
+        rng = np.random.default_rng(98)
+        for n in (15, 16, 17, 18):
+            thetas = rng.uniform(0.0, np.pi / 2, n)
+            c = loaders.load_angle(thetas).circuit
+            assert steps_of(c) == [sim.Gate] * n
+            for state in (sim.run(c), sim.apply_circuit(sim.zero_state(n), c)):
+                got = encodings.decode(encodings.Angle(n), state)
+                np.testing.assert_allclose(got.values, thetas, rtol=0, atol=ATOL_DECODE)
+            x = int(rng.integers(1 << n))
+            c = loaders.load_fourier(x, n).circuit
+            assert steps_of(c) == [sim.Gate] * (2 * n)
+            for state in (sim.run(c), sim.apply_circuit(sim.zero_state(n), c)):
+                assert encodings.decode(encodings.Fourier(n), state) == x
+
+    def test_wide_gates_stay_in_slabs(self):
+        # As test_wide_power_runs_in_slabs: the copy of the 4 MiB state
+        # plus slab-sized temporaries, for an angle load's n gates.
+        n = 18
+        c = loaders.load_angle(RNG.uniform(0.0, np.pi / 2, n)).circuit
+        c._steps  # the plan itself is small; measure the run
+        state = sim.zero_state(n)
+        tracemalloc.start()
+        try:
+            out = sim.apply_circuit(state, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 << n) + (2 << 20)
+        assert out.amplitudes.tobytes() == gate_loop(c, state).tobytes()
 
     def test_result_owns_a_read_only_buffer(self):
         s = random_state(RNG, 4)
@@ -511,7 +559,7 @@ class TestApplyCircuit:
 
 def gate_loop(circuit: sim.Circuit, state: sim.StateVector | None = None) -> np.ndarray:
     """``circuit`` run one gate at a time through ``apply_gate``: the path
-    that the execution plan's powers, fused runs and block steps replace."""
+    that the execution plan's powers and block steps replace."""
     psi = np.array((state or sim.zero_state(circuit.n_qubits)).amplitudes)
     for g in circuit.gates:
         sim.apply_gate(psi, g, circuit.n_qubits)
@@ -626,14 +674,14 @@ class TestExecutionPlan:
     def test_wide_power_runs_in_slabs(self):
         # n = 18: the state takes 4 MiB and apply_circuit copies it once.
         # Slab temporaries stay under 1 MiB; a power on whole-state
-        # temporaries would add 8 MiB.  The H layer is fused into one
-        # dense step of its own, ahead of the repeat's power.
+        # temporaries would add 8 MiB.  The H layer runs gate by gate
+        # through the kernel, ahead of the repeat's power.
         n = 18
         period = [sim.ry(0.3, 0), sim.cnot(0, 9), sim.h(17), sim.cp(0.2, 9, 17)]
-        c = sim.Circuit(n, [sim.h(q) for q in (0, 9, 17)] + [sim.Repeat(tuple(period), 5)])
-        layer, power = c._steps  # the plan itself is small; measure the run
-        assert type(layer) is sim._Power and layer.matrix.shape == (8, 8)
-        assert type(power) is sim._Power
+        layer = [sim.h(q) for q in (0, 9, 17)]
+        c = sim.Circuit(n, layer + [sim.Repeat(tuple(period), 5)])
+        *gates, power = c._steps  # the plan itself is small; measure the run
+        assert gates == layer and type(power) is sim._Power
         np.testing.assert_allclose(power.matrix, np.linalg.matrix_power(sim._period_matrix(period, (0, 9, 17)), 5),
                                    rtol=0, atol=EQUIV_ATOL)
         state = sim.zero_state(n)
@@ -645,6 +693,22 @@ class TestExecutionPlan:
             tracemalloc.stop()
         assert peak < (16 << n) + (2 << 20)
         np.testing.assert_allclose(out.amplitudes, gate_loop(c, state), rtol=0, atol=EQUIV_ATOL)
+
+    def test_real_powers_multiply_as_real(self):
+        # RY, H, CNOT and mry have real matrices, so a repeat of them is
+        # powered as float64 above qubit 0; a P gate makes its power
+        # complex, and so does qubit 0.
+        rng = np.random.default_rng(101)
+        for n in (5, 9, 12):
+            real = (sim.ry(0.3, 1), sim.h(2), sim.cnot(1, n - 1), sim.multiplexed_ry([0.2, -0.4], [2], 3))
+            phased = (sim.h(2), sim.p(0.7, 2), sim.cnot(2, 4))
+            low = (sim.cnot(0, 4), sim.ry(0.2, 0))
+            c = sim.Circuit(n, [sim.Repeat(real, 3), sim.Repeat(phased, 2), sim.Repeat(low, 5)])
+            first, second, third = c._steps
+            assert first.matrix.dtype == np.float64 and first.shape[-1] == 2 * sim._view_shape((1, 2, 3, n - 1), n)[-1]
+            assert second.matrix.dtype == third.matrix.dtype == np.complex128
+            s = random_state(rng, n)
+            np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
 
     def test_inverse_keeps_runs_repeated(self):
         for g in (sim.ry(0.3, 0), sim.cp(0.1, 0, 1), sim.multiplexed_ry([0.1, 0.2], [0], 1),
@@ -763,16 +827,13 @@ class TestExecutionPlan:
         assert peak < (16 << 2 * k) + (2 << 20)
 
     def test_nan_angle_in_a_block_matrix_raises(self):
-        # A NaN reaches the matrix of a repeat, a ladder and a fused run,
-        # and through it the norm check, even where it multiplies only
-        # amplitudes that read 0 (the mry's pattern with qubit 2 at 1).
+        # A NaN reaches the matrix of a repeat and of a ladder, and through
+        # it the norm check, even where it multiplies only amplitudes that
+        # read 0 (the mry's pattern with qubit 2 at 1).
         for bad in (sim.ry(np.nan, 0), sim.p(np.nan, 1), sim.cp(np.nan, 0, 1), sim.multiplexed_ry([0.3, np.nan], [2], 0)):
             period = (sim.cnot(0, 1), bad, sim.h(1))
             ladder = (sim.cp(0.4, 3, 0), *period)
-            n = 15
-            fused = [*(sim.h(q) for q in range(n)), *period]
-            for c in (sim.Circuit(3, [sim.h(0), sim.Repeat(period, 3)]), sim.Circuit(4, [sim.h(3), sim.Repeat(ladder, 1, (3,))]),
-                      sim.Circuit(n, fused)):
+            for c in (sim.Circuit(3, [sim.h(0), sim.Repeat(period, 3)]), sim.Circuit(4, [sim.h(3), sim.Repeat(ladder, 1, (3,))])):
                 for plan in (c._steps, c._grown_steps):
                     assert {type(step) for step in plan} & {sim._Power, sim._Ladder}
                 with pytest.raises(CircuitError):
@@ -910,107 +971,6 @@ def spread_gate(rng, n: int, k: int) -> sim.Gate:
     qubits = [int(q) for q in rng.choice(n, size=k, replace=False)]
     g = random_gate(rng, k)
     return sim.Gate(g.kind, tuple(qubits[q] for q in g.qubits), g.angle, g.angles, g.table)
-
-
-class TestFusion:
-    """On states of more than ``_FUSE_MIN`` amplitudes the plan fuses runs
-    of gates on at most ``_FUSE_QUBITS`` qubits into one dense step; every
-    result must match the gate-by-gate loop within ``EQUIV_ATOL``."""
-
-    def test_random_circuits_match_gate_loop(self):
-        rng = np.random.default_rng(97)
-        kinds = set()
-        for n in (15, 16, 17):
-            # gates drawn on 5 of the n qubits often fit a run of 4; the
-            # 6-qubit multiplexer fits no run, and the QFT block ends one
-            gates = [spread_gate(rng, n, 5) for _ in range(24)] + [random_gate(rng, n) for _ in range(6)]
-            wide = sim.multiplexed_ry(rng.uniform(-np.pi, np.pi, 32), range(5), n - 1)
-            items = [*gates[:10], wide, *gates[10:20], sim.Qft((0, 3, n - 1)), *gates[20:]]
-            c = sim.Circuit(n, items)
-            kinds.update(g.kind for g in gates)
-            fused = [step for step in c._steps if type(step) is sim._Power]
-            assert fused and all(step.matrix.shape[0] <= 1 << sim._FUSE_QUBITS for step in fused)
-            assert wide in c._steps and sim._Fourier in steps_of(c)
-            s = random_state(rng, n)
-            np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
-        assert kinds == {"x", "h", "ry", "p", "cnot", "cp", "swap", "mry", "perm"}
-
-    def test_runs_are_greedy(self):
-        a, b, c, d, e = (sim.ry(0.1 * i, q) for i, q in enumerate((0, 1, 2, 3, 4), 1))
-        n = 16
-        circuit = sim.Circuit(n, [a, b, sim.cnot(0, 2), c, d, e, sim.Diagonal([0.0, 1.0], (5,)), sim.h(9), a, b])
-        first, lone, diagonal, last = circuit._steps
-        assert lone == e and type(diagonal) is sim._Multiply
-        local = sim._period_matrix([a, b, sim.cnot(0, 2), c, d], (0, 1, 2, 3))
-        np.testing.assert_allclose(first.matrix, local, rtol=0, atol=EQUIV_ATOL)
-        np.testing.assert_allclose(last.matrix, sim._period_matrix([sim.h(9), a, b], (0, 1, 9)), rtol=0, atol=EQUIV_ATOL)
-        s = random_state(RNG, n)
-        np.testing.assert_allclose(sim.apply_circuit(s, circuit).amplitudes, gate_loop(circuit, s),
-                                   rtol=0, atol=EQUIV_ATOL)
-
-    def test_wide_loads_decode(self):
-        rng = np.random.default_rng(98)
-        for n in (15, 16, 17, 18):
-            thetas = rng.uniform(0.0, np.pi / 2, n)
-            c = loaders.load_angle(thetas).circuit
-            # runs of _FUSE_QUBITS gates, and a last run of what is left
-            assert len(c._steps) == -(-n // sim._FUSE_QUBITS)
-            assert powers(c) == len(c._steps) - (n % sim._FUSE_QUBITS == 1)
-            got = encodings.decode(encodings.Angle(n), sim.run(c))
-            np.testing.assert_allclose(got.values, thetas, rtol=0, atol=ATOL_DECODE)
-            x = int(rng.integers(1 << n))
-            c = loaders.load_fourier(x, n).circuit
-            assert powers(c) == len(c._steps) < len(c.gates)
-            assert encodings.decode(encodings.Fourier(n), sim.run(c)) == x
-
-    def test_fused_run_stays_in_slabs(self):
-        # As test_wide_power_runs_in_slabs: the copy of the 4 MiB state
-        # plus slab-sized temporaries.
-        n = 18
-        c = loaders.load_angle(RNG.uniform(0.0, np.pi / 2, n)).circuit
-        c._steps  # the plan itself is small; measure the run
-        state = sim.zero_state(n)
-        tracemalloc.start()
-        try:
-            out = sim.apply_circuit(state, c)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (16 << n) + (2 << 20)
-        np.testing.assert_allclose(out.amplitudes, gate_loop(c, state), rtol=0, atol=EQUIV_ATOL)
-
-    def test_real_runs_multiply_as_real(self):
-        # RY, H, CNOT and mry have real matrices, so their run's product is
-        # kept as float64 above qubit 0; a P gate makes its run's product
-        # complex, and so does qubit 0.
-        rng = np.random.default_rng(101)
-        for n in (15, 16, 17):
-            real = [sim.ry(0.3, 1), sim.h(5), sim.cnot(1, n - 1), sim.multiplexed_ry([0.2, -0.4], [5], 7)]
-            phased = [sim.h(2), sim.p(0.7, 2), sim.cnot(2, 9), sim.cnot(9, 11)]
-            low = [sim.cnot(0, 4), sim.ry(0.2, 0)]
-            c = sim.Circuit(n, real + phased + low)
-            first, second, third = c._steps
-            assert first.matrix.dtype == np.float64 and first.shape[-1] == 2 * sim._view_shape((1, 5, 7, n - 1), n)[-1]
-            assert second.matrix.dtype == third.matrix.dtype == np.complex128
-            s = random_state(rng, n)
-            np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
-
-    def test_narrow_plans_are_not_fused(self, monkeypatch):
-        # At most _FUSE_MIN amplitudes the plan is the unfused one, made
-        # without a pass over its steps: QAE (n = 10) and amplitude loads
-        # up to n = 14.  At n = 15 a load fuses.
-        monkeypatch.setattr(sim, "_fused", lambda *a: pytest.fail("a narrow plan was fused"))
-        rng = np.random.default_rng(99)
-        a = np.abs(rng.normal(size=8))
-        c = extractors.qae_circuit(loaders.load_amplitude(a / np.linalg.norm(a)).circuit, 7)
-        assert c.n_qubits == 10 and ladder_rungs(c) == [7]
-        for n in (1, 5, 9, 14):
-            a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            c = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
-            assert powers(c) == 0 and steps_of(c).count(sim.Gate) == n
-        monkeypatch.undo()
-        c = loaders.load_angle(np.full(15, 0.3)).circuit
-        assert powers(c) == len(c._steps) == 4
 
 
 def benchmark_wide_input(seed: int, index: int):
@@ -1371,6 +1331,19 @@ class TestLadder:
             assert multiplied == [] and ran == []
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
+    def test_qae_plan_on_an_angle_load_runs_no_circuit(self, monkeypatch):
+        # F without a pyramid: the reflection takes F|0...0> as one column
+        # run through F's gates (_unitary), and no plan runs another
+        # circuit.
+        rng = np.random.default_rng(59)
+        f = loaders.load_angle(rng.uniform(0.0, np.pi / 2, 3)).circuit
+        c = extractors.qae_circuit(f, 4, flag=1)
+        monkeypatch.setattr(sim, "run", lambda circuit: pytest.fail("the plan ran a circuit"))
+        c._grown_steps, c._steps
+        monkeypatch.undo()
+        assert ladder_rungs(c) == [4]
+        np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+
     def test_reflection_checks_its_qubits_and_items(self):
         f = (sim.h(0), sim.cnot(0, 1))
         for make in (
@@ -1446,7 +1419,7 @@ class TestLadder:
                     kinds = [type(s) for s in c._grown_steps]
                     assert kinds == [sim._Prepared, *[sim._Multiply] * complex_load, sim._Doubling, sim._Fourier]
                     doubling = c._grown_steps[-2]
-                    assert (doubling.start, doubling.width, doubling.factors) == (n, n + m, (sim._SQRT1_2,) * m)
+                    assert (doubling.start, doubling.width, len(doubling.matrices)) == (n, n + m, m)
                     (ladder,) = [s for s in c._steps if type(s) is sim._Ladder]
                     for matrix, rung in zip(doubling.matrices, ladder.rungs, strict=True):
                         assert np.array_equal(matrix.T, rung.matrix)
