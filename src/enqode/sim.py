@@ -38,28 +38,31 @@ Conventions used throughout the package:
   results are bit for bit those of one whole-half pass.  SWAP and
   PERMUTATION copy the rows their table moves.  ``apply_gate`` is the
   only code that applies a lone gate to a state.
-* A repeat's period matrix is built as ``build_unitary`` builds its
-  matrix: gate by gate by ``apply_gate`` on the identity (``_unitary``).
-  A reflection in the period is one low-rank update of it
-  (``_period_matrix``).
+* A repeat's period matrix is built on the identity item by item
+  (``_period_matrix``): a P or CP scales the rows where its qubits read 1,
+  any other gate runs on the rows by ``apply_gate`` as in
+  ``build_unitary`` (``_unitary``), and a reflection is one low-rank
+  update.
 * Every qubit tuple, a gate's, a block's or a register's, passes one
   check (``_check_qubits``): plain ints, none repeated, inside the width
   where one is known.  Anything else raises ``CircuitError`` when made.
 * A circuit stores its items: gates, and declared blocks that builders use
   to declare structure.  Every item answers one protocol: ``qubits``,
   ``gates`` (its flat expansion; a gate's is itself), ``inverse()`` and
-  ``shifted(offset)``.  ``inverse``, ``concat``, ``shifted`` and the run
-  read the items, so running a circuit expands no block; the flat list
-  ``Circuit.gates`` is made on first read, for ``lowered()``, ``depth``,
-  ``cnot_count``, ``==`` and ``build_unitary``.  ``apply_circuit`` and
-  ``run`` run the execution plan (``_execution_plan``), made once per
-  circuit from the items for each of them (``Circuit._steps`` from width
-  n, ``Circuit._grown_steps`` from width 0): each block as one step, gates
-  by ``apply_gate``, and from width 0 a growth (``_Grow``) wherever an
-  item first touches a qubit, every other step relabelled onto the
-  touched qubits.  There are five
-  blocks; the four that are items run on the ``_view_shape`` view of
-  their qubits:
+  ``shifted(offset)``.  ``Reflection``, ``Diagonal``, ``Pyramid`` and
+  ``Qft`` answer it through one base (``_Block``): a cached forward
+  expansion that an adjoint shares, and an ``==`` that agrees with the
+  hash.  ``inverse``, ``concat``, ``shifted`` and the run read the items,
+  so running a circuit expands no block; the flat list ``Circuit.gates``
+  is made on first read, for ``lowered()``, ``depth``, ``cnot_count``,
+  ``==`` and ``build_unitary``.  ``apply_circuit`` and ``run`` run the
+  execution plan (``_execution_plan``), made once per circuit from the
+  items for each of them (``Circuit._steps`` from width n,
+  ``Circuit._grown_steps`` from width 0): each block as one step, gates by
+  ``apply_gate``, and from width 0 a growth (``_Grow``) wherever an item
+  first touches a qubit, every other step relabelled onto the touched
+  qubits.  There are five blocks; the four that are items run on the
+  ``_view_shape`` view of their qubits:
 
   - ``Repeat``: gates and reflections applied ``count`` times back to
     back, or a ladder of such repeats (phase estimation's controlled
@@ -88,10 +91,9 @@ Conventions used throughout the package:
     prepares, made in the plan (``_Prepared``); anywhere else it is planned
     as its stages, one gate at a time.
 
-  Every other gate runs through ``apply_gate``.  A repeated product with
-  no imaginary part, on qubits above qubit 0, is applied as a real one
-  (``_power_step``).  A block's step agrees with the gate-by-gate run of
-  its gates within ``EQUIV_ATOL``, not bit for bit.
+  Every other gate runs through ``apply_gate``.  A block's step agrees
+  with the gate-by-gate run of its gates within ``EQUIV_ATOL``, not bit
+  for bit.
 * Builders may emit the native multiplexer ``mry``; a controlled RY
   (``cry``) is one, with angles ``(0, theta)``.  ``Circuit.lowered``
   rewrites each one as its Gray-code walk of RY and CNOT gates
@@ -120,7 +122,7 @@ from __future__ import annotations
 
 import gc
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -309,17 +311,46 @@ def _inverted(gates: Sequence[Gate]) -> tuple[Gate, ...]:
     return tuple(g.inverse() for g in reversed(gates))
 
 
+class _Block:
+    """The protocol of the declared blocks ``Reflection``, ``Diagonal``,
+    ``Pyramid`` and ``Qft``: ``gates`` is the forward expansion
+    ``_forward``, made on first read, or its adjoint when ``inverted``;
+    ``inverse()`` flips ``inverted`` on a copy that keeps what is cached, a
+    pyramid's prepared state too; ``shifted`` makes a block on one register
+    anew on the moved ``qubits``.  Blocks are equal when their fields are,
+    arrays by value, and hash by ``qubits`` and ``inverted``, so a -0.0 for
+    a 0.0 changes neither.  ``Reflection`` and ``Qft``, with no array, keep
+    their dataclass's ``==`` and hash."""
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return _inverted(self._forward) if self.inverted else self._forward
+
+    def inverse(self):
+        return _unchecked(self, inverted=not self.inverted)
+
+    def shifted(self, offset: int):
+        return replace(self, qubits=tuple(q + offset for q in self.qubits))
+
+    def __eq__(self, other) -> bool:
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return type(other) is type(self) and all(np.array_equal(a, b) if type(a) is np.ndarray else a == b for a, b in pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.qubits, self.inverted))
+
+
 @dataclass(frozen=True)
-class Reflection:
+class Reflection(_Block):
     """A declared block, met only in a ``Repeat``'s period: ``F (I - 2 P)
     F^dagger``, a Grover operator's reflection about the encoded state
     (Brassard et al., quant-ph/0005055), with ``F`` the circuit items
     ``items`` and ``P`` the projector onto the states where ``reflected``
-    reads 0 and ``controls`` read 1.  Its flat expansion ``gates`` is
+    reads 0 and ``controls`` read 1.  Its forward expansion is
     ``F``-inverse, an X on each reflected qubit, a phase of pi where they
-    and the controls read 1, the X layer and ``F``, or that list's adjoint
-    when ``inverted``.  Its part of a period's matrix is made without them,
-    from the columns of ``F`` that ``P`` keeps (``_period_matrix``)."""
+    and the controls read 1, the X layer and ``F``.  Its part of a period's
+    matrix is made without it, from the columns of ``F`` that ``P`` keeps
+    (``_period_matrix``)."""
 
     items: tuple
     reflected: tuple[int, ...]
@@ -336,16 +367,12 @@ class Reflection:
         for name, value in zip(("items", "reflected", "controls", "qubits"), (items, reflected, controls, qubits)):
             object.__setattr__(self, name, value)
 
-    @property
-    def gates(self) -> tuple[Gate, ...]:
+    @cached_property
+    def _forward(self) -> tuple[Gate, ...]:
         f = tuple(itertools.chain.from_iterable(i.gates for i in self.items))
         flips = tuple(map(x, self.reflected))
         qubits = (*self.controls, *self.reflected)
-        gates = (*_inverted(f), *flips, Gate(CP if len(qubits) > 1 else PHASE, qubits, angle=np.pi), *flips, *f)
-        return _inverted(gates) if self.inverted else gates
-
-    def inverse(self) -> "Reflection":
-        return _unchecked(self, inverted=not self.inverted)
+        return (*_inverted(f), *flips, Gate(CP if len(qubits) > 1 else PHASE, qubits, angle=np.pi), *flips, *f)
 
     def shifted(self, offset: int) -> "Reflection":
         moved = [tuple(q + offset for q in qs) for qs in (self.reflected, self.controls)]
@@ -442,7 +469,7 @@ def _control_one(period: Sequence[Gate | Reflection], control: int) -> tuple[lis
         if type(g) is Reflection:
             if control not in g.controls:
                 raise CircuitError(f"a reflection on {qubits} acts on the ladder's control {control} not as a control")
-            gates.append(Reflection(g.items, g.reflected, tuple(q for q in g.controls if q != control), g.inverted))
+            gates.append(replace(g, controls=tuple(q for q in g.controls if q != control)))
         elif g.kind == PHASE:
             scalar *= gate_blocks(g)[1]
         elif g.kind == CP:
@@ -458,20 +485,19 @@ def _control_one(period: Sequence[Gate | Reflection], control: int) -> tuple[lis
 
 
 @dataclass(frozen=True, eq=False)
-class Diagonal:
+class Diagonal(_Block):
     """A declared block: the diagonal unitary that multiplies basis state
     ``|b>`` of ``qubits`` (bit j of b = ``qubits[j]``) by
     ``exp(1j*(phases[b] - mean(phases)))``, or its adjoint when
-    ``inverted``.  ``phases`` is kept as a read-only float64 array; two
-    diagonals are equal when their fields are.
+    ``inverted``.  ``phases`` is kept as a read-only float64 array.
 
-    Its flat expansion ``gates`` is one multiplexed RZ per qubit, written
-    as ``H, P(pi/2), mry, P(-pi/2), H`` (RZ = H S^dag RY S H): the RZ on
+    Its forward expansion is one multiplexed RZ per qubit, written as ``H,
+    P(pi/2), mry, P(-pi/2), H`` (RZ = H S^dag RY S H): the RZ on
     ``qubits[t]`` is multiplexed over ``qubits[t+1:]`` by the phase
     differences of adjacent pairs, and the pair means pass on to the next
-    qubit (Bullock & Markov, quant-ph/0303039), made on first read.  That
-    diagonal is exactly the one above, global phase included.  Its plan
-    step, which needs no expansion, is one elementwise multiply by it.
+    qubit (Bullock & Markov, quant-ph/0303039).  That diagonal is exactly
+    the one above, global phase included.  Its plan step, which needs no
+    expansion, is one elementwise multiply by it.
     """
 
     phases: np.ndarray
@@ -485,48 +511,29 @@ class Diagonal:
         if not self.qubits or phases.size != 1 << len(self.qubits):
             raise CircuitError(f"a diagonal needs 2**k phases on k >= 1 qubits, got {phases.size} on {self.qubits}")
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is Diagonal
-            and (self.qubits, self.inverted) == (other.qubits, other.inverted)
-            and np.array_equal(self.phases, other.phases)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.qubits, self.inverted, self.phases.tobytes()))
-
     @cached_property
-    def gates(self) -> tuple[Gate, ...]:
+    def _forward(self) -> tuple[Gate, ...]:
         work = self.phases
         gates: list[Gate] = []
         for t, q in enumerate(self.qubits):
             deltas, work = work[1::2] - work[0::2], (work[0::2] + work[1::2]) / 2.0
             gates += [h(q), p(np.pi / 2, q), multiplexed_ry(deltas, self.qubits[t + 1 :], q), p(-np.pi / 2, q), h(q)]
-        return _inverted(gates) if self.inverted else tuple(gates)
-
-    def inverse(self) -> "Diagonal":
-        return Diagonal(self.phases, self.qubits, not self.inverted)
-
-    def shifted(self, offset: int) -> "Diagonal":
-        return Diagonal(self.phases, tuple(q + offset for q in self.qubits), self.inverted)
+        return tuple(gates)
 
 
 @dataclass(frozen=True, eq=False)
-class Pyramid:
+class Pyramid(_Block):
     """A declared block: the cascade of uniformly controlled RY rotations
     that loads an angle tree (Grover & Rudolph, quant-ph/0208112; Mottonen
     et al., quant-ph/0407010), or its adjoint when ``inverted``.
     ``angles`` is the tree in heap order, ``2**k - 1`` angles for k
-    ``qubits``, kept as a read-only float64 array; two pyramids are equal
-    when their fields are.
+    ``qubits``, kept as a read-only float64 array.
 
     Stage j rotates ``qubits[k-1-j]`` by level j of the tree,
     ``angles[2**j - 1 : 2**(j+1) - 1]``, multiplexed over ``qubits[k-j:]``.
-    Its flat expansion ``gates`` is one ``mry`` per stage, made on first
-    read and shared with its adjoint.  On ascending qubits at width 0 its
-    plan step is the state it prepares, made from one ``cos`` and one
-    ``sin`` over the angles (``_pyramid_state``); elsewhere it is planned
-    as its stages (``_execution_plan``)."""
+    Its forward expansion is one ``mry`` per stage.  On ascending qubits at
+    width 0 its plan step is the state it prepares (``_state``); elsewhere
+    it is planned as its stages (``_execution_plan``)."""
 
     angles: np.ndarray
     qubits: tuple[int, ...]
@@ -541,40 +548,45 @@ class Pyramid:
             raise CircuitError(f"a pyramid needs 2**k - 1 angles on 1 <= k <= {MAX_QUBITS} qubits, "
                                f"got {angles.size} on {qubits}")
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is Pyramid
-            and (self.qubits, self.inverted) == (other.qubits, other.inverted)
-            and np.array_equal(self.angles, other.angles)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.qubits, self.inverted, self.angles.tobytes()))
-
     @cached_property
-    def _stages(self) -> tuple[Gate, ...]:
+    def _forward(self) -> tuple[Gate, ...]:
         q, k = self.qubits, len(self.qubits)
         return tuple(multiplexed_ry(self.angles[(1 << j) - 1 : (2 << j) - 1], q[k - j :], q[k - 1 - j]) for j in range(k))
 
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return _inverted(self._stages) if self.inverted else self._stages
-
-    def inverse(self) -> "Pyramid":
-        return _unchecked(self, inverted=not self.inverted)
-
-    def shifted(self, offset: int) -> "Pyramid":
-        return Pyramid(self.angles, tuple(q + offset for q in self.qubits), self.inverted)
+    @cached_property
+    def _state(self) -> np.ndarray:
+        """The state the forward pyramid makes from ``|0...0>`` on ascending
+        fresh qubits, byte-equal to growing it stage by stage: ``[c, s]`` of
+        the root, then level by level each amplitude times its pattern's
+        ``c`` and ``s``, the new qubit's bit lowest, from one ``cos`` and
+        one ``sin`` over the half-angles as ``gate_blocks`` makes them.  A
+        growth's products are complex; these are real, their imaginary part
+        +0 once written into the buffer, unless a factor's sign bit is set,
+        which can leave a -0 there.  Read-only; a reflection about a load's
+        state reads it again."""
+        half = self.angles / 2.0
+        m = half.size
+        cs = np.empty(2 * m)
+        c, s = np.cos(half, out=cs[:m]), np.sin(half, out=cs[m:])
+        # a set sign bit (a negative, -0.0 or a NaN) reads as a negative int64
+        dtype = np.complex128 if cs.view(np.int64).min() < 0 else np.float64
+        state = np.array([c[0], s[0]], dtype=dtype)
+        for w in (1 << j for j in range(1, len(self.qubits))):
+            grown = np.empty((w, 2), dtype=dtype)
+            np.multiply(state, c[w - 1 : 2 * w - 1], out=grown[:, 0])
+            np.multiply(state, s[w - 1 : 2 * w - 1], out=grown[:, 1])
+            state = grown.reshape(-1)
+        state.setflags(write=False)
+        return state
 
 
 @dataclass(frozen=True)
-class Qft:
+class Qft(_Block):
     """A declared block: the quantum Fourier transform on ``qubits``,
     ``|x> -> 2**(-k/2) * sum_y exp(2*pi*i*x*y/2**k) |y>`` with
     ``qubits[0]`` as the low bit of ``x`` and ``y``, or its inverse when
-    ``inverted``.  Its flat expansion ``gates``, made on first read, is the
-    H and controlled-phase ladder followed by the qubit-reversal swaps; its
-    plan step is one orthonormal FFT (``_execution_plan``)."""
+    ``inverted``.  Its plan step is one orthonormal FFT
+    (``_execution_plan``)."""
 
     qubits: tuple[int, ...]
     inverted: bool = False
@@ -585,7 +597,7 @@ class Qft:
             raise CircuitError("a qft acts on at least one qubit")
 
     @cached_property
-    def gates(self) -> tuple[Gate, ...]:
+    def _forward(self) -> tuple[Gate, ...]:
         """From the top local bit down, an H, then a CP of ``pi/2**d`` from
         each lower bit at distance d; then swaps that reverse the bit
         order."""
@@ -597,13 +609,7 @@ class Qft:
                 gates.append(cp(np.pi / (1 << (i - j)), qubits[j], qubits[i]))
         for j in range(k // 2):
             gates.append(swap(qubits[j], qubits[k - 1 - j]))
-        return _inverted(gates) if self.inverted else tuple(gates)
-
-    def inverse(self) -> "Qft":
-        return Qft(self.qubits, not self.inverted)
-
-    def shifted(self, offset: int) -> "Qft":
-        return Qft(tuple(q + offset for q in self.qubits), self.inverted)
+        return tuple(gates)
 
 
 _ITEM_TYPES = frozenset((Gate, Repeat, Diagonal, Qft, Pyramid))
@@ -1223,12 +1229,8 @@ class _Power(NamedTuple):
     the ``_view_shape`` view of the qubits it touches: ``matrix`` is its
     2**k-square unitary with local bit i = ``qubits[i]``, and each slab of
     ``slabs`` indexes a piece of the view that holds every value of those
-    k qubits.  When ``controlled``,
-    ``qubits[-1]`` is a control, and the matrix acts on ``qubits[:-1]``
-    only where the control reads 1.  A real ``matrix`` is float64 and acts
-    on the buffer's float64 view: its real and imaginary parts are one more
-    trailing axis of length 2, so ``shape`` has its last gap doubled and
-    each product is a real one, with no copy of the parts."""
+    k qubits.  When ``controlled``, ``qubits[-1]`` is a control, and the
+    matrix acts on ``qubits[:-1]`` only where the control reads 1."""
 
     matrix: np.ndarray
     qubits: tuple[int, ...]
@@ -1237,11 +1239,10 @@ class _Power(NamedTuple):
     controlled: bool = False
 
     def apply(self, psi: np.ndarray) -> None:
-        """Each ``_qubit_major`` slab of the buffer, viewed as the
-        matrix's dtype, or its control-1 half, gathered into a (dim, rest)
-        matrix, multiplied, and written back."""
+        """Each ``_qubit_major`` slab of the buffer, or its control-1 half,
+        gathered into a (dim, rest) matrix, multiplied, and written back."""
         dim = self.matrix.shape[0]
-        for block in _qubit_major(psi.view(self.matrix.dtype), self.shape, self.qubits, self.slabs):
+        for block in _qubit_major(psi, self.shape, self.qubits, self.slabs):
             if self.controlled:
                 block = block[1]
             block[...] = (self.matrix @ block.reshape(dim, -1)).reshape(block.shape)
@@ -1364,7 +1365,7 @@ def _scaled(out: np.ndarray, old: np.ndarray, u) -> None:
 
 
 class _Prepared(NamedTuple):
-    """A compact state made in the plan (``_pyramid_state``), written over
+    """A compact state made in the plan (``Pyramid._state``), written over
     the buffer at width 0 as ``psi[:2**width]``."""
 
     width: int
@@ -1372,37 +1373,6 @@ class _Prepared(NamedTuple):
 
     def apply(self, psi: np.ndarray) -> None:
         psi[: 1 << self.width] = self.state
-
-
-def _pyramid_state(block: Pyramid) -> np.ndarray:
-    """The compact state that ``block``, on ascending fresh qubits, makes
-    from ``|0...0>``, byte-equal to growing it stage by stage: ``[c, s]``
-    of the root, then level by level each amplitude times its pattern's
-    ``c`` and ``s``, the new qubit's bit lowest, from one ``cos`` and one
-    ``sin`` over the half-angles as ``gate_blocks`` makes them.  A growth's
-    products are complex; these are real, their imaginary part +0 once
-    written into the buffer, unless a factor's sign bit is set, which can
-    leave a -0 there.  It is made once and kept, read-only, on the block
-    (``inverse`` copies it): a reflection about the state that a load
-    prepares reads it again."""
-    state = block.__dict__.get("_state")
-    if state is not None:
-        return state
-    half = block.angles / 2.0
-    m = half.size
-    cs = np.empty(2 * m)
-    c, s = np.cos(half, out=cs[:m]), np.sin(half, out=cs[m:])
-    # a set sign bit (a negative, -0.0 or a NaN) reads as a negative int64
-    dtype = np.complex128 if cs.view(np.int64).min() < 0 else np.float64
-    state = np.array([c[0], s[0]], dtype=dtype)
-    for w in (1 << j for j in range(1, len(block.qubits))):
-        grown = np.empty((w, 2), dtype=dtype)
-        np.multiply(state, c[w - 1 : 2 * w - 1], out=grown[:, 0])
-        np.multiply(state, s[w - 1 : 2 * w - 1], out=grown[:, 1])
-        state = grown.reshape(-1)
-    state.setflags(write=False)
-    block.__dict__["_state"] = state
-    return state
 
 
 def _first_column(gate: Gate) -> tuple:
@@ -1453,25 +1423,26 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
     most ``_POWER_QUBITS`` qubits, a ladder's control left out: a
     ``_Power`` of a plain repeat's matrix, or a ``_Ladder`` of powers of a
     ladder's control-1 block, squared from one matrix that
-    ``_period_matrix`` builds.  The flat gates of wider repeats run one by
-    one.  Repeats share their matrices in ``powers``, so an inverted ladder
-    takes the adjoints of its forward ladder's powers and builds no matrix.
+    ``_period_matrix`` builds.  Repeats share their matrices in ``powers``,
+    so an inverted ladder takes the adjoints of its forward ladder's powers
+    and builds no matrix.
 
     The state is kept as the compact state of the touched qubits T, in
     ascending order, in ``psi[:2**|T|]`` (``run``).  A non-inverted
     ``Pyramid`` on ascending qubits met while T is empty is one
-    ``_Prepared`` step, the state it prepares (``_pyramid_state``), and T
-    becomes its qubits; any other ``Pyramid`` is planned as its stages, one
-    gate at a time.  An item that touches a qubit outside T first inserts
-    it (``_Grow``): a one-qubit gate on it, or an ``mry`` on it whose
-    controls are all in T, is itself the growth, and any other item
-    inserts its fresh qubits reading 0.  Every other step runs at width
-    |T| with its qubits relabelled by their rank in T, which is the
-    identity while T is ``0..|T|-1``.  An H layer that inserts qubits on
-    top of T, followed at once by a ladder on T whose controls they are,
-    is one ``_Doubling``, found at its first H, with no growth
-    (``_layer_ladder``).  If T is not ``0..|T|-1`` at the end, one last
-    growth inserts the qubits below its top that no item touched."""
+    ``_Prepared`` step, the state it prepares (``Pyramid._state``), and T
+    becomes its qubits.  Any other ``Pyramid``, and a wider ``Repeat``, go
+    back onto the items to plan as their gates, one gate at a time.  An
+    item that touches a qubit outside T first inserts it (``_Grow``): a
+    one-qubit gate on it, or an ``mry`` on it whose controls are all in T,
+    is itself the growth, and any other item inserts its fresh qubits
+    reading 0.  Every other step runs at width |T| with its qubits
+    relabelled by their rank in T, which is the identity while T is
+    ``0..|T|-1``.  An H layer that inserts qubits on top of T, followed at
+    once by a ladder on T whose controls they are, is one ``_Doubling``,
+    found at its first H, with no growth (``_layer_ladder``).  If T is not
+    ``0..|T|-1`` at the end, one last growth inserts the qubits below its
+    top that no item touched."""
     powers: dict[tuple, dict[int, np.ndarray]] = {}
     steps: list = []
     touched = list(range(width))  # ascending: bit r of the compact state is qubit touched[r]
@@ -1481,13 +1452,13 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
         item = pending.pop()
         kind = type(item)
         qubits = item.qubits
-        if kind is Pyramid:
-            if width or item.inverted or list(qubits) != sorted(qubits):
-                pending += item.gates[::-1]  # each stage planned as the gate it is
-                continue
+        if kind is Pyramid and not width and not item.inverted and list(qubits) == sorted(qubits):
             touched, width = list(qubits), len(qubits)
             prefix = touched[-1] == width - 1
-            steps.append(_Prepared(width, _pyramid_state(item)))
+            steps.append(_Prepared(width, item._state))
+            continue
+        if kind is Pyramid or kind is Repeat and len(qubits) - len(item.controls) > _POWER_QUBITS:
+            pending += item.gates[::-1]  # each gate planned as it is
             continue
         if not prefix or max(qubits) >= width:
             known = range(width) if prefix else touched
@@ -1518,11 +1489,6 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
             steps.append(_Fourier(qubits, shape, _slabs(shape, 1 << width), item.inverted))
         elif kind is Gate:
             steps.append(item if prefix else _unchecked(item, qubits=qubits))
-        elif len(qubits) - len(item.controls) > _POWER_QUBITS:
-            gates = item.gates
-            if not prefix:
-                gates = [_unchecked(g, qubits=tuple(map(touched.index, g.qubits))) for g in gates]
-            steps += gates
         else:
             steps.append(_repeat_step(item, dict(zip(item.qubits, qubits)).__getitem__, width, powers))
     if not prefix:
@@ -1605,21 +1571,9 @@ def _repeat_step(
 
 
 def _power_step(matrix: np.ndarray, qubits: tuple[int, ...], n: int, controlled: bool = False) -> _Power:
-    """``matrix`` (local bit i = ``qubits[i]``) as one dense update of an
-    n-qubit state, slab by slab; when ``controlled``, a matrix on
-    ``qubits[:-1]`` applied where ``qubits[-1]`` reads 1.  A matrix with no
-    imaginary part on qubits above qubit 0 is kept as float64 and applied
-    to the float64 view of the buffer, whose last gap is twice as long
-    (``_Power``).  With qubit 0 among the qubits that gap would hold one
-    real and imaginary pair, and numpy gathers a slab two floats at a
-    time: at n = 18 (2-vCPU Xeon) a 4-qubit step then took 6-8 ms real
-    against 2.1-3.5 ms complex, while above qubit 0 it took 1.0-5.0 ms
-    against 2.0-6.1 ms."""
+    """The ``_Power`` of ``matrix`` on ``qubits`` of an n-qubit state."""
     shape = _view_shape(qubits, n)
-    if shape[-1] == 1 or matrix.imag.any():
-        return _Power(matrix, qubits, shape, _slabs(shape, 1 << n), controlled)
-    shape = (*shape[:-1], 2 * shape[-1])
-    return _Power(np.ascontiguousarray(matrix.real), qubits, shape, _slabs(shape, 2 << n), controlled)
+    return _Power(matrix, qubits, shape, _slabs(shape, 1 << n), controlled)
 
 
 def _multiply_step(block: Diagonal, qubits: tuple[int, ...], n: int) -> _Multiply:
@@ -1653,7 +1607,7 @@ def _period_matrix(period: Sequence[Gate | Reflection], qubits: Sequence[int]) -
     columns of ``F`` that ``P`` keeps.  For an ``F`` of a ``Pyramid`` on
     ``qubits`` and any ``Diagonal`` blocks, reflected about ``|0...0>``,
     ``F_P`` is ``F|0...0>`` as ``run`` makes it: the pyramid's kept state
-    (``_pyramid_state``) times their factors.  Else ``F``'s gates run on
+    (``Pyramid._state``) times their factors.  Else ``F``'s gates run on
     the columns, so planning runs no other circuit."""
     k, at = len(qubits), {q: i for i, q in enumerate(qubits)}
     u = np.eye(1 << k, dtype=np.complex128)
@@ -1674,7 +1628,7 @@ def _period_matrix(period: Sequence[Gate | Reflection], qubits: Sequence[int]) -
         pyramid, *diagonals = item.items or (None,)
         if zero == (1 << k) - 1 and type(pyramid) is Pyramid and not pyramid.inverted \
                 and pyramid.qubits == tuple(qubits) and all(type(i) is Diagonal for i in diagonals):
-            f_p = _pyramid_state(pyramid).astype(np.complex128)
+            f_p = pyramid._state.astype(np.complex128)
             for i in diagonals:
                 _multiply_step(i, tuple(map(at.get, i.qubits)), k).apply(f_p)
             f_p = f_p[:, None]

@@ -694,19 +694,16 @@ class TestExecutionPlan:
         assert peak < (16 << n) + (2 << 20)
         np.testing.assert_allclose(out.amplitudes, gate_loop(c, state), rtol=0, atol=EQUIV_ATOL)
 
-    def test_real_powers_multiply_as_real(self):
-        # RY, H, CNOT and mry have real matrices, so a repeat of them is
-        # powered as float64 above qubit 0; a P gate makes its power
-        # complex, and so does qubit 0.
+    def test_real_phased_and_qubit_0_powers_match_gate_loop(self):
+        # RY, H, CNOT and mry have real matrices, a P gate a complex one;
+        # each repeat is one power, on qubit 0 or above it
         rng = np.random.default_rng(101)
         for n in (5, 9, 12):
             real = (sim.ry(0.3, 1), sim.h(2), sim.cnot(1, n - 1), sim.multiplexed_ry([0.2, -0.4], [2], 3))
             phased = (sim.h(2), sim.p(0.7, 2), sim.cnot(2, 4))
             low = (sim.cnot(0, 4), sim.ry(0.2, 0))
             c = sim.Circuit(n, [sim.Repeat(real, 3), sim.Repeat(phased, 2), sim.Repeat(low, 5)])
-            first, second, third = c._steps
-            assert first.matrix.dtype == np.float64 and first.shape[-1] == 2 * sim._view_shape((1, 2, 3, n - 1), n)[-1]
-            assert second.matrix.dtype == third.matrix.dtype == np.complex128
+            assert [type(step) for step in c._steps] == [sim._Power] * 3
             s = random_state(rng, n)
             np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
 
@@ -1130,13 +1127,17 @@ class TestGrowth:
             ([sim.h(0), sim.h(1), mry], 3),  # one fresh control
             ([sim.Qft((1, 3, 4)), sim.h(4), sim.Diagonal([0.1, 0.5, -0.3, 0.9], (0, 2))], 2),
             ([sim.h(6), sim.Qft((2, 4), inverted=True), sim.cnot(4, 6)], 3),  # 0, 1, 3, 5 placed last
-            # a repeat on more than _POWER_QUBITS qubits runs relabelled gates
+            # a repeat on more than _POWER_QUBITS qubits is planned as its
+            # gates: each first touch of 2, 3 and 7 grows, 4, 5, 6 and 8 are
+            # inserted reading 0 by the CNOTs from 3, 4, 5 and 6, and 0 and
+            # 1 are placed last
             ([sim.h(9), sim.Repeat((sim.h(2), sim.cnot(2, 9), sim.ry(0.3, 3), sim.cnot(3, 4), sim.cnot(4, 5),
-                                    sim.cnot(5, 6), sim.cnot(6, 8)), 2)], 3),
+                                    sim.cnot(5, 6), sim.ry(0.5, 7), sim.cnot(6, 8)), 2)], 9),
         )
         for items, count in cases:
             c = sim.Circuit(10, items)
             steps = c._grown_steps
+            assert sim._Power not in map(type, steps)
             grows = [step for step in steps if type(step) is sim._Grow]
             assert len(grows) == count and grows[-1].width == 1 + max(q for i in items for q in i.qubits)
             assert mry not in items or (type(steps[-1]) is sim.Gate and grows[-1].one is None)
@@ -1866,7 +1867,7 @@ class TestPyramid:
             if prepared:
                 outline = [(sim._Prepared, k), *outline[k:]]
             assert plan_outline(c._grown_steps) == outline
-            assert ("_stages" in vars(pyramid)) != prepared
+            assert ("_forward" in vars(pyramid)) != prepared
             assert sim.run(c).amplitudes.tobytes() == sim.run(flat).amplitudes.tobytes()
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
@@ -2654,23 +2655,45 @@ class TestDeferredExpansion:
         pyramid, d = c.items
         assert (type(pyramid), type(d)) == (sim.Pyramid, sim.Diagonal)
         sim.run(c)
-        assert "_stages" not in vars(pyramid) and "gates" not in vars(d) and "gates" not in vars(c)
+        assert "_forward" not in vars(pyramid) and "_forward" not in vars(d) and "gates" not in vars(c)
         assert c.gates == (*pyramid.gates, *d.gates) and len(c.gates) == n + 5 * n
         flat = sim.Circuit(n, list(c.gates), c.registers)
         assert c == flat and (c.depth, c.cnot_count) == (flat.depth, flat.cnot_count)
         assert (c.depth, c.cnot_count) == (c.lowered().depth, sum(g.kind == sim.CNOT for g in c.lowered().gates))
 
     def test_item_protocol(self):
+        # every item, and a reflection alone and in a ladder's period:
+        # built at qubit offset 0 and 3 from the same values
         rng = np.random.default_rng(67)
-        g = sim.cry(0.4, 0, 2)
-        items = [g, sim.Repeat((g, sim.h(1)), 2), sim.Diagonal(rng.uniform(size=4), (2, 0)), sim.Qft((1, 0)),
-                 sim.Pyramid(rng.uniform(size=7), (2, 0, 1))]
-        for item in items:
+        phases, angles = rng.uniform(size=4), rng.uniform(size=7)
+
+        def items(o):
+            g = sim.cry(0.4, o, 2 + o)
+            reflection = sim.Reflection((sim.Pyramid(angles, (o, 1 + o, 2 + o)), sim.Diagonal(phases, (2 + o, o))),
+                                        (o, 1 + o, 2 + o), (3 + o,))
+            ladder = sim.Repeat((sim.cp(0.3, 3 + o, o), reflection), 1, (3 + o, 4 + o))
+            return [g, sim.Repeat((g, sim.h(1 + o)), 2), reflection, ladder, sim.Diagonal(phases, (2 + o, o)),
+                    sim.Qft((1 + o, o)), sim.Pyramid(angles, (2 + o, o, 1 + o))]
+
+        for item, built in zip(items(0), items(3)):
+            assert item.inverse().inverse() == item
+            assert item.inverse().gates == sim._inverted(item.gates)
             moved = item.shifted(3)
+            assert moved == built and hash(moved) == hash(built)
             assert moved.qubits == tuple(q + 3 for q in item.qubits)
             assert moved.gates == tuple(x.on([q + 3 for q in x.qubits]) for x in item.gates)
-            assert sim.Circuit(3, [item.inverse()]) == sim.Circuit(3, [item]).inverse()
+            if type(item) is not sim.Reflection:  # met only in a repeat's period
+                assert sim.Circuit(5, [item.inverse()]) == sim.Circuit(5, [item]).inverse()
+        g = items(0)[0]
         assert g.gates == (g,) and g.on((5, 4)) == sim.cry(0.4, 5, 4)
+
+    def test_equal_blocks_hash_equal(self):
+        # arrays that differ only in the sign of a zero are equal, so the
+        # blocks that hold them hash equal too
+        for a, b in ((sim.Pyramid([0.3, 0.0, 0.5], (0, 1)), sim.Pyramid([0.3, -0.0, 0.5], (0, 1))),
+                     (sim.Diagonal([0.3, 0.0, 0.5, 0.1], (0, 1)), sim.Diagonal([0.3, -0.0, 0.5, 0.1], (0, 1)))):
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+            assert a.inverse() == b.inverse() and hash(a.inverse()) == hash(b.inverse())
 
 
 class TestControlledSwap:
