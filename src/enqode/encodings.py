@@ -2,9 +2,11 @@
 
 An :class:`EncodingDescriptor` names the format a classical data set takes
 as a quantum state.  ``reference_state`` constructs that state
-arithmetically (no circuit) and serves as ground truth for the loader
-circuits; ``decode`` inverts it where the inverse is well defined, and
-``validate`` reports domain violations without raising.
+arithmetically, with no circuit, except for the divide-and-conquer and
+bidirectional variants, whose loader circuits define them and are run; it
+serves as ground truth for the other loader circuits.  ``decode`` inverts
+it where the inverse is well defined, and ``validate`` reports domain
+violations without raising.
 
 Each format's data is read once, by ``_parse``, which holds every domain
 rule: ``validate`` returns its violations, and ``check`` raises on them or

@@ -121,19 +121,26 @@ def mode_readout(
 def _z(alpha: float) -> float:
     """The two-sided normal quantile for confidence ``alpha``: the one
     check of every confidence level, which raises ``CircuitError`` unless
-    0 < alpha < 1."""
-    if not 0 < alpha < 1:
+    it is a real number (``sim._real``) and 0 < alpha < 1."""
+    if not 0 < sim._real(alpha) < 1:
         raise CircuitError(f"confidence alpha must be in (0, 1), got {alpha!r}")
     return NormalDist().inv_cdf((1.0 + alpha) / 2.0)
 
 
 def required_shots(epsilon: float, alpha: float, p: float) -> int:
     """Shots for absolute error ``epsilon`` at confidence ``alpha`` when
-    the flag probability is ``p`` (normal asymptotics)."""
+    the flag probability is ``p`` (normal asymptotics).  Raises
+    ``CircuitError`` unless ``epsilon`` and ``p`` are real numbers
+    (``sim._real``), epsilon > 0 and 0 <= p <= 1, and the count is finite."""
+    epsilon, p = sim._real(epsilon), sim._real(p)
     if not (epsilon > 0 and 0 <= p <= 1):
         raise CircuitError(f"required_shots needs epsilon > 0 and 0 <= p <= 1; got {epsilon}, {p}")
     z = _z(alpha)
-    return int(np.ceil(p * (1.0 - p) * z * z / (epsilon * epsilon)))
+    square = epsilon * epsilon
+    shots = p * (1.0 - p) * z * z / square if square else np.inf
+    if not np.isfinite(shots):
+        raise CircuitError(f"required_shots({epsilon!r}, {alpha!r}, {p!r}) is no finite count of shots")
+    return int(np.ceil(shots))
 
 
 def naive_amplitude_estimate(

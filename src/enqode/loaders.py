@@ -153,7 +153,9 @@ def load_equally_weighted(xs, m: int) -> LoaderOutput:
 
     The full set is a plain H layer; a singleton reduces to a basis load;
     anything else goes through the amplitude loader on the normalized
-    indicator vector (correctness over the swap-network asymptotics).
+    indicator vector (correctness over the swap-network asymptotics),
+    which raises ``CapacityError`` above ``sim.MAX_QUBITS`` before the
+    vector is made.
     """
     xs = sorted(enc.check(enc.EquallyWeighted(m), xs).tolist())
     if len(xs) == 1 << m:
@@ -161,6 +163,8 @@ def load_equally_weighted(xs, m: int) -> LoaderOutput:
         return _output(gates, m)
     if len(xs) == 1:
         return load_basis(xs[0], m)
+    if m > sim.MAX_QUBITS:
+        raise CapacityError(f"{len(xs)} of {1 << m} states load as {m} amplitude qubits, above the cap of {sim.MAX_QUBITS}")
     indicator = np.zeros(1 << m)
     indicator[xs] = 1.0 / np.sqrt(len(xs))
     return load_amplitude(indicator)

@@ -69,11 +69,11 @@ Conventions used throughout the package:
     powers).  On at most ``_POWER_QUBITS`` qubits, a ladder's control left
     out, its step is its ``2**k``-square matrix raised to the count, or a
     ladder's control-1 block raised to each rung's count and applied where
-    the rung's control reads 1; equal periods share one matrix.  Met from
-    width 0 right after the H layer that inserts its controls on top, a
-    ladder is one step with that layer, which doubles the rows of the
-    controls rung by rung (``_Doubling``).  A wider repeat runs gate by
-    gate.
+    the rung's control reads 1.  The repeat keeps that matrix and its
+    powers, and its adjoint (``inverted``) shares them.  Met from width 0
+    right after the H layer that inserts its controls on top, a ladder is
+    one step with that layer, which doubles the rows of the controls rung
+    by rung (``_Doubling``).  A wider repeat runs gate by gate.
   - ``Reflection``: ``F (I - 2 P) F^dagger``, a Grover operator's
     reflection about the state that the items F prepare, met only in a
     repeat's period.  Its part of the period's matrix is made from the
@@ -192,8 +192,9 @@ class Gate:
     ``table`` maps local basis indices (bit ``i`` = ``qubits[i]``) to local
     basis indices and must be a bijection of integers, kept as plain ints.
     ``angle`` and every entry of ``angles`` must be real numbers (not
-    bools), kept as floats.  A gate that breaks these rules, or of an
-    unknown kind, raises ``CircuitError`` when it is made.
+    bools), kept as floats.  A gate sets no field its kind does not read.
+    A gate that breaks these rules, or of an unknown kind, raises
+    ``CircuitError`` when it is made.
     """
 
     kind: str
@@ -215,6 +216,10 @@ class Gate:
             raise CircuitError(f"gate {kind} cannot act on {len(qubits)} qubits: {qubits}")
         if self.angle is None and kind in (RY, PHASE, CP):
             raise CircuitError(f"gate {kind} needs an angle")
+        read = "angle" if kind in (RY, PHASE, CP) else {MULTIPLEXED_RY: "angles", PERMUTATION: "table"}.get(kind)
+        for name in ("angle", "angles", "table"):
+            if name != read and getattr(self, name) is not None:
+                raise CircuitError(f"gate {kind} takes no {name}")
         if self.angle is not None and type(self.angle) is not float:
             object.__setattr__(self, "angle", _real(self.angle))
         if self.angles is not None:
@@ -272,15 +277,16 @@ class Gate:
 
 
 def _real(value) -> float:
-    """``value`` as a float, the one check of every angle: an int, float
-    or numpy real, not a bool; anything else raises ``CircuitError``.  A
-    NaN passes, and fails the norm check of the run that meets it."""
+    """``value`` as a float, the one check of every angle and confidence
+    level: an int, float or numpy real, not a bool; anything else raises
+    ``CircuitError``.  A NaN passes, and fails the norm check of the run
+    that meets it."""
     if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise CircuitError(f"an angle must be a real number, got {value!r}")
+        raise CircuitError(f"expected a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise CircuitError(f"angle {value!r} is too large for a float") from None
+        raise CircuitError(f"{value!r} is too large for a float") from None
 
 
 def _reals(values) -> np.ndarray:
@@ -395,10 +401,16 @@ class Repeat:
     (``_control_one``); any other gate on it raises ``CircuitError``.  Rung
     j is the period moved onto ``controls[j]`` and applied ``count * 2**j``
     times; ``gates`` lists the rungs in order, or the last first when
-    ``inverted`` (a ladder's adjoint).  Its plan step powers the matrix of
-    the period's control-1 block (``_repeat_step``), on at most
-    ``_POWER_QUBITS`` qubits once the control is left out; the block is made
-    once, with the ladder."""
+    ``inverted``.  Its plan step powers the matrix of the period's
+    control-1 block (``_repeat_step``), on at most ``_POWER_QUBITS`` qubits
+    once the control is left out.
+
+    Any repeat is the adjoint of a forward one when ``inverted``, its
+    period the forward period's adjoint.  It keeps the block its step
+    powers (``_block``: a ladder's forward control-1 block, or a plain
+    repeat's forward period and 1.0) and the powers a plan made of its
+    matrix (``_powers``), which ``inverse()`` copies: an adjoint runs their
+    adjoints."""
 
     period: tuple[Gate | Reflection, ...]
     count: int
@@ -412,15 +424,14 @@ class Repeat:
             raise CircuitError(f"repeat count must be an integer >= 1, got {self.count!r}")
         controls = _check_qubits(self.controls)
         object.__setattr__(self, "controls", controls)
-        if self.inverted and not controls:
-            raise CircuitError("only a ladder, a repeat with controls, is inverted")
+        forward = _inverted(self.period) if self.inverted else self.period
         if controls:
             touched = {q for g in self.period for q in g.qubits}
             if controls[0] not in touched:
                 raise CircuitError(f"a ladder's period must act on its control {controls[0]}")
             _check_qubits((*touched.difference(controls[:1]), *controls))
-            forward = _inverted(self.period) if self.inverted else self.period
-            object.__setattr__(self, "_control_block", _control_one(forward, controls[0]))
+        object.__setattr__(self, "_block", _control_one(forward, controls[0]) if controls else (forward, 1.0))
+        object.__setattr__(self, "_powers", {})
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -443,7 +454,7 @@ class Repeat:
         return tuple(sorted({q for g in self.period for q in g.qubits}.union(self.controls)))
 
     def inverse(self) -> "Repeat":
-        return _unchecked(self, period=_inverted(self.period), inverted=bool(self.controls) and not self.inverted)
+        return _unchecked(self, period=_inverted(self.period), inverted=not self.inverted)
 
     def shifted(self, offset: int) -> "Repeat":
         controls = tuple(q + offset for q in self.controls)
@@ -781,7 +792,8 @@ class Circuit:
     lists, registers and query counts are.
 
     ``query_count`` counts oracle queries declared by circuit builders (e.g.
-    a simulated qRAM access); it is not derived from the gate list.
+    a simulated qRAM access), an integer >= 0 kept as a plain int; it is
+    not derived from the gate list.
     """
 
     n_qubits: int
@@ -793,6 +805,8 @@ class Circuit:
         n = self.n_qubits
         if not _is_integer(n) or n < 1:
             raise CircuitError(f"circuit needs an integer number of qubits >= 1, got {n!r}")
+        if not _is_integer(self.query_count) or self.query_count < 0:
+            raise CircuitError(f"a query count is an integer >= 0, got {self.query_count!r}")
         items = tuple(self.items)
         if not set(map(type, items)) <= _ITEM_TYPES:
             bad = next(i for i in items if type(i) not in _ITEM_TYPES)
@@ -806,6 +820,7 @@ class Circuit:
         if len(set(used)) != len(used):
             raise CircuitError(f"registers overlap: {regs}")
         object.__setattr__(self, "n_qubits", int(n))
+        object.__setattr__(self, "query_count", int(self.query_count))
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "registers", regs)
 
@@ -1423,9 +1438,8 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
     most ``_POWER_QUBITS`` qubits, a ladder's control left out: a
     ``_Power`` of a plain repeat's matrix, or a ``_Ladder`` of powers of a
     ladder's control-1 block, squared from one matrix that
-    ``_period_matrix`` builds.  Repeats share their matrices in ``powers``,
-    so an inverted ladder takes the adjoints of its forward ladder's powers
-    and builds no matrix.
+    ``_period_matrix`` builds and the repeat keeps (``_power``) for its
+    adjoint and any later plan.
 
     The state is kept as the compact state of the touched qubits T, in
     ascending order, in ``psi[:2**|T|]`` (``run``).  A non-inverted
@@ -1443,7 +1457,6 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
     found at its first H, with no growth (``_layer_ladder``).  If T is not
     ``0..|T|-1`` at the end, one last growth inserts the qubits below its
     top that no item touched."""
-    powers: dict[tuple, dict[int, np.ndarray]] = {}
     steps: list = []
     touched = list(range(width))  # ascending: bit r of the compact state is qubit touched[r]
     prefix = True  # touched is range(width), so no qubit is relabelled
@@ -1467,10 +1480,11 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
                 ladder = _layer_ladder(item, pending, touched)
                 if ladder:  # the H layer and its ladder are one step
                     del pending[-len(ladder.controls) :]
-                    touched += ladder.controls
+                    matrices = tuple(_power(ladder, ladder.count << j).T for j in range(len(ladder.controls)))
+                    start, touched = width, touched + list(ladder.controls)
                     width = len(touched)
                     prefix = touched[-1] == width - 1
-                    steps.append(_repeat_step(ladder, None, width, powers, doubled=True))
+                    steps.append(_Doubling(start, width, matrices))
                     continue
                 grows = kind is Gate and fresh == [qubits[-1]] and (len(qubits) == 1 or item.kind == MULTIPLEXED_RY)
                 start, touched = width, sorted(touched + fresh)
@@ -1490,7 +1504,7 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
         elif kind is Gate:
             steps.append(item if prefix else _unchecked(item, qubits=qubits))
         else:
-            steps.append(_repeat_step(item, dict(zip(item.qubits, qubits)).__getitem__, width, powers))
+            steps.append(_repeat_step(item, dict(zip(item.qubits, qubits)).__getitem__, width))
     if not prefix:
         top = touched[-1] + 1
         steps.append(_grow_step(width, top, tuple(q for q in range(top) if q not in touched)))
@@ -1513,60 +1527,37 @@ def _layer_ladder(item, pending: list, touched: list[int]) -> Repeat | None:
     return ladder if fits and ladder.controls == tuple(layer) and list(ladder.qubits) == touched + layer else None
 
 
-def _power(powers: dict[int, np.ndarray], count: int) -> np.ndarray:
-    """``powers[count]``, made as ``power(count - count//2) @
-    power(count//2)`` from the powers kept in ``powers`` (at least
-    ``powers[1]``) and kept there too.  ``Q**(2**j)`` is then one squaring
-    of ``Q**(2**(j-1))``, byte-equal to ``np.linalg.matrix_power(Q,
-    2**j)``, which squares in the same order."""
+def _power(item: Repeat, count: int) -> np.ndarray:
+    """``item``'s forward block (``Repeat._block``) to the power ``count``,
+    kept in ``item._powers``: the ``_period_matrix`` of the block off the
+    controls, then ``power(count - count//2) @ power(count//2)``.
+    ``Q**(2**j)`` is then one squaring of ``Q**(2**(j-1))``, byte-equal to
+    ``np.linalg.matrix_power(Q, 2**j)``, which squares in the same order."""
+    powers = item._powers
+    if not powers:
+        gates, scalar = item._block
+        powers[1] = _period_matrix(gates, [q for q in item.qubits if q not in item.controls]) * scalar
     if count not in powers:
-        powers[count] = _power(powers, count - count // 2) @ _power(powers, count // 2)
+        powers[count] = _power(item, count - count // 2) @ _power(item, count // 2)
     return powers[count]
 
 
-def _repeat_step(
-    item: Repeat, place, n: int, powers: dict[tuple, dict[int, np.ndarray]], doubled: bool = False
-) -> _Power | _Ladder | _Doubling:
+def _repeat_step(item: Repeat, place, n: int) -> _Power | _Ladder:
     """The step of a few-qubit repeat at width n, ``place`` mapping its
-    qubits into the state: one ``_Power`` of a plain repeat's matrix, or a
-    ``_Ladder`` of the control-1 block of a ladder's period
-    (``_control_one``) raised to each rung's count, or, when ``doubled``,
-    a ``_Doubling`` of them (``_layer_ladder``), which needs no ``place``;
-    the matrix of the period, or of its control-1 block, is
-    ``_period_matrix``'s.  An inverted ladder takes the adjoints of its
-    forward period's powers.  Repeats whose forward periods are equal on
-    their own qubits share one matrix and its powers (``_power``) in
-    ``powers``, keyed by the control's position and a plain tuple per gate:
-    kind, qubit positions, angle, angles, table; a reflection is keyed by
-    its qubits' positions and itself."""
-    period = _inverted(item.period) if item.inverted else item.period
-    own = sorted({q for g in period for q in g.qubits})
-    control = item.controls[0] if item.controls else None
-    at = {q: i for i, q in enumerate(own)}.__getitem__
-    key = tuple([
-        (g.kind, tuple(map(at, g.qubits)), g.angle, g.angles, g.table) if type(g) is Gate else (tuple(map(at, g.qubits)), g)
-        for g in period
-    ])
-    key = (None if control is None else at(control), key)
-    others = [q for q in own if q != control]
-    shared = powers.get(key)
-    if shared is None:
-        gates, scalar = (period, 1.0) if control is None else item._control_block
-        shared = powers[key] = {1: _period_matrix(gates, others) * scalar}
-    if doubled:
-        m = len(item.controls)
-        matrices = tuple(_power(shared, item.count << j).T for j in range(m))
-        return _Doubling(n - m, n, matrices)
-    others = list(map(place, others))
-    if control is None:
-        return _power_step(_power(shared, item.count), tuple(others), n)
-    rungs = []
-    for j, c in enumerate(item.controls):
-        matrix = _power(shared, item.count << j)
-        if item.inverted:
-            # kept contiguous: a transposed view planned amp->EW n = 3, m = 4 0.14 ms faster but ran 0.23 ms slower
-            matrix = np.ascontiguousarray(matrix.conj().T)
-        rungs.append(_power_step(matrix, (*others, place(c)), n, controlled=True))
+    qubits into the state: one ``_Power`` of a plain repeat's matrix to
+    its count, or a ``_Ladder`` of a ladder's control-1 block raised to
+    each rung's count (``_power``).  An inverted repeat runs the adjoints
+    of those powers, a ladder's rungs in reverse."""
+
+    def power(count: int) -> np.ndarray:
+        matrix = _power(item, count)
+        # kept contiguous: a transposed view planned amp->EW n = 3, m = 4 0.14 ms faster but ran 0.23 ms slower
+        return np.ascontiguousarray(matrix.conj().T) if item.inverted else matrix
+
+    others = tuple(place(q) for q in item.qubits if q not in item.controls)
+    if not item.controls:
+        return _power_step(power(item.count), others, n)
+    rungs = [_power_step(power(item.count << j), (*others, place(c)), n, controlled=True) for j, c in enumerate(item.controls)]
     return _Ladder(tuple(rungs[::-1] if item.inverted else rungs))
 
 

@@ -202,6 +202,24 @@ class TestNaiveEstimate:
             with pytest.raises(CircuitError, match="confidence alpha"):
                 ext.required_shots(0.1, alpha, 0.5)
 
+    def test_numbers_that_are_not_real_or_give_no_finite_count_are_refused(self):
+        # these used to raise a bare TypeError, and an epsilon whose square
+        # underflows a ZeroDivisionError
+        f = random_loader(np.random.default_rng(3), 2)
+        for make in (
+            lambda: ext.required_shots("a", 0.9, 0.5),
+            lambda: ext.required_shots(0.1, None, 0.5),
+            lambda: ext.required_shots(0.1, 0.9, "p"),
+            lambda: ext.required_shots(0.1, True, 0.5),
+            lambda: ext.naive_amplitude_estimate(f, 10, "x", 0),
+        ):
+            with pytest.raises(CircuitError, match="real number"):
+                make()
+        for eps, p in ((1e-200, 0.5), (1e-160, 0.5), (1e-200, 0.0)):
+            with pytest.raises(CircuitError, match="no finite count"):
+                ext.required_shots(eps, 0.9, p)
+        assert ext.required_shots(np.float32(0.01), np.float64(0.95), 1) == 0
+
 
 class TestReadouts:
     def test_required_shots_formula(self):

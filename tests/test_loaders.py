@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,19 @@ class TestLoadEquallyWeighted:
     def test_duplicates_rejected(self):
         with pytest.raises(EncodingError):
             loaders.load_equally_weighted([1, 1], 2)
+
+    def test_size_is_checked_before_the_indicator_is_made(self):
+        # a subset above the cap used to allocate its 2**m indicator (256
+        # MiB at m = 25, a MemoryError at m = 30) before it was refused
+        for m in (25, 30):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError, match="above the cap"):
+                    loaders.load_equally_weighted([1, 2], m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 << 20
 
 
 class TestLoadDivideConquer:

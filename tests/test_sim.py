@@ -840,7 +840,8 @@ class TestExecutionPlan:
 
     def test_equal_periods_share_one_matrix(self, monkeypatch):
         # QAE's controlled Grover operators differ only in their control
-        # wire, so the plan builds one period matrix for all m powers
+        # wire: the ladder builds one period matrix for all m powers, and
+        # keeps it, so both plans of a circuit build one
         calls = []
         build = sim._period_matrix
         monkeypatch.setattr(sim, "_period_matrix", lambda *a: calls.append(1) or build(*a))
@@ -848,15 +849,16 @@ class TestExecutionPlan:
         c = extractors.qae_circuit(loaders.load_amplitude(a).circuit, 7)
         assert ladder_rungs(c) == [7] and len(calls) == 1
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
-        assert len(calls) == 2  # run's plan, from width 0, shares one too
+        assert len(calls) == 1  # run's plan, from width 0, builds none
         # amplitude -> equally-weighted: Q's powers, then their inverses,
         # which are the conjugate transposes of the forward powers
         c = converters.convert_amplitude_to_ew(loaders.load_amplitude(np.sqrt([0.1, 0.2, 0.3, 0.4])).circuit, 4)
-        assert ladder_rungs(c) == [4, 4] and len(calls) == 3
+        assert ladder_rungs(c) == [4, 4] and len(calls) == 2
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
-        assert len(calls) == 4
+        assert len(calls) == 2
 
-    def test_periods_share_a_matrix_only_when_equal_on_their_qubits(self, monkeypatch):
+    def test_each_repeat_builds_its_own_matrix(self, monkeypatch):
+        # equal periods on other qubits, as relabelled ones, build anew
         calls = []
         build = sim._period_matrix
         monkeypatch.setattr(sim, "_period_matrix", lambda *a: calls.append(1) or build(*a))
@@ -875,7 +877,7 @@ class TestExecutionPlan:
                       for qs in ((1, 3), (0, 2))]
         items = [sim.Repeat(v, 1) for v in variants] + [sim.Repeat(relabelled[0], 3), sim.Repeat(relabelled[1], 2)]
         c = sim.Circuit(n, items)
-        assert powers(c) == len(items) and len(calls) == len(variants)
+        assert powers(c) == len(items) and len(calls) == len(items)
         matrices = [step.matrix for step in c._steps[: len(variants)]]
         for a, b in itertools.combinations(matrices, 2):
             assert not np.allclose(a, b)
@@ -1244,6 +1246,27 @@ class TestRepeat:
         undone = sim.apply_circuit(sim.run(c), inverse).amplitudes
         np.testing.assert_allclose(undone, sim.zero_state(c.n_qubits).amplitudes, rtol=0, atol=EQUIV_ATOL)
 
+    def test_a_repeat_and_its_inverse_share_one_matrix(self, monkeypatch):
+        # a plain repeat inverts as a ladder does: its adjoint is inverted
+        # and runs the adjoint of the forward repeat's power
+        calls = []
+        build = sim._period_matrix
+        monkeypatch.setattr(sim, "_period_matrix", lambda *a: calls.append(1) or build(*a))
+        rng = np.random.default_rng(83)
+        a = np.abs(rng.normal(size=8))
+        q = extractors.grover_operator(loaders.load_amplitude(a / np.linalg.norm(a)).circuit)
+        for forward in (q, sim.Circuit(3, [sim.Repeat(q.items[0].period, 3)])):
+            calls.clear()
+            c = forward.concat(forward.inverse())
+            assert [i.inverted for i in c.items] == [False, True] and powers(c) == 2 and len(calls) == 1
+            ahead, back = c._steps
+            assert back.matrix.tobytes() == np.ascontiguousarray(ahead.matrix.conj().T).tobytes()
+            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
+            s = random_state(rng, 3)
+            np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
+            np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, s.amplitudes, rtol=0, atol=EQUIV_ATOL)
+            assert len(calls) == 1
+
 
 
 def control_blocks(ladder: sim.Repeat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1328,7 +1351,7 @@ class TestLadder:
             c = extractors.qae_circuit(f, 5, flag=1)
             periods.clear(), multiplied.clear(), ran.clear()
             c._grown_steps, c._steps
-            assert periods == [(sim.p(np.pi, 1), sim.Reflection(f.items, range(3)))] * 2
+            assert periods == [(sim.p(np.pi, 1), sim.Reflection(f.items, range(3)))]  # one for both plans
             assert multiplied == [] and ran == []
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
@@ -1381,8 +1404,6 @@ class TestLadder:
                 sim.Repeat(period, 1, controls)
         with pytest.raises(CircuitError, match="outside 0..3"):
             sim.Circuit(4, [sim.Repeat(period, 1, (2, 3, 4))])
-        with pytest.raises(CircuitError, match="only a ladder"):
-            sim.Repeat(period, 1, inverted=True)
         assert sim.Repeat(period, 1, [2, 3]).controls == (2, 3) and sim.Repeat(period, 1, []).controls == ()
 
     def test_random_ladders_match_gate_loop(self):
@@ -2082,6 +2103,25 @@ class TestGateUnitarity:
         with pytest.raises(CircuitError):
             make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sim.Gate("x", (0,), angle=0.3),
+            lambda: sim.Gate("h", (0,), table=(1, 0)),
+            lambda: sim.Gate("ry", (0,), angle=0.1, angles=(0.2,)),
+            lambda: sim.Gate("p", (0,), angle=0.1, table=(0, 1)),
+            lambda: sim.Gate("cnot", (0, 1), angles=(0.1,)),
+            lambda: sim.Gate("swap", (0, 1), angle=0.0),
+            lambda: sim.Gate("mry", (0,), angles=(0.1,), angle=0.2),
+            lambda: sim.Gate("perm", (0,), table=(1, 0), angles=(0.0,)),
+        ],
+    )
+    def test_a_gate_sets_only_the_field_its_kind_reads(self, make):
+        # such a gate ran as the gate without the field, yet compared
+        # unequal to it, and its inverse carried the field along
+        with pytest.raises(CircuitError, match="takes no"):
+            make()
+
     def test_tables_and_angles_are_kept_as_plain_numbers(self):
         g = sim.Gate("perm", (0, 1), table=np.array([1, 2, 3, 0]))
         assert g.table == (1, 2, 3, 0) and {type(i) for i in g.table} == {int}
@@ -2614,7 +2654,9 @@ class TestQubitCheck:
             # dataclasses.replace makes the gate anew, through the check
             assert inv == replace(inv) and moved == replace(g, qubits=tuple(q + 3 for q in g.qubits))
             np.testing.assert_allclose(closed_form(inv), closed_form(g).conj().T, rtol=0, atol=EQUIV_ATOL)
-        assert inverse_repeat == sim.Repeat(sim._inverted(repeat.period), 3) and inverse_repeat.qubits == repeat.qubits
+        assert inverse_repeat.inverted and inverse_repeat == sim.Repeat(sim._inverted(repeat.period), 3, inverted=True)
+        assert inverse_repeat.period == sim._inverted(repeat.period) and inverse_repeat.qubits == repeat.qubits
+        assert inverse_repeat.gates == sim._inverted(repeat.gates)
         # an offset that is not a plain int goes through Gate.on, and is checked
         assert {type(q) for q in gates[0].shifted(np.int64(2)).qubits} == {int}
 
@@ -2622,6 +2664,15 @@ class TestQubitCheck:
     def test_circuit_width_is_an_integer_of_at_least_one(self, width):
         with pytest.raises(CircuitError):
             sim.Circuit(width)
+
+    @pytest.mark.parametrize("count", [-3, 1.5, "x", True, None])
+    def test_query_count_is_an_integer_of_at_least_zero(self, count):
+        with pytest.raises(CircuitError, match="query count"):
+            sim.Circuit(1, (), {}, count)
+
+    def test_query_count_is_kept_as_a_plain_int(self):
+        c = sim.Circuit(1, (), {}, np.int64(2))
+        assert type(c.query_count) is int and c.concat(c).query_count == 4 and sim.Circuit(1).query_count == 0
 
     def test_concat_keeps_both_circuits_registers(self):
         a = sim.Circuit(3, [sim.h(0)], {"a": (0,)})
