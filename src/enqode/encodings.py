@@ -76,18 +76,19 @@ class DataSet:
             if violations:
                 raise EncodingError("; ".join(violations))
             arr = arr.astype(np.int64)
-        elif self.kind == REALS:
-            arr = np.asarray(arr, dtype=np.float64)
-        elif self.kind == PROBABILITY:
-            arr = np.asarray(arr, dtype=np.float64)
-            if np.any(arr < 0):
-                raise EncodingError("probability vector has negative entries")
-            if not _unit(arr.sum()):
-                raise EncodingError("probability vector does not sum to 1")
+        elif self.kind in (REALS, PROBABILITY):
+            if arr.dtype.kind == "c" and np.any(arr.imag != 0):  # as ``_reals`` refuses it
+                raise EncodingError(f"{self.kind} requires a real vector")
+            arr = np.asarray(arr.real, dtype=np.float64)
         else:
             arr = np.asarray(arr, dtype=np.complex128)
             if not _unit(np.vdot(arr, arr).real):
                 raise EncodingError("complex vector is not normalized")
+        if self.kind == PROBABILITY:
+            if np.any(arr < 0):
+                raise EncodingError("probability vector has negative entries")
+            if not _unit(arr.sum()):
+                raise EncodingError("probability vector does not sum to 1")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

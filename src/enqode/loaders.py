@@ -247,10 +247,14 @@ def load_bidirectional(a, s: int) -> LoaderOutput:
 def qram_oracle(xs, value_qubits: int) -> Circuit:
     """Query-access oracle |i>|y> -> |i>|y + x_i mod 2^v>, acting on every
     address in quantum parallel; a single permutation gate accounted as one
-    oracle query.  A one-entry table needs no index qubits."""
-    n_idx = (enc.value_count(xs) - 1).bit_length()
-    xs = enc.check(enc.QRam(n_idx, value_qubits), xs).tolist()
-    width = n_idx + value_qubits
+    oracle query.  A one-entry table needs no index qubits.  Raises
+    ``CapacityError``, before the table is made, when the index and value
+    qubits together are more than ``sim.MAX_QUBITS``."""
+    d = enc.QRam((enc.value_count(xs) - 1).bit_length(), value_qubits)
+    width = enc.register_width(d)
+    if width > sim.MAX_QUBITS:
+        raise CapacityError(f"a qram oracle needs {width} qubits, above the cap of {sim.MAX_QUBITS}")
+    n_idx, xs = d.index_qubits, enc.check(d, xs).tolist()
     table = []
     for local in range(1 << width):
         i = local & ((1 << n_idx) - 1)

@@ -49,19 +49,19 @@ Conventions used throughout the package:
 * A circuit stores its items: gates, and declared blocks that builders use
   to declare structure.  Every item answers one protocol: ``qubits``,
   ``gates`` (its flat expansion; a gate's is itself), ``inverse()`` and
-  ``shifted(offset)``.  ``Reflection``, ``Diagonal``, ``Pyramid`` and
-  ``Qft`` answer it through one base (``_Block``): a cached forward
-  expansion that an adjoint shares, and an ``==`` that agrees with the
-  hash.  ``inverse``, ``concat``, ``shifted`` and the run read the items,
-  so running a circuit expands no block; the flat list ``Circuit.gates``
-  is made on first read, for ``lowered()``, ``depth``, ``cnot_count``,
-  ``==`` and ``build_unitary``.  ``apply_circuit`` and ``run`` run the
-  execution plan (``_execution_plan``), made once per circuit from the
-  items for each of them (``Circuit._steps`` from width n,
-  ``Circuit._grown_steps`` from width 0): each block as one step, gates by
-  ``apply_gate``, and from width 0 a growth (``_Grow``) wherever an item
-  first touches a qubit, every other step relabelled onto the touched
-  qubits.  There are five blocks; the four that are items run on the
+  ``shifted(offset)``.  All five blocks answer it through one base
+  (``_Block``): fields that describe the forward block, ``inverted``
+  marking its adjoint, a forward expansion, and an ``==`` that agrees
+  with the hash.  ``inverse``, ``concat``, ``shifted`` and the run read
+  the items, so running a circuit expands no block; the flat list
+  ``Circuit.gates`` is made on first read, for ``lowered()``, ``depth``,
+  ``cnot_count``, ``==`` and ``build_unitary``.  ``apply_circuit`` and
+  ``run`` run the execution plan (``_execution_plan``), made once per
+  circuit from the items for each of them (``Circuit._steps`` from width
+  n, ``Circuit._grown_steps`` from width 0): each block as one step, gates
+  by ``apply_gate``, and from width 0 a growth (``_Grow``) wherever an
+  item first touches a qubit, every other step relabelled onto the
+  touched qubits.  There are five blocks; the four that are items run on the
   ``_view_shape`` view of their qubits:
 
   - ``Repeat``: gates and reflections applied ``count`` times back to
@@ -70,10 +70,11 @@ Conventions used throughout the package:
     out, its step is its ``2**k``-square matrix raised to the count, or a
     ladder's control-1 block raised to each rung's count and applied where
     the rung's control reads 1.  The repeat keeps that matrix and its
-    powers, and its adjoint (``inverted``) shares them.  Met from width 0
-    right after the H layer that inserts its controls on top, a ladder is
-    one step with that layer, which doubles the rows of the controls rung
-    by rung (``_Doubling``).  A wider repeat runs gate by gate.
+    powers, and its adjoint, the same fields with ``inverted`` set, shares
+    them.  Met from width 0 right after the H layer that inserts its
+    controls on top, a ladder is one step with that layer, which doubles
+    the rows of the controls rung by rung (``_Doubling``).  A wider repeat
+    runs gate by gate.
   - ``Reflection``: ``F (I - 2 P) F^dagger``, a Grover operator's
     reflection about the state that the items F prepare, met only in a
     repeat's period.  Its part of the period's matrix is made from the
@@ -237,7 +238,7 @@ class Gate:
                 table = tuple(map(int, self.table)) if all(map(_is_integer, self.table)) else None
             except TypeError:
                 table = None
-            if table is None or sorted(table) != list(range(1 << len(qubits))):
+            if table is None or len(table) != 1 << len(qubits) or sorted(table) != list(range(len(table))):
                 raise CircuitError(f"permutation table must be a bijection of integers on basis indices, got {self.table!r}")
             object.__setattr__(self, "table", table)
 
@@ -304,7 +305,7 @@ def _reals(values) -> np.ndarray:
 def _unchecked(item, **changes):
     """A copy of the checked circuit item ``item`` with ``changes`` made to
     its fields, made without its ``__post_init__``: for changes that keep
-    it valid, such as an adjoint's angles, table or period, or qubits moved
+    it valid, such as an adjoint's angles, table or flag, or qubits moved
     by a plain int.  Values cached on ``item`` are copied too, so a change
     must leave what they are computed from as it was."""
     out = object.__new__(type(item))
@@ -318,15 +319,20 @@ def _inverted(gates: Sequence[Gate]) -> tuple[Gate, ...]:
 
 
 class _Block:
-    """The protocol of the declared blocks ``Reflection``, ``Diagonal``,
-    ``Pyramid`` and ``Qft``: ``gates`` is the forward expansion
-    ``_forward``, made on first read, or its adjoint when ``inverted``;
-    ``inverse()`` flips ``inverted`` on a copy that keeps what is cached, a
-    pyramid's prepared state too; ``shifted`` makes a block on one register
-    anew on the moved ``qubits``.  Blocks are equal when their fields are,
+    """The protocol of the declared blocks ``Reflection``, ``Repeat``,
+    ``Diagonal``, ``Pyramid`` and ``Qft``, whose fields describe the
+    forward block, ``inverted`` (a bool) alone marking its adjoint:
+    ``gates`` is the forward expansion ``_forward``, or its adjoint;
+    ``inverse()`` flips ``inverted`` on a copy that keeps what is cached;
+    ``shifted`` makes the block anew from its fields, each tuple field
+    (qubits or items) moved.  Blocks are equal when their fields are,
     arrays by value, and hash by ``qubits`` and ``inverted``, so a -0.0 for
-    a 0.0 changes neither.  ``Reflection`` and ``Qft``, with no array, keep
-    their dataclass's ``==`` and hash."""
+    a 0.0 changes neither.  ``Reflection``, ``Repeat`` and ``Qft``, with no
+    array, keep their dataclass's ``==`` and hash."""
+
+    def __post_init__(self):
+        if type(self.inverted) is not bool:
+            raise CircuitError(f"inverted must be a bool, got {self.inverted!r}")
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -336,7 +342,9 @@ class _Block:
         return _unchecked(self, inverted=not self.inverted)
 
     def shifted(self, offset: int):
-        return replace(self, qubits=tuple(q + offset for q in self.qubits))
+        moved = lambda v: v + offset if type(v) is int else v.shifted(offset)
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self)(*(tuple(map(moved, v)) if type(v) is tuple else v for v in values))
 
     def __eq__(self, other) -> bool:
         pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
@@ -354,9 +362,9 @@ class Reflection(_Block):
     ``items`` and ``P`` the projector onto the states where ``reflected``
     reads 0 and ``controls`` read 1.  Its forward expansion is
     ``F``-inverse, an X on each reflected qubit, a phase of pi where they
-    and the controls read 1, the X layer and ``F``.  Its part of a period's
-    matrix is made without it, from the columns of ``F`` that ``P`` keeps
-    (``_period_matrix``)."""
+    and the controls read 1, the X layer and ``F``, and ``inverted`` marks
+    its adjoint.  Its part of a period's matrix is made without it, from
+    the columns of ``F`` that ``P`` keeps (``_period_matrix``)."""
 
     items: tuple
     reflected: tuple[int, ...]
@@ -364,6 +372,7 @@ class Reflection(_Block):
     inverted: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         items, reflected, controls = tuple(self.items), _check_qubits(self.reflected), _check_qubits(self.controls)
         if not reflected or not set(map(type, items)) <= _ITEM_TYPES:
             raise CircuitError("a reflection needs a reflected qubit, and an F of gates and declared blocks")
@@ -380,18 +389,13 @@ class Reflection(_Block):
         qubits = (*self.controls, *self.reflected)
         return (*_inverted(f), *flips, Gate(CP if len(qubits) > 1 else PHASE, qubits, angle=np.pi), *flips, *f)
 
-    def shifted(self, offset: int) -> "Reflection":
-        moved = [tuple(q + offset for q in qs) for qs in (self.reflected, self.controls)]
-        return Reflection(tuple(i.shifted(offset) for i in self.items), *moved, self.inverted)
-
 
 @dataclass(frozen=True)
-class Repeat:
+class Repeat(_Block):
     """A declared block: the tuple ``period`` of gates and ``Reflection``
-    blocks applied ``count`` times in a row, its flat expansion ``gates``.
-    On at most ``_POWER_QUBITS`` qubits its plan step, for any count, is one
-    power of the period's matrix (``_period_matrix``); a wider repeat runs
-    gate by gate.
+    blocks applied ``count`` times in a row.  On at most ``_POWER_QUBITS``
+    qubits its plan step, for any count, is one power of the period's
+    matrix (``_period_matrix``); a wider repeat runs gate by gate.
 
     With ``controls`` it is a ladder (phase estimation's controlled
     powers): the period is written controlled on ``controls[0]`` and
@@ -400,17 +404,15 @@ class Repeat:
     a control of a CNOT, CP, ``mry`` or reflection, or by a P on it alone
     (``_control_one``); any other gate on it raises ``CircuitError``.  Rung
     j is the period moved onto ``controls[j]`` and applied ``count * 2**j``
-    times; ``gates`` lists the rungs in order, or the last first when
-    ``inverted``.  Its plan step powers the matrix of the period's
-    control-1 block (``_repeat_step``), on at most ``_POWER_QUBITS`` qubits
-    once the control is left out.
+    times; the forward expansion lists the rungs in order.  Its plan step
+    powers the matrix of the period's control-1 block (``_repeat_step``),
+    on at most ``_POWER_QUBITS`` qubits once the control is left out.
 
-    Any repeat is the adjoint of a forward one when ``inverted``, its
-    period the forward period's adjoint.  It keeps the block its step
-    powers (``_block``: a ladder's forward control-1 block, or a plain
-    repeat's forward period and 1.0) and the powers a plan made of its
-    matrix (``_powers``), which ``inverse()`` copies: an adjoint runs their
-    adjoints."""
+    Its fields describe the forward repeat; ``inverted`` marks its adjoint.
+    It keeps the block its step powers (``_block``: a ladder's control-1
+    block, or a plain repeat's period and 1.0) and the powers a plan made
+    of its matrix (``_powers``), which an adjoint shares and runs the
+    adjoints of."""
 
     period: tuple[Gate | Reflection, ...]
     count: int
@@ -418,47 +420,37 @@ class Repeat:
     inverted: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if type(self.period) is not tuple or not self.period or not set(map(type, self.period)) <= {Gate, Reflection}:
             raise CircuitError("a repeat holds a non-empty tuple of gates and reflections")
         if not _is_integer(self.count) or self.count < 1:
             raise CircuitError(f"repeat count must be an integer >= 1, got {self.count!r}")
         controls = _check_qubits(self.controls)
         object.__setattr__(self, "controls", controls)
-        forward = _inverted(self.period) if self.inverted else self.period
         if controls:
             touched = {q for g in self.period for q in g.qubits}
             if controls[0] not in touched:
                 raise CircuitError(f"a ladder's period must act on its control {controls[0]}")
             _check_qubits((*touched.difference(controls[:1]), *controls))
-        object.__setattr__(self, "_block", _control_one(forward, controls[0]) if controls else (forward, 1.0))
+        object.__setattr__(self, "_block", _control_one(self.period, controls[0]) if controls else (self.period, 1.0))
         object.__setattr__(self, "_powers", {})
 
     @property
-    def gates(self) -> tuple[Gate, ...]:
+    def _forward(self) -> tuple[Gate, ...]:
         period = tuple(itertools.chain.from_iterable(g.gates for g in self.period))
         if not self.controls:
             return period * self.count
         first = self.controls[0]
-        rungs = [
-            tuple(
-                _unchecked(g, qubits=tuple(c if q == first else q for q in g.qubits)) if first in g.qubits else g
-                for g in period
-            )
+        rungs = (
+            tuple(_unchecked(g, qubits=tuple(c if q == first else q for q in g.qubits)) if first in g.qubits else g for g in period)
             * (self.count << j)
             for j, c in enumerate(self.controls)
-        ]
-        return tuple(itertools.chain.from_iterable(rungs[::-1] if self.inverted else rungs))
+        )
+        return tuple(itertools.chain.from_iterable(rungs))
 
     @cached_property
     def qubits(self) -> tuple[int, ...]:
         return tuple(sorted({q for g in self.period for q in g.qubits}.union(self.controls)))
-
-    def inverse(self) -> "Repeat":
-        return _unchecked(self, period=_inverted(self.period), inverted=not self.inverted)
-
-    def shifted(self, offset: int) -> "Repeat":
-        controls = tuple(q + offset for q in self.controls)
-        return Repeat(tuple(g.shifted(offset) for g in self.period), self.count, controls, self.inverted)
 
 
 def _control_one(period: Sequence[Gate | Reflection], control: int) -> tuple[list[Gate | Reflection], complex]:
@@ -516,6 +508,7 @@ class Diagonal(_Block):
     inverted: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         phases = _reals(self.phases)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "qubits", _check_qubits(self.qubits))
@@ -551,6 +544,7 @@ class Pyramid(_Block):
     inverted: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         angles = _reals(self.angles)
         object.__setattr__(self, "angles", angles)
         qubits = _check_qubits(self.qubits)
@@ -603,6 +597,7 @@ class Qft(_Block):
     inverted: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "qubits", _check_qubits(self.qubits))
         if not self.qubits:
             raise CircuitError("a qft acts on at least one qubit")
@@ -815,7 +810,9 @@ class Circuit:
         if qubits and max(qubits) >= n:
             bad = next(g for i in items for g in i.gates if max(g.qubits) >= n)
             raise CircuitError(f"gate {bad.kind} touches qubit outside 0..{n - 1}")
-        regs = {name: _check_qubits(qs, n) for name, qs in dict(self.registers).items()}
+        if not isinstance(self.registers, Mapping):
+            raise CircuitError(f"registers map names to qubit tuples, got {self.registers!r}")
+        regs = {name: _check_qubits(qs, n) for name, qs in self.registers.items()}
         used = [q for qs in regs.values() for q in qs]
         if len(set(used)) != len(used):
             raise CircuitError(f"registers overlap: {regs}")

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,18 @@ class TestDataSet:
             enc.probabilities([0.5, 0.6])
         with pytest.raises(EncodingError):
             enc.probabilities([-0.1, 1.1])
+
+    def test_real_kinds_refuse_an_imaginary_part(self):
+        # numpy used to drop it with only a ComplexWarning, while the
+        # domain rule refuses the same values
+        assert enc.validate(enc.Angle(1), [0.5 + 1j]) == ["requires a real vector"]
+        for make, values in ((enc.reals, [3 - 4j]), (enc.probabilities, [0.5 + 1j, 0.5])):
+            with pytest.raises(EncodingError, match="requires a real vector"):
+                make(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert enc.reals([3 + 0j, 1]).values.tolist() == [3.0, 1.0]
+            assert enc.probabilities(np.array([0.5, 0.5], dtype=complex)).values.dtype == np.float64
 
     def test_normalized_vector_invariant(self):
         enc.normalized([2**-0.5, 1j * 2**-0.5])

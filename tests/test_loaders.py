@@ -447,6 +447,24 @@ class TestQramOracle:
             with pytest.raises(EncodingError):
                 loaders.qram_oracle(xs, 2)
 
+    def test_size_is_checked_before_the_table_is_made(self, monkeypatch):
+        # index and value qubits above the cap raise CapacityError before
+        # any of the 2**width table entries is made; under a lowered cap
+        # first, so that a missing check fails before the full-size table
+        monkeypatch.setattr(sim, "MAX_QUBITS", 4)
+        assert loaders.qram_oracle([1, 2], 3).n_qubits == 4
+        with pytest.raises(CapacityError, match="needs 5 qubits, above the cap of 4"):
+            loaders.qram_oracle([1, 2], 4)
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="above the cap"):
+                loaders.qram_oracle([1, 2], sim.MAX_QUBITS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_offset_add_semantics(self):
         c = loaders.qram_oracle([3, 1], 2)
         st = sim.apply_circuit(sim.basis_state(3, 0 | (2 << 1)), c)  # |i=0,y=2>

@@ -1267,6 +1267,21 @@ class TestRepeat:
             np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, s.amplitudes, rtol=0, atol=EQUIV_ATOL)
             assert len(calls) == 1
 
+    def test_a_repeat_built_inverted_is_the_adjoint_of_its_fields(self):
+        # as on every block, inverted=True marks the adjoint of the forward
+        # repeat that the fields describe: a plain repeat and a ladder built
+        # so run as the forward repeat's inverse, not as a repeat of the period
+        rng = np.random.default_rng(84)
+        plain = tuple(random_gate(rng, 3) for _ in range(4))
+        for forward in (sim.Repeat(plain, 3), sim.Repeat(random_ladder_period(rng, 3, 2), 1, (2, 3))):
+            built = sim.Repeat(forward.period, forward.count, forward.controls, inverted=True)
+            assert built == forward.inverse() and built.gates == sim._inverted(forward.gates)
+            adjoint = sim.Circuit(4, [forward]).inverse()
+            s = random_state(rng, 4)
+            np.testing.assert_allclose(sim.run(sim.Circuit(4, [built])).amplitudes, gate_loop(adjoint), rtol=0, atol=EQUIV_ATOL)
+            np.testing.assert_allclose(sim.apply_circuit(s, sim.Circuit(4, [built])).amplitudes, gate_loop(adjoint, s),
+                                       rtol=0, atol=EQUIV_ATOL)
+
 
 
 def control_blocks(ladder: sim.Repeat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1328,11 +1343,12 @@ class TestLadder:
             np.testing.assert_allclose(zero, np.eye(len(zero)), rtol=0, atol=EQUIV_ATOL)
             np.testing.assert_allclose(off, 0, rtol=0, atol=EQUIV_ATOL)
             # the plan's control-1 block, rung 0's (count 1), or its
-            # adjoint in an inverted ladder, which runs rung 0 last
+            # adjoint in an inverted ladder, which runs rung 0 last; the
+            # period is the forward one either way
             steps = [s for s in c._steps if type(s) is sim._Ladder]
             rung = steps[-1].rungs[-1] if ladder.inverted else steps[0].rungs[0]
             assert rung.qubits[-1] == ladder.controls[0] and ladder.count == 1
-            np.testing.assert_allclose(rung.matrix, one, rtol=0, atol=EQUIV_ATOL)
+            np.testing.assert_allclose(rung.matrix, one.conj().T if ladder.inverted else one, rtol=0, atol=EQUIV_ATOL)
 
     def test_qae_plan_multiplies_no_gate_of_f(self, monkeypatch):
         # The ladder's control-1 block is the flag phase, a scale of the
@@ -2062,6 +2078,18 @@ class TestGateUnitarity:
         with pytest.raises(CircuitError):
             sim.permutation([0, 0, 1, 2], [0, 1])
 
+    def test_permutation_table_length_is_checked_before_the_identity_is_made(self):
+        # a two-entry table on 20 qubits used to build the 2**20-entry
+        # identity list (40 MiB) before it was refused
+        tracemalloc.start()
+        try:
+            with pytest.raises(CircuitError, match="bijection"):
+                sim.permutation([0, 1], range(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -2654,8 +2682,8 @@ class TestQubitCheck:
             # dataclasses.replace makes the gate anew, through the check
             assert inv == replace(inv) and moved == replace(g, qubits=tuple(q + 3 for q in g.qubits))
             np.testing.assert_allclose(closed_form(inv), closed_form(g).conj().T, rtol=0, atol=EQUIV_ATOL)
-        assert inverse_repeat.inverted and inverse_repeat == sim.Repeat(sim._inverted(repeat.period), 3, inverted=True)
-        assert inverse_repeat.period == sim._inverted(repeat.period) and inverse_repeat.qubits == repeat.qubits
+        assert inverse_repeat.inverted and inverse_repeat == sim.Repeat(repeat.period, 3, inverted=True)
+        assert inverse_repeat.period == repeat.period and inverse_repeat.qubits == repeat.qubits
         assert inverse_repeat.gates == sim._inverted(repeat.gates)
         # an offset that is not a plain int goes through Gate.on, and is checked
         assert {type(q) for q in gates[0].shifted(np.int64(2)).qubits} == {int}
@@ -2664,6 +2692,11 @@ class TestQubitCheck:
     def test_circuit_width_is_an_integer_of_at_least_one(self, width):
         with pytest.raises(CircuitError):
             sim.Circuit(width)
+
+    @pytest.mark.parametrize("registers", [[1], 5, [("a", (0,))], None])
+    def test_registers_are_a_mapping(self, registers):
+        with pytest.raises(CircuitError, match="registers map names"):
+            sim.Circuit(1, (), registers)
 
     @pytest.mark.parametrize("count", [-3, 1.5, "x", True, None])
     def test_query_count_is_an_integer_of_at_least_zero(self, count):
@@ -2726,17 +2759,34 @@ class TestDeferredExpansion:
             return [g, sim.Repeat((g, sim.h(1 + o)), 2), reflection, ladder, sim.Diagonal(phases, (2 + o, o)),
                     sim.Qft((1 + o, o)), sim.Pyramid(angles, (2 + o, o, 1 + o))]
 
-        for item, built in zip(items(0), items(3)):
-            assert item.inverse().inverse() == item
-            assert item.inverse().gates == sim._inverted(item.gates)
-            moved = item.shifted(3)
-            assert moved == built and hash(moved) == hash(built)
-            assert moved.qubits == tuple(q + 3 for q in item.qubits)
-            assert moved.gates == tuple(x.on([q + 3 for q in x.qubits]) for x in item.gates)
-            if type(item) is not sim.Reflection:  # met only in a repeat's period
-                assert sim.Circuit(5, [item.inverse()]) == sim.Circuit(5, [item]).inverse()
+        for forward, built_forward in zip(items(0), items(3)):
+            assert forward.inverse().inverse() == forward
+            assert forward.inverse().gates == sim._inverted(forward.gates)
+            if type(forward) is sim.Repeat:  # its fields describe the forward repeat
+                assert forward.inverse().period == forward.period
+            # a shifted adjoint equals, and hashes as, the adjoint built on the moved qubits
+            for item, built in ((forward, built_forward), (forward.inverse(), built_forward.inverse())):
+                moved = item.shifted(3)
+                assert moved == built and hash(moved) == hash(built)
+                assert moved.qubits == tuple(q + 3 for q in item.qubits)
+                assert moved.gates == tuple(x.on([q + 3 for q in x.qubits]) for x in item.gates)
+                if type(item) is not sim.Reflection:  # met only in a repeat's period
+                    assert sim.Circuit(5, [item.inverse()]) == sim.Circuit(5, [item]).inverse()
         g = items(0)[0]
         assert g.gates == (g,) and g.on((5, 4)) == sim.cry(0.4, 5, 4)
+
+    @pytest.mark.parametrize("flag", [0.0, 1, "no", None, np.bool_(True)])
+    def test_inverted_is_a_bool_in_every_block(self, flag):
+        f = (sim.Pyramid([0.3], (0,)),)
+        for make in (
+            lambda: sim.Reflection(f, (0,), (), flag),
+            lambda: sim.Repeat((sim.h(0),), 1, (), flag),
+            lambda: sim.Diagonal([0.1, 0.2], (0,), flag),
+            lambda: sim.Pyramid([0.3], (0,), flag),
+            lambda: sim.Qft((0, 1), flag),
+        ):
+            with pytest.raises(CircuitError, match="inverted must be a bool"):
+                make()
 
     def test_equal_blocks_hash_equal(self):
         # arrays that differ only in the sign of a zero are equal, so the
