@@ -154,7 +154,7 @@ def naive_amplitude_estimate(
     z = _z(alpha)
     flag = _flag_qubit(f, flag)
     state = sim.run(f)
-    p = float(sim.marginal_probabilities(state, [flag])[1])
+    p = min(float(sim.marginal_probabilities(state, [flag])[1]), 1.0)  # a sure flag may sum to 1 + 2**-52
     hits = int(sim.seeded_generator(seed).binomial(shots, p))
     p_hat = hits / shots
     half_width = z * np.sqrt(p_hat * (1.0 - p_hat) / shots)
@@ -305,7 +305,7 @@ def swap_test(load_a: Circuit, load_b: Circuit, shots: int, seed: int) -> SwapTe
     gates.append(sim.h(anc))
     circ = Circuit(width, gates, {"a": tuple(range(n)), "b": tuple(range(n, 2 * n)), "anc": (anc,)})
     state = sim.run(circ)
-    p0 = float(sim.marginal_probabilities(state, [anc])[0])
+    p0 = min(float(sim.marginal_probabilities(state, [anc])[0]), 1.0)  # equal loads may sum to 1 + 2**-52
     if shots == 0:
         p0_hat = p0
     else:

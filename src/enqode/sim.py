@@ -58,23 +58,24 @@ Conventions used throughout the package:
   ``cnot_count``, ``==`` and ``build_unitary``.  ``apply_circuit`` and
   ``run`` run the execution plan (``_execution_plan``), made once per
   circuit from the items for each of them (``Circuit._steps`` from width
-  n, ``Circuit._grown_steps`` from width 0): each block as one step, gates
-  by ``apply_gate``, and from width 0 a growth (``_Grow``) wherever an
-  item first touches a qubit, every other step relabelled onto the
-  touched qubits.  There are five blocks; the four that are items run on the
-  ``_view_shape`` view of their qubits:
+  n, ``Circuit._grown_steps`` from width 0): each block as one step, a
+  repeat as one per rung, gates by ``apply_gate``, and from width 0 a
+  growth (``_Grow``) wherever an item first touches a qubit, every other
+  step relabelled onto the touched qubits.  There are five blocks; the
+  four that are items run on the ``_view_shape`` view of their qubits:
 
   - ``Repeat``: gates and reflections applied ``count`` times back to
     back, or a ladder of such repeats (phase estimation's controlled
     powers).  On at most ``_POWER_QUBITS`` qubits, a ladder's control left
-    out, its step is its ``2**k``-square matrix raised to the count, or a
-    ladder's control-1 block raised to each rung's count and applied where
-    the rung's control reads 1.  The repeat keeps that matrix and its
+    out, it runs as its rungs, one ``_Power`` step each: a plain repeat's
+    one rung is its ``2**k``-square matrix raised to the count, and a
+    ladder's rung j its control-1 block raised to ``count << j``, applied
+    where ``controls[j]`` reads 1.  The repeat keeps that matrix and its
     powers, and its adjoint, the same fields with ``inverted`` set, shares
-    them.  Met from width 0 right after the H layer that inserts its
-    controls on top, a ladder is one step with that layer, which doubles
-    the rows of the controls rung by rung (``_Doubling``).  A wider repeat
-    runs gate by gate.
+    them and runs their adjoints, the rungs in reverse.  Met from width 0
+    right after the H layer that inserts its controls on top, a ladder is
+    one step with that layer, which doubles the rows of the controls rung
+    by rung (``_Doubling``).  A wider repeat runs gate by gate.
   - ``Reflection``: ``F (I - 2 P) F^dagger``, a Grover operator's
     reflection about the state that the items F prepare, met only in a
     repeat's period.  Its part of the period's matrix is made from the
@@ -404,12 +405,12 @@ class Repeat(_Block):
     a control of a CNOT, CP, ``mry`` or reflection, or by a P on it alone
     (``_control_one``); any other gate on it raises ``CircuitError``.  Rung
     j is the period moved onto ``controls[j]`` and applied ``count * 2**j``
-    times; the forward expansion lists the rungs in order.  Its plan step
-    powers the matrix of the period's control-1 block (``_repeat_step``),
+    times; the forward expansion lists the rungs in order.  Its plan steps
+    power the matrix of the period's control-1 block (``_repeat_step``),
     on at most ``_POWER_QUBITS`` qubits once the control is left out.
 
     Its fields describe the forward repeat; ``inverted`` marks its adjoint.
-    It keeps the block its step powers (``_block``: a ladder's control-1
+    It keeps the block its steps power (``_block``: a ladder's control-1
     block, or a plain repeat's period and 1.0) and the powers a plan made
     of its matrix (``_powers``), which an adjoint shares and runs the
     adjoints of."""
@@ -425,6 +426,7 @@ class Repeat(_Block):
             raise CircuitError("a repeat holds a non-empty tuple of gates and reflections")
         if not _is_integer(self.count) or self.count < 1:
             raise CircuitError(f"repeat count must be an integer >= 1, got {self.count!r}")
+        object.__setattr__(self, "count", int(self.count))  # a numpy count would wrap in a rung's count << j
         controls = _check_qubits(self.controls)
         object.__setattr__(self, "controls", controls)
         if controls:
@@ -1237,7 +1239,7 @@ def _dense(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
 
 
 class _Power(NamedTuple):
-    """A ``Repeat``'s power, or a ladder's rung, as one dense update on
+    """One rung of a ``Repeat`` (``_repeat_step``) as one dense update on
     the ``_view_shape`` view of the qubits it touches: ``matrix`` is its
     2**k-square unitary with local bit i = ``qubits[i]``, and each slab of
     ``slabs`` indexes a piece of the view that holds every value of those
@@ -1258,17 +1260,6 @@ class _Power(NamedTuple):
             if self.controlled:
                 block = block[1]
             block[...] = (self.matrix @ block.reshape(dim, -1)).reshape(block.shape)
-
-
-class _Ladder(NamedTuple):
-    """A ladder ``Repeat`` as one step: its rungs, each a controlled
-    ``_Power``, in the order they run."""
-
-    rungs: tuple[_Power, ...]
-
-    def apply(self, psi: np.ndarray) -> None:
-        for rung in self.rungs:
-            rung.apply(psi)
 
 
 class _Doubling(NamedTuple):
@@ -1431,12 +1422,11 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
     first ``width`` qubits, every other qubit reading 0: ``apply_circuit``
     plans from width n, ``run`` from width 0.  Each gate runs on its own
     through ``apply_gate``, one ``_Multiply`` per ``Diagonal``, one
-    ``_Fourier`` per ``Qft``, and one ``_repeat_step`` per ``Repeat`` on at
-    most ``_POWER_QUBITS`` qubits, a ladder's control left out: a
-    ``_Power`` of a plain repeat's matrix, or a ``_Ladder`` of powers of a
-    ladder's control-1 block, squared from one matrix that
-    ``_period_matrix`` builds and the repeat keeps (``_power``) for its
-    adjoint and any later plan.
+    ``_Fourier`` per ``Qft``, and the rungs of each ``Repeat`` on at most
+    ``_POWER_QUBITS`` qubits, a ladder's control left out
+    (``_repeat_step``): one ``_Power`` per rung, each squared from one
+    matrix that ``_period_matrix`` builds and the repeat keeps
+    (``_power``) for its adjoint and any later plan.
 
     The state is kept as the compact state of the touched qubits T, in
     ascending order, in ``psi[:2**|T|]`` (``run``).  A non-inverted
@@ -1501,7 +1491,7 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
         elif kind is Gate:
             steps.append(item if prefix else _unchecked(item, qubits=qubits))
         else:
-            steps.append(_repeat_step(item, dict(zip(item.qubits, qubits)).__getitem__, width))
+            steps += _repeat_step(item, dict(zip(item.qubits, qubits)).__getitem__, width)
     if not prefix:
         top = touched[-1] + 1
         steps.append(_grow_step(width, top, tuple(q for q in range(top) if q not in touched)))
@@ -1539,29 +1529,24 @@ def _power(item: Repeat, count: int) -> np.ndarray:
     return powers[count]
 
 
-def _repeat_step(item: Repeat, place, n: int) -> _Power | _Ladder:
-    """The step of a few-qubit repeat at width n, ``place`` mapping its
-    qubits into the state: one ``_Power`` of a plain repeat's matrix to
-    its count, or a ``_Ladder`` of a ladder's control-1 block raised to
-    each rung's count (``_power``).  An inverted repeat runs the adjoints
-    of those powers, a ladder's rungs in reverse."""
-
-    def power(count: int) -> np.ndarray:
-        matrix = _power(item, count)
-        # kept contiguous: a transposed view planned amp->EW n = 3, m = 4 0.14 ms faster but ran 0.23 ms slower
-        return np.ascontiguousarray(matrix.conj().T) if item.inverted else matrix
-
+def _repeat_step(item: Repeat, place, n: int) -> tuple[_Power, ...]:
+    """The rungs of a few-qubit repeat at width n, ``place`` mapping its
+    qubits into the state, each a ``_Power`` of the repeat's block
+    (``_power``): a plain repeat is one rung, its count, uncontrolled, and
+    a ladder's rung j is ``count << j`` on the control-1 half of
+    ``controls[j]``.  An inverted repeat runs the adjoints of those rungs
+    in reverse order."""
     others = tuple(place(q) for q in item.qubits if q not in item.controls)
-    if not item.controls:
-        return _power_step(power(item.count), others, n)
-    rungs = [_power_step(power(item.count << j), (*others, place(c)), n, controlled=True) for j, c in enumerate(item.controls)]
-    return _Ladder(tuple(rungs[::-1] if item.inverted else rungs))
-
-
-def _power_step(matrix: np.ndarray, qubits: tuple[int, ...], n: int, controlled: bool = False) -> _Power:
-    """The ``_Power`` of ``matrix`` on ``qubits`` of an n-qubit state."""
-    shape = _view_shape(qubits, n)
-    return _Power(matrix, qubits, shape, _slabs(shape, 1 << n), controlled)
+    rungs = []
+    for j, wire in enumerate([(place(c),) for c in item.controls] or [()]):
+        matrix = _power(item, item.count << j)
+        if item.inverted:
+            # kept contiguous: a transposed view planned amp->EW n = 3, m = 4 0.14 ms faster but ran 0.23 ms slower
+            matrix = np.ascontiguousarray(matrix.conj().T)
+        qubits = (*others, *wire)
+        shape = _view_shape(qubits, n)
+        rungs.append(_Power(matrix, qubits, shape, _slabs(shape, 1 << n), bool(wire)))
+    return tuple(rungs[::-1] if item.inverted else rungs)
 
 
 def _multiply_step(block: Diagonal, qubits: tuple[int, ...], n: int) -> _Multiply:

@@ -154,6 +154,15 @@ class TestSwapTest:
                 assert abs(res.p0_estimate - res.p0_exact) <= 4 * sigma
                 assert res.overlap_estimate == np.sqrt(max(0.0, 2 * res.p0_estimate - 1))
 
+    def test_equal_loads_whose_probability_sums_above_1_sample(self):
+        # P(ancilla = 0) of this load against itself sums to
+        # 1.0000000000000002, which Generator.binomial refused with a bare
+        # ValueError
+        a = np.random.default_rng(7).normal(size=4)
+        f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
+        res = ext.swap_test(f, f, 10, 1)
+        assert (res.p0_exact, res.p0_estimate, res.overlap_estimate) == (1.0, 1.0, 1.0)
+
     def test_rejects_unequal_widths(self):
         for shots in (0, 10):
             with pytest.raises(CircuitError, match="equal register sizes"):
@@ -183,6 +192,14 @@ class TestNaiveEstimate:
             covered += abs(res.estimate - p) <= res.error_target
         sigma = np.sqrt(seeds * alpha * (1 - alpha))
         assert abs(covered - alpha * seeds) <= 4 * sigma
+
+    def test_a_sure_flag_whose_probability_sums_above_1_samples(self):
+        # the flag of this load reads 1 with certainty, and its probability
+        # sums to 1.0000000000000002, which Generator.binomial refused
+        a = np.abs(np.random.default_rng(4).normal(size=8))
+        a[:4] = 0
+        res = ext.naive_amplitude_estimate(loaders.load_amplitude(a / np.linalg.norm(a)).circuit, 100, 0.9, 1)
+        assert (res.estimate, res.error_target) == (1.0, 0.0)
 
     def test_checks_shots_alpha_and_seed_before_simulating(self, monkeypatch):
         # a bad seed used to be refused only after F was run

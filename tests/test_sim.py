@@ -567,12 +567,21 @@ def gate_loop(circuit: sim.Circuit, state: sim.StateVector | None = None) -> np.
 
 
 def powers(circuit: sim.Circuit) -> int:
-    return sum(type(step) is sim._Power for step in circuit._steps)
+    """The number of uncontrolled ``_Power`` steps, one per plain repeat,
+    of ``circuit``'s plan."""
+    return sum(type(step) is sim._Power and not step.controlled for step in circuit._steps)
+
+
+def ladder_steps(steps: tuple) -> list[list]:
+    """Each run of consecutive controlled ``_Power`` steps of the plan
+    ``steps``: a ladder's rungs, in the order they run."""
+    runs = itertools.groupby(steps, lambda step: type(step) is sim._Power and step.controlled)
+    return [list(rungs) for controlled, rungs in runs if controlled]
 
 
 def ladder_rungs(circuit: sim.Circuit) -> list[int]:
-    """The number of rungs of each ladder step of ``circuit``'s plan."""
-    return [len(step.rungs) for step in circuit._steps if type(step) is sim._Ladder]
+    """The number of rungs of each ladder of ``circuit``'s plan."""
+    return [len(rungs) for rungs in ladder_steps(circuit._steps)]
 
 
 def controlled_grover(f_gates, flag: int, reflected, control: int) -> tuple[sim.Gate, ...]:
@@ -605,7 +614,7 @@ class TestExecutionPlan:
             a = np.abs(rng.normal(size=1 << n))
             f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
             c = extractors.qae_circuit(f, m)
-            assert ladder_rungs(c) == [m]  # Q^(2^j) for j >= 0, as one step
+            assert ladder_rungs(c) == [m]  # Q^(2^j) for j >= 0, one rung each
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     @pytest.mark.parametrize("r", [2, 3, 5, 7])
@@ -832,7 +841,7 @@ class TestExecutionPlan:
             ladder = (sim.cp(0.4, 3, 0), *period)
             for c in (sim.Circuit(3, [sim.h(0), sim.Repeat(period, 3)]), sim.Circuit(4, [sim.h(3), sim.Repeat(ladder, 1, (3,))])):
                 for plan in (c._steps, c._grown_steps):
-                    assert {type(step) for step in plan} & {sim._Power, sim._Ladder}
+                    assert sim._Power in map(type, plan)
                 with pytest.raises(CircuitError):
                     sim.run(c)
                 with pytest.raises(CircuitError):
@@ -892,10 +901,10 @@ class TestExecutionPlan:
         for m in range(1, 10):
             c = extractors.qae_circuit(f, m)
             (ladder,) = [item for item in c.items if type(item) is sim.Repeat]
-            (step,) = [step for step in c._steps if type(step) is sim._Ladder]
-            assert ladder.count == 1 and ladder.controls == tuple(range(3, 3 + m)) and len(step.rungs) == m
-            block = step.rungs[0].matrix  # Q's control-1 block, checked in TestLadder
-            for j, rung in enumerate(step.rungs):
+            (rungs,) = ladder_steps(c._steps)
+            assert ladder.count == 1 and ladder.controls == tuple(range(3, 3 + m)) and len(rungs) == m
+            block = rungs[0].matrix  # Q's control-1 block, checked in TestLadder
+            for j, rung in enumerate(rungs):
                 expected = np.linalg.matrix_power(block, 1 << j)
                 assert rung.controlled and rung.qubits == (0, 1, 2, 3 + j)
                 assert rung.matrix.dtype == np.complex128 and rung.matrix.tobytes() == expected.tobytes()
@@ -1223,6 +1232,16 @@ class TestRepeat:
         with pytest.raises(CircuitError):
             sim.Repeat((sim.h(0),), count)
 
+    def test_count_is_kept_as_a_plain_int(self):
+        # A numpy count used to wrap in a rung's count << j: 2**62 << 2 read
+        # 0 in int64, and _power recursed on 0 without end.
+        r = sim.Repeat((sim.cp(0.3, 1, 0),), np.int64(2**62), (1, 2, 3))
+        assert {type(r.count), type(r.inverse().count), type(r.shifted(1).count)} == {int}
+        layer = [sim.h(1), sim.h(2), sim.h(3)]
+        got = sim.apply_circuit(sim.zero_state(4), sim.Circuit(4, [*layer, r])).amplitudes
+        plain = sim.Repeat(r.period, 2**62, r.controls)
+        assert got.tobytes() == sim.apply_circuit(sim.zero_state(4), sim.Circuit(4, [*layer, plain])).amplitudes.tobytes()
+
     def test_gates_must_be_gates_inside_the_width(self):
         for gates in ((), [sim.h(0)]):
             with pytest.raises(CircuitError):
@@ -1345,8 +1364,8 @@ class TestLadder:
             # the plan's control-1 block, rung 0's (count 1), or its
             # adjoint in an inverted ladder, which runs rung 0 last; the
             # period is the forward one either way
-            steps = [s for s in c._steps if type(s) is sim._Ladder]
-            rung = steps[-1].rungs[-1] if ladder.inverted else steps[0].rungs[0]
+            rungs = ladder_steps(c._steps)
+            rung = rungs[-1][-1] if ladder.inverted else rungs[0][0]
             assert rung.qubits[-1] == ladder.controls[0] and ladder.count == 1
             np.testing.assert_allclose(rung.matrix, one.conj().T if ladder.inverted else one, rtol=0, atol=EQUIV_ATOL)
 
@@ -1434,7 +1453,7 @@ class TestLadder:
                 ladder = ladder.inverse()
             c = sim.Circuit(n, [sim.h(q) for q in range(k, n)] + [random_gate(rng, n), ladder, random_gate(rng, n)])
             assert ladder_rungs(c) == [m]
-            rungs = next(s for s in c._steps if type(s) is sim._Ladder).rungs
+            (rungs,) = ladder_steps(c._steps)
             assert [r.qubits[-1] for r in rungs] == list(ladder.controls[::-1] if ladder.inverted else ladder.controls)
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
             s = random_state(rng, n)
@@ -1443,7 +1462,7 @@ class TestLadder:
     def test_qae_runs_as_row_doubling_from_the_loaded_state(self):
         # run's plan holds the load's state, one _Doubling in place of the
         # H layer and the ladder, and the Fourier step; the doubling takes
-        # the rung matrices that apply_circuit's _Ladder applies.  Both
+        # the rung matrices that apply_circuit's plan applies.  Both
         # plans agree, and with build_unitary where it is small.
         rng = np.random.default_rng(53)
         for n, complex_load in itertools.product((2, 3, 4), (False, True)):
@@ -1458,8 +1477,8 @@ class TestLadder:
                     assert kinds == [sim._Prepared, *[sim._Multiply] * complex_load, sim._Doubling, sim._Fourier]
                     doubling = c._grown_steps[-2]
                     assert (doubling.start, doubling.width, len(doubling.matrices)) == (n, n + m, m)
-                    (ladder,) = [s for s in c._steps if type(s) is sim._Ladder]
-                    for matrix, rung in zip(doubling.matrices, ladder.rungs, strict=True):
+                    (rungs,) = ladder_steps(c._steps)
+                    for matrix, rung in zip(doubling.matrices, rungs, strict=True):
                         assert np.array_equal(matrix.T, rung.matrix)
                     got = sim.run(c).amplitudes
                     expected = sim.apply_circuit(sim.zero_state(n + m), c).amplitudes
@@ -1501,7 +1520,7 @@ class TestLadder:
     def test_ladders_not_right_after_their_own_h_layer_keep_their_rungs(self):
         # The doubling needs every row of the controls equal when the
         # ladder starts, and the controls on top.  Each case breaks one of
-        # those and keeps the _Ladder, and its run matches the gate loop.
+        # those and keeps the rungs, and its run matches the gate loop.
         rng = np.random.default_rng(59)
         a = np.abs(rng.normal(size=4))
         f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
@@ -1525,13 +1544,15 @@ class TestLadder:
         ]
         for items in cases:
             c = sim.Circuit(6, items)
-            kinds = [type(s) for s in c._grown_steps]
-            assert sim._Ladder in kinds and sim._Doubling not in kinds
+            assert ladder_steps(c._grown_steps) and sim._Doubling not in map(type, c._grown_steps)
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
         # amplitude -> equally-weighted: the forward ladder doubles, and its
         # inverse, which runs its last rung first, keeps its rungs
         c = converters.convert_amplitude_to_ew(f, 3)
-        assert [k for k in map(type, c._grown_steps) if k in (sim._Doubling, sim._Ladder)] == [sim._Doubling, sim._Ladder]
+        steps = c._grown_steps
+        d = [type(s) for s in steps].index(sim._Doubling)
+        assert not ladder_steps(steps[:d]) and sim._Doubling not in map(type, steps[d + 1 :])
+        assert [len(rungs) for rungs in ladder_steps(steps[d + 1 :])] == [3]
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
     def test_ladder_on_its_controls_alone(self):
@@ -1544,6 +1565,31 @@ class TestLadder:
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
             s = random_state(RNG, 3)
             np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
+
+    def test_repeats_plan_as_their_rungs(self):
+        # A plain repeat is one uncontrolled _Power of its count.  A ladder
+        # on m controls is m controlled _Powers of count << j on
+        # controls[j], in order, and its inverse() the adjoints of those
+        # rungs in reverse.  Each plan runs as the gate loop.
+        rng = np.random.default_rng(89)
+        count, controls = 3, (0, 4, 5)
+        period = random_ladder_period(rng, 4, 0)
+        ladder = sim.Repeat(period, count, controls)
+        u, one = sim.build_unitary(sim.Circuit(4, period)), control_blocks(ladder)[1]
+        forward = {
+            sim.Repeat(period, count): [(np.linalg.matrix_power(u, count), (0, 1, 2, 3), False)],
+            ladder: [(np.linalg.matrix_power(one, count << j), (1, 2, 3, c), True) for j, c in enumerate(controls)],
+        }
+        for item, rungs in forward.items():
+            adjoint = [(m.conj().T, qubits, controlled) for m, qubits, controlled in rungs[::-1]]
+            for item, rungs in ((item, rungs), (item.inverse(), adjoint)):
+                c = sim.Circuit(6, [item])
+                plan = [(type(step), step.qubits, step.controlled) for step in c._steps]
+                assert plan == [(sim._Power, qubits, controlled) for _, qubits, controlled in rungs]
+                for step, (matrix, _, _) in zip(c._steps, rungs):
+                    np.testing.assert_allclose(step.matrix, matrix, rtol=0, atol=EQUIV_ATOL)
+                s = random_state(rng, 6)
+                np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
 
     def test_ladder_wider_than_cap_runs_its_rungs_gate_by_gate(self):
         k = sim._POWER_QUBITS + 2
@@ -2129,6 +2175,18 @@ class TestGateUnitarity:
     )
     def test_gates_that_cannot_run_are_refused(self, make):
         with pytest.raises(CircuitError):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: sim.Gate("mry", (0, 1), angles=5), "angles must be a sequence of real numbers, got 5"),
+            (lambda: sim.Gate("perm", (0,), table=5), "permutation table must be a bijection of integers on basis indices, got 5"),
+            (lambda: sim.ry(10**400, 0), "is too large for a float"),
+        ],
+    )
+    def test_angles_or_tables_that_are_no_sequence_and_huge_angles_are_refused(self, make, message):
+        with pytest.raises(CircuitError, match=message):
             make()
 
     @pytest.mark.parametrize(
