@@ -195,12 +195,9 @@ def convert_amplitude_to_ew(u_a: Circuit, m: int) -> Circuit:
 
     # F: load onto the work register, flip the flag iff work == index.
     eq_qubits = tuple(range(2 * n + 1))
-    eq_table = []
-    for local in range(1 << (2 * n + 1)):
-        i = local & ((1 << n) - 1)
-        wk = (local >> n) & ((1 << n) - 1)
-        eq_table.append(local ^ (1 << (2 * n)) if i == wk else local)
-    f_circ = Circuit(w, u_a.shifted(n, w).items + (sim.permutation(eq_table, eq_qubits),))
+    local = np.arange(1 << (2 * n + 1))
+    eq_table = np.where((local & ((1 << n) - 1)) == ((local >> n) & ((1 << n) - 1)), local ^ (1 << (2 * n)), local)
+    f_circ = Circuit(w, u_a.shifted(n, w).items + (sim.permutation(eq_table.tolist(), eq_qubits),))
 
     gates: list = [sim.h(q) for q in index_reg]
     # estimate block: F once, then phase estimation on its Grover operator

@@ -254,13 +254,11 @@ def qram_oracle(xs, value_qubits: int) -> Circuit:
     width = enc.register_width(d)
     if width > sim.MAX_QUBITS:
         raise CapacityError(f"a qram oracle needs {width} qubits, above the cap of {sim.MAX_QUBITS}")
-    n_idx, xs = d.index_qubits, enc.check(d, xs).tolist()
-    table = []
-    for local in range(1 << width):
-        i = local & ((1 << n_idx) - 1)
-        y = local >> n_idx
-        table.append(i | (((y + xs[i]) % (1 << value_qubits)) << n_idx))
-    gate = sim.permutation(table, range(width))
+    n_idx, xs = d.index_qubits, enc.check(d, xs)
+    local = np.arange(1 << width)
+    i = local & ((1 << n_idx) - 1)
+    table = i | ((local >> n_idx) + xs[i]) % (1 << value_qubits) << n_idx
+    gate = sim.permutation(table.tolist(), range(width))
     return Circuit(
         width,
         [gate],

@@ -64,23 +64,25 @@ Conventions used throughout the package:
   step relabelled onto the touched qubits.  There are five blocks; the
   four that are items run on the ``_view_shape`` view of their qubits:
 
-  - ``Repeat``: gates and reflections applied ``count`` times back to
-    back, or a ladder of such repeats (phase estimation's controlled
-    powers).  On at most ``_POWER_QUBITS`` qubits, a ladder's control left
-    out, it runs as its rungs, one ``_Power`` step each: a plain repeat's
-    one rung is its ``2**k``-square matrix raised to the count, and a
-    ladder's rung j its control-1 block raised to ``count << j``, applied
-    where ``controls[j]`` reads 1.  The repeat keeps that matrix and its
-    powers, and its adjoint, the same fields with ``inverted`` set, shares
-    them and runs their adjoints, the rungs in reverse.  Met from width 0
+  - ``Repeat``: a period of gates and reflections applied ``count`` times
+    back to back, or a ladder of it (phase estimation's controlled
+    powers), whose rung j applies it ``count << j`` times where
+    ``controls[j]`` reads 1; the period touches no control.  On at most
+    ``_POWER_QUBITS`` qubits, the controls left out, it runs as its rungs,
+    one ``_Power`` step each: the period's ``2**k``-square matrix raised to
+    the rung's count, in a ladder on the control-1 half of ``controls[j]``.
+    Only the flat expansion writes the period controlled (``_controlled``).
+    The repeat keeps that matrix and its powers, and its adjoint, the same
+    fields with ``inverted`` set, shares them and runs their adjoints, the
+    rungs in reverse.  Met from width 0
     right after the H layer that inserts its controls on top, a ladder is
     one step with that layer, which doubles the rows of the controls rung
     by rung (``_Doubling``).  A wider repeat runs gate by gate.
-  - ``Reflection``: ``F (I - 2 P) F^dagger``, a Grover operator's
-    reflection about the state that the items F prepare, met only in a
-    repeat's period.  Its part of the period's matrix is made from the
-    columns of F that P keeps, for QAE ``F|0...0>`` alone, and not from
-    F's gates.
+  - ``Reflection``: ``F (2 P - I) F^dagger``, the reflection about the
+    state that the items F prepare with a Grover operator's global sign
+    folded in, met only in a repeat's period.  Its part of the period's
+    matrix is made from the columns of F that P keeps, for QAE
+    ``F|0...0>`` alone, and not from F's gates.
   - ``Diagonal``: a diagonal unitary (an amplitude load's phase pass),
     expanded as one multiplexed RZ per qubit and run as one elementwise
     multiply by its diagonal (Bullock & Markov, quant-ph/0303039).
@@ -124,7 +126,7 @@ from __future__ import annotations
 
 import gc
 import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -169,7 +171,7 @@ _BLOCK_LOOP_MIN = 1 << 12
 # third of the unslabbed time; 2**12 and 2**15-2**16 were slower.
 _SLAB = 1 << 14
 # A ``Repeat`` runs as matrix powers (``_repeat_step``) when its gates
-# touch at most this many qubits, a ladder's control left out.  Building
+# touch at most this many qubits, a ladder's controls left out.  Building
 # the matrix (``_period_matrix``) costs about 4**k per gate, one
 # ``apply_gate`` on the identity's rows, and each squaring 8**k.  Over
 # amplitude -> equally-weighted conversions (build, plan and run; medians
@@ -314,6 +316,20 @@ def _unchecked(item, **changes):
     return out
 
 
+def _items(values) -> tuple:
+    """``values`` as a tuple, the one check of a circuit's and a
+    reflection's items: ``CircuitError`` unless a sequence of gates and
+    declared blocks (``_ITEM_TYPES``)."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = (values,)  # refused below as an item
+    bad = [i for i in items if type(i) not in _ITEM_TYPES]
+    if bad:
+        raise CircuitError(f"circuit item {bad[0]!r} is neither a gate nor a declared block")
+    return items
+
+
 def _inverted(gates: Sequence[Gate]) -> tuple[Gate, ...]:
     """The adjoint of a gate list: each gate's inverse, in reverse order."""
     return tuple(g.inverse() for g in reversed(gates))
@@ -357,38 +373,37 @@ class _Block:
 
 @dataclass(frozen=True)
 class Reflection(_Block):
-    """A declared block, met only in a ``Repeat``'s period: ``F (I - 2 P)
-    F^dagger``, a Grover operator's reflection about the encoded state
-    (Brassard et al., quant-ph/0005055), with ``F`` the circuit items
-    ``items`` and ``P`` the projector onto the states where ``reflected``
-    reads 0 and ``controls`` read 1.  Its forward expansion is
-    ``F``-inverse, an X on each reflected qubit, a phase of pi where they
-    and the controls read 1, the X layer and ``F``, and ``inverted`` marks
-    its adjoint.  Its part of a period's matrix is made without it, from
-    the columns of ``F`` that ``P`` keeps (``_period_matrix``)."""
+    """A declared block, met only in a ``Repeat``'s period: ``F (2 P - I)
+    F^dagger``, the reflection about the encoded state (Brassard et al.,
+    quant-ph/0005055) with a Grover operator's global sign folded in, ``F``
+    the circuit items ``items`` and ``P`` the projector onto the states
+    where ``reflected`` reads 0.  Its forward expansion is ``F``-inverse, an
+    X on each reflected qubit, a phase of pi where they all read 1, the X
+    layer, ``F``, and the sign ``(P(pi) X)**2 = -I`` on ``reflected[-1]``;
+    ``inverted`` marks its adjoint.  Its part of a period's matrix is made
+    without it, from the columns of ``F`` that ``P`` keeps
+    (``_period_matrix``)."""
 
     items: tuple
     reflected: tuple[int, ...]
-    controls: tuple[int, ...] = ()
     inverted: bool = False
 
     def __post_init__(self):
         super().__post_init__()
-        items, reflected, controls = tuple(self.items), _check_qubits(self.reflected), _check_qubits(self.controls)
-        if not reflected or not set(map(type, items)) <= _ITEM_TYPES:
-            raise CircuitError("a reflection needs a reflected qubit, and an F of gates and declared blocks")
-        touched = {q for i in items for q in i.qubits}.union(reflected)
-        _check_qubits((*touched, *controls))  # no control on F or a reflected qubit
-        qubits = tuple(sorted(touched.union(controls)))
-        for name, value in zip(("items", "reflected", "controls", "qubits"), (items, reflected, controls, qubits)):
+        items, reflected = _items(self.items), _check_qubits(self.reflected)
+        if not reflected:
+            raise CircuitError("a reflection needs a reflected qubit")
+        qubits = tuple(sorted({q for i in items for q in i.qubits}.union(reflected)))
+        for name, value in zip(("items", "reflected", "qubits"), (items, reflected, qubits)):
             object.__setattr__(self, name, value)
 
     @cached_property
     def _forward(self) -> tuple[Gate, ...]:
         f = tuple(itertools.chain.from_iterable(i.gates for i in self.items))
-        flips = tuple(map(x, self.reflected))
-        qubits = (*self.controls, *self.reflected)
-        return (*_inverted(f), *flips, Gate(CP if len(qubits) > 1 else PHASE, qubits, angle=np.pi), *flips, *f)
+        r = self.reflected
+        flips = tuple(map(x, r))
+        sign = (p(np.pi, r[-1]), x(r[-1])) * 2
+        return (*_inverted(f), *flips, Gate(CP if len(r) > 1 else PHASE, r, angle=np.pi), *flips, *f, *sign)
 
 
 @dataclass(frozen=True)
@@ -399,21 +414,16 @@ class Repeat(_Block):
     matrix (``_period_matrix``); a wider repeat runs gate by gate.
 
     With ``controls`` it is a ladder (phase estimation's controlled
-    powers): the period is written controlled on ``controls[0]`` and
-    declared the identity where that wire reads 0, which only a test can
-    check (``build_unitary`` of the period).  It may touch the wire only as
-    a control of a CNOT, CP, ``mry`` or reflection, or by a P on it alone
-    (``_control_one``); any other gate on it raises ``CircuitError``.  Rung
-    j is the period moved onto ``controls[j]`` and applied ``count * 2**j``
-    times; the forward expansion lists the rungs in order.  Its plan steps
-    power the matrix of the period's control-1 block (``_repeat_step``),
-    on at most ``_POWER_QUBITS`` qubits once the control is left out.
+    powers) of the same plain period, which may touch no control: rung j
+    applies the period ``count * 2**j`` times where ``controls[j]`` reads
+    1.  The forward expansion lists the rungs in order, each the period's
+    gates controlled on ``controls[j]`` (``_controlled``).  Its plan steps
+    power the period's matrix (``_repeat_step``), on at most
+    ``_POWER_QUBITS`` qubits besides the controls.
 
     Its fields describe the forward repeat; ``inverted`` marks its adjoint.
-    It keeps the block its steps power (``_block``: a ladder's control-1
-    block, or a plain repeat's period and 1.0) and the powers a plan made
-    of its matrix (``_powers``), which an adjoint shares and runs the
-    adjoints of."""
+    It keeps the powers a plan made of its period's matrix (``_powers``),
+    which an adjoint shares and runs the adjoints of."""
 
     period: tuple[Gate | Reflection, ...]
     count: int
@@ -429,25 +439,15 @@ class Repeat(_Block):
         object.__setattr__(self, "count", int(self.count))  # a numpy count would wrap in a rung's count << j
         controls = _check_qubits(self.controls)
         object.__setattr__(self, "controls", controls)
-        if controls:
-            touched = {q for g in self.period for q in g.qubits}
-            if controls[0] not in touched:
-                raise CircuitError(f"a ladder's period must act on its control {controls[0]}")
-            _check_qubits((*touched.difference(controls[:1]), *controls))
-        object.__setattr__(self, "_block", _control_one(self.period, controls[0]) if controls else (self.period, 1.0))
+        if not {q for g in self.period for q in g.qubits}.isdisjoint(controls):
+            raise CircuitError(f"a ladder's period touches one of its controls {controls}")
         object.__setattr__(self, "_powers", {})
 
     @property
     def _forward(self) -> tuple[Gate, ...]:
-        period = tuple(itertools.chain.from_iterable(g.gates for g in self.period))
         if not self.controls:
-            return period * self.count
-        first = self.controls[0]
-        rungs = (
-            tuple(_unchecked(g, qubits=tuple(c if q == first else q for q in g.qubits)) if first in g.qubits else g for g in period)
-            * (self.count << j)
-            for j, c in enumerate(self.controls)
-        )
+            return tuple(itertools.chain.from_iterable(g.gates for g in self.period)) * self.count
+        rungs = (_controlled(self.period, c) * (self.count << j) for j, c in enumerate(self.controls))
         return tuple(itertools.chain.from_iterable(rungs))
 
     @cached_property
@@ -455,38 +455,36 @@ class Repeat(_Block):
         return tuple(sorted({q for g in self.period for q in g.qubits}.union(self.controls)))
 
 
-def _control_one(period: Sequence[Gate | Reflection], control: int) -> tuple[list[Gate | Reflection], complex]:
-    """The control-1 block of ``period``, a ladder's period that acts on
-    ``control`` only as a control: its items with ``control`` dropped, and
-    the scalar that the phases on ``control`` alone multiply together.  A
-    CP or a reflection loses the control (a CP on one qubit is a P), a CNOT
-    from it is an X on its target, and an ``mry`` over it keeps the angles
-    of the patterns where it reads 1.  Any other item on ``control`` raises
-    ``CircuitError``."""
-    gates: list[Gate | Reflection] = []
-    scalar = 1.0
+def _controlled(period: Sequence[Gate | Reflection], control: int) -> tuple[Gate, ...]:
+    """The flat expansion of ``period``, which does not touch ``control``,
+    applied only where ``control`` reads 1.  A P or CP gains the control;
+    an RY or ``mry`` becomes an ``mry`` whose top pattern bit is the
+    control; an H, which is ``RY(pi/2) Z``, a CP of pi then a controlled
+    RY; an X, CNOT, SWAP or PERMUTATION a PERMUTATION whose local bit 0 is
+    the control.  A reflection controls only its middle phase, since its
+    ``F`` and ``F``-inverse cancel where the control reads 0, and its sign
+    becomes a P of pi on the control."""
+    gates: list[Gate] = []
     for g in period:
-        qubits = g.qubits
-        if control not in qubits:
-            gates.append(g)
-            continue
-        rest = tuple(q for q in qubits if q != control)
         if type(g) is Reflection:
-            if control not in g.controls:
-                raise CircuitError(f"a reflection on {qubits} acts on the ladder's control {control} not as a control")
-            gates.append(replace(g, controls=tuple(q for q in g.controls if q != control)))
-        elif g.kind == PHASE:
-            scalar *= gate_blocks(g)[1]
-        elif g.kind == CP:
-            gates.append(_unchecked(g, kind=PHASE if len(rest) == 1 else CP, qubits=rest))
-        elif g.kind == CNOT and qubits[0] == control:
-            gates.append(_unchecked(g, kind=X, qubits=rest))
-        elif g.kind == MULTIPLEXED_RY and qubits[-1] != control:
-            bit = 1 << qubits.index(control)
-            gates.append(_unchecked(g, qubits=rest, angles=tuple(a for j, a in enumerate(g.angles) if j & bit)))
+            forward = g._forward  # F-inverse and the X layer, the middle phase, the X layer and F, the sign's four gates
+            middle = (len(forward) - 4) // 2
+            rung = (*forward[:middle], *_controlled(forward[middle : middle + 1], control), *forward[middle + 1 : -4],
+                    p(np.pi, control))
+            gates += _inverted(rung) if g.inverted else rung
+            continue
+        kind, qubits = g.kind, g.qubits
+        if kind in (PHASE, CP):
+            gates.append(Gate(CP, (control, *qubits), angle=g.angle))
+        elif kind in (RY, MULTIPLEXED_RY):
+            angles = g.angles or (g.angle,)
+            gates.append(multiplexed_ry((0.0,) * len(angles) + angles, (*qubits[:-1], control), qubits[-1]))
+        elif kind == H:
+            gates += [cp(np.pi, control, qubits[0]), cry(np.pi / 2, control, qubits[0])]
         else:
-            raise CircuitError(f"gate {g.kind} on {qubits} acts on the ladder's control {control} not as a control")
-    return gates, scalar
+            table = {X: (1, 0), CNOT: (0, 3, 2, 1), SWAP: _SWAP_TABLE}.get(kind, g.table)
+            gates.append(permutation([2 * table[i >> 1] + 1 if i & 1 else i for i in range(2 * len(table))], (control, *qubits)))
+    return tuple(gates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -804,17 +802,12 @@ class Circuit:
             raise CircuitError(f"circuit needs an integer number of qubits >= 1, got {n!r}")
         if not _is_integer(self.query_count) or self.query_count < 0:
             raise CircuitError(f"a query count is an integer >= 0, got {self.query_count!r}")
-        items = tuple(self.items)
-        if not set(map(type, items)) <= _ITEM_TYPES:
-            bad = next(i for i in items if type(i) not in _ITEM_TYPES)
-            raise CircuitError(f"circuit item {bad!r} is neither a gate nor a declared block")
+        items = _items(self.items)
         qubits = [q for i in items for q in i.qubits]
         if qubits and max(qubits) >= n:
             bad = next(g for i in items for g in i.gates if max(g.qubits) >= n)
             raise CircuitError(f"gate {bad.kind} touches qubit outside 0..{n - 1}")
-        if not isinstance(self.registers, Mapping):
-            raise CircuitError(f"registers map names to qubit tuples, got {self.registers!r}")
-        regs = {name: _check_qubits(qs, n) for name, qs in self.registers.items()}
+        regs = _check_registers(self.registers, n)
         used = [q for qs in regs.values() for q in qs]
         if len(set(used)) != len(used):
             raise CircuitError(f"registers overlap: {regs}")
@@ -1035,6 +1028,14 @@ def _check_qubits(qubits: Sequence[int], n: int | None = None) -> tuple[int, ...
     if min(qubits, default=0) < 0:
         raise CircuitError(f"qubits {qubits} include a negative qubit")
     return _check_qubits(tuple(map(int, qubits)), n)
+
+
+def _check_registers(registers: Mapping[str, Sequence[int]], n: int) -> dict[str, tuple[int, ...]]:
+    """``registers`` (a circuit's or a sampler's) as a dict of checked
+    qubit tuples (``_check_qubits``): ``CircuitError`` unless a mapping."""
+    if not isinstance(registers, Mapping):
+        raise CircuitError(f"registers map names to qubit tuples, got {registers!r}")
+    return {name: _check_qubits(qs, n) for name, qs in registers.items()}
 
 
 @lru_cache(maxsize=256)
@@ -1268,7 +1269,7 @@ class _Doubling(NamedTuple):
     ``psi[:2**width]``, m = ``width - start``.  The H gates make every row
     of the ``(2**m, 2**start)`` view the old state times ``1/sqrt(2)`` m
     times, so rung j makes rows ``2**j .. 2**(j+1) - 1`` as its power of
-    the control-1 block (held transposed in ``matrices``) times rows
+    the period (held transposed in ``matrices``) times rows
     ``0 .. 2**j - 1``: phase estimation's ``sum_y |y> Q**y F|0>`` (Brassard et al.,
     quant-ph/0005055) in m products."""
 
@@ -1423,7 +1424,7 @@ def _execution_plan(items: Sequence[Gate | Repeat | Diagonal | Qft | Pyramid], w
     plans from width n, ``run`` from width 0.  Each gate runs on its own
     through ``apply_gate``, one ``_Multiply`` per ``Diagonal``, one
     ``_Fourier`` per ``Qft``, and the rungs of each ``Repeat`` on at most
-    ``_POWER_QUBITS`` qubits, a ladder's control left out
+    ``_POWER_QUBITS`` qubits, a ladder's controls left out
     (``_repeat_step``): one ``_Power`` per rung, each squared from one
     matrix that ``_period_matrix`` builds and the repeat keeps
     (``_power``) for its adjoint and any later plan.
@@ -1515,15 +1516,14 @@ def _layer_ladder(item, pending: list, touched: list[int]) -> Repeat | None:
 
 
 def _power(item: Repeat, count: int) -> np.ndarray:
-    """``item``'s forward block (``Repeat._block``) to the power ``count``,
-    kept in ``item._powers``: the ``_period_matrix`` of the block off the
-    controls, then ``power(count - count//2) @ power(count//2)``.
+    """``item``'s forward period to the power ``count``, kept in
+    ``item._powers``: the ``_period_matrix`` of the period, on its qubits
+    but the controls, then ``power(count - count//2) @ power(count//2)``.
     ``Q**(2**j)`` is then one squaring of ``Q**(2**(j-1))``, byte-equal to
     ``np.linalg.matrix_power(Q, 2**j)``, which squares in the same order."""
     powers = item._powers
     if not powers:
-        gates, scalar = item._block
-        powers[1] = _period_matrix(gates, [q for q in item.qubits if q not in item.controls]) * scalar
+        powers[1] = _period_matrix(item.period, [q for q in item.qubits if q not in item.controls])
     if count not in powers:
         powers[count] = _power(item, count - count // 2) @ _power(item, count // 2)
     return powers[count]
@@ -1531,7 +1531,7 @@ def _power(item: Repeat, count: int) -> np.ndarray:
 
 def _repeat_step(item: Repeat, place, n: int) -> tuple[_Power, ...]:
     """The rungs of a few-qubit repeat at width n, ``place`` mapping its
-    qubits into the state, each a ``_Power`` of the repeat's block
+    qubits into the state, each a ``_Power`` of the repeat's period
     (``_power``): a plain repeat is one rung, its count, uncontrolled, and
     a ladder's rung j is ``count << j`` on the control-1 half of
     ``controls[j]``.  An inverted repeat runs the adjoints of those rungs
@@ -1576,7 +1576,7 @@ def _period_matrix(period: Sequence[Gate | Reflection], qubits: Sequence[int]) -
     of ``qubits`` (local bit i = ``qubits[i]``), first item rightmost, made
     on the identity ``u`` item by item: a P or CP scales the rows where its
     qubits read 1, any other gate runs on the rows (``_unitary``), and a
-    reflection makes ``u`` into ``u - 2 F_P (F_P^dagger u)``, ``F_P`` the
+    reflection makes ``u`` into ``2 F_P (F_P^dagger u) - u``, ``F_P`` the
     columns of ``F`` that ``P`` keeps.  For an ``F`` of a ``Pyramid`` on
     ``qubits`` and any ``Diagonal`` blocks, reflected about ``|0...0>``,
     ``F_P`` is ``F|0...0>`` as ``run`` makes it: the pyramid's kept state
@@ -1606,12 +1606,11 @@ def _period_matrix(period: Sequence[Gate | Reflection], qubits: Sequence[int]) -
                 _multiply_step(i, tuple(map(at.get, i.qubits)), k).apply(f_p)
             f_p = f_p[:, None]
         else:
-            one = sum(1 << at[q] for q in item.controls)
-            columns = [b for b in range(1 << k) if not b & zero and b & one == one]
+            columns = [b for b in range(1 << k) if not b & zero]
             f_p = np.zeros((1 << k, len(columns)), dtype=np.complex128)
             f_p[columns, range(len(columns))] = 1.0
             _unitary([g for i in item.items for g in i.gates], qubits, f_p)
-        u -= f_p @ (2.0 * (f_p.conj().T @ u))
+        np.subtract(f_p @ (2.0 * (f_p.conj().T @ u)), u, out=u)
     return u
 
 
@@ -1885,7 +1884,7 @@ def sample_shots(
     n = 18 and 8192 shots.  There, on a 2-vCPU Xeon, the outcomes, dicts
     and records take 0.9-1.0 ms (1.5-1.8 ms with the collector on) and the
     draw (``_draws``) 1.3-1.6 ms."""
-    registers = {name: _check_qubits(qs, state.n_qubits) for name, qs in registers.items()}
+    registers = _check_registers(registers, state.n_qubits)
     draws = _draws(state, shots, seed)
     collecting = gc.isenabled()
     gc.disable()

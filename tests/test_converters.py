@@ -214,6 +214,15 @@ class TestAmplitudeToEw:
         with pytest.raises(CapacityError):
             conv.convert_amplitude_to_ew(sim.Circuit(8, [sim.h(0)]), 5)
 
+    def test_equality_table_matches_the_per_entry_loop(self):
+        # F's comparator flips the flag (qubit 2n) where index == work
+        for n in (1, 2, 3):
+            circ = conv.convert_amplitude_to_ew(loaders.load_amplitude(np.full(1 << n, 2 ** (-n / 2))).circuit, 2)
+            eq = next(i for i in circ.items if type(i) is sim.Gate and i.kind == sim.PERMUTATION)
+            mask = (1 << n) - 1
+            loop = [x ^ (1 << 2 * n) if x & mask == (x >> n) & mask else x for x in range(1 << (2 * n + 1))]
+            assert eq.qubits == tuple(range(2 * n + 1)) and eq.table == tuple(loop)
+
 
 def test_ew_success_vanishes_with_n():
     """Analytic check: for i.i.d. digits with mean below one, mean(d^2)

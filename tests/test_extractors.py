@@ -163,6 +163,21 @@ class TestSwapTest:
         res = ext.swap_test(f, f, 10, 1)
         assert (res.p0_exact, res.p0_estimate, res.overlap_estimate) == (1.0, 1.0, 1.0)
 
+    def test_overlap_is_of_the_whole_loaded_states(self):
+        # A bidirectional load at s = 1 leaves its ancillas entangled with
+        # its data, so the swap test reads the fidelity of the loaders'
+        # whole states, not the data overlap (a.b)**2 that amplitude loads
+        # read.
+        rng = np.random.default_rng(0)
+        a, b = (v / np.linalg.norm(v) for v in (np.abs(rng.normal(size=8)), np.abs(rng.normal(size=8))))
+        la, lb = (loaders.load_bidirectional(v, 1).circuit for v in (a, b))
+        assert la.n_qubits > 3
+        whole = ext.swap_test(la, lb, 0, 0).overlap_estimate ** 2
+        assert whole == pytest.approx(sim.fidelity(sim.run(la), sim.run(lb)), abs=1e-12)
+        assert whole == pytest.approx(0.178, abs=1e-3) and (a @ b) ** 2 == pytest.approx(0.532, abs=1e-3)
+        amplitude = ext.swap_test(loaders.load_amplitude(a).circuit, loaders.load_amplitude(b).circuit, 0, 0)
+        assert amplitude.overlap_estimate ** 2 == pytest.approx((a @ b) ** 2, abs=1e-12)
+
     def test_rejects_unequal_widths(self):
         for shots in (0, 10):
             with pytest.raises(CircuitError, match="equal register sizes"):

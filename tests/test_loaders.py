@@ -431,6 +431,15 @@ class TestQramOracle:
     def test_query_count(self):
         assert loaders.qram_oracle([0, 1], 1).query_count == 1
 
+    def test_table_matches_the_per_entry_loop(self):
+        rng = np.random.default_rng(31)
+        for n_idx, v in ((0, 3), (1, 1), (2, 3), (3, 2), (4, 4)):
+            xs = [int(x) for x in rng.integers(0, 1 << v, size=1 << n_idx)]
+            (gate,) = loaders.qram_oracle(xs, v).gates
+            idx = (1 << n_idx) - 1
+            loop = [x & idx | ((x >> n_idx) + xs[x & idx]) % (1 << v) << n_idx for x in range(1 << (n_idx + v))]
+            assert gate.table == tuple(loop)
+
     def test_one_entry_table_has_no_index_qubits(self):
         c = loaders.qram_oracle([3], 2)
         assert c.n_qubits == 2 and c.registers["index"] == ()

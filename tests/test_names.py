@@ -5,7 +5,9 @@ A docstring or comment cites a name as ````_name```` or a call of it
 (````_name(...)````).  Each such name must be an identifier, an attribute
 or a string constant (not a docstring) of some module of ``src/enqode`` or
 ``tests``, read with ``ast``, so text that outlives the code it describes
-fails here.
+fails here.  And every module-level import of ``src/enqode`` is read
+in its module, or marked ``# noqa``, so an import that the code no longer
+needs fails here too.
 """
 import ast
 import io
@@ -60,3 +62,22 @@ def test_cited_private_names_exist():
         cited += [(path.name, name) for text in texts for name in CITED.findall(text)]
     assert cited  # the pattern finds what the package and its tests cite
     assert [(module, name) for module, name in cited if name not in names] == []
+
+
+def test_module_imports_are_read():
+    """Every module-level import of ``src/enqode`` is read in its module,
+    or its statement carries ``# noqa``: a name kept there for other code
+    to reach."""
+    unread = []
+    for path in sorted(Path(enqode.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(source), source.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            unread += [(path.name, name) for name in bound if name not in read]
+    assert unread == []

@@ -751,21 +751,17 @@ class TestExecutionPlan:
         assert extractors.qae_circuit(f, m).gates[start : start + len(grover)] == grover
         cases.append(grover)
         # Reflection blocks, planned from F's columns, against the closed
-        # form of their flat gates: F|0> alone (r = 1), with a complex F, on
-        # qubits above 0, and there between gates; F's gates when the
-        # reflection keeps 2 columns (r > 1) or reads a control; controlled
-        # Q's control-1 block, whose control _control_one drops; and
-        # adjoints.
+        # form of their flat gates, the sign -I included: F|0> alone
+        # (r = 1), with a complex F, on qubits above 0, and there between
+        # gates; F's gates when the reflection keeps 2 columns (r > 1); Q's
+        # period, which qae ladders; and adjoints.
         b = rng.normal(size=8) + 1j * rng.normal(size=8)
         complex_f = loaders.load_amplitude(b / np.linalg.norm(b)).circuit
         assert {type(i) for i in complex_f.items} == {sim.Pyramid, sim.Diagonal}
         reflect = sim.Reflection(complex_f.items, range(3))
-        controlled = extractors._grover_gates(f.items, w - 1, range(w), w + 1)
-        block, scalar = sim._control_one(controlled, w + 1)
-        assert np.isclose(scalar, -1) and [type(i) for i in block] == [sim.Gate, sim.Reflection] and not block[1].controls
         cases += [[reflect], [reflect.inverse()], [reflect.shifted(4)], [sim.h(5), reflect.shifted(4), sim.ry(0.3, 6)],
-                  [sim.Reflection(f.items, (1, 2))],
-                  [sim.Reflection(f.items, (2, 0)).inverse(), sim.h(1)], controlled, block]
+                  [sim.Reflection(f.items, (1, 2))], [sim.Reflection(f.items, (2, 0)).inverse(), sim.h(1)],
+                  extractors._grover_gates(f.items, w - 1, range(w))]
         # F_P from the pyramid's kept state, times a diagonal's factors, is
         # byte for byte the run of F it replaces, on contiguous, shifted
         # and spread qubits; a P or CP scales rows as _unitary's gate does.
@@ -777,7 +773,7 @@ class TestExecutionPlan:
             local = np.arange(1 << len(qubits))
             f_p = state[sum(((local >> i) & 1) << q for i, q in enumerate(qubits))][:, None]
             u = np.eye(1 << len(qubits), dtype=np.complex128)
-            u -= f_p @ (2.0 * (f_p.conj().T @ u))
+            u = f_p @ (2.0 * (f_p.conj().T @ u)) - u
             assert np.array_equal(sim._period_matrix([reflection], qubits), u)
             cases.append([reflection])
         for gates in ([sim.p(0.4, 3)], [sim.cp(-1.1, 5, 1)], [sim.Gate("cp", (3, 5, 1), angle=0.7)],
@@ -838,8 +834,7 @@ class TestExecutionPlan:
         # read 0 (the mry's pattern with qubit 2 at 1).
         for bad in (sim.ry(np.nan, 0), sim.p(np.nan, 1), sim.cp(np.nan, 0, 1), sim.multiplexed_ry([0.3, np.nan], [2], 0)):
             period = (sim.cnot(0, 1), bad, sim.h(1))
-            ladder = (sim.cp(0.4, 3, 0), *period)
-            for c in (sim.Circuit(3, [sim.h(0), sim.Repeat(period, 3)]), sim.Circuit(4, [sim.h(3), sim.Repeat(ladder, 1, (3,))])):
+            for c in (sim.Circuit(3, [sim.h(0), sim.Repeat(period, 3)]), sim.Circuit(4, [sim.h(3), sim.Repeat(period, 1, (3,))])):
                 for plan in (c._steps, c._grown_steps):
                     assert sim._Power in map(type, plan)
                 with pytest.raises(CircuitError):
@@ -894,7 +889,7 @@ class TestExecutionPlan:
         np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
 
     def test_qae_powers_are_byte_equal_to_matrix_power(self):
-        # Rung j of the ladder is Q's control-1 block to the power 2**j,
+        # Rung j of the ladder is Q's period to the power 2**j,
         # made by squarings in matrix_power's order.
         a = np.sqrt([0.1, 0.2, 0.3, 0.05, 0.05, 0.1, 0.15, 0.05])
         f = loaders.load_amplitude(a).circuit
@@ -903,7 +898,7 @@ class TestExecutionPlan:
             (ladder,) = [item for item in c.items if type(item) is sim.Repeat]
             (rungs,) = ladder_steps(c._steps)
             assert ladder.count == 1 and ladder.controls == tuple(range(3, 3 + m)) and len(rungs) == m
-            block = rungs[0].matrix  # Q's control-1 block, checked in TestLadder
+            block = rungs[0].matrix  # Q's period, checked in TestLadder
             for j, rung in enumerate(rungs):
                 expected = np.linalg.matrix_power(block, 1 << j)
                 assert rung.controlled and rung.qubits == (0, 1, 2, 3 + j)
@@ -1235,7 +1230,7 @@ class TestRepeat:
     def test_count_is_kept_as_a_plain_int(self):
         # A numpy count used to wrap in a rung's count << j: 2**62 << 2 read
         # 0 in int64, and _power recursed on 0 without end.
-        r = sim.Repeat((sim.cp(0.3, 1, 0),), np.int64(2**62), (1, 2, 3))
+        r = sim.Repeat((sim.p(0.3, 0),), np.int64(2**62), (1, 2, 3))
         assert {type(r.count), type(r.inverse().count), type(r.shifted(1).count)} == {int}
         layer = [sim.h(1), sim.h(2), sim.h(3)]
         got = sim.apply_circuit(sim.zero_state(4), sim.Circuit(4, [*layer, r])).amplitudes
@@ -1292,7 +1287,7 @@ class TestRepeat:
         # so run as the forward repeat's inverse, not as a repeat of the period
         rng = np.random.default_rng(84)
         plain = tuple(random_gate(rng, 3) for _ in range(4))
-        for forward in (sim.Repeat(plain, 3), sim.Repeat(random_ladder_period(rng, 3, 2), 1, (2, 3))):
+        for forward in (sim.Repeat(plain, 3), sim.Repeat(random_ladder_period(rng, (0, 1)), 1, (2, 3))):
             built = sim.Repeat(forward.period, forward.count, forward.controls, inverted=True)
             assert built == forward.inverse() and built.gates == sim._inverted(forward.gates)
             adjoint = sim.Circuit(4, [forward]).inverse()
@@ -1303,47 +1298,36 @@ class TestRepeat:
 
 
 
-def control_blocks(ladder: sim.Repeat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``build_unitary`` of a ladder's period on its own qubits, split by
-    its control: the control-0 block, the control-1 block (rows and
-    columns in the order of the other qubits' local index) and the two
-    off-diagonal blocks stacked."""
-    period, control = [g for i in ladder.period for g in i.gates], ladder.controls[0]
-    own = sorted({q for g in period for q in g.qubits})
-    local = {q: i for i, q in enumerate(own)}
-    u = sim.build_unitary(sim.Circuit(len(own), [g.on([local[q] for q in g.qubits]) for g in period]))
-    index = np.arange(u.shape[0])
-    zero, one = index[(index >> local[control]) & 1 == 0], index[(index >> local[control]) & 1 == 1]
-    return u[np.ix_(zero, zero)], u[np.ix_(one, one)], np.stack([u[np.ix_(one, zero)], u[np.ix_(zero, one)]])
+def period_unitary(period) -> np.ndarray:
+    """``build_unitary`` of ``period``'s flat gates on its own qubits, local
+    bit i the i-th lowest of them."""
+    gates = [g for i in period for g in i.gates]
+    own = sorted({q for g in gates for q in g.qubits})
+    return sim.build_unitary(sim.Circuit(len(own), [g.on([own.index(q) for q in g.qubits]) for g in gates]))
 
 
-def random_ladder_period(rng, n: int, control: int) -> tuple[sim.Gate, ...]:
-    """A period on qubits ``0..n-1`` but ``control`` that is the identity
-    where ``control`` reads 0: gates A off the control, gates that touch it
-    in every allowed way (a P on it, a CP, a CNOT and an ``mry`` over it,
-    whose control-0 angles are 0), then A undone."""
-    rest = [q for q in range(n) if q != control]
-    a = [spread_gate(rng, len(rest), int(rng.integers(1, min(3, len(rest)) + 1))) for _ in range(3)]
-    a = [sim.h(q) for q in rest] + [g.on([rest[q] for q in g.qubits]) for g in a]
-    t, *others = [int(q) for q in rng.permutation(rest)]
-    controls = [control, *others[: int(rng.integers(0, min(2, len(others)) + 1))]]
-    bit = np.arange(1 << len(controls)) & 1
-    touching = [
-        sim.p(float(rng.uniform(-np.pi, np.pi)), control),
-        sim.cp(float(rng.uniform(-np.pi, np.pi)), control, t),
-        sim.cnot(control, t),
-        sim.multiplexed_ry(bit * rng.uniform(-np.pi, np.pi, size=bit.size), controls, t),
-    ]
-    return (*a, *[touching[i] for i in rng.permutation(4)], *sim._inverted(a))
+def random_ladder_period(rng, qubits) -> tuple:
+    """A plain period on ``qubits``, as a ladder takes it: a random gate of
+    any kind that fits, a reflection (or its adjoint) about the state that
+    an H on each qubit and a random gate prepare, reflected on some of the
+    qubits, and another random gate."""
+    qubits = list(qubits)
+    a, b, c = [spread_gate(rng, len(qubits), int(rng.integers(1, min(3, len(qubits)) + 1))) for _ in range(3)]
+    a, b, c = [g.on([qubits[q] for q in g.qubits]) for g in (a, b, c)]
+    reflected = [int(q) for q in rng.permutation(qubits)[: int(rng.integers(1, len(qubits) + 1))]]
+    reflection = sim.Reflection((*map(sim.h, qubits), b), reflected)
+    return a, reflection.inverse() if rng.integers(2) else reflection, c
 
 
 class TestLadder:
     """A ``Repeat`` with controls: phase estimation's controlled powers,
-    declared once, run as one step on each control's control-1 half."""
+    of one plain period declared once, run as one step on each control's
+    control-1 half."""
 
-    def test_qae_and_amp_to_ew_periods_are_identity_where_the_control_reads_0(self):
-        # The guard of the declaration: the plan powers only the control-1
-        # block, and only build_unitary can show the control-0 block.
+    def test_qae_and_amp_to_ew_ladders_power_the_grover_operators_period(self):
+        # qpe_gates ladders the very period that grover_operator repeats,
+        # and the plan's rung 0 (count 1), or its adjoint in an inverted
+        # ladder, which runs rung 0 last, is that period's build_unitary
         rng = np.random.default_rng(71)
         ladders = []
         for n in range(1, 5):
@@ -1351,27 +1335,27 @@ class TestLadder:
                 f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
                 for flag in range(n):
                     c = extractors.qae_circuit(f, 2, flag)
-                    ladders += [(item, c) for item in c.items if type(item) is sim.Repeat]
+                    q = extractors.grover_operator(f, flag)
+                    ladders += [(item, c, q) for item in c.items if type(item) is sim.Repeat]
         for n, m in itertools.product((1, 2), (2, 3, 4)):
             a = np.abs(rng.normal(size=1 << n))
             c = converters.convert_amplitude_to_ew(loaders.load_amplitude(a / np.linalg.norm(a)).circuit, m)
-            ladders += [(item, c) for item in c.items if type(item) is sim.Repeat]
+            w, flag = 2 * n + 1, 2 * n
+            f = sim.Circuit(w, c.items[n : c.items.index(sim.h(w))])  # the load on work, then the equality flag
+            q = extractors.grover_operator(f, flag, (*range(n, 2 * n), flag))
+            ladders += [(item, c, q) for item in c.items if type(item) is sim.Repeat]
         assert len(ladders) == 2 * (1 + 2 + 3 + 4) + 6 * 2
-        for ladder, c in ladders:
-            zero, one, off = control_blocks(ladder)
-            np.testing.assert_allclose(zero, np.eye(len(zero)), rtol=0, atol=EQUIV_ATOL)
-            np.testing.assert_allclose(off, 0, rtol=0, atol=EQUIV_ATOL)
-            # the plan's control-1 block, rung 0's (count 1), or its
-            # adjoint in an inverted ladder, which runs rung 0 last; the
-            # period is the forward one either way
+        for ladder, c, q in ladders:
+            assert ladder.period == q.items[0].period and ladder.count == 1
             rungs = ladder_steps(c._steps)
             rung = rungs[-1][-1] if ladder.inverted else rungs[0][0]
-            assert rung.qubits[-1] == ladder.controls[0] and ladder.count == 1
-            np.testing.assert_allclose(rung.matrix, one.conj().T if ladder.inverted else one, rtol=0, atol=EQUIV_ATOL)
+            assert rung.qubits[-1] == ladder.controls[0]
+            u = period_unitary(ladder.period)
+            np.testing.assert_allclose(rung.matrix, u.conj().T if ladder.inverted else u, rtol=0, atol=EQUIV_ATOL)
 
     def test_qae_plan_multiplies_no_gate_of_f(self, monkeypatch):
-        # The ladder's control-1 block is the flag phase, a scale of the
-        # rows where the flag reads 1, and the reflection about F|0>, which
+        # The ladder's period is the flag phase, a scale of the rows where
+        # the flag reads 1, and the reflection about F|0>, which
         # the plan takes from the state the load's pyramid keeps: no gate
         # reaches a matrix product and no circuit is run, in either plan,
         # for a real or a complex load.
@@ -1407,34 +1391,40 @@ class TestLadder:
         f = (sim.h(0), sim.cnot(0, 1))
         for make in (
             lambda: sim.Reflection(f, ()),  # nothing reflected
-            lambda: sim.Reflection(f, (0,), (1,)),  # a control on F
-            lambda: sim.Reflection(f, (2,), (2,)),  # a control reflected
+            lambda: sim.Reflection(f, (2, 2)),  # a qubit reflected twice
             lambda: sim.Reflection([sim.Circuit(2)], (0,)),  # F holds a circuit
             lambda: sim.Reflection(f, (0, 1)).shifted(-1),
             lambda: sim.Circuit(2, [sim.Reflection(f, (0, 1))]),  # only in a repeat's period
-            lambda: sim.Repeat((sim.cp(0.3, 2, 0), sim.Reflection((*f, sim.h(2)), (0, 1))), 1, (2,)),  # F on the control
-            lambda: sim.Repeat((sim.cp(0.3, 2, 0), sim.Reflection(f, (0, 2))), 1, (2,)),  # the control reflected
+            lambda: sim.Repeat((sim.p(0.3, 0), sim.Reflection((*f, sim.h(2)), (0, 1))), 1, (2,)),  # F on the control
+            lambda: sim.Repeat((sim.p(0.3, 0), sim.Reflection(f, (0, 2))), 1, (2,)),  # the control reflected
         ):
             with pytest.raises(CircuitError):
                 make()
-        block = sim.Reflection(f, (0, 1), (3,))
+        block = sim.Reflection(f, (0, 3))
         assert block.qubits == (0, 1, 3) and block.inverse().inverse() == block != block.inverse()
-        assert block.shifted(2) == sim.Reflection((sim.h(2), sim.cnot(2, 3)), (2, 3), (5,))
+        assert block.shifted(2) == sim.Reflection((sim.h(2), sim.cnot(2, 3)), (2, 5))
         assert block.inverse().gates == sim._inverted(block.gates)
+        # and so is a ladder's rung of it, though a reflection is its own adjoint
+        forward, adjoint = (sim.Repeat((r,), 1, (4,)).gates for r in (block, block.inverse()))
+        assert adjoint == sim._inverted(forward) != forward
 
     @pytest.mark.parametrize("gate", [
         sim.x(2), sim.h(2), sim.ry(0.3, 2), sim.cnot(0, 2), sim.multiplexed_ry([0.1, 0.2], [0], 2),
         sim.cry(0.3, 1, 2), sim.swap(2, 1), sim.permutation([1, 0, 2, 3], [2, 0]), sim.cswap(2, 0, 1),
     ])
     def test_a_period_acting_on_its_control_not_as_a_control_is_refused(self, gate):
-        period = (sim.cnot(2, 0), gate, sim.cp(0.3, 2, 1))
-        with pytest.raises(CircuitError, match="not as a control"):
-            sim.Repeat(period, 1, (2, 3))
-        assert sim.Repeat((sim.cnot(2, 0), sim.cp(0.3, 2, 1)), 1, (2, 3)).qubits == (0, 1, 2, 3)
+        # A ladder controls its plain period itself, so the period may touch
+        # no control, the first or a later one: not by these gates on
+        # qubit 2, nor by a gate that reads it as a control.
+        for period in ((sim.cnot(1, 0), gate), (sim.cnot(2, 0),), (sim.cp(0.3, 2, 1),), (sim.p(0.3, 2),)):
+            for controls in ((2, 3), (3, 2)):
+                with pytest.raises(CircuitError, match="touches one of its controls"):
+                    sim.Repeat(period, 1, controls)
+        assert sim.Repeat((sim.cnot(1, 0), sim.cp(0.3, 0, 1)), 1, (2, 3)).qubits == (0, 1, 2, 3)
 
     def test_controls_must_be_distinct_and_off_the_rest_of_the_period(self):
-        period = (sim.cnot(2, 0), sim.cp(0.3, 2, 1))
-        for controls in ((2, 0), (2, 3, 3), (2, 1.0), (3, 4)):
+        period = (sim.cnot(1, 0), sim.cp(0.3, 0, 1))
+        for controls in ((2, 0), (2, 3, 3), (2, 1.0), (1, 3)):
             with pytest.raises(CircuitError):
                 sim.Repeat(period, 1, controls)
         with pytest.raises(CircuitError, match="outside 0..3"):
@@ -1447,7 +1437,7 @@ class TestLadder:
             k, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
             n = k + m - 1 + int(rng.integers(0, 2))
             control = int(rng.integers(k))
-            ladder = sim.Repeat(random_ladder_period(rng, k, control), int(rng.integers(1, 3)),
+            ladder = sim.Repeat(random_ladder_period(rng, [q for q in range(k) if q != control]), int(rng.integers(1, 3)),
                                 (control, *range(k, k + m - 1)))
             if rng.integers(2):
                 ladder = ladder.inverse()
@@ -1458,6 +1448,47 @@ class TestLadder:
             np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
             s = random_state(rng, n)
             np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
+
+    def test_ladders_match_the_closed_form_of_their_controlled_powers(self):
+        # Rung j applies the plain period U count << j times where
+        # controls[j] reads 1, so the ladder is the product over j of
+        # P0 + P1 U**(count << j) on controls[j], U made from kron_embed of
+        # the closed forms of the period's flat gates.  The flat expansion
+        # (build_unitary), both plans and adjoints agree with it, for
+        # controls below, between and above the period's qubits, in any
+        # order.
+        rng = np.random.default_rng(101)
+        kinds, seen, doubled = set(), set(), 0
+        for trial in range(30):
+            k, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            n = k + m
+            order = [int(q) for q in rng.permutation(n)] if trial % 3 else list(range(n))
+            qubits, controls = sorted(order[:k]), tuple(order[k:])
+            period, count = random_ladder_period(rng, qubits), int(rng.integers(1, 4))
+            flat = [g for i in period for g in i.gates]
+            kinds.update(g.kind for g in flat)
+            u = np.eye(1 << n, dtype=np.complex128)
+            for g in flat:
+                u = kron_embed(closed_form(g), g.qubits, n) @ u
+            index = np.arange(1 << n)
+            expected = np.eye(1 << n, dtype=np.complex128)
+            for j, c in enumerate(controls):
+                expected = np.where((index >> c)[:, None] & 1 == 1, np.linalg.matrix_power(u, count << j), np.eye(1 << n)) @ expected
+            ladder = sim.Repeat(period, count, controls)
+            if rng.integers(2):
+                ladder, expected = ladder.inverse(), expected.conj().T
+            seen.add((ladder.inverted, count))
+            np.testing.assert_allclose(sim.build_unitary(sim.Circuit(n, [ladder])), expected, rtol=0, atol=EQUIV_ATOL)
+            s = random_state(rng, n)
+            got = sim.apply_circuit(s, sim.Circuit(n, [ladder])).amplitudes
+            np.testing.assert_allclose(got, expected @ s.amplitudes, rtol=0, atol=EQUIV_ATOL)
+            # from |0>: a load on the period's qubits, then an H on each control
+            load = [sim.ry(float(theta), q) for q, theta in zip(qubits, rng.uniform(0.0, np.pi, k))]
+            c = sim.Circuit(n, [*load, *map(sim.h, controls), ladder])
+            doubled += sim._Doubling in map(type, c._grown_steps)
+            start = oracle_apply(sim.zero_state(n).amplitudes, sim.Circuit(n, [*load, *map(sim.h, controls)]))
+            np.testing.assert_allclose(sim.run(c).amplitudes, expected @ start, rtol=0, atol=EQUIV_ATOL)
+        assert {"h", "perm"} <= kinds and {count for _, count in seen} == {1, 2, 3} and len(seen) > 3 and doubled
 
     def test_qae_runs_as_row_doubling_from_the_loaded_state(self):
         # run's plan holds the load's state, one _Doubling in place of the
@@ -1525,8 +1556,8 @@ class TestLadder:
         a = np.abs(rng.normal(size=4))
         f = loaders.load_amplitude(a / np.linalg.norm(a)).circuit
         (*layer, ladder, qft), high = extractors.qpe_gates(f, 1, 3), f.shifted(3, 5)
-        below = sim.Repeat(tuple(extractors._grover_gates(high.items, 4, (3, 4), 0)), 1, (0, 1, 2))
-        descending = sim.Repeat(tuple(extractors._grover_gates(f.items, 1, (0, 1), 4)), 1, (4, 3, 2))
+        below = sim.Repeat(extractors._grover_gates(high.items, 4, (3, 4)), 1, (0, 1, 2))
+        descending = sim.Repeat(extractors._grover_gates(f.items, 1, (0, 1)), 1, (4, 3, 2))
         cases = [
             [*f.items, *layer, ladder.inverse(), qft],  # an inverted ladder, its last rung first
             [*f.items, *layer, descending, qft],  # controls on top, in descending order
@@ -1537,10 +1568,10 @@ class TestLadder:
             [*high.items, *(sim.h(q) for q in range(3)), below, sim.Qft((0, 1, 2), True)],  # controls below the data
             # H on a data qubit, inserted below control 3, which an RY inserted
             [*f.items, sim.ry(0.7, 3), sim.h(4), sim.h(2),
-             sim.Repeat((sim.cp(0.3, 3, 2), sim.cnot(3, 0), sim.cp(0.5, 3, 1)), 1, (3, 4)), sim.Qft((3, 4), True)],
+             sim.Repeat((sim.p(0.3, 2), sim.x(0), sim.p(0.5, 1)), 1, (3, 4)), sim.Qft((3, 4), True)],
             # a touched qubit below the controls that the ladder leaves out
             [*f.items, sim.ry(0.4, 2), *map(sim.h, (3, 4, 5)),
-             sim.Repeat(tuple(extractors._grover_gates(f.items, 1, (0, 1), 3)), 1, (3, 4, 5)), sim.Qft((3, 4, 5), True)],
+             sim.Repeat(extractors._grover_gates(f.items, 1, (0, 1)), 1, (3, 4, 5)), sim.Qft((3, 4, 5), True)],
         ]
         for items in cases:
             c = sim.Circuit(6, items)
@@ -1555,17 +1586,6 @@ class TestLadder:
         assert [len(rungs) for rungs in ladder_steps(steps[d + 1 :])] == [3]
         np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
 
-    def test_ladder_on_its_controls_alone(self):
-        # A period that touches only its control, by a P, has a control-1
-        # block on no qubit: a 1x1 matrix, its phase.  Its ladder used to
-        # fail to plan (an index into no qubits).
-        for controls in ((0, 1), (1, 2)):
-            c = sim.Circuit(3, [*map(sim.h, controls), sim.Repeat((sim.p(0.3, controls[0]),), 2, controls)])
-            assert sim._Doubling in map(type, c._grown_steps) and ladder_rungs(c) == [2]
-            np.testing.assert_allclose(sim.run(c).amplitudes, gate_loop(c), rtol=0, atol=EQUIV_ATOL)
-            s = random_state(RNG, 3)
-            np.testing.assert_allclose(sim.apply_circuit(s, c).amplitudes, gate_loop(c, s), rtol=0, atol=EQUIV_ATOL)
-
     def test_repeats_plan_as_their_rungs(self):
         # A plain repeat is one uncontrolled _Power of its count.  A ladder
         # on m controls is m controlled _Powers of count << j on
@@ -1573,12 +1593,12 @@ class TestLadder:
         # rungs in reverse.  Each plan runs as the gate loop.
         rng = np.random.default_rng(89)
         count, controls = 3, (0, 4, 5)
-        period = random_ladder_period(rng, 4, 0)
+        period = random_ladder_period(rng, (1, 2, 3))
         ladder = sim.Repeat(period, count, controls)
-        u, one = sim.build_unitary(sim.Circuit(4, period)), control_blocks(ladder)[1]
+        u = period_unitary(period)
         forward = {
-            sim.Repeat(period, count): [(np.linalg.matrix_power(u, count), (0, 1, 2, 3), False)],
-            ladder: [(np.linalg.matrix_power(one, count << j), (1, 2, 3, c), True) for j, c in enumerate(controls)],
+            sim.Repeat(period, count): [(np.linalg.matrix_power(u, count), (1, 2, 3), False)],
+            ladder: [(np.linalg.matrix_power(u, count << j), (1, 2, 3, c), True) for j, c in enumerate(controls)],
         }
         for item, rungs in forward.items():
             adjoint = [(m.conj().T, qubits, controlled) for m, qubits, controlled in rungs[::-1]]
@@ -1593,10 +1613,10 @@ class TestLadder:
 
     def test_ladder_wider_than_cap_runs_its_rungs_gate_by_gate(self):
         k = sim._POWER_QUBITS + 2
-        period = random_ladder_period(np.random.default_rng(5), k, 0)
+        period = random_ladder_period(np.random.default_rng(5), range(1, k))
         ladder = sim.Repeat(period, 1, (0, k, k + 1))
         c = sim.Circuit(k + 2, [sim.h(k), sim.h(k + 1), ladder])
-        assert len({q for g in period for q in g.qubits}) - 1 > sim._POWER_QUBITS
+        assert len({q for g in period for q in g.qubits}) > sim._POWER_QUBITS
         assert ladder_rungs(c) == [] and powers(c) == 0 and len(c._steps) == len(c.gates)
         s = random_state(RNG, k + 2)
         assert sim.apply_circuit(s, c).amplitudes.tobytes() == gate_loop(c, s).tobytes()
@@ -1607,7 +1627,7 @@ class TestLadder:
         # is not taken into a doubling: it grows the state one H at a time.
         k = sim._POWER_QUBITS + 1
         rng = np.random.default_rng(7)
-        ladder = sim.Repeat(random_ladder_period(rng, k + 1, k), 1, (k, k + 1))
+        ladder = sim.Repeat(random_ladder_period(rng, range(k)), 1, (k, k + 1))
         load = [sim.ry(float(theta), q) for q, theta in enumerate(rng.uniform(0.0, np.pi, k))]
         c = sim.Circuit(k + 2, [*load, sim.h(k), sim.h(k + 1), ladder])
         kinds = [type(s) for s in c._grown_steps]
@@ -2511,6 +2531,11 @@ class TestSampling:
             with pytest.raises(CircuitError):
                 sim.sample_shots(sim.zero_state(2), {"ok": (0,), "r": reg}, 3, 1)
 
+    @pytest.mark.parametrize("registers", [[("a", (0,))], None])
+    def test_shot_registers_are_a_mapping(self, registers):
+        with pytest.raises(CircuitError, match="registers map names"):
+            sim.sample_shots(sim.zero_state(2), registers, 10, 1)
+
     def test_shots_leave_the_collector_as_they_found_it(self):
         # The records are made with the cyclic collector paused; a call,
         # made or refused, turns it back on only if it was on.
@@ -2756,6 +2781,12 @@ class TestQubitCheck:
         with pytest.raises(CircuitError, match="registers map names"):
             sim.Circuit(1, (), registers)
 
+    @pytest.mark.parametrize("make", [lambda: sim.Circuit(2, 5), lambda: sim.Circuit(2, None),
+                                      lambda: sim.Reflection(5, (0,))], ids=["circuit-int", "circuit-none", "reflection-int"])
+    def test_items_are_a_sequence(self, make):
+        with pytest.raises(CircuitError, match="neither a gate nor a declared block"):
+            make()
+
     @pytest.mark.parametrize("count", [-3, 1.5, "x", True, None])
     def test_query_count_is_an_integer_of_at_least_zero(self, count):
         with pytest.raises(CircuitError, match="query count"):
@@ -2812,8 +2843,8 @@ class TestDeferredExpansion:
         def items(o):
             g = sim.cry(0.4, o, 2 + o)
             reflection = sim.Reflection((sim.Pyramid(angles, (o, 1 + o, 2 + o)), sim.Diagonal(phases, (2 + o, o))),
-                                        (o, 1 + o, 2 + o), (3 + o,))
-            ladder = sim.Repeat((sim.cp(0.3, 3 + o, o), reflection), 1, (3 + o, 4 + o))
+                                        (o, 1 + o, 2 + o))
+            ladder = sim.Repeat((sim.p(0.3, o), reflection), 1, (3 + o, 4 + o))
             return [g, sim.Repeat((g, sim.h(1 + o)), 2), reflection, ladder, sim.Diagonal(phases, (2 + o, o)),
                     sim.Qft((1 + o, o)), sim.Pyramid(angles, (2 + o, o, 1 + o))]
 
@@ -2837,7 +2868,7 @@ class TestDeferredExpansion:
     def test_inverted_is_a_bool_in_every_block(self, flag):
         f = (sim.Pyramid([0.3], (0,)),)
         for make in (
-            lambda: sim.Reflection(f, (0,), (), flag),
+            lambda: sim.Reflection(f, (0,), flag),
             lambda: sim.Repeat((sim.h(0),), 1, (), flag),
             lambda: sim.Diagonal([0.1, 0.2], (0,), flag),
             lambda: sim.Pyramid([0.3], (0,), flag),
